@@ -1,8 +1,8 @@
 """Structure tables for real reductive groups.
 
-Computes real forms, Cartan classes, real Weyl groups, KGB orbits, and
-blocks for a complex reductive group given by Lie type, central quotient,
-and inner class.  All arithmetic is exact.
+Computes real forms, Cartan classes, real Weyl groups and KGB orbits
+for a complex reductive group given by Lie type, central quotient, and
+inner class.  All arithmetic is exact.
 """
 
 from __future__ import annotations

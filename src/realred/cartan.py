@@ -21,7 +21,7 @@ from .involution import (
     fiber_rank,
     rank_decomposition,
 )
-from .rootdata import Root, RootDatum
+from .rootdata import Root, RootDatum, simple_basis
 from .weyl import (
     InvolutionTable,
     reflection_element,
@@ -33,27 +33,8 @@ from .weyl import (
 # -- root subsystem classification --------------------------------------
 
 
-def _lex_positive(vec: lin.Vector) -> bool:
-    for a in vec:
-        if a:
-            return a > 0
-    return False
-
-
 def _pairing(a: Root, b: Root) -> int:
     return lin.vec_dot(a.vec, b.covec)
-
-
-def simple_basis(positives: list[Root]) -> list[Root]:
-    """Indecomposable members of a closed set of positive roots."""
-    vecs = {r.vec for r in positives}
-    return [
-        r for r in positives
-        if not any(
-            g.vec != r.vec and lin.vec_sub(r.vec, g.vec) in vecs
-            for g in positives
-        )
-    ]
 
 
 def _component_name(basis: list[Root], comp: list[int]) -> str:
@@ -379,20 +360,21 @@ def _weyl_closure(rd: RootDatum, gens: list[lin.Matrix]) -> dict:
 
 
 def _a_group_data(
-    ic: InnerClass, x: StrongX, im_basis: list[Root], wic_basis: list[Root]
+    ic: InnerClass,
+    x: StrongX,
+    wi: list[tuple[tuple[int, ...], lin.Matrix]],
+    wic_basis: list[Root],
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Rank and generator words of A = Stab_{W_i}(x) / W_ic."""
+    """Rank and generator words of A = Stab_{W_i}(x) / W_ic.
+
+    wi lists every element of W_i as (reduced word, matrix).
+    """
     rd = ic.rd
-    wi = _weyl_closure(rd, [reflection_matrix(rd, r) for r in im_basis])
     key = ic.x_key(x)
-    stab = []
-    for m, mi in wi.items():
-        w = word_from_matrix(rd, m, mi)
-        if ic.x_key(ic.cross_word(w, x)) == key:
-            stab.append((w, m))
+    stab = [(w, m) for w, m in wi if ic.x_key(ic.cross_word(w, x)) == key]
     wic_gens = [reflection_matrix(rd, r) for r in wic_basis]
     wic = _weyl_closure(rd, wic_gens)
-    assert all(m in {s for _, s in stab} for m in wic)
+    assert set(wic) <= {m for _, m in stab}
     count, extra = divmod(len(stab), len(wic))
     assert extra == 0 and count & (count - 1) == 0
     a_rank = count.bit_length() - 1
@@ -427,9 +409,6 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     imaginary = table.imaginary_roots(inv)
     compact = [r for r in imaginary if not ic.root_grading(x, r)]
     compact_type = system_type(compact)
-    for y in reps[1:]:
-        other = [r for r in imaginary if not ic.root_grading(y, r)]
-        assert system_type(other) == compact_type
     side, side_pairs = _complex_factor(table, inv)
     complex_gens = []
     for first, second in side_pairs:
@@ -439,14 +418,19 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
         complex_gens.append(word_from_matrix(rd, m, m))
     complex_gens.sort(key=lambda w: (len(w), w))
     real_basis = simple_basis(table.real_roots(inv))
-    im_basis = table.imaginary_basis(inv)
+    wi_gens = [reflection_matrix(rd, r) for r in table.imaginary_basis(inv)]
+    wi = [
+        (word_from_matrix(rd, m, mi), m)
+        for m, mi in _weyl_closure(rd, wi_gens).items()
+    ]
     wic_basis = simple_basis(compact)
-    a_rank, a_gens = _a_group_data(ic, x, im_basis, wic_basis)
+    a_rank, a_gens = _a_group_data(ic, x, wi, wic_basis)
     for y in reps[1:]:
-        other_basis = simple_basis(
-            [r for r in imaginary if not ic.root_grading(y, r)]
-        )
-        assert _a_group_data(ic, y, im_basis, other_basis)[0] == a_rank
+        other = [r for r in imaginary if not ic.root_grading(y, r)]
+        # the same type, possibly with its components in another order
+        assert sorted(system_type(other).split(".")) == \
+            sorted(compact_type.split("."))
+        assert _a_group_data(ic, y, wi, simple_basis(other))[0] == a_rank
     return RealWeylDecomposition(
         complex_type=system_type(side),
         a_rank=a_rank,

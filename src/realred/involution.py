@@ -23,7 +23,6 @@ from .rootdata import (
     adjoint_generators,
     build_root_datum,
     center_structure,
-    parse_lie_type,
 )
 from .weyl import (
     COMPLEX_DOWN,
@@ -86,14 +85,6 @@ class StrongInvolutionRep:
 
     involution: int
     tnum: lin.Vector
-
-
-@dataclass(frozen=True)
-class FiberGroup:
-    """Two-group translating the strong involutions over one involution."""
-
-    rank: int
-    generators: tuple[lin.Vector, ...]
 
 
 @dataclass(frozen=True)
@@ -333,10 +324,6 @@ class InnerClass:
         )
         return (inv, key)
 
-    def _int_key_as_frac(self, key: tuple) -> tuple:
-        inv, coords = key
-        return (inv, tuple(Fraction(c, self.denom) for c in coords))
-
     def square_value(self, x: StrongX) -> tuple[Fraction, ...]:
         """Central cocharacter s with xi^2 = exp(2 pi i s)."""
         inv, t = x
@@ -347,9 +334,6 @@ class InnerClass:
             lin.vec_scale(self.table.cbits(inv), self.denom // 2),
         )
         return tuple(Fraction(v, self.denom) for v in num)
-
-    def square_class_of(self, x: StrongX) -> int:
-        return self._square_index[self.central_class_key(self.square_value(x))]
 
     def _square_key_if_valid(self, x: StrongX) -> tuple | None:
         """Square-class key of x, or None when x squares outside the center."""
@@ -363,18 +347,6 @@ class InnerClass:
         return self.central_class_key(s)
 
     # -- fibers ----------------------------------------------------------
-
-    def fiber_group(self, inv: int) -> FiberGroup:
-        """Generators of the translation two-group over one involution."""
-        sf = self._smith_plus(inv)
-        cols = lin.transpose(sf.vinv)
-        gens = []
-        for i, d in enumerate(sf.diag):
-            if d >= 2:
-                assert d == 2
-                gens.append(lin.vec_scale(cols[i], self.denom // 2))
-        theta = self.table.thetas[inv]
-        return FiberGroup(rank=fiber_rank(theta), generators=tuple(gens))
 
     def fiber_elements(self, inv: int, key: tuple) -> tuple[lin.Vector, ...]:
         """Strong involutions over one involution with squares in one class.
@@ -397,7 +369,12 @@ class InnerClass:
         if t0 is None:
             out: tuple[lin.Vector, ...] = ()
         else:
-            gens = self.fiber_group(inv).generators
+            cols = lin.transpose(sf.vinv)
+            gens = []
+            for i, e in enumerate(sf.diag):
+                if e >= 2:
+                    assert e == 2
+                    gens.append(lin.vec_scale(cols[i], d // 2))
             t0 = lin.vec_mod(t0, d)
             seen = {self.x_key((inv, t0)): t0}
             queue = [t0]
@@ -506,12 +483,12 @@ class InnerClass:
     @cached_property
     def _ad(self) -> InnerClass:
         """Parallel context on the adjoint group of the derived group."""
-        simple = [f for f in self.lt.factors if f.letter != "T"]
+        simple = tuple(f for f in self.lt.factors if f.letter != "T")
         letters = "".join(
             letter for letter, idxs in self.delta.units
             if self.lt.factors[idxs[0]].letter != "T"
         )
-        lt = parse_lie_type(".".join(str(f) for f in simple))
+        lt = LieType(simple, tuple(str(f) for f in simple))
         rd = build_root_datum(lt, adjoint_generators(center_structure(lt)))
         if (
             rd == self.rd
@@ -996,21 +973,3 @@ def format_strong_real(
 def inner_class(letters: str, rd: RootDatum, lt: LieType) -> InnerClass:
     """Builds the full inner-class context from the letter string."""
     return InnerClass(inner_class_involution(letters, rd, lt))
-
-
-def square_classes(ic: InnerClass) -> tuple[SquareClass, ...]:
-    return ic.square_classes
-
-
-def enumerate_real_forms(ic: InnerClass) -> tuple[RealFormLabel, ...]:
-    return ic.real_forms
-
-
-def strong_real_forms_at_cartan(
-    ic: InnerClass, cartan: int
-) -> tuple[tuple[int, tuple[StrongOrbit, ...]], ...]:
-    return ic.strong_real_forms_at(cartan)
-
-
-def component_group(ic: InnerClass, form: int) -> int:
-    return ic.component_rank(form)

@@ -50,10 +50,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(x + y for x, y in zip(u, v))
 

@@ -163,22 +163,6 @@ def cartan_matrix(letter: str, n: int) -> lin.Matrix:
     return lin.freeze(c)
 
 
-def weyl_type_order(letter: str, n: int) -> int:
-    """Order of the Weyl group of a simple type."""
-    fact = 1
-    for k in range(2, n + 2):
-        fact *= k
-    if letter == "A":
-        return fact
-    fact //= n + 1
-    if letter in ("B", "C"):
-        return 2**n * fact
-    if letter == "D":
-        return 2 ** (n - 1) * fact
-    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-            ("F", 4): 1152, ("G", 2): 12}[(letter, n)]
-
-
 class CenterComponent(NamedTuple):
     factor_index: int
     order: int  # 0 marks a divisible torus component
@@ -370,98 +354,17 @@ class RootDatum:
             out = lin.vec_add(out, r.covec)
         return out
 
-    def subsystem_type(self, roots: list[Root]) -> tuple[Factor, ...]:
-        """Classifies a closed subsystem given by its positive roots."""
-        vecs = {r.vec for r in roots}
-        simples = [
-            r for r in roots
-            if not any(lin.vec_sub(r.vec, v) in vecs for v in vecs
-                       if v != r.vec)
-        ]
-        return classify_simples(
-            [(r.vec, r.covec) for r in simples], self.pairing
+
+def simple_basis(positives: list[Root]) -> list[Root]:
+    """Indecomposable members of a closed set of positive roots."""
+    vecs = {r.vec for r in positives}
+    return [
+        r for r in positives
+        if not any(
+            g.vec != r.vec and lin.vec_sub(r.vec, g.vec) in vecs
+            for g in positives
         )
-
-
-def classify_simples(simples, pairing) -> tuple[Factor, ...]:
-    """Type of a root system from a set of simple roots and coroots.
-
-    Rank-two systems with a double bond are reported as B2.
-    """
-    k = len(simples)
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pairing(simples[i][0], simples[j][1]):
-                adj[i].append(j)
-                adj[j].append(i)
-    unseen = set(range(k))
-    factors = []
-    while unseen:
-        start = min(unseen)
-        comp = [start]
-        unseen.discard(start)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in adj[i]:
-                if j in unseen:
-                    unseen.discard(j)
-                    comp.append(j)
-                    queue.append(j)
-        factors.append(_classify_component(comp, simples, pairing, adj))
-    return tuple(sorted(factors, key=lambda f: (-f.rank, f.letter)))
-
-
-def _classify_component(comp, simples, pairing, adj) -> Factor:
-    n = len(comp)
-    if n == 1:
-        return Factor("A", 1)
-    pairs = {}
-    for i in comp:
-        for j in adj[i]:
-            if j > i:
-                pairs[(i, j)] = (
-                    pairing(simples[i][0], simples[j][1]),
-                    pairing(simples[j][0], simples[i][1]),
-                )
-    mult = {ij: a * b for ij, (a, b) in pairs.items()}
-    if any(m == 3 for m in mult.values()):
-        return Factor("G", 2)
-    doubles = [ij for ij, m in mult.items() if m == 2]
-    if doubles:
-        if n == 2:
-            return Factor("B", 2)
-        (i, j) = doubles[0]
-        a, _ = pairs[(i, j)]
-        short = j if a == -2 else i
-        long_ = i if short == j else j
-        if len(adj[short]) > 1 and len(adj[long_]) > 1:
-            return Factor("F", 4)
-        return Factor("B" if len(adj[short]) == 1 else "C", n)
-    branch = [i for i in comp if len(adj[i]) == 3]
-    if not branch:
-        return Factor("A", n)
-    b = branch[0]
-    arms = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return Factor("D", n)
-    return Factor("E", n)
-
-
-def format_system(factors: tuple[Factor, ...]) -> str:
-    return ".".join(str(f) for f in factors)
+    ]
 
 
 def _component_functionals(lt: LieType, cs: CenterStructure) -> list[lin.Vector]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import lin
-from .rootdata import Factor, InputError, LieType, Root, RootDatum
+from .rootdata import Factor, InputError, LieType, Root, RootDatum, simple_basis
 
 INCOMPATIBLE = "sorry, that inner class is not compatible with the weight lattice"
 
@@ -153,11 +153,6 @@ def weyl_element(rd: RootDatum, word) -> WeylElt:
         m = lin.mat_mul(m, s)
         minv = lin.mat_mul(s, minv)
     return make_weyl(rd, m, minv)
-
-
-def weyl_act(w: WeylElt, v: lin.Vector) -> lin.Vector:
-    """Applies w to a character vector."""
-    return lin.mat_vec(w.matrix, v)
 
 
 def reflection_matrix(rd: RootDatum, root: Root) -> lin.Matrix:
@@ -325,64 +320,6 @@ def _simple_perm(units, lt: LieType) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@dataclass(frozen=True)
-class TwistedInvolution:
-    """w with w.delta(w) = 1, carried with its involution matrix."""
-
-    w: WeylElt
-    theta: lin.Matrix
-
-
-@dataclass(frozen=True)
-class TitsElt:
-    """Normal form m_bits . sigma_w in the Tits group extension of W.
-
-    bits is a 0/1 vector representing a cocharacter mod 2.
-    """
-
-    rd: RootDatum
-    bits: lin.Vector
-    w: WeylElt
-
-
-def tits_identity(rd: RootDatum) -> TitsElt:
-    return TitsElt(rd, lin.zero_vector(rd.rank), weyl_element(rd, ()))
-
-
-def tits_sigma(rd: RootDatum, j: int) -> TitsElt:
-    return TitsElt(rd, lin.zero_vector(rd.rank), weyl_element(rd, (j,)))
-
-
-def tits_torus(rd: RootDatum, bits) -> TitsElt:
-    return TitsElt(rd, tuple(b % 2 for b in bits), weyl_element(rd, ()))
-
-
-def tits_multiply(a: TitsElt, b: TitsElt) -> TitsElt:
-    """Product in the Tits group, with sigma_j^2 = coroot-j mod 2."""
-    rd = a.rd
-    assert rd == b.rd
-    # Move b's torus bits left past sigma_{a.w}.
-    minv = lin.identity(rd.rank)
-    for j in reversed(a.w.word):
-        minv = lin.mat_mul(minv, rd.reflections[j])
-    bits = list(
-        (x + y) % 2
-        for x, y in zip(a.bits, lin.mat_vec(lin.transpose(minv), b.bits))
-    )
-    m = a.w.matrix
-    for k in b.w.word:
-        vec = lin.mat_vec(m, rd.simple_roots[k])
-        idx = rd.root_index[vec]
-        if idx < 0:
-            covec = rd.positive_roots[~idx].covec
-            for c in range(rd.rank):
-                bits[c] = (bits[c] + covec[c]) % 2
-        s = rd.reflections[k]
-        m = lin.mat_mul(m, s)
-        minv = lin.mat_mul(s, minv)
-    return TitsElt(rd, tuple(bits), make_weyl(rd, m, minv))
-
-
 def _pack(m: lin.Matrix) -> bytes:
     n = len(m)
     return struct.pack(f"<{n * n}h", *(x for row in m for x in row))
@@ -513,12 +450,6 @@ class InvolutionTable:
             out = self._words[i] = normal_form_word(self.rd, m, minv)
         return out
 
-    def weyl_elt(self, i: int) -> WeylElt:
-        return WeylElt(self.word(i), lin.mat_mul(self.thetas[i], self.dmat))
-
-    def twisted_involution(self, i: int) -> TwistedInvolution:
-        return TwistedInvolution(self.weyl_elt(i), self.thetas[i])
-
     def cochar_action(self, i: int) -> lin.Matrix:
         """Action of w on cocharacters (w is its own twisted inverse)."""
         return lin.transpose(lin.mat_mul(self.dmat, self.thetas[i]))
@@ -588,20 +519,11 @@ class InvolutionTable:
         Ordered by height, with height-one roots in simple-root index
         order.
         """
-        pos = self.imaginary_roots(i)
-        vecs = {r.vec for r in pos}
-        basis = [
-            r for r in pos
-            if not any(
-                g.vec != r.vec and lin.vec_sub(r.vec, g.vec) in vecs
-                for g in pos
-            )
-        ]
         def key(r: Root):
             h = sum(r.coeffs)
             return (h, r.coeffs.index(1) if h == 1 else -1, r.coeffs)
-        basis.sort(key=key)
-        return basis
+
+        return sorted(simple_basis(self.imaginary_roots(i)), key=key)
 
     def _two_rho_of(self, roots: list[Root]) -> lin.Vector:
         out = lin.zero_vector(self.rd.rank)
@@ -682,34 +604,5 @@ class InvolutionTable:
         )
 
 
-@dataclass(frozen=True)
-class InvolutionClass:
-    """One twisted-conjugacy class with members reachable on demand."""
-
-    class_id: int
-    canonical: TwistedInvolution
-    orbit_size: int
-    table: InvolutionTable
-    member_ids: tuple[int, ...]
-
-    def members(self) -> list[TwistedInvolution]:
-        return [self.table.twisted_involution(i) for i in self.member_ids]
-
-
 def involution_table(delta: InnerClassInvolution) -> InvolutionTable:
     return InvolutionTable(delta.rd, delta.matrix)
-
-
-def twisted_involution_classes(delta: InnerClassInvolution) -> list[InvolutionClass]:
-    table = involution_table(delta)
-    out = []
-    for ci, ids in enumerate(table.classes):
-        rep = table.canonical_member(ci)
-        out.append(InvolutionClass(
-            class_id=ci,
-            canonical=table.twisted_involution(rep),
-            orbit_size=len(ids),
-            table=table,
-            member_ids=ids,
-        ))
-    return out

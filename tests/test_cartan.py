@@ -54,22 +54,6 @@ def decompositions(ic):
 # -- type recognition ------------------------------------------------------
 
 
-def test_system_type_of_whole_systems():
-    for text, expect in [
-        ("A1", "A1"),
-        ("A1.A1", "A1.A1"),
-        ("A3", "A3"),
-        ("B3", "B3"),
-        ("C3", "C3"),
-        ("D4", "D4"),
-        ("G2", "G2"),
-        ("F4", "F4"),
-        ("E6", "E6"),
-    ]:
-        rd = build_root_datum(parse_lie_type(text), ())
-        assert system_type(rd.positive_roots) == expect
-
-
 def test_system_type_rank_two_double_bond_is_b2():
     rd = build_root_datum(parse_lie_type("C2"), ())
     assert system_type(rd.positive_roots) == "B2"
@@ -96,6 +80,11 @@ def test_weyl_order():
     assert weyl_order("D4") == 192
     assert weyl_order("E6") == 51840
     assert weyl_order("G2.F4") == 12 * 1152
+    assert weyl_order("A2") == 6
+    assert weyl_order("B2") == 8
+    assert weyl_order("C6") == 2**6 * 720
+    assert weyl_order("G2") == 12
+    assert weyl_order("F4") == 1152
 
 
 # -- Cartan class reports --------------------------------------------------
@@ -150,6 +139,25 @@ def test_cartan_report_sl2c():
         "imaginary root system is empty",
         "real root system is empty",
         "complex factor: A1",
+        "real form #0: [0] (1)",
+    ]
+
+
+@pytest.mark.parametrize("text,letters,ranks,fiber", [
+    ("T2", "C", "split: 0; compact: 0; complex: 1", "fiber rank: 0;  #X_r: 1"),
+    ("T1", "s", "split: 1; compact: 0; complex: 0", "fiber rank: 0;  #X_r: 1"),
+    ("T1", "c", "split: 0; compact: 1; complex: 0", "fiber rank: 1;  #X_r: 2"),
+], ids=["T2-C", "T1-s", "T1-c"])
+def test_cartan_report_pure_torus(text, letters, ranks, fiber):
+    ic = context(text, letters)
+    assert format_cartan_report(ic, 0) == [
+        "Cartan #0:",
+        ranks,
+        "canonical twisted involution:",
+        f"twisted involution orbit size: 1;  {fiber}",
+        "imaginary root system is empty",
+        "real root system is empty",
+        "complex factor is empty",
         "real form #0: [0] (1)",
     ]
 
@@ -400,6 +408,16 @@ def test_real_weyl_sl2r():
         "generators for W^R:",
         "1",
     ]
+
+
+@pytest.mark.parametrize("text,form,order", [
+    ("B4", 3, 48), ("B4", 4, 32), ("C4", 1, 96),
+])
+def test_real_weyl_compact_type_independent_of_fiber_point(text, form, order):
+    # The fiber points of these forms at the fundamental Cartan give
+    # compact systems with the same components in different orders.
+    dec = real_weyl(context(text, "s"), form, 0)
+    assert (dec.order, dec.a_rank) == (order, 0)
 
 
 def test_real_weyl_su2_is_full_weyl_group():

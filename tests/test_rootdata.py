@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from realred import lin, rootdata
+from realred.cartan import system_type
 from realred.rootdata import (
     Factor,
     InputError,
@@ -184,14 +185,13 @@ def test_root_index_signs() -> None:
 
 
 @pytest.mark.parametrize("text,expected", [
-    ("A3", "A3"), ("B3", "B3"), ("C3", "C3"), ("B2", "B2"), ("C2", "B2"),
-    ("G2", "G2"), ("F4", "F4"), ("D4", "D4"), ("D5", "D5"), ("E6", "E6"),
-    ("E7", "E7"), ("A1.A1", "A1.A1"), ("D2", "A1.A1"), ("B2.A3", "A3.B2"),
+    ("A1", "A1"), ("A3", "A3"), ("B3", "B3"), ("C3", "C3"), ("B2", "B2"),
+    ("C2", "B2"), ("G2", "G2"), ("F4", "F4"), ("D4", "D4"), ("D5", "D5"),
+    ("E6", "E6"), ("E7", "E7"), ("A1.A1", "A1.A1"), ("D2", "A1.A1"),
+    ("B2.A3", "A3.B2"),
 ])
 def test_subsystem_classifier_full_systems(text: str, expected: str) -> None:
-    rd = datum(text)
-    got = rd.subsystem_type(list(rd.positive_roots))
-    assert rootdata.format_system(got) == expected
+    assert system_type(datum(text).positive_roots) == expected
 
 
 def test_dual_is_involutive() -> None:
@@ -211,13 +211,3 @@ def test_dual_of_sc_is_adjoint_of_dual_type() -> None:
 def test_dual_lie_type() -> None:
     assert str(dual_lie_type(parse_lie_type("B3.C2.A4.T1"))) == "C3.B2.A4.T1"
     assert str(dual_lie_type(parse_lie_type("G2.F4"))) == "G2.F4"
-
-
-def test_weyl_type_order() -> None:
-    assert rootdata.weyl_type_order("A", 2) == 6
-    assert rootdata.weyl_type_order("B", 2) == 8
-    assert rootdata.weyl_type_order("C", 6) == 2**6 * 720
-    assert rootdata.weyl_type_order("D", 4) == 192
-    assert rootdata.weyl_type_order("G", 2) == 12
-    assert rootdata.weyl_type_order("F", 4) == 1152
-    assert rootdata.weyl_type_order("E", 6) == 51840

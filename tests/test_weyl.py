@@ -16,11 +16,6 @@ from realred.weyl import (
     inner_class_involution,
     involution_table,
     parse_units,
-    tits_multiply,
-    tits_sigma,
-    tits_torus,
-    twisted_involution_classes,
-    weyl_act,
     weyl_element,
 )
 
@@ -91,10 +86,10 @@ def test_weyl_act():
     rd, _, _ = context("A2", "c")
     w0 = weyl_element(rd, (0, 1, 0))
     a1, a2 = rd.simple_roots
-    assert weyl_act(w0, a1) == lin.vec_neg(a2)
-    assert weyl_act(w0, a2) == lin.vec_neg(a1)
+    assert lin.mat_vec(w0.matrix, a1) == lin.vec_neg(a2)
+    assert lin.mat_vec(w0.matrix, a2) == lin.vec_neg(a1)
     s1 = weyl_element(rd, (0,))
-    assert weyl_act(s1, a1) == lin.vec_neg(a1)
+    assert lin.mat_vec(s1.matrix, a1) == lin.vec_neg(a1)
 
 
 @pytest.mark.parametrize("text,i,j,m", [
@@ -176,81 +171,44 @@ def test_e_letter_same_as_c():
     assert d1.matrix == d2.matrix
 
 
-# -- Tits group --------------------------------------------------------
-
-
-def test_tits_squares():
-    rd, _, _ = context("A2", "c")
-    s1 = tits_sigma(rd, 0)
-    sq = tits_multiply(s1, s1)
-    assert sq.w.word == ()
-    assert sq.bits == (1, 0)
-
-
-def test_tits_braid():
-    rd, _, _ = context("A2", "c")
-    s1, s2 = tits_sigma(rd, 0), tits_sigma(rd, 1)
-    lhs = tits_multiply(tits_multiply(s1, s2), s1)
-    rhs = tits_multiply(tits_multiply(s2, s1), s2)
-    assert lhs == rhs
-    assert lhs.bits == (0, 0)
-    assert lhs.w.word == (0, 1, 0)
-
-
-def test_tits_torus_commutation():
-    rd, _, _ = context("B2", "c")
-    s2 = tits_sigma(rd, 1)
-    m = tits_torus(rd, (1, 0))
-    lhs = tits_multiply(s2, m)
-    rhs = tits_multiply(tits_torus(rd, (1, 1)), s2)
-    assert lhs == rhs
-
-
-def test_tits_associativity():
-    rd, _, _ = context("B2", "c")
-    elts = [
-        tits_sigma(rd, 0),
-        tits_sigma(rd, 1),
-        tits_torus(rd, (1, 0)),
-        tits_multiply(tits_sigma(rd, 0), tits_sigma(rd, 1)),
-    ]
-    for a in elts:
-        for b in elts:
-            for c in elts:
-                assert tits_multiply(tits_multiply(a, b), c) == \
-                    tits_multiply(a, tits_multiply(b, c))
-
-
 # -- twisted involutions ----------------------------------------------
+
+
+def canonical_words(table):
+    """Displayed word of each class's canonical member, in class order."""
+    return [
+        ",".join(str(j + 1) for j in table.word(table.canonical_member(c)))
+        for c in range(len(table.classes))
+    ]
 
 
 def test_classes_a1():
     _, _, d = context("A1", "c")
-    classes = twisted_involution_classes(d)
-    assert [c.orbit_size for c in classes] == [1, 1]
-    assert classes[0].canonical.w.word == ()
-    assert classes[1].canonical.w.word == (0,)
+    table = involution_table(d)
+    assert [len(ids) for ids in table.classes] == [1, 1]
+    assert table.word(table.canonical_member(0)) == ()
+    assert table.word(table.canonical_member(1)) == (0,)
 
 
 def test_classes_c2():
     _, _, d = context("C2", "c")
-    classes = twisted_involution_classes(d)
-    assert [c.orbit_size for c in classes] == [1, 2, 2, 1]
-    assert [str(c.canonical.w) for c in classes] == ["", "2,1,2", "1,2,1", "1,2,1,2"]
+    table = involution_table(d)
+    assert [len(ids) for ids in table.classes] == [1, 2, 2, 1]
+    assert canonical_words(table) == ["", "2,1,2", "1,2,1", "1,2,1,2"]
 
 
 def test_classes_a3():
     _, _, d = context("A3", "c")
-    classes = twisted_involution_classes(d)
-    assert [c.orbit_size for c in classes] == [1, 6, 3]
-    assert [str(c.canonical.w) for c in classes] == ["", "1,2,3,2,1", "2,1,3,2"]
+    table = involution_table(d)
+    assert [len(ids) for ids in table.classes] == [1, 6, 3]
+    assert canonical_words(table) == ["", "1,2,3,2,1", "2,1,3,2"]
 
 
 def test_classes_e6_unequal():
     _, _, d = context("E6", "s")
-    classes = twisted_involution_classes(d)
-    assert classes[0].orbit_size == 45
-    assert classes[0].canonical.w.word == ()
+    table = involution_table(d)
+    assert len(table.classes[0]) == 45
+    assert table.word(table.canonical_member(0)) == ()
 
 
 def test_classes_d6():
@@ -258,10 +216,7 @@ def test_classes_d6():
     table = involution_table(d)
     sizes = [len(ids) for ids in table.classes]
     assert sizes == [1, 30, 15, 180, 180, 60, 60, 15, 180, 30, 1]
-    words = [
-        ",".join(str(j + 1) for j in table.word(table.canonical_member(c)))
-        for c in range(len(table.classes))
-    ]
+    words = canonical_words(table)
     assert words[0] == ""
     assert words[4] == "3,4,5,6,4,3,2,3,4,5,6,4,3,1,2,3,4,5,6,4,3,2,1"
     # the two orbits swapped by the tip-exchanging outer automorphism
