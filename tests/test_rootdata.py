@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from realred import lin, rootdata
-from realred.cartan import system_type
+from realred.cartan import system_type, weyl_order
 from realred.rootdata import (
     Factor,
     InputError,
@@ -211,3 +211,13 @@ def test_dual_of_sc_is_adjoint_of_dual_type() -> None:
 def test_dual_lie_type() -> None:
     assert str(dual_lie_type(parse_lie_type("B3.C2.A4.T1"))) == "C3.B2.A4.T1"
     assert str(dual_lie_type(parse_lie_type("G2.F4"))) == "G2.F4"
+
+
+def test_weyl_type_order() -> None:
+    assert weyl_order("A2") == 6
+    assert weyl_order("B2") == 8
+    assert weyl_order("C6") == 2**6 * 720
+    assert weyl_order("D4") == 192
+    assert weyl_order("G2") == 12
+    assert weyl_order("F4") == 1152
+    assert weyl_order("E6") == 51840
