@@ -18,16 +18,10 @@ from .involution import (
     RankDecomposition,
     StrongOrbit,
     StrongX,
-    fiber_rank,
     rank_decomposition,
 )
-from .rootdata import Root, RootDatum, simple_basis
-from .weyl import (
-    InvolutionTable,
-    reflection_element,
-    reflection_matrix,
-    word_from_matrix,
-)
+from .rootdata import InputError, Root, RootDatum, simple_basis
+from .weyl import normal_form_word, reflection_matrix, word_from_matrix
 
 
 # -- root subsystem classification --------------------------------------
@@ -147,13 +141,8 @@ def weyl_order(type_str: str) -> int:
     return total
 
 
-def _positive_of(rd, vec: lin.Vector) -> Root:
-    idx = rd.root_index[vec]
-    return rd.positive_roots[idx if idx >= 0 else ~idx]
-
-
 def _complex_factor(
-    table: InvolutionTable, inv: int
+    ic: InnerClass, inv: int
 ) -> tuple[list[Root], list[tuple[Root, Root]]]:
     """One side of the free complex root pairs at inv.
 
@@ -165,27 +154,25 @@ def _complex_factor(
     with (simple root, theta partner) pairs, whose commuting reflection
     products generate that diagonal.
     """
-    rd = table.rd
-    theta = table.thetas[inv]
+    rd = ic.rd
+    pos = rd.positive_roots
+    npos = len(pos)
+    theta = ic.table.thetas[inv]
     rho_i = lin.zero_vector(rd.rank)
-    for r in table.imaginary_roots(inv):
+    for r in ic.roots(ic.table.imaginary_roots(inv)):
         rho_i = lin.vec_add(rho_i, r.covec)
     rho_r = lin.zero_vector(rd.rank)
-    for r in table.real_roots(inv):
+    for r in ic.roots(ic.table.real_roots(inv)):
         rho_r = lin.vec_add(rho_r, r.covec)
-    free = []
-    for r in rd.positive_roots:
-        img = lin.mat_vec(theta, r.vec)
-        if img == r.vec or img == lin.vec_neg(r.vec):
-            continue
-        if lin.vec_dot(r.vec, rho_i) or lin.vec_dot(r.vec, rho_r):
-            continue
-        free.append(r)
+    free = [
+        k for k, r in enumerate(pos)
+        if theta[k] % npos != k
+        and not lin.vec_dot(r.vec, rho_i) and not lin.vec_dot(r.vec, rho_r)
+    ]
     if not free:
         return [], []
     # split into irreducible components
-    index_of = {r.vec: k for k, r in enumerate(free)}
-    comp = list(range(len(free)))
+    comp = {k: k for k in free}
 
     def find(k: int) -> int:
         while comp[k] != k:
@@ -193,32 +180,26 @@ def _complex_factor(
             k = comp[k]
         return k
 
-    for a in range(len(free)):
-        for b in range(a + 1, len(free)):
-            if lin.vec_dot(free[a].vec, free[b].covec):
-                comp[find(a)] = find(b)
-    members: dict[int, list[Root]] = {}
-    for k, r in enumerate(free):
-        members.setdefault(find(k), []).append(r)
+    for a, ka in enumerate(free):
+        for kb in free[a + 1:]:
+            if lin.vec_dot(pos[ka].vec, pos[kb].covec):
+                comp[find(ka)] = find(kb)
+    members: dict[int, list[int]] = {}
+    for k in free:
+        members.setdefault(find(k), []).append(k)
     # theta pairs distinct components; keep the first of each pair
-    partner: dict[int, int] = {}
-    for rep, roots in members.items():
-        img = lin.mat_vec(theta, roots[0].vec)
-        other = find(index_of[_positive_of(rd, img).vec])
-        assert other != rep
-        partner[rep] = other
+    partner = {rep: find(theta[ks[0]] % npos) for rep, ks in members.items()}
+    assert all(partner[rep] != rep for rep in partner)
     assert all(partner[partner[rep]] == rep for rep in partner)
     side: list[Root] = []
-    for rep in sorted(members, key=lambda rep: min(
-            rd.root_index[r.vec] for r in members[rep])):
+    for rep in sorted(members, key=lambda rep: members[rep][0]):
         if partner[rep] not in partner:
             continue
         del partner[rep]
-        side.extend(members[rep])
+        side.extend(ic.roots(members[rep]))
     pairs = []
     for b in simple_basis(side):
-        img = lin.mat_vec(theta, b.vec)
-        other = _positive_of(rd, img)
+        other = pos[theta[rd.root_index[b.vec]] % npos]
         assert lin.vec_dot(b.vec, other.covec) == 0
         pairs.append((b, other))
     return side, pairs
@@ -244,27 +225,24 @@ class CartanClass:
 
 
 def cartan_class(ic: InnerClass, c: int) -> CartanClass:
+    ic.check(cartan=c)
     table = ic.table
     inv = table.canonical_member(c)
-    theta = table.theta_star(inv)
-    rank = fiber_rank(theta)
+    dec = rank_decomposition(ic.theta_star(inv))
     orbit = len(table.classes[c])
     # The fiber partition has one square class exactly when the center
-    # is trivial, so it is read off the adjoint inner class, whose class
-    # enumeration agrees with ours.
-    ad = ic._ad
-    assert ad.table.word(ad.table.canonical_member(c)) == table.word(inv)
-    entries = tuple(e for _, es in ad.strong_real_forms_at(c) for e in es)
+    # is trivial, so it is read off the adjoint inner class.
+    entries = tuple(e for _, es in ic._ad.strong_real_forms_at(c) for e in es)
     return CartanClass(
         index=c,
         word=table.word(inv),
-        decomposition=rank_decomposition(theta),
+        decomposition=dec,
         orbit_size=orbit,
-        fiber_rank=rank,
-        xr_count=orbit * 2 ** rank,
-        imaginary_type=system_type(table.imaginary_roots(inv)),
-        real_type=system_type(table.real_roots(inv)),
-        complex_type=system_type(_complex_factor(table, inv)[0]),
+        fiber_rank=dec.compact,
+        xr_count=orbit * 2 ** dec.compact,
+        imaginary_type=system_type(ic.roots(table.imaginary_roots(inv))),
+        real_type=system_type(ic.roots(table.real_roots(inv))),
+        complex_type=system_type(_complex_factor(ic, inv)[0]),
         partition=entries,
     )
 
@@ -400,16 +378,19 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     Grading-dependent factors use the first fiber point of the form at
     the canonical involution; independence of that choice is asserted.
     """
+    ic.check(form, cartan)
     table = ic.table
     rd = ic.rd
     inv = table.canonical_member(cartan)
     reps = [x for x in _fiber_points(ic, inv) if ic.real_form_of(x) == form]
-    assert reps, "Cartan class does not meet the real form"
+    if not reps:
+        raise InputError(f"Cartan class #{cartan} does not meet real form #{form}")
     x = reps[0]
-    imaginary = table.imaginary_roots(inv)
+    imaginary = ic.roots(table.imaginary_roots(inv))
+    real = ic.roots(table.real_roots(inv))
     compact = [r for r in imaginary if not ic.root_grading(x, r)]
     compact_type = system_type(compact)
-    side, side_pairs = _complex_factor(table, inv)
+    side, side_pairs = _complex_factor(ic, inv)
     complex_gens = []
     for first, second in side_pairs:
         m = lin.mat_mul(
@@ -417,8 +398,7 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
         )
         complex_gens.append(word_from_matrix(rd, m, m))
     complex_gens.sort(key=lambda w: (len(w), w))
-    real_basis = simple_basis(table.real_roots(inv))
-    wi_gens = [reflection_matrix(rd, r) for r in table.imaginary_basis(inv)]
+    wi_gens = [reflection_matrix(rd, r) for r in ic.roots(table.imaginary_basis(inv))]
     wi = [
         (word_from_matrix(rd, m, mi), m)
         for m, mi in _weyl_closure(rd, wi_gens).items()
@@ -435,14 +415,16 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
         complex_type=system_type(side),
         a_rank=a_rank,
         compact_type=compact_type,
-        real_type=system_type(table.real_roots(inv)),
+        real_type=system_type(real),
         complex_generators=tuple(complex_gens),
         a_generators=a_gens,
         compact_generators=tuple(
-            reflection_element(rd, r).word for r in wic_basis
+            normal_form_word(rd, m, m)
+            for m in (reflection_matrix(rd, r) for r in wic_basis)
         ),
         real_generators=tuple(
-            reflection_element(rd, r).word for r in real_basis
+            normal_form_word(rd, m, m)
+            for m in (reflection_matrix(rd, r) for r in simple_basis(real))
         ),
     )
 
@@ -498,24 +480,16 @@ class CartanHasse:
 
 def cartan_hasse(ic: InnerClass, form: int) -> CartanHasse:
     table = ic.table
-    rd = ic.rd
-    class_of = {
-        i: ci for ci, members in enumerate(table.classes) for i in members
-    }
     nodes = ic.form_cartans(form)
     edges = set()
     for c in nodes:
         inv = table.canonical_member(c)
-        theta = table.thetas[inv]
         for x in _fiber_points(ic, inv):
             if ic.real_form_of(x) != form:
                 continue
-            for r in table.imaginary_roots(inv):
-                if ic.root_grading(x, r):
-                    target = table.lookup(
-                        lin.mat_mul(reflection_matrix(rd, r), theta)
-                    )
-                    edges.add((c, class_of[target]))
+            for k in table.imaginary_roots(inv):
+                if ic.root_grading(x, ic.rd.positive_roots[k]):
+                    edges.add((c, table.class_of[table.cayley(inv, k)]))
     flags = {ic.most_split_cartan(f) for f in range(len(ic.real_forms))}
     return CartanHasse(
         tuple(nodes),

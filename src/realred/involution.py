@@ -17,6 +17,7 @@ from math import lcm
 from . import lin
 from .rootdata import (
     Factor,
+    InputError,
     LieType,
     Root,
     RootDatum,
@@ -33,7 +34,9 @@ from .weyl import (
     InvolutionTable,
     inner_class_involution,
     involution_table,
-    reflection_element,
+    normal_form_word,
+    reflection_matrix,
+    weyl_matrix,
 )
 
 # x = (involution id, cocharacter numerator vector)
@@ -158,10 +161,28 @@ class InnerClass:
         self.rd: RootDatum = delta.rd
         self.lt: LieType = delta.lt
         self.table: InvolutionTable = involution_table(delta)
+        self._theta_star: dict[int, lin.Matrix] = {}
+        self._cbits: dict[int, lin.Vector] = {}
+        self._csc: dict[int, lin.Vector] = {}
         self._minus_smith: dict[int, lin.SmithForm] = {}
         self._plus_smith: dict[int, lin.SmithForm] = {}
         self._fibers: dict[tuple[int, tuple], tuple[lin.Vector, ...]] = {}
         self._strong_at: dict[int, tuple] = {}
+
+    def check(self, form: int | None = None, cartan: int | None = None) -> None:
+        """Raises InputError unless form and cartan index a weak real
+        form and a Cartan class of the inner class.
+        """
+        if form is not None and not 0 <= form < len(self.real_forms):
+            raise InputError(f"no real form #{form}: there are {len(self.real_forms)}")
+        if cartan is not None and not 0 <= cartan < len(self.table.classes):
+            raise InputError(
+                f"no Cartan class #{cartan}: there are {len(self.table.classes)}"
+            )
+
+    def roots(self, indices) -> list[Root]:
+        """Positive roots of this root datum, by table index."""
+        return [self.rd.positive_roots[k] for k in indices]
 
     # -- central square classes ----------------------------------------
 
@@ -288,11 +309,58 @@ class InnerClass:
 
     # -- per-involution linear data ------------------------------------
 
+    def theta_star(self, inv: int) -> lin.Matrix:
+        """Action of the involution on cocharacters: its transposed matrix."""
+        out = self._theta_star.get(inv)
+        if out is None:
+            w = weyl_matrix(self.rd, self.table.weyl_images(inv))
+            out = self._theta_star[inv] = lin.transpose(lin.mat_mul(w, self.delta.matrix))
+        return out
+
+    def cbits(self, inv: int) -> lin.Vector:
+        """Torus part of sigma_w delta(sigma_w) on the cocharacter lattice."""
+        out = self._cbits.get(inv)
+        if out is None:
+            out = self._cbits[inv] = tuple(x % 2 for x in self._rho_check_drop(inv))
+        return out
+
+    def _rho_check_drop(self, inv: int) -> lin.Vector:
+        # w acts on cocharacters by transpose(delta.theta) = theta_star.delta*
+        w_star = lin.mat_mul(self.theta_star(inv), self._dstar)
+        two_rho = self.rd.two_rho_check
+        two = lin.vec_sub(two_rho, lin.mat_vec(w_star, two_rho))
+        assert all(x % 2 == 0 for x in two)
+        return tuple(x // 2 for x in two)
+
+    @cached_property
+    def _coroot_smith(self) -> lin.SmithForm:
+        return lin.smith_form(
+            lin.transpose(lin.freeze(self.rd.simple_coroots)),
+            ncols=self.rd.semisimple_rank,
+        )
+
+    def csc_bits(self, inv: int) -> lin.Vector:
+        """Same torus part in simple-coroot coordinates, mod 2."""
+        out = self._csc.get(inv)
+        if out is None:
+            coeffs = lin.solve_int_presolved(self._coroot_smith, self._rho_check_drop(inv))
+            assert coeffs is not None
+            out = self._csc[inv] = tuple(
+                coeffs[j] % 2 for j in range(self.rd.semisimple_rank)
+            )
+        return out
+
+    def grading_shift(self, inv: int, j: int) -> int:
+        """Doubled base-point grading constant for imaginary simple j."""
+        kind, target = self.table.status_row(inv)[j]
+        assert kind == IMAGINARY
+        return (1 + self.csc_bits(inv)[j] + self.csc_bits(target)[j]) % 2
+
     def _smith_minus(self, inv: int) -> lin.SmithForm:
         out = self._minus_smith.get(inv)
         if out is None:
             n = self.rd.rank
-            m = lin.mat_sub(lin.identity(n), self.table.theta_star(inv))
+            m = lin.mat_sub(lin.identity(n), self.theta_star(inv))
             out = self._minus_smith[inv] = lin.smith_form(m, ncols=n)
         return out
 
@@ -300,7 +368,7 @@ class InnerClass:
         out = self._plus_smith.get(inv)
         if out is None:
             n = self.rd.rank
-            m = lin.mat_add(lin.identity(n), self.table.theta_star(inv))
+            m = lin.mat_add(lin.identity(n), self.theta_star(inv))
             out = self._plus_smith[inv] = lin.smith_form(m, ncols=n)
         return out
 
@@ -328,10 +396,10 @@ class InnerClass:
         """Central cocharacter s with xi^2 = exp(2 pi i s)."""
         inv, t = x
         n = self.rd.rank
-        onep = lin.mat_add(self.table.theta_star(inv), lin.identity(n))
+        onep = lin.mat_add(self.theta_star(inv), lin.identity(n))
         num = lin.vec_add(
             lin.mat_vec(onep, t),
-            lin.vec_scale(self.table.cbits(inv), self.denom // 2),
+            lin.vec_scale(self.cbits(inv), self.denom // 2),
         )
         return tuple(Fraction(v, self.denom) for v in num)
 
@@ -362,7 +430,7 @@ class InnerClass:
         assert all(v.denominator == 1 for v in scaled)
         target = tuple(
             int(v) - c * (d // 2)
-            for v, c in zip(scaled, self.table.cbits(inv))
+            for v, c in zip(scaled, self.cbits(inv))
         )
         sf = self._smith_plus(inv)
         t0 = lin.solve_mod_presolved(sf, target, d)
@@ -387,7 +455,7 @@ class InnerClass:
                         seen[k] = nxt
                         queue.append(nxt)
             out = tuple(seen.values())
-            assert len(out) == 1 << fiber_rank(self.table.thetas[inv])
+            assert len(out) == 1 << fiber_rank(self.theta_star(inv))
             assert all(
                 self.central_class_key(self.square_value((inv, t))) == key
                 for t in out
@@ -400,15 +468,16 @@ class InnerClass:
     def cross(self, j: int, x: StrongX) -> StrongX:
         """Cross action of the j-th simple reflection."""
         inv, t = x
-        kind, nbr, a = self.table.status_row(inv)[j]
+        kind, nbr = self.table.status_row(inv)[j]
         rd = self.rd
         t2 = lin.mat_vec(rd.coreflections[j], t)
         half = self.denom // 2
         if kind in (IMAGINARY, REAL):
             return (inv, lin.vec_mod(t2, self.denom))
         if kind == COMPLEX_UP:
-            sa = lin.mat_vec(rd.reflections[j], a)
-            covec = rd.positive_roots[rd.root_index[sa]].covec
+            s = self.table.simple[j]
+            sa = self.table.reflections[s][self.table.thetas[inv][s]]
+            covec = rd.positive_roots[sa].covec
         else:
             covec = rd.simple_coroots[j]
         t2 = lin.vec_add(t2, lin.vec_scale(covec, half))
@@ -422,7 +491,7 @@ class InnerClass:
     def grading(self, x: StrongX, j: int) -> bool:
         """True when the imaginary simple root j is noncompact at x."""
         inv, t = x
-        kbit = self.table.grading_shift(inv, j)
+        kbit = self.grading_shift(inv, j)
         d = self.denom
         num = 2 * lin.vec_dot(self.rd.simple_roots[j], t) + (kbit - 1) * d
         return num % (2 * d) == 0
@@ -445,7 +514,7 @@ class InnerClass:
     def cayley(self, j: int, x: StrongX) -> StrongX:
         """Cayley transform through a noncompact imaginary simple root."""
         inv, t = x
-        kind, nbr, _ = self.table.status_row(inv)[j]
+        kind, nbr = self.table.status_row(inv)[j]
         assert kind == IMAGINARY and self.grading(x, j)
         t2 = lin.mat_vec(self.rd.coreflections[j], t)
         return (nbr, lin.vec_mod(t2, self.denom))
@@ -458,7 +527,7 @@ class InnerClass:
         both survive or both fail the noncompactness test.
         """
         inv, t = x
-        kind, nbr, _ = self.table.status_row(inv)[j]
+        kind, nbr = self.table.status_row(inv)[j]
         assert kind == REAL
         d = self.denom
         key = self.central_class_key(self.square_value(x))
@@ -527,10 +596,9 @@ class InnerClass:
         fiber = self.fiber_elements(inv, key)
         if not fiber:
             return []
-        words = [
-            reflection_element(self.rd, b).word
-            for b in self.table.imaginary_basis(inv)
-        ]
+        basis = self.roots(self.table.imaginary_basis(inv))
+        refls = [reflection_matrix(self.rd, b) for b in basis]
+        words = [normal_form_word(self.rd, m, m) for m in refls]
         index = {self.x_key((inv, t)): i for i, t in enumerate(fiber)}
         orbits = []
         done = set()
@@ -580,8 +648,8 @@ class InnerClass:
         assert self._ad is self
         ranges = self._factor_ranges()
         nfac = len(ranges)
-        pos_im = self.table.imaginary_roots(0)
-        basis = self.table.imaginary_basis(0)
+        pos_im = self.roots(self.table.imaginary_roots(0))
+        basis = self.roots(self.table.imaginary_basis(0))
         out = []
         for _, members in self._fundamental_orbits:
             x = (0, members[0])
@@ -766,7 +834,7 @@ class InnerClass:
         while self.table.lengths[inv] > 0:
             row = self.table.status_row(inv)
             nxt = None
-            for j, (kind, _, _) in enumerate(row):
+            for j, (kind, _) in enumerate(row):
                 if kind == COMPLEX_DOWN:
                     nxt = self.cross(j, x)
                     break
@@ -822,6 +890,7 @@ class InnerClass:
 
     def form_cartans(self, form: int) -> tuple[int, ...]:
         """Cartan classes carrying strong involutions of one weak form."""
+        self.check(form)
         out = []
         for c in range(len(self.table.classes)):
             for _, entries in self.strong_real_forms_at(c):
@@ -832,14 +901,12 @@ class InnerClass:
 
     def most_split_cartan(self, form: int) -> int:
         """Cartan class of maximal real rank within one weak form."""
-        cartans = self.form_cartans(form)
-
-        def real_rank(c: int) -> int:
-            dec = rank_decomposition(self.table.theta_star(self.table.canonical_member(c)))
-            return dec.split + dec.complex_pairs
-
-        best = max(cartans, key=real_rank)
-        assert sum(1 for c in cartans if real_rank(c) == real_rank(best)) == 1
+        real_rank = {}
+        for c in self.form_cartans(form):
+            dec = rank_decomposition(self.theta_star(self.table.canonical_member(c)))
+            real_rank[c] = dec.split + dec.complex_pairs
+        best = max(real_rank, key=real_rank.get)
+        assert list(real_rank.values()).count(real_rank[best]) == 1
         return best
 
     # -- component groups --------------------------------------------------
@@ -848,7 +915,7 @@ class InnerClass:
         """Rank of the component two-group of the real points."""
         inv = self.table.canonical_member(self.most_split_cartan(form))
         n = self.rd.rank
-        theta = self.table.theta_star(inv)
+        theta = self.theta_star(inv)
         kernel = lin.kernel_basis(lin.mat_add(theta, lin.identity(n)), n)
         if not kernel:
             return 0
@@ -870,7 +937,7 @@ class InnerClass:
         if not twos:
             return 0
         bits = []
-        for root in self.table.real_roots(inv):
+        for root in self.roots(self.table.real_roots(inv)):
             z = lin.mat_vec(sf.uinv, in_kernel_coords(root.covec))
             bits.append([z[i] % 2 for i in twos])
         return len(twos) - lin.f2_rank(lin.freeze(bits))

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .involution import InnerClass, StrongX
+from .rootdata import InputError
 from .weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL
 
 
@@ -57,11 +58,12 @@ def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
     selects one strong form among several with the same underlying weak
     form.
     """
+    ic.check(form)
     forms = ic._orbit_form_indices
     if orbit is None:
         return next(o for o in range(len(forms)) if forms[o] == form)
-    if forms[orbit] != form:
-        raise ValueError("orbit does not realize the requested real form")
+    if not 0 <= orbit < len(forms) or forms[orbit] != form:
+        raise InputError("orbit does not realize the requested real form")
     return orbit
 
 

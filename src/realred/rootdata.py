@@ -332,13 +332,15 @@ class RootDatum:
                             key=lambda r: (sum(r.coeffs), r.coeffs)))
 
     @cached_property
+    def roots(self) -> tuple[lin.Vector, ...]:
+        """All 2N roots: positive root k at k, its negative at N + k."""
+        pos = [r.vec for r in self.positive_roots]
+        return tuple(pos + [lin.vec_neg(v) for v in pos])
+
+    @cached_property
     def root_index(self) -> dict[lin.Vector, int]:
-        """Signed lookup: positive root i maps to i, its negative to ~i."""
-        out: dict[lin.Vector, int] = {}
-        for i, r in enumerate(self.positive_roots):
-            out[r.vec] = i
-            out[lin.vec_neg(r.vec)] = ~i
-        return out
+        """Index of each root in the numbering of roots."""
+        return {v: k for k, v in enumerate(self.roots)}
 
     @cached_property
     def two_rho(self) -> lin.Vector:

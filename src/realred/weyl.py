@@ -1,14 +1,18 @@
 """Weyl group words, inner-class involutions, and twisted involutions.
 
-A twisted involution is stored through its involution matrix
-theta = M_w . delta acting on characters; theta determines w.  The table
+Roots are numbered as in RootDatum.roots: positive root k is k and its
+negative is N + k.  A twisted involution theta = w.delta is stored as
+the permutation of these 2N indices that it induces.  That permutation
+depends only on the Cartan matrix and the diagram permutation of delta,
+so one table serves every isogeny of a Coxeter datum.  The table
 enumerates all twisted involutions breadth-first, which yields the
-twisted length for free, and groups them into twisted-conjugacy classes.
+twisted length and the status of every simple root for free, and groups
+them into twisted-conjugacy classes.  Lattice matrices of involutions
+belong to involution.InnerClass.
 """
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -24,29 +28,15 @@ COMPLEX_UP = "+"
 COMPLEX_DOWN = "-"
 
 
-@dataclass(frozen=True)
-class WeylElt:
-    """A Weyl group element in lexicographically least reduced form."""
-
-    word: tuple[int, ...]
-    matrix: lin.Matrix
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def __str__(self) -> str:
-        return ",".join(str(j + 1) for j in self.word)
-
-
 def word_from_matrix(rd: RootDatum, m: lin.Matrix, minv: lin.Matrix) -> tuple[int, ...]:
     """Lexicographically least reduced word, by greedy least left descent."""
     ident = lin.identity(rd.rank)
+    npos = len(rd.positive_roots)
     word = []
     while m != ident:
         j = next(
             j for j in range(rd.semisimple_rank)
-            if rd.root_index[lin.mat_vec(minv, rd.simple_roots[j])] < 0
+            if rd.root_index[lin.mat_vec(minv, rd.simple_roots[j])] >= npos
         )
         word.append(j)
         s = rd.reflections[j]
@@ -116,6 +106,7 @@ def normal_form_word(rd: RootDatum, m: lin.Matrix, minv: lin.Matrix) -> tuple[in
     least words of the pieces.
     """
     chain = piece_chain(rd)
+    npos = len(rd.positive_roots)
     pieces = []
     for pos in range(len(chain) - 1, -1, -1):
         allowed = chain[:pos]
@@ -124,7 +115,7 @@ def normal_form_word(rd: RootDatum, m: lin.Matrix, minv: lin.Matrix) -> tuple[in
         while stripped:
             stripped = False
             for s in allowed:
-                if rd.root_index[lin.mat_vec(xminv, rd.simple_roots[s])] < 0:
+                if rd.root_index[lin.mat_vec(xminv, rd.simple_roots[s])] >= npos:
                     refl = rd.reflections[s]
                     xm = lin.mat_mul(refl, xm)
                     xminv = lin.mat_mul(xminv, refl)
@@ -140,21 +131,6 @@ def normal_form_word(rd: RootDatum, m: lin.Matrix, minv: lin.Matrix) -> tuple[in
     return tuple(out)
 
 
-def make_weyl(rd: RootDatum, m: lin.Matrix, minv: lin.Matrix) -> WeylElt:
-    return WeylElt(normal_form_word(rd, m, minv), m)
-
-
-def weyl_element(rd: RootDatum, word) -> WeylElt:
-    """Builds a normal-form element from any word in simple reflections."""
-    m = lin.identity(rd.rank)
-    minv = m
-    for j in word:
-        s = rd.reflections[j]
-        m = lin.mat_mul(m, s)
-        minv = lin.mat_mul(s, minv)
-    return make_weyl(rd, m, minv)
-
-
 def reflection_matrix(rd: RootDatum, root: Root) -> lin.Matrix:
     """Matrix of the reflection in any root, acting on characters."""
     n = rd.rank
@@ -164,9 +140,33 @@ def reflection_matrix(rd: RootDatum, root: Root) -> lin.Matrix:
     )
 
 
-def reflection_element(rd: RootDatum, root: Root) -> WeylElt:
-    m = reflection_matrix(rd, root)
-    return make_weyl(rd, m, m)
+@cache
+def _cartan_inverse(cartan: lin.Matrix) -> tuple[lin.Matrix, int]:
+    return lin.mat_inverse_rational(cartan)
+
+
+def weyl_matrix(rd: RootDatum, images: tuple[int, ...]) -> lin.Matrix:
+    """Matrix on characters of the w sending simple root j to root images[j].
+
+    w(x) = x + sum_k <x, coroot_k> u_k, where u_k = w(omega_k) - omega_k
+    for the fundamental weights omega_k.  Writing row j of E for the
+    simple-root coordinates of w(alpha_j), the u_k have simple-root
+    coordinates C^-1 (E - 1), with C the Cartan matrix.
+    """
+    n = rd.rank
+    if not images:
+        return lin.identity(n)
+    npos = len(rd.positive_roots)
+    e_minus_1 = [
+        [(c if k < npos else -c) - (1 if l == j else 0)
+         for l, c in enumerate(rd.positive_roots[k % npos].coeffs)]
+        for j, k in enumerate(images)
+    ]
+    num, den = _cartan_inverse(rd.cartan)
+    f = lin.mat_mul(num, lin.freeze(e_minus_1))
+    assert all(x % den == 0 for row in f for x in row)
+    u = lin.mat_mul(lin.freeze([[x // den for x in row] for row in f]), rd.simple_roots)
+    return lin.mat_add(lin.identity(n), lin.mat_mul(lin.transpose(u), rd.simple_coroots))
 
 
 @dataclass(frozen=True)
@@ -320,72 +320,80 @@ def _simple_perm(units, lt: LieType) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _pack(m: lin.Matrix) -> bytes:
-    n = len(m)
-    return struct.pack(f"<{n * n}h", *(x for row in m for x in row))
-
-
 class InvolutionTable:
-    """All twisted involutions for one inner class, with derived data.
+    """All twisted involutions of one Coxeter datum, with derived data.
 
     Records are indexed by discovery order of a breadth-first search
-    from the identity; the search depth is the twisted length.
+    from delta; the search depth is the twisted length.  thetas[i] is
+    the i-th involution as a permutation of the root indices, and also
+    its key in index.  The search records the status row of every
+    involution: per simple root, its kind and the neighbour reached by
+    the cross action or Cayley transform.  simple[j] is the index of
+    simple root j, and reflections[k] the reflection in positive root k
+    as a permutation.  Roots are returned as positive-root indices,
+    valid in every isogeny; rd is the root datum the table was built
+    from, and may belong to another isogeny than the caller's.
     """
 
-    def __init__(self, rd: RootDatum, dmat: lin.Matrix):
+    def __init__(self, rd: RootDatum, perm: tuple[int, ...]):
         if rd.semisimple_rank > 8:
             raise InputError("semisimple rank larger than 8 is not supported")
         self.rd = rd
-        self.dmat = dmat
-        self.thetas: list[lin.Matrix] = [dmat]
+        pos = rd.positive_roots
+        npos = len(pos)
+        # delta permutes the simple-root coordinates of every root
+        by_coeffs = {r.coeffs: k for k, r in enumerate(pos)}
+        delta = [by_coeffs[tuple(r.coeffs[p] for p in perm)] for r in pos]
+        self.simple = tuple(rd.root_index[a] for a in rd.simple_roots)
+        self.reflections = tuple(
+            tuple(rd.root_index[lin.mat_vec(m, v)] for v in rd.roots)
+            for m in (reflection_matrix(rd, r) for r in pos)
+        )
+        theta0 = tuple(delta + [k + npos for k in delta])
+        self.thetas: list[tuple[int, ...]] = [theta0]
         self.lengths: list[int] = [0]
-        self.index: dict[bytes, int] = {_pack(dmat): 0}
+        self.index: dict[tuple[int, ...], int] = {theta0: 0}
+        self._rows: list[list] = [[None] * rd.semisimple_rank]
         self._uf: list[int] = [0]
-        self._status: dict[int, tuple] = {}
-        self._theta_star: dict[int, lin.Matrix] = {}
         self._words: dict[int, tuple[int, ...]] = {}
-        self._cbits: dict[int, lin.Vector] = {}
-        self._csc: dict[int, lin.Vector] = {}
-        self._im_roots: dict[int, list[Root]] = {}
-        self._re_roots: dict[int, list[Root]] = {}
         self._canonical: dict[int, int] = {}
-        self._coroot_sf = lin.smith_form(
-            lin.transpose(lin.freeze(rd.simple_coroots)),
-            ncols=rd.semisimple_rank,
-        ) if rd.semisimple_rank else None
         self._enumerate()
+        self._rows = [tuple(row) for row in self._rows]
 
     # -- enumeration ---------------------------------------------------
 
     def _enumerate(self) -> None:
-        rd = self.rd
+        npos = len(self.reflections)
+        gens = [(s, self.reflections[s].__getitem__) for s in self.simple]
         queue = deque([0])
         while queue:
             i = queue.popleft()
             theta = self.thetas[i]
             tl = self.lengths[i]
-            for j in range(rd.semisimple_rank):
-                a = lin.mat_vec(theta, rd.simple_roots[j])
-                if a == rd.simple_roots[j]:
-                    t2 = lin.mat_mul(rd.reflections[j], theta)
-                    self._add(t2, tl + 1, queue)
-                elif a == lin.vec_neg(rd.simple_roots[j]):
-                    continue
-                else:
-                    s = rd.reflections[j]
-                    t2 = lin.mat_mul(lin.mat_mul(s, theta), s)
-                    up = rd.root_index[a] >= 0
+            row = self._rows[i]
+            for j, (s, refl) in enumerate(gens):
+                a = theta[s]
+                if a == s:
+                    tid = self._add(tuple(map(refl, theta)), tl + 1, queue)
+                    row[j] = (IMAGINARY, tid)
+                    # j is real at s_j.theta with neighbour theta; every
+                    # real entry is one of these, so real j is skipped
+                    self._rows[tid][j] = (REAL, i)
+                elif a != s + npos:
+                    up = a < npos
+                    t2 = tuple(map(refl, map(theta.__getitem__, self.reflections[s])))
                     tid = self._add(t2, tl + (1 if up else -1), queue)
+                    row[j] = (COMPLEX_UP if up else COMPLEX_DOWN, tid)
                     self._union(i, tid)
 
-    def _add(self, theta: lin.Matrix, tl: int, queue: deque) -> int:
-        key = _pack(theta)
-        tid = self.index.get(key)
+    def _add(self, theta: tuple[int, ...], tl: int, queue: deque) -> int:
+        tid = self.index.get(theta)
         if tid is None:
             tid = len(self.thetas)
-            self.index[key] = tid
+            self.index[theta] = tid
             self.thetas.append(theta)
             self.lengths.append(tl)
+            self._rows.append([None] * len(self.simple))
             self._uf.append(tid)
             queue.append(tid)
         else:
@@ -408,112 +416,42 @@ class InvolutionTable:
     def __len__(self) -> int:
         return len(self.thetas)
 
-    def lookup(self, theta: lin.Matrix) -> int:
-        return self.index[_pack(theta)]
-
     # -- per-involution derived data -----------------------------------
 
-    def theta_star(self, i: int) -> lin.Matrix:
-        out = self._theta_star.get(i)
-        if out is None:
-            out = self._theta_star[i] = lin.transpose(self.thetas[i])
-        return out
+    def status_row(self, i: int) -> tuple[tuple[str, int], ...]:
+        """Per simple root: (kind, neighbour id)."""
+        return self._rows[i]
 
-    def status_row(self, i: int) -> tuple:
-        """Per simple root: (kind, neighbour id, image of the root)."""
-        out = self._status.get(i)
-        if out is not None:
-            return out
-        rd = self.rd
-        theta = self.thetas[i]
-        row = []
-        for j in range(rd.semisimple_rank):
-            a = lin.mat_vec(theta, rd.simple_roots[j])
-            s = rd.reflections[j]
-            if a == rd.simple_roots[j]:
-                row.append((IMAGINARY, self.lookup(lin.mat_mul(s, theta)), a))
-            elif a == lin.vec_neg(rd.simple_roots[j]):
-                row.append((REAL, self.lookup(lin.mat_mul(s, theta)), a))
-            else:
-                t2 = lin.mat_mul(lin.mat_mul(s, theta), s)
-                kind = COMPLEX_UP if rd.root_index[a] >= 0 else COMPLEX_DOWN
-                row.append((kind, self.lookup(t2), a))
-        out = self._status[i] = tuple(row)
-        return out
+    def cayley(self, i: int, k: int) -> int:
+        """Id of s_k.theta_i, for a positive root k imaginary at i."""
+        return self.index[tuple(map(self.reflections[k].__getitem__, self.thetas[i]))]
+
+    def weyl_images(self, i: int, inverse: bool = False) -> tuple[int, ...]:
+        """Root indices of w(alpha_j), or of w^-1(alpha_j), for theta_i = w.delta."""
+        theta, delta = self.thetas[i], self.thetas[0]
+        if inverse:
+            theta, delta = delta, theta
+        return tuple(theta[delta[s]] for s in self.simple)
 
     def word(self, i: int) -> tuple[int, ...]:
-        """Displayed reduced word of w with theta = M_w.delta."""
+        """Displayed reduced word of w with theta = w.delta."""
         out = self._words.get(i)
         if out is None:
-            m = lin.mat_mul(self.thetas[i], self.dmat)
-            minv = lin.mat_mul(self.dmat, self.thetas[i])
+            m = weyl_matrix(self.rd, self.weyl_images(i))
+            minv = weyl_matrix(self.rd, self.weyl_images(i, inverse=True))
             out = self._words[i] = normal_form_word(self.rd, m, minv)
         return out
 
-    def cochar_action(self, i: int) -> lin.Matrix:
-        """Action of w on cocharacters (w is its own twisted inverse)."""
-        return lin.transpose(lin.mat_mul(self.dmat, self.thetas[i]))
-
-    def cbits(self, i: int) -> lin.Vector:
-        """Torus part of sigma_w delta(sigma_w) on the cocharacter lattice."""
-        out = self._cbits.get(i)
-        if out is None:
-            half = self._rho_check_drop(i)
-            out = self._cbits[i] = tuple(x % 2 for x in half)
-        return out
-
-    def _rho_check_drop(self, i: int) -> lin.Vector:
-        two = lin.vec_sub(
-            self.rd.two_rho_check,
-            lin.mat_vec(self.cochar_action(i), self.rd.two_rho_check),
-        )
-        assert all(x % 2 == 0 for x in two)
-        return tuple(x // 2 for x in two)
-
-    def csc_bits(self, i: int) -> lin.Vector:
-        """Same torus part in simple-coroot coordinates, mod 2."""
-        out = self._csc.get(i)
-        if out is None:
-            coeffs = lin.solve_int_presolved(self._coroot_sf, self._rho_check_drop(i))
-            assert coeffs is not None
-            out = self._csc[i] = tuple(
-                coeffs[j] % 2 for j in range(self.rd.semisimple_rank)
-            )
-        return out
-
-    def grading_shift(self, i: int, j: int) -> int:
-        """Doubled base-point grading constant for imaginary simple j."""
-        kind, target, _ = self.status_row(i)[j]
-        assert kind == IMAGINARY
-        return (1 + self.csc_bits(i)[j] + self.csc_bits(target)[j]) % 2
-
-    def imaginary_roots(self, i: int) -> list[Root]:
-        out = self._im_roots.get(i)
-        if out is None:
-            out = self._split_roots(i)[0]
-        return out
-
-    def real_roots(self, i: int) -> list[Root]:
-        out = self._re_roots.get(i)
-        if out is None:
-            out = self._split_roots(i)[1]
-        return out
-
-    def _split_roots(self, i: int) -> tuple[list[Root], list[Root]]:
+    def imaginary_roots(self, i: int) -> list[int]:
         theta = self.thetas[i]
-        im = []
-        re = []
-        for r in self.rd.positive_roots:
-            img = lin.mat_vec(theta, r.vec)
-            if img == r.vec:
-                im.append(r)
-            elif img == lin.vec_neg(r.vec):
-                re.append(r)
-        self._im_roots[i] = im
-        self._re_roots[i] = re
-        return im, re
+        return [k for k in range(len(self.reflections)) if theta[k] == k]
 
-    def imaginary_basis(self, i: int) -> list[Root]:
+    def real_roots(self, i: int) -> list[int]:
+        theta = self.thetas[i]
+        npos = len(self.reflections)
+        return [k for k in range(npos) if theta[k] == k + npos]
+
+    def imaginary_basis(self, i: int) -> list[int]:
         """Simple basis of the imaginary root subsystem.
 
         Ordered by height, with height-one roots in simple-root index
@@ -523,18 +461,15 @@ class InvolutionTable:
             h = sum(r.coeffs)
             return (h, r.coeffs.index(1) if h == 1 else -1, r.coeffs)
 
-        return sorted(simple_basis(self.imaginary_roots(i)), key=key)
+        roots = [self.rd.positive_roots[k] for k in self.imaginary_roots(i)]
+        return [self.rd.root_index[r.vec] for r in sorted(simple_basis(roots), key=key)]
 
-    def _two_rho_of(self, roots: list[Root]) -> lin.Vector:
-        out = lin.zero_vector(self.rd.rank)
-        for r in roots:
-            out = lin.vec_add(out, r.vec)
-        return out
-
-    def _dominant(self, vec: lin.Vector) -> bool:
-        return all(
-            lin.vec_dot(vec, av) >= 0 for av in self.rd.simple_coroots
-        )
+    def _two_rho_pairings(self, roots: list[int]) -> list[int]:
+        """Pairings of the sum of the given positive roots with the simple coroots."""
+        vec = lin.zero_vector(self.rd.rank)
+        for k in roots:
+            vec = lin.vec_add(vec, self.rd.roots[k])
+        return [lin.vec_dot(vec, av) for av in self.rd.simple_coroots]
 
     # -- classes -------------------------------------------------------
 
@@ -555,12 +490,8 @@ class InvolutionTable:
         pos = 0
         while pos < len(order):
             rep = self._group_canonical(tuple(groups[order[pos]]))
-            theta = self.thetas[rep]
             for b in self.imaginary_basis(rep):
-                target = self.lookup(
-                    lin.mat_mul(reflection_matrix(self.rd, b), theta)
-                )
-                grp = self._find(target)
+                grp = self._find(self.cayley(rep, b))
                 if grp not in seen:
                     seen.add(grp)
                     order.append(grp)
@@ -587,7 +518,7 @@ class InvolutionTable:
             return out
         cands = [
             i for i in ids
-            if self._dominant(self._two_rho_of(self.real_roots(i)))
+            if all(x >= 0 for x in self._two_rho_pairings(self.real_roots(i)))
         ] or list(ids)
         cands = [i for i in cands if self._imaginary_orth_dominant(i)] or cands
         best = min(cands, key=lambda i: (len(self.word(i)), self.word(i)))
@@ -595,14 +526,18 @@ class InvolutionTable:
         return best
 
     def _imaginary_orth_dominant(self, i: int) -> bool:
-        two_r = self._two_rho_of(self.real_roots(i))
-        two_i = self._two_rho_of(self.imaginary_roots(i))
-        return all(
-            lin.vec_dot(two_i, av) >= 0
-            for av in self.rd.simple_coroots
-            if lin.vec_dot(two_r, av) == 0
-        )
+        two_r = self._two_rho_pairings(self.real_roots(i))
+        two_i = self._two_rho_pairings(self.imaginary_roots(i))
+        return all(b >= 0 for a, b in zip(two_r, two_i) if a == 0)
+
+
+_TABLES: dict[tuple, InvolutionTable] = {}
 
 
 def involution_table(delta: InnerClassInvolution) -> InvolutionTable:
-    return InvolutionTable(delta.rd, delta.matrix)
+    """The table of delta's Coxeter datum, built once and shared by all isogenies."""
+    key = (delta.rd.cartan, delta.perm)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = InvolutionTable(delta.rd, delta.perm)
+    return table

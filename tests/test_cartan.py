@@ -6,6 +6,7 @@ import pytest
 
 from realred.cartan import (
     CartanClass,
+    cartan_class,
     cartan_classes,
     cartan_hasse,
     format_cartan_block,
@@ -16,7 +17,9 @@ from realred.cartan import (
     weyl_order,
 )
 from realred.involution import inner_class
+from realred.kgb import generate_kgb
 from realred.rootdata import (
+    InputError,
     Root,
     adjoint_generators,
     build_root_datum,
@@ -582,3 +585,24 @@ def test_hasse_of_smaller_form_is_lower_set():
         assert set(h.nodes) <= set(full.nodes)
         assert set(h.edges) <= set(full.edges)
         assert set(h.most_split) <= set(h.nodes)
+
+
+# -- input checks ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda ic: generate_kgb(ic, 7),
+    lambda ic: generate_kgb(ic, 0, 7),
+    lambda ic: generate_kgb(ic, 0, -1),
+    lambda ic: format_cartan_report(ic, 7),
+    lambda ic: cartan_hasse(ic, 7),
+    lambda ic: real_weyl(ic, 7, 0),
+    lambda ic: real_weyl(ic, 0, 5),
+    lambda ic: cartan_class(ic, 9),
+    lambda ic: cartan_class(ic, -1),
+], ids=["kgb_form", "kgb_orbit", "kgb_orbit_negative", "report_form", "hasse_form", "real_weyl_form",
+        "real_weyl_cartan", "cartan_class", "cartan_class_negative"])
+def test_out_of_range_index_raises_input_error(call):
+    ic = context("A2", "s")  # one real form, two Cartan classes
+    with pytest.raises(InputError):
+        call(ic)

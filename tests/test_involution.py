@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realred import lin
 from realred.involution import (
@@ -16,6 +18,7 @@ from realred.rootdata import (
     adjoint_generators,
     build_root_datum,
     center_structure,
+    dual_lie_type,
     parse_kernel_generator,
     parse_lie_type,
 )
@@ -282,7 +285,7 @@ def test_cross_and_cayley_preserve_squares(text, letters):
         inv, _ = x
         assert ic._square_key_if_valid(x) == key
         row = ic.table.status_row(inv)
-        for j, (kind, _, _) in enumerate(row):
+        for j, (kind, _) in enumerate(row):
             x2 = ic.cross(j, x)
             assert ic._square_key_if_valid(x2) == key
             assert ic.x_key(ic.cross(j, x2)) == ic.x_key(x)
@@ -321,7 +324,7 @@ def test_rank_decomposition_values():
     ic = context("C2", "s")
     triples = []
     for c in range(len(ic.table.classes)):
-        dec = rank_decomposition(ic.table.theta_star(ic.table.canonical_member(c)))
+        dec = rank_decomposition(ic.theta_star(ic.table.canonical_member(c)))
         triples.append((dec.split, dec.compact, dec.complex_pairs))
     assert triples == [(0, 2, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]
 
@@ -329,8 +332,8 @@ def test_rank_decomposition_values():
 def test_fiber_rank_is_compact_rank():
     for text, letters in [("A3", "c"), ("C2", "s"), ("A2", "s")]:
         ic = context(text, letters)
-        for i in range(len(ic.table.thetas)):
-            theta = ic.table.theta_star(i)
+        for i in range(len(ic.table)):
+            theta = ic.theta_star(i)
             assert fiber_rank(theta) == rank_decomposition(theta).compact
 
 
@@ -365,3 +368,61 @@ def test_half_spin_pair_cartans():
     assert len(a ^ b) == 2
     sizes = [len(c) for c in ic.table.classes]
     assert sizes == [1, 30, 15, 180, 180, 60, 60, 15, 180, 30, 1]
+
+
+# -- the shared involution table ------------------------------------------
+
+
+def test_adjoint_context_shares_the_table():
+    ic = context("A3", "s")
+    assert ic._ad is not ic
+    assert ic._ad.table is ic.table
+
+
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("A1.T1", "sc", None), ("T2", "C", None), ("D4", "u", "1/2,1/2"),
+    ("B2", "s", None), ("B2", "s", "ad"),
+])
+def test_theta_matrix_matches_word_and_permutation(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    rd, table = ic.rd, ic.table
+    for i in range(len(table)):
+        theta = lin.transpose(ic.theta_star(i))
+        w = lin.identity(rd.rank)
+        for j in table.word(i):
+            w = lin.mat_mul(w, rd.reflections[j])
+        assert theta == lin.mat_mul(w, ic.delta.matrix)
+        for j, a in enumerate(rd.simple_roots):
+            assert lin.mat_vec(theta, a) == rd.roots[table.thetas[i][table.simple[j]]]
+
+
+SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+               "D4", "F4", "G2"]
+
+
+def rank_triples(ic, swap=False):
+    out = []
+    for c in range(len(ic.table.classes)):
+        dec = rank_decomposition(ic.theta_star(ic.table.canonical_member(c)))
+        split, compact = (dec.compact, dec.split) if swap else (dec.split, dec.compact)
+        out.append((split, compact, dec.complex_pairs))
+    return sorted(out)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    text=st.sampled_from(SMALL_TYPES),
+    letter=st.sampled_from("cs"),
+    kernel=st.sampled_from([None, "ad"]),
+)
+def test_dual_inner_class_has_dual_classes(text, letter, kernel):
+    # the dual of (type, kernel, c|s) is (dual type, opposite kernel, s|c)
+    ic = context(text, letter, kernel)
+    dual = context(
+        str(dual_lie_type(parse_lie_type(text))),
+        "s" if letter == "c" else "c",
+        None if kernel else "ad",
+    )
+    assert len(ic.table) == len(dual.table)
+    assert sorted(map(len, ic.table.classes)) == sorted(map(len, dual.table.classes))
+    assert rank_triples(ic) == rank_triples(dual, swap=True)

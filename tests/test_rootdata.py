@@ -181,7 +181,7 @@ def test_root_index_signs() -> None:
     rd = datum("A2")
     for i, r in enumerate(rd.positive_roots):
         assert rd.root_index[r.vec] == i
-        assert rd.root_index[lin.vec_neg(r.vec)] == ~i
+        assert rd.root_index[lin.vec_neg(r.vec)] == len(rd.positive_roots) + i
 
 
 @pytest.mark.parametrize("text,expected", [

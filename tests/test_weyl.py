@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from realred import lin
+from realred.involution import InnerClass
 from realred.rootdata import InputError, build_root_datum, parse_lie_type
 from realred.weyl import (
     COMPLEX_DOWN,
@@ -15,8 +16,8 @@ from realred.weyl import (
     InvolutionTable,
     inner_class_involution,
     involution_table,
+    normal_form_word,
     parse_units,
-    weyl_element,
 )
 
 
@@ -55,20 +56,29 @@ def weyl_closure(rd):
 # -- words ------------------------------------------------------------
 
 
+def weyl_element(rd, word):
+    """(normal-form word, matrix) of a product of simple reflections."""
+    m = minv = lin.identity(rd.rank)
+    for j in word:
+        m = lin.mat_mul(m, rd.reflections[j])
+        minv = lin.mat_mul(rd.reflections[j], minv)
+    return normal_form_word(rd, m, minv), m
+
+
 def test_word_normal_form():
     rd, _, _ = context("A2", "c")
-    assert weyl_element(rd, ()).word == ()
-    assert weyl_element(rd, (0, 0)).word == ()
-    assert weyl_element(rd, (0, 1, 1, 0)).word == ()
-    assert weyl_element(rd, (1, 0, 1)).word == (0, 1, 0)
-    assert weyl_element(rd, (1, 0, 1)).matrix == weyl_element(rd, (0, 1, 0)).matrix
-    assert str(weyl_element(rd, (1, 0))) == "2,1"
-    assert str(weyl_element(rd, ())) == ""
+    assert weyl_element(rd, ())[0] == ()
+    assert weyl_element(rd, (0, 0))[0] == ()
+    assert weyl_element(rd, (0, 1, 1, 0))[0] == ()
+    assert weyl_element(rd, (1, 0, 1))[0] == (0, 1, 0)
+    assert weyl_element(rd, (1, 0, 1))[1] == weyl_element(rd, (0, 1, 0))[1]
+    assert weyl_element(rd, (1, 0))[0] == (1, 0)
+    assert weyl_element(rd, ())[1] == lin.identity(2)
 
 
 def test_word_lengths_cover_group():
     rd, _, _ = context("B2", "c")
-    words = {weyl_element(rd, w).word for w in _all_words(2, 6)}
+    words = {weyl_element(rd, w)[0] for w in _all_words(2, 6)}
     assert len(words) == 8
     assert max(len(w) for w in words) == 4
 
@@ -84,12 +94,12 @@ def _all_words(ngens, upto):
 
 def test_weyl_act():
     rd, _, _ = context("A2", "c")
-    w0 = weyl_element(rd, (0, 1, 0))
+    _, w0 = weyl_element(rd, (0, 1, 0))
     a1, a2 = rd.simple_roots
-    assert lin.mat_vec(w0.matrix, a1) == lin.vec_neg(a2)
-    assert lin.mat_vec(w0.matrix, a2) == lin.vec_neg(a1)
-    s1 = weyl_element(rd, (0,))
-    assert lin.mat_vec(s1.matrix, a1) == lin.vec_neg(a1)
+    assert lin.mat_vec(w0, a1) == lin.vec_neg(a2)
+    assert lin.mat_vec(w0, a2) == lin.vec_neg(a1)
+    _, s1 = weyl_element(rd, (0,))
+    assert lin.mat_vec(s1, a1) == lin.vec_neg(a1)
 
 
 @pytest.mark.parametrize("text,i,j,m", [
@@ -250,31 +260,32 @@ def test_complex_pair_matches_first_factor():
 
 
 def test_member_invariants():
-    _, _, d = context("B2", "s")
+    rd, _, d = context("B2", "s")
     table = involution_table(d)
-    ident = lin.identity(2)
+    npos = len(rd.positive_roots)
+    delta = table.thetas[0]
     for i in range(len(table)):
         theta = table.thetas[i]
-        assert lin.mat_mul(theta, theta) == ident
-        w = lin.mat_mul(theta, d.matrix)
+        assert all(theta[theta[k]] == k for k in range(2 * npos))
+        # w = theta.delta; its length counts the positive roots it negates
         assert len(table.word(i)) == sum(
-            1 for r in table.rd.positive_roots
-            if table.rd.root_index[lin.mat_vec(w, r.vec)] < 0
+            1 for k in range(npos) if theta[delta[k]] >= npos
         )
 
 
 def test_status_rows():
     rd, _, d = context("C2", "c")
     table = involution_table(d)
+    npos = len(rd.positive_roots)
     row = table.status_row(0)
-    assert all(kind == IMAGINARY for kind, _, _ in row)
+    assert all(kind == IMAGINARY for kind, _ in row)
     for i in range(len(table)):
-        for j, (kind, target, a) in enumerate(table.status_row(i)):
+        for j, (kind, target) in enumerate(table.status_row(i)):
             if kind == IMAGINARY:
                 assert table.lengths[target] == table.lengths[i] + 1
             elif kind == REAL:
                 assert table.lengths[target] == table.lengths[i] - 1
-                assert a == lin.vec_neg(rd.simple_roots[j])
+                assert table.thetas[i][table.simple[j]] == table.simple[j] + npos
             else:
                 delta = 1 if kind == COMPLEX_UP else -1
                 assert table.lengths[target] == table.lengths[i] + delta
@@ -284,18 +295,37 @@ def test_status_rows():
 
 def test_grading_shift_sl2():
     rd, _, d = context("A1", "c")
-    table = involution_table(d)
-    assert table.cbits(0) == (0,)
-    assert table.cbits(1) == (1,)
-    assert table.csc_bits(1) == (1,)
-    assert table.grading_shift(0, 0) == 0
+    ic = InnerClass(d)
+    assert ic.cbits(0) == (0,)
+    assert ic.cbits(1) == (1,)
+    assert ic.csc_bits(1) == (1,)
+    assert ic.grading_shift(0, 0) == 0
 
 
 def test_grading_shift_isogeny_invariant():
     _, _, d = context("A1", "c", kernel="ad")
-    table = involution_table(d)
-    assert table.csc_bits(1) == (1,)
-    assert table.grading_shift(0, 0) == 0
+    ic = InnerClass(d)
+    assert ic.csc_bits(1) == (1,)
+    assert ic.grading_shift(0, 0) == 0
+
+
+@pytest.mark.parametrize("text,letters", [
+    ("A3", "s"), ("D4", "u"), ("E6", "s"), ("A1.T1", "ss"), ("A2.A2", "C"),
+])
+def test_table_is_the_same_for_every_isogeny(text, letters):
+    # the premise of sharing one table per Cartan matrix and diagram permutation
+    rds, tables = [], []
+    for kernel in (None, "ad"):
+        rd, _, d = context(text, letters, kernel)
+        rds.append(rd)
+        tables.append(InvolutionTable(rd, d.perm))
+    assert rds[0] != rds[1]
+    sc, ad = tables
+    assert sc.thetas == ad.thetas
+    assert sc.lengths == ad.lengths
+    assert all(sc.status_row(i) == ad.status_row(i) for i in range(len(sc)))
+    assert sc.classes == ad.classes
+    assert canonical_words(sc) == canonical_words(ad)
 
 
 def test_rank_refusal():
