@@ -13,15 +13,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import lin
-from .involution import (
-    InnerClass,
-    RankDecomposition,
-    StrongOrbit,
-    StrongX,
-    rank_decomposition,
-)
+from .involution import InnerClass, RankDecomposition, StrongOrbit, StrongX
 from .rootdata import InputError, Root, RootDatum, simple_basis
-from .weyl import normal_form_word, reflection_matrix, word_from_matrix
+from .weyl import reflection_matrix, word_from_matrix
 
 
 # -- root subsystem classification --------------------------------------
@@ -228,7 +222,7 @@ def cartan_class(ic: InnerClass, c: int) -> CartanClass:
     ic.check(cartan=c)
     table = ic.table
     inv = table.canonical_member(c)
-    dec = rank_decomposition(ic.theta_star(inv))
+    dec = ic.cartan_ranks(c)
     orbit = len(table.classes[c])
     # The fiber partition has one square class exactly when the center
     # is trivial, so it is read off the adjoint inner class.
@@ -311,14 +305,6 @@ class RealWeylDecomposition:
         )
 
 
-def _fiber_points(ic: InnerClass, inv: int) -> list[StrongX]:
-    return [
-        (inv, t)
-        for sq in ic.square_classes
-        for t in ic.fiber_elements(inv, sq.key)
-    ]
-
-
 def _weyl_closure(rd: RootDatum, gens: list[lin.Matrix]) -> dict:
     """All products of the generators, mapped to their inverses."""
     ident = lin.identity(rd.rank)
@@ -382,7 +368,7 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     table = ic.table
     rd = ic.rd
     inv = table.canonical_member(cartan)
-    reps = [x for x in _fiber_points(ic, inv) if ic.real_form_of(x) == form]
+    reps = [x for x, f in ic.fiber_points(cartan) if f == form]
     if not reps:
         raise InputError(f"Cartan class #{cartan} does not meet real form #{form}")
     x = reps[0]
@@ -419,12 +405,10 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
         complex_generators=tuple(complex_gens),
         a_generators=a_gens,
         compact_generators=tuple(
-            normal_form_word(rd, m, m)
-            for m in (reflection_matrix(rd, r) for r in wic_basis)
+            table.reflection_word(rd.root_index[r.vec]) for r in wic_basis
         ),
         real_generators=tuple(
-            normal_form_word(rd, m, m)
-            for m in (reflection_matrix(rd, r) for r in simple_basis(real))
+            table.reflection_word(rd.root_index[r.vec]) for r in simple_basis(real)
         ),
     )
 
@@ -479,17 +463,34 @@ class CartanHasse:
 
 
 def cartan_hasse(ic: InnerClass, form: int) -> CartanHasse:
+    """Cayley-transform graph of the Cartan classes of one real form.
+
+    Class c has an edge to the class of s_beta.theta when some strong
+    involution x of the form over the canonical theta of c is noncompact
+    at the imaginary root beta.  Gradings are read at the first member
+    of each cross-action orbit of the imaginary Weyl group W_i only.
+    That is exact: for w in W_i, w.x is noncompact at w.beta exactly when
+    x is noncompact at beta, and s_{w.beta}.theta = w (s_beta.theta) w^-1
+    lies in the class of s_beta.theta, so every member of an orbit gives
+    the same edges.
+    """
     table = ic.table
     nodes = ic.form_cartans(form)
     edges = set()
     for c in nodes:
         inv = table.canonical_member(c)
-        for x in _fiber_points(ic, inv):
-            if ic.real_form_of(x) != form:
+        targets = [
+            (k, table.class_of[table.cayley(inv, k)])
+            for k in table.imaginary_roots(inv)
+        ]
+        for orbit in ic.cartan_orbits(c):
+            if orbit.form != form:
                 continue
-            for k in table.imaginary_roots(inv):
-                if ic.root_grading(x, ic.rd.positive_roots[k]):
-                    edges.add((c, table.class_of[table.cayley(inv, k)]))
+            x = orbit.members[0]
+            for k, target in targets:
+                if (c, target) not in edges and \
+                        ic.root_grading(x, ic.rd.positive_roots[k]):
+                    edges.add((c, target))
     flags = {ic.most_split_cartan(f) for f in range(len(ic.real_forms))}
     return CartanHasse(
         tuple(nodes),

@@ -34,8 +34,6 @@ from .weyl import (
     InvolutionTable,
     inner_class_involution,
     involution_table,
-    normal_form_word,
-    reflection_matrix,
     weyl_matrix,
 )
 
@@ -104,11 +102,24 @@ class RealFormLabel:
 
 @dataclass(frozen=True)
 class StrongOrbit:
-    """Cross-action orbit on one square-class fiber."""
+    """Cross-action orbit on one square-class fiber, as a report entry."""
 
     square_class: int
     form: int
     members: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class FiberOrbit:
+    """Cross-action orbit of the imaginary Weyl group on one fiber.
+
+    The members are strong involutions over one involution, in fiber
+    order, and all have the weak real form numbered form.
+    """
+
+    square_class: int
+    form: int
+    members: tuple[StrongX, ...]
 
 
 _TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)"}
@@ -167,7 +178,8 @@ class InnerClass:
         self._minus_smith: dict[int, lin.SmithForm] = {}
         self._plus_smith: dict[int, lin.SmithForm] = {}
         self._fibers: dict[tuple[int, tuple], tuple[lin.Vector, ...]] = {}
-        self._strong_at: dict[int, tuple] = {}
+        self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
+        self._ranks_at: dict[int, RankDecomposition] = {}
 
     def check(self, form: int | None = None, cartan: int | None = None) -> None:
         """Raises InputError unless form and cartan index a weak real
@@ -191,13 +203,15 @@ class InnerClass:
         return lin.transpose(self.delta.matrix)
 
     @cached_property
+    def _dstar_minus_one(self) -> lin.Matrix:
+        return lin.mat_sub(self._dstar, lin.identity(self.rd.rank))
+
+    @cached_property
     def _central_smith(self) -> lin.SmithForm:
         """Constraints cutting out delta-fixed central cocharacters mod Z^n."""
-        n = self.rd.rank
         rows = [list(a) for a in self.rd.simple_roots]
-        diff = lin.mat_sub(self._dstar, lin.identity(n))
-        rows.extend(list(r) for r in diff)
-        return lin.smith_form(lin.freeze(rows), ncols=n)
+        rows.extend(list(r) for r in self._dstar_minus_one)
+        return lin.smith_form(lin.freeze(rows), ncols=self.rd.rank)
 
     def _central_reduce(self, s: tuple[Fraction, ...]) -> tuple:
         """Coordinates of a central cocharacter modulo the identity part."""
@@ -392,27 +406,33 @@ class InnerClass:
         )
         return (inv, key)
 
-    def square_value(self, x: StrongX) -> tuple[Fraction, ...]:
-        """Central cocharacter s with xi^2 = exp(2 pi i s)."""
+    def _square_numerators(self, x: StrongX) -> lin.Vector:
+        """Numerators over denom of the square value of x."""
         inv, t = x
-        n = self.rd.rank
-        onep = lin.mat_add(self.theta_star(inv), lin.identity(n))
-        num = lin.vec_add(
-            lin.mat_vec(onep, t),
+        return lin.vec_add(
+            lin.vec_add(t, lin.mat_vec(self.theta_star(inv), t)),
             lin.vec_scale(self.cbits(inv), self.denom // 2),
         )
-        return tuple(Fraction(v, self.denom) for v in num)
+
+    def square_value(self, x: StrongX) -> tuple[Fraction, ...]:
+        """Central cocharacter s with xi^2 = exp(2 pi i s)."""
+        return tuple(Fraction(v, self.denom) for v in self._square_numerators(x))
 
     def _square_key_if_valid(self, x: StrongX) -> tuple | None:
-        """Square-class key of x, or None when x squares outside the center."""
-        s = self.square_value(x)
+        """Square-class key of x, or None when x squares outside the center.
+
+        The square s = num / denom is central and delta-fixed when every
+        simple root and every row of delta* - 1 pairs integrally with
+        it, which is checked on num modulo denom.
+        """
+        num = self._square_numerators(x)
+        d = self.denom
         for a in self.rd.simple_roots:
-            if lin.vec_dot(a, s) % 1:
+            if lin.vec_dot(a, num) % d:
                 return None
-        diff = lin.mat_sub(self._dstar, lin.identity(self.rd.rank))
-        if any(v % 1 for v in lin.mat_vec(diff, s)):
+        if any(v % d for v in lin.mat_vec(self._dstar_minus_one, num)):
             return None
-        return self.central_class_key(s)
+        return self.central_class_key(tuple(Fraction(v, d) for v in num))
 
     # -- fibers ----------------------------------------------------------
 
@@ -512,10 +532,17 @@ class InnerClass:
         raise AssertionError("no descent for imaginary root")
 
     def cayley(self, j: int, x: StrongX) -> StrongX:
-        """Cayley transform through a noncompact imaginary simple root."""
+        """Cayley transform through a noncompact imaginary simple root.
+
+        Raises ValueError when simple root j is not imaginary at x, or is
+        compact there.
+        """
         inv, t = x
         kind, nbr = self.table.status_row(inv)[j]
-        assert kind == IMAGINARY and self.grading(x, j)
+        if kind != IMAGINARY:
+            raise ValueError(f"simple root {j} is not imaginary at involution {inv}")
+        if not self.grading(x, j):
+            raise ValueError(f"simple root {j} is compact at this strong involution")
         t2 = lin.mat_vec(self.rd.coreflections[j], t)
         return (nbr, lin.vec_mod(t2, self.denom))
 
@@ -524,11 +551,13 @@ class InnerClass:
 
         Candidates lie on the coroot line through the reflected torus part;
         the offset is pinned down to two residues by matching squares, and
-        both survive or both fail the noncompactness test.
+        both survive or both fail the noncompactness test.  Raises
+        ValueError when simple root j is not real at x.
         """
         inv, t = x
         kind, nbr = self.table.status_row(inv)[j]
-        assert kind == REAL
+        if kind != REAL:
+            raise ValueError(f"simple root {j} is not real at involution {inv}")
         d = self.denom
         key = self.central_class_key(self.square_value(x))
         base = lin.mat_vec(self.rd.coreflections[j], t)
@@ -596,9 +625,17 @@ class InnerClass:
         fiber = self.fiber_elements(inv, key)
         if not fiber:
             return []
-        basis = self.roots(self.table.imaginary_basis(inv))
-        refls = [reflection_matrix(self.rd, b) for b in basis]
-        words = [normal_form_word(self.rd, m, m) for m in refls]
+        # Every cross action is affine in the torus part, so the cross
+        # action of the reflection in an imaginary root beta sends t to
+        # t - <beta, t> beta^v + shift, with the shift read off at t = 0.
+        d = self.denom
+        zero = lin.zero_vector(self.rd.rank)
+        moves = []
+        for k in self.table.imaginary_basis(inv):
+            y = self.cross_word(self.table.reflection_word(k), (inv, zero))
+            assert y[0] == inv
+            root = self.rd.positive_roots[k]
+            moves.append((root.vec, root.covec, y[1]))
         index = {self.x_key((inv, t)): i for i, t in enumerate(fiber)}
         orbits = []
         done = set()
@@ -610,9 +647,10 @@ class InnerClass:
             queue = [start]
             while queue:
                 cur = queue.pop()
-                for w in words:
-                    y = self.cross_word(w, (inv, fiber[cur]))
-                    assert y[0] == inv
+                t = fiber[cur]
+                for vec, covec, shift in moves:
+                    moved = lin.vec_sub(t, lin.vec_scale(covec, lin.vec_dot(vec, t)))
+                    y = (inv, lin.vec_mod(lin.vec_add(moved, shift), d))
                     tgt = index[self.x_key(y)]
                     if tgt not in done:
                         done.add(tgt)
@@ -829,21 +867,35 @@ class InnerClass:
         return {sq.key: sq.index for sq in self.square_classes}
 
     def real_form_of(self, x: StrongX) -> int:
-        """Weak real form of a strong involution, by descent to the base."""
+        """Weak real form of a strong involution, by descent to the base.
+
+        Each step lowers the twisted length by one.  It is the cross
+        action of the first simple root that is a complex descent, when
+        the status row has one, and costs one cross action.  Otherwise it
+        is the first valid inverse Cayley transform through a real simple
+        root, in index order; each try searches denom offsets.  The form
+        does not depend on the path: cross actions and Cayley transforms
+        preserve the weak real form, so every point of any path has the
+        form of x, and the base point it ends at lies in a base-fiber
+        orbit of that form.
+        """
         inv, _ = x
         while self.table.lengths[inv] > 0:
             row = self.table.status_row(inv)
-            nxt = None
-            for j, (kind, _) in enumerate(row):
-                if kind == COMPLEX_DOWN:
-                    nxt = self.cross(j, x)
-                    break
-                if kind == REAL and nxt is None:
-                    cands = self.inverse_cayley(j, x)
-                    if cands:
-                        nxt = cands[0]
-            assert nxt is not None, "strong involution admits no descent"
-            x = nxt
+            down = next(
+                (j for j, (kind, _) in enumerate(row) if kind == COMPLEX_DOWN), None
+            )
+            if down is not None:
+                x = self.cross(down, x)
+            else:
+                for j, (kind, _) in enumerate(row):
+                    if kind == REAL:
+                        cands = self.inverse_cayley(j, x)
+                        if cands:
+                            x = cands[0]
+                            break
+                else:
+                    raise AssertionError("strong involution admits no descent")
             inv = x[0]
         return self._base_form_by_key[self.x_key(x)]
 
@@ -857,57 +909,102 @@ class InnerClass:
 
     # -- strong real forms at a Cartan class ------------------------------
 
+    def cartan_orbits(self, cartan: int) -> tuple[FiberOrbit, ...]:
+        """The per-Cartan record: cross-action orbits on the fibers.
+
+        Lists the orbits of the imaginary Weyl group on each realized
+        square-class fiber over the canonical involution of the class,
+        with the weak real form of every orbit: square class by square
+        class, and within a fiber by first member in fiber order.  The
+        form is found by one descent from the orbit's first member, since
+        cross actions preserve it.  Built once per class and cached.
+        """
+        out = self._orbits_at.get(cartan)
+        if out is None:
+            inv = self.table.canonical_member(cartan)
+            orbits = []
+            for sq in self.square_classes:
+                for members in self._orbit_partition(inv, sq.key):
+                    xs = tuple((inv, t) for t in members)
+                    orbits.append(FiberOrbit(sq.index, self.real_form_of(xs[0]), xs))
+            out = self._orbits_at[cartan] = tuple(orbits)
+        return out
+
+    def fiber_points(self, cartan: int) -> list[tuple[StrongX, int]]:
+        """(strong involution, weak form) of every point of the fibers
+        over a Cartan class: square class by square class, each fiber in
+        fiber_elements order.
+        """
+        inv = self.table.canonical_member(cartan)
+        form_of = {x: o.form for o in self.cartan_orbits(cartan) for x in o.members}
+        return [
+            (x, form_of[x])
+            for sq in self.square_classes
+            for x in ((inv, t) for t in self.fiber_elements(inv, sq.key))
+        ]
+
     def strong_real_forms_at(self, cartan: int) -> tuple[tuple[int, tuple[StrongOrbit, ...]], ...]:
         """Orbit partition of each realized square-class fiber at a Cartan.
 
         Returns (square class index, orbits) pairs in class order; member
-        indices refer to positions in the class fiber listing.
+        indices refer to positions in the class fiber listing.  Derived
+        from the per-Cartan record cartan_orbits.
         """
-        cached = self._strong_at.get(cartan)
-        if cached is not None:
-            return cached
-        inv = self.table.canonical_member(cartan)
+        orbits = self.cartan_orbits(cartan)
         out = []
         for sq in self.square_classes:
-            orbits = self._orbit_partition(inv, sq.key)
-            if not orbits:
+            mine = [o for o in orbits if o.square_class == sq.index]
+            if not mine:
                 continue
-            forms = [self.real_form_of((inv, members[0])) for members in orbits]
             # Fiber members are numbered orbit by orbit, most split form
             # first, so member 0 always sits in the most split orbit.
-            order = sorted(range(len(orbits)), key=lambda o: (-forms[o], o))
+            order = sorted(range(len(mine)), key=lambda o: (-mine[o].form, o))
             entries = []
             start = 0
             for o in order:
-                size = len(orbits[o])
+                size = len(mine[o].members)
                 ids = tuple(range(start, start + size))
-                entries.append(StrongOrbit(sq.index, forms[o], ids))
+                entries.append(StrongOrbit(sq.index, mine[o].form, ids))
                 start += size
             out.append((sq.index, tuple(entries)))
-        result = tuple(out)
-        self._strong_at[cartan] = result
-        return result
+        return tuple(out)
 
     def form_cartans(self, form: int) -> tuple[int, ...]:
         """Cartan classes carrying strong involutions of one weak form."""
         self.check(form)
-        out = []
-        for c in range(len(self.table.classes)):
-            for _, entries in self.strong_real_forms_at(c):
-                if any(e.form == form for e in entries):
-                    out.append(c)
-                    break
-        return tuple(out)
+        return tuple(
+            c for c in range(len(self.table.classes))
+            if any(o.form == form for o in self.cartan_orbits(c))
+        )
+
+    def cartan_ranks(self, cartan: int) -> RankDecomposition:
+        """Rank decomposition of the canonical involution of a Cartan class."""
+        out = self._ranks_at.get(cartan)
+        if out is None:
+            inv = self.table.canonical_member(cartan)
+            out = self._ranks_at[cartan] = rank_decomposition(self.theta_star(inv))
+        return out
 
     def most_split_cartan(self, form: int) -> int:
         """Cartan class of maximal real rank within one weak form."""
-        real_rank = {}
-        for c in self.form_cartans(form):
-            dec = rank_decomposition(self.theta_star(self.table.canonical_member(c)))
-            real_rank[c] = dec.split + dec.complex_pairs
-        best = max(real_rank, key=real_rank.get)
-        assert list(real_rank.values()).count(real_rank[best]) == 1
-        return best
+        self.check(form)
+        return self._most_split[form]
+
+    @cached_property
+    def _most_split(self) -> tuple[int, ...]:
+        out = []
+        for form in range(len(self.real_forms)):
+            real_rank = {}
+            for c in self.form_cartans(form):
+                dec = self.cartan_ranks(c)
+                real_rank[c] = dec.split + dec.complex_pairs
+            best = max(real_rank, key=real_rank.get)
+            if list(real_rank.values()).count(real_rank[best]) != 1:
+                raise RuntimeError(
+                    f"real form #{form} has several Cartan classes of maximal real rank"
+                )
+            out.append(best)
+        return tuple(out)
 
     # -- component groups --------------------------------------------------
 

@@ -356,6 +356,7 @@ class InvolutionTable:
         self._rows: list[list] = [[None] * rd.semisimple_rank]
         self._uf: list[int] = [0]
         self._words: dict[int, tuple[int, ...]] = {}
+        self._reflection_words: dict[int, tuple[int, ...]] = {}
         self._canonical: dict[int, int] = {}
         self._enumerate()
         self._rows = [tuple(row) for row in self._rows]
@@ -440,6 +441,14 @@ class InvolutionTable:
             m = weyl_matrix(self.rd, self.weyl_images(i))
             minv = weyl_matrix(self.rd, self.weyl_images(i, inverse=True))
             out = self._words[i] = normal_form_word(self.rd, m, minv)
+        return out
+
+    def reflection_word(self, k: int) -> tuple[int, ...]:
+        """Displayed reduced word of the reflection in positive root k."""
+        out = self._reflection_words.get(k)
+        if out is None:
+            m = reflection_matrix(self.rd, self.rd.positive_roots[k])
+            out = self._reflection_words[k] = normal_form_word(self.rd, m, m)
         return out
 
     def imaginary_roots(self, i: int) -> list[int]:

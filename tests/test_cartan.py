@@ -587,6 +587,36 @@ def test_hasse_of_smaller_form_is_lower_set():
         assert set(h.most_split) <= set(h.nodes)
 
 
+def brute_force_hasse(ic, form):
+    # grades every fiber point of the form, not one per orbit
+    table = ic.table
+    nodes, edges = [], set()
+    for c in range(len(table.classes)):
+        inv = table.canonical_member(c)
+        for sq in ic.square_classes:
+            for t in ic.fiber_elements(inv, sq.key):
+                x = (inv, t)
+                if ic.real_form_of(x) != form:
+                    continue
+                if c not in nodes:
+                    nodes.append(c)
+                for k in table.imaginary_roots(inv):
+                    if ic.root_grading(x, ic.rd.positive_roots[k]):
+                        edges.add((c, table.class_of[table.cayley(inv, k)]))
+    return tuple(nodes), tuple(sorted(edges))
+
+
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("B3", "s", None), ("C3", "s", None), ("D4", "s", None), ("G2", "s", None),
+    ("A3", "c", "ad"),
+])
+def test_hasse_matches_brute_force(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    for form in range(len(ic.real_forms)):
+        h = cartan_hasse(ic, form)
+        assert (h.nodes, h.edges) == brute_force_hasse(ic, form)
+
+
 # -- input checks ---------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,13 @@ from realred.rootdata import (
     parse_kernel_generator,
     parse_lie_type,
 )
-from realred.weyl import IMAGINARY, REAL
+from realred.weyl import (
+    COMPLEX_DOWN,
+    IMAGINARY,
+    REAL,
+    normal_form_word,
+    reflection_matrix,
+)
 
 
 def context(text, letters, kernel=None):
@@ -303,6 +311,119 @@ def test_cross_and_cayley_preserve_squares(text, letters):
                     assert ic.x_key(ic.cayley(j, y)) == ic.x_key(x)
 
 
+def square_key_reference(ic, x):
+    # square class key computed with Fractions throughout, as before the
+    # integer centrality check
+    inv, t = x
+    n = ic.rd.rank
+    onep = lin.mat_add(ic.theta_star(inv), lin.identity(n))
+    num = lin.vec_add(lin.mat_vec(onep, t), lin.vec_scale(ic.cbits(inv), ic.denom // 2))
+    s = tuple(Fraction(v, ic.denom) for v in num)
+    for a in ic.rd.simple_roots:
+        if lin.vec_dot(a, s) % 1:
+            return None
+    diff = lin.mat_sub(lin.transpose(ic.delta.matrix), lin.identity(n))
+    if any(v % 1 for v in lin.mat_vec(diff, s)):
+        return None
+    return ic.central_class_key(s)
+
+
+@pytest.mark.parametrize(
+    "text,letters,kernel",
+    [("A3", "c", None), ("C2", "s", None), ("D4", "s", None), ("A3", "c", "ad")],
+)
+def test_square_key_integer_check_matches_fractions(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    d = ic.denom
+    valid = invalid = 0
+    # canonical members may have no real simple root, so take every involution
+    points = [
+        (inv, t) for inv in range(len(ic.table)) for sq in ic.square_classes
+        for t in ic.fiber_elements(inv, sq.key)
+    ]
+    for inv, t in points:
+        for j, (kind, nbr) in enumerate(ic.table.status_row(inv)):
+            if kind != REAL:
+                continue
+            # the candidates inverse_cayley tries
+            base = lin.mat_vec(ic.rd.coreflections[j], t)
+            av = ic.rd.simple_coroots[j]
+            for c in range(d):
+                cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
+                key = ic._square_key_if_valid(cand)
+                assert key == square_key_reference(ic, cand)
+                valid += key is not None
+                invalid += key is None
+    assert valid and invalid
+
+
+def test_cayley_rejects_roots_of_the_wrong_kind():
+    ic = context("A1", "s")
+    base = [(0, t) for sq in ic.square_classes for t in ic.fiber_elements(0, sq.key)]
+    compact = [x for x in base if not ic.grading(x, 0)]
+    noncompact = [x for x in base if ic.grading(x, 0)]
+    assert compact and noncompact
+    split = ic.cayley(0, noncompact[0])
+    assert ic.table.status_row(split[0])[0][0] == REAL
+    with pytest.raises(ValueError):
+        ic.cayley(0, compact[0])
+    with pytest.raises(ValueError):
+        ic.cayley(0, split)
+    with pytest.raises(ValueError):
+        ic.inverse_cayley(0, noncompact[0])
+    assert ic.inverse_cayley(0, split)
+
+
+RECORD_GROUPS = [
+    ("A3", "c", None), ("C2", "s", None), ("A5", "s", None), ("B3", "s", None),
+    ("D4", "s", None), ("G2", "s", None), ("A3", "c", "ad"),
+]
+
+
+@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def test_cartan_record_forms_match_descent(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    for c in range(len(ic.table.classes)):
+        inv = ic.table.canonical_member(c)
+        fibers = {
+            sq.index: [(inv, t) for t in ic.fiber_elements(inv, sq.key)]
+            for sq in ic.square_classes
+        }
+        points = ic.fiber_points(c)
+        assert [x for x, _ in points] == [x for sq in sorted(fibers) for x in fibers[sq]]
+        for x, form in points:
+            assert ic.real_form_of(x) == form
+        # the orbits partition each fiber, members and orbits in fiber order
+        for sq, fiber in fibers.items():
+            orbits = [o.members for o in ic.cartan_orbits(c) if o.square_class == sq]
+            assert sorted(x for o in orbits for x in o) == sorted(fiber)
+            positions = [[fiber.index(x) for x in o] for o in orbits]
+            assert all(p == sorted(p) for p in positions)
+            assert [p[0] for p in positions] == sorted(p[0] for p in positions)
+
+
+def descend_last(ic, x):
+    # descent that takes the last valid step of each status row
+    inv = x[0]
+    while ic.table.lengths[inv] > 0:
+        steps = []
+        for j, (kind, _) in enumerate(ic.table.status_row(inv)):
+            if kind == COMPLEX_DOWN:
+                steps.append(ic.cross(j, x))
+            elif kind == REAL:
+                steps.extend(ic.inverse_cayley(j, x))
+        x = steps[-1]
+        inv = x[0]
+    return ic._base_form_by_key[ic.x_key(x)]
+
+
+@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def test_descent_is_path_independent(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    for x, _ in all_strong_involutions(ic):
+        assert descend_last(ic, x) == ic.real_form_of(x)
+
+
 def test_every_strong_involution_descends():
     for text, letters, kernel in [("A3", "c", None), ("C2", "s", None),
                                   ("A5", "s", None), ("A3", "c", "ad")]:
@@ -371,6 +492,16 @@ def test_half_spin_pair_cartans():
 
 
 # -- the shared involution table ------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["B3", "D4", "G2"])
+@pytest.mark.parametrize("kernel", [None, "ad"])
+def test_reflection_words_are_normal_forms(text, kernel):
+    ic = context(text, "s", kernel)
+    rd = ic.rd
+    for k, root in enumerate(rd.positive_roots):
+        m = reflection_matrix(rd, root)
+        assert ic.table.reflection_word(k) == normal_form_word(rd, m, m)
 
 
 def test_adjoint_context_shares_the_table():
