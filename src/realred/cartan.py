@@ -14,8 +14,8 @@ from math import factorial
 
 from . import lin
 from .involution import InnerClass, RankDecomposition, StrongOrbit, StrongX
-from .rootdata import InputError, Root, RootDatum, simple_basis
-from .weyl import reflection_matrix, word_from_matrix
+from .rootdata import InputError, Root, simple_basis
+from .weyl import word_from_matrix
 
 
 # -- root subsystem classification --------------------------------------
@@ -305,56 +305,52 @@ class RealWeylDecomposition:
         )
 
 
-def _weyl_closure(rd: RootDatum, gens: list[lin.Matrix]) -> dict:
-    """All products of the generators, mapped to their inverses."""
-    ident = lin.identity(rd.rank)
-    seen = {ident: ident}
-    frontier = [(ident, ident)]
+def _weyl_closure(gens: list[tuple[int, ...]], size: int) -> set[tuple[int, ...]]:
+    """All products of the generators, as permutations of size root indices."""
+    seen = {tuple(range(size))}
+    frontier = set(seen)
     while frontier:
-        nxt = []
-        for m, mi in frontier:
-            for g in gens:
-                p = lin.mat_mul(g, m)
-                if p not in seen:
-                    pi = lin.mat_mul(mi, g)
-                    seen[p] = pi
-                    nxt.append((p, pi))
-        frontier = nxt
+        frontier = {tuple(map(g.__getitem__, w)) for w in frontier for g in gens} - seen
+        seen |= frontier
     return seen
 
 
 def _a_group_data(
     ic: InnerClass,
     x: StrongX,
-    wi: list[tuple[tuple[int, ...], lin.Matrix]],
+    wi: list[tuple[tuple[int, ...], tuple[int, ...]]],
     wic_basis: list[Root],
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Rank and generator words of A = Stab_{W_i}(x) / W_ic.
 
-    wi lists every element of W_i as (reduced word, matrix).
+    wi lists every element of W_i as (reduced word, root permutation).
     """
-    rd = ic.rd
+    table = ic.table
+    size = len(ic.rd.roots)
     key = ic.x_key(x)
-    stab = [(w, m) for w, m in wi if ic.x_key(ic.cross_word(w, x)) == key]
-    wic_gens = [reflection_matrix(rd, r) for r in wic_basis]
-    wic = _weyl_closure(rd, wic_gens)
-    assert set(wic) <= {m for _, m in stab}
+    stab = [(w, p) for w, p in wi if ic.x_key(ic.cross_word(w, x)) == key]
+    wic_gens = [table.reflections[ic.rd.root_index[r.vec]] for r in wic_basis]
+    wic = _weyl_closure(wic_gens, size)
+    if not wic <= {p for _, p in stab}:
+        raise RuntimeError("W_ic is not contained in the stabiliser of x")
     count, extra = divmod(len(stab), len(wic))
-    assert extra == 0 and count & (count - 1) == 0
+    if extra or count & (count - 1):
+        raise RuntimeError("stabiliser of x has no 2-power index over W_ic")
     a_rank = count.bit_length() - 1
     out: list[tuple[int, ...]] = []
-    picked: list[lin.Matrix] = []
+    picked: list[tuple[int, ...]] = []
     current = wic
     stab.sort(key=lambda t: (len(t[0]), t[0]))
-    for w, m in stab:
+    for w, p in stab:
         if len(current) == len(stab):
             break
-        if m in current:
+        if p in current:
             continue
         out.append(w)
-        picked.append(m)
-        current = _weyl_closure(rd, wic_gens + picked)
-    assert len(out) == a_rank
+        picked.append(p)
+        current = _weyl_closure(wic_gens + picked, size)
+    if len(out) != a_rank:
+        raise RuntimeError("A needs more generators than its rank")
     return a_rank, tuple(out)
 
 
@@ -362,7 +358,8 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     """Decomposition of W(K,H) at one Cartan class of a real form.
 
     Grading-dependent factors use the first fiber point of the form at
-    the canonical involution; independence of that choice is asserted.
+    the canonical involution; RuntimeError is raised when another fiber
+    point of the form gives other factors.
     """
     ic.check(form, cartan)
     table = ic.table
@@ -379,24 +376,24 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     side, side_pairs = _complex_factor(ic, inv)
     complex_gens = []
     for first, second in side_pairs:
-        m = lin.mat_mul(
-            reflection_matrix(rd, first), reflection_matrix(rd, second)
-        )
-        complex_gens.append(word_from_matrix(rd, m, m))
+        s1 = table.reflections[rd.root_index[first.vec]]
+        s2 = table.reflections[rd.root_index[second.vec]]
+        complex_gens.append(word_from_matrix(table, tuple(map(s1.__getitem__, s2))))
     complex_gens.sort(key=lambda w: (len(w), w))
-    wi_gens = [reflection_matrix(rd, r) for r in ic.roots(table.imaginary_basis(inv))]
+    wi_gens = [table.reflections[k] for k in table.imaginary_basis(inv)]
     wi = [
-        (word_from_matrix(rd, m, mi), m)
-        for m, mi in _weyl_closure(rd, wi_gens).items()
+        (word_from_matrix(table, p), p)
+        for p in _weyl_closure(wi_gens, len(rd.roots))
     ]
     wic_basis = simple_basis(compact)
     a_rank, a_gens = _a_group_data(ic, x, wi, wic_basis)
     for y in reps[1:]:
         other = [r for r in imaginary if not ic.root_grading(y, r)]
         # the same type, possibly with its components in another order
-        assert sorted(system_type(other).split(".")) == \
-            sorted(compact_type.split("."))
-        assert _a_group_data(ic, y, wi, simple_basis(other))[0] == a_rank
+        if sorted(system_type(other).split(".")) != sorted(compact_type.split(".")):
+            raise RuntimeError("compact type differs between fiber points of a form")
+        if _a_group_data(ic, y, wi, simple_basis(other))[0] != a_rank:
+            raise RuntimeError("A rank differs between fiber points of a form")
     return RealWeylDecomposition(
         complex_type=system_type(side),
         a_rank=a_rank,

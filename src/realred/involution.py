@@ -475,11 +475,16 @@ class InnerClass:
                         seen[k] = nxt
                         queue.append(nxt)
             out = tuple(seen.values())
-            assert len(out) == 1 << fiber_rank(self.theta_star(inv))
-            assert all(
-                self.central_class_key(self.square_value((inv, t))) == key
-                for t in out
-            )
+            if len(out) != 1 << fiber_rank(self.theta_star(inv)):
+                raise RuntimeError("fiber size is not 2^(fiber rank)")
+            # every generator g has (1 + theta*) g = 0 mod d, so all
+            # squares agree on integers; only the first is keyed
+            squares = {
+                tuple(v % d for v in self._square_numerators((inv, t))) for t in out
+            }
+            if len(squares) != 1 or \
+                    self.central_class_key(self.square_value((inv, out[0]))) != key:
+                raise RuntimeError("fiber element squares outside its square class")
         self._fibers[(inv, key)] = out
         return out
 
@@ -521,14 +526,12 @@ class InnerClass:
         ht = sum(root.coeffs)
         if ht == 1:
             return self.grading(x, root.coeffs.index(1))
-        rd = self.rd
-        for j in range(rd.semisimple_rank):
-            if root.vec != rd.simple_roots[j] and \
-                    lin.vec_dot(root.vec, rd.simple_coroots[j]) > 0:
-                vec = lin.mat_vec(rd.reflections[j], root.vec)
-                lower = rd.positive_roots[rd.root_index[vec]]
-                if sum(lower.coeffs) < ht:
-                    return self.root_grading(self.cross(j, x), lower)
+        pos = self.rd.positive_roots
+        k = self.rd.root_index[root.vec]
+        for j, s in enumerate(self.table.simple):
+            img = self.table.reflections[s][k]
+            if img < len(pos) and sum(pos[img].coeffs) < ht:
+                return self.root_grading(self.cross(j, x), pos[img])
         raise AssertionError("no descent for imaginary root")
 
     def cayley(self, j: int, x: StrongX) -> StrongX:

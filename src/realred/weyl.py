@@ -1,11 +1,12 @@
 """Weyl group words, inner-class involutions, and twisted involutions.
 
 Roots are numbered as in RootDatum.roots: positive root k is k and its
-negative is N + k.  A twisted involution theta = w.delta is stored as
-the permutation of these 2N indices that it induces.  That permutation
-depends only on the Cartan matrix and the diagram permutation of delta,
-so one table serves every isogeny of a Coxeter datum.  The table
-enumerates all twisted involutions breadth-first, which yields the
+negative is N + k.  A Weyl element is the permutation of these 2N
+indices that it induces, and so is a twisted involution theta = w.delta.
+Those permutations depend only on the Cartan matrix and the diagram
+permutation of delta, so one table serves every isogeny of a Coxeter
+datum, and reduced words are read off them by index comparisons.  The
+table enumerates all twisted involutions breadth-first, which yields the
 twisted length and the status of every simple root for free, and groups
 them into twisted-conjugacy classes.  Lattice matrices of involutions
 belong to involution.InnerClass.
@@ -14,6 +15,7 @@ belong to involution.InnerClass.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -28,21 +30,35 @@ COMPLEX_UP = "+"
 COMPLEX_DOWN = "-"
 
 
-def word_from_matrix(rd: RootDatum, m: lin.Matrix, minv: lin.Matrix) -> tuple[int, ...]:
-    """Lexicographically least reduced word, by greedy least left descent."""
-    ident = lin.identity(rd.rank)
-    npos = len(rd.positive_roots)
+def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(w)), key=w.__getitem__))
+
+
+def _strip(
+    table: InvolutionTable, winv: tuple[int, ...], order: Sequence[int]
+) -> tuple[list[int], tuple[int, ...]]:
+    """Strips left descents of w in order, the first one each time.
+
+    w is given by its inverse; a simple j is a left descent when w^-1
+    sends simple root j to a negative root.  Returns the stripped
+    letters and the inverse of what is left.
+    """
+    npos = len(table.reflections)
     word = []
-    while m != ident:
-        j = next(
-            j for j in range(rd.semisimple_rank)
-            if rd.root_index[lin.mat_vec(minv, rd.simple_roots[j])] >= npos
-        )
+    while True:
+        j = next((j for j in order if winv[table.simple[j]] >= npos), None)
+        if j is None:
+            return word, winv
         word.append(j)
-        s = rd.reflections[j]
-        m = lin.mat_mul(s, m)
-        minv = lin.mat_mul(minv, s)
-    return tuple(word)
+        winv = tuple(map(winv.__getitem__, table.reflections[table.simple[j]]))
+
+
+def word_from_matrix(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least reduced word, by greedy least left descent.
+
+    w is a Weyl element as the permutation of the table's root indices.
+    """
+    return tuple(_strip(table, _inverse(w), range(len(table.simple)))[0])
 
 
 @cache
@@ -98,37 +114,24 @@ def _component_chain(comp: list[int], adj: list[list[int]]) -> list[int]:
     return [tips[1], joint, tips[0]] + arms[2]
 
 
-def normal_form_word(rd: RootDatum, m: lin.Matrix, minv: lin.Matrix) -> tuple[int, ...]:
+def normal_form_word(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, ...]:
     """Reduced word as a product of minimal parabolic-coset pieces.
 
+    w is a Weyl element as the permutation of the table's root indices.
     Writes w = x_1...x_n with x_k of minimal length in W_{k-1}\\W_k for
-    the parabolic chain along piece_chain(rd), then concatenates the
-    least words of the pieces.
+    the parabolic chain along piece_chain, then concatenates the least
+    words of the pieces.
     """
-    chain = piece_chain(rd)
-    npos = len(rd.positive_roots)
+    chain = piece_chain(table.rd)
+    winv = _inverse(w)
     pieces = []
     for pos in range(len(chain) - 1, -1, -1):
-        allowed = chain[:pos]
-        xm, xminv = m, minv
-        stripped = True
-        while stripped:
-            stripped = False
-            for s in allowed:
-                if rd.root_index[lin.mat_vec(xminv, rd.simple_roots[s])] >= npos:
-                    refl = rd.reflections[s]
-                    xm = lin.mat_mul(refl, xm)
-                    xminv = lin.mat_mul(xminv, refl)
-                    stripped = True
-                    break
-        pieces.append(word_from_matrix(rd, xm, xminv))
-        m = lin.mat_mul(m, xminv)
-        minv = lin.mat_mul(xm, minv)
-    assert m == lin.identity(rd.rank)
-    out: list[int] = []
-    for w in reversed(pieces):
-        out.extend(w)
-    return tuple(out)
+        x = _inverse(_strip(table, winv, chain[:pos])[1])
+        pieces.append(word_from_matrix(table, x))
+        winv = tuple(map(x.__getitem__, winv))
+    if winv != tuple(range(len(winv))):
+        raise RuntimeError("normal form pieces do not multiply back to w")
+    return tuple(j for piece in reversed(pieces) for j in piece)
 
 
 def reflection_matrix(rd: RootDatum, root: Root) -> lin.Matrix:
@@ -427,28 +430,24 @@ class InvolutionTable:
         """Id of s_k.theta_i, for a positive root k imaginary at i."""
         return self.index[tuple(map(self.reflections[k].__getitem__, self.thetas[i]))]
 
-    def weyl_images(self, i: int, inverse: bool = False) -> tuple[int, ...]:
-        """Root indices of w(alpha_j), or of w^-1(alpha_j), for theta_i = w.delta."""
+    def weyl_images(self, i: int) -> tuple[int, ...]:
+        """Root indices of w(alpha_j), for theta_i = w.delta."""
         theta, delta = self.thetas[i], self.thetas[0]
-        if inverse:
-            theta, delta = delta, theta
         return tuple(theta[delta[s]] for s in self.simple)
 
     def word(self, i: int) -> tuple[int, ...]:
-        """Displayed reduced word of w with theta = w.delta."""
+        """Displayed reduced word of w = theta.delta, delta being an involution."""
         out = self._words.get(i)
         if out is None:
-            m = weyl_matrix(self.rd, self.weyl_images(i))
-            minv = weyl_matrix(self.rd, self.weyl_images(i, inverse=True))
-            out = self._words[i] = normal_form_word(self.rd, m, minv)
+            w = tuple(map(self.thetas[i].__getitem__, self.thetas[0]))
+            out = self._words[i] = normal_form_word(self, w)
         return out
 
     def reflection_word(self, k: int) -> tuple[int, ...]:
         """Displayed reduced word of the reflection in positive root k."""
         out = self._reflection_words.get(k)
         if out is None:
-            m = reflection_matrix(self.rd, self.rd.positive_roots[k])
-            out = self._reflection_words[k] = normal_form_word(self.rd, m, m)
+            out = self._reflection_words[k] = normal_form_word(self, self.reflections[k])
         return out
 
     def imaginary_roots(self, i: int) -> list[int]:

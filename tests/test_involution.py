@@ -28,9 +28,10 @@ from realred.weyl import (
     COMPLEX_DOWN,
     IMAGINARY,
     REAL,
-    normal_form_word,
     reflection_matrix,
 )
+
+from test_weyl import reference_normal_form_word
 
 
 def context(text, letters, kernel=None):
@@ -501,7 +502,7 @@ def test_reflection_words_are_normal_forms(text, kernel):
     rd = ic.rd
     for k, root in enumerate(rd.positive_roots):
         m = reflection_matrix(rd, root)
-        assert ic.table.reflection_word(k) == normal_form_word(rd, m, m)
+        assert ic.table.reflection_word(k) == reference_normal_form_word(rd, m, m)
 
 
 def test_adjoint_context_shares_the_table():

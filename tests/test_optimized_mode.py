@@ -1,0 +1,56 @@
+"""Results must not depend on assert statements, which python -O strips."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from realred.cartan import cartan_hasse, format_cartan_report, format_real_weyl, real_weyl
+from realred.involution import inner_class
+from realred.kgb import format_kgb, generate_kgb
+from realred.rootdata import (
+    adjoint_generators,
+    build_root_datum,
+    center_structure,
+    parse_lie_type,
+)
+
+GROUPS = [("B3", "s", None), ("A3", "c", "ad")]
+
+
+def report(text, letters, kernel):
+    """Cartan report, Cayley graph, real Weyl groups and KGB of every form."""
+    lt = parse_lie_type(text)
+    gens = tuple(adjoint_generators(center_structure(lt))) if kernel == "ad" else ()
+    ic = inner_class(letters, build_root_datum(lt, gens), lt)
+    lines = []
+    for form in range(len(ic.real_forms)):
+        lines.extend(format_cartan_report(ic, form))
+        lines.append(repr(cartan_hasse(ic, form)))
+        for c in ic.form_cartans(form):
+            lines.extend(format_real_weyl(real_weyl(ic, form, c)))
+        lines.extend(format_kgb(generate_kgb(ic, form)))
+    return lines
+
+
+def test_results_are_the_same_under_python_o():
+    here = Path(__file__).resolve().parent
+    src = here.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    script = (
+        "from test_optimized_mode import GROUPS, report\n"
+        "print(__debug__)\n"
+        "for g in GROUPS:\n"
+        "    print('\\n'.join(report(*g)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    expected = ["False"] + [line for g in GROUPS for line in report(*g)]
+    assert run.stdout.splitlines() == expected

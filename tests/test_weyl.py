@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 
 from realred import lin
@@ -18,6 +20,8 @@ from realred.weyl import (
     involution_table,
     normal_form_word,
     parse_units,
+    piece_chain,
+    weyl_matrix,
 )
 
 
@@ -56,13 +60,76 @@ def weyl_closure(rd):
 # -- words ------------------------------------------------------------
 
 
+@cache
+def simple_table(rd):
+    """The untwisted table of rd, for its simple indices and reflections."""
+    return InvolutionTable(rd, tuple(range(rd.semisimple_rank)))
+
+
+def as_permutation(rd, m):
+    """The permutation of root indices induced by a lattice matrix."""
+    return tuple(rd.root_index[lin.mat_vec(m, v)] for v in rd.roots)
+
+
 def weyl_element(rd, word):
-    """(normal-form word, matrix) of a product of simple reflections."""
-    m = minv = lin.identity(rd.rank)
+    """(normal-form word, matrix, root permutation) of a product of simple reflections."""
+    table = simple_table(rd)
+    m = lin.identity(rd.rank)
+    w = tuple(range(len(rd.roots)))
     for j in word:
         m = lin.mat_mul(m, rd.reflections[j])
-        minv = lin.mat_mul(rd.reflections[j], minv)
-    return normal_form_word(rd, m, minv), m
+        w = tuple(map(w.__getitem__, table.reflections[table.simple[j]]))
+    assert as_permutation(rd, m) == w
+    return normal_form_word(table, w), m, w
+
+
+# The matrix algorithm that computed words before they were read off root
+# permutations: strip simple reflections from a (matrix, inverse) pair.
+
+
+def reference_word_from_matrix(rd, m, minv):
+    """Lexicographically least reduced word, by greedy least left descent."""
+    ident = lin.identity(rd.rank)
+    npos = len(rd.positive_roots)
+    word = []
+    while m != ident:
+        j = next(
+            j for j in range(rd.semisimple_rank)
+            if rd.root_index[lin.mat_vec(minv, rd.simple_roots[j])] >= npos
+        )
+        word.append(j)
+        s = rd.reflections[j]
+        m = lin.mat_mul(s, m)
+        minv = lin.mat_mul(minv, s)
+    return tuple(word)
+
+
+def reference_normal_form_word(rd, m, minv):
+    """Reduced word as a product of minimal parabolic-coset pieces."""
+    chain = piece_chain(rd)
+    npos = len(rd.positive_roots)
+    pieces = []
+    for pos in range(len(chain) - 1, -1, -1):
+        allowed = chain[:pos]
+        xm, xminv = m, minv
+        stripped = True
+        while stripped:
+            stripped = False
+            for s in allowed:
+                if rd.root_index[lin.mat_vec(xminv, rd.simple_roots[s])] >= npos:
+                    refl = rd.reflections[s]
+                    xm = lin.mat_mul(refl, xm)
+                    xminv = lin.mat_mul(xminv, refl)
+                    stripped = True
+                    break
+        pieces.append(reference_word_from_matrix(rd, xm, xminv))
+        m = lin.mat_mul(m, xminv)
+        minv = lin.mat_mul(xm, minv)
+    assert m == lin.identity(rd.rank)
+    out = []
+    for w in reversed(pieces):
+        out.extend(w)
+    return tuple(out)
 
 
 def test_word_normal_form():
@@ -74,6 +141,7 @@ def test_word_normal_form():
     assert weyl_element(rd, (1, 0, 1))[1] == weyl_element(rd, (0, 1, 0))[1]
     assert weyl_element(rd, (1, 0))[0] == (1, 0)
     assert weyl_element(rd, ())[1] == lin.identity(2)
+    assert weyl_element(rd, ())[2] == tuple(range(6))
 
 
 def test_word_lengths_cover_group():
@@ -94,11 +162,11 @@ def _all_words(ngens, upto):
 
 def test_weyl_act():
     rd, _, _ = context("A2", "c")
-    _, w0 = weyl_element(rd, (0, 1, 0))
+    _, w0, _ = weyl_element(rd, (0, 1, 0))
     a1, a2 = rd.simple_roots
     assert lin.mat_vec(w0, a1) == lin.vec_neg(a2)
     assert lin.mat_vec(w0, a2) == lin.vec_neg(a1)
-    _, s1 = weyl_element(rd, (0,))
+    _, s1, _ = weyl_element(rd, (0,))
     assert lin.mat_vec(s1, a1) == lin.vec_neg(a1)
 
 
@@ -113,6 +181,44 @@ def test_braid_relations(text, i, j, m):
     left = tuple(i if k % 2 == 0 else j for k in range(m))
     right = tuple(j if k % 2 == 0 else i for k in range(m))
     assert weyl_element(rd, left) == weyl_element(rd, right)
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "G2", "D4"])
+def test_normal_form_matches_matrix_reference(text):
+    rd, _, _ = context(text, "c")
+    table = simple_table(rd)
+    ident = lin.identity(rd.rank)
+    # every element as (matrix, inverse matrix, root permutation)
+    seen = {tuple(range(len(rd.roots))): (ident, ident)}
+    frontier = list(seen.items())
+    while frontier:
+        nxt = []
+        for w, (m, minv) in frontier:
+            for j, s in enumerate(rd.reflections):
+                w2 = tuple(map(w.__getitem__, table.reflections[table.simple[j]]))
+                if w2 not in seen:
+                    seen[w2] = (lin.mat_mul(m, s), lin.mat_mul(s, minv))
+                    nxt.append((w2, seen[w2]))
+        frontier = nxt
+    assert len(seen) == {"A3": 24, "B3": 48, "G2": 12, "D4": 192}[text]
+    for w, (m, minv) in seen.items():
+        assert as_permutation(rd, m) == w
+        assert normal_form_word(table, w) == reference_normal_form_word(rd, m, minv)
+
+
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("B3", "s", None), ("D4", "u", None), ("A3", "c", "ad"),
+])
+def test_table_words_match_matrix_reference(text, letters, kernel):
+    rd, _, d = context(text, letters, kernel)
+    table = involution_table(d)
+    for i, theta in enumerate(table.thetas):
+        w = tuple(map(theta.__getitem__, table.thetas[0]))
+        winv = tuple(sorted(range(len(w)), key=w.__getitem__))
+        m = weyl_matrix(rd, table.weyl_images(i))
+        minv = weyl_matrix(rd, tuple(winv[s] for s in table.simple))
+        assert lin.mat_mul(m, minv) == lin.identity(rd.rank)
+        assert table.word(i) == reference_normal_form_word(rd, m, minv)
 
 
 # -- inner class letters ----------------------------------------------
