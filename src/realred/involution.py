@@ -2,17 +2,18 @@
 
 A strong involution is represented by a pair x = (i, t) where i indexes
 a twisted involution and t is a rational cocharacter stored as an
-integer vector over the context-wide denominator.  Everything here is
-organised around one InnerClass object per (root datum, involution).
+integer vector over the context-wide denominator.  Central cocharacters,
+square-class keys and adjoint images are integer numerators too, so the
+module does no rational arithmetic.  Everything here is organised around
+one InnerClass object per (root datum, involution).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from . import lin
 from .rootdata import (
@@ -76,16 +77,7 @@ class SquareClass:
     """One class of central square values realized by strong involutions."""
 
     index: int
-    key: tuple
-    rep: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class StrongInvolutionRep:
-    """A strong involution: twisted involution id plus reduced cocharacter."""
-
-    involution: int
-    tnum: lin.Vector
+    key: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,7 @@ class RealFormLabel:
     quasisplit: bool
     orbit: int
     square_class: int
-    rep: StrongInvolutionRep
+    rep: StrongX
 
 
 @dataclass(frozen=True)
@@ -213,19 +205,27 @@ class InnerClass:
         rows.extend(list(r) for r in self._dstar_minus_one)
         return lin.smith_form(lin.freeze(rows), ncols=self.rd.rank)
 
-    def _central_reduce(self, s: tuple[Fraction, ...]) -> tuple:
-        """Coordinates of a central cocharacter modulo the identity part."""
+    @cached_property
+    def cd(self) -> int:
+        """Denominator of square-class keys: lcm of the nonzero central Smith diagonal."""
+        return lcm(*(d for d in self._central_smith.diag if d))
+
+    def _central_reduce(self, num: lin.Vector, den: int) -> tuple[int, ...]:
+        """Coordinates over cd of the central cocharacter num / den modulo
+        the identity part; RuntimeError unless it is central and delta-fixed.
+        """
         sf = self._central_smith
-        y = lin.mat_vec(sf.v, s)
+        cd = self.cd
+        y = lin.mat_vec(sf.v, num)
         out = []
-        for i in range(len(y)):
+        for i, yi in enumerate(y):
             d = sf.diag[i] if i < len(sf.diag) else 0
             if d == 0:
-                out.append(Fraction(0))
+                out.append(0)
+            elif yi * d % den:
+                raise RuntimeError("cocharacter is not central and delta-fixed")
             else:
-                yi = y[i] % 1
-                assert (yi * d).denominator == 1
-                out.append(yi)
+                out.append(yi * cd // den % cd)
         return tuple(out)
 
     @cached_property
@@ -235,7 +235,7 @@ class InnerClass:
         return lin.smith_form(lin.freeze(rows), ncols=self.rd.rank)
 
     @cached_property
-    def _central_translates(self) -> tuple[tuple, ...]:
+    def _central_translates(self) -> tuple[tuple[int, ...], ...]:
         """Square-value shifts z.delta(z), z central, as reduced keys.
 
         Shifts coming from the identity component of the center reduce
@@ -243,54 +243,60 @@ class InnerClass:
         """
         sf = self._center_smith
         n = self.rd.rank
+        cd = self.cd
         cols = lin.transpose(sf.vinv)
         onep = lin.mat_add(self._dstar, lin.identity(n))
-        gens = []
-        for i in range(min(n, len(sf.diag))):
-            if sf.diag[i] < 2:
-                continue
-            g = tuple(Fraction(x, sf.diag[i]) for x in cols[i])
-            gens.append(self._central_reduce(lin.mat_vec(onep, g)))
-        zero = tuple(Fraction(0) for _ in range(n))
+        gens = [
+            self._central_reduce(lin.mat_vec(onep, cols[i]), sf.diag[i])
+            for i in range(min(n, len(sf.diag)))
+            if sf.diag[i] >= 2
+        ]
+        zero = (0,) * n
         group = {zero}
         queue = [zero]
         while queue:
             cur = queue.pop()
             for g in gens:
-                nxt = tuple((a + b) % 1 for a, b in zip(cur, g))
+                nxt = tuple((a + b) % cd for a, b in zip(cur, g))
                 if nxt not in group:
                     group.add(nxt)
                     queue.append(nxt)
         return tuple(sorted(group))
 
-    def central_class_key(self, s: tuple[Fraction, ...]) -> tuple:
-        """Canonical key of the square class of a central cocharacter."""
-        base = self._central_reduce(s)
+    def central_class_key(self, num: lin.Vector, den: int) -> tuple[int, ...]:
+        """Canonical key of the square class of the central cocharacter num / den.
+
+        Keys are numerators over the one fixed cd of Smith coordinates in
+        [0, 1), so they sort and minimise exactly as those rationals do.
+        """
+        cd = self.cd
+        base = self._central_reduce(num, den)
         return min(
-            tuple((a + b) % 1 for a, b in zip(base, g))
+            tuple((a + b) % cd for a, b in zip(base, g))
             for g in self._central_translates
         )
 
     @cached_property
-    def _candidate_classes(self) -> tuple[tuple, ...]:
+    def _candidate_classes(self) -> tuple[tuple[int, ...], ...]:
         """All square classes of delta-fixed central elements."""
         sf = self._central_smith
         n = self.rd.rank
+        cd = self.cd
         finite = [i for i in range(n) if i < len(sf.diag) and sf.diag[i] >= 2]
         keys = set()
         for combo in product(*(range(sf.diag[i]) for i in finite)):
-            y = [Fraction(0)] * n
+            y = [0] * n
             for i, k in zip(finite, combo):
-                y[i] = Fraction(k, sf.diag[i])
-            s = lin.mat_vec(sf.vinv, tuple(y))
-            keys.add(self.central_class_key(s))
+                y[i] = k * (cd // sf.diag[i])
+            keys.add(self.central_class_key(lin.mat_vec(sf.vinv, tuple(y)), cd))
         return tuple(sorted(keys))
 
-    def _class_rep(self, key: tuple) -> tuple[Fraction, ...]:
+    def _class_rep(self, key: tuple[int, ...]) -> lin.Vector:
+        """Numerators over cd of a cocharacter in the square class key."""
         return lin.mat_vec(self._central_smith.vinv, key)
 
     @cached_property
-    def _realized_keys(self) -> tuple[tuple, ...]:
+    def _realized_keys(self) -> tuple[tuple[int, ...], ...]:
         """Candidate classes realized as squares over the base involution.
 
         A class is realized when its representative lies in the rational
@@ -302,22 +308,23 @@ class InnerClass:
         out = []
         for key in self._candidate_classes:
             c = lin.mat_vec(sf.uinv, self._class_rep(key))
-            ok = all(
-                c[i].denominator == 1
+            if all(
+                c[i] % self.cd == 0
                 for i in range(len(c))
                 if i >= len(sf.diag) or sf.diag[i] == 0
-            )
-            if ok:
+            ):
                 out.append(key)
-        assert out
+        if not out:
+            raise RuntimeError("no square class is realized over the base involution")
         return tuple(out)
 
     @cached_property
     def denom(self) -> int:
         """Global denominator for all cocharacter numerators."""
+        cd = self.cd
         dens = [
-            f.denominator for key in self._realized_keys
-            for f in self._class_rep(key)
+            cd // gcd(cd, v) for key in self._realized_keys
+            for v in self._class_rep(key)
         ]
         return 2 * lcm(2, *dens)
 
@@ -397,15 +404,6 @@ class InnerClass:
         )
         return (inv, key)
 
-    def _key_frac(self, inv: int, t: tuple[Fraction, ...]) -> tuple:
-        sf = self._smith_minus(inv)
-        s = lin.mat_vec(sf.uinv, t)
-        key = tuple(
-            Fraction(0) if (i < len(sf.diag) and sf.diag[i]) else s[i] % 1
-            for i in range(len(s))
-        )
-        return (inv, key)
-
     def _square_numerators(self, x: StrongX) -> lin.Vector:
         """Numerators over denom of the square value of x."""
         inv, t = x
@@ -413,10 +411,6 @@ class InnerClass:
             lin.vec_add(t, lin.mat_vec(self.theta_star(inv), t)),
             lin.vec_scale(self.cbits(inv), self.denom // 2),
         )
-
-    def square_value(self, x: StrongX) -> tuple[Fraction, ...]:
-        """Central cocharacter s with xi^2 = exp(2 pi i s)."""
-        return tuple(Fraction(v, self.denom) for v in self._square_numerators(x))
 
     def _square_key_if_valid(self, x: StrongX) -> tuple | None:
         """Square-class key of x, or None when x squares outside the center.
@@ -432,7 +426,7 @@ class InnerClass:
                 return None
         if any(v % d for v in lin.mat_vec(self._dstar_minus_one, num)):
             return None
-        return self.central_class_key(tuple(Fraction(v, d) for v in num))
+        return self.central_class_key(num, d)
 
     # -- fibers ----------------------------------------------------------
 
@@ -445,13 +439,11 @@ class InnerClass:
         cached = self._fibers.get((inv, key))
         if cached is not None:
             return cached
-        d = self.denom
-        scaled = [f * d for f in self._class_rep(key)]
-        assert all(v.denominator == 1 for v in scaled)
-        target = tuple(
-            int(v) - c * (d // 2)
-            for v, c in zip(scaled, self.cbits(inv))
-        )
+        d, cd = self.denom, self.cd
+        rep = self._class_rep(key)
+        if any(v * d % cd for v in rep):
+            raise RuntimeError("square class representative is not over denom")
+        target = tuple(v * d // cd - c * (d // 2) for v, c in zip(rep, self.cbits(inv)))
         sf = self._smith_plus(inv)
         t0 = lin.solve_mod_presolved(sf, target, d)
         if t0 is None:
@@ -460,8 +452,9 @@ class InnerClass:
             cols = lin.transpose(sf.vinv)
             gens = []
             for i, e in enumerate(sf.diag):
-                if e >= 2:
-                    assert e == 2
+                if e > 2:
+                    raise RuntimeError("1 + theta* has an elementary divisor above 2")
+                if e == 2:
                     gens.append(lin.vec_scale(cols[i], d // 2))
             t0 = lin.vec_mod(t0, d)
             seen = {self.x_key((inv, t0)): t0}
@@ -483,7 +476,7 @@ class InnerClass:
                 tuple(v % d for v in self._square_numerators((inv, t))) for t in out
             }
             if len(squares) != 1 or \
-                    self.central_class_key(self.square_value((inv, out[0]))) != key:
+                    self.central_class_key(self._square_numerators((inv, out[0])), d) != key:
                 raise RuntimeError("fiber element squares outside its square class")
         self._fibers[(inv, key)] = out
         return out
@@ -562,7 +555,7 @@ class InnerClass:
         if kind != REAL:
             raise ValueError(f"simple root {j} is not real at involution {inv}")
         d = self.denom
-        key = self.central_class_key(self.square_value(x))
+        key = self.central_class_key(self._square_numerators(x), d)
         base = lin.mat_vec(self.rd.coreflections[j], t)
         av = self.rd.simple_coroots[j]
         out = []
@@ -605,14 +598,19 @@ class InnerClass:
         ad = self._ad
         return lin.mat_inverse_rational(lin.freeze(list(ad.rd.simple_roots)))
 
-    def _to_ad(self, t: lin.Vector) -> tuple[Fraction, ...]:
-        """Image of a cocharacter in the adjoint cocharacter lattice."""
-        pair = tuple(
-            Fraction(lin.vec_dot(a, t), self.denom)
-            for a in self.rd.simple_roots
-        )
+    def _to_ad(self, t: lin.Vector) -> lin.Vector:
+        """Image of a cocharacter in the adjoint cocharacter lattice, as
+        numerators over the adjoint denom; RuntimeError when not exact.
+        """
+        pair = tuple(lin.vec_dot(a, t) for a in self.rd.simple_roots)
         mat, den = self._ad_transfer
-        return tuple(Fraction(v, den) for v in lin.mat_vec(mat, pair))
+        scale, ad_denom = den * self.denom, self._ad.denom
+        out = []
+        for v in lin.mat_vec(mat, pair):
+            if v * ad_denom % scale:
+                raise RuntimeError("adjoint image is not exact over the adjoint denom")
+            out.append(v * ad_denom // scale)
+        return tuple(out)
 
     @cached_property
     def _fundamental_orbits(self) -> tuple[tuple[tuple, tuple[lin.Vector, ...]], ...]:
@@ -779,17 +777,6 @@ class InnerClass:
         return tuple(order)
 
     @cached_property
-    def _ad_orbit_lookup(self) -> dict[tuple, int]:
-        """Canonical key of each base-fiber element to its orbit id."""
-        assert self._ad is self
-        out = {}
-        for o, (_, members) in enumerate(self._fundamental_orbits):
-            for t in members:
-                frac = tuple(Fraction(v, self.denom) for v in t)
-                out[self._key_frac(0, frac)] = o
-        return out
-
-    @cached_property
     def real_forms(self) -> tuple[RealFormLabel, ...]:
         """Weak real forms of the inner class, most compact first."""
         labels = []
@@ -805,7 +792,7 @@ class InnerClass:
                 quasisplit=qs,
                 orbit=ad_orbit,
                 square_class=self._square_index[key],
-                rep=StrongInvolutionRep(0, members[0]),
+                rep=(0, members[0]),
             ))
         return tuple(labels)
 
@@ -838,16 +825,22 @@ class InnerClass:
 
     @cached_property
     def _orbit_form_indices(self) -> tuple[int, ...]:
-        """Weak form (menu index) of each base-fiber orbit."""
+        """Weak form (menu index) of each base-fiber orbit: its position in
+        the menu order of an adjoint context, else the form of its image
+        in the adjoint base fiber.
+        """
         if self.rd.semisimple_rank == 0:
             return tuple(0 for _ in self._fundamental_orbits)
         ad = self._ad
-        menu_pos = {ad_orbit: i for i, (_, _, ad_orbit) in enumerate(self._menu_core)}
-        out = []
-        for _, members in self._fundamental_orbits:
-            key = ad._key_frac(0, self._to_ad(members[0]))
-            out.append(menu_pos[ad._ad_orbit_lookup[key]])
-        assert set(out) == set(range(len(self._menu_core)))
+        if ad is self:
+            out = [self._ad_menu.index(o) for o in range(len(self._fundamental_orbits))]
+        else:
+            out = [
+                ad._base_form_by_key[ad.x_key((0, self._to_ad(members[0])))]
+                for _, members in self._fundamental_orbits
+            ]
+        if set(out) != set(range(len(self._menu_core))):
+            raise RuntimeError("base-fiber orbits do not cover every weak form")
         return tuple(out)
 
     @cached_property
@@ -859,11 +852,9 @@ class InnerClass:
             for o, (key, _) in enumerate(self._fundamental_orbits):
                 if forms[o] == f and key not in order:
                     order.append(key)
-        assert len(order) == len(self._realized_keys)
-        return tuple(
-            SquareClass(index=i, key=key, rep=self._class_rep(key))
-            for i, key in enumerate(order)
-        )
+        if len(order) != len(self._realized_keys):
+            raise RuntimeError("a realized square class carries no weak form")
+        return tuple(SquareClass(index=i, key=key) for i, key in enumerate(order))
 
     @cached_property
     def _square_index(self) -> dict[tuple, int]:

@@ -84,7 +84,8 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
 
     def record(y: StrongX, length: int) -> None:
         prev = inv_length.setdefault(y[0], length)
-        assert prev == length, "inconsistent length at a twisted involution"
+        if prev != length:
+            raise RuntimeError("inconsistent length at a twisted involution")
         key = ic.x_key(y)
         if key not in reps:
             reps[key] = y
@@ -104,7 +105,8 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
                 if kind == IMAGINARY and ic.grading(x, j):
                     record(ic.cayley(j, x), here + 1)
 
-    assert min(inv_length[x[0]] for x in reps.values()) == 0
+    if min(inv_length[x[0]] for x in reps.values()) != 0:
+        raise RuntimeError("KGB element lies below the base involution")
 
     order = sorted(
         reps,

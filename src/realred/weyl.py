@@ -504,7 +504,8 @@ class InvolutionTable:
                     seen.add(grp)
                     order.append(grp)
             pos += 1
-        assert len(order) == len(groups)
+        if len(order) != len(groups):
+            raise RuntimeError("Cayley transforms do not reach every class")
         return tuple(tuple(groups[r]) for r in order)
 
     @cached_property

@@ -16,6 +16,7 @@ from realred.involution import (
     inner_class,
     rank_decomposition,
 )
+from realred.kgb import generate_kgb
 from realred.rootdata import (
     adjoint_generators,
     build_root_datum,
@@ -312,9 +313,54 @@ def test_cross_and_cayley_preserve_squares(text, letters):
                     assert ic.x_key(ic.cayley(j, y)) == ic.x_key(x)
 
 
-def square_key_reference(ic, x):
-    # square class key computed with Fractions throughout, as before the
-    # integer centrality check
+def reference_central_reduce(ic, s):
+    # Smith coordinates of a central cocharacter modulo the identity part,
+    # as Fractions in [0, 1): the reference for the integer keys over cd
+    sf = ic._central_smith
+    y = lin.mat_vec(sf.v, s)
+    out = []
+    for i in range(len(y)):
+        d = sf.diag[i] if i < len(sf.diag) else 0
+        if d == 0:
+            out.append(Fraction(0))
+        else:
+            yi = y[i] % 1
+            assert (yi * d).denominator == 1
+            out.append(yi)
+    return tuple(out)
+
+
+def reference_central_translates(ic):
+    sf = ic._center_smith
+    n = ic.rd.rank
+    cols = lin.transpose(sf.vinv)
+    onep = lin.mat_add(lin.transpose(ic.delta.matrix), lin.identity(n))
+    gens = []
+    for i in range(min(n, len(sf.diag))):
+        if sf.diag[i] < 2:
+            continue
+        g = tuple(Fraction(x, sf.diag[i]) for x in cols[i])
+        gens.append(reference_central_reduce(ic, lin.mat_vec(onep, g)))
+    zero = tuple(Fraction(0) for _ in range(n))
+    group = {zero}
+    queue = [zero]
+    while queue:
+        cur = queue.pop()
+        for g in gens:
+            nxt = tuple((a + b) % 1 for a, b in zip(cur, g))
+            if nxt not in group:
+                group.add(nxt)
+                queue.append(nxt)
+    return tuple(sorted(group))
+
+
+def reference_central_class_key(ic, s, translates):
+    base = reference_central_reduce(ic, s)
+    return min(tuple((a + b) % 1 for a, b in zip(base, g)) for g in translates)
+
+
+def square_key_reference(ic, x, translates):
+    # square class key computed with Fractions throughout
     inv, t = x
     n = ic.rd.rank
     onep = lin.mat_add(ic.theta_star(inv), lin.identity(n))
@@ -326,16 +372,21 @@ def square_key_reference(ic, x):
     diff = lin.mat_sub(lin.transpose(ic.delta.matrix), lin.identity(n))
     if any(v % 1 for v in lin.mat_vec(diff, s)):
         return None
-    return ic.central_class_key(s)
+    return reference_central_class_key(ic, s, translates)
 
 
 @pytest.mark.parametrize(
     "text,letters,kernel",
-    [("A3", "c", None), ("C2", "s", None), ("D4", "s", None), ("A3", "c", "ad")],
+    [("A3", "c", None), ("C2", "s", None), ("D4", "s", None), ("A3", "c", "ad"),
+     ("A3", "c", "1/2"), ("D4", "s", "1/2,1/2"), ("A5", "s", "1/3"),
+     ("A5", "c", "1/2")],
 )
 def test_square_key_integer_check_matches_fractions(text, letters, kernel):
     ic = context(text, letters, kernel)
     d = ic.denom
+    translates = reference_central_translates(ic)
+    assert [tuple(Fraction(v, ic.cd) for v in g) for g in ic._central_translates] \
+        == list(translates)
     valid = invalid = 0
     # canonical members may have no real simple root, so take every involution
     points = [
@@ -352,10 +403,24 @@ def test_square_key_integer_check_matches_fractions(text, letters, kernel):
             for c in range(d):
                 cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
                 key = ic._square_key_if_valid(cand)
-                assert key == square_key_reference(ic, cand)
+                ref = square_key_reference(ic, cand, translates)
+                if key is None:
+                    assert ref is None
+                else:
+                    assert tuple(Fraction(v, ic.cd) for v in key) == ref
                 valid += key is not None
                 invalid += key is None
     assert valid and invalid
+
+
+@pytest.mark.parametrize("text,letters,kernel,cd,denom", [
+    ("A3", "c", None, 4, 8), ("D4", "s", None, 2, 4), ("A4", "c", None, 5, 4),
+    ("A5", "c", "1/2", 3, 4), ("A2.A2", "C", None, 3, 4),
+])
+def test_central_and_cocharacter_denominators(text, letters, kernel, cd, denom):
+    # denom comes from the realized classes only, so it can be prime to cd
+    ic = context(text, letters, kernel)
+    assert (ic.cd, ic.denom) == (cd, denom)
 
 
 def test_cayley_rejects_roots_of_the_wrong_kind():
@@ -558,3 +623,22 @@ def test_dual_inner_class_has_dual_classes(text, letter, kernel):
     assert len(ic.table) == len(dual.table)
     assert sorted(map(len, ic.table.classes)) == sorted(map(len, dual.table.classes))
     assert rank_triples(ic) == rank_triples(dual, swap=True)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(SMALL_TYPES),
+    letter=st.sampled_from("cs"),
+    kernel=st.sampled_from([None, "ad"]),
+)
+def test_strong_involutions_fill_kgb_and_fibers(text, letter, kernel):
+    ic = context(text, letter, kernel)
+    # every strong involution lies in the KGB of exactly one base-fiber orbit
+    forms = ic._orbit_form_indices
+    assert sum(generate_kgb(ic, forms[o], o).size for o in range(len(forms))) \
+        == ic.strong_count()
+    # a fiber over a Cartan class is empty or has 2^(fiber rank) points
+    for c in range(len(ic.table.classes)):
+        inv = ic.table.canonical_member(c)
+        sizes = {len(ic.fiber_elements(inv, sq.key)) for sq in ic.square_classes}
+        assert sizes - {0} == {2 ** ic.cartan_ranks(c).compact}
