@@ -4,7 +4,9 @@ A conjugacy class of Cartan subgroups corresponds to a class of twisted
 involutions; its report combines rank data of the involution, the types
 of the imaginary, real, and restricted complex root subsystems, and the
 partition of the corresponding fiber by weak real form.  The real Weyl
-group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r).
+group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r); A comes
+from Schreier generators on the cached orbit of a fiber point and a
+complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ def _complex_factor(
         members.setdefault(find(k), []).append(k)
     # theta pairs distinct components; keep the first of each pair
     partner = {rep: find(theta[ks[0]] % npos) for rep, ks in members.items()}
-    assert all(partner[rep] != rep for rep in partner)
-    assert all(partner[partner[rep]] == rep for rep in partner)
+    if any(partner[rep] == rep or partner[partner[rep]] != rep for rep in partner):
+        raise RuntimeError("theta does not pair the complex components")
     side: list[Root] = []
     for rep in sorted(members, key=lambda rep: members[rep][0]):
         if partner[rep] not in partner:
@@ -194,7 +196,8 @@ def _complex_factor(
     pairs = []
     for b in simple_basis(side):
         other = pos[theta[rd.root_index[b.vec]] % npos]
-        assert lin.vec_dot(b.vec, other.covec) == 0
+        if lin.vec_dot(b.vec, other.covec):
+            raise RuntimeError("a complex simple root is not orthogonal to its theta partner")
         pairs.append((b, other))
     return side, pairs
 
@@ -305,61 +308,83 @@ class RealWeylDecomposition:
         )
 
 
-def _weyl_closure(gens: list[tuple[int, ...]], size: int) -> set[tuple[int, ...]]:
-    """All products of the generators, as permutations of size root indices."""
-    seen = {tuple(range(size))}
-    frontier = set(seen)
-    while frontier:
-        frontier = {tuple(map(g.__getitem__, w)) for w in frontier for g in gens} - seen
-        seen |= frontier
-    return seen
-
-
-def _a_group_data(
-    ic: InnerClass,
-    x: StrongX,
-    wi: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    wic_basis: list[Root],
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Rank and generator words of A = Stab_{W_i}(x) / W_ic.
-
-    wi lists every element of W_i as (reduced word, root permutation).
-    """
+def _a_generators(
+    ic: InnerClass, cartan: int, x: StrongX, compact_ks: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Words of the A generators at x, from the orbit of x (see real_weyl)."""
     table = ic.table
-    size = len(ic.rd.roots)
-    key = ic.x_key(x)
-    stab = [(w, p) for w, p in wi if ic.x_key(ic.cross_word(w, x)) == key]
-    wic_gens = [table.reflections[ic.rd.root_index[r.vec]] for r in wic_basis]
-    wic = _weyl_closure(wic_gens, size)
-    if not wic <= {p for _, p in stab}:
-        raise RuntimeError("W_ic is not contained in the stabiliser of x")
-    count, extra = divmod(len(stab), len(wic))
-    if extra or count & (count - 1):
-        raise RuntimeError("stabiliser of x has no 2-power index over W_ic")
-    a_rank = count.bit_length() - 1
-    out: list[tuple[int, ...]] = []
-    picked: list[tuple[int, ...]] = []
-    current = wic
-    stab.sort(key=lambda t: (len(t[0]), t[0]))
-    for w, p in stab:
-        if len(current) == len(stab):
-            break
-        if p in current:
-            continue
-        out.append(w)
-        picked.append(p)
-        current = _weyl_closure(wic_gens + picked, size)
-    if len(out) != a_rank:
-        raise RuntimeError("A needs more generators than its rank")
-    return a_rank, tuple(out)
+    inv = x[0]
+    # transversal of the orbit of x, and the inverses of its elements
+    orbit = next(o for o in ic.cartan_orbits(cartan) if x in o.members)
+    sq_key = ic.square_classes[orbit.square_class].key
+    fiber = ic.fiber_elements(inv, sq_key)
+    rows = ic.fiber_action(inv, sq_key)
+    gens = [table.reflections[k] for k in table.imaginary_basis(inv)]
+    npos = len(table.reflections)
+    one = tuple(range(2 * npos))
+    start = fiber.index(x[1])
+    tr = {start: (one, one)}
+    queue = [start]
+    for m in queue:
+        t, t_inv = tr[m]
+        for row, g in zip(rows, gens):
+            if row[m] not in tr:
+                tr[row[m]] = (tuple(map(g.__getitem__, t)), tuple(map(t_inv.__getitem__, g)))
+                queue.append(row[m])
+    if len(tr) != len(orbit.members):
+        raise RuntimeError("the orbit of x differs from its cached orbit")
+    a_gens = set()
+    for m, (t, _) in tr.items():
+        for row, g in zip(rows, gens):
+            w = tuple(map(tr[row[m]][1].__getitem__, map(g.__getitem__, t)))
+            while (k := next((k for k in compact_ks if w[k] >= npos), None)) is not None:
+                w = tuple(map(w.__getitem__, table.reflections[k]))
+            a_gens.add(w)
+    group = {one}
+    frontier = {one}
+    while frontier:
+        frontier = {tuple(map(g.__getitem__, w)) for w in frontier for g in a_gens} - group
+        group |= frontier
+    if any(tuple(map(w.__getitem__, w)) != one for w in group):
+        raise RuntimeError("A is not an elementary abelian 2-group")
+    a_words = []
+    span = {one}
+    by_word = {word_from_matrix(table, w): w for w in group - {one}}
+    for word in sorted(by_word, key=lambda w: (len(w), w)):
+        if by_word[word] not in span:
+            a_words.append(word)
+            span |= {tuple(map(by_word[word].__getitem__, v)) for v in span}
+    return tuple(a_words)
 
 
 def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     """Decomposition of W(K,H) at one Cartan class of a real form.
 
-    Grading-dependent factors use the first fiber point of the form at
-    the canonical involution; RuntimeError is raised when another fiber
-    point of the form gives other factors.
+    Grading-dependent factors use the first fiber point x of the form at
+    the canonical involution.  A is read off Stab_{W_i}(x) by
+    orbit-stabilizer, without listing W_i: a breadth-first search of the
+    cached cross-action orbit O of x gives a transversal t_m (t_m.x = m),
+    and the Schreier generators t_{g.m}^-1 g t_m, for g an imaginary-basis
+    reflection, generate the stabiliser.  W_ic lies in it and is normal,
+    so A' = {w in Stab(x) : w sends the positive compact roots to positive
+    roots} is a complement, A' ~ A.  A Schreier generator is pushed into
+    A' by multiplying it on the right by a simple compact reflection that
+    it sends to a negative root, until there is none; the results
+    generate A', which is closed by multiplication.
+
+    The A generators are picked greedily from A' - {1} sorted by (length,
+    word), each outside the span of those before.  This is the same list
+    as a scan of the whole stabiliser modulo W_ic: the first element such
+    a scan meets in a new W_ic-coset is the shortest one, and the
+    shortest element of a coset wW' of a reflection subgroup W' is the
+    unique one sending the positive roots of W' to positive roots (M.
+    Dyer, "Reflection subgroups of Coxeter systems", J. Algebra 1990),
+    so it lies in A'.
+
+    RuntimeError is raised when a simple compact reflection moves x,
+    when A' has an element of order above 2, when another fiber point of
+    the form gives another compact type, or when some orbit O' of the
+    form has |W_i| != |O'| |W_ic| |A|.
     """
     ic.check(form, cartan)
     table = ic.table
@@ -380,27 +405,29 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
         s2 = table.reflections[rd.root_index[second.vec]]
         complex_gens.append(word_from_matrix(table, tuple(map(s1.__getitem__, s2))))
     complex_gens.sort(key=lambda w: (len(w), w))
-    wi_gens = [table.reflections[k] for k in table.imaginary_basis(inv)]
-    wi = [
-        (word_from_matrix(table, p), p)
-        for p in _weyl_closure(wi_gens, len(rd.roots))
-    ]
     wic_basis = simple_basis(compact)
-    a_rank, a_gens = _a_group_data(ic, x, wi, wic_basis)
+    compact_ks = [rd.root_index[r.vec] for r in wic_basis]
+    key = ic.x_key(x)
+    if any(ic.x_key(ic.cross_word(table.reflection_word(k), x)) != key for k in compact_ks):
+        raise RuntimeError("a simple compact reflection moves x")
+    a_words = _a_generators(ic, cartan, x, compact_ks)
     for y in reps[1:]:
         other = [r for r in imaginary if not ic.root_grading(y, r)]
         # the same type, possibly with its components in another order
         if sorted(system_type(other).split(".")) != sorted(compact_type.split(".")):
             raise RuntimeError("compact type differs between fiber points of a form")
-        if _a_group_data(ic, y, wi, simple_basis(other))[0] != a_rank:
-            raise RuntimeError("A rank differs between fiber points of a form")
+    wi_order = weyl_order(system_type(imaginary))
+    wic_order = weyl_order(compact_type)
+    for o in ic.cartan_orbits(cartan):
+        if o.form == form and len(o.members) * wic_order << len(a_words) != wi_order:
+            raise RuntimeError("|W_i| is not |orbit| |W_ic| |A| at an orbit of the form")
     return RealWeylDecomposition(
         complex_type=system_type(side),
-        a_rank=a_rank,
+        a_rank=len(a_words),
         compact_type=compact_type,
         real_type=system_type(real),
         complex_generators=tuple(complex_gens),
-        a_generators=a_gens,
+        a_generators=a_words,
         compact_generators=tuple(
             table.reflection_word(rd.root_index[r.vec]) for r in wic_basis
         ),

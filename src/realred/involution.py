@@ -621,23 +621,39 @@ class InnerClass:
                 out.append((key, members))
         return tuple(out)
 
-    def _orbit_partition(self, inv: int, key: tuple) -> list[tuple[lin.Vector, ...]]:
-        """Orbits of the imaginary Weyl group on one fiber, in fiber order."""
+    def fiber_action(self, inv: int, key: tuple) -> tuple[tuple[int, ...], ...]:
+        """Cross actions of the imaginary-basis reflections on one fiber.
+
+        Row g sends the index of each point of fiber_elements(inv, key) to
+        the index of its image under the reflection in the g-th root of
+        imaginary_basis(inv).
+        """
         fiber = self.fiber_elements(inv, key)
-        if not fiber:
-            return []
         # Every cross action is affine in the torus part, so the cross
         # action of the reflection in an imaginary root beta sends t to
         # t - <beta, t> beta^v + shift, with the shift read off at t = 0.
         d = self.denom
         zero = lin.zero_vector(self.rd.rank)
-        moves = []
+        index = {self.x_key((inv, t)): i for i, t in enumerate(fiber)}
+        rows = []
         for k in self.table.imaginary_basis(inv):
             y = self.cross_word(self.table.reflection_word(k), (inv, zero))
-            assert y[0] == inv
+            if y[0] != inv:
+                raise RuntimeError("an imaginary reflection moves the involution")
             root = self.rd.positive_roots[k]
-            moves.append((root.vec, root.covec, y[1]))
-        index = {self.x_key((inv, t)): i for i, t in enumerate(fiber)}
+            row = []
+            for t in fiber:
+                moved = lin.vec_sub(t, lin.vec_scale(root.covec, lin.vec_dot(root.vec, t)))
+                row.append(index[self.x_key((inv, lin.vec_mod(lin.vec_add(moved, y[1]), d)))])
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def _orbit_partition(self, inv: int, key: tuple) -> list[tuple[lin.Vector, ...]]:
+        """Orbits of the imaginary Weyl group on one fiber, in fiber order."""
+        fiber = self.fiber_elements(inv, key)
+        if not fiber:
+            return []
+        rows = self.fiber_action(inv, key)
         orbits = []
         done = set()
         for start in range(len(fiber)):
@@ -648,11 +664,8 @@ class InnerClass:
             queue = [start]
             while queue:
                 cur = queue.pop()
-                t = fiber[cur]
-                for vec, covec, shift in moves:
-                    moved = lin.vec_sub(t, lin.vec_scale(covec, lin.vec_dot(vec, t)))
-                    y = (inv, lin.vec_mod(lin.vec_add(moved, shift), d))
-                    tgt = index[self.x_key(y)]
+                for row in rows:
+                    tgt = row[cur]
                     if tgt not in done:
                         done.add(tgt)
                         comp.append(tgt)

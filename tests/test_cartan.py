@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realred.cartan import (
     CartanClass,
+    RealWeylDecomposition,
+    _complex_factor,
     cartan_class,
     cartan_classes,
     cartan_hasse,
@@ -26,7 +30,11 @@ from realred.rootdata import (
     center_structure,
     parse_kernel_generator,
     parse_lie_type,
+    simple_basis,
 )
+from realred.weyl import word_from_matrix
+
+from test_involution import SMALL_TYPES
 
 
 def context(text, letters, kernel=None):
@@ -508,6 +516,140 @@ def test_real_weyl_compact_form_is_full_weyl_group():
         assert dec.a_rank == 0
         assert dec.complex_type == "" and dec.real_type == ""
         assert dec.order == weyl_order(system_type(ic.rd.positive_roots))
+
+
+def test_real_weyl_compact_e6_every_cartan():
+    # (form, Cartan, order, A rank) of every decomposition, as computed by
+    # listing W_i (|W_i| = 51840 at the compact Cartan)
+    ic = context("E6", "c")
+    got = []
+    for form in range(len(ic.real_forms)):
+        for c in ic.form_cartans(form):
+            dec = real_weyl(ic, form, c)
+            got.append((form, c, dec.order, dec.a_rank))
+    assert got == [
+        (0, 0, 51840, 0), (1, 0, 1920, 0), (1, 1, 240, 0), (1, 2, 192, 0),
+        (2, 0, 1440, 0), (2, 1, 144, 1), (2, 2, 64, 1), (2, 3, 96, 1),
+        (2, 4, 1152, 0),
+    ]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(SMALL_TYPES),
+    letter=st.sampled_from("cs"),
+    kernel=st.sampled_from([None, "ad"]),
+)
+def test_kgb_over_each_cartan_is_w_over_real_weyl(text, letter, kernel):
+    # K-orbits of pairs (H, B) with H in one Cartan class c number
+    # |W| / |W(K,H_c)| (Matsuki, Richardson-Springer)
+    ic = context(text, letter, kernel)
+    full = weyl_order(system_type(ic.rd.positive_roots))
+    for form in range(len(ic.real_forms)):
+        elements = generate_kgb(ic, form).elements
+        cartans = ic.form_cartans(form)
+        assert {e.cartan for e in elements} == set(cartans)
+        for c in cartans:
+            count = sum(e.cartan == c for e in elements)
+            assert count * real_weyl(ic, form, c).order == full
+
+
+# -- real Weyl groups by listing W_i: the reference ------------------------
+
+
+def _weyl_closure(gens, size):
+    """All products of the generators, as permutations of size root indices."""
+    seen = {tuple(range(size))}
+    frontier = set(seen)
+    while frontier:
+        frontier = {tuple(map(g.__getitem__, w)) for w in frontier for g in gens} - seen
+        seen |= frontier
+    return seen
+
+
+def _a_group_data(ic, x, wi, wic_basis):
+    """Rank and generator words of A = Stab_{W_i}(x) / W_ic.
+
+    wi lists every element of W_i as (reduced word, root permutation).
+    """
+    table = ic.table
+    size = len(ic.rd.roots)
+    key = ic.x_key(x)
+    stab = [(w, p) for w, p in wi if ic.x_key(ic.cross_word(w, x)) == key]
+    wic_gens = [table.reflections[ic.rd.root_index[r.vec]] for r in wic_basis]
+    wic = _weyl_closure(wic_gens, size)
+    assert wic <= {p for _, p in stab}
+    count, extra = divmod(len(stab), len(wic))
+    assert not extra and not count & (count - 1)
+    a_rank = count.bit_length() - 1
+    out = []
+    picked = []
+    current = wic
+    stab.sort(key=lambda t: (len(t[0]), t[0]))
+    for w, p in stab:
+        if len(current) == len(stab):
+            break
+        if p in current:
+            continue
+        out.append(w)
+        picked.append(p)
+        current = _weyl_closure(wic_gens + picked, size)
+    assert len(out) == a_rank
+    return a_rank, tuple(out)
+
+
+def reference_real_weyl(ic, form, cartan):
+    """W(K,H) from a scan of the whole of W_i, once per fiber point of the form."""
+    table = ic.table
+    rd = ic.rd
+    inv = table.canonical_member(cartan)
+    reps = [x for x, f in ic.fiber_points(cartan) if f == form]
+    x = reps[0]
+    imaginary = ic.roots(table.imaginary_roots(inv))
+    real = ic.roots(table.real_roots(inv))
+    compact = [r for r in imaginary if not ic.root_grading(x, r)]
+    side, side_pairs = _complex_factor(ic, inv)
+    complex_gens = []
+    for first, second in side_pairs:
+        s1 = table.reflections[rd.root_index[first.vec]]
+        s2 = table.reflections[rd.root_index[second.vec]]
+        complex_gens.append(word_from_matrix(table, tuple(map(s1.__getitem__, s2))))
+    complex_gens.sort(key=lambda w: (len(w), w))
+    wi_gens = [table.reflections[k] for k in table.imaginary_basis(inv)]
+    wi = [
+        (word_from_matrix(table, p), p)
+        for p in _weyl_closure(wi_gens, len(rd.roots))
+    ]
+    wic_basis = simple_basis(compact)
+    a_rank, a_gens = _a_group_data(ic, x, wi, wic_basis)
+    for y in reps[1:]:
+        other = [r for r in imaginary if not ic.root_grading(y, r)]
+        assert _a_group_data(ic, y, wi, simple_basis(other))[0] == a_rank
+    return RealWeylDecomposition(
+        complex_type=system_type(side),
+        a_rank=a_rank,
+        compact_type=system_type(compact),
+        real_type=system_type(real),
+        complex_generators=tuple(complex_gens),
+        a_generators=a_gens,
+        compact_generators=tuple(
+            table.reflection_word(rd.root_index[r.vec]) for r in wic_basis
+        ),
+        real_generators=tuple(
+            table.reflection_word(rd.root_index[r.vec]) for r in simple_basis(real)
+        ),
+    )
+
+
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("B3", "s", None), ("C3", "s", None), ("G2", "s", None), ("A3", "c", "ad"),
+    ("D4", "s", "ad"), ("B4", "s", "ad"),
+])
+def test_real_weyl_matches_enumeration_reference(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    for form in range(len(ic.real_forms)):
+        for c in ic.form_cartans(form):
+            assert real_weyl(ic, form, c) == reference_real_weyl(ic, form, c)
 
 
 # -- ordering of Cartan classes --------------------------------------------

@@ -17,7 +17,7 @@ from realred.rootdata import (
     parse_lie_type,
 )
 
-GROUPS = [("B3", "s", None), ("A3", "c", "ad"), ("A3", "c", None)]
+GROUPS = [("B3", "s", None), ("A3", "c", "ad"), ("A3", "c", None), ("B4", "s", "ad")]
 
 
 def report(text, letters, kernel):
