@@ -41,12 +41,12 @@ def _component_name(basis: list[Root], comp: list[int]) -> str:
                     adj[i].append(j)
                     adj[j].append(i)
                     bonds[i, j] = p
-    if any(p == 3 for p in bonds.values()):
-        assert n == 2
-        return "G2"
     doubles = [e for e, p in bonds.items() if p == 2]
-    if doubles:
-        assert len(doubles) == 1
+    forks = [v for v in comp if len(adj[v]) == 3]
+    if any(p == 3 for p in bonds.values()):
+        if n == 2:
+            return "G2"
+    elif len(doubles) == 1:
         i, j = doubles[0]
         if _pairing(basis[i], basis[j]) != -2:
             i, j = j, i
@@ -57,30 +57,48 @@ def _component_name(basis: list[Root], comp: list[int]) -> str:
             return f"B{n}"
         if len(adj[i]) == 1:
             return f"C{n}"
-        assert n == 4
-        return "F4"
-    degrees = {v: len(adj[v]) for v in comp}
-    forks = [v for v in comp if degrees[v] == 3]
-    if not forks:
-        assert all(d <= 2 for d in degrees.values())
-        return f"A{n}"
-    assert len(forks) == 1
-    legs = []
-    for start in adj[forks[0]]:
-        length = 1
-        prev, cur = forks[0], start
-        while True:
-            ahead = [v for v in adj[cur] if v != prev]
-            if not ahead:
-                break
-            prev, cur = cur, ahead[0]
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return f"D{n}"
-    assert legs[:2] == [1, 2] and n in (6, 7, 8)
-    return f"E{n}"
+        if n == 4:
+            return "F4"
+    elif not doubles and not forks:
+        if all(len(adj[v]) <= 2 for v in comp):
+            return f"A{n}"
+    elif not doubles and len(forks) == 1:
+        legs = []
+        for start in adj[forks[0]]:
+            length = 1
+            prev, cur = forks[0], start
+            while True:
+                ahead = [v for v in adj[cur] if v != prev]
+                if not ahead:
+                    break
+                prev, cur = cur, ahead[0]
+                length += 1
+            legs.append(length)
+        legs.sort()
+        if legs[:2] == [1, 1]:
+            return f"D{n}"
+        if legs[:2] == [1, 2] and n in (6, 7, 8):
+            return f"E{n}"
+    raise RuntimeError("a root subsystem component is not a Dynkin diagram of finite type")
+
+
+def _components(basis: list[Root]) -> list[list[int]]:
+    """Irreducible components of a simple system, as sorted index lists,
+    in order of their first basis root."""
+    seen = [False] * len(basis)
+    comps = []
+    for s in range(len(basis)):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        for v in comp:
+            for u in range(len(basis)):
+                if not seen[u] and _pairing(basis[v], basis[u]):
+                    seen[u] = True
+                    comp.append(u)
+        comps.append(sorted(comp))
+    return comps
 
 
 def system_type(positives) -> str:
@@ -90,29 +108,8 @@ def system_type(positives) -> str:
     roots; rank-two systems with a double bond print as B2, and a pair
     of orthogonal A1's prints as A1.A1.
     """
-    positives = list(positives)
-    if not positives:
-        return ""
-    basis = simple_basis(positives)
-    n = len(basis)
-    seen = [False] * n
-    names = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in range(n):
-                if not seen[u] and _pairing(basis[v], basis[u]):
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        comp.sort()
-        names.append(_component_name(basis, comp))
-    return ".".join(names)
+    basis = simple_basis(list(positives))
+    return ".".join(_component_name(basis, comp) for comp in _components(basis))
 
 
 _EXCEPTIONAL_ORDERS = {"E6": 51840, "E7": 2903040, "E8": 696729600,
@@ -144,11 +141,11 @@ def _complex_factor(
 
     The complex roots orthogonal to the half sums of imaginary and of
     real positive coroots split as a product R1 x theta(R1), with theta
-    matching up the irreducible components in pairs.  Picks one
-    component per pair; the fixed subgroup of W(R1 x theta(R1)) is the
-    diagonal copy of W(R1).  Returns the positive roots of R1 together
-    with (simple root, theta partner) pairs, whose commuting reflection
-    products generate that diagonal.
+    matching up the irreducible components in pairs.  Picks the
+    lower-numbered component of each pair; the fixed subgroup of
+    W(R1 x theta(R1)) is the diagonal copy of W(R1).  Returns the simple
+    roots of R1 together with (simple root, theta partner) pairs, whose
+    commuting reflection products generate that diagonal.
     """
     rd = ic.rd
     pos = rd.positive_roots
@@ -165,36 +162,22 @@ def _complex_factor(
         if theta[k] % npos != k
         and not lin.vec_dot(r.vec, rho_i) and not lin.vec_dot(r.vec, rho_r)
     ]
-    if not free:
-        return [], []
-    # split into irreducible components
-    comp = {k: k for k in free}
-
-    def find(k: int) -> int:
-        while comp[k] != k:
-            comp[k] = comp[comp[k]]
-            k = comp[k]
-        return k
-
-    for a, ka in enumerate(free):
-        for kb in free[a + 1:]:
-            if lin.vec_dot(pos[ka].vec, pos[kb].covec):
-                comp[find(ka)] = find(kb)
-    members: dict[int, list[int]] = {}
-    for k in free:
-        members.setdefault(find(k), []).append(k)
-    # theta pairs distinct components; keep the first of each pair
-    partner = {rep: find(theta[ks[0]] % npos) for rep, ks in members.items()}
-    if any(partner[rep] == rep or partner[partner[rep]] != rep for rep in partner):
+    basis = simple_basis(ic.roots(free))
+    comps = _components(basis)
+    # theta pairs distinct components: the partner of a component is the
+    # one with a basis root not orthogonal to theta of its first basis root
+    partner = []
+    for comp in comps:
+        img = pos[theta[rd.root_index[basis[comp[0]].vec]] % npos]
+        partner.append(next(
+            (i for i, other in enumerate(comps) if any(_pairing(img, basis[b]) for b in other)),
+            None,
+        ))
+    if any(p is None or p == i or partner[p] != i for i, p in enumerate(partner)):
         raise RuntimeError("theta does not pair the complex components")
-    side: list[Root] = []
-    for rep in sorted(members, key=lambda rep: members[rep][0]):
-        if partner[rep] not in partner:
-            continue
-        del partner[rep]
-        side.extend(ic.roots(members[rep]))
+    side = [basis[b] for i, comp in enumerate(comps) if i < partner[i] for b in comp]
     pairs = []
-    for b in simple_basis(side):
+    for b in side:
         other = pos[theta[rd.root_index[b.vec]] % npos]
         if lin.vec_dot(b.vec, other.covec):
             raise RuntimeError("a complex simple root is not orthogonal to its theta partner")

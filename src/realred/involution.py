@@ -67,11 +67,6 @@ def rank_decomposition(theta: lin.Matrix) -> RankDecomposition:
     return RankDecomposition(split=minus - c, compact=plus - c, complex_pairs=c)
 
 
-def fiber_rank(theta: lin.Matrix) -> int:
-    """Rank of the two-group acting simply transitively on each fiber part."""
-    return rank_decomposition(theta).compact
-
-
 @dataclass(frozen=True)
 class SquareClass:
     """One class of central square values realized by strong involutions."""
@@ -150,9 +145,9 @@ def _split_product(total: int, s: int) -> tuple[int, int]:
         root += 1
     while root * root > disc:
         root -= 1
-    assert root * root == disc, (total, s)
     p, q = (s + root) // 2, (s - root) // 2
-    assert p * q == total and p + q == s
+    if root * root != disc or p * q != total or p + q != s:
+        raise RuntimeError(f"no integers p + q = {s} with p * q = {total}")
     return p, q
 
 
@@ -468,7 +463,7 @@ class InnerClass:
                         seen[k] = nxt
                         queue.append(nxt)
             out = tuple(seen.values())
-            if len(out) != 1 << fiber_rank(self.theta_star(inv)):
+            if len(out) != 1 << self._ranks(inv).compact:
                 raise RuntimeError("fiber size is not 2^(fiber rank)")
             # every generator g has (1 + theta*) g = 0 mod d, so all
             # squares agree on integers; only the first is keyed
@@ -525,7 +520,7 @@ class InnerClass:
             img = self.table.reflections[s][k]
             if img < len(pos) and sum(pos[img].coeffs) < ht:
                 return self.root_grading(self.cross(j, x), pos[img])
-        raise AssertionError("no descent for imaginary root")
+        raise RuntimeError("no descent for imaginary root")
 
     def cayley(self, j: int, x: StrongX) -> StrongX:
         """Cayley transform through a noncompact imaginary simple root.
@@ -697,7 +692,8 @@ class InnerClass:
     @cached_property
     def _ad_orbit_data(self) -> tuple[dict, ...]:
         """Per base-fiber orbit of an adjoint context: grading invariants."""
-        assert self._ad is self
+        if self._ad is not self:
+            raise RuntimeError("grading invariants are read in the adjoint context")
         ranges = self._factor_ranges()
         nfac = len(ranges)
         pos_im = self.roots(self.table.imaginary_roots(0))
@@ -724,7 +720,8 @@ class InnerClass:
                 "iota": iota,
                 "quasisplit": quasisplit,
             })
-        assert sum(1 for d in out if d["quasisplit"]) == 1
+        if sum(1 for d in out if d["quasisplit"]) != 1:
+            raise RuntimeError("the base fiber has no unique quasisplit orbit")
         return tuple(out)
 
     def _iota_tag(self, t: lin.Vector, f: Factor, rng: range) -> int:
@@ -739,7 +736,8 @@ class InnerClass:
         pair = []
         for j in rng:
             v = 2 * lin.vec_dot(self.rd.simple_roots[j], t)
-            assert v % self.denom == 0
+            if v % self.denom:
+                raise RuntimeError("a half-spin pairing is not integral")
             pair.append(v // self.denom)
         block = [
             [self.rd.cartan[j][i] for j in rng]
@@ -752,11 +750,12 @@ class InnerClass:
                 b[shift] -= 1
             if lin.solve_mod(lin.freeze(block), tuple(b), 2) is not None:
                 return tag
-        raise AssertionError("unclassified half-spin coset")
+        raise RuntimeError("unclassified half-spin coset")
 
     def _unit_names(self, orbit: int) -> tuple[str, ...]:
         """Name of each internal unit of an adjoint context at one orbit."""
-        assert self._ad is self
+        if self._ad is not self:
+            raise RuntimeError("unit names are read in the adjoint context")
         data = self._ad_orbit_data[orbit]
         names = []
         fac = 0
@@ -777,8 +776,8 @@ class InnerClass:
     @cached_property
     def _ad_menu(self) -> tuple[int, ...]:
         """Base-fiber orbit ids of an adjoint context, in menu order."""
-        assert self._ad is self
-        assert len(self._realized_keys) == 1
+        if self._ad is not self or len(self._realized_keys) != 1:
+            raise RuntimeError("the menu is read in an adjoint context with one square class")
         data = self._ad_orbit_data
 
         def sort_key(o: int) -> tuple:
@@ -786,7 +785,8 @@ class InnerClass:
             return (d["total"], tuple(zip(d["nc"], d["iota"])))
 
         order = sorted(range(len(data)), key=sort_key)
-        assert data[order[-1]]["quasisplit"]
+        if not data[order[-1]]["quasisplit"]:
+            raise RuntimeError("the last form of the menu is not quasisplit")
         return tuple(order)
 
     @cached_property
@@ -902,7 +902,7 @@ class InnerClass:
                             x = cands[0]
                             break
                 else:
-                    raise AssertionError("strong involution admits no descent")
+                    raise RuntimeError("strong involution admits no descent")
             inv = x[0]
         return self._base_form_by_key[self.x_key(x)]
 
@@ -984,13 +984,16 @@ class InnerClass:
             if any(o.form == form for o in self.cartan_orbits(c))
         )
 
+    def _ranks(self, inv: int) -> RankDecomposition:
+        """Rank decomposition of theta* at a twisted involution, cached."""
+        out = self._ranks_at.get(inv)
+        if out is None:
+            out = self._ranks_at[inv] = rank_decomposition(self.theta_star(inv))
+        return out
+
     def cartan_ranks(self, cartan: int) -> RankDecomposition:
         """Rank decomposition of the canonical involution of a Cartan class."""
-        out = self._ranks_at.get(cartan)
-        if out is None:
-            inv = self.table.canonical_member(cartan)
-            out = self._ranks_at[cartan] = rank_decomposition(self.theta_star(inv))
-        return out
+        return self._ranks(self.table.canonical_member(cartan))
 
     def most_split_cartan(self, form: int) -> int:
         """Cartan class of maximal real rank within one weak form."""
@@ -1073,7 +1076,8 @@ def _factor_form_name(
     letter, n = f.letter, f.rank
     if letter in "GFE":
         table = _EXCEPTIONAL_NAMES[(letter, n, equal)]
-        assert len(values) == len(table)
+        if len(values) != len(table):
+            raise RuntimeError(f"{letter}{n} has {len(values)} noncompact counts, not {len(table)}")
         return table[values.index(nc)]
     if letter == "A":
         if not equal:
@@ -1092,7 +1096,8 @@ def _factor_form_name(
             return f"sp({2 * n},R)"
         p, q = _split_product(nc // 4, n)
         return f"sp({p})" if q == 0 else f"sp({p},{q})"
-    assert letter == "D"
+    if letter != "D":
+        raise RuntimeError(f"no real form names for type {letter}")
     if not equal:
         a, b = _split_product(nc // 4, n - 1)
         return f"so({2 * a + 1},{2 * b + 1})"

@@ -6,7 +6,9 @@ conjugacy, generated from one fundamental-fiber orbit by simple cross
 actions and by Cayley transforms through noncompact imaginary simple
 roots.  Ids are assigned by (length, Cartan class, canonical key), where
 length counts the Cayley transforms and complex ascents needed to reach
-an element from the fundamental fiber.
+an element from the fundamental fiber.  Each cross action and Cayley
+transform is computed once, in the discovery pass, which records the
+edges by key; the ids only relabel them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from dataclasses import dataclass
 from .involution import InnerClass, StrongX
 from .rootdata import InputError
 from .weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL
+
+# length change and status letter of a simple cross action, by root kind
+_STEP = {COMPLEX_UP: 1, COMPLEX_DOWN: -1}
+_LETTER = {IMAGINARY: "c", REAL: "r", COMPLEX_UP: "C", COMPLEX_DOWN: "C"}
 
 
 @dataclass(frozen=True)
@@ -68,12 +74,17 @@ def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
 
 
 def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
-    """All orbits of the real form, from one strong representative."""
+    """All orbits of the real form, from one strong representative.
+
+    One breadth-first pass: each element records its status letters and
+    the keys of its cross and Cayley images as the search meets them;
+    ids replace the keys once the elements are sorted.
+    """
     orbit = seed_orbit(ic, form, orbit)
     table = ic.table
-    n = ic.rd.semisimple_rank
 
     reps: dict[tuple, StrongX] = {}
+    edges: dict[tuple, tuple[tuple[str, ...], list, list]] = {}
     inv_length = {0: 0}
     queue: deque[tuple] = deque()
     for t in ic._fundamental_orbits[orbit][1]:
@@ -82,7 +93,7 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
             reps[key] = (0, t)
             queue.append(key)
 
-    def record(y: StrongX, length: int) -> None:
+    def record(y: StrongX, length: int) -> tuple:
         prev = inv_length.setdefault(y[0], length)
         if prev != length:
             raise RuntimeError("inconsistent length at a twisted involution")
@@ -90,20 +101,19 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
         if key not in reps:
             reps[key] = y
             queue.append(key)
+        return key
 
     while queue:
-        x = reps[queue.popleft()]
+        key = queue.popleft()
+        x = reps[key]
         here = inv_length[x[0]]
-        for j in range(n):
-            kind = table.status_row(x[0])[j][0]
-            if kind == COMPLEX_UP:
-                record(ic.cross(j, x), here + 1)
-            elif kind == COMPLEX_DOWN:
-                record(ic.cross(j, x), here - 1)
-            else:
-                record(ic.cross(j, x), here)
-                if kind == IMAGINARY and ic.grading(x, j):
-                    record(ic.cayley(j, x), here + 1)
+        statuses, cross, cayley = [], [], []
+        for j, (kind, _) in enumerate(table.status_row(x[0])):
+            cross.append(record(ic.cross(j, x), here + _STEP.get(kind, 0)))
+            noncompact = kind == IMAGINARY and ic.grading(x, j)
+            statuses.append("n" if noncompact else _LETTER[kind])
+            cayley.append(record(ic.cayley(j, x), here + 1) if noncompact else None)
+        edges[key] = (tuple(statuses), cross, cayley)
 
     if min(inv_length[x[0]] for x in reps.values()) != 0:
         raise RuntimeError("KGB element lies below the base involution")
@@ -113,38 +123,20 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
         key=lambda key: (inv_length[key[0]], table.class_of[key[0]], key),
     )
     ids = {key: i for i, key in enumerate(order)}
-
-    elements = []
-    for i, key in enumerate(order):
-        x = reps[key]
-        inv = x[0]
-        statuses = []
-        cross = []
-        cayley: list[int | None] = []
-        for j in range(n):
-            kind = table.status_row(inv)[j][0]
-            cross.append(ids[ic.x_key(ic.cross(j, x))])
-            if kind == IMAGINARY:
-                if ic.grading(x, j):
-                    statuses.append("n")
-                    cayley.append(ids[ic.x_key(ic.cayley(j, x))])
-                else:
-                    statuses.append("c")
-                    cayley.append(None)
-            else:
-                statuses.append("r" if kind == REAL else "C")
-                cayley.append(None)
-        elements.append(KGBElement(
+    elements = tuple(
+        KGBElement(
             id=i,
-            length=inv_length[inv],
-            cartan=table.class_of[inv],
-            statuses=tuple(statuses),
-            cross=tuple(cross),
-            cayley=tuple(cayley),
-            word=table.word(inv),
-            rep=x,
-        ))
-    return KGB(form=form, orbit=orbit, elements=tuple(elements))
+            length=inv_length[key[0]],
+            cartan=table.class_of[key[0]],
+            statuses=edges[key][0],
+            cross=tuple(ids[k] for k in edges[key][1]),
+            cayley=tuple(None if k is None else ids[k] for k in edges[key][2]),
+            word=table.word(key[0]),
+            rep=reps[key],
+        )
+        for i, key in enumerate(order)
+    )
+    return KGB(form=form, orbit=orbit, elements=elements)
 
 
 def format_kgb(kgb: KGB) -> list[str]:

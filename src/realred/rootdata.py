@@ -325,7 +325,7 @@ class RootDatum:
                     new = Root(lin.vec_neg(vec), lin.vec_neg(covec),
                                tuple(-c for c in coeffs))
                 else:
-                    raise AssertionError("root with mixed-sign coordinates")
+                    raise RuntimeError("root with mixed-sign coordinates")
                 seen[new.vec] = new
                 work.append(new)
         return tuple(sorted(seen.values(),

@@ -489,6 +489,11 @@ def test_real_weyl_sl4c():
     assert dec.real_type == ""
     assert dec.order == 24
     assert sorted(dec.complex_generators) == [(0, 3), (1, 4), (2, 5)]
+    # the complex factor keeps the component of each theta pair whose
+    # basis comes first in the positive-root numbering
+    side, pairs = _complex_factor(ic, ic.table.canonical_member(0))
+    assert [ic.rd.positive_roots.index(b) for b in side] == [0, 1, 2]
+    assert [(a.coeffs.index(1), b.coeffs.index(1)) for a, b in pairs] == [(5, 2), (4, 1), (3, 0)]
 
 
 def test_real_weyl_spin88_three_pair_class():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from realred import lin
 from realred.involution import (
-    fiber_rank,
     format_real_form_menu,
     format_strong_real,
     inner_class,
@@ -514,14 +513,6 @@ def test_rank_decomposition_values():
         dec = rank_decomposition(ic.theta_star(ic.table.canonical_member(c)))
         triples.append((dec.split, dec.compact, dec.complex_pairs))
     assert triples == [(0, 2, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]
-
-
-def test_fiber_rank_is_compact_rank():
-    for text, letters in [("A3", "c"), ("C2", "s"), ("A2", "s")]:
-        ic = context(text, letters)
-        for i in range(len(ic.table)):
-            theta = ic.theta_star(i)
-            assert fiber_rank(theta) == rank_decomposition(theta).compact
 
 
 # -- most split Cartans and component groups -----------------------------

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from realred.cartan import cartan_hasse, format_cartan_report, format_real_weyl, real_weyl
-from realred.involution import inner_class
+from realred.involution import format_real_form_menu, inner_class
 from realred.kgb import format_kgb, generate_kgb
 from realred.rootdata import (
     adjoint_generators,
@@ -17,15 +17,19 @@ from realred.rootdata import (
     parse_lie_type,
 )
 
-GROUPS = [("B3", "s", None), ("A3", "c", "ad"), ("A3", "c", None), ("B4", "s", "ad")]
+GROUPS = [
+    ("B3", "s", None), ("A3", "c", "ad"), ("A3", "c", None), ("B4", "s", "ad"),
+    ("D4", "s", "ad"),
+]
 
 
 def report(text, letters, kernel):
-    """Cartan report, Cayley graph, real Weyl groups and KGB of every form."""
+    """Real form menu, then the Cartan report, Cayley graph, real Weyl
+    groups and KGB of every form."""
     lt = parse_lie_type(text)
     gens = tuple(adjoint_generators(center_structure(lt))) if kernel == "ad" else ()
     ic = inner_class(letters, build_root_datum(lt, gens), lt)
-    lines = []
+    lines = list(format_real_form_menu(ic))
     for form in range(len(ic.real_forms)):
         lines.extend(format_cartan_report(ic, form))
         lines.append(repr(cartan_hasse(ic, form)))
