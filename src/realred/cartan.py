@@ -5,7 +5,7 @@ involutions; its report combines rank data of the involution, the types
 of the imaginary, real, and restricted complex root subsystems, and the
 partition of the corresponding fiber by weak real form.  The real Weyl
 group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r); A comes
-from Schreier generators on the cached orbit of a fiber point and a
+from Schreier generators on the cached moves of a fiber orbit and a
 complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import lin
-from .involution import InnerClass, RankDecomposition, StrongOrbit, StrongX
+from .involution import FiberOrbit, InnerClass, RankDecomposition, StrongOrbit
 from .rootdata import InputError, Root, simple_basis
 from .weyl import word_from_matrix
 
@@ -292,33 +292,27 @@ class RealWeylDecomposition:
 
 
 def _a_generators(
-    ic: InnerClass, cartan: int, x: StrongX, compact_ks: list[int]
+    ic: InnerClass, orbit: FiberOrbit, compact_ks: list[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """Words of the A generators at x, from the orbit of x (see real_weyl)."""
+    """Words of the A generators at the first member of an orbit (see real_weyl)."""
     table = ic.table
-    inv = x[0]
-    # transversal of the orbit of x, and the inverses of its elements
-    orbit = next(o for o in ic.cartan_orbits(cartan) if x in o.members)
-    sq_key = ic.square_classes[orbit.square_class].key
-    fiber = ic.fiber_elements(inv, sq_key)
-    rows = ic.fiber_action(inv, sq_key)
-    gens = [table.reflections[k] for k in table.imaginary_basis(inv)]
+    gens = [table.reflections[k] for k in table.imaginary_basis(orbit.members[0][0])]
     npos = len(table.reflections)
     one = tuple(range(2 * npos))
-    start = fiber.index(x[1])
-    tr = {start: (one, one)}
-    queue = [start]
+    # transversal of the orbit from its first member, and the inverses of its elements
+    tr = {0: (one, one)}
+    queue = [0]
     for m in queue:
         t, t_inv = tr[m]
-        for row, g in zip(rows, gens):
+        for row, g in zip(orbit.moves, gens):
             if row[m] not in tr:
                 tr[row[m]] = (tuple(map(g.__getitem__, t)), tuple(map(t_inv.__getitem__, g)))
                 queue.append(row[m])
     if len(tr) != len(orbit.members):
-        raise RuntimeError("the orbit of x differs from its cached orbit")
+        raise RuntimeError("the cached moves do not connect the orbit")
     a_gens = set()
     for m, (t, _) in tr.items():
-        for row, g in zip(rows, gens):
+        for row, g in zip(orbit.moves, gens):
             w = tuple(map(tr[row[m]][1].__getitem__, map(g.__getitem__, t)))
             while (k := next((k for k in compact_ks if w[k] >= npos), None)) is not None:
                 w = tuple(map(w.__getitem__, table.reflections[k]))
@@ -344,16 +338,18 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     """Decomposition of W(K,H) at one Cartan class of a real form.
 
     Grading-dependent factors use the first fiber point x of the form at
-    the canonical involution.  A is read off Stab_{W_i}(x) by
-    orbit-stabilizer, without listing W_i: a breadth-first search of the
-    cached cross-action orbit O of x gives a transversal t_m (t_m.x = m),
-    and the Schreier generators t_{g.m}^-1 g t_m, for g an imaginary-basis
-    reflection, generate the stabiliser.  W_ic lies in it and is normal,
-    so A' = {w in Stab(x) : w sends the positive compact roots to positive
-    roots} is a complement, A' ~ A.  A Schreier generator is pushed into
-    A' by multiplying it on the right by a simple compact reflection that
-    it sends to a negative root, until there is none; the results
-    generate A', which is closed by multiplication.
+    the canonical involution: the first member of the first orbit of the
+    form in cartan_orbits.  A is read off Stab_{W_i}(x) by
+    orbit-stabilizer, without listing W_i: a breadth-first search over
+    the cached moves of the orbit O of x gives a transversal t_m
+    (t_m.x = m), and the Schreier generators t_{g.m}^-1 g t_m, for g an
+    imaginary-basis reflection, generate the stabiliser.  W_ic lies in it
+    and is normal, so A' = {w in Stab(x) : w sends the positive compact
+    roots to positive roots} is a complement, A' ~ A.  A Schreier
+    generator is pushed into A' by multiplying it on the right by a
+    simple compact reflection that it sends to a negative root, until
+    there is none; the results generate A', which is closed by
+    multiplication.
 
     The A generators are picked greedily from A' - {1} sorted by (length,
     word), each outside the span of those before.  This is the same list
@@ -364,19 +360,24 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     Dyer, "Reflection subgroups of Coxeter systems", J. Algebra 1990),
     so it lies in A'.
 
+    The compact type is checked at the first member of each orbit of the
+    form only: gradings are W_i-equivariant (see cartan_hasse), so w in
+    W_i maps the compact roots at y onto those at w.y, and every member
+    of an orbit gives the same compact type.
+
     RuntimeError is raised when a simple compact reflection moves x,
-    when A' has an element of order above 2, when another fiber point of
-    the form gives another compact type, or when some orbit O' of the
-    form has |W_i| != |O'| |W_ic| |A|.
+    when A' has an element of order above 2, when another orbit of the
+    form gives another compact type, or when some orbit O' of the form
+    has |W_i| != |O'| |W_ic| |A|.
     """
     ic.check(form, cartan)
     table = ic.table
     rd = ic.rd
     inv = table.canonical_member(cartan)
-    reps = [x for x, f in ic.fiber_points(cartan) if f == form]
-    if not reps:
+    orbits = [o for o in ic.cartan_orbits(cartan) if o.form == form]
+    if not orbits:
         raise InputError(f"Cartan class #{cartan} does not meet real form #{form}")
-    x = reps[0]
+    x = orbits[0].members[0]
     imaginary = ic.roots(table.imaginary_roots(inv))
     real = ic.roots(table.real_roots(inv))
     compact = [r for r in imaginary if not ic.root_grading(x, r)]
@@ -393,16 +394,16 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     key = ic.x_key(x)
     if any(ic.x_key(ic.cross_word(table.reflection_word(k), x)) != key for k in compact_ks):
         raise RuntimeError("a simple compact reflection moves x")
-    a_words = _a_generators(ic, cartan, x, compact_ks)
-    for y in reps[1:]:
-        other = [r for r in imaginary if not ic.root_grading(y, r)]
+    a_words = _a_generators(ic, orbits[0], compact_ks)
+    for o in orbits[1:]:
+        other = [r for r in imaginary if not ic.root_grading(o.members[0], r)]
         # the same type, possibly with its components in another order
         if sorted(system_type(other).split(".")) != sorted(compact_type.split(".")):
-            raise RuntimeError("compact type differs between fiber points of a form")
+            raise RuntimeError("compact type differs between orbits of a form")
     wi_order = weyl_order(system_type(imaginary))
     wic_order = weyl_order(compact_type)
-    for o in ic.cartan_orbits(cartan):
-        if o.form == form and len(o.members) * wic_order << len(a_words) != wi_order:
+    for o in orbits:
+        if len(o.members) * wic_order << len(a_words) != wi_order:
             raise RuntimeError("|W_i| is not |orbit| |W_ic| |A| at an orbit of the form")
     return RealWeylDecomposition(
         complex_type=system_type(side),

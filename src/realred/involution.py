@@ -51,22 +51,6 @@ class RankDecomposition:
     complex_pairs: int
 
 
-def rank_decomposition(theta: lin.Matrix) -> RankDecomposition:
-    """Decomposes a lattice involution into its three rank invariants.
-
-    Raises ValueError when the matrix is not an involution.
-    """
-    n = len(theta)
-    ident = lin.identity(n)
-    if lin.mat_mul(theta, theta) != ident:
-        raise ValueError("matrix is not an involution")
-    c = lin.f2_rank(lin.mat_add(theta, ident))
-    plus = n - lin.smith_form(lin.mat_sub(theta, ident), ncols=n).rank
-    minus = n - lin.smith_form(lin.mat_add(theta, ident), ncols=n).rank
-    assert plus + minus + 2 * c == n + c + c
-    return RankDecomposition(split=minus - c, compact=plus - c, complex_pairs=c)
-
-
 @dataclass(frozen=True)
 class SquareClass:
     """One class of central square values realized by strong involutions."""
@@ -101,12 +85,15 @@ class FiberOrbit:
     """Cross-action orbit of the imaginary Weyl group on one fiber.
 
     The members are strong involutions over one involution, in fiber
-    order, and all have the weak real form numbered form.
+    order, and all have the weak real form numbered form.  moves[g][m]
+    is the position in members of the image of member m under the
+    reflection in the g-th root of imaginary_basis of the involution.
     """
 
     square_class: int
     form: int
     members: tuple[StrongX, ...]
+    moves: tuple[tuple[int, ...], ...]
 
 
 _TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)"}
@@ -345,7 +332,8 @@ class InnerClass:
         w_star = lin.mat_mul(self.theta_star(inv), self._dstar)
         two_rho = self.rd.two_rho_check
         two = lin.vec_sub(two_rho, lin.mat_vec(w_star, two_rho))
-        assert all(x % 2 == 0 for x in two)
+        if any(x % 2 for x in two):
+            raise RuntimeError("rho-check minus its image is not even")
         return tuple(x // 2 for x in two)
 
     @cached_property
@@ -360,7 +348,8 @@ class InnerClass:
         out = self._csc.get(inv)
         if out is None:
             coeffs = lin.solve_int_presolved(self._coroot_smith, self._rho_check_drop(inv))
-            assert coeffs is not None
+            if coeffs is None:
+                raise RuntimeError("the rho-check drop is not in the coroot lattice")
             out = self._csc[inv] = tuple(
                 coeffs[j] % 2 for j in range(self.rd.semisimple_rank)
             )
@@ -369,7 +358,8 @@ class InnerClass:
     def grading_shift(self, inv: int, j: int) -> int:
         """Doubled base-point grading constant for imaginary simple j."""
         kind, target = self.table.status_row(inv)[j]
-        assert kind == IMAGINARY
+        if kind != IMAGINARY:
+            raise RuntimeError(f"simple root {j} is not imaginary at involution {inv}")
         return (1 + self.csc_bits(inv)[j] + self.csc_bits(target)[j]) % 2
 
     def _smith_minus(self, inv: int) -> lin.SmithForm:
@@ -612,18 +602,22 @@ class InnerClass:
         """Cross-action orbits on the base fiber, as (class key, members)."""
         out = []
         for key in self._realized_keys:
-            for members in self._orbit_partition(0, key):
+            for members, _ in self._orbit_partition(0, key):
                 out.append((key, members))
         return tuple(out)
 
-    def fiber_action(self, inv: int, key: tuple) -> tuple[tuple[int, ...], ...]:
-        """Cross actions of the imaginary-basis reflections on one fiber.
+    def _orbit_partition(
+        self, inv: int, key: tuple
+    ) -> list[tuple[tuple[lin.Vector, ...], tuple[tuple[int, ...], ...]]]:
+        """Orbits of the imaginary Weyl group on one fiber, as (members, moves).
 
-        Row g sends the index of each point of fiber_elements(inv, key) to
-        the index of its image under the reflection in the g-th root of
-        imaginary_basis(inv).
+        Members are in fiber order and orbits by first member; moves are
+        as in FiberOrbit.  The cross action on a fiber is computed here
+        only, once per fiber.
         """
         fiber = self.fiber_elements(inv, key)
+        if not fiber:
+            return []
         # Every cross action is affine in the torus part, so the cross
         # action of the reflection in an imaginary root beta sends t to
         # t - <beta, t> beta^v + shift, with the shift read off at t = 0.
@@ -640,15 +634,7 @@ class InnerClass:
             for t in fiber:
                 moved = lin.vec_sub(t, lin.vec_scale(root.covec, lin.vec_dot(root.vec, t)))
                 row.append(index[self.x_key((inv, lin.vec_mod(lin.vec_add(moved, y[1]), d)))])
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def _orbit_partition(self, inv: int, key: tuple) -> list[tuple[lin.Vector, ...]]:
-        """Orbits of the imaginary Weyl group on one fiber, in fiber order."""
-        fiber = self.fiber_elements(inv, key)
-        if not fiber:
-            return []
-        rows = self.fiber_action(inv, key)
+            rows.append(row)
         orbits = []
         done = set()
         for start in range(len(fiber)):
@@ -656,17 +642,17 @@ class InnerClass:
                 continue
             comp = [start]
             done.add(start)
-            queue = [start]
-            while queue:
-                cur = queue.pop()
+            for cur in comp:
                 for row in rows:
-                    tgt = row[cur]
-                    if tgt not in done:
-                        done.add(tgt)
-                        comp.append(tgt)
-                        queue.append(tgt)
+                    if row[cur] not in done:
+                        done.add(row[cur])
+                        comp.append(row[cur])
             comp.sort()
-            orbits.append(tuple(fiber[i] for i in comp))
+            at = {i: m for m, i in enumerate(comp)}
+            orbits.append((
+                tuple(fiber[i] for i in comp),
+                tuple(tuple(at[row[i]] for i in comp) for row in rows),
+            ))
         return orbits
 
     def _factor_ranges(self) -> list[range]:
@@ -921,34 +907,22 @@ class InnerClass:
 
         Lists the orbits of the imaginary Weyl group on each realized
         square-class fiber over the canonical involution of the class,
-        with the weak real form of every orbit: square class by square
-        class, and within a fiber by first member in fiber order.  The
-        form is found by one descent from the orbit's first member, since
-        cross actions preserve it.  Built once per class and cached.
+        with the weak real form and the cross-action moves of every orbit:
+        square class by square class, and within a fiber by first member
+        in fiber order.  The form is found by one descent from the orbit's
+        first member, since cross actions preserve it.  Built once per
+        class and cached.
         """
         out = self._orbits_at.get(cartan)
         if out is None:
             inv = self.table.canonical_member(cartan)
             orbits = []
             for sq in self.square_classes:
-                for members in self._orbit_partition(inv, sq.key):
+                for members, moves in self._orbit_partition(inv, sq.key):
                     xs = tuple((inv, t) for t in members)
-                    orbits.append(FiberOrbit(sq.index, self.real_form_of(xs[0]), xs))
+                    orbits.append(FiberOrbit(sq.index, self.real_form_of(xs[0]), xs, moves))
             out = self._orbits_at[cartan] = tuple(orbits)
         return out
-
-    def fiber_points(self, cartan: int) -> list[tuple[StrongX, int]]:
-        """(strong involution, weak form) of every point of the fibers
-        over a Cartan class: square class by square class, each fiber in
-        fiber_elements order.
-        """
-        inv = self.table.canonical_member(cartan)
-        form_of = {x: o.form for o in self.cartan_orbits(cartan) for x in o.members}
-        return [
-            (x, form_of[x])
-            for sq in self.square_classes
-            for x in ((inv, t) for t in self.fiber_elements(inv, sq.key))
-        ]
 
     def strong_real_forms_at(self, cartan: int) -> tuple[tuple[int, tuple[StrongOrbit, ...]], ...]:
         """Orbit partition of each realized square-class fiber at a Cartan.
@@ -985,10 +959,20 @@ class InnerClass:
         )
 
     def _ranks(self, inv: int) -> RankDecomposition:
-        """Rank decomposition of theta* at a twisted involution, cached."""
+        """Rank decomposition of theta* at a twisted involution, cached.
+
+        The eigenspace dimensions are read off the cached Smith forms of
+        1 - theta* and 1 + theta*.
+        """
         out = self._ranks_at.get(inv)
         if out is None:
-            out = self._ranks_at[inv] = rank_decomposition(self.theta_star(inv))
+            n = self.rd.rank
+            c = lin.f2_rank(lin.mat_add(self.theta_star(inv), lin.identity(n)))
+            plus = n - self._smith_minus(inv).rank
+            minus = n - self._smith_plus(inv).rank
+            out = self._ranks_at[inv] = RankDecomposition(
+                split=minus - c, compact=plus - c, complex_pairs=c
+            )
         return out
 
     def cartan_ranks(self, cartan: int) -> RankDecomposition:
@@ -1031,7 +1015,8 @@ class InnerClass:
 
         def in_kernel_coords(v: lin.Vector) -> lin.Vector:
             y = lin.solve_int_presolved(ksf, v)
-            assert y is not None
+            if y is None:
+                raise RuntimeError("a vector is not in the kernel lattice of 1 + theta*")
             return y[: len(kernel)]
 
         minus = lin.mat_sub(lin.identity(n), theta)
@@ -1039,7 +1024,8 @@ class InnerClass:
             [list(in_kernel_coords(c)) for c in lin.transpose(minus)]
         )
         sf = lin.smith_form(lin.transpose(image))
-        assert all(d in (1, 2) for d in sf.diag)
+        if any(d not in (1, 2) for d in sf.diag):
+            raise RuntimeError("the component group is not an elementary abelian 2-group")
         twos = [i for i, d in enumerate(sf.diag) if d == 2]
         if not twos:
             return 0

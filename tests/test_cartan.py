@@ -34,7 +34,7 @@ from realred.rootdata import (
 )
 from realred.weyl import word_from_matrix
 
-from test_involution import SMALL_TYPES
+from test_involution import RECORD_GROUPS, SMALL_TYPES
 
 
 def context(text, letters, kernel=None):
@@ -421,9 +421,26 @@ def test_real_weyl_sl2r():
 ])
 def test_real_weyl_compact_type_independent_of_fiber_point(text, form, order):
     # The fiber points of these forms at the fundamental Cartan give
-    # compact systems with the same components in different orders.
+    # compact systems with the same components in different orders,
+    # within one orbit and, for C4 form 1, between its two orbits.
     dec = real_weyl(context(text, "s"), form, 0)
     assert (dec.order, dec.a_rank) == (order, 0)
+
+
+@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def test_compact_type_is_constant_on_each_orbit(text, letters, kernel):
+    # real_weyl grades the first member of each orbit only
+    ic = context(text, letters, kernel)
+    for c in range(len(ic.table.classes)):
+        imaginary = ic.roots(ic.table.imaginary_roots(ic.table.canonical_member(c)))
+        for o in ic.cartan_orbits(c):
+            types = {
+                tuple(sorted(system_type(
+                    [r for r in imaginary if not ic.root_grading(x, r)]
+                ).split(".")))
+                for x in o.members
+            }
+            assert len(types) == 1
 
 
 def test_real_weyl_su2_is_full_weyl_group():
@@ -608,7 +625,11 @@ def reference_real_weyl(ic, form, cartan):
     table = ic.table
     rd = ic.rd
     inv = table.canonical_member(cartan)
-    reps = [x for x, f in ic.fiber_points(cartan) if f == form]
+    reps = [
+        x for sq in ic.square_classes
+        for x in ((inv, t) for t in ic.fiber_elements(inv, sq.key))
+        if ic.real_form_of(x) == form
+    ]
     x = reps[0]
     imaginary = ic.roots(table.imaginary_roots(inv))
     real = ic.roots(table.real_roots(inv))

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from realred import lin
 from realred.involution import (
+    RankDecomposition,
     format_real_form_menu,
     format_strong_real,
     inner_class,
-    rank_decomposition,
 )
 from realred.kgb import generate_kgb
 from realred.rootdata import (
@@ -454,10 +454,9 @@ def test_cartan_record_forms_match_descent(text, letters, kernel):
             sq.index: [(inv, t) for t in ic.fiber_elements(inv, sq.key)]
             for sq in ic.square_classes
         }
-        points = ic.fiber_points(c)
-        assert [x for x, _ in points] == [x for sq in sorted(fibers) for x in fibers[sq]]
-        for x, form in points:
-            assert ic.real_form_of(x) == form
+        form_of = {x: o.form for o in ic.cartan_orbits(c) for x in o.members}
+        for x in (x for fiber in fibers.values() for x in fiber):
+            assert ic.real_form_of(x) == form_of[x]
         # the orbits partition each fiber, members and orbits in fiber order
         for sq, fiber in fibers.items():
             orbits = [o.members for o in ic.cartan_orbits(c) if o.square_class == sq]
@@ -465,6 +464,19 @@ def test_cartan_record_forms_match_descent(text, letters, kernel):
             positions = [[fiber.index(x) for x in o] for o in orbits]
             assert all(p == sorted(p) for p in positions)
             assert [p[0] for p in positions] == sorted(p[0] for p in positions)
+
+
+@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def test_cartan_record_moves_are_cross_actions(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    for c in range(len(ic.table.classes)):
+        basis = ic.table.imaginary_basis(ic.table.canonical_member(c))
+        for o in ic.cartan_orbits(c):
+            assert len(o.moves) == len(basis)
+            for k, row in zip(basis, o.moves):
+                word = ic.table.reflection_word(k)
+                for m, x in enumerate(o.members):
+                    assert ic.x_key(ic.cross_word(word, x)) == ic.x_key(o.members[row[m]])
 
 
 def descend_last(ic, x):
@@ -501,16 +513,30 @@ def test_every_strong_involution_descends():
 # -- rank decompositions ------------------------------------------------
 
 
-def test_rank_decomposition_rejects_non_involution():
-    with pytest.raises(ValueError):
-        rank_decomposition(lin.freeze([[1, 1], [0, 1]]))
+def rank_decomposition(theta):
+    """Rank invariants of a lattice involution from fresh Smith forms: the reference."""
+    n = len(theta)
+    ident = lin.identity(n)
+    c = lin.f2_rank(lin.mat_add(theta, ident))
+    plus = n - lin.smith_form(lin.mat_sub(theta, ident), ncols=n).rank
+    minus = n - lin.smith_form(lin.mat_add(theta, ident), ncols=n).rank
+    return RankDecomposition(split=minus - c, compact=plus - c, complex_pairs=c)
+
+
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("C2", "s", None), ("D4", "u", None), ("A3", "c", "ad"), ("A2.A2", "C", None),
+])
+def test_cached_ranks_match_reference(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    for inv in range(len(ic.table)):
+        assert ic._ranks(inv) == rank_decomposition(ic.theta_star(inv))
 
 
 def test_rank_decomposition_values():
     ic = context("C2", "s")
     triples = []
     for c in range(len(ic.table.classes)):
-        dec = rank_decomposition(ic.theta_star(ic.table.canonical_member(c)))
+        dec = ic.cartan_ranks(c)
         triples.append((dec.split, dec.compact, dec.complex_pairs))
     assert triples == [(0, 2, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]
 
@@ -591,7 +617,7 @@ SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
 def rank_triples(ic, swap=False):
     out = []
     for c in range(len(ic.table.classes)):
-        dec = rank_decomposition(ic.theta_star(ic.table.canonical_member(c)))
+        dec = ic.cartan_ranks(c)
         split, compact = (dec.compact, dec.split) if swap else (dec.split, dec.compact)
         out.append((split, compact, dec.complex_pairs))
     return sorted(out)

@@ -24,8 +24,8 @@ GROUPS = [
 
 
 def report(text, letters, kernel):
-    """Real form menu, then the Cartan report, Cayley graph, real Weyl
-    groups and KGB of every form."""
+    """Real form menu, then the Cartan report, Cayley graph, component
+    rank, real Weyl groups and KGB of every form."""
     lt = parse_lie_type(text)
     gens = tuple(adjoint_generators(center_structure(lt))) if kernel == "ad" else ()
     ic = inner_class(letters, build_root_datum(lt, gens), lt)
@@ -33,6 +33,7 @@ def report(text, letters, kernel):
     for form in range(len(ic.real_forms)):
         lines.extend(format_cartan_report(ic, form))
         lines.append(repr(cartan_hasse(ic, form)))
+        lines.append(f"component rank {ic.component_rank(form)}")
         for c in ic.form_cartans(form):
             lines.extend(format_real_weyl(real_weyl(ic, form, c)))
         lines.extend(format_kgb(generate_kgb(ic, form)))
