@@ -4,8 +4,11 @@ A strong involution is represented by a pair x = (i, t) where i indexes
 a twisted involution and t is a rational cocharacter stored as an
 integer vector over the context-wide denominator.  Central cocharacters,
 square-class keys and adjoint images are integer numerators too, so the
-module does no rational arithmetic.  Everything here is organised around
-one InnerClass object per (root datum, involution).
+module does no rational arithmetic.  Whether an imaginary root is
+noncompact at x is one parity in closed form (root_grading): a pairing
+with t plus the root's heights over the simple roots and over the
+imaginary simple roots.  Everything here is organised around one
+InnerClass object per (root datum, involution).
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ class InnerClass:
         self.table: InvolutionTable = involution_table(delta)
         self._theta_star: dict[int, lin.Matrix] = {}
         self._cbits: dict[int, lin.Vector] = {}
-        self._csc: dict[int, lin.Vector] = {}
+        self._heights: dict[int, lin.Vector] = {}
         self._minus_smith: dict[int, lin.SmithForm] = {}
         self._plus_smith: dict[int, lin.SmithForm] = {}
         self._fibers: dict[tuple[int, tuple], tuple[lin.Vector, ...]] = {}
@@ -336,32 +339,6 @@ class InnerClass:
             raise RuntimeError("rho-check minus its image is not even")
         return tuple(x // 2 for x in two)
 
-    @cached_property
-    def _coroot_smith(self) -> lin.SmithForm:
-        return lin.smith_form(
-            lin.transpose(lin.freeze(self.rd.simple_coroots)),
-            ncols=self.rd.semisimple_rank,
-        )
-
-    def csc_bits(self, inv: int) -> lin.Vector:
-        """Same torus part in simple-coroot coordinates, mod 2."""
-        out = self._csc.get(inv)
-        if out is None:
-            coeffs = lin.solve_int_presolved(self._coroot_smith, self._rho_check_drop(inv))
-            if coeffs is None:
-                raise RuntimeError("the rho-check drop is not in the coroot lattice")
-            out = self._csc[inv] = tuple(
-                coeffs[j] % 2 for j in range(self.rd.semisimple_rank)
-            )
-        return out
-
-    def grading_shift(self, inv: int, j: int) -> int:
-        """Doubled base-point grading constant for imaginary simple j."""
-        kind, target = self.table.status_row(inv)[j]
-        if kind != IMAGINARY:
-            raise RuntimeError(f"simple root {j} is not imaginary at involution {inv}")
-        return (1 + self.csc_bits(inv)[j] + self.csc_bits(target)[j]) % 2
-
     def _smith_minus(self, inv: int) -> lin.SmithForm:
         out = self._minus_smith.get(inv)
         if out is None:
@@ -491,26 +468,60 @@ class InnerClass:
             x = self.cross(j, x)
         return x
 
+    def _height_coweight(self, inv: int) -> lin.Vector:
+        """2 rho-check plus every positive coroot imaginary at inv.
+
+        It pairs with a positive root alpha imaginary at inv to
+        2 (ht(alpha) + ht_i(alpha)), the heights over the simple roots and
+        over imaginary_basis(inv).
+        """
+        out = self._heights.get(inv)
+        if out is None:
+            out = self.rd.two_rho_check
+            for k in self.table.imaginary_roots(inv):
+                out = lin.vec_add(out, self.rd.positive_roots[k].covec)
+            self._heights[inv] = out
+        return out
+
     def grading(self, x: StrongX, j: int) -> bool:
         """True when the imaginary simple root j is noncompact at x."""
-        inv, t = x
-        kbit = self.grading_shift(inv, j)
-        d = self.denom
-        num = 2 * lin.vec_dot(self.rd.simple_roots[j], t) + (kbit - 1) * d
-        return num % (2 * d) == 0
+        return self.root_grading(x, self.rd.positive_roots[self.table.simple[j]])
 
     def root_grading(self, x: StrongX, root: Root) -> bool:
-        """Grading of any imaginary root, by cross-action transport."""
-        ht = sum(root.coeffs)
-        if ht == 1:
-            return self.grading(x, root.coeffs.index(1))
-        pos = self.rd.positive_roots
+        """True when the positive root, imaginary at x, is noncompact there.
+
+        With x = (i, t) and d = denom, root alpha is noncompact exactly
+        when 2 <alpha, t> / d + ht(alpha) + ht_i(alpha) is odd, ht_i being
+        the height over imaginary_basis(i); _height_coweight gives the two
+        heights in one pairing.  This is the grading that transport along
+        cross actions gives, by induction on the height of alpha, along
+        the descent that lowers it by the first simple reflection s_j
+        with s_j alpha positive and lower; n = <alpha, alpha_j^v>:
+        - alpha = alpha_j simple: ht + ht_i = 2, and at a simple imaginary
+          root the test is the base-point one, 2 <alpha_j, t> / d odd.
+          The torus part of sigma_w delta(sigma_w) adds nothing there:
+          w^-1 alpha_j = delta alpha_j is simple, so the rho-check drop
+          pairs to 0 with alpha_j and grows by alpha_j^v at the Cayley
+          transform, and its coroot coefficients at j at the two
+          involutions cancel with the 1 of the base-point formula.
+        - j complex: cross sends t to t' = s_j t + (d/2) gamma^v, so
+          2 <s_j alpha, t'> / d = 2 <alpha, t> / d + <s_j alpha, gamma^v>,
+          and the last term is n mod 2 for both choices of gamma in
+          cross.  ht drops by n, and ht_i does not change, since s_j
+          carries the imaginary simple roots at i to those at the new
+          involution.
+        - j imaginary: there is no shift, and ht and ht_i each drop by n.
+        - j real cannot occur: real and imaginary roots are orthogonal.
+        Raises RuntimeError when the root is not imaginary at x.
+        """
+        inv, t = x
         k = self.rd.root_index[root.vec]
-        for j, s in enumerate(self.table.simple):
-            img = self.table.reflections[s][k]
-            if img < len(pos) and sum(pos[img].coeffs) < ht:
-                return self.root_grading(self.cross(j, x), pos[img])
-        raise RuntimeError("no descent for imaginary root")
+        if self.table.thetas[inv][k] != k:
+            raise RuntimeError(f"root {root.coeffs} is not imaginary at involution {inv}")
+        d = self.denom
+        heights = lin.vec_dot(root.vec, self._height_coweight(inv)) // 2
+        num = 2 * lin.vec_dot(root.vec, t) + (heights - 1) * d
+        return num % (2 * d) == 0
 
     def cayley(self, j: int, x: StrongX) -> StrongX:
         """Cayley transform through a noncompact imaginary simple root.

@@ -346,7 +346,8 @@ def det(a: Matrix) -> int:
     out = Fraction(sign)
     for i in range(n):
         out *= rows[i][i]
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise RuntimeError("the determinant of an integer matrix is not an integer")
     return int(out)
 
 

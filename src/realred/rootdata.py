@@ -395,13 +395,15 @@ def _component_functionals(lt: LieType, cs: CenterStructure) -> list[lin.Vector]
                 inv, den = lin.mat_inverse_rational(cartan_matrix(f.letter, f.rank))
                 for j in range(f.rank):
                     val = 2 * inv[j][local]
-                    assert val % den == 0
+                    if val % den:
+                        raise RuntimeError("a half-spin coweight is not integral")
                     row[off + j] = val // den
             else:
                 ct = lin.transpose(cartan_matrix(f.letter, f.rank))
                 sf = lin.smith_form(ct)
                 idx = [i for i, d in enumerate(sf.diag) if d > 1]
-                assert len(idx) == 1 and sf.diag[idx[0]] == comp.order
+                if len(idx) != 1 or sf.diag[idx[0]] != comp.order:
+                    raise RuntimeError(f"the center of {f} is not cyclic of order {comp.order}")
                 for j in range(f.rank):
                     row[off + j] = sf.uinv[idx[0]][j]
         rows.append(tuple(row))
@@ -460,7 +462,8 @@ def build_root_datum(lt: LieType, gens: list[KernelGenerator]) -> RootDatum:
             d = sf.diag[j] if j < len(sf.diag) else 0
             basis_rows.append(lin.vec_scale(cols[j], modulus // gcd(d, modulus)))
         basis = lin.row_hnf(lin.freeze(basis_rows))
-        assert len(basis) == n
+        if len(basis) != n:
+            raise RuntimeError("the character lattice basis has the wrong rank")
     else:
         basis = lin.identity(n)
     roots_w, coroots_w = _weight_basis_roots(lt)
@@ -468,7 +471,8 @@ def build_root_datum(lt: LieType, gens: list[KernelGenerator]) -> RootDatum:
     simple_roots = []
     for a in roots_w:
         sol = lin.solve_int(bt, a)
-        assert sol is not None, "root lattice escaped the character lattice"
+        if sol is None:
+            raise RuntimeError("root lattice escaped the character lattice")
         simple_roots.append(sol)
     simple_coroots = [lin.mat_vec(basis, av) for av in coroots_w]
     cartan = lin.freeze(
@@ -477,7 +481,8 @@ def build_root_datum(lt: LieType, gens: list[KernelGenerator]) -> RootDatum:
     expected = [
         [lin.vec_dot(a, bv) for bv in coroots_w] for a in roots_w
     ]
-    assert cartan == lin.freeze(expected)
+    if cartan != lin.freeze(expected):
+        raise RuntimeError("the quotient changed the Cartan matrix")
     return RootDatum(
         rank=n,
         basis=basis,

@@ -167,7 +167,8 @@ def weyl_matrix(rd: RootDatum, images: tuple[int, ...]) -> lin.Matrix:
     ]
     num, den = _cartan_inverse(rd.cartan)
     f = lin.mat_mul(num, lin.freeze(e_minus_1))
-    assert all(x % den == 0 for row in f for x in row)
+    if any(x % den for row in f for x in row):
+        raise RuntimeError("w(omega) - omega is not in the root lattice")
     u = lin.mat_mul(lin.freeze([[x // den for x in row] for row in f]), rd.simple_roots)
     return lin.mat_add(lin.identity(n), lin.mat_mul(lin.transpose(u), rd.simple_coroots))
 
@@ -199,14 +200,9 @@ def _has_diagram_automorphism(f: Factor) -> bool:
 
 def _opposition_perm(f: Factor) -> tuple[int, ...]:
     """Action of -w0 on the simple roots of one factor."""
-    n = f.rank
-    if f.letter == "A":
-        return tuple(range(n - 1, -1, -1))
-    if f.letter == "D" and n % 2 == 1:
-        return _swap_last_two(n)
-    if f.letter == "E" and n == 6:
-        return (5, 1, 4, 3, 2, 0)
-    return tuple(range(n))
+    if f.letter == "A" or (f.letter == "D" and f.rank % 2) or (f.letter, f.rank) == ("E", 6):
+        return _diagram_auto_perm(f)
+    return tuple(range(f.rank))
 
 
 def _diagram_auto_perm(f: Factor) -> tuple[int, ...]:
@@ -259,17 +255,22 @@ def inner_class_involution(letters: str, rd: RootDatum, lt: LieType) -> InnerCla
     units = parse_units(letters, lt)
     n = lt.rank
     mat = [[0] * n for _ in range(n)]
+    # perm acts on the simple roots, numbered factor by factor like units
+    perm: list[int] = []
     for letter, fids in units:
+        f = lt.factors[fids[0]]
         if letter == "C":
             i1, i2 = fids
             off1, off2 = lt.coord_offsets[i1], lt.coord_offsets[i2]
-            for k in range(lt.factors[i1].rank):
+            for k in range(f.rank):
                 mat[off2 + k][off1 + k] = 1
                 mat[off1 + k][off2 + k] = 1
+            if f.letter != "T":
+                base = len(perm)
+                perm.extend(range(base + f.rank, base + 2 * f.rank))
+                perm.extend(range(base, base + f.rank))
             continue
-        (fi,) = fids
-        f = lt.factors[fi]
-        off = lt.coord_offsets[fi]
+        off = lt.coord_offsets[fids[0]]
         if f.letter == "T":
             mat[off][off] = -1 if letter == "s" else 1
         else:
@@ -279,6 +280,8 @@ def inner_class_involution(letters: str, rd: RootDatum, lt: LieType) -> InnerCla
                 p = _opposition_perm(f)
             else:
                 p = tuple(range(f.rank))
+            base = len(perm)
+            perm.extend(base + q for q in p)
             for k in range(f.rank):
                 mat[off + p[k]][off + k] = 1
     delta_sc = lin.freeze(mat)
@@ -291,36 +294,12 @@ def inner_class_involution(letters: str, rd: RootDatum, lt: LieType) -> InnerCla
         if any(x % den for row in cand for x in row):
             raise InputError(INCOMPATIBLE)
         delta = lin.freeze([[x // den for x in row] for row in cand])
-    assert lin.mat_mul(delta, delta) == lin.identity(n)
-    perm = _simple_perm(units, lt)
+    if lin.mat_mul(delta, delta) != lin.identity(n):
+        raise RuntimeError("the inner-class involution does not square to 1")
     for i, p in enumerate(perm):
-        assert lin.mat_vec(delta, rd.simple_roots[i]) == rd.simple_roots[p]
-    return InnerClassInvolution(letters.strip(), rd, lt, delta, perm, units)
-
-
-def _simple_perm(units, lt: LieType) -> tuple[int, ...]:
-    simple_offset = {}
-    count = 0
-    for i, f in enumerate(lt.factors):
-        if f.letter != "T":
-            simple_offset[i] = count
-            count += f.rank
-    perm = list(range(count))
-    for letter, fids in units:
-        f = lt.factors[fids[0]]
-        if f.letter == "T":
-            continue
-        if letter == "C":
-            o1, o2 = simple_offset[fids[0]], simple_offset[fids[1]]
-            for k in range(f.rank):
-                perm[o1 + k] = o2 + k
-                perm[o2 + k] = o1 + k
-        elif letter in ("s", "u"):
-            p = _opposition_perm(f) if letter == "s" else _diagram_auto_perm(f)
-            o = simple_offset[fids[0]]
-            for k in range(f.rank):
-                perm[o + k] = o + p[k]
-    return tuple(perm)
+        if lin.mat_vec(delta, rd.simple_roots[i]) != rd.simple_roots[p]:
+            raise RuntimeError("the inner-class involution does not permute the simple roots")
+    return InnerClassInvolution(letters.strip(), rd, lt, delta, tuple(perm), units)
 
 
 class InvolutionTable:
@@ -400,8 +379,8 @@ class InvolutionTable:
             self._rows.append([None] * len(self.simple))
             self._uf.append(tid)
             queue.append(tid)
-        else:
-            assert self.lengths[tid] == tl
+        elif self.lengths[tid] != tl:
+            raise RuntimeError("a twisted involution is met at two lengths")
         return tid
 
     def _find(self, i: int) -> int:

@@ -439,6 +439,96 @@ def test_cayley_rejects_roots_of_the_wrong_kind():
     assert ic.inverse_cayley(0, split)
 
 
+# -- gradings ---------------------------------------------------------
+
+
+def reference_csc_bits(ic, inv):
+    """Simple-coroot coefficients of the rho-check drop at inv, mod 2."""
+    rd = ic.rd
+    sf = lin.smith_form(
+        lin.transpose(lin.freeze(rd.simple_coroots)), ncols=rd.semisimple_rank
+    )
+    coeffs = lin.solve_int_presolved(sf, ic._rho_check_drop(inv))
+    assert coeffs is not None
+    return tuple(c % 2 for c in coeffs[: rd.semisimple_rank])
+
+
+def reference_root_grading(ic, x, root, bits):
+    """Grading by transport along cross actions: the reference.
+
+    A simple root j is graded by the base-point rule, whose constant
+    comes from the coroot coefficients at j of the rho-check drop at x
+    and at its Cayley transform (bits caches them per involution); any
+    other root is carried one height step down by the cross action of
+    the first simple reflection that lowers it, together with x.
+    """
+    inv, t = x
+    ht = sum(root.coeffs)
+    if ht == 1:
+        j = root.coeffs.index(1)
+        kind, target = ic.table.status_row(inv)[j]
+        assert kind == IMAGINARY
+        for i in (inv, target):
+            if i not in bits:
+                bits[i] = reference_csc_bits(ic, i)
+        shift = (1 + bits[inv][j] + bits[target][j]) % 2
+        d = ic.denom
+        return (2 * lin.vec_dot(root.vec, t) + (shift - 1) * d) % (2 * d) == 0
+    pos = ic.rd.positive_roots
+    k = ic.rd.root_index[root.vec]
+    for j, s in enumerate(ic.table.simple):
+        img = ic.table.reflections[s][k]
+        if img < len(pos) and sum(pos[img].coeffs) < ht:
+            return reference_root_grading(ic, ic.cross(j, x), pos[img], bits)
+    raise AssertionError("no descent for imaginary root")
+
+
+GRADING_GROUPS = [
+    (text, letter, kernel)
+    for text, letters in [
+        ("A1", "s c"), ("A2", "s c u"), ("A3", "s c u"), ("A4", "s c u"),
+        ("B2", "s c"), ("B3", "s c"), ("B4", "s c"), ("C2", "s c"), ("C3", "s c"),
+        ("C4", "s c"), ("D4", "s c u"), ("G2", "s"), ("F4", "s"), ("A1.T1", "ss sc"),
+        ("A2.T1", "sc"), ("T2", "C"), ("A1.A1", "ss C"),
+    ]
+    for letter in letters.split()
+    for kernel in (None, "ad")
+] + [("D4", "s", "1/2,0"), ("A5", "s", "1/3")]
+
+
+@pytest.mark.parametrize("text,letters,kernel", GRADING_GROUPS)
+def test_closed_form_grading_matches_transport(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    bits = {}
+    for inv in range(len(ic.table)):
+        imaginary = ic.roots(ic.table.imaginary_roots(inv))
+        for sq in ic.square_classes:
+            for t in ic.fiber_elements(inv, sq.key):
+                for root in imaginary:
+                    assert ic.root_grading((inv, t), root) == \
+                        reference_root_grading(ic, (inv, t), root, bits)
+                for j, (kind, _) in enumerate(ic.table.status_row(inv)):
+                    if kind == IMAGINARY:
+                        simple = ic.rd.positive_roots[ic.rd.root_index[ic.rd.simple_roots[j]]]
+                        assert ic.grading((inv, t), j) == \
+                            reference_root_grading(ic, (inv, t), simple, bits)
+
+
+def test_grading_rejects_roots_that_are_not_imaginary():
+    ic = context("B2", "s")
+    for inv in range(len(ic.table)):
+        x = (inv, lin.zero_vector(ic.rd.rank))
+        imaginary = set(ic.table.imaginary_roots(inv))
+        for k, root in enumerate(ic.rd.positive_roots):
+            if k not in imaginary:
+                with pytest.raises(RuntimeError, match="not imaginary"):
+                    ic.root_grading(x, root)
+        for j, (kind, _) in enumerate(ic.table.status_row(inv)):
+            if kind != IMAGINARY:
+                with pytest.raises(RuntimeError, match="not imaginary"):
+                    ic.grading(x, j)
+
+
 RECORD_GROUPS = [
     ("A3", "c", None), ("C2", "s", None), ("A5", "s", None), ("B3", "s", None),
     ("D4", "s", None), ("G2", "s", None), ("A3", "c", "ad"),

@@ -399,20 +399,38 @@ def test_status_rows():
                 assert back[1] == i
 
 
+def base_gradings(ic):
+    """Grading of the simple root at every base point, by torus part."""
+    out = {}
+    for sq in ic.square_classes:
+        for t in ic.fiber_elements(0, sq.key):
+            out[t] = ic.grading((0, t), 0)
+            if out[t]:
+                # the Cayley transform lands at involution 1, where alpha is real
+                up = ic.cayley(0, (0, t))
+                assert up[0] == 1
+                with pytest.raises(RuntimeError, match="not imaginary"):
+                    ic.grading(up, 0)
+    return out
+
+
 def test_grading_shift_sl2():
     rd, _, d = context("A1", "c")
     ic = InnerClass(d)
     assert ic.cbits(0) == (0,)
     assert ic.cbits(1) == (1,)
-    assert ic.csc_bits(1) == (1,)
-    assert ic.grading_shift(0, 0) == 0
+    # the base-point constant is 0: alpha = 2 omega is noncompact at
+    # (0, t) exactly when 2 <alpha, t> / denom is odd, denom being 4
+    assert ic.denom == 4
+    assert base_gradings(ic) == {(0,): False, (1,): True, (2,): False, (3,): True}
 
 
 def test_grading_shift_isogeny_invariant():
     _, _, d = context("A1", "c", kernel="ad")
     ic = InnerClass(d)
-    assert ic.csc_bits(1) == (1,)
-    assert ic.grading_shift(0, 0) == 0
+    # the same rule in PGL(2): alpha = omega here
+    assert ic.denom == 4
+    assert base_gradings(ic) == {(0,): False, (2,): True}
 
 
 @pytest.mark.parametrize("text,letters", [
