@@ -205,7 +205,11 @@ class CartanClass:
 
 
 def cartan_class(ic: InnerClass, c: int) -> CartanClass:
+    """The class record, built once per context and class and cached on ic."""
     ic.check(cartan=c)
+    out = ic._cartan_classes.get(c)
+    if out is not None:
+        return out
     table = ic.table
     inv = table.canonical_member(c)
     dec = ic.cartan_ranks(c)
@@ -213,7 +217,7 @@ def cartan_class(ic: InnerClass, c: int) -> CartanClass:
     # The fiber partition has one square class exactly when the center
     # is trivial, so it is read off the adjoint inner class.
     entries = tuple(e for _, es in ic._ad.strong_real_forms_at(c) for e in es)
-    return CartanClass(
+    out = ic._cartan_classes[c] = CartanClass(
         index=c,
         word=table.word(inv),
         decomposition=dec,
@@ -225,6 +229,7 @@ def cartan_class(ic: InnerClass, c: int) -> CartanClass:
         complex_type=system_type(_complex_factor(ic, inv)[0]),
         partition=entries,
     )
+    return out
 
 
 def cartan_classes(ic: InnerClass, form: int) -> tuple[CartanClass, ...]:

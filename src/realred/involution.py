@@ -9,6 +9,11 @@ noncompact at x is one parity in closed form (root_grading): a pairing
 with t plus the root's heights over the simple roots and over the
 imaginary simple roots.  Everything here is organised around one
 InnerClass object per (root datum, involution).
+
+Fibers are affine spaces over F2.  theta* comes from the table parent
+by rank-one reflection updates; the key of x is t paired with a basis
+of the theta-fixed characters mod denom (x_key), linear in t, so fiber
+points and their cross actions are keyed by affine updates.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .weyl import (
     InvolutionTable,
     inner_class_involution,
     involution_table,
-    weyl_matrix,
 )
 
 # x = (involution id, cocharacter numerator vector)
@@ -141,6 +145,14 @@ def _split_product(total: int, s: int) -> tuple[int, int]:
     return p, q
 
 
+def _times_coreflection(m: lin.Matrix, a: lin.Vector, av: lin.Vector) -> lin.Matrix:
+    """m (1 - av a^T): each row r loses <r, av> a."""
+    return tuple(
+        tuple(x - c * y for x, y in zip(row, a)) if (c := lin.vec_dot(row, av)) else row
+        for row in m
+    )
+
+
 class InnerClass:
     """All strong real form data for one inner class of real forms."""
 
@@ -149,13 +161,17 @@ class InnerClass:
         self.rd: RootDatum = delta.rd
         self.lt: LieType = delta.lt
         self.table: InvolutionTable = involution_table(delta)
-        self._theta_star: dict[int, lin.Matrix] = {}
+        self._dstar: lin.Matrix = lin.transpose(delta.matrix)
+        self._theta_star: dict[int, lin.Matrix] = {0: self._dstar}
         self._cbits: dict[int, lin.Vector] = {}
         self._heights: dict[int, lin.Vector] = {}
-        self._minus_smith: dict[int, lin.SmithForm] = {}
+        self._fixed_rows_at: dict[int, tuple[lin.Vector, tuple[lin.Vector, ...]]] = {}
         self._plus_smith: dict[int, lin.SmithForm] = {}
         self._fibers: dict[tuple[int, tuple], tuple[lin.Vector, ...]] = {}
+        self._fiber_keys: dict[tuple[int, tuple], tuple[tuple, ...]] = {}
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
+        # cartan.CartanClass by class index, built by cartan.cartan_class
+        self._cartan_classes: dict[int, object] = {}
         self._ranks_at: dict[int, RankDecomposition] = {}
 
     def check(self, form: int | None = None, cartan: int | None = None) -> None:
@@ -174,10 +190,6 @@ class InnerClass:
         return [self.rd.positive_roots[k] for k in indices]
 
     # -- central square classes ----------------------------------------
-
-    @cached_property
-    def _dstar(self) -> lin.Matrix:
-        return lin.transpose(self.delta.matrix)
 
     @cached_property
     def _dstar_minus_one(self) -> lin.Matrix:
@@ -316,11 +328,33 @@ class InnerClass:
     # -- per-involution linear data ------------------------------------
 
     def theta_star(self, inv: int) -> lin.Matrix:
-        """Action of the involution on cocharacters: its transposed matrix."""
-        out = self._theta_star.get(inv)
-        if out is None:
-            w = weyl_matrix(self.rd, self.table.weyl_images(inv))
-            out = self._theta_star[inv] = lin.transpose(lin.mat_mul(w, self.delta.matrix))
+        """Action of the involution on cocharacters: its transposed matrix.
+
+        The first simple root j that is a complex descent or real at inv
+        leads to the table parent, one twisted length shorter.  With
+        C_j = 1 - alpha_j^v alpha_j^T, theta* is C_j theta*_nbr C_j (j
+        complex, inv = s_j nbr s_j) or theta*_nbr C_j (j real, inv =
+        s_j nbr).  Walks down to a cached ancestor, delta* at the base.
+        """
+        chain = []
+        while inv not in self._theta_star:
+            row = self.table.status_row(inv)
+            j = next(
+                (j for j, (kind, _) in enumerate(row) if kind in (COMPLEX_DOWN, REAL)),
+                None,
+            )
+            if j is None:
+                raise RuntimeError(f"involution {inv} has no table parent")
+            chain.append((inv, j))
+            inv = row[j][1]
+        out = self._theta_star[inv]
+        for inv, j in reversed(chain):
+            a, av = self.rd.simple_roots[j], self.rd.simple_coroots[j]
+            out = _times_coreflection(out, a, av)
+            if self.table.status_row(inv)[j][0] == COMPLEX_DOWN:
+                # C_j m is the transpose of m^T (1 - alpha_j alpha_j^v^T)
+                out = lin.transpose(_times_coreflection(lin.transpose(out), av, a))
+            self._theta_star[inv] = out
         return out
 
     def cbits(self, inv: int) -> lin.Vector:
@@ -331,20 +365,32 @@ class InnerClass:
         return out
 
     def _rho_check_drop(self, inv: int) -> lin.Vector:
-        # w acts on cocharacters by transpose(delta.theta) = theta_star.delta*
-        w_star = lin.mat_mul(self.theta_star(inv), self._dstar)
-        two_rho = self.rd.two_rho_check
-        two = lin.vec_sub(two_rho, lin.mat_vec(w_star, two_rho))
-        if any(x % 2 for x in two):
-            raise RuntimeError("rho-check minus its image is not even")
-        return tuple(x // 2 for x in two)
+        """rho-check minus its image under theta* delta*, for theta_inv = w.delta.
 
-    def _smith_minus(self, inv: int) -> lin.SmithForm:
-        out = self._minus_smith.get(inv)
+        theta* delta* is the cocharacter action of u = delta w^-1 delta,
+        and u^-1 beta = theta beta, so this is the sum of the positive
+        coroots beta^v with theta beta negative.
+        """
+        theta = self.table.thetas[inv]
+        npos = len(self.table.reflections)
+        out = lin.zero_vector(self.rd.rank)
+        for k, root in enumerate(self.rd.positive_roots):
+            if theta[k] >= npos:
+                out = lin.vec_add(out, root.covec)
+        return out
+
+    def _fixed_rows(self, inv: int) -> tuple[lin.Vector, tuple[lin.Vector, ...]]:
+        """(zero prefix, rows) of the key at inv, cached.
+
+        The rows of the Smith uinv of 1 - theta* at its zero divisors
+        (the trailing ones) are a Z-basis of the theta-fixed characters;
+        the other key coordinates are 0.
+        """
+        out = self._fixed_rows_at.get(inv)
         if out is None:
             n = self.rd.rank
-            m = lin.mat_sub(lin.identity(n), self.theta_star(inv))
-            out = self._minus_smith[inv] = lin.smith_form(m, ncols=n)
+            sf = lin.smith_form(lin.mat_sub(lin.identity(n), self.theta_star(inv)), ncols=n)
+            out = self._fixed_rows_at[inv] = ((0,) * sf.rank, sf.uinv[sf.rank:])
         return out
 
     def _smith_plus(self, inv: int) -> lin.SmithForm:
@@ -356,15 +402,21 @@ class InnerClass:
         return out
 
     def x_key(self, x: StrongX) -> tuple:
-        """Canonical key of x modulo torus-conjugation equivalence."""
+        """Canonical key of x modulo torus-conjugation equivalence.
+
+        x = (i, t) is keyed by t paired with a Z-basis of the characters
+        fixed by theta_i (_fixed_rows), mod denom, behind zeros at the
+        nonzero Smith divisors of 1 - theta*.  It is linear in t.
+        """
         inv, t = x
-        sf = self._smith_minus(inv)
-        s = lin.mat_vec(sf.uinv, t)
-        key = tuple(
-            0 if (i < len(sf.diag) and sf.diag[i]) else s[i] % self.denom
-            for i in range(len(s))
-        )
-        return (inv, key)
+        zeros, rows = self._fixed_rows(inv)
+        d = self.denom
+        return (inv, zeros + tuple(lin.vec_dot(r, t) % d for r in rows))
+
+    def _reflect(self, j: int, t: lin.Vector) -> lin.Vector:
+        """s_j t = t - <alpha_j, t> alpha_j^v, on cocharacters."""
+        c = lin.vec_dot(self.rd.simple_roots[j], t)
+        return lin.vec_sub(t, lin.vec_scale(self.rd.simple_coroots[j], c)) if c else t
 
     def _square_numerators(self, x: StrongX) -> lin.Vector:
         """Numerators over denom of the square value of x."""
@@ -397,6 +449,7 @@ class InnerClass:
 
         Elements are reduced numerators over denom, in closure order.
         Empty when the square class is not realized over this involution.
+        Their x_keys are kept in _fiber_keys, in the same order.
         """
         cached = self._fibers.get((inv, key))
         if cached is not None:
@@ -410,6 +463,7 @@ class InnerClass:
         t0 = lin.solve_mod_presolved(sf, target, d)
         if t0 is None:
             out: tuple[lin.Vector, ...] = ()
+            keys: tuple[tuple, ...] = ()
         else:
             cols = lin.transpose(sf.vinv)
             gens = []
@@ -419,17 +473,18 @@ class InnerClass:
                 if e == 2:
                     gens.append(lin.vec_scale(cols[i], d // 2))
             t0 = lin.vec_mod(t0, d)
-            seen = {self.x_key((inv, t0)): t0}
-            queue = [t0]
-            while queue:
-                cur = queue.pop(0)
-                for g in gens:
-                    nxt = lin.vec_mod(lin.vec_add(cur, g), d)
-                    k = self.x_key((inv, nxt))
+            # keys are linear in t: key(t + g) = key(t) + key(g) mod d
+            gen_keys = [self.x_key((inv, g))[1] for g in gens]
+            k0 = self.x_key((inv, t0))
+            seen = {k0: t0}
+            queue = [(t0, k0[1])]
+            for cur, kcur in queue:
+                for g, kg in zip(gens, gen_keys):
+                    k = (inv, tuple((a + b) % d for a, b in zip(kcur, kg)))
                     if k not in seen:
-                        seen[k] = nxt
-                        queue.append(nxt)
-            out = tuple(seen.values())
+                        seen[k] = lin.vec_mod(lin.vec_add(cur, g), d)
+                        queue.append((seen[k], k[1]))
+            out, keys = tuple(seen.values()), tuple(seen)
             if len(out) != 1 << self._ranks(inv).compact:
                 raise RuntimeError("fiber size is not 2^(fiber rank)")
             # every generator g has (1 + theta*) g = 0 mod d, so all
@@ -441,6 +496,7 @@ class InnerClass:
                     self.central_class_key(self._square_numerators((inv, out[0])), d) != key:
                 raise RuntimeError("fiber element squares outside its square class")
         self._fibers[(inv, key)] = out
+        self._fiber_keys[(inv, key)] = keys
         return out
 
     # -- cross actions, Cayley transforms, gradings ----------------------
@@ -450,7 +506,7 @@ class InnerClass:
         inv, t = x
         kind, nbr = self.table.status_row(inv)[j]
         rd = self.rd
-        t2 = lin.mat_vec(rd.coreflections[j], t)
+        t2 = self._reflect(j, t)
         half = self.denom // 2
         if kind in (IMAGINARY, REAL):
             return (inv, lin.vec_mod(t2, self.denom))
@@ -535,16 +591,18 @@ class InnerClass:
             raise ValueError(f"simple root {j} is not imaginary at involution {inv}")
         if not self.grading(x, j):
             raise ValueError(f"simple root {j} is compact at this strong involution")
-        t2 = lin.mat_vec(self.rd.coreflections[j], t)
-        return (nbr, lin.vec_mod(t2, self.denom))
+        return (nbr, lin.vec_mod(self._reflect(j, t), self.denom))
 
     def inverse_cayley(self, j: int, x: StrongX) -> tuple[StrongX, ...]:
         """Valid inverse Cayley transforms through a real simple root.
 
         Candidates lie on the coroot line through the reflected torus part;
         the offset is pinned down to two residues by matching squares, and
-        both survive or both fail the noncompactness test.  Raises
-        ValueError when simple root j is not real at x.
+        both survive or both fail the noncompactness test.  theta*_nbr
+        fixes alpha_j^v, so offset c squares to num0 + 2c alpha_j^v; the
+        offsets failing the congruences of _square_key_if_valid are dropped
+        first.  Offsets c, c' give one key when c key(alpha_j^v) =
+        c' key(alpha_j^v).  Raises ValueError when j is not real at x.
         """
         inv, t = x
         kind, nbr = self.table.status_row(inv)[j]
@@ -552,15 +610,25 @@ class InnerClass:
             raise ValueError(f"simple root {j} is not real at involution {inv}")
         d = self.denom
         key = self.central_class_key(self._square_numerators(x), d)
-        base = lin.mat_vec(self.rd.coreflections[j], t)
+        base = self._reflect(j, t)
         av = self.rd.simple_coroots[j]
+        num0 = self._square_numerators((nbr, base))
+        checks = [
+            (lin.vec_dot(r, num0), 2 * lin.vec_dot(r, av))
+            for r in (*self.rd.simple_roots, *self._dstar_minus_one)
+        ]
         out = []
         seen = set()
+        key_av = None
         for c in range(d):
+            if any((a + c * b) % d for a, b in checks):
+                continue
             cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
             if self._square_key_if_valid(cand) != key:
                 continue
-            k = self.x_key(cand)
+            if key_av is None:
+                key_av = self.x_key((nbr, av))[1]
+            k = tuple(c * b % d for b in key_av)
             if k in seen:
                 continue
             seen.add(k)
@@ -631,20 +699,23 @@ class InnerClass:
             return []
         # Every cross action is affine in the torus part, so the cross
         # action of the reflection in an imaginary root beta sends t to
-        # t - <beta, t> beta^v + shift, with the shift read off at t = 0.
+        # t - <beta, t> beta^v + y, y read off at t = 0, and keys alike.
         d = self.denom
         zero = lin.zero_vector(self.rd.rank)
-        index = {self.x_key((inv, t)): i for i, t in enumerate(fiber)}
+        keys = [k for _, k in self._fiber_keys[(inv, key)]]
+        index = {k: i for i, k in enumerate(keys)}
         rows = []
         for k in self.table.imaginary_basis(inv):
             y = self.cross_word(self.table.reflection_word(k), (inv, zero))
             if y[0] != inv:
                 raise RuntimeError("an imaginary reflection moves the involution")
             root = self.rd.positive_roots[k]
+            ky = self.x_key(y)[1]
+            kb = self.x_key((inv, root.covec))[1]
             row = []
-            for t in fiber:
-                moved = lin.vec_sub(t, lin.vec_scale(root.covec, lin.vec_dot(root.vec, t)))
-                row.append(index[self.x_key((inv, lin.vec_mod(lin.vec_add(moved, y[1]), d)))])
+            for t, kt in zip(fiber, keys):
+                c = lin.vec_dot(root.vec, t)
+                row.append(index[tuple((a - c * b + e) % d for a, b, e in zip(kt, kb, ky))])
             rows.append(row)
         orbits = []
         done = set()
@@ -905,10 +976,15 @@ class InnerClass:
 
     @cached_property
     def _base_form_by_key(self) -> dict[tuple, int]:
+        orbits = self._fundamental_orbits  # builds every base fiber
+        keys = {
+            key: dict(zip(self._fibers[(0, key)], self._fiber_keys[(0, key)]))
+            for key in self._realized_keys
+        }
         out = {}
-        for o, (_, members) in enumerate(self._fundamental_orbits):
+        for o, (key, members) in enumerate(orbits):
             for t in members:
-                out[self.x_key((0, t))] = self._orbit_form_indices[o]
+                out[keys[key][t]] = self._orbit_form_indices[o]
         return out
 
     # -- strong real forms at a Cartan class ------------------------------
@@ -973,13 +1049,13 @@ class InnerClass:
         """Rank decomposition of theta* at a twisted involution, cached.
 
         The eigenspace dimensions are read off the cached Smith forms of
-        1 - theta* and 1 + theta*.
+        1 - theta* (its key rows) and 1 + theta*.
         """
         out = self._ranks_at.get(inv)
         if out is None:
             n = self.rd.rank
             c = lin.f2_rank(lin.mat_add(self.theta_star(inv), lin.identity(n)))
-            plus = n - self._smith_minus(inv).rank
+            plus = len(self._fixed_rows(inv)[1])
             minus = n - self._smith_plus(inv).rank
             out = self._ranks_at[inv] = RankDecomposition(
                 split=minus - c, compact=plus - c, complex_pairs=c

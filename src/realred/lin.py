@@ -74,10 +74,6 @@ def vec_mod(v: Vector, m: int) -> Vector:
     return tuple(x % m for x in v)
 
 
-def is_zero(v: Vector) -> bool:
-    return all(x == 0 for x in v)
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """Smith normal form a == u @ diag @ v with unimodular u, v.
@@ -115,10 +111,8 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
     m = len(a)
     n = len(a[0]) if a else (ncols if ncols is not None else 0)
     mm = [list(row) for row in a]
-    p = [list(row) for row in identity(m)]
-    pi = [list(row) for row in identity(m)]
-    q = [list(row) for row in identity(n)]
-    qi = [list(row) for row in identity(n)]
+    p, pi = _identity_lists(m), _identity_lists(m)
+    q, qi = _identity_lists(n), _identity_lists(n)
 
     def row_add(i: int, j: int, c: int) -> None:
         # row_i += c * row_j; mirrored on p, inverted on pi columns.
@@ -213,8 +207,13 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
 
     diag = tuple(mm[i][i] for i in range(limit))
     return SmithForm(
-        u=freeze(pi), uinv=freeze(p), v=freeze(qi), vinv=freeze(q), diag=diag
+        u=tuple(map(tuple, pi)), uinv=tuple(map(tuple, p)),
+        v=tuple(map(tuple, qi)), vinv=tuple(map(tuple, q)), diag=diag,
     )
+
+
+def _identity_lists(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def kernel_basis(a: Matrix, ncols: int) -> tuple[Vector, ...]:
@@ -325,30 +324,6 @@ def f2_rank(a: Matrix) -> int:
         masks = [b for b in masks if b]
         rank += 1
     return rank
-
-
-def det(a: Matrix) -> int:
-    """Determinant of a square integer matrix (exact)."""
-    n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= rows[i][i]
-    if out.denominator != 1:
-        raise RuntimeError("the determinant of an integer matrix is not an integer")
-    return int(out)
 
 
 def mat_inverse_rational(a: Matrix) -> tuple[Matrix, int]:

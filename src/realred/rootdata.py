@@ -79,15 +79,6 @@ class LieType:
         return tuple(out)
 
     @cached_property
-    def simple_positions(self) -> tuple[int, ...]:
-        """Lattice coordinate of each simple root, in global numbering."""
-        out = []
-        for f, off in zip(self.factors, self.coord_offsets):
-            if f.letter != "T":
-                out.extend(range(off, off + f.rank))
-        return tuple(out)
-
-    @cached_property
     def simple_factor_index(self) -> tuple[int, ...]:
         """Internal factor index owning each simple root."""
         out = []
@@ -279,22 +270,6 @@ class RootDatum:
 
     def pairing(self, vec: lin.Vector, covec: lin.Vector) -> int:
         return lin.vec_dot(vec, covec)
-
-    @cached_property
-    def reflections(self) -> tuple[lin.Matrix, ...]:
-        """Simple-reflection matrices acting on character vectors."""
-        out = []
-        for a, av in zip(self.simple_roots, self.simple_coroots):
-            out.append(lin.freeze(
-                [[(1 if r == c else 0) - a[r] * av[c] for c in range(self.rank)]
-                 for r in range(self.rank)]
-            ))
-        return tuple(out)
-
-    @cached_property
-    def coreflections(self) -> tuple[lin.Matrix, ...]:
-        """Simple-reflection matrices acting on cocharacter vectors."""
-        return tuple(lin.transpose(s) for s in self.reflections)
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:

@@ -143,36 +143,6 @@ def reflection_matrix(rd: RootDatum, root: Root) -> lin.Matrix:
     )
 
 
-@cache
-def _cartan_inverse(cartan: lin.Matrix) -> tuple[lin.Matrix, int]:
-    return lin.mat_inverse_rational(cartan)
-
-
-def weyl_matrix(rd: RootDatum, images: tuple[int, ...]) -> lin.Matrix:
-    """Matrix on characters of the w sending simple root j to root images[j].
-
-    w(x) = x + sum_k <x, coroot_k> u_k, where u_k = w(omega_k) - omega_k
-    for the fundamental weights omega_k.  Writing row j of E for the
-    simple-root coordinates of w(alpha_j), the u_k have simple-root
-    coordinates C^-1 (E - 1), with C the Cartan matrix.
-    """
-    n = rd.rank
-    if not images:
-        return lin.identity(n)
-    npos = len(rd.positive_roots)
-    e_minus_1 = [
-        [(c if k < npos else -c) - (1 if l == j else 0)
-         for l, c in enumerate(rd.positive_roots[k % npos].coeffs)]
-        for j, k in enumerate(images)
-    ]
-    num, den = _cartan_inverse(rd.cartan)
-    f = lin.mat_mul(num, lin.freeze(e_minus_1))
-    if any(x % den for row in f for x in row):
-        raise RuntimeError("w(omega) - omega is not in the root lattice")
-    u = lin.mat_mul(lin.freeze([[x // den for x in row] for row in f]), rd.simple_roots)
-    return lin.mat_add(lin.identity(n), lin.mat_mul(lin.transpose(u), rd.simple_coroots))
-
-
 @dataclass(frozen=True)
 class InnerClassInvolution:
     """A based involution delta of the character lattice.
@@ -408,11 +378,6 @@ class InvolutionTable:
     def cayley(self, i: int, k: int) -> int:
         """Id of s_k.theta_i, for a positive root k imaginary at i."""
         return self.index[tuple(map(self.reflections[k].__getitem__, self.thetas[i]))]
-
-    def weyl_images(self, i: int) -> tuple[int, ...]:
-        """Root indices of w(alpha_j), for theta_i = w.delta."""
-        theta, delta = self.thetas[i], self.thetas[0]
-        return tuple(theta[delta[s]] for s in self.simple)
 
     def word(self, i: int) -> tuple[int, ...]:
         """Displayed reduced word of w = theta.delta, delta being an involution."""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realred import cartan as cartan_module
 from realred.cartan import (
     CartanClass,
     RealWeylDecomposition,
@@ -334,6 +335,26 @@ def test_decomposition_ranks_add_up():
         ic = context(text, letters)
         for d in decompositions(ic).values():
             assert d[0] + d[1] + 2 * d[2] == ic.rd.semisimple_rank
+
+
+def test_cartan_reports_build_each_class_once(monkeypatch):
+    # each build of a class record takes the complex factor of its class once
+    built = []
+    complex_factor = cartan_module._complex_factor
+
+    def counted(ic, inv):
+        built.append(ic.table.class_of[inv])
+        return complex_factor(ic, inv)
+
+    monkeypatch.setattr(cartan_module, "_complex_factor", counted)
+    ic = context("B4", "s")
+    reports = [format_cartan_report(ic, f) for f in range(len(ic.real_forms))]
+    # the five forms meet the nine classes 22 times
+    assert sum(len(ic.form_cartans(f)) for f in range(len(ic.real_forms))) == 22
+    assert sorted(built) == list(range(len(ic.table.classes))) == list(range(9))
+    assert cartan_class(ic, 3) is cartan_class(ic, 3)
+    assert reports == [format_cartan_report(ic, f) for f in range(len(ic.real_forms))]
+    assert len(built) == 9
 
 
 def test_quasisplit_form_meets_every_cartan_class():

@@ -31,7 +31,8 @@ from realred.weyl import (
     reflection_matrix,
 )
 
-from test_weyl import reference_normal_form_word
+from test_rootdata import coreflections, reflections
+from test_weyl import reference_normal_form_word, reference_theta_star
 
 
 def context(text, letters, kernel=None):
@@ -397,7 +398,7 @@ def test_square_key_integer_check_matches_fractions(text, letters, kernel):
             if kind != REAL:
                 continue
             # the candidates inverse_cayley tries
-            base = lin.mat_vec(ic.rd.coreflections[j], t)
+            base = lin.mat_vec(coreflections(ic.rd)[j], t)
             av = ic.rd.simple_coroots[j]
             for c in range(d):
                 cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
@@ -694,10 +695,103 @@ def test_theta_matrix_matches_word_and_permutation(text, letters, kernel):
         theta = lin.transpose(ic.theta_star(i))
         w = lin.identity(rd.rank)
         for j in table.word(i):
-            w = lin.mat_mul(w, rd.reflections[j])
+            w = lin.mat_mul(w, reflections(rd)[j])
         assert theta == lin.mat_mul(w, ic.delta.matrix)
         for j, a in enumerate(rd.simple_roots):
             assert lin.mat_vec(theta, a) == rd.roots[table.thetas[i][table.simple[j]]]
+
+
+# -- fiber coordinates against the matrix references -----------------------
+
+# every twisted involution of these, sc and ad, is checked
+THETA_GROUPS = [
+    (text, letters, kernel)
+    for text, letters in [
+        ("A1", "s"), ("A3", "c"), ("A4", "s"), ("A5", "s"), ("B3", "s"),
+        ("C4", "s"), ("D4", "s"), ("D4", "u"), ("D5", "s"), ("G2", "s"),
+        ("F4", "s"), ("E6", "s"), ("E6", "c"), ("A1.T1", "sc"),
+        ("A3.T1", "ss"), ("A2.A2", "C"), ("T2", "C"),
+    ]
+    for kernel in (None, "ad")
+]
+
+
+def reference_rho_check_drop(ic, inv):
+    """(2 rho-check - w* 2 rho-check) / 2, w acting on cocharacters by theta* delta*."""
+    w_star = lin.mat_mul(reference_theta_star(ic, inv), ic._dstar)
+    two_rho = ic.rd.two_rho_check
+    two = lin.vec_sub(two_rho, lin.mat_vec(w_star, two_rho))
+    assert not any(x % 2 for x in two)
+    return tuple(x // 2 for x in two)
+
+
+@pytest.mark.parametrize("text,letters,kernel", THETA_GROUPS)
+def test_theta_star_and_rho_drop_match_weyl_matrix(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    # from the top down, so most walks pass several uncached ancestors
+    for inv in reversed(range(len(ic.table))):
+        assert ic.theta_star(inv) == reference_theta_star(ic, inv)
+        assert ic._rho_check_drop(inv) == reference_rho_check_drop(ic, inv)
+
+
+def reference_x_key(ic, x):
+    """The key from every row of the Smith uinv of 1 - theta*."""
+    inv, t = x
+    n = ic.rd.rank
+    sf = lin.smith_form(lin.mat_sub(lin.identity(n), ic.theta_star(inv)), ncols=n)
+    s = lin.mat_vec(sf.uinv, t)
+    return (inv, tuple(0 if sf.diag[i] else s[i] % ic.denom for i in range(n)))
+
+
+def reference_inverse_cayley(ic, j, x):
+    """Every offset of the coroot line scanned, with coreflection matrices."""
+    inv, t = x
+    _, nbr = ic.table.status_row(inv)[j]
+    d = ic.denom
+    key = ic.central_class_key(ic._square_numerators(x), d)
+    base = lin.mat_vec(coreflections(ic.rd)[j], t)
+    av = ic.rd.simple_coroots[j]
+    out = []
+    seen = set()
+    for c in range(d):
+        cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
+        if ic._square_key_if_valid(cand) != key:
+            continue
+        k = reference_x_key(ic, cand)
+        if k not in seen:
+            seen.add(k)
+            if ic.grading(cand, j):
+                out.append(cand)
+    return tuple(out)
+
+
+FIBER_GROUPS = [
+    ("A3", "c", None), ("C2", "s", None), ("A5", "s", None), ("B3", "s", None),
+    ("D4", "s", None), ("G2", "s", None), ("A3", "c", "ad"), ("A3", "s", "2/4"),
+    ("D4", "u", "1/2,1/2"), ("A1.T1", "sc", None),
+]
+
+
+@pytest.mark.parametrize("text,letters,kernel", FIBER_GROUPS)
+def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    points = cayleys = 0
+    for inv in range(len(ic.table)):
+        for sq in ic.square_classes:
+            fiber = ic.fiber_elements(inv, sq.key)
+            # keys found by affine updates are the keys of the points
+            assert list(ic._fiber_keys[(inv, sq.key)]) == \
+                [reference_x_key(ic, (inv, t)) for t in fiber]
+            for t in fiber:
+                x = (inv, t)
+                assert ic.x_key(x) == reference_x_key(ic, x)
+                for j, (kind, _) in enumerate(ic.table.status_row(inv)):
+                    if kind == REAL:
+                        got = ic.inverse_cayley(j, x)
+                        assert got == reference_inverse_cayley(ic, j, x)
+                        cayleys += bool(got)
+                points += 1
+    assert points and cayleys
 
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",

@@ -19,6 +19,8 @@ from realred.rootdata import (
 )
 from realred.weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL
 
+from test_rootdata import reflections
+
 
 def context(text, letters, kernel=None):
     lt = parse_lie_type(text)
@@ -259,7 +261,7 @@ def test_kgb_of_complex_group_enumerates_weyl_group():
             m = lin.identity(ic.rd.rank)
             for c in e.word:
                 if c < n1:
-                    m = lin.mat_mul(m, ic.rd.reflections[c])
+                    m = lin.mat_mul(m, reflections(ic.rd)[c])
             halves.add(m)
             assert len(tuple(c for c in e.word if c < n1)) * 2 == len(e.word)
         assert len(halves) == g.size

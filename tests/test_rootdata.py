@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -19,6 +20,34 @@ from realred.rootdata import (
     parse_kernel_generator,
     parse_lie_type,
 )
+
+from test_lin import det
+
+
+def simple_positions(lt: rootdata.LieType) -> tuple[int, ...]:
+    """Lattice coordinate of each simple root, in global numbering."""
+    out = []
+    for f, off in zip(lt.factors, lt.coord_offsets):
+        if f.letter != "T":
+            out.extend(range(off, off + f.rank))
+    return tuple(out)
+
+
+@cache
+def reflections(rd: rootdata.RootDatum) -> tuple[lin.Matrix, ...]:
+    """Simple-reflection matrices acting on character vectors."""
+    return tuple(
+        lin.freeze(
+            [[(1 if r == c else 0) - a[r] * av[c] for c in range(rd.rank)]
+             for r in range(rd.rank)]
+        )
+        for a, av in zip(rd.simple_roots, rd.simple_coroots)
+    )
+
+
+def coreflections(rd: rootdata.RootDatum) -> tuple[lin.Matrix, ...]:
+    """Simple-reflection matrices acting on cocharacter vectors."""
+    return tuple(lin.transpose(s) for s in reflections(rd))
 
 
 def datum(text: str, kernel: str | None = None) -> rootdata.RootDatum:
@@ -50,7 +79,7 @@ def test_parse_product_expands_torus() -> None:
     assert lt.rank == 13
     assert lt.semisimple_rank == 9
     assert str(lt) == "A1.T1.B2.C2.T1.C3.T2.A1"
-    assert lt.simple_positions == (0, 2, 3, 4, 5, 7, 8, 9, 12)
+    assert simple_positions(lt) == (0, 2, 3, 4, 5, 7, 8, 9, 12)
 
 
 @pytest.mark.parametrize("bad", ["", "H3", "A0", "B1", "C1", "D1", "E5",
@@ -118,7 +147,7 @@ def test_adjoint_a1() -> None:
 ])
 def test_quotient_lattice_index(text: str, kernel: str, index: int) -> None:
     rd = datum(text, kernel)
-    assert abs(lin.det(rd.basis)) == index
+    assert abs(det(rd.basis)) == index
 
 
 def test_bad_kernel_rejected() -> None:
@@ -153,7 +182,7 @@ def test_root_lattice_index_matches_center_order() -> None:
     for text, order in [("A3", 4), ("B3", 2), ("C4", 2), ("D4", 4),
                         ("D5", 4), ("E6", 3), ("G2", 1)]:
         rd = datum(text)
-        assert abs(lin.det(lin.freeze(rd.simple_roots))) == order
+        assert abs(det(lin.freeze(rd.simple_roots))) == order
 
 
 def test_two_rho() -> None:
@@ -166,12 +195,12 @@ def test_two_rho() -> None:
 
 def test_reflections() -> None:
     rd = datum("B2")
-    for j, s in enumerate(rd.reflections):
+    for j, s in enumerate(reflections(rd)):
         assert lin.mat_mul(s, s) == lin.identity(2)
         assert lin.mat_vec(s, rd.simple_roots[j]) == lin.vec_neg(
             rd.simple_roots[j]
         )
-    for j, s in enumerate(rd.coreflections):
+    for j, s in enumerate(coreflections(rd)):
         assert lin.mat_vec(s, rd.simple_coroots[j]) == lin.vec_neg(
             rd.simple_coroots[j]
         )

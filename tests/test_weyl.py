@@ -21,8 +21,50 @@ from realred.weyl import (
     normal_form_word,
     parse_units,
     piece_chain,
-    weyl_matrix,
 )
+
+from test_rootdata import reflections
+
+
+@cache
+def _cartan_inverse(cartan: lin.Matrix) -> tuple[lin.Matrix, int]:
+    return lin.mat_inverse_rational(cartan)
+
+
+def weyl_matrix(rd, images: tuple[int, ...]) -> lin.Matrix:
+    """Matrix on characters of the w sending simple root j to root images[j].
+
+    w(x) = x + sum_k <x, coroot_k> u_k, where u_k = w(omega_k) - omega_k
+    for the fundamental weights omega_k.  Writing row j of E for the
+    simple-root coordinates of w(alpha_j), the u_k have simple-root
+    coordinates C^-1 (E - 1), with C the Cartan matrix.
+    """
+    n = rd.rank
+    if not images:
+        return lin.identity(n)
+    npos = len(rd.positive_roots)
+    e_minus_1 = [
+        [(c if k < npos else -c) - (1 if l == j else 0)
+         for l, c in enumerate(rd.positive_roots[k % npos].coeffs)]
+        for j, k in enumerate(images)
+    ]
+    num, den = _cartan_inverse(rd.cartan)
+    f = lin.mat_mul(num, lin.freeze(e_minus_1))
+    assert not any(x % den for row in f for x in row)
+    u = lin.mat_mul(lin.freeze([[x // den for x in row] for row in f]), rd.simple_roots)
+    return lin.mat_add(lin.identity(n), lin.mat_mul(lin.transpose(u), rd.simple_coroots))
+
+
+def weyl_images(table, i: int) -> tuple[int, ...]:
+    """Root indices of w(alpha_j), for theta_i = w.delta."""
+    theta, delta = table.thetas[i], table.thetas[0]
+    return tuple(theta[delta[s]] for s in table.simple)
+
+
+def reference_theta_star(ic, inv: int) -> lin.Matrix:
+    """theta* at inv from the Weyl matrix of w, theta_inv = w.delta."""
+    w = weyl_matrix(ic.rd, weyl_images(ic.table, inv))
+    return lin.transpose(lin.mat_mul(w, ic.delta.matrix))
 
 
 def context(text, letters, kernel=None):
@@ -48,7 +90,7 @@ def weyl_closure(rd):
     while frontier:
         nxt = []
         for m in frontier:
-            for s in rd.reflections:
+            for s in reflections(rd):
                 m2 = lin.mat_mul(m, s)
                 if m2 not in seen:
                     seen.add(m2)
@@ -77,7 +119,7 @@ def weyl_element(rd, word):
     m = lin.identity(rd.rank)
     w = tuple(range(len(rd.roots)))
     for j in word:
-        m = lin.mat_mul(m, rd.reflections[j])
+        m = lin.mat_mul(m, reflections(rd)[j])
         w = tuple(map(w.__getitem__, table.reflections[table.simple[j]]))
     assert as_permutation(rd, m) == w
     return normal_form_word(table, w), m, w
@@ -98,7 +140,7 @@ def reference_word_from_matrix(rd, m, minv):
             if rd.root_index[lin.mat_vec(minv, rd.simple_roots[j])] >= npos
         )
         word.append(j)
-        s = rd.reflections[j]
+        s = reflections(rd)[j]
         m = lin.mat_mul(s, m)
         minv = lin.mat_mul(minv, s)
     return tuple(word)
@@ -117,7 +159,7 @@ def reference_normal_form_word(rd, m, minv):
             stripped = False
             for s in allowed:
                 if rd.root_index[lin.mat_vec(xminv, rd.simple_roots[s])] >= npos:
-                    refl = rd.reflections[s]
+                    refl = reflections(rd)[s]
                     xm = lin.mat_mul(refl, xm)
                     xminv = lin.mat_mul(xminv, refl)
                     stripped = True
@@ -194,7 +236,7 @@ def test_normal_form_matches_matrix_reference(text):
     while frontier:
         nxt = []
         for w, (m, minv) in frontier:
-            for j, s in enumerate(rd.reflections):
+            for j, s in enumerate(reflections(rd)):
                 w2 = tuple(map(w.__getitem__, table.reflections[table.simple[j]]))
                 if w2 not in seen:
                     seen[w2] = (lin.mat_mul(m, s), lin.mat_mul(s, minv))
@@ -215,7 +257,7 @@ def test_table_words_match_matrix_reference(text, letters, kernel):
     for i, theta in enumerate(table.thetas):
         w = tuple(map(theta.__getitem__, table.thetas[0]))
         winv = tuple(sorted(range(len(w)), key=w.__getitem__))
-        m = weyl_matrix(rd, table.weyl_images(i))
+        m = weyl_matrix(rd, weyl_images(table, i))
         minv = weyl_matrix(rd, tuple(winv[s] for s in table.simple))
         assert lin.mat_mul(m, minv) == lin.identity(rd.rank)
         assert table.word(i) == reference_normal_form_word(rd, m, minv)
