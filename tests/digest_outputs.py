@@ -30,6 +30,7 @@ from realred.rootdata import (
     adjoint_generators,
     build_root_datum,
     center_structure,
+    parse_kernel_generator,
     parse_lie_type,
 )
 
@@ -46,9 +47,22 @@ GROUPS = [
     ("D5", "s"), ("D6", "s"), ("E6", "s"), ("E6", "c"),
 ]
 
+# intermediate quotients, by one kernel generator in the fractions that
+# parse_kernel_generator reads
+QUOTIENTS = [
+    ("A3", "s", "1/2"), ("A3", "c", "1/2"),
+    ("D4", "s", "1/2,0"), ("D4", "s", "1/2,1/2"),
+    ("A5", "s", "1/3"), ("A5", "c", "1/2"),
+    ("D5", "s", "1/2"),
+    ("D6", "s", "1/2,0"), ("D6", "s", "1/2,1/2"),
+    ("A1.A1", "ss", "1/2,1/2"),
+]
+
 # (type, letters, kernel) of every digested context; all have rank at
 # most 6, so their KGB listings are cheap enough to digest
-CONTEXTS = [(text, letters, kernel) for text, letters in GROUPS for kernel in ("sc", "ad")]
+CONTEXTS = [
+    (text, letters, kernel) for text, letters in GROUPS for kernel in ("sc", "ad")
+] + QUOTIENTS
 
 
 def label(text: str, letters: str, kernel: str) -> str:
@@ -56,8 +70,15 @@ def label(text: str, letters: str, kernel: str) -> str:
 
 
 def build(text: str, letters: str, kernel: str):
+    """The context of one CONTEXTS entry: kernel is "sc", "ad" or one
+    kernel generator."""
     lt = parse_lie_type(text)
-    gens = [] if kernel == "sc" else adjoint_generators(center_structure(lt))
+    if kernel == "sc":
+        gens = []
+    elif kernel == "ad":
+        gens = adjoint_generators(center_structure(lt))
+    else:
+        gens = [parse_kernel_generator(kernel, center_structure(lt))]
     return inner_class(letters, build_root_datum(lt, gens), lt)
 
 
