@@ -16,7 +16,7 @@ from math import factorial
 
 from . import lin
 from .involution import FiberOrbit, InnerClass, RankDecomposition, StrongOrbit
-from .rootdata import InputError, Root, simple_basis
+from .rootdata import InputError, Root, arms, components, simple_basis
 from .weyl import word_from_matrix
 
 
@@ -27,20 +27,22 @@ def _pairing(a: Root, b: Root) -> int:
     return lin.vec_dot(a.vec, b.covec)
 
 
-def _component_name(basis: list[Root], comp: list[int]) -> str:
+def _diagram(basis: list[Root]) -> list[list[int]]:
+    """Neighbour lists of the Dynkin diagram of a simple system."""
+    return [
+        [j for j, b in enumerate(basis) if j != i and _pairing(a, b)]
+        for i, a in enumerate(basis)
+    ]
+
+
+def _component_name(basis: list[Root], adj: list[list[int]], comp: list[int]) -> str:
     n = len(comp)
     if n == 1:
         return "A1"
-    adj: dict[int, list[int]] = {i: [] for i in comp}
-    bonds: dict[tuple[int, int], int] = {}
-    for i in comp:
-        for j in comp:
-            if i < j:
-                p = _pairing(basis[i], basis[j]) * _pairing(basis[j], basis[i])
-                if p:
-                    adj[i].append(j)
-                    adj[j].append(i)
-                    bonds[i, j] = p
+    bonds = {
+        (i, j): _pairing(basis[i], basis[j]) * _pairing(basis[j], basis[i])
+        for i in comp for j in adj[i] if i < j
+    }
     doubles = [e for e, p in bonds.items() if p == 2]
     forks = [v for v in comp if len(adj[v]) == 3]
     if any(p == 3 for p in bonds.values()):
@@ -63,18 +65,7 @@ def _component_name(basis: list[Root], comp: list[int]) -> str:
         if all(len(adj[v]) <= 2 for v in comp):
             return f"A{n}"
     elif not doubles and len(forks) == 1:
-        legs = []
-        for start in adj[forks[0]]:
-            length = 1
-            prev, cur = forks[0], start
-            while True:
-                ahead = [v for v in adj[cur] if v != prev]
-                if not ahead:
-                    break
-                prev, cur = cur, ahead[0]
-                length += 1
-            legs.append(length)
-        legs.sort()
+        legs = sorted(map(len, arms(forks[0], adj)))
         if legs[:2] == [1, 1]:
             return f"D{n}"
         if legs[:2] == [1, 2] and n in (6, 7, 8):
@@ -82,34 +73,17 @@ def _component_name(basis: list[Root], comp: list[int]) -> str:
     raise RuntimeError("a root subsystem component is not a Dynkin diagram of finite type")
 
 
-def _components(basis: list[Root]) -> list[list[int]]:
-    """Irreducible components of a simple system, as sorted index lists,
-    in order of their first basis root."""
-    seen = [False] * len(basis)
-    comps = []
-    for s in range(len(basis)):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        for v in comp:
-            for u in range(len(basis)):
-                if not seen[u] and _pairing(basis[v], basis[u]):
-                    seen[u] = True
-                    comp.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
 def system_type(positives) -> str:
     """Cartan type of a closed subsystem, "" when the set is empty.
 
-    Components are listed in order of first appearance of their basis
-    roots; rank-two systems with a double bond print as B2, and a pair
-    of orthogonal A1's prints as A1.A1.
+    The components of the diagram of its simple basis (rootdata.components)
+    are named by _component_name in order of their first basis root;
+    rank-two systems with a double bond print as B2, and a pair of
+    orthogonal A1's prints as A1.A1.
     """
     basis = simple_basis(list(positives))
-    return ".".join(_component_name(basis, comp) for comp in _components(basis))
+    adj = _diagram(basis)
+    return ".".join(_component_name(basis, adj, comp) for comp in components(adj))
 
 
 _EXCEPTIONAL_ORDERS = {"E6": 51840, "E7": 2903040, "E8": 696729600,
@@ -163,7 +137,7 @@ def _complex_factor(
         and not lin.vec_dot(r.vec, rho_i) and not lin.vec_dot(r.vec, rho_r)
     ]
     basis = simple_basis(ic.roots(free))
-    comps = _components(basis)
+    comps = components(_diagram(basis))
     # theta pairs distinct components: the partner of a component is the
     # one with a basis root not orthogonal to theta of its first basis root
     partner = []

@@ -13,14 +13,19 @@ InnerClass object per (root datum, involution).
 Fibers are affine spaces over F2.  theta* comes from the table parent
 by rank-one reflection updates; the key of x is t paired with a basis
 of the theta-fixed characters mod denom (x_key), linear in t, so fiber
-points and their cross actions are keyed by affine updates.
+points and their cross actions are keyed by affine updates.  A fiber is
+t0 plus the subset sums of its generators, by size, then in
+itertools.combinations order, and its keys are the same sums of keys.
+That is the order of a breadth-first closure from t0 under the
+generators in order: it first reaches {a1 < ... < ak} from its least
+parent {a1, ..., a(k-1)}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 from . import lin
@@ -33,6 +38,7 @@ from .rootdata import (
     adjoint_generators,
     build_root_datum,
     center_structure,
+    components,
 )
 from .weyl import (
     COMPLEX_DOWN,
@@ -167,8 +173,8 @@ class InnerClass:
         self._heights: dict[int, lin.Vector] = {}
         self._fixed_rows_at: dict[int, tuple[lin.Vector, tuple[lin.Vector, ...]]] = {}
         self._plus_smith: dict[int, lin.SmithForm] = {}
-        self._fibers: dict[tuple[int, tuple], tuple[lin.Vector, ...]] = {}
-        self._fiber_keys: dict[tuple[int, tuple], tuple[tuple, ...]] = {}
+        # (points, x_keys) of each fiber, by (involution, square-class key)
+        self._fibers: dict[tuple[int, tuple], tuple[tuple[lin.Vector, ...], tuple]] = {}
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
         # cartan.CartanClass by class index, built by cartan.cartan_class
         self._cartan_classes: dict[int, object] = {}
@@ -447,13 +453,15 @@ class InnerClass:
     def fiber_elements(self, inv: int, key: tuple) -> tuple[lin.Vector, ...]:
         """Strong involutions over one involution with squares in one class.
 
-        Elements are reduced numerators over denom, in closure order.
-        Empty when the square class is not realized over this involution.
-        Their x_keys are kept in _fiber_keys, in the same order.
+        Elements are reduced numerators over denom: t0 plus the sums of
+        the subsets of the generators, smallest subsets first and
+        subsets of one size in combinations order.  Empty when the
+        square class is not realized over this involution.  Their x_keys,
+        the generators' key sums, are kept with them in _fibers.
         """
         cached = self._fibers.get((inv, key))
         if cached is not None:
-            return cached
+            return cached[0]
         d, cd = self.denom, self.cd
         rep = self._class_rep(key)
         if any(v * d % cd for v in rep):
@@ -462,41 +470,38 @@ class InnerClass:
         sf = self._smith_plus(inv)
         t0 = lin.solve_mod_presolved(sf, target, d)
         if t0 is None:
-            out: tuple[lin.Vector, ...] = ()
-            keys: tuple[tuple, ...] = ()
-        else:
-            cols = lin.transpose(sf.vinv)
-            gens = []
-            for i, e in enumerate(sf.diag):
-                if e > 2:
-                    raise RuntimeError("1 + theta* has an elementary divisor above 2")
-                if e == 2:
-                    gens.append(lin.vec_scale(cols[i], d // 2))
-            t0 = lin.vec_mod(t0, d)
-            # keys are linear in t: key(t + g) = key(t) + key(g) mod d
-            gen_keys = [self.x_key((inv, g))[1] for g in gens]
-            k0 = self.x_key((inv, t0))
-            seen = {k0: t0}
-            queue = [(t0, k0[1])]
-            for cur, kcur in queue:
-                for g, kg in zip(gens, gen_keys):
-                    k = (inv, tuple((a + b) % d for a, b in zip(kcur, kg)))
-                    if k not in seen:
-                        seen[k] = lin.vec_mod(lin.vec_add(cur, g), d)
-                        queue.append((seen[k], k[1]))
-            out, keys = tuple(seen.values()), tuple(seen)
-            if len(out) != 1 << self._ranks(inv).compact:
-                raise RuntimeError("fiber size is not 2^(fiber rank)")
-            # every generator g has (1 + theta*) g = 0 mod d, so all
-            # squares agree on integers; only the first is keyed
-            squares = {
-                tuple(v % d for v in self._square_numerators((inv, t))) for t in out
-            }
-            if len(squares) != 1 or \
-                    self.central_class_key(self._square_numerators((inv, out[0])), d) != key:
-                raise RuntimeError("fiber element squares outside its square class")
-        self._fibers[(inv, key)] = out
-        self._fiber_keys[(inv, key)] = keys
+            self._fibers[(inv, key)] = ((), ())
+            return ()
+        cols = lin.transpose(sf.vinv)
+        # keys are linear in t: key(t + g) = key(t) + key(g) mod d
+        gens = []
+        for i, e in enumerate(sf.diag):
+            if e > 2:
+                raise RuntimeError("1 + theta* has an elementary divisor above 2")
+            if e == 2:
+                g = lin.vec_scale(cols[i], d // 2)
+                gens.append((g, self.x_key((inv, g))[1]))
+        t0 = lin.vec_mod(t0, d)
+        k0 = self.x_key((inv, t0))[1]
+        out, keys = [], []
+        for size in range(len(gens) + 1):
+            for subset in combinations(gens, size):
+                t, k = t0, k0
+                for g, kg in subset:
+                    t = lin.vec_add(t, g)
+                    k = lin.vec_add(k, kg)
+                out.append(lin.vec_mod(t, d))
+                keys.append((inv, lin.vec_mod(k, d)))
+        if len(gens) != self._ranks(inv).compact or len(set(keys)) != len(keys):
+            raise RuntimeError("fiber size is not 2^(fiber rank)")
+        # every generator g has (1 + theta*) g = 0 mod d, so all squares
+        # agree on integers; only the first is keyed
+        squares = {tuple(v % d for v in self._square_numerators((inv, t))) for t in out}
+        if len(squares) != 1 or \
+                self.central_class_key(self._square_numerators((inv, out[0])), d) != key:
+            raise RuntimeError("fiber element squares outside its square class")
+        out = tuple(out)
+        self._fibers[(inv, key)] = (out, tuple(keys))
         return out
 
     # -- cross actions, Cayley transforms, gradings ----------------------
@@ -679,63 +684,56 @@ class InnerClass:
     @cached_property
     def _fundamental_orbits(self) -> tuple[tuple[tuple, tuple[lin.Vector, ...]], ...]:
         """Cross-action orbits on the base fiber, as (class key, members)."""
-        out = []
-        for key in self._realized_keys:
-            for members, _ in self._orbit_partition(0, key):
-                out.append((key, members))
-        return tuple(out)
+        return tuple(
+            (key, members) for key, members, _ in self._orbit_partition(0, self._realized_keys)
+        )
 
     def _orbit_partition(
-        self, inv: int, key: tuple
-    ) -> list[tuple[tuple[lin.Vector, ...], tuple[tuple[int, ...], ...]]]:
-        """Orbits of the imaginary Weyl group on one fiber, as (members, moves).
+        self, inv: int, keys: tuple[tuple, ...]
+    ) -> list[tuple[tuple, tuple[lin.Vector, ...], tuple[tuple[int, ...], ...]]]:
+        """Orbits of the imaginary Weyl group on the fibers over inv of the
+        square classes keys, as (class key, members, moves).
 
-        Members are in fiber order and orbits by first member; moves are
-        as in FiberOrbit.  The cross action on a fiber is computed here
-        only, once per fiber.
+        Fibers come in key order, members in fiber order and the orbits of
+        a fiber by first member; moves are as in FiberOrbit.  The cross
+        action on fibers is computed here only: its reflection data once
+        per call, when some fiber is nonempty.
         """
-        fiber = self.fiber_elements(inv, key)
-        if not fiber:
+        fibers = [(key, self.fiber_elements(inv, key)) for key in keys]
+        if not any(fiber for _, fiber in fibers):
             return []
         # Every cross action is affine in the torus part, so the cross
         # action of the reflection in an imaginary root beta sends t to
         # t - <beta, t> beta^v + y, y read off at t = 0, and keys alike.
         d = self.denom
         zero = lin.zero_vector(self.rd.rank)
-        keys = [k for _, k in self._fiber_keys[(inv, key)]]
-        index = {k: i for i, k in enumerate(keys)}
-        rows = []
+        reflections = []
         for k in self.table.imaginary_basis(inv):
             y = self.cross_word(self.table.reflection_word(k), (inv, zero))
             if y[0] != inv:
                 raise RuntimeError("an imaginary reflection moves the involution")
             root = self.rd.positive_roots[k]
-            ky = self.x_key(y)[1]
-            kb = self.x_key((inv, root.covec))[1]
-            row = []
-            for t, kt in zip(fiber, keys):
-                c = lin.vec_dot(root.vec, t)
-                row.append(index[tuple((a - c * b + e) % d for a, b, e in zip(kt, kb, ky))])
-            rows.append(row)
-        orbits = []
-        done = set()
-        for start in range(len(fiber)):
-            if start in done:
-                continue
-            comp = [start]
-            done.add(start)
-            for cur in comp:
-                for row in rows:
-                    if row[cur] not in done:
-                        done.add(row[cur])
-                        comp.append(row[cur])
-            comp.sort()
-            at = {i: m for m, i in enumerate(comp)}
-            orbits.append((
-                tuple(fiber[i] for i in comp),
-                tuple(tuple(at[row[i]] for i in comp) for row in rows),
-            ))
-        return orbits
+            reflections.append((root.vec, self.x_key((inv, root.covec))[1], self.x_key(y)[1]))
+        out = []
+        for key, fiber in fibers:
+            fkeys = [k for _, k in self._fibers[(inv, key)][1]]
+            index = {k: i for i, k in enumerate(fkeys)}
+            rows = []
+            for vec, kb, ky in reflections:
+                row = []
+                for t, kt in zip(fiber, fkeys):
+                    c = lin.vec_dot(vec, t)
+                    row.append(index[tuple((a - c * b + e) % d for a, b, e in zip(kt, kb, ky))])
+                rows.append(row)
+            # the moves permute the fiber, so its orbits are the components
+            for comp in components([[row[i] for row in rows] for i in range(len(fiber))]):
+                at = {i: m for m, i in enumerate(comp)}
+                out.append((
+                    key,
+                    tuple(fiber[i] for i in comp),
+                    tuple(tuple(at[row[i]] for i in comp) for row in rows),
+                ))
+        return out
 
     def _factor_ranges(self) -> list[range]:
         """Simple-root index range of each internal factor (root factors only)."""
@@ -976,16 +974,12 @@ class InnerClass:
 
     @cached_property
     def _base_form_by_key(self) -> dict[tuple, int]:
-        orbits = self._fundamental_orbits  # builds every base fiber
-        keys = {
-            key: dict(zip(self._fibers[(0, key)], self._fiber_keys[(0, key)]))
-            for key in self._realized_keys
+        forms = self._orbit_form_indices  # builds every base fiber
+        keys = {key: dict(zip(*self._fibers[(0, key)])) for key in self._realized_keys}
+        return {
+            keys[key][t]: forms[o]
+            for o, (key, members) in enumerate(self._fundamental_orbits) for t in members
         }
-        out = {}
-        for o, (key, members) in enumerate(orbits):
-            for t in members:
-                out[keys[key][t]] = self._orbit_form_indices[o]
-        return out
 
     # -- strong real forms at a Cartan class ------------------------------
 
@@ -1000,14 +994,17 @@ class InnerClass:
         first member, since cross actions preserve it.  Built once per
         class and cached.
         """
+        self.check(cartan=cartan)
         out = self._orbits_at.get(cartan)
         if out is None:
             inv = self.table.canonical_member(cartan)
             orbits = []
-            for sq in self.square_classes:
-                for members, moves in self._orbit_partition(inv, sq.key):
-                    xs = tuple((inv, t) for t in members)
-                    orbits.append(FiberOrbit(sq.index, self.real_form_of(xs[0]), xs, moves))
+            keys = tuple(sq.key for sq in self.square_classes)
+            for key, members, moves in self._orbit_partition(inv, keys):
+                xs = tuple((inv, t) for t in members)
+                orbits.append(FiberOrbit(
+                    self._square_index[key], self.real_form_of(xs[0]), xs, moves
+                ))
             out = self._orbits_at[cartan] = tuple(orbits)
         return out
 
@@ -1016,7 +1013,7 @@ class InnerClass:
 
         Returns (square class index, orbits) pairs in class order; member
         indices refer to positions in the class fiber listing.  Derived
-        from the per-Cartan record cartan_orbits.
+        from the per-Cartan record cartan_orbits, which checks the index.
         """
         orbits = self.cartan_orbits(cartan)
         out = []
@@ -1064,6 +1061,7 @@ class InnerClass:
 
     def cartan_ranks(self, cartan: int) -> RankDecomposition:
         """Rank decomposition of the canonical involution of a Cartan class."""
+        self.check(cartan=cartan)
         return self._ranks(self.table.canonical_member(cartan))
 
     def most_split_cartan(self, form: int) -> int:
@@ -1126,6 +1124,7 @@ class InnerClass:
 
     def strong_count_at(self, cartan: int) -> int:
         """Number of strong involutions over one Cartan class, all squares."""
+        self.check(cartan=cartan)
         inv = self.table.canonical_member(cartan)
         per = sum(
             len(self.fiber_elements(inv, sq.key)) for sq in self.square_classes

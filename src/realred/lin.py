@@ -76,18 +76,16 @@ def vec_mod(v: Vector, m: int) -> Vector:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Smith normal form a == u @ diag @ v with unimodular u, v.
+    """Smith normal form uinv @ a == diag @ v with unimodular uinv, v.
 
     Attributes:
-        u: m x m unimodular matrix.
-        uinv: inverse of u.
+        uinv: m x m unimodular matrix, the row operations applied to a.
         v: n x n unimodular matrix.
         vinv: inverse of v.
         diag: the min(m, n) diagonal entries; nonnegative, each dividing
             the next, zeros trailing.
     """
 
-    u: Matrix
     uinv: Matrix
     v: Matrix
     vinv: Matrix
@@ -111,19 +109,17 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
     m = len(a)
     n = len(a[0]) if a else (ncols if ncols is not None else 0)
     mm = [list(row) for row in a]
-    p, pi = _identity_lists(m), _identity_lists(m)
+    p = _identity_lists(m)
     q, qi = _identity_lists(n), _identity_lists(n)
 
     def row_add(i: int, j: int, c: int) -> None:
-        # row_i += c * row_j; mirrored on p, inverted on pi columns.
+        # row_i += c * row_j; mirrored on p.
         mi, mj = mm[i], mm[j]
         for k in range(n):
             mi[k] += c * mj[k]
         pj, pii = p[j], p[i]
         for k in range(m):
             pii[k] += c * pj[k]
-        for r in range(m):
-            pi[r][j] -= c * pi[r][i]
 
     def col_add(j: int, i: int, c: int) -> None:
         # col_j += c * col_i; mirrored on q, inverted on qi rows.
@@ -138,8 +134,6 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
     def row_swap(i: int, j: int) -> None:
         mm[i], mm[j] = mm[j], mm[i]
         p[i], p[j] = p[j], p[i]
-        for r in range(m):
-            pi[r][i], pi[r][j] = pi[r][j], pi[r][i]
 
     def col_swap(i: int, j: int) -> None:
         for r in range(m):
@@ -151,8 +145,6 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
     def row_negate(i: int) -> None:
         mm[i] = [-x for x in mm[i]]
         p[i] = [-x for x in p[i]]
-        for r in range(m):
-            pi[r][i] = -pi[r][i]
 
     t = 0
     limit = min(m, n)
@@ -207,8 +199,8 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
 
     diag = tuple(mm[i][i] for i in range(limit))
     return SmithForm(
-        u=tuple(map(tuple, pi)), uinv=tuple(map(tuple, p)),
-        v=tuple(map(tuple, qi)), vinv=tuple(map(tuple, q)), diag=diag,
+        uinv=tuple(map(tuple, p)), v=tuple(map(tuple, qi)),
+        vinv=tuple(map(tuple, q)), diag=diag,
     )
 
 

@@ -268,9 +268,6 @@ class RootDatum:
     def semisimple_rank(self) -> int:
         return len(self.simple_roots)
 
-    def pairing(self, vec: lin.Vector, covec: lin.Vector) -> int:
-        return lin.vec_dot(vec, covec)
-
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
         seen: dict[lin.Vector, Root] = {}
@@ -283,11 +280,11 @@ class RootDatum:
         while work:
             r = work.pop()
             for j in range(n):
-                k = self.pairing(r.vec, self.simple_coroots[j])
+                k = lin.vec_dot(r.vec, self.simple_coroots[j])
                 vec = lin.vec_sub(r.vec, lin.vec_scale(self.simple_roots[j], k))
                 if vec in seen or lin.vec_neg(vec) in seen:
                     continue
-                kc = self.pairing(self.simple_roots[j], r.covec)
+                kc = lin.vec_dot(self.simple_roots[j], r.covec)
                 covec = lin.vec_sub(
                     r.covec, lin.vec_scale(self.simple_coroots[j], kc)
                 )
@@ -318,18 +315,47 @@ class RootDatum:
         return {v: k for k, v in enumerate(self.roots)}
 
     @cached_property
-    def two_rho(self) -> lin.Vector:
-        out = lin.zero_vector(self.rank)
-        for r in self.positive_roots:
-            out = lin.vec_add(out, r.vec)
-        return out
-
-    @cached_property
     def two_rho_check(self) -> lin.Vector:
         out = lin.zero_vector(self.rank)
         for r in self.positive_roots:
             out = lin.vec_add(out, r.covec)
         return out
+
+
+def components(adj: list[list[int]]) -> list[list[int]]:
+    """Components of a graph given by neighbour lists, as sorted vertex
+    lists in order of their least vertex."""
+    seen = [False] * len(adj)
+    out = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        for v in comp:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        out.append(sorted(comp))
+    return out
+
+
+def arms(joint: int, adj: list[list[int]]) -> list[list[int]]:
+    """Paths leading away from joint, one per neighbour in adj order.
+
+    Each walk takes the first onward neighbour, so the arms are exact
+    when they are paths, as at the fork of a D or E diagram.
+    """
+    out = []
+    for first in adj[joint]:
+        arm = [first]
+        prev = joint
+        while nxt := [u for u in adj[arm[-1]] if u != prev]:
+            prev = arm[-1]
+            arm.append(nxt[0])
+        out.append(arm)
+    return out
 
 
 def simple_basis(positives: list[Root]) -> list[Root]:

