@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import lin
 from .rootdata import (
@@ -53,6 +53,8 @@ from .weyl import (
 
 # x = (involution id, cocharacter numerator vector)
 StrongX = tuple[int, lin.Vector]
+# one orbit on a fiber: (square-class key, members, moves as in FiberOrbit)
+OrbitPart = tuple[tuple, tuple[lin.Vector, ...], tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -140,11 +142,7 @@ def _complex_pair_name(f: Factor) -> str:
 def _split_product(total: int, s: int) -> tuple[int, int]:
     """Solves p + q = s, p * q = total with p >= q >= 0 integers."""
     disc = s * s - 4 * total
-    root = int(disc**0.5)
-    while root * root < disc:
-        root += 1
-    while root * root > disc:
-        root -= 1
+    root = isqrt(max(disc, 0))
     p, q = (s + root) // 2, (s - root) // 2
     if root * root != disc or p * q != total or p + q != s:
         raise RuntimeError(f"no integers p + q = {s} with p * q = {total}")
@@ -242,29 +240,22 @@ class InnerClass:
         """Square-value shifts z.delta(z), z central, as reduced keys.
 
         Shifts coming from the identity component of the center reduce
-        to zero, so torsion generators of the full center suffice.
+        to zero, so torsion generators of the full center suffice: the
+        i-th is col_i / diag_i for the Smith divisors diag_i >= 2, and its
+        shift g_i has order dividing diag_i.  The translates are the sums
+        of k_i g_i mod cd over 0 <= k_i < diag_i, sorted.
         """
         sf = self._center_smith
         n = self.rd.rank
         cd = self.cd
         cols = lin.transpose(sf.vinv)
         onep = lin.mat_add(self._dstar, lin.identity(n))
-        gens = [
-            self._central_reduce(lin.mat_vec(onep, cols[i]), sf.diag[i])
-            for i in range(min(n, len(sf.diag)))
-            if sf.diag[i] >= 2
-        ]
-        zero = (0,) * n
-        group = {zero}
-        queue = [zero]
-        while queue:
-            cur = queue.pop()
-            for g in gens:
-                nxt = tuple((a + b) % cd for a, b in zip(cur, g))
-                if nxt not in group:
-                    group.add(nxt)
-                    queue.append(nxt)
-        return tuple(sorted(group))
+        finite = [i for i in range(min(n, len(sf.diag))) if sf.diag[i] >= 2]
+        gens = [self._central_reduce(lin.mat_vec(onep, cols[i]), sf.diag[i]) for i in finite]
+        return tuple(sorted({
+            tuple(sum(k * g[c] for k, g in zip(combo, gens)) % cd for c in range(n))
+            for combo in product(*(range(sf.diag[i]) for i in finite))
+        }))
 
     def central_class_key(self, num: lin.Vector, den: int) -> tuple[int, ...]:
         """Canonical key of the square class of the central cocharacter num / den.
@@ -601,33 +592,31 @@ class InnerClass:
     def inverse_cayley(self, j: int, x: StrongX) -> tuple[StrongX, ...]:
         """Valid inverse Cayley transforms through a real simple root.
 
-        Candidates lie on the coroot line through the reflected torus part;
-        the offset is pinned down to two residues by matching squares, and
-        both survive or both fail the noncompactness test.  theta*_nbr
-        fixes alpha_j^v, so offset c squares to num0 + 2c alpha_j^v; the
-        offsets failing the congruences of _square_key_if_valid are dropped
-        first.  Offsets c, c' give one key when c key(alpha_j^v) =
-        c' key(alpha_j^v).  Raises ValueError when j is not real at x.
+        With d = denom and base = s_j t, these are the candidates (nbr,
+        base + c alpha_j^v) squaring into the class of x at which alpha_j,
+        simple imaginary at nbr, is noncompact: <alpha_j, base> + 2c = d/2
+        mod d (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is
+        no c when r is odd, else c = r/2 and r/2 + d/2, in that order.  So
+        this is the scan of all d offsets: no compact candidate shares a key
+        with these, as the key rows span alpha_j, theta-fixed at nbr.
+        Offsets c, c' give one key when c key(alpha_j^v) = c' key(alpha_j^v).
+        Raises ValueError when j is not real at x.
         """
         inv, t = x
         kind, nbr = self.table.status_row(inv)[j]
         if kind != REAL:
             raise ValueError(f"simple root {j} is not real at involution {inv}")
         d = self.denom
-        key = self.central_class_key(self._square_numerators(x), d)
         base = self._reflect(j, t)
+        r = (d // 2 - lin.vec_dot(self.rd.simple_roots[j], base)) % d
+        if r % 2:
+            return ()
+        key = self.central_class_key(self._square_numerators(x), d)
         av = self.rd.simple_coroots[j]
-        num0 = self._square_numerators((nbr, base))
-        checks = [
-            (lin.vec_dot(r, num0), 2 * lin.vec_dot(r, av))
-            for r in (*self.rd.simple_roots, *self._dstar_minus_one)
-        ]
         out = []
         seen = set()
         key_av = None
-        for c in range(d):
-            if any((a + c * b) % d for a, b in checks):
-                continue
+        for c in (r // 2, r // 2 + d // 2):
             cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
             if self._square_key_if_valid(cand) != key:
                 continue
@@ -637,8 +626,9 @@ class InnerClass:
             if k in seen:
                 continue
             seen.add(k)
-            if self.grading(cand, j):
-                out.append(cand)
+            if not self.grading(cand, j):
+                raise RuntimeError("an inverse Cayley candidate is compact")
+            out.append(cand)
         return tuple(out)
 
     # -- weak real forms --------------------------------------------------
@@ -682,24 +672,20 @@ class InnerClass:
         return tuple(out)
 
     @cached_property
-    def _fundamental_orbits(self) -> tuple[tuple[tuple, tuple[lin.Vector, ...]], ...]:
-        """Cross-action orbits on the base fiber, as (class key, members)."""
-        return tuple(
-            (key, members) for key, members, _ in self._orbit_partition(0, self._realized_keys)
-        )
+    def _fundamental_orbits(self) -> tuple[OrbitPart, ...]:
+        """Cross-action orbits on the base fiber: its one _orbit_partition."""
+        return tuple(self._orbit_partition(0))
 
-    def _orbit_partition(
-        self, inv: int, keys: tuple[tuple, ...]
-    ) -> list[tuple[tuple, tuple[lin.Vector, ...], tuple[tuple[int, ...], ...]]]:
+    def _orbit_partition(self, inv: int) -> list[OrbitPart]:
         """Orbits of the imaginary Weyl group on the fibers over inv of the
-        square classes keys, as (class key, members, moves).
+        realized square classes, as (class key, members, moves).
 
-        Fibers come in key order, members in fiber order and the orbits of
-        a fiber by first member; moves are as in FiberOrbit.  The cross
-        action on fibers is computed here only: its reflection data once
-        per call, when some fiber is nonempty.
+        Fibers come in the order of _realized_keys, members in fiber order
+        and the orbits of a fiber by first member; moves are as in
+        FiberOrbit.  The cross action on fibers is computed here only: its
+        reflection data once per call, when some fiber is nonempty.
         """
-        fibers = [(key, self.fiber_elements(inv, key)) for key in keys]
+        fibers = [(key, self.fiber_elements(inv, key)) for key in self._realized_keys]
         if not any(fiber for _, fiber in fibers):
             return []
         # Every cross action is affine in the torus part, so the cross
@@ -735,37 +721,27 @@ class InnerClass:
                 ))
         return out
 
-    def _factor_ranges(self) -> list[range]:
-        """Simple-root index range of each internal factor (root factors only)."""
+    @cached_property
+    def _factor_ranges(self) -> tuple[range, ...]:
+        """Simple-root index range of each factor (adjoint: no torus factors)."""
         out = []
         pos = 0
         for f in self.lt.factors:
-            if f.letter != "T":
-                out.append(range(pos, pos + f.rank))
-                pos += f.rank
-        return out
-
-    def _equal_rank_unit(self, unit) -> bool:
-        letter, idxs = unit
-        if letter == "C":
-            return False
-        ranges = dict(zip(
-            [i for i, f in enumerate(self.lt.factors) if f.letter != "T"],
-            self._factor_ranges(),
-        ))
-        return all(self.delta.perm[p] == p for p in ranges[idxs[0]])
+            out.append(range(pos, pos + f.rank))
+            pos += f.rank
+        return tuple(out)
 
     @cached_property
     def _ad_orbit_data(self) -> tuple[dict, ...]:
         """Per base-fiber orbit of an adjoint context: grading invariants."""
         if self._ad is not self:
             raise RuntimeError("grading invariants are read in the adjoint context")
-        ranges = self._factor_ranges()
+        ranges = self._factor_ranges
         nfac = len(ranges)
         pos_im = self.roots(self.table.imaginary_roots(0))
         basis = self.roots(self.table.imaginary_basis(0))
         out = []
-        for _, members in self._fundamental_orbits:
+        for _, members, _ in self._fundamental_orbits:
             x = (0, members[0])
             fac_nc = [0] * nfac
             for r in pos_im:
@@ -831,7 +807,7 @@ class InnerClass:
                 names.append(_complex_pair_name(f))
                 fac += 2
                 continue
-            equal = self._equal_rank_unit((letter, idxs))
+            equal = all(self.delta.perm[p] == p for p in self._factor_ranges[idxs[0]])
             values = sorted({d["nc"][fac] for d in self._ad_orbit_data})
             names.append(_factor_form_name(
                 f, equal, data["nc"][fac], values, data["iota"][fac]
@@ -864,7 +840,7 @@ class InnerClass:
             first = min(
                 o for o, f in enumerate(orbit_forms) if f == idx
             )
-            key, members = self._fundamental_orbits[first]
+            key, members, _ = self._fundamental_orbits[first]
             labels.append(RealFormLabel(
                 index=idx,
                 name=name,
@@ -916,7 +892,7 @@ class InnerClass:
         else:
             out = [
                 ad._base_form_by_key[ad.x_key((0, self._to_ad(members[0])))]
-                for _, members in self._fundamental_orbits
+                for _, members, _ in self._fundamental_orbits
             ]
         if set(out) != set(range(len(self._menu_core))):
             raise RuntimeError("base-fiber orbits do not cover every weak form")
@@ -928,7 +904,7 @@ class InnerClass:
         order = []
         forms = self._orbit_form_indices
         for f in reversed(range(len(self._menu_core))):
-            for o, (key, _) in enumerate(self._fundamental_orbits):
+            for o, (key, _, _) in enumerate(self._fundamental_orbits):
                 if forms[o] == f and key not in order:
                     order.append(key)
         if len(order) != len(self._realized_keys):
@@ -946,7 +922,7 @@ class InnerClass:
         action of the first simple root that is a complex descent, when
         the status row has one, and costs one cross action.  Otherwise it
         is the first valid inverse Cayley transform through a real simple
-        root, in index order; each try searches denom offsets.  The form
+        root, in index order; each try keys at most two candidates.  The form
         does not depend on the path: cross actions and Cayley transforms
         preserve the weak real form, so every point of any path has the
         form of x, and the base point it ends at lies in a base-fiber
@@ -978,7 +954,7 @@ class InnerClass:
         keys = {key: dict(zip(*self._fibers[(0, key)])) for key in self._realized_keys}
         return {
             keys[key][t]: forms[o]
-            for o, (key, members) in enumerate(self._fundamental_orbits) for t in members
+            for o, (key, members, _) in enumerate(self._fundamental_orbits) for t in members
         }
 
     # -- strong real forms at a Cartan class ------------------------------
@@ -992,15 +968,16 @@ class InnerClass:
         square class by square class, and within a fiber by first member
         in fiber order.  The form is found by one descent from the orbit's
         first member, since cross actions preserve it.  Built once per
-        class and cached.
+        class and cached; at involution 0 the partition is the one of
+        _fundamental_orbits, sorted stably by square class.
         """
         self.check(cartan=cartan)
         out = self._orbits_at.get(cartan)
         if out is None:
             inv = self.table.canonical_member(cartan)
+            parts = self._fundamental_orbits if inv == 0 else self._orbit_partition(inv)
             orbits = []
-            keys = tuple(sq.key for sq in self.square_classes)
-            for key, members, moves in self._orbit_partition(inv, keys):
+            for key, members, moves in sorted(parts, key=lambda p: self._square_index[p[0]]):
                 xs = tuple((inv, t) for t in members)
                 orbits.append(FiberOrbit(
                     self._square_index[key], self.real_form_of(xs[0]), xs, moves
@@ -1092,7 +1069,8 @@ class InnerClass:
         inv = self.table.canonical_member(self.most_split_cartan(form))
         n = self.rd.rank
         theta = self.theta_star(inv)
-        kernel = lin.kernel_basis(lin.mat_add(theta, lin.identity(n)), n)
+        plus = self._smith_plus(inv)
+        kernel = lin.transpose(plus.vinv)[plus.rank:]
         if not kernel:
             return 0
         span = lin.transpose(lin.freeze(list(kernel)))

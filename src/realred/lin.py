@@ -208,15 +208,6 @@ def _identity_lists(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def kernel_basis(a: Matrix, ncols: int) -> tuple[Vector, ...]:
-    """Basis of the saturated integer kernel {x in Z^ncols : a @ x == 0}."""
-    if not a:
-        return tuple(tuple(row) for row in identity(ncols))
-    sf = smith_form(a)
-    cols = transpose(sf.vinv)
-    return tuple(cols[j] for j in range(sf.rank, ncols))
-
-
 def solve_int(a: Matrix, b: Vector, ncols: int | None = None) -> Vector | None:
     """One integer solution x of a @ x == b, or None if unsolvable."""
     return solve_int_presolved(smith_form(a, ncols=ncols), b)

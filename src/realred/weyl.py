@@ -106,15 +106,6 @@ def normal_form_word(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, .
     return tuple(j for piece in reversed(pieces) for j in piece)
 
 
-def reflection_matrix(rd: RootDatum, root: Root) -> lin.Matrix:
-    """Matrix of the reflection in any root, acting on characters."""
-    n = rd.rank
-    return lin.freeze(
-        [[(1 if r == c else 0) - root.vec[r] * root.covec[c] for c in range(n)]
-         for r in range(n)]
-    )
-
-
 @dataclass(frozen=True)
 class InnerClassInvolution:
     """A based involution delta of the character lattice.
@@ -269,9 +260,11 @@ class InvolutionTable:
         by_coeffs = {r.coeffs: k for k, r in enumerate(pos)}
         delta = [by_coeffs[tuple(r.coeffs[p] for p in perm)] for r in pos]
         self.simple = tuple(rd.root_index[a] for a in rd.simple_roots)
+        # s_beta v = v - <v, beta^v> beta
         self.reflections = tuple(
-            tuple(rd.root_index[lin.mat_vec(m, v)] for v in rd.roots)
-            for m in (reflection_matrix(rd, r) for r in pos)
+            tuple(rd.root_index[lin.vec_sub(v, lin.vec_scale(b.vec, lin.vec_dot(v, b.covec)))]
+                  for v in rd.roots)
+            for b in pos
         )
         theta0 = tuple(delta + [k + npos for k in delta])
         self.thetas: list[tuple[int, ...]] = [theta0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from realred import lin
 from realred.involution import (
+    InnerClass,
     RankDecomposition,
+    _split_product,
     format_real_form_menu,
     format_strong_real,
     inner_class,
@@ -25,12 +28,7 @@ from realred.rootdata import (
     parse_kernel_generator,
     parse_lie_type,
 )
-from realred.weyl import (
-    COMPLEX_DOWN,
-    IMAGINARY,
-    REAL,
-    reflection_matrix,
-)
+from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL
 
 from test_rootdata import coreflections, reflections
 from test_weyl import reference_normal_form_word, reference_theta_star
@@ -106,6 +104,13 @@ def test_menu_lines():
         "1: su(3,1)",
         "2: su(2,2)",
     ]
+
+
+def test_split_product_rejects_a_negative_discriminant():
+    assert _split_product(6, 5) == (3, 2)
+    # p + q = 2 and p q = 10 has the discriminant 4 - 40 < 0
+    with pytest.raises(RuntimeError):
+        _split_product(10, 2)
 
 
 def test_quasisplit_form_is_unique_and_last():
@@ -392,7 +397,7 @@ def square_key_reference(ic, x, translates):
     "text,letters,kernel",
     [("A3", "c", None), ("C2", "s", None), ("D4", "s", None), ("A3", "c", "ad"),
      ("A3", "c", "1/2"), ("D4", "s", "1/2,1/2"), ("A5", "s", "1/3"),
-     ("A5", "c", "1/2")],
+     ("A5", "c", "1/2"), ("A2.A2", "C", None), ("A5", "c", None)],
 )
 def test_square_key_integer_check_matches_fractions(text, letters, kernel):
     ic = context(text, letters, kernel)
@@ -400,29 +405,32 @@ def test_square_key_integer_check_matches_fractions(text, letters, kernel):
     translates = reference_central_translates(ic)
     assert [tuple(Fraction(v, ic.cd) for v in g) for g in ic._central_translates] \
         == list(translates)
-    valid = invalid = 0
     # canonical members may have no real simple root, so take every involution
     points = [
         (inv, t) for inv in range(len(ic.table)) for sq in ic.square_classes
         for t in ic.fiber_elements(inv, sq.key)
     ]
-    for inv, t in points:
-        for j, (kind, nbr) in enumerate(ic.table.status_row(inv)):
-            if kind != REAL:
-                continue
-            # the candidates inverse_cayley tries
-            base = lin.mat_vec(coreflections(ic.rd)[j], t)
-            av = ic.rd.simple_coroots[j]
-            for c in range(d):
-                cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-                key = ic._square_key_if_valid(cand)
-                ref = square_key_reference(ic, cand, translates)
-                if key is None:
-                    assert ref is None
-                else:
-                    assert tuple(Fraction(v, ic.cd) for v in key) == ref
-                valid += key is not None
-                invalid += key is None
+    # every offset on the lines inverse_cayley keys, and on each simple
+    # coroot line through the first base point, for contexts with no real
+    # root (a complex pair)
+    lines = [
+        (nbr, lin.mat_vec(coreflections(ic.rd)[j], t), ic.rd.simple_coroots[j])
+        for inv, t in points
+        for j, (kind, nbr) in enumerate(ic.table.status_row(inv)) if kind == REAL
+    ]
+    lines.extend((0, points[0][1], av) for av in ic.rd.simple_coroots)
+    valid = invalid = 0
+    for inv, base, av in lines:
+        for c in range(d):
+            cand = (inv, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
+            key = ic._square_key_if_valid(cand)
+            ref = square_key_reference(ic, cand, translates)
+            if key is None:
+                assert ref is None
+            else:
+                assert tuple(Fraction(v, ic.cd) for v in key) == ref
+            valid += key is not None
+            invalid += key is None
     assert valid and invalid
 
 
@@ -571,6 +579,26 @@ def test_cartan_record_forms_match_descent(text, letters, kernel):
 
 
 @pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def test_orbit_partition_runs_once_per_involution(monkeypatch, text, letters, kernel):
+    # the base fiber's partition serves the real forms and the Cartan record
+    calls = Counter()
+    partition = InnerClass._orbit_partition
+
+    def counted(ic, inv, *args):
+        calls[(id(ic), inv)] += 1
+        return partition(ic, inv, *args)
+
+    monkeypatch.setattr(InnerClass, "_orbit_partition", counted)
+    ic = context(text, letters, kernel)
+    for c in range(len(ic.table.classes)):
+        ic.cartan_orbits(c)
+    canonical = {ic.table.canonical_member(c) for c in range(len(ic.table.classes))}
+    assert 0 in canonical
+    assert set(calls.values()) == {1}
+    assert {inv for key, inv in calls if key == id(ic)} == canonical
+
+
+@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
 def test_cartan_record_moves_are_cross_actions(text, letters, kernel):
     ic = context(text, letters, kernel)
     for c in range(len(ic.table.classes)):
@@ -679,6 +707,15 @@ def test_half_spin_pair_cartans():
 
 
 # -- the shared involution table ------------------------------------------
+
+
+def reflection_matrix(rd, root):
+    """Matrix of the reflection in any root, acting on characters."""
+    n = rd.rank
+    return lin.freeze(
+        [[(1 if r == c else 0) - root.vec[r] * root.covec[c] for c in range(n)]
+         for r in range(n)]
+    )
 
 
 @pytest.mark.parametrize("text", ["B3", "D4", "G2"])
@@ -809,7 +846,7 @@ def reference_fiber_elements(ic, inv, key):
 FIBER_GROUPS = [
     ("A3", "c", None), ("C2", "s", None), ("A5", "s", None), ("B3", "s", None),
     ("D4", "s", None), ("G2", "s", None), ("A3", "c", "ad"), ("A3", "s", "2/4"),
-    ("D4", "u", "1/2,1/2"), ("A1.T1", "sc", None),
+    ("D4", "u", "1/2,1/2"), ("A1.T1", "sc", None), ("A5", "c", None),
 ]
 
 

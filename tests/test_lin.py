@@ -33,10 +33,6 @@ def det(a: lin.Matrix) -> int:
     return int(out)
 
 
-def is_zero(v: lin.Vector) -> bool:
-    return all(x == 0 for x in v)
-
-
 def random_matrix(rng: random.Random, m: int, n: int) -> lin.Matrix:
     return lin.freeze(
         [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
@@ -86,22 +82,6 @@ def test_smith_form_empty_rows() -> None:
     sf = lin.smith_form((), ncols=3)
     assert sf.diag == ()
     assert sf.v == lin.identity(3)
-
-
-def test_kernel_basis() -> None:
-    rng = random.Random(99)
-    for _ in range(100):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 5)
-        a = random_matrix(rng, m, n)
-        basis = lin.kernel_basis(a, n)
-        for vec in basis:
-            assert is_zero(lin.mat_vec(a, vec))
-        assert len(basis) == n - lin.smith_form(a).rank
-        if basis:
-            # Saturation: the basis spans a direct summand of Z^n.
-            assert all(d == 1 for d in lin.smith_form(lin.freeze(basis)).diag)
-    assert len(lin.kernel_basis((), 4)) == 4
 
 
 def test_solve_int() -> None:
