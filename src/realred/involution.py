@@ -599,7 +599,9 @@ class InnerClass:
         no c when r is odd, else c = r/2 and r/2 + d/2, in that order.  So
         this is the scan of all d offsets: no compact candidate shares a key
         with these, as the key rows span alpha_j, theta-fixed at nbr.
-        Offsets c, c' give one key when c key(alpha_j^v) = c' key(alpha_j^v).
+        The two square numerators differ by d alpha_j^v, so the first
+        candidate's square class decides both.  Offsets c, c' give one key
+        when c key(alpha_j^v) = c' key(alpha_j^v).
         Raises ValueError when j is not real at x.
         """
         inv, t = x
@@ -611,17 +613,16 @@ class InnerClass:
         r = (d // 2 - lin.vec_dot(self.rd.simple_roots[j], base)) % d
         if r % 2:
             return ()
-        key = self.central_class_key(self._square_numerators(x), d)
         av = self.rd.simple_coroots[j]
+        offsets = (r // 2, r // 2 + d // 2)
+        cands = [(nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d)) for c in offsets]
+        key = self.central_class_key(self._square_numerators(x), d)
+        if self._square_key_if_valid(cands[0]) != key:
+            return ()
+        key_av = self.x_key((nbr, av))[1]
         out = []
         seen = set()
-        key_av = None
-        for c in (r // 2, r // 2 + d // 2):
-            cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-            if self._square_key_if_valid(cand) != key:
-                continue
-            if key_av is None:
-                key_av = self.x_key((nbr, av))[1]
+        for c, cand in zip(offsets, cands):
             k = tuple(c * b % d for b in key_av)
             if k in seen:
                 continue

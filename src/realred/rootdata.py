@@ -434,9 +434,15 @@ def build_root_datum(lt: LieType, gens: list[KernelGenerator]) -> RootDatum:
     """Root datum of the quotient of the simply connected group.
 
     gens lists central elements to divide by; empty gives the simply
-    connected group itself.
+    connected group itself.  Raises InputError, before anything of size
+    rank squared is built, for a semisimple rank above 8 or a torus rank
+    above 8.
     """
     n = lt.rank
+    if lt.semisimple_rank > 8:
+        raise InputError("semisimple rank larger than 8 is not supported")
+    if n - lt.semisimple_rank > 8:
+        raise InputError("torus rank larger than 8 is not supported")
     cs = center_structure(lt)
     for g in gens:
         if len(g.fractions) != len(cs.components):

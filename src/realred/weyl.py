@@ -8,8 +8,9 @@ permutation of delta, so one table serves every isogeny of a Coxeter
 datum, and reduced words are read off them by index comparisons.  The
 table enumerates all twisted involutions breadth-first, which yields the
 twisted length and the status of every simple root for free, and groups
-them into twisted-conjugacy classes.  Lattice matrices of involutions
-belong to involution.InnerClass.
+them into twisted-conjugacy classes.  Each class's canonical member is
+reached by a walk along complex cross actions, not by a scan of the
+class.  Lattice matrices of involutions belong to involution.InnerClass.
 """
 
 from __future__ import annotations
@@ -251,8 +252,6 @@ class InvolutionTable:
     """
 
     def __init__(self, rd: RootDatum, perm: tuple[int, ...]):
-        if rd.semisimple_rank > 8:
-            raise InputError("semisimple rank larger than 8 is not supported")
         self.rd = rd
         pos = rd.positive_roots
         npos = len(pos)
@@ -397,7 +396,8 @@ class InvolutionTable:
         Starting from the class of the base involution, each class in
         turn contributes the unseen classes reached by single Cayley
         transforms from its canonical member, scanning simple roots in
-        index order.
+        index order.  The canonical member comes from a walk from the
+        class's first member (_walk_canonical).
         """
         groups: dict[int, list[int]] = {}
         for i in range(len(self.thetas)):
@@ -426,27 +426,74 @@ class InvolutionTable:
         return tuple(out)
 
     def canonical_member(self, class_idx: int) -> int:
-        """Distinguished class member used for display and transforms."""
+        """Distinguished class member used for display and transforms.
+
+        Among the members at which lambda, 2 rho of the positive real
+        roots, is dominant, and mu, 2 rho of the positive imaginary roots,
+        pairs nonnegatively with the simple coroots orthogonal to lambda,
+        it is the one whose word is least by (length, word).
+        """
         return self._group_canonical(self.classes[class_idx])
 
     def _group_canonical(self, ids: tuple[int, ...]) -> int:
         root = self._find(ids[0])
         out = self._canonical.get(root)
-        if out is not None:
-            return out
-        cands = [
-            i for i in ids
-            if all(x >= 0 for x in self._two_rho_pairings(self.real_roots(i)))
-        ] or list(ids)
-        cands = [i for i in cands if self._imaginary_orth_dominant(i)] or cands
-        best = min(cands, key=lambda i: (len(self.word(i)), self.word(i)))
-        self._canonical[root] = best
-        return best
+        if out is None:
+            out = self._canonical[root] = self._walk_canonical(ids[0])
+        return out
 
-    def _imaginary_orth_dominant(self, i: int) -> bool:
-        two_r = self._two_rho_pairings(self.real_roots(i))
-        two_i = self._two_rho_pairings(self.imaginary_roots(i))
-        return all(b >= 0 for a, b in zip(two_r, two_i) if a == 0)
+    def _walk_canonical(self, i: int) -> int:
+        """Canonical member of the class of i, by a walk from i.
+
+        A complex cross action at j moves lambda and mu by s_j, since s_j
+        permutes the positive roots other than alpha_j.  Moving at a j
+        with lambda_j < 0 raises lambda in the dominance order until it
+        is dominant; then moving at a j with lambda_j = 0 > mu_j does the
+        same for mu and fixes lambda.  Such a j is complex: a real simple
+        root pairs to 2 with lambda and to 0 with mu, an imaginary one to
+        0 and 2.  If theta_2 = w theta_1 w^-1 and both give (lambda, mu),
+        w may be taken to carry the positive real and imaginary roots of
+        theta_1 to those of theta_2, since W(real) x W(imaginary)
+        centralizes theta_2; then w fixes lambda and mu, so it lies in the
+        parabolic W_J, J the simple roots with lambda_j = mu_j = 0.  Each
+        j in J is complex and keeps (lambda, mu), so the search through J
+        reaches every candidate.
+        """
+        js = range(len(self.simple))
+        lam = self._two_rho_pairings(self.real_roots(i))
+        i = self._dominate(i, lam, js)
+        js = [j for j in js if lam[j] == 0]
+        mu = self._two_rho_pairings(self.imaginary_roots(i))
+        i = self._dominate(i, mu, js)
+        js = [j for j in js if mu[j] == 0]
+        cands = [i]
+        seen = {i}
+        for m in cands:
+            for j in js:
+                nbr = self._complex_neighbour(m, j)
+                if nbr not in seen:
+                    seen.add(nbr)
+                    cands.append(nbr)
+        return min(cands, key=lambda m: (len(self.word(m)), self.word(m)))
+
+    def _dominate(self, i: int, pairing: list[int], js: Sequence[int]) -> int:
+        """Moves i at the first j in js with pairing[j] < 0 until none is
+        left, reflecting pairing (updated in place) by s_j each time."""
+        cartan = self.rd.cartan
+        while True:
+            j = next((j for j in js if pairing[j] < 0), None)
+            if j is None:
+                return i
+            i = self._complex_neighbour(i, j)
+            c = pairing[j]
+            for k, a in enumerate(cartan[j]):
+                pairing[k] -= c * a
+
+    def _complex_neighbour(self, i: int, j: int) -> int:
+        kind, nbr = self.status_row(i)[j]
+        if kind not in (COMPLEX_UP, COMPLEX_DOWN):
+            raise RuntimeError(f"simple root {j} is not complex at involution {i}")
+        return nbr
 
 
 _TABLES: dict[tuple, InvolutionTable] = {}

@@ -815,6 +815,35 @@ def reference_inverse_cayley(ic, j, x):
     return tuple(out)
 
 
+def reference_two_offset_inverse_cayley(ic, j, x):
+    """The two noncompact offsets, each keyed by its own square class."""
+    inv, t = x
+    _, nbr = ic.table.status_row(inv)[j]
+    d = ic.denom
+    base = ic._reflect(j, t)
+    r = (d // 2 - lin.vec_dot(ic.rd.simple_roots[j], base)) % d
+    if r % 2:
+        return ()
+    key = ic.central_class_key(ic._square_numerators(x), d)
+    av = ic.rd.simple_coroots[j]
+    out = []
+    seen = set()
+    key_av = None
+    for c in (r // 2, r // 2 + d // 2):
+        cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
+        if ic._square_key_if_valid(cand) != key:
+            continue
+        if key_av is None:
+            key_av = ic.x_key((nbr, av))[1]
+        k = tuple(c * b % d for b in key_av)
+        if k in seen:
+            continue
+        seen.add(k)
+        assert ic.grading(cand, j)
+        out.append(cand)
+    return tuple(out)
+
+
 def reference_fiber_elements(ic, inv, key):
     """(points, keys) of a fiber by breadth-first closure under its generators.
 
@@ -866,6 +895,7 @@ def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
                     if kind == REAL:
                         got = ic.inverse_cayley(j, x)
                         assert got == reference_inverse_cayley(ic, j, x)
+                        assert got == reference_two_offset_inverse_cayley(ic, j, x)
                         cayleys += bool(got)
                 points += 1
     assert points and cayleys

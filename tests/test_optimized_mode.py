@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "realred"
 
 GROUPS = [
     ("B3", "s", None), ("A3", "c", "ad"), ("A3", "c", None), ("B4", "s", "ad"),
-    ("D4", "s", "ad"),
+    ("D4", "s", "ad"), ("D5", "s", None),
 ]
 
 
@@ -43,25 +43,42 @@ def report(text, letters, kernel):
     return lines
 
 
-def test_results_are_the_same_under_python_o():
+def run_optimized(script):
+    """stdout lines of script run by python -O, with src and tests importable."""
     here = Path(__file__).resolve().parent
     src = here.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return run.stdout.splitlines()
+
+
+def test_results_are_the_same_under_python_o():
     script = (
         "from test_optimized_mode import GROUPS, report\n"
         "print(__debug__)\n"
         "for g in GROUPS:\n"
         "    print('\\n'.join(report(*g)))\n"
     )
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
     expected = ["False"] + [line for g in GROUPS for line in report(*g)]
-    assert run.stdout.splitlines() == expected
+    assert run_optimized(script) == expected
+
+
+def test_canonical_walk_failure_raises_under_python_o():
+    script = (
+        "from test_weyl import walk_from_corrupted_row\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    walk_from_corrupted_row()\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    assert run_optimized(script) == ["False", "simple root 1 is not complex at involution 1"]
 
 
 def test_library_has_no_assert_statements():

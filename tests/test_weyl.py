@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import time
 from functools import cache
 
 import pytest
@@ -384,6 +386,75 @@ def test_classes_d6():
     }
 
 
+def reference_canonical_member(table, ids):
+    """Scan of every member: 2 rho of the real roots dominant, then 2 rho
+    of the imaginary roots dominant where the first pairs to 0, then the
+    least (length, word)."""
+    def pairings(i):
+        return (table._two_rho_pairings(table.real_roots(i)),
+                table._two_rho_pairings(table.imaginary_roots(i)))
+
+    cands = [i for i in ids if all(x >= 0 for x in pairings(i)[0])] or list(ids)
+    cands = [
+        i for i in cands
+        if all(b >= 0 for a, b in zip(*pairings(i)) if a == 0)
+    ] or cands
+    return min(cands, key=lambda i: (len(table.word(i)), table.word(i)))
+
+
+# every simple type of rank <= 6 in each of its inner classes
+CANONICAL_CONTEXTS = (
+    [("A1", "c")]
+    + [(f"A{n}", letters) for n in range(2, 7) for letters in "cs"]
+    + [(f"{x}{n}", "s") for x in "BC" for n in range(2, 7)]
+    + [("D4", "s"), ("D4", "u"), ("D5", "c"), ("D5", "s"), ("D6", "s"), ("D6", "u")]
+    + [("E6", "c"), ("E6", "s"), ("F4", "s"), ("G2", "s")]
+    + [("D7", "s"), ("A1.A1", "C"), ("A2.A2", "C")]
+)
+
+
+@pytest.mark.parametrize("text,letters", CANONICAL_CONTEXTS)
+def test_canonical_member_matches_scan(text, letters):
+    _, _, d = context(text, letters)
+    table = involution_table(d)
+    for c, ids in enumerate(table.classes):
+        expected = reference_canonical_member(table, ids)
+        assert table.canonical_member(c) == expected
+        # the walk behind canonical_member starts at ids[0]
+        assert table._walk_canonical(ids[-1]) == expected
+
+
+@pytest.mark.parametrize("text,letters", [("D5", "s"), ("E6", "c")])
+def test_canonical_walk_is_independent_of_its_start(text, letters):
+    _, _, d = context(text, letters)
+    table = involution_table(d)
+    for i in range(len(table)):
+        assert table._walk_canonical(i) == table.canonical_member(table.class_of[i])
+
+
+def walk_from_corrupted_row():
+    """Walks on a copy of the D5 s table whose status row reports as real
+    the simple root the walk's first move needs."""
+    _, _, d = context("D5", "s")
+    table = involution_table(d)
+    for i in range(len(table)):
+        lam = table._two_rho_pairings(table.real_roots(i))
+        j = next((j for j, x in enumerate(lam) if x < 0), None)
+        if j is not None:
+            break
+    bad = copy.copy(table)
+    bad._rows = list(table._rows)
+    row = list(bad._rows[i])
+    row[j] = (REAL, row[j][1])
+    bad._rows[i] = tuple(row)
+    return bad._walk_canonical(i)
+
+
+def test_canonical_walk_refuses_a_move_that_is_not_complex():
+    with pytest.raises(RuntimeError, match="not complex"):
+        walk_from_corrupted_row()
+
+
 @pytest.mark.parametrize("text,letters", [
     ("A2", "c"), ("A3", "c"), ("B2", "c"), ("G2", "c"),
     ("A1.A1", "cc"), ("A2", "s"),
@@ -495,9 +566,21 @@ def test_table_is_the_same_for_every_isogeny(text, letters):
 
 
 def test_rank_refusal():
-    _, _, d = context("A1.A1.A1.A1.A1.A1.A1.A1.A1", "c" * 9)
     with pytest.raises(InputError, match="rank"):
-        involution_table(d)
+        context("A1.A1.A1.A1.A1.A1.A1.A1.A1", "c" * 9)
+
+
+@pytest.mark.parametrize("text", ["A1000000000", "T1000000"])
+def test_huge_ranks_fail_fast(text):
+    # refused before any matrix of size rank squared is built
+    start = time.process_time()
+    with pytest.raises(InputError, match="rank"):
+        build_root_datum(parse_lie_type(text), [])
+    assert time.process_time() - start < 0.5
+
+
+def test_rank_bounds_are_inclusive():
+    assert build_root_datum(parse_lie_type("A1.A1.A1.A1.A1.A1.A1.A1.T8"), []).rank == 16
 
 
 def test_torus_only():
