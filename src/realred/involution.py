@@ -111,7 +111,7 @@ class FiberOrbit:
     moves: tuple[tuple[int, ...], ...]
 
 
-_TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)"}
+_TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)", "C": "gl(1,C)"}
 
 # Exceptional form names in increasing noncompactness order; the key is
 # (letter, rank, equal_rank).
@@ -134,8 +134,6 @@ def _complex_pair_name(f: Factor) -> str:
         return f"sp({2 * f.rank},C)"
     if f.letter == "D":
         return f"so({2 * f.rank},C)"
-    if f.letter == "T":
-        return "gl(1,C)"
     return f"{f.letter.lower()}{f.rank}(C)"
 
 
@@ -196,14 +194,10 @@ class InnerClass:
     # -- central square classes ----------------------------------------
 
     @cached_property
-    def _dstar_minus_one(self) -> lin.Matrix:
-        return lin.mat_sub(self._dstar, lin.identity(self.rd.rank))
-
-    @cached_property
     def _central_smith(self) -> lin.SmithForm:
         """Constraints cutting out delta-fixed central cocharacters mod Z^n."""
         rows = [list(a) for a in self.rd.simple_roots]
-        rows.extend(list(r) for r in self._dstar_minus_one)
+        rows.extend(lin.mat_sub(self._dstar, lin.identity(self.rd.rank)))
         return lin.smith_form(lin.freeze(rows), ncols=self.rd.rank)
 
     @cached_property
@@ -423,22 +417,6 @@ class InnerClass:
             lin.vec_scale(self.cbits(inv), self.denom // 2),
         )
 
-    def _square_key_if_valid(self, x: StrongX) -> tuple | None:
-        """Square-class key of x, or None when x squares outside the center.
-
-        The square s = num / denom is central and delta-fixed when every
-        simple root and every row of delta* - 1 pairs integrally with
-        it, which is checked on num modulo denom.
-        """
-        num = self._square_numerators(x)
-        d = self.denom
-        for a in self.rd.simple_roots:
-            if lin.vec_dot(a, num) % d:
-                return None
-        if any(v % d for v in lin.mat_vec(self._dstar_minus_one, num)):
-            return None
-        return self.central_class_key(num, d)
-
     # -- fibers ----------------------------------------------------------
 
     def fiber_elements(self, inv: int, key: tuple) -> tuple[lin.Vector, ...]:
@@ -593,15 +571,20 @@ class InnerClass:
         """Valid inverse Cayley transforms through a real simple root.
 
         With d = denom and base = s_j t, these are the candidates (nbr,
-        base + c alpha_j^v) squaring into the class of x at which alpha_j,
-        simple imaginary at nbr, is noncompact: <alpha_j, base> + 2c = d/2
-        mod d (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is
-        no c when r is odd, else c = r/2 and r/2 + d/2, in that order.  So
-        this is the scan of all d offsets: no compact candidate shares a key
+        u), u = base + c alpha_j^v, at which alpha_j, simple imaginary at
+        nbr, is noncompact: <alpha_j, u> = <alpha_j, base> + 2c = d/2 mod d
+        (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is no c
+        when r is odd, else c = r/2 and r/2 + d/2, in that order.  So this
+        is the scan of all d offsets: no compact candidate shares a key
         with these, as the key rows span alpha_j, theta-fixed at nbr.
-        The two square numerators differ by d alpha_j^v, so the first
-        candidate's square class decides both.  Offsets c, c' give one key
-        when c key(alpha_j^v) = c' key(alpha_j^v).
+        Offsets c, c' give one key when c key(alpha_j^v) = c' key(alpha_j^v).
+        Every candidate squares into the class of x, so none is keyed:
+        - its Cayley image (inv, t - c alpha_j^v) has the square numerators
+          of x, as theta*_inv alpha_j^v = -alpha_j^v;
+        - a Cayley transform through a noncompact alpha_j keeps the square
+          numerators mod d: theta*_inv s_j = theta*_nbr, so they move by
+          (d/2 - <alpha_j, u>) alpha_j^v mod d, the rho-check drop growing
+          by alpha_j^v, and <alpha_j, u> = d/2 mod d.
         Raises ValueError when j is not real at x.
         """
         inv, t = x
@@ -614,19 +597,15 @@ class InnerClass:
         if r % 2:
             return ()
         av = self.rd.simple_coroots[j]
-        offsets = (r // 2, r // 2 + d // 2)
-        cands = [(nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d)) for c in offsets]
-        key = self.central_class_key(self._square_numerators(x), d)
-        if self._square_key_if_valid(cands[0]) != key:
-            return ()
         key_av = self.x_key((nbr, av))[1]
         out = []
         seen = set()
-        for c, cand in zip(offsets, cands):
+        for c in (r // 2, r // 2 + d // 2):
             k = tuple(c * b % d for b in key_av)
             if k in seen:
                 continue
             seen.add(k)
+            cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
             if not self.grading(cand, j):
                 raise RuntimeError("an inverse Cayley candidate is compact")
             out.append(cand)
@@ -856,11 +835,7 @@ class InnerClass:
     def _menu_core(self) -> tuple[tuple[str, bool, int], ...]:
         """(name, quasisplit, adjoint orbit) per weak form, in menu order."""
         if self.rd.semisimple_rank == 0:
-            name = ".".join(
-                _complex_pair_name(Factor("T", 1)) if letter == "C"
-                else _TORUS_NAMES[letter]
-                for letter, _ in self.delta.units
-            )
+            name = ".".join(_TORUS_NAMES[letter] for letter, _ in self.delta.units)
             return ((name, True, 0),)
         ad = self._ad
         out = []
@@ -869,10 +844,7 @@ class InnerClass:
             names = []
             for letter, idxs in self.delta.units:
                 if all(self.lt.factors[i].letter == "T" for i in idxs):
-                    names.append(
-                        _complex_pair_name(Factor("T", 1)) if letter == "C"
-                        else _TORUS_NAMES[letter]
-                    )
+                    names.append(_TORUS_NAMES[letter])
                 else:
                     names.append(next(ad_names))
             qs = ad._ad_orbit_data[ad_orbit]["quasisplit"]
@@ -923,11 +895,11 @@ class InnerClass:
         action of the first simple root that is a complex descent, when
         the status row has one, and costs one cross action.  Otherwise it
         is the first valid inverse Cayley transform through a real simple
-        root, in index order; each try keys at most two candidates.  The form
-        does not depend on the path: cross actions and Cayley transforms
-        preserve the weak real form, so every point of any path has the
-        form of x, and the base point it ends at lies in a base-fiber
-        orbit of that form.
+        root, in index order; each try keys only the coroot alpha_j^v.
+        The form does not depend on the path: cross actions and Cayley
+        transforms preserve the weak real form, so every point of any path
+        has the form of x, and the base point it ends at lies in a
+        base-fiber orbit of that form.
         """
         inv, _ = x
         while self.table.lengths[inv] > 0:
@@ -1024,14 +996,17 @@ class InnerClass:
         """Rank decomposition of theta* at a twisted involution, cached.
 
         The eigenspace dimensions are read off the cached Smith forms of
-        1 - theta* (its key rows) and 1 + theta*.
+        1 - theta* (its key rows) and 1 + theta*.  The complex pairs are
+        the rank of 1 + theta* mod 2, its count of odd Smith divisors, as
+        unimodular transforms stay invertible mod 2.
         """
         out = self._ranks_at.get(inv)
         if out is None:
             n = self.rd.rank
-            c = lin.f2_rank(lin.mat_add(self.theta_star(inv), lin.identity(n)))
+            sf = self._smith_plus(inv)
+            c = sum(e % 2 for e in sf.diag)
             plus = len(self._fixed_rows(inv)[1])
-            minus = n - self._smith_plus(inv).rank
+            minus = n - sf.rank
             out = self._ranks_at[inv] = RankDecomposition(
                 split=minus - c, compact=plus - c, complex_pairs=c
             )
@@ -1097,7 +1072,9 @@ class InnerClass:
         for root in self.roots(self.table.real_roots(inv)):
             z = lin.mat_vec(sf.uinv, in_kernel_coords(root.covec))
             bits.append([z[i] % 2 for i in twos])
-        return len(twos) - lin.f2_rank(lin.freeze(bits))
+        # the rank of bits mod 2 is its count of odd Smith divisors
+        odd = lin.smith_form(lin.freeze(bits), ncols=len(twos)).diag
+        return len(twos) - sum(e % 2 for e in odd)
 
     # -- counting -----------------------------------------------------------
 

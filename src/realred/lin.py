@@ -1,4 +1,4 @@
-"""Exact integer and rational linear algebra for lattice computations.
+"""Exact integer linear algebra for lattice computations.
 
 Matrices are immutable tuples of int tuples (row-major); vectors are int
 tuples.  Everything here is exact: no floating point is used anywhere.
@@ -7,8 +7,7 @@ tuples.  Everything here is exact: no floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -289,46 +288,18 @@ def row_hnf(a: Matrix) -> Matrix:
     return freeze(rows[:top])
 
 
-def f2_rank(a: Matrix) -> int:
-    """Rank of the matrix reduced mod 2."""
-    masks = []
-    for row in a:
-        bits = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                bits |= 1 << j
-        if bits:
-            masks.append(bits)
-    rank = 0
-    while masks:
-        piv = min(masks, key=lambda b: b & -b)
-        low = piv & -piv
-        masks = [b ^ piv if b & low else b for b in masks if b != piv]
-        masks = [b for b in masks if b]
-        rank += 1
-    return rank
-
-
 def mat_inverse_rational(a: Matrix) -> tuple[Matrix, int]:
     """Inverse of a square integer matrix as (numerator matrix, denominator).
 
+    With the Smith form, a^-1 = vinv diag^-1 uinv.  The divisors divide
+    one another and vinv, uinv are unimodular, so k a^-1 is integral
+    exactly when the last divisor divides k: it is the least denominator.
     Raises ValueError if the matrix is singular.
     """
     n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        f = rows[col][col]
-        rows[col] = [x / f for x in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    inv = [row[n:] for row in rows]
-    den = lcm(*(x.denominator for row in inv for x in row)) if n else 1
-    num = freeze([[x * den for x in row] for row in inv])
-    return num, den
+    sf = smith_form(a, ncols=n)
+    if sf.rank < n:
+        raise ValueError("singular matrix")
+    den = sf.diag[-1] if n else 1
+    scaled = freeze([den // d * x for x in row] for d, row in zip(sf.diag, sf.uinv))
+    return mat_mul(sf.vinv, scaled), den

@@ -7,10 +7,11 @@ Those permutations depend only on the Cartan matrix and the diagram
 permutation of delta, so one table serves every isogeny of a Coxeter
 datum, and reduced words are read off them by index comparisons.  The
 table enumerates all twisted involutions breadth-first, which yields the
-twisted length and the status of every simple root for free, and groups
-them into twisted-conjugacy classes.  Each class's canonical member is
-reached by a walk along complex cross actions, not by a scan of the
-class.  Lattice matrices of involutions belong to involution.InnerClass.
+twisted length and the status of every simple root for free.  The
+twisted-conjugacy classes are the components of the graph of complex
+cross actions, and each class's canonical member is reached by a walk
+along them, not by a scan of the class.  Lattice matrices of involutions
+belong to involution.InnerClass.
 """
 
 from __future__ import annotations
@@ -244,7 +245,8 @@ class InvolutionTable:
     the i-th involution as a permutation of the root indices, and also
     its key in index.  The search records the status row of every
     involution: per simple root, its kind and the neighbour reached by
-    the cross action or Cayley transform.  simple[j] is the index of
+    the cross action or Cayley transform; the complex neighbours join
+    the members of each class.  simple[j] is the index of
     simple root j, and reflections[k] the reflection in positive root k
     as a permutation.  Roots are returned as positive-root indices,
     valid in every isogeny; rd is the root datum the table was built
@@ -270,10 +272,8 @@ class InvolutionTable:
         self.lengths: list[int] = [0]
         self.index: dict[tuple[int, ...], int] = {theta0: 0}
         self._rows: list[list] = [[None] * rd.semisimple_rank]
-        self._uf: list[int] = [0]
         self._words: dict[int, tuple[int, ...]] = {}
         self._reflection_words: dict[int, tuple[int, ...]] = {}
-        self._canonical: dict[int, int] = {}
         self._enumerate()
         self._rows = [tuple(row) for row in self._rows]
 
@@ -301,7 +301,6 @@ class InvolutionTable:
                     t2 = tuple(map(refl, map(theta.__getitem__, self.reflections[s])))
                     tid = self._add(t2, tl + (1 if up else -1), queue)
                     row[j] = (COMPLEX_UP if up else COMPLEX_DOWN, tid)
-                    self._union(i, tid)
 
     def _add(self, theta: tuple[int, ...], tl: int, queue: deque) -> int:
         tid = self.index.get(theta)
@@ -311,24 +310,10 @@ class InvolutionTable:
             self.thetas.append(theta)
             self.lengths.append(tl)
             self._rows.append([None] * len(self.simple))
-            self._uf.append(tid)
             queue.append(tid)
         elif self.lengths[tid] != tl:
             raise RuntimeError("a twisted involution is met at two lengths")
         return tid
-
-    def _find(self, i: int) -> int:
-        root = i
-        while self._uf[root] != root:
-            root = self._uf[root]
-        while self._uf[i] != root:
-            self._uf[i], i = root, self._uf[i]
-        return root
-
-    def _union(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri != rj:
-            self._uf[max(ri, rj)] = min(ri, rj)
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -393,29 +378,38 @@ class InvolutionTable:
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Twisted-conjugacy classes in Cayley-transform discovery order.
 
+        Complex cross actions conjugate within a class and join all of
+        it, so the classes are the components (rootdata.components) of
+        the complex neighbours of the status rows, each in increasing id.
         Starting from the class of the base involution, each class in
         turn contributes the unseen classes reached by single Cayley
-        transforms from its canonical member, scanning simple roots in
-        index order.  The canonical member comes from a walk from the
-        class's first member (_walk_canonical).
+        transforms from its canonical member, scanning its imaginary
+        basis in order.  The canonical member comes from a walk from the
+        class's least member (_walk_canonical) and is recorded here for
+        canonical_member.
         """
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self.thetas)):
-            groups.setdefault(self._find(i), []).append(i)
-        order = [self._find(0)]
-        seen = {order[0]}
-        pos = 0
-        while pos < len(order):
-            rep = self._group_canonical(tuple(groups[order[pos]]))
+        comps = components([
+            [nbr for kind, nbr in row if kind in (COMPLEX_UP, COMPLEX_DOWN)]
+            for row in self._rows
+        ])
+        comp_of = [0] * len(self.thetas)
+        for c, comp in enumerate(comps):
+            for i in comp:
+                comp_of[i] = c
+        order = [0]
+        seen = {0}
+        canonical = [self._walk_canonical(0)]
+        for rep in canonical:
             for b in self.imaginary_basis(rep):
-                grp = self._find(self.cayley(rep, b))
-                if grp not in seen:
-                    seen.add(grp)
-                    order.append(grp)
-            pos += 1
-        if len(order) != len(groups):
+                c = comp_of[self.cayley(rep, b)]
+                if c not in seen:
+                    seen.add(c)
+                    order.append(c)
+                    canonical.append(self._walk_canonical(comps[c][0]))
+        if len(order) != len(comps):
             raise RuntimeError("Cayley transforms do not reach every class")
-        return tuple(tuple(groups[r]) for r in order)
+        self._canonical = tuple(canonical)
+        return tuple(tuple(comps[c]) for c in order)
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
@@ -431,16 +425,11 @@ class InvolutionTable:
         Among the members at which lambda, 2 rho of the positive real
         roots, is dominant, and mu, 2 rho of the positive imaginary roots,
         pairs nonnegatively with the simple coroots orthogonal to lambda,
-        it is the one whose word is least by (length, word).
+        it is the one whose word is least by (length, word); classes
+        finds it.
         """
-        return self._group_canonical(self.classes[class_idx])
-
-    def _group_canonical(self, ids: tuple[int, ...]) -> int:
-        root = self._find(ids[0])
-        out = self._canonical.get(root)
-        if out is None:
-            out = self._canonical[root] = self._walk_canonical(ids[0])
-        return out
+        self.classes  # records _canonical
+        return self._canonical[class_idx]
 
     def _walk_canonical(self, i: int) -> int:
         """Canonical member of the class of i, by a walk from i.

@@ -30,6 +30,7 @@ from realred.rootdata import (
 )
 from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL
 
+from test_lin import reference_f2_rank
 from test_rootdata import coreflections, reflections
 from test_weyl import reference_normal_form_word, reference_theta_star
 
@@ -291,6 +292,24 @@ def test_adjoint_strong_forms_match_weak_forms():
 # -- cross actions and Cayley transforms --------------------------------
 
 
+def square_key_if_valid(ic, x):
+    """Square-class key of x, or None when x squares outside the center.
+
+    The square s = num / denom is central and delta-fixed when every
+    simple root and every row of delta* - 1 pairs integrally with it,
+    which is checked on num modulo denom.
+    """
+    num = ic._square_numerators(x)
+    d = ic.denom
+    for a in ic.rd.simple_roots:
+        if lin.vec_dot(a, num) % d:
+            return None
+    dstar_minus_one = lin.mat_sub(lin.transpose(ic.delta.matrix), lin.identity(ic.rd.rank))
+    if any(v % d for v in lin.mat_vec(dstar_minus_one, num)):
+        return None
+    return ic.central_class_key(num, d)
+
+
 def all_strong_involutions(ic):
     out = []
     for cartan in range(len(ic.table.classes)):
@@ -311,22 +330,22 @@ def test_cross_and_cayley_preserve_squares(text, letters):
     ic = context(text, letters, kernel)
     for x, key in all_strong_involutions(ic):
         inv, _ = x
-        assert ic._square_key_if_valid(x) == key
+        assert square_key_if_valid(ic, x) == key
         row = ic.table.status_row(inv)
         for j, (kind, _) in enumerate(row):
             x2 = ic.cross(j, x)
-            assert ic._square_key_if_valid(x2) == key
+            assert square_key_if_valid(ic, x2) == key
             assert ic.x_key(ic.cross(j, x2)) == ic.x_key(x)
             if kind in (IMAGINARY, REAL):
                 assert x2[0] == inv
             if kind == IMAGINARY and ic.grading(x, j):
                 up = ic.cayley(j, x)
-                assert ic._square_key_if_valid(up) == key
+                assert square_key_if_valid(ic, up) == key
                 back = ic.inverse_cayley(j, up)
                 assert ic.x_key(x) in {ic.x_key(y) for y in back}
             if kind == REAL:
                 for y in ic.inverse_cayley(j, x):
-                    assert ic._square_key_if_valid(y) == key
+                    assert square_key_if_valid(ic, y) == key
                     assert ic.grading(y, j)
                     assert ic.x_key(ic.cayley(j, y)) == ic.x_key(x)
 
@@ -423,7 +442,7 @@ def test_square_key_integer_check_matches_fractions(text, letters, kernel):
     for inv, base, av in lines:
         for c in range(d):
             cand = (inv, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-            key = ic._square_key_if_valid(cand)
+            key = square_key_if_valid(ic, cand)
             ref = square_key_reference(ic, cand, translates)
             if key is None:
                 assert ref is None
@@ -649,7 +668,7 @@ def rank_decomposition(theta):
     """Rank invariants of a lattice involution from fresh Smith forms: the reference."""
     n = len(theta)
     ident = lin.identity(n)
-    c = lin.f2_rank(lin.mat_add(theta, ident))
+    c = reference_f2_rank(lin.mat_add(theta, ident))
     plus = n - lin.smith_form(lin.mat_sub(theta, ident), ncols=n).rank
     minus = n - lin.smith_form(lin.mat_add(theta, ident), ncols=n).rank
     return RankDecomposition(split=minus - c, compact=plus - c, complex_pairs=c)
@@ -805,7 +824,7 @@ def reference_inverse_cayley(ic, j, x):
     seen = set()
     for c in range(d):
         cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-        if ic._square_key_if_valid(cand) != key:
+        if square_key_if_valid(ic, cand) != key:
             continue
         k = reference_x_key(ic, cand)
         if k not in seen:
@@ -831,7 +850,7 @@ def reference_two_offset_inverse_cayley(ic, j, x):
     key_av = None
     for c in (r // 2, r // 2 + d // 2):
         cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-        if ic._square_key_if_valid(cand) != key:
+        if square_key_if_valid(ic, cand) != key:
             continue
         if key_av is None:
             key_av = ic.x_key((nbr, av))[1]
@@ -899,6 +918,35 @@ def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
                         cayleys += bool(got)
                 points += 1
     assert points and cayleys
+
+
+@pytest.mark.parametrize("text,letters,kernel", FIBER_GROUPS)
+def test_inverse_cayley_candidates_square_like_x(text, letters, kernel):
+    # why inverse_cayley keys no square class: every noncompact point of
+    # the coroot line through s_j t has the square numerators of x mod d
+    ic = context(text, letters, kernel)
+    d = ic.denom
+    checked = 0
+    for inv in range(len(ic.table)):
+        for sq in ic.square_classes:
+            for t in ic.fiber_elements(inv, sq.key):
+                x = (inv, t)
+                square = lin.vec_mod(ic._square_numerators(x), d)
+                for j, (kind, nbr) in enumerate(ic.table.status_row(inv)):
+                    if kind != REAL:
+                        continue
+                    base = ic._reflect(j, t)
+                    av = ic.rd.simple_coroots[j]
+                    cands = [
+                        (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
+                        for c in range(d)
+                    ]
+                    noncompact = [y for y in cands if ic.grading(y, j)]
+                    assert set(ic.inverse_cayley(j, x)) <= set(noncompact)
+                    for y in noncompact:
+                        assert lin.vec_mod(ic._square_numerators(y), d) == square
+                        checked += 1
+    assert checked
 
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",

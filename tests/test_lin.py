@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -141,11 +142,50 @@ def test_row_hnf_examples() -> None:
     assert lin.row_hnf(((0, 0),)) == ()
 
 
+def reference_f2_rank(a: lin.Matrix) -> int:
+    """Rank of the matrix reduced mod 2, by elimination on row bitmasks."""
+    masks = []
+    for row in a:
+        bits = 0
+        for j, x in enumerate(row):
+            if x & 1:
+                bits |= 1 << j
+        if bits:
+            masks.append(bits)
+    rank = 0
+    while masks:
+        piv = min(masks, key=lambda b: b & -b)
+        low = piv & -piv
+        masks = [b ^ piv if b & low else b for b in masks if b != piv]
+        masks = [b for b in masks if b]
+        rank += 1
+    return rank
+
+
+def odd_divisors(a: lin.Matrix, ncols: int | None = None) -> int:
+    """The rank mod 2 as the library takes it: odd Smith divisors."""
+    return sum(d % 2 for d in lin.smith_form(a, ncols=ncols).diag)
+
+
 def test_f2_rank() -> None:
-    assert lin.f2_rank(lin.identity(4)) == 4
-    assert lin.f2_rank(((2, 4), (6, 8))) == 0
-    assert lin.f2_rank(((1, 1), (1, 1))) == 1
-    assert lin.f2_rank(((1, 0, 1), (0, 1, 1), (1, 1, 0))) == 2
+    for count in (reference_f2_rank, odd_divisors):
+        assert count(lin.identity(4)) == 4
+        assert count(((2, 4), (6, 8))) == 0
+        assert count(((1, 1), (1, 1))) == 1
+        assert count(((1, 0, 1), (0, 1, 1), (1, 1, 0))) == 2
+
+
+def test_odd_divisors_match_f2_reference() -> None:
+    rng = random.Random(2)
+    for _ in range(200):
+        m = rng.randint(0, 6)
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        for i in range(m):
+            if rng.random() < 0.2:
+                rows[i] = [0] * n
+        a = lin.freeze(rows)
+        assert odd_divisors(a, ncols=n) == reference_f2_rank(a)
 
 
 def test_det() -> None:
@@ -153,6 +193,27 @@ def test_det() -> None:
     assert det(((2, 0), (0, 3))) == 6
     assert det(((1, 2), (2, 4))) == 0
     assert det(((0, 1), (1, 0))) == -1
+
+
+def reference_mat_inverse_rational(a: lin.Matrix) -> tuple[lin.Matrix, int]:
+    """Gauss-Jordan over Fraction, then the least common denominator."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        f = rows[col][col]
+        rows[col] = [x / f for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    inv = [row[n:] for row in rows]
+    den = lcm(*(x.denominator for row in inv for x in row)) if n else 1
+    return lin.freeze([[x * den for x in row] for row in inv]), den
 
 
 def test_mat_inverse_rational() -> None:
@@ -164,11 +225,17 @@ def test_mat_inverse_rational() -> None:
         if det(a) == 0:
             continue
         found += 1
-        num, den = lin.mat_inverse_rational(a)
-        prod = lin.mat_mul(a, num)
-        assert prod == lin.freeze(
-            [[den if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        # the Smith divisors of 2a are all even, so their product is more
+        # than the least denominator, the last of them
+        for a in (a, lin.freeze([[2 * x for x in row] for row in a])):
+            num, den = lin.mat_inverse_rational(a)
+            prod = lin.mat_mul(a, num)
+            assert prod == lin.freeze(
+                [[den if i == j else 0 for j in range(n)] for i in range(n)]
+            )
+            # the least denominator, as the Fraction reference finds it
+            assert (num, den) == reference_mat_inverse_rational(a)
+    assert lin.mat_inverse_rational(()) == ((), 1) == reference_mat_inverse_rational(())
     with pytest.raises(ValueError):
         lin.mat_inverse_rational(((1, 2), (2, 4)))
 

@@ -402,6 +402,47 @@ def reference_canonical_member(table, ids):
     return min(cands, key=lambda i: (len(table.word(i)), table.word(i)))
 
 
+def reference_classes(table):
+    """(classes, class_of, canonical members) by union-find.
+
+    Complex neighbours are unioned, the larger root under the smaller, so
+    a group's root is its least id.  Groups are ordered by the Cayley
+    transforms through the imaginary basis of each group's scanned
+    canonical member, from the group of the base involution on.
+    """
+    uf = list(range(len(table)))
+
+    def find(i):
+        while uf[i] != i:
+            i = uf[i]
+        return i
+
+    for i in range(len(table)):
+        for kind, nbr in table.status_row(i):
+            if kind in (COMPLEX_UP, COMPLEX_DOWN):
+                ri, rj = find(i), find(nbr)
+                uf[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(table)):
+        groups.setdefault(find(i), []).append(i)
+    order = [find(0)]
+    canonical = []
+    for root in order:
+        rep = reference_canonical_member(table, groups[root])
+        canonical.append(rep)
+        for b in table.imaginary_basis(rep):
+            grp = find(table.cayley(rep, b))
+            if grp not in order:
+                order.append(grp)
+    assert len(order) == len(groups)
+    classes = tuple(tuple(groups[r]) for r in order)
+    class_of = [0] * len(table)
+    for c, ids in enumerate(classes):
+        for i in ids:
+            class_of[i] = c
+    return classes, tuple(class_of), tuple(canonical)
+
+
 # every simple type of rank <= 6 in each of its inner classes
 CANONICAL_CONTEXTS = (
     [("A1", "c")]
@@ -417,11 +458,13 @@ CANONICAL_CONTEXTS = (
 def test_canonical_member_matches_scan(text, letters):
     _, _, d = context(text, letters)
     table = involution_table(d)
+    classes, class_of, canonical = reference_classes(table)
+    assert table.classes == classes
+    assert table.class_of == class_of
     for c, ids in enumerate(table.classes):
-        expected = reference_canonical_member(table, ids)
-        assert table.canonical_member(c) == expected
+        assert table.canonical_member(c) == canonical[c]
         # the walk behind canonical_member starts at ids[0]
-        assert table._walk_canonical(ids[-1]) == expected
+        assert table._walk_canonical(ids[-1]) == canonical[c]
 
 
 @pytest.mark.parametrize("text,letters", [("D5", "s"), ("E6", "c")])
