@@ -3,10 +3,10 @@
 A conjugacy class of Cartan subgroups corresponds to a class of twisted
 involutions; its report combines rank data of the involution, the types
 of the imaginary, real, and restricted complex root subsystems, and the
-partition of the corresponding fiber by weak real form.  The real Weyl
-group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r); A comes
-from Schreier generators on the cached moves of a fiber orbit and a
-complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
+partition of the corresponding adjoint fiber by weak real form.  The
+real Weyl group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r);
+A comes from Schreier generators on the cached moves of a fiber orbit
+and a complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import lin
-from .involution import FiberOrbit, InnerClass, RankDecomposition, StrongOrbit
+from .involution import FiberOrbit, InnerClass, RankDecomposition, StrongOrbit, strong_orbits
 from .rootdata import InputError, Root, arms, components, simple_basis
 from .weyl import word_from_matrix
 
@@ -164,7 +164,12 @@ def _complex_factor(
 
 @dataclass(frozen=True)
 class CartanClass:
-    """One conjugacy class of Cartan subgroups of the inner class."""
+    """One conjugacy class of Cartan subgroups of the inner class.
+
+    partition splits the fiber of the adjoint group over the canonical
+    involution by weak real form; its member ids are positions in that
+    adjoint fiber, numbered orbit by orbit, most split form first.
+    """
 
     index: int
     word: tuple[int, ...]
@@ -188,9 +193,12 @@ def cartan_class(ic: InnerClass, c: int) -> CartanClass:
     inv = table.canonical_member(c)
     dec = ic.cartan_ranks(c)
     orbit = len(table.classes[c])
-    # The fiber partition has one square class exactly when the center
-    # is trivial, so it is read off the adjoint inner class.
-    entries = tuple(e for _, es in ic._ad.strong_real_forms_at(c) for e in es)
+    # the fiber of the adjoint group has one square class, numbered 0
+    orbits = ic.cartan_orbits(c)
+    ids, points = ic._adjoint_orbits(inv, [tuple(t for _, t in o.members) for o in orbits])
+    entries = strong_orbits(
+        0, [(orbits[ids.index(a)].form, len(pts)) for a, pts in enumerate(points)]
+    )
     out = ic._cartan_classes[c] = CartanClass(
         index=c,
         word=table.word(inv),

@@ -2,13 +2,14 @@
 
 A strong involution is represented by a pair x = (i, t) where i indexes
 a twisted involution and t is a rational cocharacter stored as an
-integer vector over the context-wide denominator.  Central cocharacters,
-square-class keys and adjoint images are integer numerators too, so the
-module does no rational arithmetic.  Whether an imaginary root is
-noncompact at x is one parity in closed form (root_grading): a pairing
-with t plus the root's heights over the simple roots and over the
-imaginary simple roots.  Everything here is organised around one
-InnerClass object per (root datum, involution).
+integer vector over the context-wide denominator.  Central cocharacters
+and square-class keys are integer numerators too, so the module does no
+rational arithmetic.  Whether an imaginary root is noncompact at x is
+one parity in closed form (root_grading): a pairing with t plus the
+root's heights over the simple roots and over the imaginary simple
+roots.  Everything here is organised around one InnerClass object per
+(root datum, involution); the adjoint fiber, whose orbits are the weak
+real forms, is read off its own fiber orbits by gradings.
 
 Fibers are affine spaces over F2.  theta* comes from the table parent
 by rank-one reflection updates; the key of x is t paired with a basis
@@ -35,9 +36,6 @@ from .rootdata import (
     LieType,
     Root,
     RootDatum,
-    adjoint_generators,
-    build_root_datum,
-    center_structure,
     components,
 )
 from .weyl import (
@@ -81,7 +79,6 @@ class RealFormLabel:
     index: int
     name: str
     quasisplit: bool
-    orbit: int
     square_class: int
     rep: StrongX
 
@@ -614,44 +611,6 @@ class InnerClass:
     # -- weak real forms --------------------------------------------------
 
     @cached_property
-    def _ad(self) -> InnerClass:
-        """Parallel context on the adjoint group of the derived group."""
-        simple = tuple(f for f in self.lt.factors if f.letter != "T")
-        letters = "".join(
-            letter for letter, idxs in self.delta.units
-            if self.lt.factors[idxs[0]].letter != "T"
-        )
-        lt = LieType(simple, tuple(str(f) for f in simple))
-        rd = build_root_datum(lt, adjoint_generators(center_structure(lt)))
-        if (
-            rd == self.rd
-            and lt.factors == self.lt.factors
-            and letters == self.delta.letters
-        ):
-            return self
-        return InnerClass(inner_class_involution(letters, rd, lt))
-
-    @cached_property
-    def _ad_transfer(self) -> tuple[lin.Matrix, int]:
-        """Inverse of the adjoint simple-root matrix, as (numerators, den)."""
-        ad = self._ad
-        return lin.mat_inverse_rational(lin.freeze(list(ad.rd.simple_roots)))
-
-    def _to_ad(self, t: lin.Vector) -> lin.Vector:
-        """Image of a cocharacter in the adjoint cocharacter lattice, as
-        numerators over the adjoint denom; RuntimeError when not exact.
-        """
-        pair = tuple(lin.vec_dot(a, t) for a in self.rd.simple_roots)
-        mat, den = self._ad_transfer
-        scale, ad_denom = den * self.denom, self._ad.denom
-        out = []
-        for v in lin.mat_vec(mat, pair):
-            if v * ad_denom % scale:
-                raise RuntimeError("adjoint image is not exact over the adjoint denom")
-            out.append(v * ad_denom // scale)
-        return tuple(out)
-
-    @cached_property
     def _fundamental_orbits(self) -> tuple[OrbitPart, ...]:
         """Cross-action orbits on the base fiber: its one _orbit_partition."""
         return tuple(self._orbit_partition(0))
@@ -701,52 +660,93 @@ class InnerClass:
                 ))
         return out
 
-    @cached_property
-    def _factor_ranges(self) -> tuple[range, ...]:
-        """Simple-root index range of each factor (adjoint: no torus factors)."""
-        out = []
-        pos = 0
-        for f in self.lt.factors:
-            out.append(range(pos, pos + f.rank))
-            pos += f.rank
-        return tuple(out)
+    def _adjoint_orbits(
+        self, inv: int, orbits: list[tuple[lin.Vector, ...]]
+    ) -> tuple[tuple[int, ...], tuple[set[tuple[bool, ...]], ...]]:
+        """Images of cross-action orbits over inv in the adjoint fiber.
+
+        orbits lists the torus parts of the members of each orbit.  The
+        image of x = (inv, t) in the fiber of the adjoint group is read
+        as its point: the gradings of the imaginary simple roots at x
+        (imaginary_basis(inv)).
+        - root_grading reads only <alpha, t> / denom, and t and its
+          adjoint image give the same value.
+        - The image map is W_i-equivariant and onto: every adjoint strong
+          involution lifts, and central translates keep the image.  So an
+          orbit maps onto one adjoint orbit, whose points are the distinct
+          gradings of the orbit's members.
+        That the gradings determine a point of the adjoint fiber is checked
+        against an explicit adjoint context in the tests, not proved here.
+
+        Returns the adjoint orbit of each orbit, numbered by first
+        appearance, and the point set of each adjoint orbit.  Each orbit
+        is looked up by the point of its first member; only an orbit that
+        opens a new adjoint orbit grades all of its members.
+        """
+        basis = self.roots(self.table.imaginary_basis(inv))
+
+        def point(t: lin.Vector) -> tuple[bool, ...]:
+            return tuple(self.root_grading((inv, t), r) for r in basis)
+
+        ids, points, where = [], [], {}
+        for members in orbits:
+            a = where.get(point(members[0]))
+            if a is None:
+                a = len(points)
+                points.append({point(t) for t in members})
+                where.update(dict.fromkeys(points[a], a))
+            ids.append(a)
+        return tuple(ids), tuple(points)
 
     @cached_property
-    def _ad_orbit_data(self) -> tuple[dict, ...]:
-        """Per base-fiber orbit of an adjoint context: grading invariants."""
-        if self._ad is not self:
-            raise RuntimeError("grading invariants are read in the adjoint context")
-        ranges = self._factor_ranges
-        nfac = len(ranges)
-        pos_im = self.roots(self.table.imaginary_roots(0))
-        basis = self.roots(self.table.imaginary_basis(0))
-        out = []
-        for _, members, _ in self._fundamental_orbits:
-            x = (0, members[0])
-            fac_nc = [0] * nfac
-            for r in pos_im:
-                if self.root_grading(x, r):
+    def _factor_ranges(self) -> tuple[tuple[int, ...], ...]:
+        """Simple-root indices of each internal factor; none for a torus factor."""
+        index = self.lt.simple_factor_index
+        return tuple(
+            tuple(k for k, i in enumerate(index) if i == fac)
+            for fac in range(len(self.lt.factors))
+        )
+
+    @cached_property
+    def _weak_forms(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+        """Menu index of each base-fiber orbit, and (nc, iota, quasisplit)
+        of each weak real form, in menu order.
+
+        The weak real forms are the orbits of the adjoint base fiber
+        (_adjoint_orbits).  nc counts the noncompact imaginary roots,
+        positive and negative, of each internal factor and iota is the
+        half-spin tag of each factor, both at the first member of a form's
+        first base-fiber orbit.  A form is quasisplit when the
+        all-noncompact grading is one of its points.  The menu sorts the
+        forms by (total nc, zip(nc, iota)).  That key cannot tie: it
+        determines the name of every unit (real_forms), and the names of
+        distinct weak forms differ.
+        """
+        orbits = [members for _, members, _ in self._fundamental_orbits]
+        ids, points = self._adjoint_orbits(0, orbits)
+        imaginary = self.roots(self.table.imaginary_roots(0))
+        split = (True,) * len(self.table.imaginary_basis(0))
+        forms = []
+        for a, pts in enumerate(points):
+            t = orbits[ids.index(a)][0]
+            nc = [0] * len(self.lt.factors)
+            for r in imaginary:
+                if self.root_grading((0, t), r):
                     k = next(i for i, c in enumerate(r.coeffs) if c)
-                    fac_nc[self.lt.simple_factor_index[k]] += 2
-            quasisplit = any(
-                all(self.root_grading((0, t), b) for b in basis)
-                for t in members
-            )
+                    nc[self.lt.simple_factor_index[k]] += 2
             iota = tuple(
-                self._iota_tag(members[0], self.lt.factors[i], ranges[i])
-                for i in range(nfac)
+                self._iota_tag(t, f, rng) for f, rng in zip(self.lt.factors, self._factor_ranges)
             )
-            out.append({
-                "nc": tuple(fac_nc),
-                "total": sum(fac_nc),
-                "iota": iota,
-                "quasisplit": quasisplit,
-            })
-        if sum(1 for d in out if d["quasisplit"]) != 1:
-            raise RuntimeError("the base fiber has no unique quasisplit orbit")
-        return tuple(out)
+            forms.append((tuple(nc), iota, split in pts))
+        order = sorted(
+            range(len(forms)),
+            key=lambda a: (sum(forms[a][0]), tuple(zip(forms[a][0], forms[a][1]))),
+        )
+        if [forms[a][2] for a in order] != [False] * (len(order) - 1) + [True]:
+            raise RuntimeError("the quasisplit form is not the unique last one of the menu")
+        return tuple(map(order.index, ids)), tuple(forms[a] for a in order)
 
-    def _iota_tag(self, t: lin.Vector, f: Factor, rng: range) -> int:
+    def _iota_tag(self, t: lin.Vector, f: Factor, rng: tuple[int, ...]) -> int:
         """Distinguishes the two half-spin gradings of an equal-rank D factor.
 
         0: not applicable or orthogonal type; 1, 2: the two spin cosets.
@@ -774,109 +774,50 @@ class InnerClass:
                 return tag
         raise RuntimeError("unclassified half-spin coset")
 
-    def _unit_names(self, orbit: int) -> tuple[str, ...]:
-        """Name of each internal unit of an adjoint context at one orbit."""
-        if self._ad is not self:
-            raise RuntimeError("unit names are read in the adjoint context")
-        data = self._ad_orbit_data[orbit]
-        names = []
-        fac = 0
-        for letter, idxs in self.delta.units:
-            f = self.lt.factors[idxs[0]]
-            if letter == "C":
-                names.append(_complex_pair_name(f))
-                fac += 2
-                continue
-            equal = all(self.delta.perm[p] == p for p in self._factor_ranges[idxs[0]])
-            values = sorted({d["nc"][fac] for d in self._ad_orbit_data})
-            names.append(_factor_form_name(
-                f, equal, data["nc"][fac], values, data["iota"][fac]
-            ))
-            fac += 1
-        return tuple(names)
-
-    @cached_property
-    def _ad_menu(self) -> tuple[int, ...]:
-        """Base-fiber orbit ids of an adjoint context, in menu order."""
-        if self._ad is not self or len(self._realized_keys) != 1:
-            raise RuntimeError("the menu is read in an adjoint context with one square class")
-        data = self._ad_orbit_data
-
-        def sort_key(o: int) -> tuple:
-            d = data[o]
-            return (d["total"], tuple(zip(d["nc"], d["iota"])))
-
-        order = sorted(range(len(data)), key=sort_key)
-        if not data[order[-1]]["quasisplit"]:
-            raise RuntimeError("the last form of the menu is not quasisplit")
-        return tuple(order)
-
     @cached_property
     def real_forms(self) -> tuple[RealFormLabel, ...]:
-        """Weak real forms of the inner class, most compact first."""
+        """Weak real forms of the inner class, most compact first.
+
+        Units are named in one walk over delta.units: a torus factor by
+        its letter, a complex pair by its factor, any other unit by its
+        factor's nc and iota among those of all the weak forms.
+        """
+        orbit_forms, forms = self._weak_forms
         labels = []
-        orbit_forms = self._orbit_form_indices
-        for idx, (name, qs, ad_orbit) in enumerate(self._menu_core):
-            first = min(
-                o for o, f in enumerate(orbit_forms) if f == idx
-            )
-            key, members, _ = self._fundamental_orbits[first]
+        for idx, (nc, iota, quasisplit) in enumerate(forms):
+            names = []
+            for letter, idxs in self.delta.units:
+                fac = idxs[0]
+                f = self.lt.factors[fac]
+                if f.letter == "T":
+                    names.append(_TORUS_NAMES[letter])
+                elif letter == "C":
+                    names.append(_complex_pair_name(f))
+                else:
+                    equal = all(self.delta.perm[p] == p for p in self._factor_ranges[fac])
+                    values = sorted({g[0][fac] for g in forms})
+                    names.append(_factor_form_name(f, equal, nc[fac], values, iota[fac]))
+            key, members, _ = self._fundamental_orbits[orbit_forms.index(idx)]
             labels.append(RealFormLabel(
                 index=idx,
-                name=name,
-                quasisplit=qs,
-                orbit=ad_orbit,
+                name=".".join(names),
+                quasisplit=quasisplit,
                 square_class=self._square_index[key],
                 rep=(0, members[0]),
             ))
         return tuple(labels)
 
-    @cached_property
-    def _menu_core(self) -> tuple[tuple[str, bool, int], ...]:
-        """(name, quasisplit, adjoint orbit) per weak form, in menu order."""
-        if self.rd.semisimple_rank == 0:
-            name = ".".join(_TORUS_NAMES[letter] for letter, _ in self.delta.units)
-            return ((name, True, 0),)
-        ad = self._ad
-        out = []
-        for ad_orbit in ad._ad_menu:
-            ad_names = iter(ad._unit_names(ad_orbit))
-            names = []
-            for letter, idxs in self.delta.units:
-                if all(self.lt.factors[i].letter == "T" for i in idxs):
-                    names.append(_TORUS_NAMES[letter])
-                else:
-                    names.append(next(ad_names))
-            qs = ad._ad_orbit_data[ad_orbit]["quasisplit"]
-            out.append((".".join(names), qs, ad_orbit))
-        return tuple(out)
-
-    @cached_property
+    @property
     def _orbit_form_indices(self) -> tuple[int, ...]:
-        """Weak form (menu index) of each base-fiber orbit: its position in
-        the menu order of an adjoint context, else the form of its image
-        in the adjoint base fiber.
-        """
-        if self.rd.semisimple_rank == 0:
-            return tuple(0 for _ in self._fundamental_orbits)
-        ad = self._ad
-        if ad is self:
-            out = [self._ad_menu.index(o) for o in range(len(self._fundamental_orbits))]
-        else:
-            out = [
-                ad._base_form_by_key[ad.x_key((0, self._to_ad(members[0])))]
-                for _, members, _ in self._fundamental_orbits
-            ]
-        if set(out) != set(range(len(self._menu_core))):
-            raise RuntimeError("base-fiber orbits do not cover every weak form")
-        return tuple(out)
+        """Weak form (menu index) of each base-fiber orbit."""
+        return self._weak_forms[0]
 
     @cached_property
     def square_classes(self) -> tuple[SquareClass, ...]:
         """Realized square classes, numbered from the quasisplit form down."""
         order = []
         forms = self._orbit_form_indices
-        for f in reversed(range(len(self._menu_core))):
+        for f in reversed(range(len(self._weak_forms[1]))):
             for o, (key, _, _) in enumerate(self._fundamental_orbits):
                 if forms[o] == f and key not in order:
                     order.append(key)
@@ -968,20 +909,9 @@ class InnerClass:
         orbits = self.cartan_orbits(cartan)
         out = []
         for sq in self.square_classes:
-            mine = [o for o in orbits if o.square_class == sq.index]
-            if not mine:
-                continue
-            # Fiber members are numbered orbit by orbit, most split form
-            # first, so member 0 always sits in the most split orbit.
-            order = sorted(range(len(mine)), key=lambda o: (-mine[o].form, o))
-            entries = []
-            start = 0
-            for o in order:
-                size = len(mine[o].members)
-                ids = tuple(range(start, start + size))
-                entries.append(StrongOrbit(sq.index, mine[o].form, ids))
-                start += size
-            out.append((sq.index, tuple(entries)))
+            mine = [(o.form, len(o.members)) for o in orbits if o.square_class == sq.index]
+            if mine:
+                out.append((sq.index, strong_orbits(sq.index, mine)))
         return tuple(out)
 
     def form_cartans(self, form: int) -> tuple[int, ...]:
@@ -1136,6 +1066,21 @@ def _factor_form_name(
         return star
     p, q = _split_product(nc, 2 * n)
     return f"so({p})" if q == 0 else f"so({p},{q})"
+
+
+def strong_orbits(square_class: int, parts: list[tuple[int, int]]) -> tuple[StrongOrbit, ...]:
+    """Report entries of the (form, size) orbits of one fiber.
+
+    The fiber's members are numbered orbit by orbit, most split form
+    first and orbits of one form in the given order, so member 0 always
+    sits in the most split orbit.
+    """
+    out = []
+    start = 0
+    for form, size in sorted(parts, key=lambda p: -p[0]):
+        out.append(StrongOrbit(square_class, form, tuple(range(start, start + size))))
+        start += size
+    return tuple(out)
 
 
 # -- report formatting -----------------------------------------------------

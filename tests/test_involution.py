@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realred import lin
+from realred.cartan import cartan_class, cartan_hasse, format_cartan_report, real_weyl
 from realred.involution import (
     InnerClass,
     RankDecomposition,
@@ -21,6 +23,7 @@ from realred.involution import (
 from realred.kgb import generate_kgb
 from realred.rootdata import (
     InputError,
+    LieType,
     adjoint_generators,
     build_root_datum,
     center_structure,
@@ -30,6 +33,7 @@ from realred.rootdata import (
 )
 from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL
 
+from digest_outputs import CONTEXTS, build
 from test_lin import reference_f2_rank
 from test_rootdata import coreflections, reflections
 from test_weyl import reference_normal_form_word, reference_theta_star
@@ -88,6 +92,15 @@ MENUS = {
     ("D6", "u", None): ["so(11,1)", "so(9,3)", "so(7,5)"],
     ("T1", "s", None): ["gl(1,R)"],
     ("T1", "c", None): ["u(1)"],
+    # torus factors between, before and after simple factors
+    ("A1.T1.A1", "scs", None): [
+        "su(2).u(1).su(2)", "su(2).u(1).sl(2,R)", "sl(2,R).u(1).su(2)",
+        "sl(2,R).u(1).sl(2,R)",
+    ],
+    ("T1.A2", "cs", None): ["u(1).sl(3,R)"],
+    ("T2.A3", "Cu", None): ["gl(1,C).sl(2,H)", "gl(1,C).sl(4,R)"],
+    ("D4.T1", "us", None): ["so(7,1).gl(1,R)", "so(5,3).gl(1,R)"],
+    ("T3", "Cs", None): ["gl(1,C).gl(1,R)"],
 }
 
 
@@ -747,10 +760,95 @@ def test_reflection_words_are_normal_forms(text, kernel):
         assert ic.table.reflection_word(k) == reference_normal_form_word(rd, m, m)
 
 
-def test_adjoint_context_shares_the_table():
-    ic = context("A3", "s")
-    assert ic._ad is not ic
-    assert ic._ad.table is ic.table
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("A3", "s", None), ("A1.T1", "sc", None), ("D4", "s", "1/2,1/2"),
+])
+def test_reports_build_no_second_context(monkeypatch, text, letters, kernel):
+    # the weak forms and the Cartan partitions come from this context's own fibers
+    ic = context(text, letters, kernel)
+    calls = Counter()
+    init, build = InnerClass.__init__, build_root_datum
+
+    def counted_init(self, *args):
+        calls["InnerClass"] += 1
+        init(self, *args)
+
+    def counted_build(*args):
+        calls["build_root_datum"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(InnerClass, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "realred" and hasattr(module, "build_root_datum"):
+            monkeypatch.setattr(module, "build_root_datum", counted_build)
+    format_real_form_menu(ic)
+    for c in range(len(ic.table.classes)):
+        cartan_class(ic, c)
+    for f in range(len(ic.real_forms)):
+        format_cartan_report(ic, f)
+        cartan_hasse(ic, f)
+        for c in ic.form_cartans(f):
+            real_weyl(ic, f, c)
+        generate_kgb(ic, f)
+    assert calls == Counter()
+
+
+# -- weak forms and Cartan partitions against the adjoint context ----------
+
+
+def reference_adjoint_context(ic):
+    """The adjoint group of the derived group, as a second context: the reference."""
+    simple = tuple(f for f in ic.lt.factors if f.letter != "T")
+    letters = "".join(
+        letter for letter, idxs in ic.delta.units if ic.lt.factors[idxs[0]].letter != "T"
+    )
+    lt = LieType(simple, tuple(str(f) for f in simple))
+    rd = build_root_datum(lt, adjoint_generators(center_structure(lt)))
+    return inner_class(letters, rd, lt)
+
+
+def reference_to_ad(ic, ad, t):
+    """Image of the cocharacter t / ic.denom in the adjoint context, over ad.denom."""
+    pair = tuple(lin.vec_dot(a, t) for a in ic.rd.simple_roots)
+    mat, den = lin.mat_inverse_rational(lin.freeze(list(ad.rd.simple_roots)))
+    scale = den * ic.denom
+    out = []
+    for v in lin.mat_vec(mat, pair):
+        assert v * ad.denom % scale == 0
+        out.append(v * ad.denom // scale)
+    return tuple(out)
+
+
+ADJOINT_GROUPS = [
+    (text, letters, kernel) for text, letters, kernel in CONTEXTS
+    if parse_lie_type(text).semisimple_rank
+] + [
+    (text, letters, "sc") for text, letters in [
+        ("B5", "s"), ("C5", "s"), ("A7", "c"), ("B3.C3", "ss"), ("A1.A1.A1", "sss"),
+        ("D4.A1", "ss"), ("A1.T1.A1", "scs"), ("T1.A2", "cs"), ("T2.A3", "Cu"),
+        ("D4.T1", "us"),
+    ]
+]
+
+
+@pytest.mark.parametrize("text,letters,kernel", ADJOINT_GROUPS)
+def test_weak_forms_and_partitions_match_the_adjoint_context(text, letters, kernel):
+    ic = build(text, letters, kernel)
+    ad = reference_adjoint_context(ic)
+    assert ic._orbit_form_indices == tuple(
+        ad.real_form_of((0, reference_to_ad(ic, ad, members[0])))
+        for _, members, _ in ic._fundamental_orbits
+    )
+    assert [f.quasisplit for f in ic.real_forms] == [f.quasisplit for f in ad.real_forms]
+    assert ad.table is ic.table
+    for c in range(len(ic.table.classes)):
+        (_, entries), = ad.strong_real_forms_at(c)
+        assert cartan_class(ic, c).partition == entries
+        # the gradings of the imaginary simple roots tell the points of
+        # the adjoint fiber apart
+        basis = ad.roots(ad.table.imaginary_basis(ad.table.canonical_member(c)))
+        xs = [x for o in ad.cartan_orbits(c) for x in o.members]
+        assert len({tuple(ad.root_grading(x, r) for r in basis) for x in xs}) == len(xs)
 
 
 @pytest.mark.parametrize("text,letters,kernel", [
