@@ -125,12 +125,8 @@ def _complex_factor(
     pos = rd.positive_roots
     npos = len(pos)
     theta = ic.table.thetas[inv]
-    rho_i = lin.zero_vector(rd.rank)
-    for r in ic.roots(ic.table.imaginary_roots(inv)):
-        rho_i = lin.vec_add(rho_i, r.covec)
-    rho_r = lin.zero_vector(rd.rank)
-    for r in ic.roots(ic.table.real_roots(inv)):
-        rho_r = lin.vec_add(rho_r, r.covec)
+    rho_i = rd.coroot_sum(ic.table.imaginary_roots(inv))
+    rho_r = rd.coroot_sum(ic.table.real_roots(inv))
     free = [
         k for k, r in enumerate(pos)
         if theta[k] % npos != k
@@ -195,7 +191,7 @@ def cartan_class(ic: InnerClass, c: int) -> CartanClass:
     orbit = len(table.classes[c])
     # the fiber of the adjoint group has one square class, numbered 0
     orbits = ic.cartan_orbits(c)
-    ids, points = ic._adjoint_orbits(inv, [tuple(t for _, t in o.members) for o in orbits])
+    ids, points = ic._adjoint_orbits([o.points for o in orbits])
     entries = strong_orbits(
         0, [(orbits[ids.index(a)].form, len(pts)) for a, pts in enumerate(points)]
     )
@@ -352,10 +348,9 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     W_i maps the compact roots at y onto those at w.y, and every member
     of an orbit gives the same compact type.
 
-    RuntimeError is raised when a simple compact reflection moves x,
-    when A' has an element of order above 2, when another orbit of the
-    form gives another compact type, or when some orbit O' of the form
-    has |W_i| != |O'| |W_ic| |A|.
+    RuntimeError is raised when A' has an element of order above 2, when
+    another orbit of the form gives another compact type, or when some
+    orbit O' of the form has |W_i| != |O'| |W_ic| |A|.
     """
     ic.check(form, cartan)
     table = ic.table
@@ -378,9 +373,6 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     complex_gens.sort(key=lambda w: (len(w), w))
     wic_basis = simple_basis(compact)
     compact_ks = [rd.root_index[r.vec] for r in wic_basis]
-    key = ic.x_key(x)
-    if any(ic.x_key(ic.cross_word(table.reflection_word(k), x)) != key for k in compact_ks):
-        raise RuntimeError("a simple compact reflection moves x")
     a_words = _a_generators(ic, orbits[0], compact_ks)
     for o in orbits[1:]:
         other = [r for r in imaginary if not ic.root_grading(o.members[0], r)]

@@ -7,9 +7,11 @@ and square-class keys are integer numerators too, so the module does no
 rational arithmetic.  Whether an imaginary root is noncompact at x is
 one parity in closed form (root_grading): a pairing with t plus the
 root's heights over the simple roots and over the imaginary simple
-roots.  Everything here is organised around one InnerClass object per
-(root datum, involution); the adjoint fiber, whose orbits are the weak
-real forms, is read off its own fiber orbits by gradings.
+roots.  An imaginary reflection s_beta fixes x = (i, t) when beta is
+compact at x, and adds (denom/2) beta^v to t when it is noncompact
+(_orbit_partition).  Everything here is organised around one InnerClass
+object per (root datum, involution); the adjoint fiber, whose orbits are
+the weak real forms, is read off its own fiber orbits by gradings.
 
 Fibers are affine spaces over F2.  theta* comes from the table parent
 by rank-one reflection updates; the key of x is t paired with a basis
@@ -24,7 +26,7 @@ parent {a1, ..., a(k-1)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
@@ -51,8 +53,10 @@ from .weyl import (
 
 # x = (involution id, cocharacter numerator vector)
 StrongX = tuple[int, lin.Vector]
-# one orbit on a fiber: (square-class key, members, moves as in FiberOrbit)
-OrbitPart = tuple[tuple, tuple[lin.Vector, ...], tuple[tuple[int, ...], ...]]
+# one orbit on a fiber: (square-class key, members, moves, points as in FiberOrbit)
+OrbitPart = tuple[
+    tuple, tuple[lin.Vector, ...], tuple[tuple[int, ...], ...], tuple[tuple[bool, ...], ...]
+]
 
 
 @dataclass(frozen=True)
@@ -100,12 +104,15 @@ class FiberOrbit:
     order, and all have the weak real form numbered form.  moves[g][m]
     is the position in members of the image of member m under the
     reflection in the g-th root of imaginary_basis of the involution.
+    points[m], the point of member m in the adjoint fiber, is its tuple
+    of gradings at imaginary_basis; the moves are read off it.
     """
 
     square_class: int
     form: int
     members: tuple[StrongX, ...]
     moves: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[bool, ...], ...] = field(repr=False)
 
 
 _TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)", "C": "gl(1,C)"}
@@ -361,11 +368,7 @@ class InnerClass:
         """
         theta = self.table.thetas[inv]
         npos = len(self.table.reflections)
-        out = lin.zero_vector(self.rd.rank)
-        for k, root in enumerate(self.rd.positive_roots):
-            if theta[k] >= npos:
-                out = lin.vec_add(out, root.covec)
-        return out
+        return self.rd.coroot_sum(k for k in range(npos) if theta[k] >= npos)
 
     def _fixed_rows(self, inv: int) -> tuple[lin.Vector, tuple[lin.Vector, ...]]:
         """(zero prefix, rows) of the key at inv, cached.
@@ -490,11 +493,6 @@ class InnerClass:
         t2 = lin.vec_add(t2, lin.vec_scale(covec, half))
         return (nbr, lin.vec_mod(t2, self.denom))
 
-    def cross_word(self, word, x: StrongX) -> StrongX:
-        for j in reversed(tuple(word)):
-            x = self.cross(j, x)
-        return x
-
     def _height_coweight(self, inv: int) -> lin.Vector:
         """2 rho-check plus every positive coroot imaginary at inv.
 
@@ -504,10 +502,8 @@ class InnerClass:
         """
         out = self._heights.get(inv)
         if out is None:
-            out = self.rd.two_rho_check
-            for k in self.table.imaginary_roots(inv):
-                out = lin.vec_add(out, self.rd.positive_roots[k].covec)
-            self._heights[inv] = out
+            imaginary = self.rd.coroot_sum(self.table.imaginary_roots(inv))
+            out = self._heights[inv] = lin.vec_add(self.rd.two_rho_check, imaginary)
         return out
 
     def grading(self, x: StrongX, j: int) -> bool:
@@ -617,83 +613,75 @@ class InnerClass:
 
     def _orbit_partition(self, inv: int) -> list[OrbitPart]:
         """Orbits of the imaginary Weyl group on the fibers over inv of the
-        realized square classes, as (class key, members, moves).
+        realized square classes, as (class key, members, moves, points).
 
         Fibers come in the order of _realized_keys, members in fiber order
-        and the orbits of a fiber by first member; moves are as in
-        FiberOrbit.  The cross action on fibers is computed here only: its
-        reflection data once per call, when some fiber is nonempty.
+        and the orbits of a fiber by first member; moves and points are as
+        in FiberOrbit, and come from one grading pass per fiber.  With d =
+        denom, the reflection in a root beta imaginary at inv fixes (inv,
+        t) when beta is compact there, and adds (d/2) beta^v to t when it
+        is noncompact; so it adds x_key((inv, (d/2) beta^v)) to the key:
+        - Pick w with w beta = alpha_j simple.  Cross actions are affine
+          with linear part w, and they carry gradings (root_grading), so
+          the claim reduces to a simple imaginary alpha_j.
+        - At a simple imaginary alpha_j, cross returns s_j t = t -
+          <alpha_j, t> alpha_j^v.  For x in a fiber, <alpha_j, t> is 0 or
+          d/2 mod d, and it is d/2 exactly when alpha_j is noncompact.
         """
-        fibers = [(key, self.fiber_elements(inv, key)) for key in self._realized_keys]
-        if not any(fiber for _, fiber in fibers):
-            return []
-        # Every cross action is affine in the torus part, so the cross
-        # action of the reflection in an imaginary root beta sends t to
-        # t - <beta, t> beta^v + y, y read off at t = 0, and keys alike.
         d = self.denom
-        zero = lin.zero_vector(self.rd.rank)
-        reflections = []
-        for k in self.table.imaginary_basis(inv):
-            y = self.cross_word(self.table.reflection_word(k), (inv, zero))
-            if y[0] != inv:
-                raise RuntimeError("an imaginary reflection moves the involution")
-            root = self.rd.positive_roots[k]
-            reflections.append((root.vec, self.x_key((inv, root.covec))[1], self.x_key(y)[1]))
+        basis = self.roots(self.table.imaginary_basis(inv))
+        shifts = [self.x_key((inv, lin.vec_scale(r.covec, d // 2)))[1] for r in basis]
         out = []
-        for key, fiber in fibers:
+        for key in self._realized_keys:
+            fiber = self.fiber_elements(inv, key)
             fkeys = [k for _, k in self._fibers[(inv, key)][1]]
             index = {k: i for i, k in enumerate(fkeys)}
-            rows = []
-            for vec, kb, ky in reflections:
-                row = []
-                for t, kt in zip(fiber, fkeys):
-                    c = lin.vec_dot(vec, t)
-                    row.append(index[tuple((a - c * b + e) % d for a, b, e in zip(kt, kb, ky))])
-                rows.append(row)
+            points = [tuple(self.root_grading((inv, t), r) for r in basis) for t in fiber]
+            # images[i][g]: the image of member i under the g-th reflection
+            images = [
+                [index[lin.vec_mod(lin.vec_add(k, s), d)] if b else i for s, b in zip(shifts, p)]
+                for i, (k, p) in enumerate(zip(fkeys, points))
+            ]
             # the moves permute the fiber, so its orbits are the components
-            for comp in components([[row[i] for row in rows] for i in range(len(fiber))]):
+            for comp in components(images):
                 at = {i: m for m, i in enumerate(comp)}
                 out.append((
                     key,
                     tuple(fiber[i] for i in comp),
-                    tuple(tuple(at[row[i]] for i in comp) for row in rows),
+                    tuple(tuple(at[images[i][g]] for i in comp) for g in range(len(basis))),
+                    tuple(points[i] for i in comp),
                 ))
         return out
 
+    @staticmethod
     def _adjoint_orbits(
-        self, inv: int, orbits: list[tuple[lin.Vector, ...]]
+        orbits: list[tuple[tuple[bool, ...], ...]]
     ) -> tuple[tuple[int, ...], tuple[set[tuple[bool, ...]], ...]]:
-        """Images of cross-action orbits over inv in the adjoint fiber.
+        """Images of cross-action orbits over one involution in the adjoint fiber.
 
-        orbits lists the torus parts of the members of each orbit.  The
-        image of x = (inv, t) in the fiber of the adjoint group is read
-        as its point: the gradings of the imaginary simple roots at x
-        (imaginary_basis(inv)).
+        orbits lists the points (FiberOrbit.points) of the members of each
+        orbit.  The image of x = (inv, t) in the fiber of the adjoint group
+        is read as its point: the gradings of the imaginary simple roots at
+        x (imaginary_basis(inv)).
         - root_grading reads only <alpha, t> / denom, and t and its
           adjoint image give the same value.
         - The image map is W_i-equivariant and onto: every adjoint strong
           involution lifts, and central translates keep the image.  So an
           orbit maps onto one adjoint orbit, whose points are the distinct
-          gradings of the orbit's members.
+          points of the orbit's members.
         That the gradings determine a point of the adjoint fiber is checked
         against an explicit adjoint context in the tests, not proved here.
 
         Returns the adjoint orbit of each orbit, numbered by first
-        appearance, and the point set of each adjoint orbit.  Each orbit
-        is looked up by the point of its first member; only an orbit that
-        opens a new adjoint orbit grades all of its members.
+        appearance, and the point set of each adjoint orbit; each orbit is
+        looked up by the point of its first member.
         """
-        basis = self.roots(self.table.imaginary_basis(inv))
-
-        def point(t: lin.Vector) -> tuple[bool, ...]:
-            return tuple(self.root_grading((inv, t), r) for r in basis)
-
         ids, points, where = [], [], {}
-        for members in orbits:
-            a = where.get(point(members[0]))
+        for pts in orbits:
+            a = where.get(pts[0])
             if a is None:
                 a = len(points)
-                points.append({point(t) for t in members})
+                points.append(set(pts))
                 where.update(dict.fromkeys(points[a], a))
             ids.append(a)
         return tuple(ids), tuple(points)
@@ -722,20 +710,22 @@ class InnerClass:
         determines the name of every unit (real_forms), and the names of
         distinct weak forms differ.
         """
-        orbits = [members for _, members, _ in self._fundamental_orbits]
-        ids, points = self._adjoint_orbits(0, orbits)
+        orbits = self._fundamental_orbits
+        ids, points = self._adjoint_orbits([pts for *_, pts in orbits])
         imaginary = self.roots(self.table.imaginary_roots(0))
-        split = (True,) * len(self.table.imaginary_basis(0))
+        basis = self.table.imaginary_basis(0)
+        split = (True,) * len(basis)
         forms = []
         for a, pts in enumerate(points):
-            t = orbits[ids.index(a)][0]
+            _, members, _, member_points = orbits[ids.index(a)]
             nc = [0] * len(self.lt.factors)
             for r in imaginary:
-                if self.root_grading((0, t), r):
+                if self.root_grading((0, members[0]), r):
                     k = next(i for i, c in enumerate(r.coeffs) if c)
                     nc[self.lt.simple_factor_index[k]] += 2
+            bits = dict(zip(basis, member_points[0]))
             iota = tuple(
-                self._iota_tag(t, f, rng) for f, rng in zip(self.lt.factors, self._factor_ranges)
+                self._iota_tag(bits, f, rng) for f, rng in zip(self.lt.factors, self._factor_ranges)
             )
             forms.append((tuple(nc), iota, split in pts))
         order = sorted(
@@ -746,21 +736,17 @@ class InnerClass:
             raise RuntimeError("the quasisplit form is not the unique last one of the menu")
         return tuple(map(order.index, ids)), tuple(forms[a] for a in order)
 
-    def _iota_tag(self, t: lin.Vector, f: Factor, rng: tuple[int, ...]) -> int:
+    def _iota_tag(self, bits: dict[int, bool], f: Factor, rng: tuple[int, ...]) -> int:
         """Distinguishes the two half-spin gradings of an equal-rank D factor.
 
+        bits maps the roots of imaginary_basis(0) to their gradings at a
+        base-fiber point.  The factor's simple roots are imaginary simple at
+        0, and their gradings are the pairings 2 <alpha_j, t> / denom mod 2.
         0: not applicable or orthogonal type; 1, 2: the two spin cosets.
         """
-        if f.letter != "D":
+        if f.letter != "D" or any(self.delta.perm[p] != p for p in rng):
             return 0
-        if any(self.delta.perm[p] != p for p in rng):
-            return 0
-        pair = []
-        for j in rng:
-            v = 2 * lin.vec_dot(self.rd.simple_roots[j], t)
-            if v % self.denom:
-                raise RuntimeError("a half-spin pairing is not integral")
-            pair.append(v // self.denom)
+        pair = [int(bits[self.table.simple[j]]) for j in rng]
         block = [
             [self.rd.cartan[j][i] for j in rng]
             for i in rng
@@ -797,7 +783,7 @@ class InnerClass:
                     equal = all(self.delta.perm[p] == p for p in self._factor_ranges[fac])
                     values = sorted({g[0][fac] for g in forms})
                     names.append(_factor_form_name(f, equal, nc[fac], values, iota[fac]))
-            key, members, _ = self._fundamental_orbits[orbit_forms.index(idx)]
+            key, members, _, _ = self._fundamental_orbits[orbit_forms.index(idx)]
             labels.append(RealFormLabel(
                 index=idx,
                 name=".".join(names),
@@ -818,7 +804,7 @@ class InnerClass:
         order = []
         forms = self._orbit_form_indices
         for f in reversed(range(len(self._weak_forms[1]))):
-            for o, (key, _, _) in enumerate(self._fundamental_orbits):
+            for o, (key, *_) in enumerate(self._fundamental_orbits):
                 if forms[o] == f and key not in order:
                     order.append(key)
         if len(order) != len(self._realized_keys):
@@ -868,7 +854,7 @@ class InnerClass:
         keys = {key: dict(zip(*self._fibers[(0, key)])) for key in self._realized_keys}
         return {
             keys[key][t]: forms[o]
-            for o, (key, members, _) in enumerate(self._fundamental_orbits) for t in members
+            for o, (key, members, *_) in enumerate(self._fundamental_orbits) for t in members
         }
 
     # -- strong real forms at a Cartan class ------------------------------
@@ -891,10 +877,10 @@ class InnerClass:
             inv = self.table.canonical_member(cartan)
             parts = self._fundamental_orbits if inv == 0 else self._orbit_partition(inv)
             orbits = []
-            for key, members, moves in sorted(parts, key=lambda p: self._square_index[p[0]]):
+            for key, members, *record in sorted(parts, key=lambda p: self._square_index[p[0]]):
                 xs = tuple((inv, t) for t in members)
                 orbits.append(FiberOrbit(
-                    self._square_index[key], self.real_form_of(xs[0]), xs, moves
+                    self._square_index[key], self.real_form_of(xs[0]), xs, *record
                 ))
             out = self._orbits_at[cartan] = tuple(orbits)
         return out

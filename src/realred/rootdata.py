@@ -314,12 +314,14 @@ class RootDatum:
         """Index of each root in the numbering of roots."""
         return {v: k for k, v in enumerate(self.roots)}
 
+    def coroot_sum(self, indices) -> lin.Vector:
+        """Sum of the coroots of the positive roots with these indices."""
+        covecs = [self.positive_roots[k].covec for k in indices]
+        return tuple(map(sum, zip(*covecs))) if covecs else lin.zero_vector(self.rank)
+
     @cached_property
     def two_rho_check(self) -> lin.Vector:
-        out = lin.zero_vector(self.rank)
-        for r in self.positive_roots:
-            out = lin.vec_add(out, r.covec)
-        return out
+        return self.coroot_sum(range(len(self.positive_roots)))
 
 
 def components(adj: list[list[int]]) -> list[list[int]]:

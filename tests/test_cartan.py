@@ -35,7 +35,7 @@ from realred.rootdata import (
 )
 from realred.weyl import word_from_matrix
 
-from test_involution import RECORD_GROUPS, SMALL_TYPES
+from test_involution import RECORD_GROUPS, SMALL_TYPES, cross_word
 
 
 def context(text, letters, kernel=None):
@@ -618,7 +618,7 @@ def _a_group_data(ic, x, wi, wic_basis):
     table = ic.table
     size = len(ic.rd.roots)
     key = ic.x_key(x)
-    stab = [(w, p) for w, p in wi if ic.x_key(ic.cross_word(w, x)) == key]
+    stab = [(w, p) for w, p in wi if ic.x_key(cross_word(ic, w, x)) == key]
     wic_gens = [table.reflections[ic.rd.root_index[r.vec]] for r in wic_basis]
     wic = _weyl_closure(wic_gens, size)
     assert wic <= {p for _, p in stab}

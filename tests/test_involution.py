@@ -630,17 +630,41 @@ def test_orbit_partition_runs_once_per_involution(monkeypatch, text, letters, ke
     assert {inv for key, inv in calls if key == id(ic)} == canonical
 
 
-@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def cross_word(ic, word, x):
+    """Cross action of a word, its last letter first: the reference for
+    the closed form of imaginary reflections on fibers."""
+    for j in reversed(tuple(word)):
+        x = ic.cross(j, x)
+    return x
+
+
+@pytest.mark.parametrize(
+    "text,letters,kernel",
+    RECORD_GROUPS + [("B4", "s", None), ("F4", "s", None), ("D5", "s", None)],
+)
 def test_cartan_record_moves_are_cross_actions(text, letters, kernel):
+    # the closed form at every imaginary root, not only the imaginary
+    # basis: a compact reflection fixes x, so in particular the simple
+    # compact reflections of W_ic fix the base point of real_weyl
     ic = context(text, letters, kernel)
+    d = ic.denom
     for c in range(len(ic.table.classes)):
-        basis = ic.table.imaginary_basis(ic.table.canonical_member(c))
+        inv = ic.table.canonical_member(c)
+        basis = ic.table.imaginary_basis(inv)
         for o in ic.cartan_orbits(c):
             assert len(o.moves) == len(basis)
-            for k, row in zip(basis, o.moves):
-                word = ic.table.reflection_word(k)
-                for m, x in enumerate(o.members):
-                    assert ic.x_key(ic.cross_word(word, x)) == ic.x_key(o.members[row[m]])
+            for m, x in enumerate(o.members):
+                assert o.points[m] == tuple(ic.root_grading(x, r) for r in ic.roots(basis))
+                moved = {}
+                for k in ic.table.imaginary_roots(inv):
+                    root = ic.rd.positive_roots[k]
+                    image = x
+                    if ic.root_grading(x, root):
+                        image = (inv, lin.vec_add(x[1], lin.vec_scale(root.covec, d // 2)))
+                    moved[k] = ic.x_key(cross_word(ic, ic.table.reflection_word(k), x))
+                    assert moved[k] == ic.x_key(image)
+                for k, row in zip(basis, o.moves):
+                    assert moved[k] == ic.x_key(o.members[row[m]])
 
 
 def descend_last(ic, x):
@@ -837,7 +861,7 @@ def test_weak_forms_and_partitions_match_the_adjoint_context(text, letters, kern
     ad = reference_adjoint_context(ic)
     assert ic._orbit_form_indices == tuple(
         ad.real_form_of((0, reference_to_ad(ic, ad, members[0])))
-        for _, members, _ in ic._fundamental_orbits
+        for _, members, *_ in ic._fundamental_orbits
     )
     assert [f.quasisplit for f in ic.real_forms] == [f.quasisplit for f in ad.real_forms]
     assert ad.table is ic.table

@@ -93,6 +93,25 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_imports_no_unused_name():
+    # a deletion can strand an import; __future__ imports are directives
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found.extend(
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        )
+    assert found == []
+
+
 def test_only_rootdata_imports_fractions():
     # rootdata reads kernel generators as fractions; the lattice code
     # computes with integer numerators only
