@@ -6,9 +6,10 @@ indices that it induces, and so is a twisted involution theta = w.delta.
 Those permutations depend only on the Cartan matrix and the diagram
 permutation of delta, so one table serves every isogeny of a Coxeter
 datum, and reduced words are read off them by index comparisons.  The
-table enumerates all twisted involutions breadth-first, which yields the
-twisted length and the status of every simple root for free.  The
-twisted-conjugacy classes are the components of the graph of complex
+table enumerates all twisted involutions breadth-first, walking ascents
+only and keying each involution by its simple-root images; the search
+yields the twisted length and the status of every simple root for free.
+The twisted-conjugacy classes are the components of the graph of complex
 cross actions, and each class's canonical member is reached by a walk
 along them, not by a scan of the class.  Lattice matrices of involutions
 belong to involution.InnerClass.
@@ -16,7 +17,6 @@ belong to involution.InnerClass.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -242,15 +242,36 @@ class InvolutionTable:
 
     Records are indexed by discovery order of a breadth-first search
     from delta; the search depth is the twisted length.  thetas[i] is
-    the i-th involution as a permutation of the root indices, and also
-    its key in index.  The search records the status row of every
-    involution: per simple root, its kind and the neighbour reached by
-    the cross action or Cayley transform; the complex neighbours join
-    the members of each class.  simple[j] is the index of
-    simple root j, and reflections[k] the reflection in positive root k
-    as a permutation.  Roots are returned as positive-root indices,
-    valid in every isogeny; rd is the root datum the table was built
-    from, and may belong to another isogeny than the caller's.
+    the i-th involution as a permutation of the root indices.  index
+    keys each involution by its simple-root images, the tuple of
+    theta[s] for s in simple: theta is linear on the root lattice, so
+    those n images fix the whole permutation.
+
+    The search walks ascents only.  From each involution i it follows
+    the simple roots j imaginary at i (the Cayley transform s_j.theta)
+    and complex up at i (the cross action s_j.theta.s_j), each one
+    length up, and records at the target the reverse entry: j is real
+    there, or complex down, with neighbour i.  Descents discover
+    nothing: ids are taken in order, so every length is finished before
+    the next one starts, and every involution at length L >= 1 has a
+    descent, whose lower end sits at length L-1, was processed earlier
+    and reached it by the matching ascent.  So every involution is
+    found at its length, and every real or complex-down entry of every
+    status row is filled from the lower end.
+
+    The status row of an involution gives, per simple root, its kind and
+    the neighbour reached by the cross action or Cayley transform; the
+    complex neighbours join the members of each class.  simple[j] is the
+    index of simple root j, and reflections[k] the reflection in positive
+    root k as a permutation: by the vector formula for simple k, and as
+    s_j.reflections[k'].s_j otherwise, with k' = s_j[k] < k.  Such a
+    simple j exists for a positive root beta that is not simple, since
+    its coroot is a nonnegative sum of simple coroots and pairs to 2 with
+    beta, so some <beta, alpha_j^v> > 0 and s_j beta is a positive root
+    of lower height, which comes earlier in the height order of the
+    positive roots.  Roots are returned as positive-root indices, valid
+    in every isogeny; rd is the root datum the table was built from, and
+    may belong to another isogeny than the caller's.
     """
 
     def __init__(self, rd: RootDatum, perm: tuple[int, ...]):
@@ -261,59 +282,67 @@ class InvolutionTable:
         by_coeffs = {r.coeffs: k for k, r in enumerate(pos)}
         delta = [by_coeffs[tuple(r.coeffs[p] for p in perm)] for r in pos]
         self.simple = tuple(rd.root_index[a] for a in rd.simple_roots)
-        # s_beta v = v - <v, beta^v> beta
-        self.reflections = tuple(
-            tuple(rd.root_index[lin.vec_sub(v, lin.vec_scale(b.vec, lin.vec_dot(v, b.covec)))]
-                  for v in rd.roots)
-            for b in pos
-        )
+        self.reflections = self._conjugated_reflections()
         theta0 = tuple(delta + [k + npos for k in delta])
         self.thetas: list[tuple[int, ...]] = [theta0]
         self.lengths: list[int] = [0]
-        self.index: dict[tuple[int, ...], int] = {theta0: 0}
+        self.index: dict[tuple[int, ...], int] = {tuple(theta0[s] for s in self.simple): 0}
         self._rows: list[list] = [[None] * rd.semisimple_rank]
         self._words: dict[int, tuple[int, ...]] = {}
         self._reflection_words: dict[int, tuple[int, ...]] = {}
         self._enumerate()
         self._rows = [tuple(row) for row in self._rows]
 
+    def _conjugated_reflections(self) -> tuple[tuple[int, ...], ...]:
+        rd = self.rd
+        out: list[tuple[int, ...]] = []
+        for k, b in enumerate(rd.positive_roots):
+            if k in self.simple:
+                # s_beta v = v - <v, beta^v> beta
+                out.append(tuple(
+                    rd.root_index[lin.vec_sub(v, lin.vec_scale(b.vec, lin.vec_dot(v, b.covec)))]
+                    for v in rd.roots
+                ))
+            else:
+                sj = next(out[s] for s in self.simple if out[s][k] < k)
+                conj = out[sj[k]]
+                out.append(tuple([sj[conj[x]] for x in sj]))
+        return tuple(out)
+
     # -- enumeration ---------------------------------------------------
 
     def _enumerate(self) -> None:
         npos = len(self.reflections)
-        gens = [(s, self.reflections[s].__getitem__) for s in self.simple]
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            theta = self.thetas[i]
-            tl = self.lengths[i]
-            row = self._rows[i]
-            for j, (s, refl) in enumerate(gens):
+        simple = self.simple
+        thetas, lengths, rows, index = self.thetas, self.lengths, self._rows, self.index
+        every = range(2 * npos)
+        # per simple j: its root s, s_j, and s_j of every simple root
+        gens = [(s, self.reflections[s], tuple(self.reflections[s][t] for t in simple))
+                for s in simple]
+        # new ids are appended while the loop runs and visited in turn
+        for i, theta in enumerate(thetas):
+            tl = lengths[i] + 1
+            for j, (s, sj, moved) in enumerate(gens):
                 a = theta[s]
                 if a == s:
-                    tid = self._add(tuple(map(refl, theta)), tl + 1, queue)
-                    row[j] = (IMAGINARY, tid)
-                    # j is real at s_j.theta with neighbour theta; every
-                    # real entry is one of these, so real j is skipped
-                    self._rows[tid][j] = (REAL, i)
-                elif a != s + npos:
-                    up = a < npos
-                    t2 = tuple(map(refl, map(theta.__getitem__, self.reflections[s])))
-                    tid = self._add(t2, tl + (1 if up else -1), queue)
-                    row[j] = (COMPLEX_UP if up else COMPLEX_DOWN, tid)
-
-    def _add(self, theta: tuple[int, ...], tl: int, queue: deque) -> int:
-        tid = self.index.get(theta)
-        if tid is None:
-            tid = len(self.thetas)
-            self.index[theta] = tid
-            self.thetas.append(theta)
-            self.lengths.append(tl)
-            self._rows.append([None] * len(self.simple))
-            queue.append(tid)
-        elif self.lengths[tid] != tl:
-            raise RuntimeError("a twisted involution is met at two lengths")
-        return tid
+                    # the Cayley transform s_j.theta, at which j is real
+                    kind, back, images, domain = IMAGINARY, REAL, simple, every
+                elif a < npos:
+                    # the cross action s_j.theta.s_j, at which j is complex down
+                    kind, back, images, domain = COMPLEX_UP, COMPLEX_DOWN, moved, sj
+                else:
+                    continue
+                key = tuple([sj[theta[x]] for x in images])
+                tid = index.get(key)
+                if tid is None:
+                    tid = index[key] = len(thetas)
+                    thetas.append(tuple([sj[theta[x]] for x in domain]))
+                    lengths.append(tl)
+                    rows.append([None] * len(simple))
+                elif lengths[tid] != tl:
+                    raise RuntimeError("a twisted involution is met at two lengths")
+                rows[i][j] = (kind, tid)
+                rows[tid][j] = (back, i)
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -326,7 +355,8 @@ class InvolutionTable:
 
     def cayley(self, i: int, k: int) -> int:
         """Id of s_k.theta_i, for a positive root k imaginary at i."""
-        return self.index[tuple(map(self.reflections[k].__getitem__, self.thetas[i]))]
+        sk, theta = self.reflections[k], self.thetas[i]
+        return self.index[tuple([sk[theta[s]] for s in self.simple])]
 
     def word(self, i: int) -> tuple[int, ...]:
         """Displayed reduced word of w = theta.delta, delta being an involution."""

@@ -35,6 +35,7 @@ from realred.rootdata import (
 )
 from realred.weyl import word_from_matrix
 
+from digest_outputs import GROUPS
 from test_involution import RECORD_GROUPS, SMALL_TYPES, cross_word
 
 
@@ -385,8 +386,25 @@ def test_gl_duality_of_cartan_decompositions():
         assert {(b, a, c) for a, b, c in cc_triples} == ss_triples
 
 
+def assert_orbit_sizes_from_types(ic):
+    """Each class has |W| / (|W_i| |W_r| |W_C|) members, read off its
+    imaginary, real and complex types (W^theta = (W_i x W_r) x| W_C^theta),
+    and the classes fill the table."""
+    full = weyl_order(system_type(ic.rd.positive_roots))
+    sizes = []
+    for c, ids in enumerate(ic.table.classes):
+        cc = cartan_class(ic, c)
+        size, rest = divmod(
+            full,
+            weyl_order(cc.imaginary_type) * weyl_order(cc.real_type) * weyl_order(cc.complex_type),
+        )
+        assert rest == 0
+        assert len(ids) == cc.orbit_size == size
+        sizes.append(size)
+    assert sum(sizes) == len(ic.table)
+
+
 def test_group_order_factors_over_every_class():
-    # |W| = orbit size x |W_im| x |W_re| x |complex factor| at each class
     for text, letters, kernel in [
         ("A2", "s", None),
         ("C2", "s", None),
@@ -401,16 +419,13 @@ def test_group_order_factors_over_every_class():
         ("G2", "s", None),
         ("F4", "s", None),
     ]:
-        ic = context(text, letters, kernel)
-        full = weyl_order(system_type(ic.rd.positive_roots))
-        for cc in cartan_classes(ic, quasisplit(ic)):
-            prod = (
-                cc.orbit_size
-                * weyl_order(cc.imaginary_type)
-                * weyl_order(cc.real_type)
-                * weyl_order(cc.complex_type)
-            )
-            assert prod == full
+        assert_orbit_sizes_from_types(context(text, letters, kernel))
+
+
+@pytest.mark.parametrize("text,letters", GROUPS + [("E7", "s"), ("D8", "s")])
+def test_orbit_sizes_follow_from_types(text, letters):
+    # the digested groups, and the 10,208 and 17,040 involutions of E7 s and D8 s
+    assert_orbit_sizes_from_types(context(text, letters))
 
 
 # -- real Weyl groups ------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import time
+from collections import deque
 from functools import cache
 
 import pytest
@@ -452,6 +453,93 @@ CANONICAL_CONTEXTS = (
     + [("E6", "c"), ("E6", "s"), ("F4", "s"), ("G2", "s")]
     + [("D7", "s"), ("A1.A1", "C"), ("A2.A2", "C")]
 )
+
+
+def vector_reflections(rd):
+    """Reflection in each positive root as a permutation of the root
+    indices, by s_beta v = v - <v, beta^v> beta."""
+    return tuple(
+        tuple(rd.root_index[lin.vec_sub(v, lin.vec_scale(b.vec, lin.vec_dot(v, b.covec)))]
+              for v in rd.roots)
+        for b in rd.positive_roots
+    )
+
+
+def reference_table(rd, perm):
+    """(thetas, lengths, status rows) by a breadth-first search over every edge.
+
+    From each involution, every imaginary, complex-up and complex-down
+    simple root maps the whole permutation, which is its own key; a real
+    entry is filled from the lower end of its edge.
+    """
+    pos = rd.positive_roots
+    npos = len(pos)
+    n = rd.semisimple_rank
+    by_coeffs = {r.coeffs: k for k, r in enumerate(pos)}
+    delta = [by_coeffs[tuple(r.coeffs[p] for p in perm)] for r in pos]
+    reflections = vector_reflections(rd)
+    simple = [rd.root_index[a] for a in rd.simple_roots]
+    theta0 = tuple(delta + [k + npos for k in delta])
+    thetas, lengths, rows, index = [theta0], [0], [[None] * n], {theta0: 0}
+    queue = deque([0])
+
+    def add(theta, tl):
+        tid = index.get(theta)
+        if tid is None:
+            tid = index[theta] = len(thetas)
+            thetas.append(theta)
+            lengths.append(tl)
+            rows.append([None] * n)
+            queue.append(tid)
+        assert lengths[tid] == tl, "a twisted involution is met at two lengths"
+        return tid
+
+    while queue:
+        i = queue.popleft()
+        theta = thetas[i]
+        for j, s in enumerate(simple):
+            refl = reflections[s]
+            a = theta[s]
+            if a == s:
+                tid = add(tuple(refl[x] for x in theta), lengths[i] + 1)
+                rows[i][j] = (IMAGINARY, tid)
+                rows[tid][j] = (REAL, i)
+            elif a != s + npos:
+                up = a < npos
+                tid = add(tuple(refl[theta[x]] for x in refl), lengths[i] + (1 if up else -1))
+                rows[i][j] = (COMPLEX_UP if up else COMPLEX_DOWN, tid)
+    return thetas, lengths, [tuple(row) for row in rows]
+
+
+@cache
+def table_and_reference(text, letters):
+    rd, _, d = context(text, letters)
+    return involution_table(d), reference_table(rd, d.perm)
+
+
+@pytest.mark.parametrize("text,letters", CANONICAL_CONTEXTS + [("B2.A3", "ss"), ("A1.T1", "ss")])
+def test_table_matches_full_permutation_search(text, letters):
+    # the table walks ascents only and keys by the simple-root images
+    table, (thetas, lengths, rows) = table_and_reference(text, letters)
+    assert table.thetas == thetas
+    assert table.lengths == lengths
+    assert [table.status_row(i) for i in range(len(table))] == rows
+    assert table.reflections == vector_reflections(table.rd)
+
+
+@pytest.mark.parametrize("text,letters", [
+    ("B3", "s"), ("F4", "s"), ("D5", "s"), ("E6", "c"), ("C4", "s"),
+])
+def test_cayley_matches_full_permutation_search(text, letters):
+    table, (thetas, lengths, _) = table_and_reference(text, letters)
+    index = {theta: i for i, theta in enumerate(thetas)}
+    reflections = vector_reflections(table.rd)
+    for i, theta in enumerate(thetas):
+        for k, refl in enumerate(reflections):
+            if theta[k] == k:
+                tid = index[tuple(refl[x] for x in theta)]
+                assert table.cayley(i, k) == tid
+                assert lengths[tid] > lengths[i]
 
 
 @pytest.mark.parametrize("text,letters", CANONICAL_CONTEXTS)
