@@ -5,10 +5,11 @@ Elements are strong involutions (twisted involution, torus part) up to
 conjugacy, generated from one fundamental-fiber orbit by simple cross
 actions and by Cayley transforms through noncompact imaginary simple
 roots.  Ids are assigned by (length, Cartan class, canonical key), where
-length counts the Cayley transforms and complex ascents needed to reach
-an element from the fundamental fiber.  Each cross action and Cayley
-transform is computed once, in the discovery pass, which records the
-edges by key; the ids only relabel them.
+length is the twisted length of the element's twisted involution
+(InvolutionTable.lengths): complex cross actions move it by one, Cayley
+transforms raise it by one, and other cross actions keep it.  Each cross
+action and Cayley transform is computed once, in the discovery pass,
+which records the edges by key; the ids only relabel them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .involution import InnerClass, StrongX
 from .rootdata import InputError
 from .weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL
 
-# length change and status letter of a simple cross action, by root kind
-_STEP = {COMPLEX_UP: 1, COMPLEX_DOWN: -1}
+# status letter of a simple root, by root kind
 _LETTER = {IMAGINARY: "c", REAL: "r", COMPLEX_UP: "C", COMPLEX_DOWN: "C"}
 
 
@@ -85,48 +85,38 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
 
     reps: dict[tuple, StrongX] = {}
     edges: dict[tuple, tuple[tuple[str, ...], list, list]] = {}
-    inv_length = {0: 0}
     queue: deque[tuple] = deque()
-    for t in ic._fundamental_orbits[orbit][1]:
-        key = ic.x_key((0, t))
-        if key not in reps:
-            reps[key] = (0, t)
-            queue.append(key)
 
-    def record(y: StrongX, length: int) -> tuple:
-        prev = inv_length.setdefault(y[0], length)
-        if prev != length:
-            raise RuntimeError("inconsistent length at a twisted involution")
+    def record(y: StrongX) -> tuple:
         key = ic.x_key(y)
         if key not in reps:
             reps[key] = y
             queue.append(key)
         return key
 
+    for t in ic._fundamental_orbits[orbit][1]:
+        record((0, t))
+
     while queue:
         key = queue.popleft()
         x = reps[key]
-        here = inv_length[x[0]]
         statuses, cross, cayley = [], [], []
         for j, (kind, _) in enumerate(table.status_row(x[0])):
-            cross.append(record(ic.cross(j, x), here + _STEP.get(kind, 0)))
+            cross.append(record(ic.cross(j, x)))
             noncompact = kind == IMAGINARY and ic.grading(x, j)
             statuses.append("n" if noncompact else _LETTER[kind])
-            cayley.append(record(ic.cayley(j, x), here + 1) if noncompact else None)
+            cayley.append(record(ic.cayley(j, x)) if noncompact else None)
         edges[key] = (tuple(statuses), cross, cayley)
-
-    if min(inv_length[x[0]] for x in reps.values()) != 0:
-        raise RuntimeError("KGB element lies below the base involution")
 
     order = sorted(
         reps,
-        key=lambda key: (inv_length[key[0]], table.class_of[key[0]], key),
+        key=lambda key: (table.lengths[key[0]], table.class_of[key[0]], key),
     )
     ids = {key: i for i, key in enumerate(order)}
     elements = tuple(
         KGBElement(
             id=i,
-            length=inv_length[key[0]],
+            length=table.lengths[key[0]],
             cartan=table.class_of[key[0]],
             statuses=edges[key][0],
             cross=tuple(ids[k] for k in edges[key][1]),

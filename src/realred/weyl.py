@@ -5,10 +5,11 @@ negative is N + k.  A Weyl element is the permutation of these 2N
 indices that it induces, and so is a twisted involution theta = w.delta.
 Those permutations depend only on the Cartan matrix and the diagram
 permutation of delta, so one table serves every isogeny of a Coxeter
-datum, and reduced words are read off them by index comparisons.  The
-table enumerates all twisted involutions breadth-first, walking ascents
-only and keying each involution by its simple-root images; the search
-yields the twisted length and the status of every simple root for free.
+datum.  Reduced words come from one walk (_walk) on the n pairings of
+w(2 rho) with the simple coroots, read off w once.  The table
+enumerates all twisted involutions breadth-first, walking ascents only
+and keying each involution by its simple-root images; the search yields
+the twisted length and the status of every simple root for free.
 The twisted-conjugacy classes are the components of the graph of complex
 cross actions, and each class's canonical member is reached by a walk
 along them, not by a scan of the class.  Lattice matrices of involutions
@@ -32,35 +33,41 @@ COMPLEX_UP = "+"
 COMPLEX_DOWN = "-"
 
 
-def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(range(len(w)), key=w.__getitem__))
-
-
-def _strip(
-    table: InvolutionTable, winv: tuple[int, ...], order: Sequence[int]
-) -> tuple[list[int], tuple[int, ...]]:
-    """Strips left descents of w in order, the first one each time.
-
-    w is given by its inverse; a simple j is a left descent when w^-1
-    sends simple root j to a negative root.  Returns the stripped
-    letters and the inverse of what is left.
-    """
-    npos = len(table.reflections)
-    word = []
+def _walk(cartan: lin.Matrix, pairing: list[int], js: Sequence[int]) -> list[int]:
+    """Reflects pairing, the <v, alpha_k^v> of some v, in place at the
+    first j in js with pairing[j] < 0 until none is left; returns the j."""
+    letters = []
     while True:
-        j = next((j for j in order if winv[table.simple[j]] >= npos), None)
-        if j is None:
-            return word, winv
-        word.append(j)
-        winv = tuple(map(winv.__getitem__, table.reflections[table.simple[j]]))
+        for j in js:
+            if pairing[j] < 0:
+                break
+        else:
+            return letters
+        letters.append(j)
+        _reflect_pairing(cartan, pairing, j)
+
+
+def _reflect_pairing(cartan: lin.Matrix, pairing: list[int], j: int) -> None:
+    # <s_j v, alpha_k^v> = <v, alpha_k^v> - <v, alpha_j^v> <alpha_j, alpha_k^v>
+    c = pairing[j]
+    for k, a in enumerate(cartan[j]):
+        pairing[k] -= c * a
+
+
+def _pairings(table: InvolutionTable, w: tuple[int, ...]) -> list[int]:
+    """<w(2 rho), alpha_j^v> = <2 rho, w^-1 alpha_j^v> per simple j: negative
+    exactly at the left descents of w, and, 2 rho being regular, fixing w."""
+    return [table.two_rho[w.index(s)] for s in table.simple]
 
 
 def word_from_matrix(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least reduced word, by greedy least left descent.
 
     w is a Weyl element as the permutation of the table's root indices.
+    Each step strips the least left descent j, replacing w by s_j.w,
+    which moves w(2 rho) by s_j (_walk).
     """
-    return tuple(_strip(table, _inverse(w), range(len(table.simple)))[0])
+    return tuple(_walk(table.rd.cartan, _pairings(table, w), range(len(table.simple))))
 
 
 @cache
@@ -94,18 +101,33 @@ def normal_form_word(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, .
     w is a Weyl element as the permutation of the table's root indices.
     Writes w = x_1...x_n with x_k of minimal length in W_{k-1}\\W_k for
     the parabolic chain along piece_chain, then concatenates the least
-    words of the pieces.
+    words of the pieces, all by walks on the pairings of w(2 rho): the
+    walk over W_{k-1} strips u from w = u.x_k, leaving x_k's pairings for
+    its least word, and u's are 2 rho reflected by u's letters.  Raises
+    RuntimeError unless the word, applied to 2 rho, gives w's pairings.
     """
+    cartan = table.rd.cartan
     chain = piece_chain(table.rd)
-    winv = _inverse(w)
+    n = len(chain)
+    target = _pairings(table, w)
+    pairing = list(target)
     pieces = []
-    for pos in range(len(chain) - 1, -1, -1):
-        x = _inverse(_strip(table, winv, chain[:pos])[1])
-        pieces.append(word_from_matrix(table, x))
-        winv = tuple(map(x.__getitem__, winv))
-    if winv != tuple(range(len(winv))):
+    for pos in range(n - 1, -1, -1):
+        u = _walk(cartan, pairing, chain[:pos])
+        pieces.append(_walk(cartan, pairing, range(n)))
+        pairing = _act(cartan, u)
+    word = tuple(j for piece in reversed(pieces) for j in piece)
+    if _act(cartan, word) != target:
         raise RuntimeError("normal form pieces do not multiply back to w")
-    return tuple(j for piece in reversed(pieces) for j in piece)
+    return word
+
+
+def _act(cartan: lin.Matrix, word: Sequence[int]) -> list[int]:
+    """Pairings of s_{word[0]}...s_{word[-1]}(2 rho) with the simple coroots."""
+    pairing = [2] * len(cartan)
+    for j in reversed(word):
+        _reflect_pairing(cartan, pairing, j)
+    return pairing
 
 
 @dataclass(frozen=True)
@@ -125,14 +147,6 @@ class InnerClassInvolution:
     units: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _has_diagram_automorphism(f: Factor) -> bool:
-    return (
-        (f.letter == "A" and f.rank >= 2)
-        or f.letter == "D"
-        or (f.letter == "E" and f.rank == 6)
-    )
-
-
 def _opposition_perm(f: Factor) -> tuple[int, ...]:
     """Action of -w0 on the simple roots of one factor."""
     if f.letter == "A" or (f.letter == "D" and f.rank % 2) or (f.letter, f.rank) == ("E", 6):
@@ -141,18 +155,16 @@ def _opposition_perm(f: Factor) -> tuple[int, ...]:
 
 
 def _diagram_auto_perm(f: Factor) -> tuple[int, ...]:
+    """Diagram automorphism of one factor, the identity for A1; raises
+    InputError for the types without one."""
     n = f.rank
     if f.letter == "A":
         return tuple(range(n - 1, -1, -1))
     if f.letter == "D":
-        return _swap_last_two(n)
+        return tuple(range(n - 2)) + (n - 1, n - 2)
     if f.letter == "E" and n == 6:
         return (5, 1, 4, 3, 2, 0)
     raise InputError(f"no unequal-rank involution for type {f}")
-
-
-def _swap_last_two(n: int) -> tuple[int, ...]:
-    return tuple(range(n - 2)) + (n - 1, n - 2)
 
 
 def parse_units(letters: str, lt: LieType) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -172,7 +184,7 @@ def parse_units(letters: str, lt: LieType) -> tuple[tuple[str, tuple[int, ...]],
             units.append(("C", (i, i + 1)))
             i += 2
         else:
-            if ch == "u" and not _has_diagram_automorphism(f):
+            if ch == "u" and _diagram_auto_perm(f) == tuple(range(f.rank)):
                 raise InputError(f"no unequal-rank involution for type {f}")
             units.append((ch, (i,)))
             i += 1
@@ -283,6 +295,10 @@ class InvolutionTable:
         delta = [by_coeffs[tuple(r.coeffs[p] for p in perm)] for r in pos]
         self.simple = tuple(rd.root_index[a] for a in rd.simple_roots)
         self.reflections = self._conjugated_reflections()
+        # two_rho[r] = <2 rho, coroot of root r>, which depends on the Coxeter datum only
+        rho2 = [sum(col) for col in zip(*(r.vec for r in pos))]
+        heights = [lin.vec_dot(rho2, r.covec) for r in pos]
+        self.two_rho = tuple(heights + [-h for h in heights])
         theta0 = tuple(delta + [k + npos for k in delta])
         self.thetas: list[tuple[int, ...]] = [theta0]
         self.lengths: list[int] = [0]
@@ -479,12 +495,11 @@ class InvolutionTable:
         reaches every candidate.
         """
         js = range(len(self.simple))
-        lam = self._two_rho_pairings(self.real_roots(i))
-        i = self._dominate(i, lam, js)
-        js = [j for j in js if lam[j] == 0]
-        mu = self._two_rho_pairings(self.imaginary_roots(i))
-        i = self._dominate(i, mu, js)
-        js = [j for j in js if mu[j] == 0]
+        for roots in (self.real_roots, self.imaginary_roots):
+            pairing = self._two_rho_pairings(roots(i))
+            for j in _walk(self.rd.cartan, pairing, js):
+                i = self._complex_neighbour(i, j)
+            js = [j for j in js if pairing[j] == 0]
         cands = [i]
         seen = {i}
         for m in cands:
@@ -494,19 +509,6 @@ class InvolutionTable:
                     seen.add(nbr)
                     cands.append(nbr)
         return min(cands, key=lambda m: (len(self.word(m)), self.word(m)))
-
-    def _dominate(self, i: int, pairing: list[int], js: Sequence[int]) -> int:
-        """Moves i at the first j in js with pairing[j] < 0 until none is
-        left, reflecting pairing (updated in place) by s_j each time."""
-        cartan = self.rd.cartan
-        while True:
-            j = next((j for j in js if pairing[j] < 0), None)
-            if j is None:
-                return i
-            i = self._complex_neighbour(i, j)
-            c = pairing[j]
-            for k, a in enumerate(cartan[j]):
-                pairing[k] -= c * a
 
     def _complex_neighbour(self, i: int, j: int) -> int:
         kind, nbr = self.status_row(i)[j]

@@ -331,8 +331,13 @@ def test_kgb_cross_actions_satisfy_braid_relations(text, letters, kernel, form):
 @pytest.mark.parametrize("text, letters, kernel, form", GRAPH_CASES)
 def test_kgb_cayley_raises_length_and_makes_root_real(
         text, letters, kernel, form):
-    g = generate_kgb(context(text, letters, kernel), form)
+    ic = context(text, letters, kernel)
+    g = generate_kgb(ic, form)
+    # a complex cross action moves the length by one, any other keeps it
+    step = {COMPLEX_UP: 1, COMPLEX_DOWN: -1}
     for e in g.elements:
+        for j, (kind, _) in enumerate(ic.table.status_row(e.rep[0])):
+            assert g.elements[e.cross[j]].length == e.length + step.get(kind, 0)
         for j, t in enumerate(e.cayley):
             assert (t is not None) == (e.statuses[j] == "n")
             if t is not None:

@@ -112,6 +112,21 @@ def test_library_imports_no_unused_name():
     assert found == []
 
 
+def test_library_has_no_unreferenced_private_definition():
+    # a deletion can strand a private helper that only its callers used
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {
+        node.name for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    }
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert len(defined) > 40
+    assert sorted(defined - used) == []
+
+
 def test_only_rootdata_imports_fractions():
     # rootdata reads kernel generators as fractions; the lattice code
     # computes with integer numerators only

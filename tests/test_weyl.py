@@ -24,6 +24,7 @@ from realred.weyl import (
     normal_form_word,
     parse_units,
     piece_chain,
+    word_from_matrix,
 )
 
 from test_rootdata import reflections
@@ -177,6 +178,60 @@ def reference_normal_form_word(rd, m, minv):
     return tuple(out)
 
 
+# The permutation algorithm that computed words before the walk on the
+# pairings of w(2 rho): strip left descents one at a time, composing a
+# 2N-entry permutation per letter.
+
+
+def reference_strip(table, winv, order):
+    """Strips left descents of w (given by its inverse) in order, the
+    first one each time; returns the letters and the inverse of the rest."""
+    npos = len(table.reflections)
+    word = []
+    while True:
+        j = next((j for j in order if winv[table.simple[j]] >= npos), None)
+        if j is None:
+            return word, winv
+        word.append(j)
+        winv = tuple(winv[x] for x in table.reflections[table.simple[j]])
+
+
+def _permutation_inverse(w):
+    return tuple(sorted(range(len(w)), key=w.__getitem__))
+
+
+def reference_strip_word_from_matrix(table, w):
+    """Lexicographically least reduced word, by greedy least left descent."""
+    return tuple(reference_strip(table, _permutation_inverse(w), range(len(table.simple)))[0])
+
+
+def reference_strip_normal_form_word(table, w):
+    """Reduced word as a product of minimal parabolic-coset pieces."""
+    chain = piece_chain(table.rd)
+    winv = _permutation_inverse(w)
+    pieces = []
+    for pos in range(len(chain) - 1, -1, -1):
+        x = _permutation_inverse(reference_strip(table, winv, chain[:pos])[1])
+        pieces.append(reference_strip_word_from_matrix(table, x))
+        winv = tuple(x[y] for y in winv)
+    assert winv == tuple(range(len(winv)))
+    return tuple(j for piece in reversed(pieces) for j in piece)
+
+
+@pytest.mark.parametrize("text,letters", [
+    ("E6", "c"), ("D6", "s"), ("F4", "s"), ("D4", "u"), ("A5", "c"), ("B2.A3", "sc"),
+])
+def test_table_words_match_stripping_reference(text, letters):
+    _, _, d = context(text, letters)
+    table = involution_table(d)
+    delta = table.thetas[0]
+    for i, theta in enumerate(table.thetas):
+        w = tuple(theta[x] for x in delta)
+        assert table.word(i) == reference_strip_normal_form_word(table, w)
+    for k, refl in enumerate(table.reflections):
+        assert table.reflection_word(k) == reference_strip_normal_form_word(table, refl)
+
+
 def test_word_normal_form():
     rd, _, _ = context("A2", "c")
     assert weyl_element(rd, ())[0] == ()
@@ -249,6 +304,16 @@ def test_normal_form_matches_matrix_reference(text):
     for w, (m, minv) in seen.items():
         assert as_permutation(rd, m) == w
         assert normal_form_word(table, w) == reference_normal_form_word(rd, m, minv)
+        assert word_from_matrix(table, w) == reference_word_from_matrix(rd, m, minv)
+
+
+def test_normal_form_refuses_pairings_off_the_orbit_of_two_rho():
+    # 3 w(2 rho) walks to the word of w, which gives back w(2 rho) only
+    rd, _, _ = context("A3", "c")
+    bad = copy.copy(simple_table(rd))
+    bad.two_rho = tuple(3 * h for h in bad.two_rho)
+    with pytest.raises(RuntimeError, match="do not multiply back"):
+        normal_form_word(bad, bad.reflections[0])
 
 
 @pytest.mark.parametrize("text,letters,kernel", [
@@ -298,9 +363,10 @@ def test_inner_class_u():
     assert d.perm == (0, 1, 3, 2)
     _, _, d = context("D2", "u")
     assert d.perm == (1, 0)
-    for text in ("A1", "B2", "T1", "E7"):
-        with pytest.raises(InputError):
+    for text in ("A1", "B2", "C2", "G2", "F4", "T1", "E7"):
+        with pytest.raises(InputError) as err:
             context(text, "u")
+        assert str(err.value) == f"no unequal-rank involution for type {text}"
 
 
 def test_letter_bookkeeping():
