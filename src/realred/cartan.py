@@ -289,31 +289,32 @@ def _a_generators(
         t, t_inv = tr[m]
         for row, g in zip(orbit.moves, gens):
             if row[m] not in tr:
-                tr[row[m]] = (tuple(map(g.__getitem__, t)), tuple(map(t_inv.__getitem__, g)))
+                tr[row[m]] = (tuple([g[s] for s in t]), tuple([t_inv[s] for s in g]))
                 queue.append(row[m])
     if len(tr) != len(orbit.members):
         raise RuntimeError("the cached moves do not connect the orbit")
     a_gens = set()
     for m, (t, _) in tr.items():
         for row, g in zip(orbit.moves, gens):
-            w = tuple(map(tr[row[m]][1].__getitem__, map(g.__getitem__, t)))
+            back = tr[row[m]][1]
+            w = tuple([back[g[s]] for s in t])
             while (k := next((k for k in compact_ks if w[k] >= npos), None)) is not None:
-                w = tuple(map(w.__getitem__, table.reflections[k]))
+                w = tuple([w[s] for s in table.reflections[k]])
             a_gens.add(w)
     group = {one}
     frontier = {one}
     while frontier:
-        frontier = {tuple(map(g.__getitem__, w)) for w in frontier for g in a_gens} - group
+        frontier = {tuple([g[s] for s in w]) for w in frontier for g in a_gens} - group
         group |= frontier
-    if any(tuple(map(w.__getitem__, w)) != one for w in group):
+    if any(tuple([w[s] for s in w]) != one for w in group):
         raise RuntimeError("A is not an elementary abelian 2-group")
     a_words = []
     span = {one}
     by_word = {word_from_matrix(table, w): w for w in group - {one}}
     for word in sorted(by_word, key=lambda w: (len(w), w)):
-        if by_word[word] not in span:
+        if (g := by_word[word]) not in span:
             a_words.append(word)
-            span |= {tuple(map(by_word[word].__getitem__, v)) for v in span}
+            span |= {tuple([g[s] for s in v]) for v in span}
     return tuple(a_words)
 
 
@@ -369,7 +370,7 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     for first, second in side_pairs:
         s1 = table.reflections[rd.root_index[first.vec]]
         s2 = table.reflections[rd.root_index[second.vec]]
-        complex_gens.append(word_from_matrix(table, tuple(map(s1.__getitem__, s2))))
+        complex_gens.append(word_from_matrix(table, tuple([s1[s] for s in s2])))
     complex_gens.sort(key=lambda w: (len(w), w))
     wic_basis = simple_basis(compact)
     compact_ks = [rd.root_index[r.vec] for r in wic_basis]

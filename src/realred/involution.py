@@ -171,14 +171,13 @@ class InnerClass:
         self._theta_star: dict[int, lin.Matrix] = {0: self._dstar}
         self._cbits: dict[int, lin.Vector] = {}
         self._heights: dict[int, lin.Vector] = {}
-        self._fixed_rows_at: dict[int, tuple[lin.Vector, tuple[lin.Vector, ...]]] = {}
+        self._fixed_rows_at: dict[int, tuple[lin.Vector, tuple[lin.Vector, ...], int, int]] = {}
         self._plus_smith: dict[int, lin.SmithForm] = {}
         # (points, x_keys) of each fiber, by (involution, square-class key)
         self._fibers: dict[tuple[int, tuple], tuple[tuple[lin.Vector, ...], tuple]] = {}
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
         # cartan.CartanClass by class index, built by cartan.cartan_class
         self._cartan_classes: dict[int, object] = {}
-        self._ranks_at: dict[int, RankDecomposition] = {}
 
     def check(self, form: int | None = None, cartan: int | None = None) -> None:
         """Raises InputError unless form and cartan index a weak real
@@ -370,18 +369,21 @@ class InnerClass:
         npos = len(self.table.reflections)
         return self.rd.coroot_sum(k for k in range(npos) if theta[k] >= npos)
 
-    def _fixed_rows(self, inv: int) -> tuple[lin.Vector, tuple[lin.Vector, ...]]:
-        """(zero prefix, rows) of the key at inv, cached.
+    def _fixed_rows(self, inv: int) -> tuple[lin.Vector, tuple[lin.Vector, ...], int, int]:
+        """(zero prefix, rows, twos, ones) of the key at inv, cached.
 
         The rows of the Smith uinv of 1 - theta* at its zero divisors
         (the trailing ones) are a Z-basis of the theta-fixed characters;
-        the other key coordinates are 0.
+        the other key coordinates are 0.  twos and ones count the Smith
+        divisors 2 and 1 of 1 - theta*, for _ranks.
         """
         out = self._fixed_rows_at.get(inv)
         if out is None:
             n = self.rd.rank
             sf = lin.smith_form(lin.mat_sub(lin.identity(n), self.theta_star(inv)), ncols=n)
-            out = self._fixed_rows_at[inv] = ((0,) * sf.rank, sf.uinv[sf.rank:])
+            out = self._fixed_rows_at[inv] = (
+                (0,) * sf.rank, sf.uinv[sf.rank:], sf.diag.count(2), sf.diag.count(1)
+            )
         return out
 
     def _smith_plus(self, inv: int) -> lin.SmithForm:
@@ -400,7 +402,7 @@ class InnerClass:
         nonzero Smith divisors of 1 - theta*.  It is linear in t.
         """
         inv, t = x
-        zeros, rows = self._fixed_rows(inv)
+        zeros, rows, _, _ = self._fixed_rows(inv)
         d = self.denom
         return (inv, zeros + tuple(lin.vec_dot(r, t) % d for r in rows))
 
@@ -751,12 +753,13 @@ class InnerClass:
             [self.rd.cartan[j][i] for j in rng]
             for i in rng
         ]
+        sf = lin.smith_form(lin.freeze(block))
         r = f.rank
         for tag, shifts in ((0, ()), (0, (r - 2, r - 1)), (1, (r - 2,)), (2, (r - 1,))):
             b = list(pair)
             for shift in shifts:
                 b[shift] -= 1
-            if lin.solve_mod(lin.freeze(block), tuple(b), 2) is not None:
+            if lin.solve_mod_presolved(sf, tuple(b), 2) is not None:
                 return tag
         raise RuntimeError("unclassified half-spin coset")
 
@@ -909,24 +912,20 @@ class InnerClass:
         )
 
     def _ranks(self, inv: int) -> RankDecomposition:
-        """Rank decomposition of theta* at a twisted involution, cached.
+        """Rank decomposition of theta* at a twisted involution.
 
-        The eigenspace dimensions are read off the cached Smith forms of
-        1 - theta* (its key rows) and 1 + theta*.  The complex pairs are
-        the rank of 1 + theta* mod 2, its count of odd Smith divisors, as
-        unimodular transforms stay invertible mod 2.
+        The lattice is a sum of trivial, sign and rank-two permutation
+        summands of theta* (Adams-du Cloux), on which 1 - theta* has the
+        Smith divisors 0, 2 and (1, 0).  So the split rank is the count
+        of divisors 2, the complex pairs are the divisors 1, and the
+        compact rank is the zero divisors (the key rows) less the pairs.
+        Raises RuntimeError when 1 - theta* has a divisor above 2, so that
+        ker(1 + theta*) over its image is no elementary abelian 2-group.
         """
-        out = self._ranks_at.get(inv)
-        if out is None:
-            n = self.rd.rank
-            sf = self._smith_plus(inv)
-            c = sum(e % 2 for e in sf.diag)
-            plus = len(self._fixed_rows(inv)[1])
-            minus = n - sf.rank
-            out = self._ranks_at[inv] = RankDecomposition(
-                split=minus - c, compact=plus - c, complex_pairs=c
-            )
-        return out
+        zeros, rows, twos, ones = self._fixed_rows(inv)
+        if twos + ones != len(zeros):
+            raise RuntimeError("1 - theta* has an elementary divisor above 2")
+        return RankDecomposition(split=twos, compact=len(rows) - ones, complex_pairs=ones)
 
     def cartan_ranks(self, cartan: int) -> RankDecomposition:
         """Rank decomposition of the canonical involution of a Cartan class."""
@@ -957,40 +956,27 @@ class InnerClass:
     # -- component groups --------------------------------------------------
 
     def component_rank(self, form: int) -> int:
-        """Rank of the component two-group of the real points."""
+        """Rank of the component two-group of the real points.
+
+        At the canonical involution of the form's most split Cartan it is
+        the rank of K / L, with K = ker(1 + theta*) and L spanned by the
+        columns of 1 - theta* and the real coroots.  L lies in K with K's
+        rank, and K is saturated, so K / L is the torsion of Z^n / L: one
+        Z/2 per Smith divisor 2 of those generators.  Raises RuntimeError
+        when a divisor is above 2, or when L has another rank than 1 -
+        theta*, which a generator outside K would give it.
+        """
         inv = self.table.canonical_member(self.most_split_cartan(form))
         n = self.rd.rank
-        theta = self.theta_star(inv)
-        plus = self._smith_plus(inv)
-        kernel = lin.transpose(plus.vinv)[plus.rank:]
-        if not kernel:
-            return 0
-        span = lin.transpose(lin.freeze(list(kernel)))
-        ksf = lin.smith_form(span)
-
-        def in_kernel_coords(v: lin.Vector) -> lin.Vector:
-            y = lin.solve_int_presolved(ksf, v)
-            if y is None:
-                raise RuntimeError("a vector is not in the kernel lattice of 1 + theta*")
-            return y[: len(kernel)]
-
-        minus = lin.mat_sub(lin.identity(n), theta)
-        image = lin.freeze(
-            [list(in_kernel_coords(c)) for c in lin.transpose(minus)]
-        )
-        sf = lin.smith_form(lin.transpose(image))
-        if any(d not in (1, 2) for d in sf.diag):
+        # the rows of 1 - theta are the columns of 1 - theta*
+        gens = lin.mat_sub(lin.identity(n), lin.transpose(self.theta_star(inv)))
+        gens += tuple(root.covec for root in self.roots(self.table.real_roots(inv)))
+        sf = lin.smith_form(gens, ncols=n)
+        if any(d > 2 for d in sf.diag):
             raise RuntimeError("the component group is not an elementary abelian 2-group")
-        twos = [i for i, d in enumerate(sf.diag) if d == 2]
-        if not twos:
-            return 0
-        bits = []
-        for root in self.roots(self.table.real_roots(inv)):
-            z = lin.mat_vec(sf.uinv, in_kernel_coords(root.covec))
-            bits.append([z[i] % 2 for i in twos])
-        # the rank of bits mod 2 is its count of odd Smith divisors
-        odd = lin.smith_form(lin.freeze(bits), ncols=len(twos)).diag
-        return len(twos) - sum(e % 2 for e in odd)
+        if sf.rank != n - len(self._fixed_rows(inv)[1]):
+            raise RuntimeError("a real coroot or a column of 1 - theta* is not in ker(1 + theta*)")
+        return sf.diag.count(2)
 
     # -- counting -----------------------------------------------------------
 

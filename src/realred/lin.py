@@ -229,13 +229,9 @@ def solve_int_presolved(sf: SmithForm, b: Vector) -> Vector | None:
     return mat_vec(sf.vinv, tuple(y))
 
 
-def solve_mod(a: Matrix, b: Vector, mod: int, ncols: int | None = None) -> Vector | None:
-    """One integer solution x of a @ x == b (mod mod), or None."""
-    return solve_mod_presolved(smith_form(a, ncols=ncols), b, mod)
-
-
 def solve_mod_presolved(sf: SmithForm, b: Vector, mod: int) -> Vector | None:
-    """solve_mod against a matrix whose Smith form is already known."""
+    """One integer solution x of a @ x == b (mod mod), or None, from the
+    Smith form sf of a."""
     n = len(sf.v)
     c = mat_vec(sf.uinv, b)
     y = [0] * n

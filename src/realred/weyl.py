@@ -378,7 +378,8 @@ class InvolutionTable:
         """Displayed reduced word of w = theta.delta, delta being an involution."""
         out = self._words.get(i)
         if out is None:
-            w = tuple(map(self.thetas[i].__getitem__, self.thetas[0]))
+            theta = self.thetas[i]
+            w = tuple([theta[s] for s in self.thetas[0]])
             out = self._words[i] = normal_form_word(self, w)
         return out
 

@@ -713,6 +713,9 @@ def rank_decomposition(theta):
 
 @pytest.mark.parametrize("text,letters,kernel", [
     ("C2", "s", None), ("D4", "u", None), ("A3", "c", "ad"), ("A2.A2", "C", None),
+    # complex pairs from torus factors and from quotients
+    ("T2", "C", None), ("A1.T1", "sc", None), ("D4.T1", "us", None),
+    ("A3", "s", "1/2"), ("D4", "s", "1/2,1/2"),
 ])
 def test_cached_ranks_match_reference(text, letters, kernel):
     ic = context(text, letters, kernel)
@@ -727,6 +730,13 @@ def test_rank_decomposition_values():
         dec = ic.cartan_ranks(c)
         triples.append((dec.split, dec.compact, dec.complex_pairs))
     assert triples == [(0, 2, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0)]
+
+
+def test_ranks_refuse_a_divisor_above_two():
+    ic = context("A1.T1", "sc")
+    ic.theta_star = lambda inv: ((-3, 0), (0, 1))
+    with pytest.raises(RuntimeError, match="divisor above 2"):
+        ic._ranks(0)
 
 
 # -- most split Cartans and component groups -----------------------------
@@ -749,6 +759,20 @@ def test_component_ranks():
     ic = context("D6", "c", "1/2,0/2")
     assert ic.component_rank(2) == 1
     assert ic.component_rank(3) == 0
+
+
+@pytest.mark.parametrize("theta,message", [
+    (((-3,),), "not an elementary abelian 2-group"),
+    (((-1,),), "is not in ker\\(1 \\+ theta"),
+])
+def test_component_rank_refuses_corrupted_data(theta, message):
+    # su(2): the most split Cartan is the base one, where theta* = 1 and
+    # there is no real root
+    ic = context("A1", "s")
+    assert ic.most_split_cartan(0) == 0
+    ic.theta_star = lambda inv: theta
+    with pytest.raises(RuntimeError, match=message):
+        ic.component_rank(0)
 
 
 def test_half_spin_pair_cartans():
@@ -873,6 +897,50 @@ def test_weak_forms_and_partitions_match_the_adjoint_context(text, letters, kern
         basis = ad.roots(ad.table.imaginary_basis(ad.table.canonical_member(c)))
         xs = [x for o in ad.cartan_orbits(c) for x in o.members]
         assert len({tuple(ad.root_grading(x, r) for r in basis) for x in xs}) == len(xs)
+
+
+def reference_component_rank(ic, form):
+    """Component rank in coordinates of the kernel lattice K of 1 +
+    theta*: the reference.
+
+    K / (1 - theta*) Z^n must be elementary abelian; the rank is its
+    count of Z/2 factors less the F2 rank of the real coroots in them.
+    """
+    inv = ic.table.canonical_member(ic.most_split_cartan(form))
+    n = ic.rd.rank
+    theta = ic.theta_star(inv)
+    plus = lin.smith_form(lin.mat_add(lin.identity(n), theta), ncols=n)
+    kernel = lin.transpose(plus.vinv)[plus.rank:]
+    if not kernel:
+        return 0
+    ksf = lin.smith_form(lin.transpose(lin.freeze(list(kernel))))
+
+    def in_kernel_coords(v):
+        y = lin.solve_int_presolved(ksf, v)
+        if y is None:
+            raise RuntimeError("a vector is not in the kernel lattice of 1 + theta*")
+        return y[: len(kernel)]
+
+    minus = lin.mat_sub(lin.identity(n), theta)
+    image = lin.freeze([list(in_kernel_coords(c)) for c in lin.transpose(minus)])
+    sf = lin.smith_form(lin.transpose(image))
+    if any(d not in (1, 2) for d in sf.diag):
+        raise RuntimeError("the component group is not an elementary abelian 2-group")
+    twos = [i for i, d in enumerate(sf.diag) if d == 2]
+    if not twos:
+        return 0
+    bits = []
+    for root in ic.roots(ic.table.real_roots(inv)):
+        z = lin.mat_vec(sf.uinv, in_kernel_coords(root.covec))
+        bits.append([z[i] % 2 for i in twos])
+    return len(twos) - reference_f2_rank(lin.freeze(bits))
+
+
+@pytest.mark.parametrize("text,letters,kernel", ADJOINT_GROUPS)
+def test_component_rank_matches_kernel_reference(text, letters, kernel):
+    ic = build(text, letters, kernel)
+    for form in range(len(ic.real_forms)):
+        assert ic.component_rank(form) == reference_component_rank(ic, form)
 
 
 @pytest.mark.parametrize("text,letters,kernel", [
