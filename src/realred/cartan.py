@@ -353,7 +353,7 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     another orbit of the form gives another compact type, or when some
     orbit O' of the form has |W_i| != |O'| |W_ic| |A|.
     """
-    ic.check(form, cartan)
+    ic.check(form=form, cartan=cartan)
     table = ic.table
     rd = ic.rd
     inv = table.canonical_member(cartan)

@@ -13,11 +13,13 @@ compact at x, and adds (denom/2) beta^v to t when it is noncompact
 object per (root datum, involution); the adjoint fiber, whose orbits are
 the weak real forms, is read off its own fiber orbits by gradings.
 
-Fibers are affine spaces over F2.  theta* comes from the table parent
-by rank-one reflection updates; the key of x is t paired with a basis
-of the theta-fixed characters mod denom (x_key), linear in t, so fiber
-points and their cross actions are keyed by affine updates.  A fiber is
-t0 plus the subset sums of its generators, by size, then in
+Fibers are affine spaces over F2, read off one InvolutionLattice record
+per twisted involution: theta*, built from the table parent's record by
+rank-one reflection updates, and its rho-check drop, heights and Smith
+forms of 1 - theta* and 1 + theta*.  The key of x is t paired with a
+basis of the theta-fixed characters mod denom (x_key), linear in t, so
+fiber points and their cross actions are keyed by affine updates.  A
+fiber is t0 plus the subset sums of its generators, by size, then in
 itertools.combinations order, and its keys are the same sums of keys.
 That is the order of a breadth-first closure from t0 under the
 generators in order: it first reaches {a1 < ... < ak} from its least
@@ -151,6 +153,86 @@ def _split_product(total: int, s: int) -> tuple[int, int]:
     return p, q
 
 
+@dataclass(frozen=True, slots=True)
+class InvolutionLattice:
+    """Lattice data of one twisted involution theta: what its fiber is read from.
+
+    InnerClass.lattice builds theta_star from the table parent's record.
+    The other fields are computed from theta_star, the root images theta
+    and the root datum on first read and kept (__getattr__), as the parent
+    walk meets many involutions that are never keyed; the properties drop
+    and ranks are computed on every read.
+
+    Attributes:
+        theta_star: the action of theta on cocharacters, its transposed matrix.
+        theta: the images of the 2N roots under theta, the table's form.
+        drop, cbits: rho-check minus its image under theta* delta*, for
+            theta = w.delta, and its parity.  theta* delta* is the
+            cocharacter action of u = delta w^-1 delta, and u^-1 beta =
+            theta beta, so drop is the sum of the positive coroots beta^v
+            with theta beta negative.  cbits is the torus part of sigma_w
+            delta(sigma_w) on the cocharacter lattice.
+        heights: 2 rho-check plus every positive coroot imaginary at theta.
+            It pairs with a positive imaginary root alpha to 2 (ht(alpha) +
+            ht_i(alpha)), the heights over the simple roots and over the
+            imaginary simple roots.
+        minus: (rank, rows, twos, ones) of the key (x_key).  The rows of
+            the Smith uinv of 1 - theta* at its zero divisors (the trailing
+            ones) are a Z-basis of the theta-fixed characters; the key is 0
+            at the rank nonzero divisors.  twos and ones count the Smith
+            divisors 2 and 1 of 1 - theta*, for ranks.
+        plus: the Smith form of 1 + theta*, which fibers are solved in.
+    """
+
+    theta_star: lin.Matrix
+    theta: tuple[int, ...] = field(repr=False)
+    rd: RootDatum = field(repr=False, compare=False)
+    cbits: lin.Vector = field(init=False)
+    heights: lin.Vector = field(init=False)
+    minus: tuple[int, tuple[lin.Vector, ...], int, int] = field(init=False, repr=False)
+    plus: lin.SmithForm = field(init=False, repr=False)
+
+    def __getattr__(self, name: str):
+        """Computes a field not set yet on its first read, and keeps it."""
+        npos, n = len(self.theta) // 2, len(self.theta_star)
+        if name == "cbits":
+            value = tuple(x % 2 for x in self.drop)
+        elif name == "heights":
+            imaginary = self.rd.coroot_sum(k for k in range(npos) if self.theta[k] == k)
+            value = lin.vec_add(self.rd.two_rho_check, imaginary)
+        elif name == "minus":
+            sf = lin.smith_form(lin.mat_sub(lin.identity(n), self.theta_star), ncols=n)
+            value = sf.rank, sf.uinv[sf.rank:], sf.diag.count(2), sf.diag.count(1)
+        elif name == "plus":
+            value = lin.smith_form(lin.mat_add(lin.identity(n), self.theta_star), ncols=n)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def drop(self) -> lin.Vector:
+        npos = len(self.theta) // 2
+        return self.rd.coroot_sum(k for k in range(npos) if self.theta[k] >= npos)
+
+    @property
+    def ranks(self) -> RankDecomposition:
+        """Rank decomposition of theta*.
+
+        The lattice is a sum of trivial, sign and rank-two permutation
+        summands of theta* (Adams-du Cloux), on which 1 - theta* has the
+        Smith divisors 0, 2 and (1, 0).  So the split rank is the count
+        of divisors 2, the complex pairs are the divisors 1, and the
+        compact rank is the zero divisors (the key rows) less the pairs.
+        Raises RuntimeError when 1 - theta* has a divisor above 2, so that
+        ker(1 + theta*) over its image is no elementary abelian 2-group.
+        """
+        rank, rows, twos, ones = self.minus
+        if twos + ones != rank:
+            raise RuntimeError("1 - theta* has an elementary divisor above 2")
+        return RankDecomposition(split=twos, compact=len(rows) - ones, complex_pairs=ones)
+
+
 def _times_coreflection(m: lin.Matrix, a: lin.Vector, av: lin.Vector) -> lin.Matrix:
     """m (1 - av a^T): each row r loses <r, av> a."""
     return tuple(
@@ -168,27 +250,25 @@ class InnerClass:
         self.lt: LieType = delta.lt
         self.table: InvolutionTable = involution_table(delta)
         self._dstar: lin.Matrix = lin.transpose(delta.matrix)
-        self._theta_star: dict[int, lin.Matrix] = {0: self._dstar}
-        self._cbits: dict[int, lin.Vector] = {}
-        self._heights: dict[int, lin.Vector] = {}
-        self._fixed_rows_at: dict[int, tuple[lin.Vector, tuple[lin.Vector, ...], int, int]] = {}
-        self._plus_smith: dict[int, lin.SmithForm] = {}
+        self._lattices = {0: InvolutionLattice(self._dstar, self.table.thetas[0], self.rd)}
         # (points, x_keys) of each fiber, by (involution, square-class key)
         self._fibers: dict[tuple[int, tuple], tuple[tuple[lin.Vector, ...], tuple]] = {}
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
         # cartan.CartanClass by class index, built by cartan.cartan_class
         self._cartan_classes: dict[int, object] = {}
 
-    def check(self, form: int | None = None, cartan: int | None = None) -> None:
-        """Raises InputError unless form and cartan index a weak real
-        form and a Cartan class of the inner class.
+    def check(self, **indices: object) -> None:
+        """Raises InputError unless each index given, form= or cartan=, is
+        an int, not a bool, numbering a weak real form or a Cartan class
+        of the inner class.
         """
-        if form is not None and not 0 <= form < len(self.real_forms):
-            raise InputError(f"no real form #{form}: there are {len(self.real_forms)}")
-        if cartan is not None and not 0 <= cartan < len(self.table.classes):
-            raise InputError(
-                f"no Cartan class #{cartan}: there are {len(self.table.classes)}"
+        for name, i in indices.items():
+            what, count = (
+                ("real form", len(self.real_forms)) if name == "form"
+                else ("Cartan class", len(self.table.classes))
             )
+            if type(i) is not int or not 0 <= i < count:
+                raise InputError(f"no {what} #{i!r}: there are {count}")
 
     def roots(self, indices) -> list[Root]:
         """Positive roots of this root datum, by table index."""
@@ -295,7 +375,7 @@ class InnerClass:
         zero-divisor coordinates of uinv times the representative are
         integral.
         """
-        sf = self._smith_plus(0)
+        sf = self.lattice(0).plus
         out = []
         for key in self._candidate_classes:
             c = lin.mat_vec(sf.uinv, self._class_rep(key))
@@ -321,90 +401,41 @@ class InnerClass:
 
     # -- per-involution linear data ------------------------------------
 
-    def theta_star(self, inv: int) -> lin.Matrix:
-        """Action of the involution on cocharacters: its transposed matrix.
+    def lattice(self, inv: int) -> InvolutionLattice:
+        """The lattice record of an involution, built from its table parent's.
 
         The first simple root j that is a complex descent or real at inv
         leads to the table parent, one twisted length shorter.  With
         C_j = 1 - alpha_j^v alpha_j^T, theta* is C_j theta*_nbr C_j (j
         complex, inv = s_j nbr s_j) or theta*_nbr C_j (j real, inv =
-        s_j nbr).  Walks down to a cached ancestor, delta* at the base.
+        s_j nbr), the parent's record built first; delta* at the base.
         """
-        chain = []
-        while inv not in self._theta_star:
+        out = self._lattices.get(inv)
+        if out is None:
             row = self.table.status_row(inv)
-            j = next(
-                (j for j, (kind, _) in enumerate(row) if kind in (COMPLEX_DOWN, REAL)),
-                None,
-            )
+            j = next((j for j, (kind, _) in enumerate(row) if kind in (COMPLEX_DOWN, REAL)), None)
             if j is None:
                 raise RuntimeError(f"involution {inv} has no table parent")
-            chain.append((inv, j))
-            inv = row[j][1]
-        out = self._theta_star[inv]
-        for inv, j in reversed(chain):
+            kind, nbr = row[j]
             a, av = self.rd.simple_roots[j], self.rd.simple_coroots[j]
-            out = _times_coreflection(out, a, av)
-            if self.table.status_row(inv)[j][0] == COMPLEX_DOWN:
+            m = _times_coreflection(self.lattice(nbr).theta_star, a, av)
+            if kind == COMPLEX_DOWN:
                 # C_j m is the transpose of m^T (1 - alpha_j alpha_j^v^T)
-                out = lin.transpose(_times_coreflection(lin.transpose(out), av, a))
-            self._theta_star[inv] = out
-        return out
-
-    def cbits(self, inv: int) -> lin.Vector:
-        """Torus part of sigma_w delta(sigma_w) on the cocharacter lattice."""
-        out = self._cbits.get(inv)
-        if out is None:
-            out = self._cbits[inv] = tuple(x % 2 for x in self._rho_check_drop(inv))
-        return out
-
-    def _rho_check_drop(self, inv: int) -> lin.Vector:
-        """rho-check minus its image under theta* delta*, for theta_inv = w.delta.
-
-        theta* delta* is the cocharacter action of u = delta w^-1 delta,
-        and u^-1 beta = theta beta, so this is the sum of the positive
-        coroots beta^v with theta beta negative.
-        """
-        theta = self.table.thetas[inv]
-        npos = len(self.table.reflections)
-        return self.rd.coroot_sum(k for k in range(npos) if theta[k] >= npos)
-
-    def _fixed_rows(self, inv: int) -> tuple[lin.Vector, tuple[lin.Vector, ...], int, int]:
-        """(zero prefix, rows, twos, ones) of the key at inv, cached.
-
-        The rows of the Smith uinv of 1 - theta* at its zero divisors
-        (the trailing ones) are a Z-basis of the theta-fixed characters;
-        the other key coordinates are 0.  twos and ones count the Smith
-        divisors 2 and 1 of 1 - theta*, for _ranks.
-        """
-        out = self._fixed_rows_at.get(inv)
-        if out is None:
-            n = self.rd.rank
-            sf = lin.smith_form(lin.mat_sub(lin.identity(n), self.theta_star(inv)), ncols=n)
-            out = self._fixed_rows_at[inv] = (
-                (0,) * sf.rank, sf.uinv[sf.rank:], sf.diag.count(2), sf.diag.count(1)
-            )
-        return out
-
-    def _smith_plus(self, inv: int) -> lin.SmithForm:
-        out = self._plus_smith.get(inv)
-        if out is None:
-            n = self.rd.rank
-            m = lin.mat_add(lin.identity(n), self.theta_star(inv))
-            out = self._plus_smith[inv] = lin.smith_form(m, ncols=n)
+                m = lin.transpose(_times_coreflection(lin.transpose(m), av, a))
+            out = self._lattices[inv] = InvolutionLattice(m, self.table.thetas[inv], self.rd)
         return out
 
     def x_key(self, x: StrongX) -> tuple:
         """Canonical key of x modulo torus-conjugation equivalence.
 
         x = (i, t) is keyed by t paired with a Z-basis of the characters
-        fixed by theta_i (_fixed_rows), mod denom, behind zeros at the
-        nonzero Smith divisors of 1 - theta*.  It is linear in t.
+        fixed by theta_i (InvolutionLattice.minus), mod denom, behind zeros
+        at the nonzero Smith divisors of 1 - theta*.  It is linear in t.
         """
         inv, t = x
-        zeros, rows, _, _ = self._fixed_rows(inv)
+        rank, rows, _, _ = self.lattice(inv).minus
         d = self.denom
-        return (inv, zeros + tuple(lin.vec_dot(r, t) % d for r in rows))
+        return (inv, (0,) * rank + tuple(lin.vec_dot(r, t) % d for r in rows))
 
     def _reflect(self, j: int, t: lin.Vector) -> lin.Vector:
         """s_j t = t - <alpha_j, t> alpha_j^v, on cocharacters."""
@@ -414,9 +445,10 @@ class InnerClass:
     def _square_numerators(self, x: StrongX) -> lin.Vector:
         """Numerators over denom of the square value of x."""
         inv, t = x
+        lat = self.lattice(inv)
         return lin.vec_add(
-            lin.vec_add(t, lin.mat_vec(self.theta_star(inv), t)),
-            lin.vec_scale(self.cbits(inv), self.denom // 2),
+            lin.vec_add(t, lin.mat_vec(lat.theta_star, t)),
+            lin.vec_scale(lat.cbits, self.denom // 2),
         )
 
     # -- fibers ----------------------------------------------------------
@@ -437,8 +469,9 @@ class InnerClass:
         rep = self._class_rep(key)
         if any(v * d % cd for v in rep):
             raise RuntimeError("square class representative is not over denom")
-        target = tuple(v * d // cd - c * (d // 2) for v, c in zip(rep, self.cbits(inv)))
-        sf = self._smith_plus(inv)
+        lat = self.lattice(inv)
+        target = tuple(v * d // cd - c * (d // 2) for v, c in zip(rep, lat.cbits))
+        sf = lat.plus
         t0 = lin.solve_mod_presolved(sf, target, d)
         if t0 is None:
             self._fibers[(inv, key)] = ((), ())
@@ -463,7 +496,7 @@ class InnerClass:
                     k = lin.vec_add(k, kg)
                 out.append(lin.vec_mod(t, d))
                 keys.append((inv, lin.vec_mod(k, d)))
-        if len(gens) != self._ranks(inv).compact or len(set(keys)) != len(keys):
+        if len(gens) != lat.ranks.compact or len(set(keys)) != len(keys):
             raise RuntimeError("fiber size is not 2^(fiber rank)")
         # every generator g has (1 + theta*) g = 0 mod d, so all squares
         # agree on integers; only the first is keyed
@@ -495,19 +528,6 @@ class InnerClass:
         t2 = lin.vec_add(t2, lin.vec_scale(covec, half))
         return (nbr, lin.vec_mod(t2, self.denom))
 
-    def _height_coweight(self, inv: int) -> lin.Vector:
-        """2 rho-check plus every positive coroot imaginary at inv.
-
-        It pairs with a positive root alpha imaginary at inv to
-        2 (ht(alpha) + ht_i(alpha)), the heights over the simple roots and
-        over imaginary_basis(inv).
-        """
-        out = self._heights.get(inv)
-        if out is None:
-            imaginary = self.rd.coroot_sum(self.table.imaginary_roots(inv))
-            out = self._heights[inv] = lin.vec_add(self.rd.two_rho_check, imaginary)
-        return out
-
     def grading(self, x: StrongX, j: int) -> bool:
         """True when the imaginary simple root j is noncompact at x."""
         return self.root_grading(x, self.rd.positive_roots[self.table.simple[j]])
@@ -517,9 +537,9 @@ class InnerClass:
 
         With x = (i, t) and d = denom, root alpha is noncompact exactly
         when 2 <alpha, t> / d + ht(alpha) + ht_i(alpha) is odd, ht_i being
-        the height over imaginary_basis(i); _height_coweight gives the two
-        heights in one pairing.  This is the grading that transport along
-        cross actions gives, by induction on the height of alpha, along
+        the height over imaginary_basis(i); the heights of lattice(i)
+        give the two in one pairing.  This is the grading that transport
+        along cross actions gives, by induction on the height of alpha, along
         the descent that lowers it by the first simple reflection s_j
         with s_j alpha positive and lower; n = <alpha, alpha_j^v>:
         - alpha = alpha_j simple: ht + ht_i = 2, and at a simple imaginary
@@ -544,7 +564,7 @@ class InnerClass:
         if self.table.thetas[inv][k] != k:
             raise RuntimeError(f"root {root.coeffs} is not imaginary at involution {inv}")
         d = self.denom
-        heights = lin.vec_dot(root.vec, self._height_coweight(inv)) // 2
+        heights = lin.vec_dot(root.vec, self.lattice(inv).heights) // 2
         num = 2 * lin.vec_dot(root.vec, t) + (heights - 1) * d
         return num % (2 * d) == 0
 
@@ -905,36 +925,20 @@ class InnerClass:
 
     def form_cartans(self, form: int) -> tuple[int, ...]:
         """Cartan classes carrying strong involutions of one weak form."""
-        self.check(form)
+        self.check(form=form)
         return tuple(
             c for c in range(len(self.table.classes))
             if any(o.form == form for o in self.cartan_orbits(c))
         )
 
-    def _ranks(self, inv: int) -> RankDecomposition:
-        """Rank decomposition of theta* at a twisted involution.
-
-        The lattice is a sum of trivial, sign and rank-two permutation
-        summands of theta* (Adams-du Cloux), on which 1 - theta* has the
-        Smith divisors 0, 2 and (1, 0).  So the split rank is the count
-        of divisors 2, the complex pairs are the divisors 1, and the
-        compact rank is the zero divisors (the key rows) less the pairs.
-        Raises RuntimeError when 1 - theta* has a divisor above 2, so that
-        ker(1 + theta*) over its image is no elementary abelian 2-group.
-        """
-        zeros, rows, twos, ones = self._fixed_rows(inv)
-        if twos + ones != len(zeros):
-            raise RuntimeError("1 - theta* has an elementary divisor above 2")
-        return RankDecomposition(split=twos, compact=len(rows) - ones, complex_pairs=ones)
-
     def cartan_ranks(self, cartan: int) -> RankDecomposition:
         """Rank decomposition of the canonical involution of a Cartan class."""
         self.check(cartan=cartan)
-        return self._ranks(self.table.canonical_member(cartan))
+        return self.lattice(self.table.canonical_member(cartan)).ranks
 
     def most_split_cartan(self, form: int) -> int:
         """Cartan class of maximal real rank within one weak form."""
-        self.check(form)
+        self.check(form=form)
         return self._most_split[form]
 
     @cached_property
@@ -969,12 +973,12 @@ class InnerClass:
         inv = self.table.canonical_member(self.most_split_cartan(form))
         n = self.rd.rank
         # the rows of 1 - theta are the columns of 1 - theta*
-        gens = lin.mat_sub(lin.identity(n), lin.transpose(self.theta_star(inv)))
+        gens = lin.mat_sub(lin.identity(n), lin.transpose(self.lattice(inv).theta_star))
         gens += tuple(root.covec for root in self.roots(self.table.real_roots(inv)))
         sf = lin.smith_form(gens, ncols=n)
         if any(d > 2 for d in sf.diag):
             raise RuntimeError("the component group is not an elementary abelian 2-group")
-        if sf.rank != n - len(self._fixed_rows(inv)[1]):
+        if sf.rank != n - len(self.lattice(inv).minus[1]):
             raise RuntimeError("a real coroot or a column of 1 - theta* is not in ker(1 + theta*)")
         return sf.diag.count(2)
 

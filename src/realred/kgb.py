@@ -64,11 +64,11 @@ def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
     selects one strong form among several with the same underlying weak
     form.
     """
-    ic.check(form)
+    ic.check(form=form)
     forms = ic._orbit_form_indices
     if orbit is None:
-        return next(o for o in range(len(forms)) if forms[o] == form)
-    if not 0 <= orbit < len(forms) or forms[orbit] != form:
+        return forms.index(form)
+    if type(orbit) is not int or not 0 <= orbit < len(forms) or forms[orbit] != form:
         raise InputError("orbit does not realize the requested real form")
     return orbit
 

@@ -207,13 +207,8 @@ def _identity_lists(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def solve_int(a: Matrix, b: Vector, ncols: int | None = None) -> Vector | None:
-    """One integer solution x of a @ x == b, or None if unsolvable."""
-    return solve_int_presolved(smith_form(a, ncols=ncols), b)
-
-
-def solve_int_presolved(sf: SmithForm, b: Vector) -> Vector | None:
-    """solve_int against a matrix whose Smith form is already known."""
+def solve_int(sf: SmithForm, b: Vector) -> Vector | None:
+    """One integer solution x of a @ x == b, or None, from the Smith form sf of a."""
     n = len(sf.v)
     c = mat_vec(sf.uinv, b)
     y = [0] * n

@@ -476,10 +476,10 @@ def build_root_datum(lt: LieType, gens: list[KernelGenerator]) -> RootDatum:
     else:
         basis = lin.identity(n)
     roots_w, coroots_w = _weight_basis_roots(lt)
-    bt = lin.transpose(basis)
+    sf = lin.smith_form(lin.transpose(basis))
     simple_roots = []
     for a in roots_w:
-        sol = lin.solve_int(bt, a)
+        sol = lin.solve_int(sf, a)
         if sol is None:
             raise RuntimeError("root lattice escaped the character lattice")
         simple_roots.append(sol)

@@ -840,3 +840,36 @@ def test_out_of_range_index_raises_input_error(call):
     ic = context("A2", "s")  # one real form, two Cartan classes
     with pytest.raises(InputError):
         call(ic)
+
+
+# public entry points, each given one index by the test
+INDEX_CALLS = {
+    "kgb_form": lambda ic, i: generate_kgb(ic, i),
+    "kgb_orbit": lambda ic, i: generate_kgb(ic, 0, i),
+    "report_form": lambda ic, i: format_cartan_report(ic, i),
+    "hasse_form": lambda ic, i: cartan_hasse(ic, i),
+    "real_weyl_form": lambda ic, i: real_weyl(ic, i, 0),
+    "real_weyl_cartan": lambda ic, i: real_weyl(ic, 0, i),
+    "cartan_class": lambda ic, i: cartan_class(ic, i),
+    "cartan_classes": lambda ic, i: cartan_classes(ic, i),
+    "check_form": lambda ic, i: ic.check(form=i),
+    "check_cartan": lambda ic, i: ic.check(cartan=i),
+    "form_cartans": lambda ic, i: ic.form_cartans(i),
+    "most_split_cartan": lambda ic, i: ic.most_split_cartan(i),
+    "component_rank": lambda ic, i: ic.component_rank(i),
+    "cartan_ranks": lambda ic, i: ic.cartan_ranks(i),
+    "cartan_orbits": lambda ic, i: ic.cartan_orbits(i),
+    "strong_real_forms_at": lambda ic, i: ic.strong_real_forms_at(i),
+    "strong_count_at": lambda ic, i: ic.strong_count_at(i),
+}
+
+
+@pytest.mark.parametrize("name,value", [
+    (name, value) for name in INDEX_CALLS for value in (None, "0", 1.5, True)
+    # no orbit (None) asks for the first orbit of the form
+    if not (name == "kgb_orbit" and value is None)
+])
+def test_non_integer_index_raises_input_error(name, value):
+    ic = context("A1", "s")
+    with pytest.raises(InputError):
+        INDEX_CALLS[name](ic, value)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -413,8 +414,8 @@ def square_key_reference(ic, x, translates):
     # square class key computed with Fractions throughout
     inv, t = x
     n = ic.rd.rank
-    onep = lin.mat_add(ic.theta_star(inv), lin.identity(n))
-    num = lin.vec_add(lin.mat_vec(onep, t), lin.vec_scale(ic.cbits(inv), ic.denom // 2))
+    onep = lin.mat_add(ic.lattice(inv).theta_star, lin.identity(n))
+    num = lin.vec_add(lin.mat_vec(onep, t), lin.vec_scale(ic.lattice(inv).cbits, ic.denom // 2))
     s = tuple(Fraction(v, ic.denom) for v in num)
     for a in ic.rd.simple_roots:
         if lin.vec_dot(a, s) % 1:
@@ -502,7 +503,7 @@ def reference_csc_bits(ic, inv):
     sf = lin.smith_form(
         lin.transpose(lin.freeze(rd.simple_coroots)), ncols=rd.semisimple_rank
     )
-    coeffs = lin.solve_int_presolved(sf, ic._rho_check_drop(inv))
+    coeffs = lin.solve_int(sf, ic.lattice(inv).drop)
     assert coeffs is not None
     return tuple(c % 2 for c in coeffs[: rd.semisimple_rank])
 
@@ -720,7 +721,7 @@ def rank_decomposition(theta):
 def test_cached_ranks_match_reference(text, letters, kernel):
     ic = context(text, letters, kernel)
     for inv in range(len(ic.table)):
-        assert ic._ranks(inv) == rank_decomposition(ic.theta_star(inv))
+        assert ic.lattice(inv).ranks == rank_decomposition(ic.lattice(inv).theta_star)
 
 
 def test_rank_decomposition_values():
@@ -734,9 +735,9 @@ def test_rank_decomposition_values():
 
 def test_ranks_refuse_a_divisor_above_two():
     ic = context("A1.T1", "sc")
-    ic.theta_star = lambda inv: ((-3, 0), (0, 1))
+    ic._lattices[0] = replace(ic.lattice(0), theta_star=((-3, 0), (0, 1)))
     with pytest.raises(RuntimeError, match="divisor above 2"):
-        ic._ranks(0)
+        ic.lattice(0).ranks
 
 
 # -- most split Cartans and component groups -----------------------------
@@ -762,17 +763,22 @@ def test_component_ranks():
 
 
 @pytest.mark.parametrize("theta,message", [
-    (((-3,),), "not an elementary abelian 2-group"),
-    (((-1,),), "is not in ker\\(1 \\+ theta"),
-])
-def test_component_rank_refuses_corrupted_data(theta, message):
     # su(2): the most split Cartan is the base one, where theta* = 1 and
     # there is no real root
+    ({0: ((-3,),)}, "not an elementary abelian 2-group"),
+    # sl(2,R): alpha is real at the split Cartan, but this theta* fixes
+    # alpha^v, so the table's real coroot is not in ker(1 + theta*)
+    ({1: ((1,),)}, "is not in ker\\(1 \\+ theta"),
+])
+def test_component_rank_refuses_corrupted_data(theta, message):
     ic = context("A1", "s")
-    assert ic.most_split_cartan(0) == 0
-    ic.theta_star = lambda inv: theta
+    (form, corrupt), = theta.items()
+    cartan = ic.most_split_cartan(form)
+    assert cartan == form
+    inv = ic.table.canonical_member(cartan)
+    ic._lattices[inv] = replace(ic.lattice(inv), theta_star=corrupt)
     with pytest.raises(RuntimeError, match=message):
-        ic.component_rank(0)
+        ic.component_rank(form)
 
 
 def test_half_spin_pair_cartans():
@@ -908,7 +914,7 @@ def reference_component_rank(ic, form):
     """
     inv = ic.table.canonical_member(ic.most_split_cartan(form))
     n = ic.rd.rank
-    theta = ic.theta_star(inv)
+    theta = ic.lattice(inv).theta_star
     plus = lin.smith_form(lin.mat_add(lin.identity(n), theta), ncols=n)
     kernel = lin.transpose(plus.vinv)[plus.rank:]
     if not kernel:
@@ -916,7 +922,7 @@ def reference_component_rank(ic, form):
     ksf = lin.smith_form(lin.transpose(lin.freeze(list(kernel))))
 
     def in_kernel_coords(v):
-        y = lin.solve_int_presolved(ksf, v)
+        y = lin.solve_int(ksf, v)
         if y is None:
             raise RuntimeError("a vector is not in the kernel lattice of 1 + theta*")
         return y[: len(kernel)]
@@ -951,7 +957,7 @@ def test_theta_matrix_matches_word_and_permutation(text, letters, kernel):
     ic = context(text, letters, kernel)
     rd, table = ic.rd, ic.table
     for i in range(len(table)):
-        theta = lin.transpose(ic.theta_star(i))
+        theta = lin.transpose(ic.lattice(i).theta_star)
         w = lin.identity(rd.rank)
         for j in table.word(i):
             w = lin.mat_mul(w, reflections(rd)[j])
@@ -975,9 +981,9 @@ THETA_GROUPS = [
 ]
 
 
-def reference_rho_check_drop(ic, inv):
+def reference_rho_check_drop(ic, theta_star):
     """(2 rho-check - w* 2 rho-check) / 2, w acting on cocharacters by theta* delta*."""
-    w_star = lin.mat_mul(reference_theta_star(ic, inv), ic._dstar)
+    w_star = lin.mat_mul(theta_star, ic._dstar)
     two_rho = ic.rd.two_rho_check
     two = lin.vec_sub(two_rho, lin.mat_vec(w_star, two_rho))
     assert not any(x % 2 for x in two)
@@ -987,17 +993,71 @@ def reference_rho_check_drop(ic, inv):
 @pytest.mark.parametrize("text,letters,kernel", THETA_GROUPS)
 def test_theta_star_and_rho_drop_match_weyl_matrix(text, letters, kernel):
     ic = context(text, letters, kernel)
+    n = ic.rd.rank
+    ident = lin.identity(n)
     # from the top down, so most walks pass several uncached ancestors
     for inv in reversed(range(len(ic.table))):
-        assert ic.theta_star(inv) == reference_theta_star(ic, inv)
-        assert ic._rho_check_drop(inv) == reference_rho_check_drop(ic, inv)
+        lat = ic.lattice(inv)
+        theta = reference_theta_star(ic, inv)
+        assert lat.theta_star == theta
+        assert lat.drop == reference_rho_check_drop(ic, theta)
+        heights = ic.rd.two_rho_check
+        for r in ic.rd.positive_roots:
+            if lin.mat_vec(theta, r.covec) == r.covec:
+                heights = lin.vec_add(heights, r.covec)
+        assert lat.heights == heights
+        minus = lin.smith_form(lin.mat_sub(ident, theta), ncols=n)
+        assert lat.minus == (
+            minus.rank, minus.uinv[minus.rank:], minus.diag.count(2), minus.diag.count(1)
+        )
+        assert lat.ranks == rank_decomposition(theta)
+        assert lat.plus == lin.smith_form(lin.mat_add(ident, theta), ncols=n)
+    # no record depends on which ancestors were cached when it was built
+    fresh = context(text, letters, kernel)
+    for inv in range(len(fresh.table)):
+        assert fresh.lattice(inv) == ic.lattice(inv)
+
+
+@pytest.mark.parametrize("text,letters,limits", [("D6", "s", (45,)), ("F4", "s", (27, 27, 154))])
+def test_smith_form_counts_do_not_grow(monkeypatch, text, letters, limits):
+    """Smith forms from the root datum on stay within the recorded counts.
+
+    The stages, in order: strong_count with the Cartan report and Hasse
+    diagram of every form; real_weyl at every Cartan of every form; the
+    KGB of every form.  Key rows and 1 + theta* are built lazily, so the
+    counts stay far below one per involution the parent walk meets.
+    """
+    calls = []
+    smith_form = lin.smith_form
+    monkeypatch.setattr(lin, "smith_form", lambda *a, **k: calls.append(1) or smith_form(*a, **k))
+    ic = context(text, letters)
+    forms = range(len(ic.real_forms))
+
+    def reports():
+        ic.strong_count()
+        for f in forms:
+            format_cartan_report(ic, f)
+            cartan_hasse(ic, f)
+
+    def real_weyls():
+        for f in forms:
+            for c in ic.form_cartans(f):
+                real_weyl(ic, f, c)
+
+    def kgbs():
+        for f in forms:
+            generate_kgb(ic, f)
+
+    for stage, limit in zip((reports, real_weyls, kgbs), limits):
+        stage()
+        assert len(calls) <= limit
 
 
 def reference_x_key(ic, x):
     """The key from every row of the Smith uinv of 1 - theta*."""
     inv, t = x
     n = ic.rd.rank
-    sf = lin.smith_form(lin.mat_sub(lin.identity(n), ic.theta_star(inv)), ncols=n)
+    sf = lin.smith_form(lin.mat_sub(lin.identity(n), ic.lattice(inv).theta_star), ncols=n)
     s = lin.mat_vec(sf.uinv, t)
     return (inv, tuple(0 if sf.diag[i] else s[i] % ic.denom for i in range(n)))
 
@@ -1061,8 +1121,8 @@ def reference_fiber_elements(ic, inv, key):
     """
     d, cd = ic.denom, ic.cd
     rep = ic._class_rep(key)
-    target = tuple(v * d // cd - c * (d // 2) for v, c in zip(rep, ic.cbits(inv)))
-    sf = ic._smith_plus(inv)
+    target = tuple(v * d // cd - c * (d // 2) for v, c in zip(rep, ic.lattice(inv).cbits))
+    sf = ic.lattice(inv).plus
     t0 = lin.solve_mod_presolved(sf, target, d)
     if t0 is None:
         return (), ()

@@ -727,8 +727,8 @@ def base_gradings(ic):
 def test_grading_shift_sl2():
     rd, _, d = context("A1", "c")
     ic = InnerClass(d)
-    assert ic.cbits(0) == (0,)
-    assert ic.cbits(1) == (1,)
+    assert ic.lattice(0).cbits == (0,)
+    assert ic.lattice(1).cbits == (1,)
     # the base-point constant is 0: alpha = 2 omega is noncompact at
     # (0, t) exactly when 2 <alpha, t> / denom is odd, denom being 4
     assert ic.denom == 4
