@@ -165,7 +165,8 @@ class InvolutionLattice:
 
     Attributes:
         theta_star: the action of theta on cocharacters, its transposed matrix.
-        theta: the images of the 2N roots under theta, the table's form.
+        theta: the images of the 2N roots under theta, as the table's
+            bytes (InvolutionTable.thetas).
         drop, cbits: rho-check minus its image under theta* delta*, for
             theta = w.delta, and its parity.  theta* delta* is the
             cocharacter action of u = delta w^-1 delta, and u^-1 beta =
@@ -185,7 +186,7 @@ class InvolutionLattice:
     """
 
     theta_star: lin.Matrix
-    theta: tuple[int, ...] = field(repr=False)
+    theta: bytes = field(repr=False)
     rd: RootDatum = field(repr=False, compare=False)
     cbits: lin.Vector = field(init=False)
     heights: lin.Vector = field(init=False)
@@ -412,11 +413,12 @@ class InnerClass:
         """
         out = self._lattices.get(inv)
         if out is None:
-            row = self.table.status_row(inv)
-            j = next((j for j, (kind, _) in enumerate(row) if kind in (COMPLEX_DOWN, REAL)), None)
-            if j is None:
+            for j in range(len(self.table.simple)):
+                kind, nbr = self.table.status(inv, j)
+                if kind in (COMPLEX_DOWN, REAL):
+                    break
+            else:
                 raise RuntimeError(f"involution {inv} has no table parent")
-            kind, nbr = row[j]
             a, av = self.rd.simple_roots[j], self.rd.simple_coroots[j]
             m = _times_coreflection(self.lattice(nbr).theta_star, a, av)
             if kind == COMPLEX_DOWN:
@@ -513,7 +515,7 @@ class InnerClass:
     def cross(self, j: int, x: StrongX) -> StrongX:
         """Cross action of the j-th simple reflection."""
         inv, t = x
-        kind, nbr = self.table.status_row(inv)[j]
+        kind, nbr = self.table.status(inv, j)
         rd = self.rd
         t2 = self._reflect(j, t)
         half = self.denom // 2
@@ -575,7 +577,7 @@ class InnerClass:
         compact there.
         """
         inv, t = x
-        kind, nbr = self.table.status_row(inv)[j]
+        kind, nbr = self.table.status(inv, j)
         if kind != IMAGINARY:
             raise ValueError(f"simple root {j} is not imaginary at involution {inv}")
         if not self.grading(x, j):
@@ -603,7 +605,7 @@ class InnerClass:
         Raises ValueError when j is not real at x.
         """
         inv, t = x
-        kind, nbr = self.table.status_row(inv)[j]
+        kind, nbr = self.table.status(inv, j)
         if kind != REAL:
             raise ValueError(f"simple root {j} is not real at involution {inv}")
         d = self.denom
@@ -852,16 +854,15 @@ class InnerClass:
         base-fiber orbit of that form.
         """
         inv, _ = x
-        while self.table.lengths[inv] > 0:
-            row = self.table.status_row(inv)
-            down = next(
-                (j for j, (kind, _) in enumerate(row) if kind == COMPLEX_DOWN), None
-            )
+        table = self.table
+        js = range(len(table.simple))
+        while table.lengths[inv] > 0:
+            down = next((j for j in js if table.status(inv, j)[0] == COMPLEX_DOWN), None)
             if down is not None:
                 x = self.cross(down, x)
             else:
-                for j, (kind, _) in enumerate(row):
-                    if kind == REAL:
+                for j in js:
+                    if table.status(inv, j)[0] == REAL:
                         cands = self.inverse_cayley(j, x)
                         if cands:
                             x = cands[0]

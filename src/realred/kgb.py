@@ -82,6 +82,7 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     """
     orbit = seed_orbit(ic, form, orbit)
     table = ic.table
+    js = range(len(table.simple))
 
     reps: dict[tuple, StrongX] = {}
     edges: dict[tuple, tuple[tuple[str, ...], list, list]] = {}
@@ -101,7 +102,8 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
         key = queue.popleft()
         x = reps[key]
         statuses, cross, cayley = [], [], []
-        for j, (kind, _) in enumerate(table.status_row(x[0])):
+        for j in js:
+            kind = table.status(x[0], j)[0]
             cross.append(record(ic.cross(j, x)))
             noncompact = kind == IMAGINARY and ic.grading(x, j)
             statuses.append("n" if noncompact else _LETTER[kind])

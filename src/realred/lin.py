@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mul, sub
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -50,11 +51,11 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(v: Vector) -> Vector:
@@ -62,15 +63,15 @@ def vec_neg(v: Vector) -> Vector:
 
 
 def vec_scale(v: Vector, k: int) -> Vector:
-    return tuple(k * x for x in v)
+    return tuple([k * x for x in v])
 
 
 def vec_dot(u: Vector, v: Vector) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_mod(v: Vector, m: int) -> Vector:
-    return tuple(x % m for x in v)
+    return tuple([x % m for x in v])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ datum.  Reduced words come from one walk (_walk) on the n pairings of
 w(2 rho) with the simple coroots, read off w once.  The table
 enumerates all twisted involutions breadth-first, walking ascents only
 and keying each involution by its simple-root images; the search yields
-the twisted length and the status of every simple root for free.
+the twisted length and the status of every simple root for free.  Each
+involution is stored as the bytes of its 2N root images (2N <= 240
+under the rank-8 cap), composed by bytes.translate, and the status
+rows as flat arrays.
 The twisted-conjugacy classes are the components of the graph of complex
 cross actions, and each class's canonical member is reached by a walk
 along them, not by a scan of the class.  Lattice matrices of involutions
@@ -18,6 +21,7 @@ belong to involution.InnerClass.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -254,10 +258,13 @@ class InvolutionTable:
 
     Records are indexed by discovery order of a breadth-first search
     from delta; the search depth is the twisted length.  thetas[i] is
-    the i-th involution as a permutation of the root indices.  index
-    keys each involution by its simple-root images, the tuple of
-    theta[s] for s in simple: theta is linear on the root lattice, so
-    those n images fix the whole permutation.
+    the i-th involution as a permutation of the root indices, one bytes
+    object of its 2N root images: build_root_datum caps the semisimple
+    rank at 8, so 2N <= 240 (E8) and every image fits in a byte, and the
+    search composes permutations in C with bytes.translate.  index keys
+    each involution by its simple-root images, the bytes of theta[s] for
+    s in simple: theta is linear on the root lattice, so those n images
+    fix the whole permutation.
 
     The search walks ascents only.  From each involution i it follows
     the simple roots j imaginary at i (the Cayley transform s_j.theta)
@@ -273,7 +280,11 @@ class InvolutionTable:
 
     The status row of an involution gives, per simple root, its kind and
     the neighbour reached by the cross action or Cayley transform; the
-    complex neighbours join the members of each class.  simple[j] is the
+    complex neighbours join the members of each class.  The rows are
+    stored flat, written during the search: entry j of involution i is
+    at i*n + j of one string of kind letters and one array of neighbour
+    ids.  status_row(i) is the row view; status(i, j) reads one entry.
+    A torus (n = 0) has one empty row per involution.  simple[j] is the
     index of simple root j, and reflections[k] the reflection in positive
     root k as a permutation: by the vector formula for simple k, and as
     s_j.reflections[k'].s_j otherwise, with k' = s_j[k] < k.  Such a
@@ -299,15 +310,13 @@ class InvolutionTable:
         rho2 = [sum(col) for col in zip(*(r.vec for r in pos))]
         heights = [lin.vec_dot(rho2, r.covec) for r in pos]
         self.two_rho = tuple(heights + [-h for h in heights])
-        theta0 = tuple(delta + [k + npos for k in delta])
-        self.thetas: list[tuple[int, ...]] = [theta0]
+        theta0 = bytes(delta + [k + npos for k in delta])
+        self.thetas: list[bytes] = [theta0]
         self.lengths: list[int] = [0]
-        self.index: dict[tuple[int, ...], int] = {tuple(theta0[s] for s in self.simple): 0}
-        self._rows: list[list] = [[None] * rd.semisimple_rank]
+        self.index: dict[bytes, int] = {bytes([theta0[s] for s in self.simple]): 0}
         self._words: dict[int, tuple[int, ...]] = {}
         self._reflection_words: dict[int, tuple[int, ...]] = {}
         self._enumerate()
-        self._rows = [tuple(row) for row in self._rows]
 
     def _conjugated_reflections(self) -> tuple[tuple[int, ...], ...]:
         rd = self.rd
@@ -329,36 +338,55 @@ class InvolutionTable:
 
     def _enumerate(self) -> None:
         npos = len(self.reflections)
-        simple = self.simple
-        thetas, lengths, rows, index = self.thetas, self.lengths, self._rows, self.index
-        every = range(2 * npos)
-        # per simple j: its root s, s_j, and s_j of every simple root
-        gens = [(s, self.reflections[s], tuple(self.reflections[s][t] for t in simple))
-                for s in simple]
+        n = len(self.simple)
+        thetas, lengths, index = self.thetas, self.lengths, self.index
+        # bytes.translate takes a 256-byte table: a permutation of the 2N
+        # root indices, padded
+        pad = bytes(256 - 2 * npos)
+        simple = bytes(self.simple)
+        # per simple j: its root s, s_j, s_j padded, and s_j of every simple root
+        gens = []
+        for s in self.simple:
+            sj = bytes(self.reflections[s])
+            gens.append((s, sj, sj + pad, simple.translate(sj + pad)))
+        up, down, imaginary, real = (ord(k) for k in (COMPLEX_UP, COMPLEX_DOWN, IMAGINARY, REAL))
+        # the flat status rows, one blank row per involution found
+        blank_kinds, blank_nbrs = bytearray(n), array("i", [0] * n)
+        kinds, nbrs = blank_kinds[:], blank_nbrs[:]
         # new ids are appended while the loop runs and visited in turn
         for i, theta in enumerate(thetas):
+            tpad = theta + pad
             tl = lengths[i] + 1
-            for j, (s, sj, moved) in enumerate(gens):
+            row = i * n
+            for j, (s, sj, sjpad, moved) in enumerate(gens):
                 a = theta[s]
                 if a == s:
                     # the Cayley transform s_j.theta, at which j is real
-                    kind, back, images, domain = IMAGINARY, REAL, simple, every
+                    kind, back, images = imaginary, real, simple
                 elif a < npos:
                     # the cross action s_j.theta.s_j, at which j is complex down
-                    kind, back, images, domain = COMPLEX_UP, COMPLEX_DOWN, moved, sj
+                    kind, back, images = up, down, moved
                 else:
                     continue
-                key = tuple([sj[theta[x]] for x in images])
+                key = images.translate(tpad).translate(sjpad)
                 tid = index.get(key)
                 if tid is None:
                     tid = index[key] = len(thetas)
-                    thetas.append(tuple([sj[theta[x]] for x in domain]))
+                    thetas.append(
+                        theta.translate(sjpad) if kind == imaginary
+                        else sj.translate(tpad).translate(sjpad)
+                    )
                     lengths.append(tl)
-                    rows.append([None] * len(simple))
+                    kinds += blank_kinds
+                    nbrs += blank_nbrs
                 elif lengths[tid] != tl:
                     raise RuntimeError("a twisted involution is met at two lengths")
-                rows[i][j] = (kind, tid)
-                rows[tid][j] = (back, i)
+                kinds[row + j] = kind
+                nbrs[row + j] = tid
+                kinds[tid * n + j] = back
+                nbrs[tid * n + j] = i
+        self._kinds = kinds.decode("ascii")
+        self._nbrs = nbrs
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -367,12 +395,24 @@ class InvolutionTable:
 
     def status_row(self, i: int) -> tuple[tuple[str, int], ...]:
         """Per simple root: (kind, neighbour id)."""
-        return self._rows[i]
+        if not 0 <= i < len(self.thetas):
+            raise IndexError(f"no involution {i}")
+        n = len(self.simple)
+        p = i * n
+        return tuple(zip(self._kinds[p:p + n], self._nbrs[p:p + n]))
+
+    def status(self, i: int, j: int) -> tuple[str, int]:
+        """(kind, neighbour id) of simple root j at involution i."""
+        n = len(self.simple)
+        if not 0 <= j < n:
+            raise IndexError(f"no simple root {j}")
+        p = i * n + j
+        return self._kinds[p], self._nbrs[p]
 
     def cayley(self, i: int, k: int) -> int:
         """Id of s_k.theta_i, for a positive root k imaginary at i."""
         sk, theta = self.reflections[k], self.thetas[i]
-        return self.index[tuple([sk[theta[s]] for s in self.simple])]
+        return self.index[bytes([sk[theta[s]] for s in self.simple])]
 
     def word(self, i: int) -> tuple[int, ...]:
         """Displayed reduced word of w = theta.delta, delta being an involution."""
@@ -435,10 +475,12 @@ class InvolutionTable:
         class's least member (_walk_canonical) and is recorded here for
         canonical_member.
         """
-        comps = components([
-            [nbr for kind, nbr in row if kind in (COMPLEX_UP, COMPLEX_DOWN)]
-            for row in self._rows
-        ])
+        n = len(self.simple)
+        adj: list[list[int]] = [[] for _ in self.thetas]
+        for p, kind in enumerate(self._kinds):
+            if kind in (COMPLEX_UP, COMPLEX_DOWN):
+                adj[p // n].append(self._nbrs[p])
+        comps = components(adj)
         comp_of = [0] * len(self.thetas)
         for c, comp in enumerate(comps):
             for i in comp:
@@ -512,7 +554,7 @@ class InvolutionTable:
         return min(cands, key=lambda m: (len(self.word(m)), self.word(m)))
 
     def _complex_neighbour(self, i: int, j: int) -> int:
-        kind, nbr = self.status_row(i)[j]
+        kind, nbr = self.status(i, j)
         if kind not in (COMPLEX_UP, COMPLEX_DOWN):
             raise RuntimeError(f"simple root {j} is not complex at involution {i}")
         return nbr

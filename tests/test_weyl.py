@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import time
+import tracemalloc
 from collections import deque
 from functools import cache
 
@@ -587,7 +588,7 @@ def table_and_reference(text, letters):
 def test_table_matches_full_permutation_search(text, letters):
     # the table walks ascents only and keys by the simple-root images
     table, (thetas, lengths, rows) = table_and_reference(text, letters)
-    assert table.thetas == thetas
+    assert [tuple(t) for t in table.thetas] == thetas
     assert table.lengths == lengths
     assert [table.status_row(i) for i in range(len(table))] == rows
     assert table.reflections == vector_reflections(table.rd)
@@ -640,10 +641,8 @@ def walk_from_corrupted_row():
         if j is not None:
             break
     bad = copy.copy(table)
-    bad._rows = list(table._rows)
-    row = list(bad._rows[i])
-    row[j] = (REAL, row[j][1])
-    bad._rows[i] = tuple(row)
+    p = i * len(table.simple) + j
+    bad._kinds = table._kinds[:p] + REAL + table._kinds[p + 1:]
     return bad._walk_canonical(i)
 
 
@@ -707,6 +706,56 @@ def test_status_rows():
                 assert table.lengths[target] == table.lengths[i] + delta
                 back = table.status_row(target)[j]
                 assert back[1] == i
+
+
+@pytest.mark.parametrize("text,letters", [("C2", "c"), ("D5", "s"), ("A1.A1", "C"), ("A1.T1", "ss")])
+def test_status_reads_the_status_row(text, letters):
+    # the per-entry reader and the row view read the same flat rows
+    _, _, d = context(text, letters)
+    table = involution_table(d)
+    n = len(table.simple)
+    for i in range(len(table)):
+        assert tuple(table.status(i, j) for j in range(n)) == table.status_row(i)
+    # an index past the row or the table does not read a neighbouring entry
+    with pytest.raises(IndexError):
+        table.status(0, n)
+    with pytest.raises(IndexError):
+        table.status_row(len(table))
+
+
+@pytest.mark.parametrize("text,letters,size", [
+    ("T1", "s", 1), ("T1", "c", 1), ("T2", "C", 1), ("A1.T1", "ss", 2),
+])
+def test_rank_zero_rows_are_kept(text, letters, size):
+    # flat rows of n = 0 entries still give every involution its row
+    _, _, d = context(text, letters)
+    table = involution_table(d)
+    assert len(table) == size
+    assert len(table.status_row(size - 1)) == len(table.simple)
+    if not table.simple:
+        assert table.status_row(0) == ()
+        assert table.classes == ((0,),)
+    else:
+        assert table.status_row(0) == ((IMAGINARY, 1),)
+        assert table.classes == ((0,), (1,))
+    assert table.class_of == tuple(range(size))
+
+
+def test_table_memory_per_involution():
+    # E7 s has 10,208 involutions; tuple thetas and tuple status rows hold
+    # about 1,700 B each, bytes and flat rows about 320 B
+    _, _, d = context("E7", "s")
+    involution_table(d)  # the root datum's lazy data, outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = InvolutionTable(d.rd, d.perm)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 10208
+    assert all(type(theta) is bytes for theta in table.thetas)
+    assert retained / len(table) < 500
 
 
 def base_gradings(ic):
