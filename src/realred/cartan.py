@@ -11,8 +11,8 @@ and a complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from . import lin
 from .involution import FiberOrbit, InnerClass, RankDecomposition, StrongOrbit, strong_orbits
@@ -158,8 +158,7 @@ def _complex_factor(
 # -- Cartan classes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CartanClass:
+class CartanClass(NamedTuple):
     """One conjugacy class of Cartan subgroups of the inner class.
 
     partition splits the fiber of the adjoint group over the canonical
@@ -251,8 +250,7 @@ def format_cartan_report(ic: InnerClass, form: int) -> list[str]:
 # -- real Weyl groups ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealWeylDecomposition:
+class RealWeylDecomposition(NamedTuple):
     """Factors of W(K,H) = (W_C)^tau . ((A . W_ic) x W_r)."""
 
     complex_type: str
@@ -436,8 +434,7 @@ def format_real_weyl(dec: RealWeylDecomposition) -> list[str]:
 # -- Cayley graph of Cartan classes --------------------------------------
 
 
-@dataclass(frozen=True)
-class CartanHasse:
+class CartanHasse(NamedTuple):
     """Cayley-transform graph on the Cartan classes of one real form.
 
     Edges point from a class to the more split class reached by a

@@ -28,10 +28,10 @@ parent {a1, ..., a(k-1)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from . import lin
 from .rootdata import (
@@ -61,8 +61,7 @@ OrbitPart = tuple[
 ]
 
 
-@dataclass(frozen=True)
-class RankDecomposition:
+class RankDecomposition(NamedTuple):
     """Split, compact, and complex-pair ranks of a torus involution."""
 
     split: int
@@ -70,16 +69,14 @@ class RankDecomposition:
     complex_pairs: int
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(NamedTuple):
     """One class of central square values realized by strong involutions."""
 
     index: int
     key: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RealFormLabel:
+class RealFormLabel(NamedTuple):
     """Menu entry for one weak real form of the inner class."""
 
     index: int
@@ -89,8 +86,7 @@ class RealFormLabel:
     rep: StrongX
 
 
-@dataclass(frozen=True)
-class StrongOrbit:
+class StrongOrbit(NamedTuple):
     """Cross-action orbit on one square-class fiber, as a report entry."""
 
     square_class: int
@@ -98,8 +94,7 @@ class StrongOrbit:
     members: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FiberOrbit:
+class FiberOrbit(NamedTuple):
     """Cross-action orbit of the imaginary Weyl group on one fiber.
 
     The members are strong involutions over one involution, in fiber
@@ -114,7 +109,14 @@ class FiberOrbit:
     form: int
     members: tuple[StrongX, ...]
     moves: tuple[tuple[int, ...], ...]
-    points: tuple[tuple[bool, ...], ...] = field(repr=False)
+    points: tuple[tuple[bool, ...], ...]
+
+    def __repr__(self) -> str:
+        # points, the members' gradings, are left out; the digests hash repr
+        return (
+            f"FiberOrbit(square_class={self.square_class!r}, form={self.form!r}, "
+            f"members={self.members!r}, moves={self.moves!r})"
+        )
 
 
 _TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)", "C": "gl(1,C)"}
@@ -153,7 +155,6 @@ def _split_product(total: int, s: int) -> tuple[int, int]:
     return p, q
 
 
-@dataclass(frozen=True, slots=True)
 class InvolutionLattice:
     """Lattice data of one twisted involution theta: what its fiber is read from.
 
@@ -161,7 +162,8 @@ class InvolutionLattice:
     The other fields are computed from theta_star, the root images theta
     and the root datum on first read and kept (__getattr__), as the parent
     walk meets many involutions that are never keyed; the properties drop
-    and ranks are computed on every read.
+    and ranks are computed on every read.  Records are immutable; equality
+    compares every field but rd, and repr shows theta_star, cbits and heights.
 
     Attributes:
         theta_star: the action of theta on cocharacters, its transposed matrix.
@@ -185,13 +187,41 @@ class InvolutionLattice:
         plus: the Smith form of 1 + theta*, which fibers are solved in.
     """
 
+    __slots__ = ("theta_star", "theta", "rd", "cbits", "heights", "minus", "plus")
+    _COMPARED = ("theta_star", "theta", "cbits", "heights", "minus", "plus")
+
     theta_star: lin.Matrix
-    theta: bytes = field(repr=False)
-    rd: RootDatum = field(repr=False, compare=False)
-    cbits: lin.Vector = field(init=False)
-    heights: lin.Vector = field(init=False)
-    minus: tuple[int, tuple[lin.Vector, ...], int, int] = field(init=False, repr=False)
-    plus: lin.SmithForm = field(init=False, repr=False)
+    theta: bytes
+    rd: RootDatum
+    cbits: lin.Vector
+    heights: lin.Vector
+    minus: tuple[int, tuple[lin.Vector, ...], int, int]
+    plus: lin.SmithForm
+
+    def __init__(self, theta_star: lin.Matrix, theta: bytes, rd: RootDatum):
+        object.__setattr__(self, "theta_star", theta_star)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "rd", rd)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._COMPARED)
+
+    def __hash__(self) -> int:
+        return hash((self.theta_star, self.theta))
+
+    def __repr__(self) -> str:
+        return (
+            f"InvolutionLattice(theta_star={self.theta_star!r}, "
+            f"cbits={self.cbits!r}, heights={self.heights!r})"
+        )
 
     def __getattr__(self, name: str):
         """Computes a field not set yet on its first read, and keeps it."""
@@ -739,6 +769,7 @@ class InnerClass:
         imaginary = self.roots(self.table.imaginary_roots(0))
         basis = self.table.imaginary_basis(0)
         split = (True,) * len(basis)
+        index = self.lt.simple_factor_index
         forms = []
         for a, pts in enumerate(points):
             _, members, _, member_points = orbits[ids.index(a)]
@@ -746,7 +777,7 @@ class InnerClass:
             for r in imaginary:
                 if self.root_grading((0, members[0]), r):
                     k = next(i for i, c in enumerate(r.coeffs) if c)
-                    nc[self.lt.simple_factor_index[k]] += 2
+                    nc[index[k]] += 2
             bits = dict(zip(basis, member_points[0]))
             iota = tuple(
                 self._iota_tag(bits, f, rng) for f, rng in zip(self.lt.factors, self._factor_ranges)

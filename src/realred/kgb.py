@@ -15,7 +15,7 @@ which records the edges by key; the ids only relabel them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .involution import InnerClass, StrongX
 from .rootdata import InputError
@@ -25,8 +25,7 @@ from .weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL
 _LETTER = {IMAGINARY: "c", REAL: "r", COMPLEX_UP: "C", COMPLEX_DOWN: "C"}
 
 
-@dataclass(frozen=True)
-class KGBElement:
+class KGBElement(NamedTuple):
     """One orbit, with its per-simple-root status and neighbours.
 
     The status letter for a simple root is "c" (compact imaginary), "n"
@@ -44,8 +43,7 @@ class KGBElement:
     rep: StrongX
 
 
-@dataclass(frozen=True)
-class KGB:
+class KGB(NamedTuple):
     """The orbit set of one real form, as a cross/Cayley graph."""
 
     form: int

@@ -6,9 +6,9 @@ tuples.  Everything here is exact: no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import add, mul, sub
+from typing import NamedTuple
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -74,8 +74,7 @@ def vec_mod(v: Vector, m: int) -> Vector:
     return tuple([x % m for x in v])
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """Smith normal form uinv @ a == diag @ v with unimodular uinv, v.
 
     Attributes:

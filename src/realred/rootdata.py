@@ -12,7 +12,6 @@ are re-expressed accordingly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -38,8 +37,7 @@ class InputError(ValueError):
     """Raised for malformed user input (types, kernels, inner classes)."""
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     letter: str
     rank: int
 
@@ -47,8 +45,7 @@ class Factor:
         return f"{self.letter}{self.rank}"
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(NamedTuple):
     """A product of simple factors and one-dimensional torus factors.
 
     factors lists internal factors: torus tokens Tk are expanded into k
@@ -61,15 +58,15 @@ class LieType:
     def __str__(self) -> str:
         return ".".join(self.tokens)
 
-    @cached_property
+    @property
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
 
-    @cached_property
+    @property
     def semisimple_rank(self) -> int:
         return sum(f.rank for f in self.factors if f.letter != "T")
 
-    @cached_property
+    @property
     def coord_offsets(self) -> tuple[int, ...]:
         out = []
         pos = 0
@@ -78,7 +75,7 @@ class LieType:
             pos += f.rank
         return tuple(out)
 
-    @cached_property
+    @property
     def simple_factor_index(self) -> tuple[int, ...]:
         """Internal factor index owning each simple root."""
         out = []
@@ -159,8 +156,7 @@ class CenterComponent(NamedTuple):
     order: int  # 0 marks a divisible torus component
 
 
-@dataclass(frozen=True)
-class CenterStructure:
+class CenterStructure(NamedTuple):
     """The finite part of the center of the simply connected group."""
 
     components: tuple[CenterComponent, ...]
@@ -193,8 +189,7 @@ def center_structure(lt: LieType) -> CenterStructure:
     return CenterStructure(tuple(comps))
 
 
-@dataclass(frozen=True)
-class KernelGenerator:
+class KernelGenerator(NamedTuple):
     """One element of the center, as a fraction per center component."""
 
     fractions: tuple[Fraction, ...]
@@ -236,13 +231,13 @@ class Root(NamedTuple):
     coeffs: lin.Vector  # coordinates in the simple-root basis
 
 
-@dataclass(frozen=True, eq=False)
 class RootDatum:
     """A reductive group's lattices, roots, and coroots in fixed bases.
 
     basis rows give the character lattice inside the weight coordinates
     of the simply connected cover; it is ignored by equality, which
-    compares the root/coroot data only.
+    compares the root/coroot data only.  Root data are immutable; the
+    derived root lists are computed on first read and kept.
     """
 
     rank: int
@@ -250,6 +245,35 @@ class RootDatum:
     simple_roots: tuple[lin.Vector, ...]
     simple_coroots: tuple[lin.Vector, ...]
     cartan: lin.Matrix
+
+    def __init__(
+        self,
+        rank: int,
+        basis: lin.Matrix,
+        simple_roots: tuple[lin.Vector, ...],
+        simple_coroots: tuple[lin.Vector, ...],
+        cartan: lin.Matrix,
+    ):
+        self.__dict__.update(
+            rank=rank,
+            basis=basis,
+            simple_roots=simple_roots,
+            simple_coroots=simple_coroots,
+            cartan=cartan,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"RootDatum(rank={self.rank!r}, basis={self.basis!r}, "
+            f"simple_roots={self.simple_roots!r}, "
+            f"simple_coroots={self.simple_coroots!r}, cartan={self.cartan!r})"
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootDatum):

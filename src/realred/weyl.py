@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from . import lin
 from .rootdata import Factor, InputError, LieType, Root, RootDatum, arms, components, simple_basis
@@ -134,8 +134,7 @@ def _act(cartan: lin.Matrix, word: Sequence[int]) -> list[int]:
     return pairing
 
 
-@dataclass(frozen=True)
-class InnerClassInvolution:
+class InnerClassInvolution(NamedTuple):
     """A based involution delta of the character lattice.
 
     units records how the letters consumed the internal factors: each

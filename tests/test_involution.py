@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from realred import lin
 from realred.cartan import cartan_class, cartan_hasse, format_cartan_report, real_weyl
 from realred.involution import (
     InnerClass,
+    InvolutionLattice,
     RankDecomposition,
     _split_product,
     format_real_form_menu,
@@ -735,7 +735,7 @@ def test_rank_decomposition_values():
 
 def test_ranks_refuse_a_divisor_above_two():
     ic = context("A1.T1", "sc")
-    ic._lattices[0] = replace(ic.lattice(0), theta_star=((-3, 0), (0, 1)))
+    ic._lattices[0] = InvolutionLattice(((-3, 0), (0, 1)), ic.lattice(0).theta, ic.rd)
     with pytest.raises(RuntimeError, match="divisor above 2"):
         ic.lattice(0).ranks
 
@@ -776,7 +776,7 @@ def test_component_rank_refuses_corrupted_data(theta, message):
     cartan = ic.most_split_cartan(form)
     assert cartan == form
     inv = ic.table.canonical_member(cartan)
-    ic._lattices[inv] = replace(ic.lattice(inv), theta_star=corrupt)
+    ic._lattices[inv] = InvolutionLattice(corrupt, ic.lattice(inv).theta, ic.rd)
     with pytest.raises(RuntimeError, match=message):
         ic.component_rank(form)
 

@@ -45,6 +45,11 @@ def report(text, letters, kernel):
 
 def run_optimized(script):
     """stdout lines of script run by python -O, with src and tests importable."""
+    return run_script(script, "-O")
+
+
+def run_script(script, *options):
+    """stdout lines of script run by python with options, src and tests importable."""
     here = Path(__file__).resolve().parent
     src = here.parent / "src"
     env = dict(os.environ)
@@ -52,7 +57,7 @@ def run_optimized(script):
         [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     run = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, *options, "-c", script],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return run.stdout.splitlines()
@@ -127,9 +132,8 @@ def test_library_has_no_unreferenced_private_definition():
     assert sorted(defined - used) == []
 
 
-def test_only_rootdata_imports_fractions():
-    # rootdata reads kernel generators as fractions; the lattice code
-    # computes with integer numerators only
+def importers(module):
+    """Names of the library files that import module."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -139,6 +143,30 @@ def test_only_rootdata_imports_fractions():
                 names = [node.module]
             else:
                 continue
-            if "fractions" in names:
+            if module in names:
                 found.append(path.name)
-    assert found == ["rootdata.py"]
+    return found
+
+
+def test_only_rootdata_imports_fractions():
+    # rootdata reads kernel generators as fractions; the lattice code
+    # computes with integer numerators only
+    assert importers("fractions") == ["rootdata.py"]
+
+
+def test_library_does_not_import_dataclasses():
+    # records are NamedTuples or plain classes: dataclasses imports inspect,
+    # ast and dis, and its decorators exec generated code at every import
+    assert importers("dataclasses") == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a subprocess, as pytest itself loads both
+    script = (
+        "import sys\n"
+        "import realred.lin, realred.rootdata, realred.weyl\n"
+        "import realred.involution, realred.cartan, realred.kgb\n"
+        "print('realred.kgb' in sys.modules)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert run_script(script) == ["True", "[]"]
