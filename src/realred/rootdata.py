@@ -12,7 +12,6 @@ are re-expressed accordingly.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
@@ -190,9 +189,13 @@ def center_structure(lt: LieType) -> CenterStructure:
 
 
 class KernelGenerator(NamedTuple):
-    """One element of the center, as a fraction per center component."""
+    """One element of the center, as a fraction per center component.
 
-    fractions: tuple[Fraction, ...]
+    Each fraction is a (numerator, denominator) pair in lowest terms,
+    with 0 <= numerator < denominator.
+    """
+
+    fractions: tuple[tuple[int, int], ...]
 
 
 def parse_kernel_generator(text: str, cs: CenterStructure) -> KernelGenerator:
@@ -207,10 +210,12 @@ def parse_kernel_generator(text: str, cs: CenterStructure) -> KernelGenerator:
         m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", part)
         if not m or (m.group(2) is not None and int(m.group(2)) == 0):
             raise InputError(f"malformed fraction {part!r}")
-        f = Fraction(int(m.group(1)), int(m.group(2) or 1)) % 1
-        if comp.order and comp.order % f.denominator:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+        g = gcd(num, den)
+        num, den = num // g % (den // g), den // g
+        if comp.order and comp.order % den:
             raise InputError(f"{part} is not in the center")
-        fracs.append(f)
+        fracs.append((num, den))
     return KernelGenerator(tuple(fracs))
 
 
@@ -219,8 +224,8 @@ def adjoint_generators(cs: CenterStructure) -> list[KernelGenerator]:
     gens = []
     for i, comp in enumerate(cs.components):
         if comp.order > 1:
-            fracs = [Fraction(0)] * len(cs.components)
-            fracs[i] = Fraction(1, comp.order)
+            fracs = [(0, 1)] * len(cs.components)
+            fracs[i] = (1, comp.order)
             gens.append(KernelGenerator(tuple(fracs)))
     return gens
 
@@ -473,18 +478,18 @@ def build_root_datum(lt: LieType, gens: list[KernelGenerator]) -> RootDatum:
     for g in gens:
         if len(g.fractions) != len(cs.components):
             raise InputError("kernel generator has wrong length")
-        for f, comp in zip(g.fractions, cs.components):
-            if comp.order and comp.order % f.denominator:
-                raise InputError(f"{f} is not in the center")
+        for (num, den), comp in zip(g.fractions, cs.components):
+            if comp.order and comp.order % den:
+                raise InputError(f"{num}/{den} is not in the center")
     if gens:
         psi = _component_functionals(lt, cs)
-        denoms = [f.denominator for g in gens for f in g.fractions]
+        denoms = [den for g in gens for _, den in g.fractions]
         modulus = lcm(*denoms)
         rows = []
         for g in gens:
             row = lin.zero_vector(n)
-            for f, p in zip(g.fractions, psi):
-                scale = int(f * modulus)
+            for (num, den), p in zip(g.fractions, psi):
+                scale = num * modulus // den
                 if scale:
                     row = lin.vec_add(row, lin.vec_scale(p, scale))
             rows.append(row)

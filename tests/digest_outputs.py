@@ -24,15 +24,10 @@ from realred.cartan import (
     format_real_weyl,
     real_weyl,
 )
-from realred.involution import format_real_form_menu, format_strong_real, inner_class
+from realred.involution import format_real_form_menu, format_strong_real
 from realred.kgb import format_kgb, generate_kgb
-from realred.rootdata import (
-    adjoint_generators,
-    build_root_datum,
-    center_structure,
-    parse_kernel_generator,
-    parse_lie_type,
-)
+
+from contexts import context
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "digests.json"
 
@@ -67,19 +62,6 @@ CONTEXTS = [
 
 def label(text: str, letters: str, kernel: str) -> str:
     return f"{text} {letters} {kernel}"
-
-
-def build(text: str, letters: str, kernel: str):
-    """The context of one CONTEXTS entry: kernel is "sc", "ad" or one
-    kernel generator."""
-    lt = parse_lie_type(text)
-    if kernel == "sc":
-        gens = []
-    elif kernel == "ad":
-        gens = adjoint_generators(center_structure(lt))
-    else:
-        gens = [parse_kernel_generator(kernel, center_structure(lt))]
-    return inner_class(letters, build_root_datum(lt, gens), lt)
 
 
 def outputs(ic) -> dict[str, list[str]]:
@@ -118,7 +100,7 @@ def digests(ic) -> dict[str, str]:
 
 
 def main() -> int:
-    table = {label(*ctx): digests(build(*ctx)) for ctx in CONTEXTS}
+    table = {label(*ctx): digests(context(*ctx)) for ctx in CONTEXTS}
     DIGESTS.parent.mkdir(parents=True, exist_ok=True)
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, table.values()))} digests of {len(table)} contexts to {DIGESTS}")

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from realred import cartan as cartan_module
 from realred.cartan import (
-    CartanClass,
-    RealWeylDecomposition,
     _complex_factor,
     cartan_class,
     cartan_classes,
@@ -21,39 +19,12 @@ from realred.cartan import (
     system_type,
     weyl_order,
 )
-from realred.involution import inner_class
 from realred.kgb import generate_kgb
-from realred.rootdata import (
-    InputError,
-    Root,
-    adjoint_generators,
-    build_root_datum,
-    center_structure,
-    parse_kernel_generator,
-    parse_lie_type,
-    simple_basis,
-)
-from realred.weyl import word_from_matrix
+from realred.rootdata import InputError, Root, build_root_datum, parse_lie_type
 
+from contexts import RECORD_GROUPS, SMALL_TYPES, context, quasisplit
 from digest_outputs import GROUPS
-from test_involution import RECORD_GROUPS, SMALL_TYPES, cross_word
-
-
-def context(text, letters, kernel=None):
-    lt = parse_lie_type(text)
-    if kernel is None:
-        gens = ()
-    elif kernel == "ad":
-        gens = tuple(adjoint_generators(center_structure(lt)))
-    else:
-        cs = center_structure(lt)
-        gens = tuple(parse_kernel_generator(line, cs) for line in kernel.split(";"))
-    rd = build_root_datum(lt, gens)
-    return inner_class(letters, rd, lt)
-
-
-def quasisplit(ic):
-    return len(ic.real_forms) - 1
+from oracles import brute_force_hasse, reference_real_weyl
 
 
 def decompositions(ic):
@@ -615,94 +586,6 @@ def test_kgb_over_each_cartan_is_w_over_real_weyl(text, letter, kernel):
 # -- real Weyl groups by listing W_i: the reference ------------------------
 
 
-def _weyl_closure(gens, size):
-    """All products of the generators, as permutations of size root indices."""
-    seen = {tuple(range(size))}
-    frontier = set(seen)
-    while frontier:
-        frontier = {tuple(map(g.__getitem__, w)) for w in frontier for g in gens} - seen
-        seen |= frontier
-    return seen
-
-
-def _a_group_data(ic, x, wi, wic_basis):
-    """Rank and generator words of A = Stab_{W_i}(x) / W_ic.
-
-    wi lists every element of W_i as (reduced word, root permutation).
-    """
-    table = ic.table
-    size = len(ic.rd.roots)
-    key = ic.x_key(x)
-    stab = [(w, p) for w, p in wi if ic.x_key(cross_word(ic, w, x)) == key]
-    wic_gens = [table.reflections[ic.rd.root_index[r.vec]] for r in wic_basis]
-    wic = _weyl_closure(wic_gens, size)
-    assert wic <= {p for _, p in stab}
-    count, extra = divmod(len(stab), len(wic))
-    assert not extra and not count & (count - 1)
-    a_rank = count.bit_length() - 1
-    out = []
-    picked = []
-    current = wic
-    stab.sort(key=lambda t: (len(t[0]), t[0]))
-    for w, p in stab:
-        if len(current) == len(stab):
-            break
-        if p in current:
-            continue
-        out.append(w)
-        picked.append(p)
-        current = _weyl_closure(wic_gens + picked, size)
-    assert len(out) == a_rank
-    return a_rank, tuple(out)
-
-
-def reference_real_weyl(ic, form, cartan):
-    """W(K,H) from a scan of the whole of W_i, once per fiber point of the form."""
-    table = ic.table
-    rd = ic.rd
-    inv = table.canonical_member(cartan)
-    reps = [
-        x for sq in ic.square_classes
-        for x in ((inv, t) for t in ic.fiber_elements(inv, sq.key))
-        if ic.real_form_of(x) == form
-    ]
-    x = reps[0]
-    imaginary = ic.roots(table.imaginary_roots(inv))
-    real = ic.roots(table.real_roots(inv))
-    compact = [r for r in imaginary if not ic.root_grading(x, r)]
-    side, side_pairs = _complex_factor(ic, inv)
-    complex_gens = []
-    for first, second in side_pairs:
-        s1 = table.reflections[rd.root_index[first.vec]]
-        s2 = table.reflections[rd.root_index[second.vec]]
-        complex_gens.append(word_from_matrix(table, tuple(map(s1.__getitem__, s2))))
-    complex_gens.sort(key=lambda w: (len(w), w))
-    wi_gens = [table.reflections[k] for k in table.imaginary_basis(inv)]
-    wi = [
-        (word_from_matrix(table, p), p)
-        for p in _weyl_closure(wi_gens, len(rd.roots))
-    ]
-    wic_basis = simple_basis(compact)
-    a_rank, a_gens = _a_group_data(ic, x, wi, wic_basis)
-    for y in reps[1:]:
-        other = [r for r in imaginary if not ic.root_grading(y, r)]
-        assert _a_group_data(ic, y, wi, simple_basis(other))[0] == a_rank
-    return RealWeylDecomposition(
-        complex_type=system_type(side),
-        a_rank=a_rank,
-        compact_type=system_type(compact),
-        real_type=system_type(real),
-        complex_generators=tuple(complex_gens),
-        a_generators=a_gens,
-        compact_generators=tuple(
-            table.reflection_word(rd.root_index[r.vec]) for r in wic_basis
-        ),
-        real_generators=tuple(
-            table.reflection_word(rd.root_index[r.vec]) for r in simple_basis(real)
-        ),
-    )
-
-
 @pytest.mark.parametrize("text,letters,kernel", [
     ("B3", "s", None), ("C3", "s", None), ("G2", "s", None), ("A3", "c", "ad"),
     ("D4", "s", "ad"), ("B4", "s", "ad"),
@@ -789,25 +672,6 @@ def test_hasse_of_smaller_form_is_lower_set():
         assert set(h.nodes) <= set(full.nodes)
         assert set(h.edges) <= set(full.edges)
         assert set(h.most_split) <= set(h.nodes)
-
-
-def brute_force_hasse(ic, form):
-    # grades every fiber point of the form, not one per orbit
-    table = ic.table
-    nodes, edges = [], set()
-    for c in range(len(table.classes)):
-        inv = table.canonical_member(c)
-        for sq in ic.square_classes:
-            for t in ic.fiber_elements(inv, sq.key):
-                x = (inv, t)
-                if ic.real_form_of(x) != form:
-                    continue
-                if c not in nodes:
-                    nodes.append(c)
-                for k in table.imaginary_roots(inv):
-                    if ic.root_grading(x, ic.rd.positive_roots[k]):
-                        edges.add((c, table.class_of[table.cayley(inv, k)]))
-    return tuple(nodes), tuple(sorted(edges))
 
 
 @pytest.mark.parametrize("text,letters,kernel", [

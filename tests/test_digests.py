@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from digest_outputs import CONTEXTS, DIGESTS, build, digests, label
+from contexts import context
+from digest_outputs import CONTEXTS, DIGESTS, digests, label
 
 RECORDED = json.loads(DIGESTS.read_text())
 
@@ -23,7 +24,7 @@ def test_every_context_is_recorded():
 
 @pytest.mark.parametrize("text,letters,kernel", CONTEXTS)
 def test_outputs_match_recorded_digests(text, letters, kernel):
-    got = digests(build(text, letters, kernel))
+    got = digests(context(text, letters, kernel))
     want = RECORDED[label(text, letters, kernel)]
     assert sorted(got) == sorted(want)
     assert [name for name in sorted(got) if got[name] != want[name]] == []

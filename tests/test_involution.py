@@ -15,42 +15,24 @@ from realred.cartan import cartan_class, cartan_hasse, format_cartan_report, rea
 from realred.involution import (
     InnerClass,
     InvolutionLattice,
-    RankDecomposition,
     _split_product,
     format_real_form_menu,
     format_strong_real,
-    inner_class,
 )
 from realred.kgb import generate_kgb
-from realred.rootdata import (
-    InputError,
-    LieType,
-    adjoint_generators,
-    build_root_datum,
-    center_structure,
-    dual_lie_type,
-    parse_kernel_generator,
-    parse_lie_type,
-)
+from realred.rootdata import InputError, build_root_datum, dual_lie_type, parse_lie_type
 from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL
 
-from digest_outputs import CONTEXTS, build
-from test_lin import reference_f2_rank
-from test_rootdata import coreflections, reflections
-from test_weyl import reference_normal_form_word, reference_theta_star
-
-
-def context(text, letters, kernel=None):
-    lt = parse_lie_type(text)
-    if kernel is None:
-        gens = ()
-    elif kernel == "ad":
-        gens = tuple(adjoint_generators(center_structure(lt)))
-    else:
-        cs = center_structure(lt)
-        gens = tuple(parse_kernel_generator(line, cs) for line in kernel.split(";"))
-    rd = build_root_datum(lt, gens)
-    return inner_class(letters, rd, lt)
+from contexts import RECORD_GROUPS, SMALL_TYPES, context
+from digest_outputs import CONTEXTS
+from oracles import (
+    coreflections, cross_word, rank_decomposition, reference_adjoint_context,
+    reference_central_translates, reference_component_rank, reference_fiber_elements,
+    reference_inverse_cayley, reference_normal_form_word, reference_rho_check_drop,
+    reference_root_grading, reference_theta_star, reference_to_ad,
+    reference_two_offset_inverse_cayley, reference_x_key, reflection_matrix, reflections,
+    square_key_if_valid, square_key_reference,
+)
 
 
 def menu(ic):
@@ -306,24 +288,6 @@ def test_adjoint_strong_forms_match_weak_forms():
 # -- cross actions and Cayley transforms --------------------------------
 
 
-def square_key_if_valid(ic, x):
-    """Square-class key of x, or None when x squares outside the center.
-
-    The square s = num / denom is central and delta-fixed when every
-    simple root and every row of delta* - 1 pairs integrally with it,
-    which is checked on num modulo denom.
-    """
-    num = ic._square_numerators(x)
-    d = ic.denom
-    for a in ic.rd.simple_roots:
-        if lin.vec_dot(a, num) % d:
-            return None
-    dstar_minus_one = lin.mat_sub(lin.transpose(ic.delta.matrix), lin.identity(ic.rd.rank))
-    if any(v % d for v in lin.mat_vec(dstar_minus_one, num)):
-        return None
-    return ic.central_class_key(num, d)
-
-
 def all_strong_involutions(ic):
     out = []
     for cartan in range(len(ic.table.classes)):
@@ -362,68 +326,6 @@ def test_cross_and_cayley_preserve_squares(text, letters):
                     assert square_key_if_valid(ic, y) == key
                     assert ic.grading(y, j)
                     assert ic.x_key(ic.cayley(j, y)) == ic.x_key(x)
-
-
-def reference_central_reduce(ic, s):
-    # Smith coordinates of a central cocharacter modulo the identity part,
-    # as Fractions in [0, 1): the reference for the integer keys over cd
-    sf = ic._central_smith
-    y = lin.mat_vec(sf.v, s)
-    out = []
-    for i in range(len(y)):
-        d = sf.diag[i] if i < len(sf.diag) else 0
-        if d == 0:
-            out.append(Fraction(0))
-        else:
-            yi = y[i] % 1
-            assert (yi * d).denominator == 1
-            out.append(yi)
-    return tuple(out)
-
-
-def reference_central_translates(ic):
-    sf = ic._center_smith
-    n = ic.rd.rank
-    cols = lin.transpose(sf.vinv)
-    onep = lin.mat_add(lin.transpose(ic.delta.matrix), lin.identity(n))
-    gens = []
-    for i in range(min(n, len(sf.diag))):
-        if sf.diag[i] < 2:
-            continue
-        g = tuple(Fraction(x, sf.diag[i]) for x in cols[i])
-        gens.append(reference_central_reduce(ic, lin.mat_vec(onep, g)))
-    zero = tuple(Fraction(0) for _ in range(n))
-    group = {zero}
-    queue = [zero]
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            nxt = tuple((a + b) % 1 for a, b in zip(cur, g))
-            if nxt not in group:
-                group.add(nxt)
-                queue.append(nxt)
-    return tuple(sorted(group))
-
-
-def reference_central_class_key(ic, s, translates):
-    base = reference_central_reduce(ic, s)
-    return min(tuple((a + b) % 1 for a, b in zip(base, g)) for g in translates)
-
-
-def square_key_reference(ic, x, translates):
-    # square class key computed with Fractions throughout
-    inv, t = x
-    n = ic.rd.rank
-    onep = lin.mat_add(ic.lattice(inv).theta_star, lin.identity(n))
-    num = lin.vec_add(lin.mat_vec(onep, t), lin.vec_scale(ic.lattice(inv).cbits, ic.denom // 2))
-    s = tuple(Fraction(v, ic.denom) for v in num)
-    for a in ic.rd.simple_roots:
-        if lin.vec_dot(a, s) % 1:
-            return None
-    diff = lin.mat_sub(lin.transpose(ic.delta.matrix), lin.identity(n))
-    if any(v % 1 for v in lin.mat_vec(diff, s)):
-        return None
-    return reference_central_class_key(ic, s, translates)
 
 
 @pytest.mark.parametrize(
@@ -497,47 +399,6 @@ def test_cayley_rejects_roots_of_the_wrong_kind():
 # -- gradings ---------------------------------------------------------
 
 
-def reference_csc_bits(ic, inv):
-    """Simple-coroot coefficients of the rho-check drop at inv, mod 2."""
-    rd = ic.rd
-    sf = lin.smith_form(
-        lin.transpose(lin.freeze(rd.simple_coroots)), ncols=rd.semisimple_rank
-    )
-    coeffs = lin.solve_int(sf, ic.lattice(inv).drop)
-    assert coeffs is not None
-    return tuple(c % 2 for c in coeffs[: rd.semisimple_rank])
-
-
-def reference_root_grading(ic, x, root, bits):
-    """Grading by transport along cross actions: the reference.
-
-    A simple root j is graded by the base-point rule, whose constant
-    comes from the coroot coefficients at j of the rho-check drop at x
-    and at its Cayley transform (bits caches them per involution); any
-    other root is carried one height step down by the cross action of
-    the first simple reflection that lowers it, together with x.
-    """
-    inv, t = x
-    ht = sum(root.coeffs)
-    if ht == 1:
-        j = root.coeffs.index(1)
-        kind, target = ic.table.status_row(inv)[j]
-        assert kind == IMAGINARY
-        for i in (inv, target):
-            if i not in bits:
-                bits[i] = reference_csc_bits(ic, i)
-        shift = (1 + bits[inv][j] + bits[target][j]) % 2
-        d = ic.denom
-        return (2 * lin.vec_dot(root.vec, t) + (shift - 1) * d) % (2 * d) == 0
-    pos = ic.rd.positive_roots
-    k = ic.rd.root_index[root.vec]
-    for j, s in enumerate(ic.table.simple):
-        img = ic.table.reflections[s][k]
-        if img < len(pos) and sum(pos[img].coeffs) < ht:
-            return reference_root_grading(ic, ic.cross(j, x), pos[img], bits)
-    raise AssertionError("no descent for imaginary root")
-
-
 GRADING_GROUPS = [
     (text, letter, kernel)
     for text, letters in [
@@ -584,12 +445,6 @@ def test_grading_rejects_roots_that_are_not_imaginary():
                     ic.grading(x, j)
 
 
-RECORD_GROUPS = [
-    ("A3", "c", None), ("C2", "s", None), ("A5", "s", None), ("B3", "s", None),
-    ("D4", "s", None), ("G2", "s", None), ("A3", "c", "ad"),
-]
-
-
 @pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
 def test_cartan_record_forms_match_descent(text, letters, kernel):
     ic = context(text, letters, kernel)
@@ -629,14 +484,6 @@ def test_orbit_partition_runs_once_per_involution(monkeypatch, text, letters, ke
     assert 0 in canonical
     assert set(calls.values()) == {1}
     assert {inv for key, inv in calls if key == id(ic)} == canonical
-
-
-def cross_word(ic, word, x):
-    """Cross action of a word, its last letter first: the reference for
-    the closed form of imaginary reflections on fibers."""
-    for j in reversed(tuple(word)):
-        x = ic.cross(j, x)
-    return x
 
 
 @pytest.mark.parametrize(
@@ -700,16 +547,6 @@ def test_every_strong_involution_descends():
 
 
 # -- rank decompositions ------------------------------------------------
-
-
-def rank_decomposition(theta):
-    """Rank invariants of a lattice involution from fresh Smith forms: the reference."""
-    n = len(theta)
-    ident = lin.identity(n)
-    c = reference_f2_rank(lin.mat_add(theta, ident))
-    plus = n - lin.smith_form(lin.mat_sub(theta, ident), ncols=n).rank
-    minus = n - lin.smith_form(lin.mat_add(theta, ident), ncols=n).rank
-    return RankDecomposition(split=minus - c, compact=plus - c, complex_pairs=c)
 
 
 @pytest.mark.parametrize("text,letters,kernel", [
@@ -795,15 +632,6 @@ def test_half_spin_pair_cartans():
 # -- the shared involution table ------------------------------------------
 
 
-def reflection_matrix(rd, root):
-    """Matrix of the reflection in any root, acting on characters."""
-    n = rd.rank
-    return lin.freeze(
-        [[(1 if r == c else 0) - root.vec[r] * root.covec[c] for c in range(n)]
-         for r in range(n)]
-    )
-
-
 @pytest.mark.parametrize("text", ["B3", "D4", "G2"])
 @pytest.mark.parametrize("kernel", [None, "ad"])
 def test_reflection_words_are_normal_forms(text, kernel):
@@ -850,29 +678,6 @@ def test_reports_build_no_second_context(monkeypatch, text, letters, kernel):
 # -- weak forms and Cartan partitions against the adjoint context ----------
 
 
-def reference_adjoint_context(ic):
-    """The adjoint group of the derived group, as a second context: the reference."""
-    simple = tuple(f for f in ic.lt.factors if f.letter != "T")
-    letters = "".join(
-        letter for letter, idxs in ic.delta.units if ic.lt.factors[idxs[0]].letter != "T"
-    )
-    lt = LieType(simple, tuple(str(f) for f in simple))
-    rd = build_root_datum(lt, adjoint_generators(center_structure(lt)))
-    return inner_class(letters, rd, lt)
-
-
-def reference_to_ad(ic, ad, t):
-    """Image of the cocharacter t / ic.denom in the adjoint context, over ad.denom."""
-    pair = tuple(lin.vec_dot(a, t) for a in ic.rd.simple_roots)
-    mat, den = lin.mat_inverse_rational(lin.freeze(list(ad.rd.simple_roots)))
-    scale = den * ic.denom
-    out = []
-    for v in lin.mat_vec(mat, pair):
-        assert v * ad.denom % scale == 0
-        out.append(v * ad.denom // scale)
-    return tuple(out)
-
-
 ADJOINT_GROUPS = [
     (text, letters, kernel) for text, letters, kernel in CONTEXTS
     if parse_lie_type(text).semisimple_rank
@@ -887,7 +692,7 @@ ADJOINT_GROUPS = [
 
 @pytest.mark.parametrize("text,letters,kernel", ADJOINT_GROUPS)
 def test_weak_forms_and_partitions_match_the_adjoint_context(text, letters, kernel):
-    ic = build(text, letters, kernel)
+    ic = context(text, letters, kernel)
     ad = reference_adjoint_context(ic)
     assert ic._orbit_form_indices == tuple(
         ad.real_form_of((0, reference_to_ad(ic, ad, members[0])))
@@ -905,46 +710,9 @@ def test_weak_forms_and_partitions_match_the_adjoint_context(text, letters, kern
         assert len({tuple(ad.root_grading(x, r) for r in basis) for x in xs}) == len(xs)
 
 
-def reference_component_rank(ic, form):
-    """Component rank in coordinates of the kernel lattice K of 1 +
-    theta*: the reference.
-
-    K / (1 - theta*) Z^n must be elementary abelian; the rank is its
-    count of Z/2 factors less the F2 rank of the real coroots in them.
-    """
-    inv = ic.table.canonical_member(ic.most_split_cartan(form))
-    n = ic.rd.rank
-    theta = ic.lattice(inv).theta_star
-    plus = lin.smith_form(lin.mat_add(lin.identity(n), theta), ncols=n)
-    kernel = lin.transpose(plus.vinv)[plus.rank:]
-    if not kernel:
-        return 0
-    ksf = lin.smith_form(lin.transpose(lin.freeze(list(kernel))))
-
-    def in_kernel_coords(v):
-        y = lin.solve_int(ksf, v)
-        if y is None:
-            raise RuntimeError("a vector is not in the kernel lattice of 1 + theta*")
-        return y[: len(kernel)]
-
-    minus = lin.mat_sub(lin.identity(n), theta)
-    image = lin.freeze([list(in_kernel_coords(c)) for c in lin.transpose(minus)])
-    sf = lin.smith_form(lin.transpose(image))
-    if any(d not in (1, 2) for d in sf.diag):
-        raise RuntimeError("the component group is not an elementary abelian 2-group")
-    twos = [i for i, d in enumerate(sf.diag) if d == 2]
-    if not twos:
-        return 0
-    bits = []
-    for root in ic.roots(ic.table.real_roots(inv)):
-        z = lin.mat_vec(sf.uinv, in_kernel_coords(root.covec))
-        bits.append([z[i] % 2 for i in twos])
-    return len(twos) - reference_f2_rank(lin.freeze(bits))
-
-
 @pytest.mark.parametrize("text,letters,kernel", ADJOINT_GROUPS)
 def test_component_rank_matches_kernel_reference(text, letters, kernel):
-    ic = build(text, letters, kernel)
+    ic = context(text, letters, kernel)
     for form in range(len(ic.real_forms)):
         assert ic.component_rank(form) == reference_component_rank(ic, form)
 
@@ -979,15 +747,6 @@ THETA_GROUPS = [
     ]
     for kernel in (None, "ad")
 ]
-
-
-def reference_rho_check_drop(ic, theta_star):
-    """(2 rho-check - w* 2 rho-check) / 2, w acting on cocharacters by theta* delta*."""
-    w_star = lin.mat_mul(theta_star, ic._dstar)
-    two_rho = ic.rd.two_rho_check
-    two = lin.vec_sub(two_rho, lin.mat_vec(w_star, two_rho))
-    assert not any(x % 2 for x in two)
-    return tuple(x // 2 for x in two)
 
 
 @pytest.mark.parametrize("text,letters,kernel", THETA_GROUPS)
@@ -1053,94 +812,6 @@ def test_smith_form_counts_do_not_grow(monkeypatch, text, letters, limits):
         assert len(calls) <= limit
 
 
-def reference_x_key(ic, x):
-    """The key from every row of the Smith uinv of 1 - theta*."""
-    inv, t = x
-    n = ic.rd.rank
-    sf = lin.smith_form(lin.mat_sub(lin.identity(n), ic.lattice(inv).theta_star), ncols=n)
-    s = lin.mat_vec(sf.uinv, t)
-    return (inv, tuple(0 if sf.diag[i] else s[i] % ic.denom for i in range(n)))
-
-
-def reference_inverse_cayley(ic, j, x):
-    """Every offset of the coroot line scanned, with coreflection matrices."""
-    inv, t = x
-    _, nbr = ic.table.status_row(inv)[j]
-    d = ic.denom
-    key = ic.central_class_key(ic._square_numerators(x), d)
-    base = lin.mat_vec(coreflections(ic.rd)[j], t)
-    av = ic.rd.simple_coroots[j]
-    out = []
-    seen = set()
-    for c in range(d):
-        cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-        if square_key_if_valid(ic, cand) != key:
-            continue
-        k = reference_x_key(ic, cand)
-        if k not in seen:
-            seen.add(k)
-            if ic.grading(cand, j):
-                out.append(cand)
-    return tuple(out)
-
-
-def reference_two_offset_inverse_cayley(ic, j, x):
-    """The two noncompact offsets, each keyed by its own square class."""
-    inv, t = x
-    _, nbr = ic.table.status_row(inv)[j]
-    d = ic.denom
-    base = ic._reflect(j, t)
-    r = (d // 2 - lin.vec_dot(ic.rd.simple_roots[j], base)) % d
-    if r % 2:
-        return ()
-    key = ic.central_class_key(ic._square_numerators(x), d)
-    av = ic.rd.simple_coroots[j]
-    out = []
-    seen = set()
-    key_av = None
-    for c in (r // 2, r // 2 + d // 2):
-        cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-        if square_key_if_valid(ic, cand) != key:
-            continue
-        if key_av is None:
-            key_av = ic.x_key((nbr, av))[1]
-        k = tuple(c * b % d for b in key_av)
-        if k in seen:
-            continue
-        seen.add(k)
-        assert ic.grading(cand, j)
-        out.append(cand)
-    return tuple(out)
-
-
-def reference_fiber_elements(ic, inv, key):
-    """(points, keys) of a fiber by breadth-first closure under its generators.
-
-    Starts at t0 and adds the generators in order, keeping the first
-    point met at each key.
-    """
-    d, cd = ic.denom, ic.cd
-    rep = ic._class_rep(key)
-    target = tuple(v * d // cd - c * (d // 2) for v, c in zip(rep, ic.lattice(inv).cbits))
-    sf = ic.lattice(inv).plus
-    t0 = lin.solve_mod_presolved(sf, target, d)
-    if t0 is None:
-        return (), ()
-    cols = lin.transpose(sf.vinv)
-    gens = [lin.vec_scale(cols[i], d // 2) for i, e in enumerate(sf.diag) if e == 2]
-    t0 = lin.vec_mod(t0, d)
-    seen = {reference_x_key(ic, (inv, t0)): t0}
-    queue = [t0]
-    for cur in queue:
-        for g in gens:
-            t = lin.vec_mod(lin.vec_add(cur, g), d)
-            k = reference_x_key(ic, (inv, t))
-            if k not in seen:
-                seen[k] = t
-                queue.append(t)
-    return tuple(seen.values()), tuple(seen)
-
-
 FIBER_GROUPS = [
     ("A3", "c", None), ("C2", "s", None), ("A5", "s", None), ("B3", "s", None),
     ("D4", "s", None), ("G2", "s", None), ("A3", "c", "ad"), ("A3", "s", "2/4"),
@@ -1197,10 +868,6 @@ def test_inverse_cayley_candidates_square_like_x(text, letters, kernel):
                         assert lin.vec_mod(ic._square_numerators(y), d) == square
                         checked += 1
     assert checked
-
-
-SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
-               "D4", "F4", "G2"]
 
 
 def rank_triples(ic, swap=False):

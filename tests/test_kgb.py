@@ -2,41 +2,15 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 import pytest
 
 from realred import lin
 from realred.cartan import weyl_order
-from realred.involution import InnerClass, StrongX, inner_class
-from realred.kgb import KGB, KGBElement, format_kgb, generate_kgb, seed_orbit
-from realred.rootdata import (
-    adjoint_generators,
-    build_root_datum,
-    center_structure,
-    parse_kernel_generator,
-    parse_lie_type,
-)
-from realred.weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL
+from realred.kgb import format_kgb, generate_kgb, seed_orbit
+from realred.weyl import COMPLEX_DOWN, COMPLEX_UP
 
-from test_rootdata import reflections
-
-
-def context(text, letters, kernel=None):
-    lt = parse_lie_type(text)
-    if kernel is None:
-        gens = ()
-    elif kernel == "ad":
-        gens = tuple(adjoint_generators(center_structure(lt)))
-    else:
-        cs = center_structure(lt)
-        gens = tuple(parse_kernel_generator(line, cs) for line in kernel.split(";"))
-    rd = build_root_datum(lt, gens)
-    return inner_class(letters, rd, lt)
-
-
-def quasisplit(ic):
-    return len(ic.real_forms) - 1
+from contexts import context
+from oracles import reference_kgb, reflections
 
 
 def parse_rows(text):
@@ -361,90 +335,6 @@ def test_kgb_ids_sorted_by_length_then_cartan(text, letters, kernel, form):
 
 
 # -- one pass -----------------------------------------------------------------
-
-
-def reference_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
-    """Two-pass KGB: a search for the elements, then every edge again.
-
-    The search keeps only newly found keys; the build loop repeats each
-    cross action, grading and Cayley transform to turn keys into ids.
-    """
-    orbit = seed_orbit(ic, form, orbit)
-    table = ic.table
-    n = ic.rd.semisimple_rank
-
-    reps: dict[tuple, StrongX] = {}
-    inv_length = {0: 0}
-    queue: deque[tuple] = deque()
-    for t in ic._fundamental_orbits[orbit][1]:
-        key = ic.x_key((0, t))
-        if key not in reps:
-            reps[key] = (0, t)
-            queue.append(key)
-
-    def record(y: StrongX, length: int) -> None:
-        prev = inv_length.setdefault(y[0], length)
-        if prev != length:
-            raise RuntimeError("inconsistent length at a twisted involution")
-        key = ic.x_key(y)
-        if key not in reps:
-            reps[key] = y
-            queue.append(key)
-
-    while queue:
-        x = reps[queue.popleft()]
-        here = inv_length[x[0]]
-        for j in range(n):
-            kind = table.status_row(x[0])[j][0]
-            if kind == COMPLEX_UP:
-                record(ic.cross(j, x), here + 1)
-            elif kind == COMPLEX_DOWN:
-                record(ic.cross(j, x), here - 1)
-            else:
-                record(ic.cross(j, x), here)
-                if kind == IMAGINARY and ic.grading(x, j):
-                    record(ic.cayley(j, x), here + 1)
-
-    if min(inv_length[x[0]] for x in reps.values()) != 0:
-        raise RuntimeError("KGB element lies below the base involution")
-
-    order = sorted(
-        reps,
-        key=lambda key: (inv_length[key[0]], table.class_of[key[0]], key),
-    )
-    ids = {key: i for i, key in enumerate(order)}
-
-    elements = []
-    for i, key in enumerate(order):
-        x = reps[key]
-        inv = x[0]
-        statuses = []
-        cross = []
-        cayley: list[int | None] = []
-        for j in range(n):
-            kind = table.status_row(inv)[j][0]
-            cross.append(ids[ic.x_key(ic.cross(j, x))])
-            if kind == IMAGINARY:
-                if ic.grading(x, j):
-                    statuses.append("n")
-                    cayley.append(ids[ic.x_key(ic.cayley(j, x))])
-                else:
-                    statuses.append("c")
-                    cayley.append(None)
-            else:
-                statuses.append("r" if kind == REAL else "C")
-                cayley.append(None)
-        elements.append(KGBElement(
-            id=i,
-            length=inv_length[inv],
-            cartan=table.class_of[inv],
-            statuses=tuple(statuses),
-            cross=tuple(cross),
-            cayley=tuple(cayley),
-            word=table.word(inv),
-            rep=x,
-        ))
-    return KGB(form=form, orbit=orbit, elements=tuple(elements))
 
 
 @pytest.mark.parametrize("text, letters, kernel", [

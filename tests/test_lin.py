@@ -3,35 +3,12 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import lcm
 
 import pytest
 
 from realred import lin
 
-
-def det(a: lin.Matrix) -> int:
-    """Determinant of a square integer matrix (exact)."""
-    n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= rows[i][i]
-    assert out.denominator == 1
-    return int(out)
+from oracles import det, reference_f2_rank, reference_mat_inverse_rational
 
 
 def random_matrix(rng: random.Random, m: int, n: int) -> lin.Matrix:
@@ -145,26 +122,6 @@ def test_row_hnf_examples() -> None:
     assert lin.row_hnf(((0, 0),)) == ()
 
 
-def reference_f2_rank(a: lin.Matrix) -> int:
-    """Rank of the matrix reduced mod 2, by elimination on row bitmasks."""
-    masks = []
-    for row in a:
-        bits = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                bits |= 1 << j
-        if bits:
-            masks.append(bits)
-    rank = 0
-    while masks:
-        piv = min(masks, key=lambda b: b & -b)
-        low = piv & -piv
-        masks = [b ^ piv if b & low else b for b in masks if b != piv]
-        masks = [b for b in masks if b]
-        rank += 1
-    return rank
-
-
 def odd_divisors(a: lin.Matrix, ncols: int | None = None) -> int:
     """The rank mod 2 as the library takes it: odd Smith divisors."""
     return sum(d % 2 for d in lin.smith_form(a, ncols=ncols).diag)
@@ -196,27 +153,6 @@ def test_det() -> None:
     assert det(((2, 0), (0, 3))) == 6
     assert det(((1, 2), (2, 4))) == 0
     assert det(((0, 1), (1, 0))) == -1
-
-
-def reference_mat_inverse_rational(a: lin.Matrix) -> tuple[lin.Matrix, int]:
-    """Gauss-Jordan over Fraction, then the least common denominator."""
-    n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        f = rows[col][col]
-        rows[col] = [x / f for x in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    inv = [row[n:] for row in rows]
-    den = lcm(*(x.denominator for row in inv for x in row)) if n else 1
-    return lin.freeze([[x * den for x in row] for row in inv]), den
 
 
 def test_mat_inverse_rational() -> None:

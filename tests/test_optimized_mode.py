@@ -1,22 +1,24 @@
-"""Results must not depend on assert statements, which python -O strips."""
+"""Results must not depend on assert statements, which python -O strips.
+
+Also checks what the library imports, that its packaging resolves, and
+that the test modules share code only through contexts and oracles."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from realred.cartan import cartan_hasse, format_cartan_report, format_real_weyl, real_weyl
-from realred.involution import format_real_form_menu, inner_class
+from realred.involution import format_real_form_menu
 from realred.kgb import format_kgb, generate_kgb
-from realred.rootdata import (
-    adjoint_generators,
-    build_root_datum,
-    center_structure,
-    parse_lie_type,
-)
+
+from contexts import context
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "realred"
 
@@ -29,9 +31,7 @@ GROUPS = [
 def report(text, letters, kernel):
     """Real form menu, then the Cartan report, Cayley graph, component
     rank, real Weyl groups and KGB of every form."""
-    lt = parse_lie_type(text)
-    gens = tuple(adjoint_generators(center_structure(lt))) if kernel == "ad" else ()
-    ic = inner_class(letters, build_root_datum(lt, gens), lt)
+    ic = context(text, letters, kernel)
     lines = list(format_real_form_menu(ic))
     for form in range(len(ic.real_forms)):
         lines.extend(format_cartan_report(ic, form))
@@ -76,7 +76,7 @@ def test_results_are_the_same_under_python_o():
 
 def test_canonical_walk_failure_raises_under_python_o():
     script = (
-        "from test_weyl import walk_from_corrupted_row\n"
+        "from contexts import walk_from_corrupted_row\n"
         "print(__debug__)\n"
         "try:\n"
         "    walk_from_corrupted_row()\n"
@@ -132,26 +132,27 @@ def test_library_has_no_unreferenced_private_definition():
     assert sorted(defined - used) == []
 
 
+def imported_modules(path):
+    """(line, module) of each module that the file at path imports."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.module or ""
+
+
 def importers(module):
     """Names of the library files that import module."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module]
-            else:
-                continue
-            if module in names:
-                found.append(path.name)
-    return found
+    return [
+        path.name for path in sorted(SRC.glob("*.py"))
+        for _, name in imported_modules(path) if name == module
+    ]
 
 
-def test_only_rootdata_imports_fractions():
-    # rootdata reads kernel generators as fractions; the lattice code
-    # computes with integer numerators only
-    assert importers("fractions") == ["rootdata.py"]
+def test_library_does_not_import_fractions():
+    # kernel generators are (numerator, denominator) pairs, and the
+    # lattice code computes with integer numerators only
+    assert importers("fractions") == []
 
 
 def test_library_does_not_import_dataclasses():
@@ -170,3 +171,35 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     assert run_script(script) == ["True", "[]"]
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    # fractions loads decimal and numbers, a few ms of every fresh import
+    script = (
+        "import sys\n"
+        "import realred.lin, realred.rootdata, realred.weyl\n"
+        "import realred.involution, realred.cartan, realred.kgb\n"
+        "print('realred.kgb' in sys.modules)\n"
+        "print(sorted({'decimal', 'fractions'} & set(sys.modules)))\n"
+    )
+    assert run_script(script) == ["True", "[]"]
+
+
+def test_console_scripts_resolve():
+    # an installed script whose module or function is missing fails at start
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr, None)), name
+
+
+def test_no_test_module_imports_another():
+    # tests share code through contexts and oracles, so one test file
+    # runs without importing the others
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(Path(__file__).resolve().parent.glob("test_*.py"))
+        for line, name in imported_modules(path) if name.startswith("test_")
+    ]
+    assert found == []

@@ -17,7 +17,7 @@ from realred.rootdata import (
     parse_lie_type,
 )
 
-from test_involution import context
+from contexts import context
 
 # record type -> a field to assign to
 FIELDS = {
