@@ -3,10 +3,12 @@
 A conjugacy class of Cartan subgroups corresponds to a class of twisted
 involutions; its report combines rank data of the involution, the types
 of the imaginary, real, and restricted complex root subsystems, and the
-partition of the corresponding adjoint fiber by weak real form.  The
-real Weyl group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r);
-A comes from Schreier generators on the cached moves of a fiber orbit
-and a complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
+partition of the corresponding adjoint fiber by weak real form.  A
+root subsystem is a list of positive-root indices of the involution
+table, and its type (system_type) needs only the table.  The real Weyl
+group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r); A comes
+from Schreier generators on the cached moves of a fiber orbit and a
+complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
 """
 
 from __future__ import annotations
@@ -16,33 +18,29 @@ from typing import NamedTuple
 
 from . import lin
 from .involution import FiberOrbit, InnerClass, RankDecomposition, StrongOrbit, strong_orbits
-from .rootdata import InputError, Root, arms, components, simple_basis
-from .weyl import word_from_matrix
+from .rootdata import InputError, arms, components
+from .weyl import InvolutionTable, word_from_matrix
 
 
 # -- root subsystem classification --------------------------------------
 
 
-def _pairing(a: Root, b: Root) -> int:
-    return lin.vec_dot(a.vec, b.covec)
+def _cartan_matrix(table: InvolutionTable, basis: list[int]) -> list[list[int]]:
+    """<a, b^v> for the positive roots a, b of a simple system, by index."""
+    pos = table.rd.positive_roots
+    return [[lin.vec_dot(pos[a].vec, pos[b].covec) for b in basis] for a in basis]
 
 
-def _diagram(basis: list[Root]) -> list[list[int]]:
-    """Neighbour lists of the Dynkin diagram of a simple system."""
-    return [
-        [j for j, b in enumerate(basis) if j != i and _pairing(a, b)]
-        for i, a in enumerate(basis)
-    ]
+def _diagram(cartan: list[list[int]]) -> list[list[int]]:
+    """Neighbour lists of the Dynkin diagram of a Cartan matrix."""
+    return [[j for j, c in enumerate(row) if j != i and c] for i, row in enumerate(cartan)]
 
 
-def _component_name(basis: list[Root], adj: list[list[int]], comp: list[int]) -> str:
+def _component_name(cartan: list[list[int]], adj: list[list[int]], comp: list[int]) -> str:
     n = len(comp)
     if n == 1:
         return "A1"
-    bonds = {
-        (i, j): _pairing(basis[i], basis[j]) * _pairing(basis[j], basis[i])
-        for i in comp for j in adj[i] if i < j
-    }
+    bonds = {(i, j): cartan[i][j] * cartan[j][i] for i in comp for j in adj[i] if i < j}
     doubles = [e for e, p in bonds.items() if p == 2]
     forks = [v for v in comp if len(adj[v]) == 3]
     if any(p == 3 for p in bonds.values()):
@@ -50,7 +48,7 @@ def _component_name(basis: list[Root], adj: list[list[int]], comp: list[int]) ->
             return "G2"
     elif len(doubles) == 1:
         i, j = doubles[0]
-        if _pairing(basis[i], basis[j]) != -2:
+        if cartan[i][j] != -2:
             i, j = j, i
         # now i is the long and j the short end of the double bond
         if n == 2:
@@ -73,17 +71,20 @@ def _component_name(basis: list[Root], adj: list[list[int]], comp: list[int]) ->
     raise RuntimeError("a root subsystem component is not a Dynkin diagram of finite type")
 
 
-def system_type(positives) -> str:
-    """Cartan type of a closed subsystem, "" when the set is empty.
+def system_type(table: InvolutionTable, ks) -> str:
+    """Cartan type of the root subsystem on the positive roots ks, "" when
+    it is empty.
 
-    The components of the diagram of its simple basis (rootdata.components)
-    are named by _component_name in order of their first basis root;
-    rank-two systems with a double bond print as B2, and a pair of
-    orthogonal A1's prints as A1.A1.
+    The Cartan matrix of its simple basis (InvolutionTable.simple_basis)
+    is built once; the components of its diagram (rootdata.components)
+    are named by _component_name in order of their first basis root.
+    Rank-two systems with a double bond print as B2, and a pair of
+    orthogonal A1's prints as A1.A1.  Only the table is read, so the type
+    is the same in every isogeny.
     """
-    basis = simple_basis(list(positives))
-    adj = _diagram(basis)
-    return ".".join(_component_name(basis, adj, comp) for comp in components(adj))
+    cartan = _cartan_matrix(table, table.simple_basis(ks))
+    adj = _diagram(cartan)
+    return ".".join(_component_name(cartan, adj, comp) for comp in components(adj))
 
 
 _EXCEPTIONAL_ORDERS = {"E6": 51840, "E7": 2903040, "E8": 696729600,
@@ -108,10 +109,8 @@ def weyl_order(type_str: str) -> int:
     return total
 
 
-def _complex_factor(
-    ic: InnerClass, inv: int
-) -> tuple[list[Root], list[tuple[Root, Root]]]:
-    """One side of the free complex root pairs at inv.
+def _complex_factor(ic: InnerClass, inv: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """One side of the free complex root pairs at inv, as positive-root indices.
 
     The complex roots orthogonal to the half sums of imaginary and of
     real positive coroots split as a product R1 x theta(R1), with theta
@@ -119,28 +118,30 @@ def _complex_factor(
     lower-numbered component of each pair; the fixed subgroup of
     W(R1 x theta(R1)) is the diagonal copy of W(R1).  Returns the simple
     roots of R1 together with (simple root, theta partner) pairs, whose
-    commuting reflection products generate that diagonal.
+    commuting reflection products generate that diagonal.  Two roots a, b
+    are orthogonal exactly when the reflection in b fixes a.
     """
-    rd = ic.rd
-    pos = rd.positive_roots
+    table = ic.table
+    pos = table.rd.positive_roots
     npos = len(pos)
-    theta = ic.table.thetas[inv]
-    rho_i = rd.coroot_sum(ic.table.imaginary_roots(inv))
-    rho_r = rd.coroot_sum(ic.table.real_roots(inv))
+    theta = table.thetas[inv]
+    rho_i = table.rd.coroot_sum(table.imaginary_roots(inv))
+    rho_r = table.rd.coroot_sum(table.real_roots(inv))
     free = [
         k for k, r in enumerate(pos)
         if theta[k] % npos != k
         and not lin.vec_dot(r.vec, rho_i) and not lin.vec_dot(r.vec, rho_r)
     ]
-    basis = simple_basis(ic.roots(free))
-    comps = components(_diagram(basis))
+    basis = table.simple_basis(free)
+    comps = components(_diagram(_cartan_matrix(table, basis)))
     # theta pairs distinct components: the partner of a component is the
     # one with a basis root not orthogonal to theta of its first basis root
     partner = []
     for comp in comps:
-        img = pos[theta[rd.root_index[basis[comp[0]].vec]] % npos]
+        img = theta[basis[comp[0]]] % npos
         partner.append(next(
-            (i for i, other in enumerate(comps) if any(_pairing(img, basis[b]) for b in other)),
+            (i for i, other in enumerate(comps)
+             if any(table.reflections[basis[b]][img] != img for b in other)),
             None,
         ))
     if any(p is None or p == i or partner[p] != i for i, p in enumerate(partner)):
@@ -148,8 +149,8 @@ def _complex_factor(
     side = [basis[b] for i, comp in enumerate(comps) if i < partner[i] for b in comp]
     pairs = []
     for b in side:
-        other = pos[theta[rd.root_index[b.vec]] % npos]
-        if lin.vec_dot(b.vec, other.covec):
+        other = theta[b] % npos
+        if table.reflections[other][b] != b:
             raise RuntimeError("a complex simple root is not orthogonal to its theta partner")
         pairs.append((b, other))
     return side, pairs
@@ -201,9 +202,9 @@ def cartan_class(ic: InnerClass, c: int) -> CartanClass:
         orbit_size=orbit,
         fiber_rank=dec.compact,
         xr_count=orbit * 2 ** dec.compact,
-        imaginary_type=system_type(ic.roots(table.imaginary_roots(inv))),
-        real_type=system_type(ic.roots(table.real_roots(inv))),
-        complex_type=system_type(_complex_factor(ic, inv)[0]),
+        imaginary_type=system_type(table, table.imaginary_roots(inv)),
+        real_type=system_type(table, table.real_roots(inv)),
+        complex_type=system_type(table, _complex_factor(ic, inv)[0]),
         partition=entries,
     )
     return out
@@ -353,49 +354,42 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     """
     ic.check(form=form, cartan=cartan)
     table = ic.table
-    rd = ic.rd
     inv = table.canonical_member(cartan)
     orbits = [o for o in ic.cartan_orbits(cartan) if o.form == form]
     if not orbits:
         raise InputError(f"Cartan class #{cartan} does not meet real form #{form}")
     x = orbits[0].members[0]
-    imaginary = ic.roots(table.imaginary_roots(inv))
-    real = ic.roots(table.real_roots(inv))
-    compact = [r for r in imaginary if not ic.root_grading(x, r)]
-    compact_type = system_type(compact)
+    imaginary = table.imaginary_roots(inv)
+    real = table.real_roots(inv)
+    compact = [k for k in imaginary if not ic.root_grading(x, k)]
+    compact_type = system_type(table, compact)
     side, side_pairs = _complex_factor(ic, inv)
     complex_gens = []
     for first, second in side_pairs:
-        s1 = table.reflections[rd.root_index[first.vec]]
-        s2 = table.reflections[rd.root_index[second.vec]]
+        s1, s2 = table.reflections[first], table.reflections[second]
         complex_gens.append(word_from_matrix(table, tuple([s1[s] for s in s2])))
     complex_gens.sort(key=lambda w: (len(w), w))
-    wic_basis = simple_basis(compact)
-    compact_ks = [rd.root_index[r.vec] for r in wic_basis]
+    compact_ks = table.simple_basis(compact)
     a_words = _a_generators(ic, orbits[0], compact_ks)
     for o in orbits[1:]:
-        other = [r for r in imaginary if not ic.root_grading(o.members[0], r)]
+        other = [k for k in imaginary if not ic.root_grading(o.members[0], k)]
         # the same type, possibly with its components in another order
-        if sorted(system_type(other).split(".")) != sorted(compact_type.split(".")):
+        if sorted(system_type(table, other).split(".")) != sorted(compact_type.split(".")):
             raise RuntimeError("compact type differs between orbits of a form")
-    wi_order = weyl_order(system_type(imaginary))
+    wi_order = weyl_order(system_type(table, imaginary))
     wic_order = weyl_order(compact_type)
     for o in orbits:
         if len(o.members) * wic_order << len(a_words) != wi_order:
             raise RuntimeError("|W_i| is not |orbit| |W_ic| |A| at an orbit of the form")
     return RealWeylDecomposition(
-        complex_type=system_type(side),
+        complex_type=system_type(table, side),
         a_rank=len(a_words),
         compact_type=compact_type,
-        real_type=system_type(real),
+        real_type=system_type(table, real),
         complex_generators=tuple(complex_gens),
         a_generators=a_words,
-        compact_generators=tuple(
-            table.reflection_word(rd.root_index[r.vec]) for r in wic_basis
-        ),
-        real_generators=tuple(
-            table.reflection_word(rd.root_index[r.vec]) for r in simple_basis(real)
-        ),
+        compact_generators=tuple(table.reflection_word(k) for k in compact_ks),
+        real_generators=tuple(table.reflection_word(k) for k in table.simple_basis(real)),
     )
 
 
@@ -473,8 +467,7 @@ def cartan_hasse(ic: InnerClass, form: int) -> CartanHasse:
                 continue
             x = orbit.members[0]
             for k, target in targets:
-                if (c, target) not in edges and \
-                        ic.root_grading(x, ic.rd.positive_roots[k]):
+                if (c, target) not in edges and ic.root_grading(x, k):
                     edges.add((c, target))
     flags = {ic.most_split_cartan(f) for f in range(len(ic.real_forms))}
     return CartanHasse(

@@ -38,7 +38,6 @@ from .rootdata import (
     Factor,
     InputError,
     LieType,
-    Root,
     RootDatum,
     components,
 )
@@ -179,11 +178,11 @@ class InvolutionLattice:
             It pairs with a positive imaginary root alpha to 2 (ht(alpha) +
             ht_i(alpha)), the heights over the simple roots and over the
             imaginary simple roots.
-        minus: (rank, rows, twos, ones) of the key (x_key).  The rows of
-            the Smith uinv of 1 - theta* at its zero divisors (the trailing
-            ones) are a Z-basis of the theta-fixed characters; the key is 0
-            at the rank nonzero divisors.  twos and ones count the Smith
-            divisors 2 and 1 of 1 - theta*, for ranks.
+        minus: (rank, rows, twos, ones) of 1 - theta*.  rank is its rank,
+            and the rows of its Smith uinv at its zero divisors (the
+            trailing ones) are a Z-basis of the theta-fixed characters,
+            which the key pairs with t (x_key).  twos and ones count its
+            Smith divisors 2 and 1, for ranks.
         plus: the Smith form of 1 + theta*, which fibers are solved in.
     """
 
@@ -300,10 +299,6 @@ class InnerClass:
             )
             if type(i) is not int or not 0 <= i < count:
                 raise InputError(f"no {what} #{i!r}: there are {count}")
-
-    def roots(self, indices) -> list[Root]:
-        """Positive roots of this root datum, by table index."""
-        return [self.rd.positive_roots[k] for k in indices]
 
     # -- central square classes ----------------------------------------
 
@@ -461,13 +456,13 @@ class InnerClass:
         """Canonical key of x modulo torus-conjugation equivalence.
 
         x = (i, t) is keyed by t paired with a Z-basis of the characters
-        fixed by theta_i (InvolutionLattice.minus), mod denom, behind zeros
-        at the nonzero Smith divisors of 1 - theta*.  It is linear in t.
+        fixed by theta_i (InvolutionLattice.minus), mod denom.  It is
+        linear in t.
         """
         inv, t = x
-        rank, rows, _, _ = self.lattice(inv).minus
+        rows = self.lattice(inv).minus[1]
         d = self.denom
-        return (inv, (0,) * rank + tuple(lin.vec_dot(r, t) % d for r in rows))
+        return (inv, tuple(lin.vec_dot(r, t) % d for r in rows))
 
     def _reflect(self, j: int, t: lin.Vector) -> lin.Vector:
         """s_j t = t - <alpha_j, t> alpha_j^v, on cocharacters."""
@@ -562,12 +557,14 @@ class InnerClass:
 
     def grading(self, x: StrongX, j: int) -> bool:
         """True when the imaginary simple root j is noncompact at x."""
-        return self.root_grading(x, self.rd.positive_roots[self.table.simple[j]])
+        return self.root_grading(x, self.table.simple[j])
 
-    def root_grading(self, x: StrongX, root: Root) -> bool:
-        """True when the positive root, imaginary at x, is noncompact there.
+    def root_grading(self, x: StrongX, k: int) -> bool:
+        """True when positive root k, imaginary at x, is noncompact there.
 
-        With x = (i, t) and d = denom, root alpha is noncompact exactly
+        k indexes the table's positive roots, like every root subsystem;
+        its vector alpha is read off rd for the two pairings.  With x =
+        (i, t) and d = denom, alpha is noncompact exactly
         when 2 <alpha, t> / d + ht(alpha) + ht_i(alpha) is odd, ht_i being
         the height over imaginary_basis(i); the heights of lattice(i)
         give the two in one pairing.  This is the grading that transport
@@ -592,7 +589,7 @@ class InnerClass:
         Raises RuntimeError when the root is not imaginary at x.
         """
         inv, t = x
-        k = self.rd.root_index[root.vec]
+        root = self.rd.positive_roots[k]
         if self.table.thetas[inv][k] != k:
             raise RuntimeError(f"root {root.coeffs} is not imaginary at involution {inv}")
         d = self.denom
@@ -683,14 +680,15 @@ class InnerClass:
           d/2 mod d, and it is d/2 exactly when alpha_j is noncompact.
         """
         d = self.denom
-        basis = self.roots(self.table.imaginary_basis(inv))
-        shifts = [self.x_key((inv, lin.vec_scale(r.covec, d // 2)))[1] for r in basis]
+        basis = self.table.imaginary_basis(inv)
+        pos = self.rd.positive_roots
+        shifts = [self.x_key((inv, lin.vec_scale(pos[k].covec, d // 2)))[1] for k in basis]
         out = []
         for key in self._realized_keys:
             fiber = self.fiber_elements(inv, key)
             fkeys = [k for _, k in self._fibers[(inv, key)][1]]
             index = {k: i for i, k in enumerate(fkeys)}
-            points = [tuple(self.root_grading((inv, t), r) for r in basis) for t in fiber]
+            points = [tuple(self.root_grading((inv, t), k) for k in basis) for t in fiber]
             # images[i][g]: the image of member i under the g-th reflection
             images = [
                 [index[lin.vec_mod(lin.vec_add(k, s), d)] if b else i for s, b in zip(shifts, p)]
@@ -766,7 +764,7 @@ class InnerClass:
         """
         orbits = self._fundamental_orbits
         ids, points = self._adjoint_orbits([pts for *_, pts in orbits])
-        imaginary = self.roots(self.table.imaginary_roots(0))
+        imaginary = self.table.imaginary_roots(0)
         basis = self.table.imaginary_basis(0)
         split = (True,) * len(basis)
         index = self.lt.simple_factor_index
@@ -774,10 +772,10 @@ class InnerClass:
         for a, pts in enumerate(points):
             _, members, _, member_points = orbits[ids.index(a)]
             nc = [0] * len(self.lt.factors)
-            for r in imaginary:
-                if self.root_grading((0, members[0]), r):
-                    k = next(i for i, c in enumerate(r.coeffs) if c)
-                    nc[index[k]] += 2
+            for k in imaginary:
+                if self.root_grading((0, members[0]), k):
+                    coeffs = self.rd.positive_roots[k].coeffs
+                    nc[index[next(i for i, c in enumerate(coeffs) if c)]] += 2
             bits = dict(zip(basis, member_points[0]))
             iota = tuple(
                 self._iota_tag(bits, f, rng) for f, rng in zip(self.lt.factors, self._factor_ranges)
@@ -1006,7 +1004,7 @@ class InnerClass:
         n = self.rd.rank
         # the rows of 1 - theta are the columns of 1 - theta*
         gens = lin.mat_sub(lin.identity(n), lin.transpose(self.lattice(inv).theta_star))
-        gens += tuple(root.covec for root in self.roots(self.table.real_roots(inv)))
+        gens += tuple(self.rd.positive_roots[k].covec for k in self.table.real_roots(inv))
         sf = lin.smith_form(gens, ncols=n)
         if any(d > 2 for d in sf.diag):
             raise RuntimeError("the component group is not an elementary abelian 2-group")

@@ -277,20 +277,3 @@ def row_hnf(a: Matrix) -> Matrix:
                 rows[i] = [x - c * y for x, y in zip(rows[i], rows[top])]
         top += 1
     return freeze(rows[:top])
-
-
-def mat_inverse_rational(a: Matrix) -> tuple[Matrix, int]:
-    """Inverse of a square integer matrix as (numerator matrix, denominator).
-
-    With the Smith form, a^-1 = vinv diag^-1 uinv.  The divisors divide
-    one another and vinv, uinv are unimodular, so k a^-1 is integral
-    exactly when the last divisor divides k: it is the least denominator.
-    Raises ValueError if the matrix is singular.
-    """
-    n = len(a)
-    sf = smith_form(a, ncols=n)
-    if sf.rank < n:
-        raise ValueError("singular matrix")
-    den = sf.diag[-1] if n else 1
-    scaled = freeze([den // d * x for x in row] for d, row in zip(sf.diag, sf.uinv))
-    return mat_mul(sf.vinv, scaled), den

@@ -389,18 +389,6 @@ def arms(joint: int, adj: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def simple_basis(positives: list[Root]) -> list[Root]:
-    """Indecomposable members of a closed set of positive roots."""
-    vecs = {r.vec for r in positives}
-    return [
-        r for r in positives
-        if not any(
-            g.vec != r.vec and lin.vec_sub(r.vec, g.vec) in vecs
-            for g in positives
-        )
-    ]
-
-
 def _component_functionals(lt: LieType, cs: CenterStructure) -> list[lin.Vector]:
     """Integer rows evaluating each center component on a character.
 
@@ -422,14 +410,14 @@ def _component_functionals(lt: LieType, cs: CenterStructure) -> list[lin.Vector]
         elif comp.order > 1:
             if f.letter == "D" and f.rank % 2 == 0:
                 # Two order-2 components, dual to the last two fundamental
-                # coweights in that order.
-                local = f.rank - 2 + slot
-                inv, den = lin.mat_inverse_rational(cartan_matrix(f.letter, f.rank))
-                for j in range(f.rank):
-                    val = 2 * inv[j][local]
-                    if val % den:
-                        raise RuntimeError("a half-spin coweight is not integral")
-                    row[off + j] = val // den
+                # coweights in that order: the row x solves C x = 2 e_k,
+                # C the Cartan matrix and k = rank - 2 + slot.
+                two_e = [0] * f.rank
+                two_e[f.rank - 2 + slot] = 2
+                x = lin.solve_int(lin.smith_form(cartan_matrix(f.letter, f.rank)), tuple(two_e))
+                if x is None:
+                    raise RuntimeError("a half-spin coweight is not integral")
+                row[off:off + f.rank] = x
             else:
                 ct = lin.transpose(cartan_matrix(f.letter, f.rank))
                 sf = lin.smith_form(ct)

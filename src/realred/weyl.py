@@ -13,6 +13,9 @@ the twisted length and the status of every simple root for free.  Each
 involution is stored as the bytes of its 2N root images (2N <= 240
 under the rank-8 cap), composed by bytes.translate, and the status
 rows as flat arrays.
+A root subsystem is a list of positive-root indices; its simple roots
+are read off the reflections (InvolutionTable.simple_basis), so it too
+serves every isogeny.
 The twisted-conjugacy classes are the components of the graph of complex
 cross actions, and each class's canonical member is reached by a walk
 along them, not by a scan of the class.  Lattice matrices of involutions
@@ -27,7 +30,7 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from . import lin
-from .rootdata import Factor, InputError, LieType, Root, RootDatum, arms, components, simple_basis
+from .rootdata import Factor, InputError, LieType, RootDatum, arms, components
 
 INCOMPATIBLE = "sorry, that inner class is not compatible with the weight lattice"
 
@@ -238,12 +241,13 @@ def inner_class_involution(letters: str, rd: RootDatum, lt: LieType) -> InnerCla
     if rd.basis == lin.identity(n):
         delta = delta_sc
     else:
+        # basis^T delta = delta_sc basis^T, one column of delta at a time
         bt = lin.transpose(rd.basis)
-        num, den = lin.mat_inverse_rational(bt)
-        cand = lin.mat_mul(lin.mat_mul(num, delta_sc), bt)
-        if any(x % den for row in cand for x in row):
+        sf = lin.smith_form(bt)
+        cols = [lin.solve_int(sf, col) for col in lin.transpose(lin.mat_mul(delta_sc, bt))]
+        if None in cols:
             raise InputError(INCOMPATIBLE)
-        delta = lin.freeze([[x // den for x in row] for row in cand])
+        delta = lin.transpose(cols)
     if lin.mat_mul(delta, delta) != lin.identity(n):
         raise RuntimeError("the inner-class involution does not square to 1")
     for i, p in enumerate(perm):
@@ -438,18 +442,30 @@ class InvolutionTable:
         npos = len(self.reflections)
         return [k for k in range(npos) if theta[k] == k + npos]
 
+    def simple_basis(self, ks: Sequence[int]) -> list[int]:
+        """Simple roots of the subsystem on the positive roots ks, in input order.
+
+        A root of ks is simple exactly when its reflection sends every other
+        root of ks to a positive root: the count it sends to negative roots
+        is its length in the subsystem's Weyl group, 1 only when simple.
+        """
+        npos = len(self.reflections)
+        return [k for k in ks if all(self.reflections[k][m] < npos for m in ks if m != k)]
+
     def imaginary_basis(self, i: int) -> list[int]:
         """Simple basis of the imaginary root subsystem.
 
         Ordered by height, with height-one roots in simple-root index
         order.
         """
-        def key(r: Root):
-            h = sum(r.coeffs)
-            return (h, r.coeffs.index(1) if h == 1 else -1, r.coeffs)
+        pos = self.rd.positive_roots
 
-        roots = [self.rd.positive_roots[k] for k in self.imaginary_roots(i)]
-        return [self.rd.root_index[r.vec] for r in sorted(simple_basis(roots), key=key)]
+        def key(k: int):
+            c = pos[k].coeffs
+            h = sum(c)
+            return (h, c.index(1) if h == 1 else -1, c)
+
+        return sorted(self.simple_basis(self.imaginary_roots(i)), key=key)
 
     def _two_rho_pairings(self, roots: list[int]) -> list[int]:
         """Pairings of the sum of the given positive roots with the simple coroots."""

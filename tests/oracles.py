@@ -3,14 +3,16 @@
 Most references were once the library's own algorithm, and the commit
 that replaced it in the library moved it here; the rest are brute-force
 checks written with the commit named.  ``git show <commit>`` gives the
-change and its CHANGES.md entry.
+change and its CHANGES.md entry; a commit written ``abc1234+`` is the
+child of abc1234.
 
-=====================================  =======  ===========================================
+=====================================  ======== ==========================================
 reference                              commit   compared in
-=====================================  =======  ===========================================
+=====================================  ======== ==========================================
 reference_f2_rank                      56363da  test_lin: test_f2_rank,
                                                 test_odd_divisors_match_f2_reference
-reference_mat_inverse_rational         56363da  test_lin: test_mat_inverse_rational
+reference_mat_inverse_rational         56363da  none: 2bf5db0+ deleted lin.mat_inverse_rational;
+                                                the inverse in weyl_matrix and reference_to_ad
 reference_word_from_matrix             fb8e621  test_weyl: test_normal_form_matches_matrix_reference
 reference_normal_form_word             fb8e621  test_weyl: test_normal_form_matches_matrix_reference,
                                                 test_table_words_match_matrix_reference;
@@ -43,11 +45,12 @@ reference_adjoint_context              e69b722  test_involution:
                                                 test_weak_forms_and_partitions_match_the_adjoint_context
 reference_to_ad                        e69b722  (as above)
 reference_component_rank               33c6dad  test_involution: test_component_rank_matches_kernel_reference
+reference_simple_basis                 2bf5db0+ test_weyl: test_simple_basis_matches_vector_reference
 reference_real_weyl                    1b732b9  test_cartan: test_real_weyl_matches_enumeration_reference
 brute_force_hasse                      cada698  test_cartan: test_hasse_matches_brute_force
 reference_kgb                          1031314  test_kgb: test_kgb_matches_two_pass_reference,
                                                 test_kgb_matches_two_pass_reference_at_every_seed_orbit
-=====================================  =======  ===========================================
+=====================================  ======== ==========================================
 
 The other functions here are the helpers these need, and exact
 matrices and closures that tests check the library's values against:
@@ -67,9 +70,7 @@ from realred import lin, rootdata
 from realred.cartan import RealWeylDecomposition, _complex_factor, system_type
 from realred.involution import InnerClass, RankDecomposition, StrongX, inner_class
 from realred.kgb import KGB, KGBElement, seed_orbit
-from realred.rootdata import (
-    LieType, adjoint_generators, build_root_datum, center_structure, simple_basis,
-)
+from realred.rootdata import LieType, Root, adjoint_generators, build_root_datum, center_structure
 from realred.weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL, piece_chain, word_from_matrix
 
 
@@ -167,7 +168,7 @@ def coreflections(rd: rootdata.RootDatum) -> tuple[lin.Matrix, ...]:
 
 @cache
 def _cartan_inverse(cartan: lin.Matrix) -> tuple[lin.Matrix, int]:
-    return lin.mat_inverse_rational(cartan)
+    return reference_mat_inverse_rational(cartan)
 
 
 def weyl_matrix(rd, images: tuple[int, ...]) -> lin.Matrix:
@@ -545,7 +546,7 @@ def reference_x_key(ic, x):
     n = ic.rd.rank
     sf = lin.smith_form(lin.mat_sub(lin.identity(n), ic.lattice(inv).theta_star), ncols=n)
     s = lin.mat_vec(sf.uinv, t)
-    return (inv, tuple(0 if sf.diag[i] else s[i] % ic.denom for i in range(n)))
+    return (inv, tuple(s[i] % ic.denom for i in range(sf.rank, n)))
 
 
 def reference_inverse_cayley(ic, j, x):
@@ -696,7 +697,7 @@ def reference_adjoint_context(ic):
 def reference_to_ad(ic, ad, t):
     """Image of the cocharacter t / ic.denom in the adjoint context, over ad.denom."""
     pair = tuple(lin.vec_dot(a, t) for a in ic.rd.simple_roots)
-    mat, den = lin.mat_inverse_rational(lin.freeze(list(ad.rd.simple_roots)))
+    mat, den = reference_mat_inverse_rational(lin.freeze(list(ad.rd.simple_roots)))
     scale = den * ic.denom
     out = []
     for v in lin.mat_vec(mat, pair):
@@ -736,10 +737,23 @@ def reference_component_rank(ic, form):
     if not twos:
         return 0
     bits = []
-    for root in ic.roots(ic.table.real_roots(inv)):
-        z = lin.mat_vec(sf.uinv, in_kernel_coords(root.covec))
+    for k in ic.table.real_roots(inv):
+        z = lin.mat_vec(sf.uinv, in_kernel_coords(ic.rd.positive_roots[k].covec))
         bits.append([z[i] % 2 for i in twos])
     return len(twos) - reference_f2_rank(lin.freeze(bits))
+
+
+# -- root subsystems ----------------------------------------------------------
+
+
+def reference_simple_basis(positives: list[Root]) -> list[Root]:
+    """Indecomposable members of a closed set of positive roots, by
+    vector subtraction: the reference for InvolutionTable.simple_basis."""
+    vecs = {r.vec for r in positives}
+    return [
+        r for r in positives
+        if not any(g.vec != r.vec and lin.vec_sub(r.vec, g.vec) in vecs for g in positives)
+    ]
 
 
 # -- real Weyl groups by listing W_i ----------------------------------------
@@ -764,7 +778,7 @@ def _a_group_data(ic, x, wi, wic_basis):
     size = len(ic.rd.roots)
     key = ic.x_key(x)
     stab = [(w, p) for w, p in wi if ic.x_key(cross_word(ic, w, x)) == key]
-    wic_gens = [table.reflections[ic.rd.root_index[r.vec]] for r in wic_basis]
+    wic_gens = [table.reflections[k] for k in wic_basis]
     wic = _weyl_closure(wic_gens, size)
     assert wic <= {p for _, p in stab}
     count, extra = divmod(len(stab), len(wic))
@@ -797,14 +811,13 @@ def reference_real_weyl(ic, form, cartan):
         if ic.real_form_of(x) == form
     ]
     x = reps[0]
-    imaginary = ic.roots(table.imaginary_roots(inv))
-    real = ic.roots(table.real_roots(inv))
-    compact = [r for r in imaginary if not ic.root_grading(x, r)]
+    imaginary = table.imaginary_roots(inv)
+    real = table.real_roots(inv)
+    compact = [k for k in imaginary if not ic.root_grading(x, k)]
     side, side_pairs = _complex_factor(ic, inv)
     complex_gens = []
     for first, second in side_pairs:
-        s1 = table.reflections[rd.root_index[first.vec]]
-        s2 = table.reflections[rd.root_index[second.vec]]
+        s1, s2 = table.reflections[first], table.reflections[second]
         complex_gens.append(word_from_matrix(table, tuple(map(s1.__getitem__, s2))))
     complex_gens.sort(key=lambda w: (len(w), w))
     wi_gens = [table.reflections[k] for k in table.imaginary_basis(inv)]
@@ -812,24 +825,20 @@ def reference_real_weyl(ic, form, cartan):
         (word_from_matrix(table, p), p)
         for p in _weyl_closure(wi_gens, len(rd.roots))
     ]
-    wic_basis = simple_basis(compact)
+    wic_basis = table.simple_basis(compact)
     a_rank, a_gens = _a_group_data(ic, x, wi, wic_basis)
     for y in reps[1:]:
-        other = [r for r in imaginary if not ic.root_grading(y, r)]
-        assert _a_group_data(ic, y, wi, simple_basis(other))[0] == a_rank
+        other = [k for k in imaginary if not ic.root_grading(y, k)]
+        assert _a_group_data(ic, y, wi, table.simple_basis(other))[0] == a_rank
     return RealWeylDecomposition(
-        complex_type=system_type(side),
+        complex_type=system_type(table, side),
         a_rank=a_rank,
-        compact_type=system_type(compact),
-        real_type=system_type(real),
+        compact_type=system_type(table, compact),
+        real_type=system_type(table, real),
         complex_generators=tuple(complex_gens),
         a_generators=a_gens,
-        compact_generators=tuple(
-            table.reflection_word(rd.root_index[r.vec]) for r in wic_basis
-        ),
-        real_generators=tuple(
-            table.reflection_word(rd.root_index[r.vec]) for r in simple_basis(real)
-        ),
+        compact_generators=tuple(table.reflection_word(k) for k in wic_basis),
+        real_generators=tuple(table.reflection_word(k) for k in table.simple_basis(real)),
     )
 
 
@@ -847,7 +856,7 @@ def brute_force_hasse(ic, form):
                 if c not in nodes:
                     nodes.append(c)
                 for k in table.imaginary_roots(inv):
-                    if ic.root_grading(x, ic.rd.positive_roots[k]):
+                    if ic.root_grading(x, k):
                         edges.add((c, table.class_of[table.cayley(inv, k)]))
     return tuple(nodes), tuple(sorted(edges))
 

@@ -20,7 +20,7 @@ from realred.cartan import (
     weyl_order,
 )
 from realred.kgb import generate_kgb
-from realred.rootdata import InputError, Root, build_root_datum, parse_lie_type
+from realred.rootdata import InputError
 
 from contexts import RECORD_GROUPS, SMALL_TYPES, context, quasisplit
 from digest_outputs import GROUPS
@@ -39,21 +39,19 @@ def decompositions(ic):
 
 
 def test_system_type_rank_two_double_bond_is_b2():
-    rd = build_root_datum(parse_lie_type("C2"), ())
-    assert system_type(rd.positive_roots) == "B2"
+    table = context("C2", "s").table
+    assert system_type(table, range(len(table.reflections))) == "B2"
 
 
 def test_system_type_orthogonal_pair_is_a1_a1():
-    # shape of the rank-two even orthogonal system
-    d2 = [
-        Root((1, -1), (1, -1), (1, 0)),
-        Root((1, 1), (1, 1), (0, 1)),
-    ]
-    assert system_type(d2) == "A1.A1"
+    # the long roots of C2, of the shape of the rank-two even orthogonal system
+    table = context("C2", "s").table
+    long = [k for k, r in enumerate(table.rd.positive_roots) if r.coeffs in ((0, 1), (2, 1))]
+    assert system_type(table, long) == "A1.A1"
 
 
 def test_system_type_empty():
-    assert system_type([]) == ""
+    assert system_type(context("C2", "s").table, []) == ""
 
 
 def test_weyl_order():
@@ -361,7 +359,7 @@ def assert_orbit_sizes_from_types(ic):
     """Each class has |W| / (|W_i| |W_r| |W_C|) members, read off its
     imaginary, real and complex types (W^theta = (W_i x W_r) x| W_C^theta),
     and the classes fill the table."""
-    full = weyl_order(system_type(ic.rd.positive_roots))
+    full = weyl_order(system_type(ic.table, range(len(ic.rd.positive_roots))))
     sizes = []
     for c, ids in enumerate(ic.table.classes):
         cc = cartan_class(ic, c)
@@ -439,11 +437,11 @@ def test_compact_type_is_constant_on_each_orbit(text, letters, kernel):
     # real_weyl grades the first member of each orbit only
     ic = context(text, letters, kernel)
     for c in range(len(ic.table.classes)):
-        imaginary = ic.roots(ic.table.imaginary_roots(ic.table.canonical_member(c)))
+        imaginary = ic.table.imaginary_roots(ic.table.canonical_member(c))
         for o in ic.cartan_orbits(c):
             types = {
                 tuple(sorted(system_type(
-                    [r for r in imaginary if not ic.root_grading(x, r)]
+                    ic.table, [k for k in imaginary if not ic.root_grading(x, k)]
                 ).split(".")))
                 for x in o.members
             }
@@ -516,8 +514,10 @@ def test_real_weyl_sl4c():
     # the complex factor keeps the component of each theta pair whose
     # basis comes first in the positive-root numbering
     side, pairs = _complex_factor(ic, ic.table.canonical_member(0))
-    assert [ic.rd.positive_roots.index(b) for b in side] == [0, 1, 2]
-    assert [(a.coeffs.index(1), b.coeffs.index(1)) for a, b in pairs] == [(5, 2), (4, 1), (3, 0)]
+    pos = ic.rd.positive_roots
+    assert side == [0, 1, 2]
+    assert [(pos[a].coeffs.index(1), pos[b].coeffs.index(1)) for a, b in pairs] == \
+        [(5, 2), (4, 1), (3, 0)]
 
 
 def test_real_weyl_spin88_three_pair_class():
@@ -544,7 +544,7 @@ def test_real_weyl_compact_form_is_full_weyl_group():
         dec = real_weyl(ic, 0, 0)
         assert dec.a_rank == 0
         assert dec.complex_type == "" and dec.real_type == ""
-        assert dec.order == weyl_order(system_type(ic.rd.positive_roots))
+        assert dec.order == weyl_order(system_type(ic.table, range(len(ic.rd.positive_roots))))
 
 
 def test_real_weyl_compact_e6_every_cartan():
@@ -573,7 +573,7 @@ def test_kgb_over_each_cartan_is_w_over_real_weyl(text, letter, kernel):
     # K-orbits of pairs (H, B) with H in one Cartan class c number
     # |W| / |W(K,H_c)| (Matsuki, Richardson-Springer)
     ic = context(text, letter, kernel)
-    full = weyl_order(system_type(ic.rd.positive_roots))
+    full = weyl_order(system_type(ic.table, range(len(ic.rd.positive_roots))))
     for form in range(len(ic.real_forms)):
         elements = generate_kgb(ic, form).elements
         cartans = ic.form_cartans(form)

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from realred import lin
 
-from oracles import det, reference_f2_rank, reference_mat_inverse_rational
+from oracles import det, reference_f2_rank
 
 
 def random_matrix(rng: random.Random, m: int, n: int) -> lin.Matrix:
@@ -153,30 +151,6 @@ def test_det() -> None:
     assert det(((2, 0), (0, 3))) == 6
     assert det(((1, 2), (2, 4))) == 0
     assert det(((0, 1), (1, 0))) == -1
-
-
-def test_mat_inverse_rational() -> None:
-    rng = random.Random(77)
-    found = 0
-    while found < 40:
-        n = rng.randint(1, 4)
-        a = random_matrix(rng, n, n)
-        if det(a) == 0:
-            continue
-        found += 1
-        # the Smith divisors of 2a are all even, so their product is more
-        # than the least denominator, the last of them
-        for a in (a, lin.freeze([[2 * x for x in row] for row in a])):
-            num, den = lin.mat_inverse_rational(a)
-            prod = lin.mat_mul(a, num)
-            assert prod == lin.freeze(
-                [[den if i == j else 0 for j in range(n)] for i in range(n)]
-            )
-            # the least denominator, as the Fraction reference finds it
-            assert (num, den) == reference_mat_inverse_rational(a)
-    assert lin.mat_inverse_rational(()) == ((), 1) == reference_mat_inverse_rational(())
-    with pytest.raises(ValueError):
-        lin.mat_inverse_rational(((1, 2), (2, 4)))
 
 
 def test_vector_helpers() -> None:

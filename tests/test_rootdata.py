@@ -16,6 +16,7 @@ from realred.rootdata import (
     parse_kernel_generator,
     parse_lie_type,
 )
+from realred.weyl import InvolutionTable
 
 from contexts import root_datum
 from oracles import coreflections, det, reflections
@@ -191,7 +192,9 @@ def test_root_index_signs() -> None:
     ("B2.A3", "A3.B2"),
 ])
 def test_subsystem_classifier_full_systems(text: str, expected: str) -> None:
-    assert system_type(root_datum(text).positive_roots) == expected
+    rd = root_datum(text)
+    table = InvolutionTable(rd, tuple(range(rd.semisimple_rank)))
+    assert system_type(table, range(len(rd.positive_roots))) == expected
 
 
 def test_dual_is_involutive() -> None:

@@ -24,9 +24,9 @@ from realred.weyl import (
     word_from_matrix,
 )
 
-from contexts import involution, walk_from_corrupted_row
+from contexts import RECORD_GROUPS, context, involution, walk_from_corrupted_row
 from oracles import (
-    as_permutation, reference_classes, reference_normal_form_word,
+    as_permutation, reference_classes, reference_normal_form_word, reference_simple_basis,
     reference_strip_normal_form_word, reference_table, reference_word_from_matrix, reflections,
     vector_reflections, weyl_closure, weyl_images, weyl_matrix,
 )
@@ -547,3 +547,31 @@ def test_torus_only():
     assert len(table) == 1
     assert table.classes == ((0,),)
     assert table.word(0) == ()
+
+
+# -- root subsystems --------------------------------------------------------
+
+
+@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def test_simple_basis_matches_vector_reference(text, letters, kernel):
+    # the imaginary, real, complex-free and every compact subsystem at
+    # every involution; the reference subtracts this context's root vectors
+    ic = context(text, letters, kernel)
+    table, rd = ic.table, ic.rd
+    npos = len(rd.positive_roots)
+    for inv in range(len(table)):
+        theta = table.thetas[inv]
+        imaginary, real = table.imaginary_roots(inv), table.real_roots(inv)
+        rho_i, rho_r = rd.coroot_sum(imaginary), rd.coroot_sum(real)
+        free = [
+            k for k, r in enumerate(rd.positive_roots)
+            if theta[k] % npos != k
+            and not lin.vec_dot(r.vec, rho_i) and not lin.vec_dot(r.vec, rho_r)
+        ]
+        systems = {tuple(imaginary), tuple(real), tuple(free)}
+        for sq in ic.square_classes:
+            for t in ic.fiber_elements(inv, sq.key):
+                systems.add(tuple(k for k in imaginary if not ic.root_grading((inv, t), k)))
+        for ks in systems:
+            expected = reference_simple_basis([rd.positive_roots[k] for k in ks])
+            assert table.simple_basis(ks) == [rd.root_index[r.vec] for r in expected]
