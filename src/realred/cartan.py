@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import lin
 from .involution import FiberOrbit, InnerClass, RankDecomposition, StrongOrbit, strong_orbits
 from .rootdata import InputError, arms, components
-from .weyl import InvolutionTable, word_from_matrix
+from .weyl import InvolutionTable, compose, word_from_matrix
 
 
 # -- root subsystem classification --------------------------------------
@@ -280,7 +280,7 @@ def _a_generators(
     table = ic.table
     gens = [table.reflections[k] for k in table.imaginary_basis(orbit.members[0][0])]
     npos = len(table.reflections)
-    one = tuple(range(2 * npos))
+    one = bytes(range(2 * npos))
     # transversal of the orbit from its first member, and the inverses of its elements
     tr = {0: (one, one)}
     queue = [0]
@@ -288,7 +288,7 @@ def _a_generators(
         t, t_inv = tr[m]
         for row, g in zip(orbit.moves, gens):
             if row[m] not in tr:
-                tr[row[m]] = (tuple([g[s] for s in t]), tuple([t_inv[s] for s in g]))
+                tr[row[m]] = (compose(g, t), compose(t_inv, g))
                 queue.append(row[m])
     if len(tr) != len(orbit.members):
         raise RuntimeError("the cached moves do not connect the orbit")
@@ -296,16 +296,16 @@ def _a_generators(
     for m, (t, _) in tr.items():
         for row, g in zip(orbit.moves, gens):
             back = tr[row[m]][1]
-            w = tuple([back[g[s]] for s in t])
+            w = compose(back, compose(g, t))
             while (k := next((k for k in compact_ks if w[k] >= npos), None)) is not None:
-                w = tuple([w[s] for s in table.reflections[k]])
+                w = compose(w, table.reflections[k])
             a_gens.add(w)
     group = {one}
     frontier = {one}
     while frontier:
-        frontier = {tuple([g[s] for s in w]) for w in frontier for g in a_gens} - group
+        frontier = {compose(g, w) for w in frontier for g in a_gens} - group
         group |= frontier
-    if any(tuple([w[s] for s in w]) != one for w in group):
+    if any(compose(w, w) != one for w in group):
         raise RuntimeError("A is not an elementary abelian 2-group")
     a_words = []
     span = {one}
@@ -313,7 +313,7 @@ def _a_generators(
     for word in sorted(by_word, key=lambda w: (len(w), w)):
         if (g := by_word[word]) not in span:
             a_words.append(word)
-            span |= {tuple([g[s] for s in v]) for v in span}
+            span |= {compose(g, v) for v in span}
     return tuple(a_words)
 
 
@@ -367,7 +367,7 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     complex_gens = []
     for first, second in side_pairs:
         s1, s2 = table.reflections[first], table.reflections[second]
-        complex_gens.append(word_from_matrix(table, tuple([s1[s] for s in s2])))
+        complex_gens.append(word_from_matrix(table, compose(s1, s2)))
     complex_gens.sort(key=lambda w: (len(w), w))
     compact_ks = table.simple_basis(compact)
     a_words = _a_generators(ic, orbits[0], compact_ks)

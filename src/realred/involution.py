@@ -457,7 +457,9 @@ class InnerClass:
 
         x = (i, t) is keyed by t paired with a Z-basis of the characters
         fixed by theta_i (InvolutionLattice.minus), mod denom.  It is
-        linear in t.
+        linear in t.  KGB ids sort by these keys, so they depend on this
+        very basis, the Smith uinv rows: with lin.row_hnf of the same rows,
+        23 of 109 ids move in split D4 and 17 of 45 in split C3.
         """
         inv, t = x
         rows = self.lattice(inv).minus[1]

@@ -1,18 +1,17 @@
 """Weyl group words, inner-class involutions, and twisted involutions.
 
 Roots are numbered as in RootDatum.roots: positive root k is k and its
-negative is N + k.  A Weyl element is the permutation of these 2N
-indices that it induces, and so is a twisted involution theta = w.delta.
+negative is N + k.  A Weyl element, and so a twisted involution
+theta = w.delta, has one form: the bytes of its 2N root images (2N <=
+240 under the rank-8 cap), composed by compose, one bytes.translate.
 Those permutations depend only on the Cartan matrix and the diagram
 permutation of delta, so one table serves every isogeny of a Coxeter
 datum.  Reduced words come from one walk (_walk) on the n pairings of
 w(2 rho) with the simple coroots, read off w once.  The table
 enumerates all twisted involutions breadth-first, walking ascents only
 and keying each involution by its simple-root images; the search yields
-the twisted length and the status of every simple root for free.  Each
-involution is stored as the bytes of its 2N root images (2N <= 240
-under the rank-8 cap), composed by bytes.translate, and the status
-rows as flat arrays.
+the twisted length and the status of every simple root for free.  Its
+loop alone keeps translate tables of its own (see InvolutionTable).
 A root subsystem is a list of positive-root indices; its simple roots
 are read off the reflections (InvolutionTable.simple_basis), so it too
 serves every isogeny.
@@ -40,6 +39,11 @@ COMPLEX_UP = "+"
 COMPLEX_DOWN = "-"
 
 
+def compose(a: bytes, b: bytes) -> bytes:
+    """a.b, with (a.b)[x] = a[b[x]]; b may also be any bytes of root indices."""
+    return b.translate(a.ljust(256, b"\0"))
+
+
 def _walk(cartan: lin.Matrix, pairing: list[int], js: Sequence[int]) -> list[int]:
     """Reflects pairing, the <v, alpha_k^v> of some v, in place at the
     first j in js with pairing[j] < 0 until none is left; returns the j."""
@@ -61,18 +65,19 @@ def _reflect_pairing(cartan: lin.Matrix, pairing: list[int], j: int) -> None:
         pairing[k] -= c * a
 
 
-def _pairings(table: InvolutionTable, w: tuple[int, ...]) -> list[int]:
+def _pairings(table: InvolutionTable, w: bytes) -> list[int]:
     """<w(2 rho), alpha_j^v> = <2 rho, w^-1 alpha_j^v> per simple j: negative
     exactly at the left descents of w, and, 2 rho being regular, fixing w."""
     return [table.two_rho[w.index(s)] for s in table.simple]
 
 
-def word_from_matrix(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, ...]:
+def word_from_matrix(table: InvolutionTable, w: bytes) -> tuple[int, ...]:
     """Lexicographically least reduced word, by greedy least left descent.
 
-    w is a Weyl element as the permutation of the table's root indices.
-    Each step strips the least left descent j, replacing w by s_j.w,
-    which moves w(2 rho) by s_j (_walk).
+    w is a Weyl element as the bytes of its root images.  Each step strips
+    the least left descent j, replacing w by s_j.w, which moves w(2 rho)
+    by s_j (_walk).  The name is from when w was a matrix; the benchmark's
+    traced pass binds it, and normal_form_word, by name.
     """
     return tuple(_walk(table.rd.cartan, _pairings(table, w), range(len(table.simple))))
 
@@ -102,10 +107,10 @@ def _component_chain(comp: list[int], adj: list[list[int]]) -> list[int]:
     return [tips[1], forks[0], tips[0]] + legs[2]
 
 
-def normal_form_word(table: InvolutionTable, w: tuple[int, ...]) -> tuple[int, ...]:
+def normal_form_word(table: InvolutionTable, w: bytes) -> tuple[int, ...]:
     """Reduced word as a product of minimal parabolic-coset pieces.
 
-    w is a Weyl element as the permutation of the table's root indices.
+    w is a Weyl element as the bytes of its root images.
     Writes w = x_1...x_n with x_k of minimal length in W_{k-1}\\W_k for
     the parabolic chain along piece_chain, then concatenates the least
     words of the pieces, all by walks on the pairings of w(2 rho): the
@@ -260,14 +265,14 @@ class InvolutionTable:
     """All twisted involutions of one Coxeter datum, with derived data.
 
     Records are indexed by discovery order of a breadth-first search
-    from delta; the search depth is the twisted length.  thetas[i] is
-    the i-th involution as a permutation of the root indices, one bytes
-    object of its 2N root images: build_root_datum caps the semisimple
-    rank at 8, so 2N <= 240 (E8) and every image fits in a byte, and the
-    search composes permutations in C with bytes.translate.  index keys
-    each involution by its simple-root images, the bytes of theta[s] for
-    s in simple: theta is linear on the root lattice, so those n images
-    fix the whole permutation.
+    from delta; the search depth is the twisted length.  thetas[i] (the
+    i-th involution), reflections[k] and simple are bytes of root
+    indices (2N <= 240 under the rank-8 cap), composed by compose.  Only
+    the search loop keeps padded translate tables, one per generator and
+    involution: a compose per edge took split E8 from 0.96 to 1.5-2.2 s
+    and D7 s from 0.011 to 0.020 s.  index keys each involution by its
+    simple-root images, compose(theta, simple): theta is linear on the
+    root lattice, so those n images fix the whole permutation.
 
     The search walks ascents only.  From each involution i it follows
     the simple roots j imaginary at i (the Cayley transform s_j.theta)
@@ -289,7 +294,7 @@ class InvolutionTable:
     ids.  status_row(i) is the row view; status(i, j) reads one entry.
     A torus (n = 0) has one empty row per involution.  simple[j] is the
     index of simple root j, and reflections[k] the reflection in positive
-    root k as a permutation: by the vector formula for simple k, and as
+    root k, by the vector formula for simple k, and as
     s_j.reflections[k'].s_j otherwise, with k' = s_j[k] < k.  Such a
     simple j exists for a positive root beta that is not simple, since
     its coroot is a nonnegative sum of simple coroots and pairs to 2 with
@@ -307,7 +312,7 @@ class InvolutionTable:
         # delta permutes the simple-root coordinates of every root
         by_coeffs = {r.coeffs: k for k, r in enumerate(pos)}
         delta = [by_coeffs[tuple(r.coeffs[p] for p in perm)] for r in pos]
-        self.simple = tuple(rd.root_index[a] for a in rd.simple_roots)
+        self.simple = bytes(rd.root_index[a] for a in rd.simple_roots)
         self.reflections = self._conjugated_reflections()
         # two_rho[r] = <2 rho, coroot of root r>, which depends on the Coxeter datum only
         rho2 = [sum(col) for col in zip(*(r.vec for r in pos))]
@@ -316,25 +321,24 @@ class InvolutionTable:
         theta0 = bytes(delta + [k + npos for k in delta])
         self.thetas: list[bytes] = [theta0]
         self.lengths: list[int] = [0]
-        self.index: dict[bytes, int] = {bytes([theta0[s] for s in self.simple]): 0}
+        self.index: dict[bytes, int] = {compose(theta0, self.simple): 0}
         self._words: dict[int, tuple[int, ...]] = {}
         self._reflection_words: dict[int, tuple[int, ...]] = {}
         self._enumerate()
 
-    def _conjugated_reflections(self) -> tuple[tuple[int, ...], ...]:
+    def _conjugated_reflections(self) -> tuple[bytes, ...]:
         rd = self.rd
-        out: list[tuple[int, ...]] = []
+        out: list[bytes] = []
         for k, b in enumerate(rd.positive_roots):
             if k in self.simple:
                 # s_beta v = v - <v, beta^v> beta
-                out.append(tuple(
+                out.append(bytes(
                     rd.root_index[lin.vec_sub(v, lin.vec_scale(b.vec, lin.vec_dot(v, b.covec)))]
                     for v in rd.roots
                 ))
             else:
                 sj = next(out[s] for s in self.simple if out[s][k] < k)
-                conj = out[sj[k]]
-                out.append(tuple([sj[conj[x]] for x in sj]))
+                out.append(compose(sj, compose(out[sj[k]], sj)))
         return tuple(out)
 
     # -- enumeration ---------------------------------------------------
@@ -346,12 +350,12 @@ class InvolutionTable:
         # bytes.translate takes a 256-byte table: a permutation of the 2N
         # root indices, padded
         pad = bytes(256 - 2 * npos)
-        simple = bytes(self.simple)
+        simple = self.simple
         # per simple j: its root s, s_j, s_j padded, and s_j of every simple root
         gens = []
-        for s in self.simple:
-            sj = bytes(self.reflections[s])
-            gens.append((s, sj, sj + pad, simple.translate(sj + pad)))
+        for s in simple:
+            sj = self.reflections[s]
+            gens.append((s, sj, sj + pad, compose(sj, simple)))
         up, down, imaginary, real = (ord(k) for k in (COMPLEX_UP, COMPLEX_DOWN, IMAGINARY, REAL))
         # the flat status rows, one blank row per involution found
         blank_kinds, blank_nbrs = bytearray(n), array("i", [0] * n)
@@ -414,16 +418,13 @@ class InvolutionTable:
 
     def cayley(self, i: int, k: int) -> int:
         """Id of s_k.theta_i, for a positive root k imaginary at i."""
-        sk, theta = self.reflections[k], self.thetas[i]
-        return self.index[bytes([sk[theta[s]] for s in self.simple])]
+        return self.index[compose(self.reflections[k], compose(self.thetas[i], self.simple))]
 
     def word(self, i: int) -> tuple[int, ...]:
         """Displayed reduced word of w = theta.delta, delta being an involution."""
         out = self._words.get(i)
         if out is None:
-            theta = self.thetas[i]
-            w = tuple([theta[s] for s in self.thetas[0]])
-            out = self._words[i] = normal_form_word(self, w)
+            out = self._words[i] = normal_form_word(self, compose(self.thetas[i], self.thetas[0]))
         return out
 
     def reflection_word(self, k: int) -> tuple[int, ...]:

@@ -2,9 +2,10 @@
 
 Most references were once the library's own algorithm, and the commit
 that replaced it in the library moved it here; the rest are brute-force
-checks written with the commit named.  ``git show <commit>`` gives the
-change and its CHANGES.md entry; a commit written ``abc1234+`` is the
-child of abc1234.
+checks written with the commit named, and known tables from outside the
+code, whose row names their source in place of a commit.  ``git show
+<commit>`` gives the change and its CHANGES.md entry; a commit written
+``abc1234+`` is the child of abc1234.
 
 =====================================  ======== ==========================================
 reference                              commit   compared in
@@ -50,6 +51,11 @@ reference_real_weyl                    1b732b9  test_cartan: test_real_weyl_matc
 brute_force_hasse                      cada698  test_cartan: test_hasse_matches_brute_force
 reference_kgb                          1031314  test_kgb: test_kgb_matches_two_pass_reference,
                                                 test_kgb_matches_two_pass_reference_at_every_seed_orbit
+classical_real_forms                   (source) test_involution: test_classical_real_forms;
+                                                source: S. Helgason, Differential Geometry,
+                                                Lie Groups, and Symmetric Spaces, Ch. X,
+                                                Table V; A. W. Knapp, Lie Groups Beyond an
+                                                Introduction, App. C
 =====================================  ======== ==========================================
 
 The other functions here are the helpers these need, and exact
@@ -447,13 +453,21 @@ def reference_rho_check_drop(ic, theta_star):
     return tuple(x // 2 for x in two)
 
 
-def rank_decomposition(theta):
-    """Rank invariants of a lattice involution from fresh Smith forms: the reference."""
+def rank_decomposition(theta, ranks=None):
+    """Rank invariants of a lattice involution from fresh Smith forms: the reference.
+
+    ranks, if given, are the ranks of theta - 1 and theta + 1 from Smith
+    forms the caller has just taken; the F2 rank is always taken here.
+    """
     n = len(theta)
     ident = lin.identity(n)
     c = reference_f2_rank(lin.mat_add(theta, ident))
-    plus = n - lin.smith_form(lin.mat_sub(theta, ident), ncols=n).rank
-    minus = n - lin.smith_form(lin.mat_add(theta, ident), ncols=n).rank
+    if ranks is None:
+        ranks = (
+            lin.smith_form(lin.mat_sub(theta, ident), ncols=n).rank,
+            lin.smith_form(lin.mat_add(theta, ident), ncols=n).rank,
+        )
+    plus, minus = n - ranks[0], n - ranks[1]
     return RankDecomposition(split=minus - c, compact=plus - c, complex_pairs=c)
 
 
@@ -946,3 +960,39 @@ def reference_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
             rep=x,
         ))
     return KGB(form=form, orbit=orbit, elements=tuple(elements))
+
+
+# -- classical real forms, from the classification ---------------------------
+
+
+def _signatures(total: int, parity: int | None = None) -> list[tuple[int, int]]:
+    """(p, q) with p >= q >= 1 and p + q = total; q of the parity, if one is given."""
+    return [(total - q, q) for q in range(1, total // 2 + 1) if parity in (None, q % 2)]
+
+
+def classical_real_forms(letter: str, rank: int, equal_rank: bool) -> list[str]:
+    """Names of the weak real forms of a simple classical inner class, sorted.
+
+    The classical list (see the table above), spelled as the library
+    spells it: p >= q, su(1,1) as sl(2,R), and the two so*(2n) of D_n, n
+    even, told apart by [1,0] and [0,1].  equal_rank is whether the
+    inner class contains the compact form.
+    """
+    n = rank
+    if letter == "A" and not equal_rank:
+        return sorted([f"sl({n + 1},R)"] + ([f"sl({(n + 1) // 2},H)"] if n % 2 else []))
+    if letter == "A":
+        signed = ["sl(2,R)"] if n == 1 else [f"su({p},{q})" for p, q in _signatures(n + 1)]
+        return sorted([f"su({n + 1})"] + signed)
+    if letter == "B":
+        return sorted([f"so({2 * n + 1})"] + [f"so({p},{q})" for p, q in _signatures(2 * n + 1)])
+    if letter == "C":
+        signed = [f"sp({p},{q})" for p, q in _signatures(n)]
+        return sorted([f"sp({n})", f"sp({2 * n},R)"] + signed)
+    if letter != "D":
+        raise ValueError(f"{letter} is not a classical type")
+    if not equal_rank:
+        return sorted(f"so({p},{q})" for p, q in _signatures(2 * n, 1))
+    stars = [f"so*({2 * n})"] if n % 2 else [f"so*({2 * n})[1,0]", f"so*({2 * n})[0,1]"]
+    signed = [f"so({p},{q})" for p, q in _signatures(2 * n, 0)]
+    return sorted([f"so({2 * n})"] + stars + signed)

@@ -21,12 +21,12 @@ from realred.involution import (
 )
 from realred.kgb import generate_kgb
 from realred.rootdata import InputError, build_root_datum, dual_lie_type, parse_lie_type
-from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL
+from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL, parse_units
 
 from contexts import RECORD_GROUPS, SMALL_TYPES, context
 from digest_outputs import CONTEXTS
 from oracles import (
-    coreflections, cross_word, rank_decomposition, reference_adjoint_context,
+    classical_real_forms, coreflections, cross_word, rank_decomposition, reference_adjoint_context,
     reference_central_translates, reference_component_rank, reference_fiber_elements,
     reference_inverse_cayley, reference_normal_form_word, reference_rho_check_drop,
     reference_root_grading, reference_theta_star, reference_to_ad,
@@ -91,6 +91,25 @@ MENUS = {
 def test_real_form_menu(key):
     text, letters, kernel = key
     assert menu(context(text, letters, kernel)) == MENUS[key]
+
+
+@pytest.mark.parametrize("text", [f"A{n}" for n in range(1, 9)] + [
+    f"{letter}{n}" for letter in "BC" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)])
+def test_classical_real_forms(text):
+    letter, rank = text[0], int(text[1:])
+    lt = parse_lie_type(text)
+    # -w0 = 1 exactly for A1, B, C and D of even rank
+    trivial_w0 = letter in "BC" or (letter, rank) == ("A", 1) or (letter == "D" and rank % 2 == 0)
+    for letters in "cesuC":
+        try:
+            parse_units(letters, lt)
+        except InputError:
+            continue
+        equal_rank = letters in "ce" or (letters == "s" and trivial_w0)
+        expected = classical_real_forms(letter, rank, equal_rank)
+        for kernel in ("sc", "ad"):
+            names = sorted(f.name for f in context(text, letters, kernel).real_forms)
+            assert names == expected, (letters, kernel)
 
 
 def test_menu_lines():
@@ -769,8 +788,10 @@ def test_theta_star_and_rho_drop_match_weyl_matrix(text, letters, kernel):
         assert lat.minus == (
             minus.rank, minus.uinv[minus.rank:], minus.diag.count(2), minus.diag.count(1)
         )
-        assert lat.ranks == rank_decomposition(theta)
-        assert lat.plus == lin.smith_form(lin.mat_add(ident, theta), ncols=n)
+        plus = lin.smith_form(lin.mat_add(ident, theta), ncols=n)
+        # 1 - theta and 1 + theta, just reduced, have the ranks of theta -/+ 1
+        assert lat.ranks == rank_decomposition(theta, (minus.rank, plus.rank))
+        assert lat.plus == plus
     # no record depends on which ancestors were cached when it was built
     fresh = context(text, letters, kernel)
     for inv in range(len(fresh.table)):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import copy
+import random
 import time
 import tracemalloc
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realred import lin
 from realred.involution import InnerClass
@@ -18,6 +21,7 @@ from realred.weyl import (
     INCOMPATIBLE,
     REAL,
     InvolutionTable,
+    compose,
     involution_table,
     normal_form_word,
     parse_units,
@@ -315,7 +319,7 @@ def test_table_matches_full_permutation_search(text, letters):
     assert [tuple(t) for t in table.thetas] == thetas
     assert table.lengths == lengths
     assert [table.status_row(i) for i in range(len(table))] == rows
-    assert table.reflections == vector_reflections(table.rd)
+    assert [tuple(r) for r in table.reflections] == list(vector_reflections(table.rd))
 
 
 @pytest.mark.parametrize("text,letters", [
@@ -547,6 +551,31 @@ def test_torus_only():
     assert len(table) == 1
     assert table.classes == ((0,),)
     assert table.word(0) == ()
+
+
+def test_compose_matches_tuple_composition():
+    for text, letters, kernel in RECORD_GROUPS:
+        table = involution_table(involution(text, letters, kernel))
+        npos = len(table.reflections)
+        one = bytes(range(2 * npos))
+        assert isinstance(table.simple, bytes)
+        assert all(isinstance(theta, bytes) for theta in table.thetas)
+        for k, r in enumerate(table.reflections):
+            assert isinstance(r, bytes)
+            assert compose(r, r) == one
+            assert r[k] == k + npos
+
+    # permutations a, b of range(2N), 2N <= 240, and c any few indices
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 240), st.integers(0, 2**32))
+    def check(size, seed):
+        rng = random.Random(seed)
+        a, b = (bytes(rng.sample(range(size), size)) for _ in range(2))
+        c = bytes(rng.choices(range(size), k=rng.randrange(9)))
+        assert tuple(compose(a, b)) == tuple(a[x] for x in b)
+        assert tuple(compose(a, c)) == tuple(a[x] for x in c)
+
+    check()
 
 
 # -- root subsystems --------------------------------------------------------
