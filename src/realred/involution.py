@@ -527,10 +527,10 @@ class InnerClass:
                 keys.append((inv, lin.vec_mod(k, d)))
         if len(gens) != lat.ranks.compact or len(set(keys)) != len(keys):
             raise RuntimeError("fiber size is not 2^(fiber rank)")
-        # every generator g has (1 + theta*) g = 0 mod d, so all squares
-        # agree on integers; only the first is keyed
-        squares = {tuple(v % d for v in self._square_numerators((inv, t))) for t in out}
-        if len(squares) != 1 or \
+        # squares are linear in t: adding g adds (1 + theta*) g, and vec_mod
+        # adds multiples of d; so all squares agree mod d exactly when each
+        # generator has (1 + theta*) g = 0 mod d, and only the first is keyed
+        if any(v % d for g, _ in gens for v in lin.vec_add(g, lin.mat_vec(lat.theta_star, g))) or \
                 self.central_class_key(self._square_numerators((inv, out[0])), d) != key:
             raise RuntimeError("fiber element squares outside its square class")
         out = tuple(out)
@@ -637,25 +637,35 @@ class InnerClass:
         kind, nbr = self.table.status(inv, j)
         if kind != REAL:
             raise ValueError(f"simple root {j} is not real at involution {inv}")
+        first = self._first_inverse_cayley(j, nbr, t)
+        if first is None:
+            return ()
+        d = self.denom
+        av = self.rd.simple_coroots[j]
+        # the offset r/2 + d/2 gives a second key unless (d/2) key(alpha_j^v) = 0
+        if all(d // 2 * b % d == 0 for b in self.x_key((nbr, av))[1]):
+            return (first,)
+        second = (nbr, lin.vec_mod(lin.vec_add(first[1], lin.vec_scale(av, d // 2)), d))
+        if not self.grading(second, j):
+            raise RuntimeError("an inverse Cayley candidate is compact")
+        return first, second
+
+    def _first_inverse_cayley(self, j: int, nbr: int, t: lin.Vector) -> StrongX | None:
+        """The inverse Cayley candidate at offset r/2 through the real
+        simple root j, from torus part t to involution nbr, or None when r
+        is odd (inverse_cayley).  Keys nothing; raises RuntimeError when
+        the candidate is compact.
+        """
         d = self.denom
         base = self._reflect(j, t)
         r = (d // 2 - lin.vec_dot(self.rd.simple_roots[j], base)) % d
         if r % 2:
-            return ()
+            return None
         av = self.rd.simple_coroots[j]
-        key_av = self.x_key((nbr, av))[1]
-        out = []
-        seen = set()
-        for c in (r // 2, r // 2 + d // 2):
-            k = tuple(c * b % d for b in key_av)
-            if k in seen:
-                continue
-            seen.add(k)
-            cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-            if not self.grading(cand, j):
-                raise RuntimeError("an inverse Cayley candidate is compact")
-            out.append(cand)
-        return tuple(out)
+        cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, r // 2)), d))
+        if not self.grading(cand, j):
+            raise RuntimeError("an inverse Cayley candidate is compact")
+        return cand
 
     # -- weak real forms --------------------------------------------------
 
@@ -877,8 +887,9 @@ class InnerClass:
         Each step lowers the twisted length by one.  It is the cross
         action of the first simple root that is a complex descent, when
         the status row has one, and costs one cross action.  Otherwise it
-        is the first valid inverse Cayley transform through a real simple
-        root, in index order; each try keys only the coroot alpha_j^v.
+        is the first inverse Cayley candidate, at offset r/2, through the
+        first real simple root that has one (inverse_cayley).  The descent
+        keys nothing until the base, where one x_key finds the orbit.
         The form does not depend on the path: cross actions and Cayley
         transforms preserve the weak real form, so every point of any path
         has the form of x, and the base point it ends at lies in a
@@ -893,10 +904,11 @@ class InnerClass:
                 x = self.cross(down, x)
             else:
                 for j in js:
-                    if table.status(inv, j)[0] == REAL:
-                        cands = self.inverse_cayley(j, x)
-                        if cands:
-                            x = cands[0]
+                    kind, nbr = table.status(inv, j)
+                    if kind == REAL:
+                        cand = self._first_inverse_cayley(j, nbr, x[1])
+                        if cand is not None:
+                            x = cand
                             break
                 else:
                     raise RuntimeError("strong involution admits no descent")

@@ -7,9 +7,12 @@ actions and by Cayley transforms through noncompact imaginary simple
 roots.  Ids are assigned by (length, Cartan class, canonical key), where
 length is the twisted length of the element's twisted involution
 (InvolutionTable.lengths): complex cross actions move it by one, Cayley
-transforms raise it by one, and other cross actions keep it.  Each cross
-action and Cayley transform is computed once, in the discovery pass,
-which records the edges by key; the ids only relabel them.
+transforms raise it by one, and other cross actions keep it.  W acts on
+KGB, so s_j is an involution: the discovery pass computes each unordered
+cross edge once and fills it back at its far end, and leaves fixed
+points unkeyed (a cross image equal to its source, as at every compact
+imaginary root, takes the source's key).  It computes each Cayley
+transform once and records the edges by key; the ids only relabel them.
 """
 
 from __future__ import annotations
@@ -76,20 +79,26 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
 
     One breadth-first pass: each element records its status letters and
     the keys of its cross and Cayley images as the search meets them;
-    ids replace the keys once the elements are sorted.
+    ids replace the keys once the elements are sorted.  Each unordered
+    cross edge is computed once; fixed points are unkeyed.  W acts on
+    KGB, so s_j is an involution: y = cross_j(x) has x as its j-th cross
+    image, recorded when y is met and not recomputed when y is processed.
     """
     orbit = seed_orbit(ic, form, orbit)
     table = ic.table
     js = range(len(table.simple))
 
     reps: dict[tuple, StrongX] = {}
-    edges: dict[tuple, tuple[tuple[str, ...], list, list]] = {}
+    # the keys of each element's cross images, filled in from both ends
+    crosses: dict[tuple, list] = {}
+    edges: dict[tuple, tuple[tuple[str, ...], list]] = {}
     queue: deque[tuple] = deque()
 
     def record(y: StrongX) -> tuple:
         key = ic.x_key(y)
         if key not in reps:
             reps[key] = y
+            crosses[key] = [None] * len(js)
             queue.append(key)
         return key
 
@@ -99,14 +108,21 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     while queue:
         key = queue.popleft()
         x = reps[key]
-        statuses, cross, cayley = [], [], []
+        cross = crosses[key]
+        statuses, cayley = [], []
         for j in js:
             kind = table.status(x[0], j)[0]
-            cross.append(record(ic.cross(j, x)))
+            if cross[j] is None:
+                y = ic.cross(j, x)
+                if y == x:
+                    cross[j] = key
+                else:
+                    cross[j] = k = record(y)
+                    crosses[k][j] = key
             noncompact = kind == IMAGINARY and ic.grading(x, j)
             statuses.append("n" if noncompact else _LETTER[kind])
             cayley.append(record(ic.cayley(j, x)) if noncompact else None)
-        edges[key] = (tuple(statuses), cross, cayley)
+        edges[key] = (tuple(statuses), cayley)
 
     order = sorted(
         reps,
@@ -119,8 +135,8 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
             length=table.lengths[key[0]],
             cartan=table.class_of[key[0]],
             statuses=edges[key][0],
-            cross=tuple(ids[k] for k in edges[key][1]),
-            cayley=tuple(None if k is None else ids[k] for k in edges[key][2]),
+            cross=tuple(ids[k] for k in crosses[key]),
+            cayley=tuple(None if k is None else ids[k] for k in edges[key][1]),
             word=table.word(key[0]),
             rep=reps[key],
         )

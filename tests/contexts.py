@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 
-from realred.involution import inner_class
+from realred.involution import InvolutionLattice, inner_class
 from realred.rootdata import (
     adjoint_generators,
     build_root_datum,
@@ -76,3 +76,20 @@ def walk_from_corrupted_row():
     p = i * len(table.simple) + j
     bad._kinds = table._kinds[:p] + REAL + table._kinds[p + 1:]
     return bad._walk_canonical(i)
+
+
+def fiber_from_corrupted_plus():
+    """The fiber over involution 1 of A3 c, of the first square class, from
+    a record whose Smith form of 1 + theta* has the divisor-2 column
+    (0, 1, 1) in vinv, not (0, 0, 1).  1 + theta* sends it to (1, 2, 2),
+    which is odd, so its generator (d/2)(0, 1, 1) moves the square off
+    the class.  t0 and the generator count do not change and the keys
+    stay distinct, so only the per-generator square check can see it."""
+    ic = context("A3", "c")
+    lat = ic.lattice(1)
+    vinv = [list(row) for row in lat.plus.vinv]
+    vinv[1][1] += 1
+    bad = InvolutionLattice(lat.theta_star, lat.theta, ic.rd)
+    object.__setattr__(bad, "plus", lat.plus._replace(vinv=tuple(map(tuple, vinv))))
+    ic._lattices[1] = bad
+    return ic.fiber_elements(1, ic.square_classes[0].key)

@@ -23,7 +23,7 @@ from realred.kgb import generate_kgb
 from realred.rootdata import InputError, build_root_datum, dual_lie_type, parse_lie_type
 from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL, parse_units
 
-from contexts import RECORD_GROUPS, SMALL_TYPES, context
+from contexts import RECORD_GROUPS, SMALL_TYPES, context, fiber_from_corrupted_plus
 from digest_outputs import CONTEXTS
 from oracles import (
     classical_real_forms, coreflections, cross_word, rank_decomposition, reference_adjoint_context,
@@ -556,6 +556,22 @@ def test_descent_is_path_independent(text, letters, kernel):
         assert descend_last(ic, x) == ic.real_form_of(x)
 
 
+@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def test_descent_keys_only_the_base_point(text, letters, kernel):
+    # each step takes the first inverse Cayley candidate, which needs no
+    # key; the one x_key is the lookup of the base point reached
+    ic = context(text, letters, kernel)
+    ic._base_form_by_key  # keys every base fiber
+    points = all_strong_involutions(ic)
+    keyed = []
+    x_key = ic.x_key
+    ic.x_key = lambda x: keyed.append(x) or x_key(x)
+    for x, _ in points:
+        keyed.clear()
+        ic.real_form_of(x)
+        assert len(keyed) == 1 and keyed[0][0] == 0
+
+
 def test_every_strong_involution_descends():
     for text, letters, kernel in [("A3", "c", None), ("C2", "s", None),
                                   ("A5", "s", None), ("A3", "c", "ad")]:
@@ -594,6 +610,11 @@ def test_ranks_refuse_a_divisor_above_two():
     ic._lattices[0] = InvolutionLattice(((-3, 0), (0, 1)), ic.lattice(0).theta, ic.rd)
     with pytest.raises(RuntimeError, match="divisor above 2"):
         ic.lattice(0).ranks
+
+
+def test_fiber_squares_are_checked_per_generator():
+    with pytest.raises(RuntimeError, match="squares outside its square class"):
+        fiber_from_corrupted_plus()
 
 
 # -- most split Cartans and component groups -----------------------------

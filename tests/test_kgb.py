@@ -278,10 +278,15 @@ GRAPH_CASES = [
 
 @pytest.mark.parametrize("text, letters, kernel, form", GRAPH_CASES)
 def test_kgb_cross_actions_are_involutions(text, letters, kernel, form):
-    g = generate_kgb(context(text, letters, kernel), form)
+    # generate_kgb fills each edge back from its far end, so the graph is
+    # involutive by construction; recomputing every directed edge checks it
+    ic = context(text, letters, kernel)
+    g = generate_kgb(ic, form)
+    ids = {ic.x_key(e.rep): e.id for e in g.elements}
     for e in g.elements:
         for j, c in enumerate(e.cross):
             assert g.elements[c].cross[j] == e.id
+            assert ids[ic.x_key(ic.cross(j, e.rep))] == c
 
 
 @pytest.mark.parametrize("text, letters, kernel, form", GRAPH_CASES)
@@ -368,7 +373,7 @@ def test_kgb_matches_two_pass_reference_at_every_seed_orbit():
 def test_kgb_computes_each_edge_once(text, letters, kernel, form):
     ic = context(text, letters, kernel)
     ic.real_forms  # the seed fibers call cross too; build them first
-    calls = {"cross": 0, "cayley": 0}
+    calls = {"cross": 0, "cayley": 0, "x_key": 0}
 
     def counted(name):
         method = getattr(ic, name)
@@ -380,6 +385,18 @@ def test_kgb_computes_each_edge_once(text, letters, kernel, form):
 
     ic.cross = counted("cross")
     ic.cayley = counted("cayley")
+    ic.x_key = counted("x_key")
     g = generate_kgb(ic, form)
-    assert calls["cross"] == g.size * ic.rd.semisimple_rank
-    assert calls["cayley"] == sum(e.statuses.count("n") for e in g.elements)
+    # one cross action per unordered edge: a pair {x, s_j x} once, a fixed point once
+    n = ic.rd.semisimple_rank
+    loops = [sum(1 for e in g.elements if e.cross[j] == e.id) for j in range(n)]
+    assert all((g.size + loops[j]) % 2 == 0 for j in range(n))
+    assert calls["cross"] == sum(g.size + loops[j] for j in range(n)) // 2
+    cayleys = sum(e.statuses.count("n") for e in g.elements)
+    assert calls["cayley"] == cayleys
+    # keys: the seeds, and at most one per cross action and Cayley edge;
+    # a compact imaginary root fixes t mod denom, so its loop is not keyed
+    seeds = len(ic._fundamental_orbits[g.orbit][1])
+    compact = sum(e.statuses.count("c") for e in g.elements)
+    assert compact > 0
+    assert calls["x_key"] <= seeds + calls["cross"] - compact + cayleys

@@ -86,6 +86,18 @@ def test_canonical_walk_failure_raises_under_python_o():
     assert run_optimized(script) == ["False", "simple root 1 is not complex at involution 1"]
 
 
+def test_fiber_square_check_raises_under_python_o():
+    script = (
+        "from contexts import fiber_from_corrupted_plus\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    fiber_from_corrupted_plus()\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    assert run_optimized(script) == ["False", "fiber element squares outside its square class"]
+
+
 def test_library_has_no_assert_statements():
     files = sorted(SRC.glob("*.py"))
     assert files
