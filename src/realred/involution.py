@@ -15,9 +15,10 @@ the weak real forms, is read off its own fiber orbits by gradings.
 
 Fibers are affine spaces over F2, read off one InvolutionLattice record
 per twisted involution: theta*, built from the table parent's record by
-rank-one reflection updates, and its rho-check drop, heights and Smith
-forms of 1 - theta* and 1 + theta*.  The key of x is t paired with a
-basis of the theta-fixed characters mod denom (x_key), linear in t, so
+rank-one reflection updates, and its rho-check drop, heights, the Smith
+form of 1 + theta*, and a basis of the theta-fixed characters, moved
+along complex descents by the same updates.  The key of x is t paired
+with that basis mod denom (x_key), linear in t, so
 fiber points and their cross actions are keyed by affine updates.  A
 fiber is t0 plus the subset sums of its generators, by size, then in
 itertools.combinations order, and its keys are the same sums of keys.
@@ -157,12 +158,14 @@ def _split_product(total: int, s: int) -> tuple[int, int]:
 class InvolutionLattice:
     """Lattice data of one twisted involution theta: what its fiber is read from.
 
-    InnerClass.lattice builds theta_star from the table parent's record.
-    The other fields are computed from theta_star, the root images theta
-    and the root datum on first read and kept (__getattr__), as the parent
-    walk meets many involutions that are never keyed; the properties drop
-    and ranks are computed on every read.  Records are immutable; equality
-    compares every field but rd, and repr shows theta_star, cbits and heights.
+    InnerClass.lattice builds theta_star from the table parent's record,
+    and links a record reached by a complex descent to that parent.  The
+    other fields are computed from theta_star, the root images theta, the
+    root datum and the link on first read and kept (__getattr__), as the
+    parent walk meets many involutions that are never keyed; the
+    properties drop and ranks are computed on every read.  Records are
+    immutable; equality compares every field but rd and the link, and repr
+    shows theta_star, cbits and heights.
 
     Attributes:
         theta_star: the action of theta on cocharacters, its transposed matrix.
@@ -178,15 +181,26 @@ class InvolutionLattice:
             It pairs with a positive imaginary root alpha to 2 (ht(alpha) +
             ht_i(alpha)), the heights over the simple roots and over the
             imaginary simple roots.
-        minus: (rank, rows, twos, ones) of 1 - theta*.  rank is its rank,
-            and the rows of its Smith uinv at its zero divisors (the
-            trailing ones) are a Z-basis of the theta-fixed characters,
-            which the key pairs with t (x_key).  twos and ones count its
-            Smith divisors 2 and 1, for ranks.
+        parent, j: the record of nbr and the simple root j when theta =
+            s_j nbr s_j is reached by a complex descent, else None, None.
+        minus: (rank, rows, twos, ones) of 1 - theta*.  rows are a Z-basis
+            of the theta-fixed characters, which the key pairs with t
+            (x_key).  rank is the rank of 1 - theta*, and twos and ones
+            count its Smith divisors 2 and 1, for ranks.  At the base and
+            after a real step, rows are the rows of the Smith uinv at the
+            zero divisors (the trailing ones).  After a complex descent,
+            theta* = C_j theta*_nbr C_j with C_j = 1 - alpha_j^v alpha_j^T
+            unimodular and C_j^2 = 1, so r theta*_nbr = r gives r C_j
+            theta* = r C_j: rows are the parent's rows times C_j, and the
+            Smith divisors, those of a conjugate matrix, are the parent's.
+            So a Cartan class takes a Smith form only where a walk to the
+            base enters it by a real step.
         plus: the Smith form of 1 + theta*, which fibers are solved in.
     """
 
-    __slots__ = ("theta_star", "theta", "rd", "cbits", "heights", "minus", "plus")
+    __slots__ = (
+        "theta_star", "theta", "rd", "parent", "j", "cbits", "heights", "minus", "plus",
+    )
     _COMPARED = ("theta_star", "theta", "cbits", "heights", "minus", "plus")
 
     theta_star: lin.Matrix
@@ -194,13 +208,24 @@ class InvolutionLattice:
     rd: RootDatum
     cbits: lin.Vector
     heights: lin.Vector
+    parent: InvolutionLattice | None
+    j: int | None
     minus: tuple[int, tuple[lin.Vector, ...], int, int]
     plus: lin.SmithForm
 
-    def __init__(self, theta_star: lin.Matrix, theta: bytes, rd: RootDatum):
+    def __init__(
+        self,
+        theta_star: lin.Matrix,
+        theta: bytes,
+        rd: RootDatum,
+        parent: InvolutionLattice | None = None,
+        j: int | None = None,
+    ):
         object.__setattr__(self, "theta_star", theta_star)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rd", rd)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "j", j)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -230,6 +255,10 @@ class InvolutionLattice:
         elif name == "heights":
             imaginary = self.rd.coroot_sum(k for k in range(npos) if self.theta[k] == k)
             value = lin.vec_add(self.rd.two_rho_check, imaginary)
+        elif name == "minus" and self.parent is not None:
+            rank, rows, twos, ones = self.parent.minus
+            a, av = self.rd.simple_roots[self.j], self.rd.simple_coroots[self.j]
+            value = rank, lin.times_coreflection(rows, a, av), twos, ones
         elif name == "minus":
             sf = lin.smith_form(lin.mat_sub(lin.identity(n), self.theta_star), ncols=n)
             value = sf.rank, sf.uinv[sf.rank:], sf.diag.count(2), sf.diag.count(1)
@@ -261,14 +290,6 @@ class InvolutionLattice:
         if twos + ones != rank:
             raise RuntimeError("1 - theta* has an elementary divisor above 2")
         return RankDecomposition(split=twos, compact=len(rows) - ones, complex_pairs=ones)
-
-
-def _times_coreflection(m: lin.Matrix, a: lin.Vector, av: lin.Vector) -> lin.Matrix:
-    """m (1 - av a^T): each row r loses <r, av> a."""
-    return tuple(
-        tuple(x - c * y for x, y in zip(row, a)) if (c := lin.vec_dot(row, av)) else row
-        for row in m
-    )
 
 
 class InnerClass:
@@ -430,26 +451,32 @@ class InnerClass:
     def lattice(self, inv: int) -> InvolutionLattice:
         """The lattice record of an involution, built from its table parent's.
 
-        The first simple root j that is a complex descent or real at inv
-        leads to the table parent, one twisted length shorter.  With
-        C_j = 1 - alpha_j^v alpha_j^T, theta* is C_j theta*_nbr C_j (j
-        complex, inv = s_j nbr s_j) or theta*_nbr C_j (j real, inv =
-        s_j nbr), the parent's record built first; delta* at the base.
+        The table parent, one twisted length shorter, is reached by the
+        first simple root j that is a complex descent at inv, else by the
+        first real one: the rule depends on inv alone, and it keeps to
+        complex steps, along which the key rows are transported
+        (InvolutionLattice.minus).  With C_j = 1 - alpha_j^v alpha_j^T,
+        theta* is C_j theta*_nbr C_j (j complex, inv = s_j nbr s_j) or
+        theta*_nbr C_j (j real, inv = s_j nbr), the parent's record built
+        first; delta* at the base.
         """
         out = self._lattices.get(inv)
         if out is None:
-            for j in range(len(self.table.simple)):
-                kind, nbr = self.table.status(inv, j)
-                if kind in (COMPLEX_DOWN, REAL):
-                    break
-            else:
+            kinds = self.table.kinds(inv)
+            step = COMPLEX_DOWN if COMPLEX_DOWN in kinds else REAL
+            j = kinds.find(step)
+            if j < 0:
                 raise RuntimeError(f"involution {inv} has no table parent")
+            parent = self.lattice(self.table.status(inv, j)[1])
             a, av = self.rd.simple_roots[j], self.rd.simple_coroots[j]
-            m = _times_coreflection(self.lattice(nbr).theta_star, a, av)
-            if kind == COMPLEX_DOWN:
-                # C_j m is the transpose of m^T (1 - alpha_j alpha_j^v^T)
-                m = lin.transpose(_times_coreflection(lin.transpose(m), av, a))
-            out = self._lattices[inv] = InvolutionLattice(m, self.table.thetas[inv], self.rd)
+            m = lin.times_coreflection(parent.theta_star, a, av)
+            theta = self.table.thetas[inv]
+            if step == COMPLEX_DOWN:
+                m = lin.coreflection_times(m, a, av)
+                out = InvolutionLattice(m, theta, self.rd, parent, j)
+            else:
+                out = InvolutionLattice(m, theta, self.rd)
+            self._lattices[inv] = out
         return out
 
     def x_key(self, x: StrongX) -> tuple:
@@ -458,8 +485,10 @@ class InnerClass:
         x = (i, t) is keyed by t paired with a Z-basis of the characters
         fixed by theta_i (InvolutionLattice.minus), mod denom.  It is
         linear in t.  KGB ids sort by these keys, so they depend on this
-        very basis, the Smith uinv rows: with lin.row_hnf of the same rows,
-        23 of 109 ids move in split D4 and 17 of 45 in split C3.
+        very basis: the Smith rows of the nearest record, on the parent
+        walk from theta_i down, that is the base or is reached by a real
+        step, moved by C_j along each complex descent in between
+        (InvolutionLattice.minus).
         """
         inv, t = x
         rows = self.lattice(inv).minus[1]

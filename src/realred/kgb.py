@@ -7,7 +7,11 @@ actions and by Cayley transforms through noncompact imaginary simple
 roots.  Ids are assigned by (length, Cartan class, canonical key), where
 length is the twisted length of the element's twisted involution
 (InvolutionTable.lengths): complex cross actions move it by one, Cayley
-transforms raise it by one, and other cross actions keep it.  W acts on
+transforms raise it by one, and other cross actions keep it.  The key
+(InnerClass.x_key) pairs the torus part with a basis of the theta-fixed
+characters, so the ids within one twisted involution depend on that
+basis, and it depends on the twisted involution alone
+(InnerClass.lattice).  W acts on
 KGB, so s_j is an involution: the discovery pass computes each unordered
 cross edge once and fills it back at its far end, and leaves fixed
 points unkeyed (a cross image equal to its source, as at every compact

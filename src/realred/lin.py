@@ -50,6 +50,19 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def times_coreflection(m: Matrix, a: Vector, av: Vector) -> Matrix:
+    """m (1 - av a^T): each row r loses <r, av> a; the rows with <r, av> = 0
+    are m's own."""
+    return tuple(vec_sub(row, vec_scale(a, c)) if (c := vec_dot(row, av)) else row for row in m)
+
+
+def coreflection_times(m: Matrix, a: Vector, av: Vector) -> Matrix:
+    """(1 - av a^T) m: row i loses av_i (a^T m); the rows with av_i = 0 are
+    m's own."""
+    am = [vec_dot(a, col) for col in zip(*m)]
+    return tuple(vec_sub(row, vec_scale(am, c)) if c else row for row, c in zip(m, av))
+
+
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(map(add, u, v))
 

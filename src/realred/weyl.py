@@ -291,7 +291,8 @@ class InvolutionTable:
     complex neighbours join the members of each class.  The rows are
     stored flat, written during the search: entry j of involution i is
     at i*n + j of one string of kind letters and one array of neighbour
-    ids.  status_row(i) is the row view; status(i, j) reads one entry.
+    ids.  status_row(i) is the row view, kinds(i) its letters alone, and
+    status(i, j) reads one entry.
     A torus (n = 0) has one empty row per involution.  simple[j] is the
     index of simple root j, and reflections[k] the reflection in positive
     root k, by the vector formula for simple k, and as
@@ -402,11 +403,15 @@ class InvolutionTable:
 
     def status_row(self, i: int) -> tuple[tuple[str, int], ...]:
         """Per simple root: (kind, neighbour id)."""
+        n = len(self.simple)
+        return tuple(zip(self.kinds(i), self._nbrs[i * n:(i + 1) * n]))
+
+    def kinds(self, i: int) -> str:
+        """The kinds of the simple roots at involution i, as one string."""
         if not 0 <= i < len(self.thetas):
             raise IndexError(f"no involution {i}")
         n = len(self.simple)
-        p = i * n
-        return tuple(zip(self._kinds[p:p + n], self._nbrs[p:p + n]))
+        return self._kinds[i * n:(i + 1) * n]
 
     def status(self, i: int, j: int) -> tuple[str, int]:
         """(kind, neighbour id) of simple root j at involution i."""

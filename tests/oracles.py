@@ -39,6 +39,10 @@ reference_x_key                        afb6624  test_involution: test_fiber_keys
 reference_inverse_cayley               afb6624  (as above)
 reference_two_offset_inverse_cayley    c048f3b  (as above)
 reference_fiber_elements               a23a4d8  (as above)
+reference_key_rows                     9d1bd91+ test_involution: test_fiber_keys_and_inverse_cayley_match_references,
+                                                test_theta_star_and_rho_drop_match_weyl_matrix
+reference_kgb_order                    9d1bd91+ digest_outputs: the kgb_smith_order and
+                                                kgb_reps_smith_order digests
 reference_csc_bits                     b5d4c8b  test_involution: test_closed_form_grading_matches_transport
 reference_root_grading                 b5d4c8b  (as above)
 cross_word                             57d2376  test_involution: test_cartan_record_moves_are_cross_actions
@@ -554,13 +558,45 @@ def square_key_reference(ic, x, translates):
     return reference_central_class_key(ic, s, translates)
 
 
-def reference_x_key(ic, x):
-    """The key from every row of the Smith uinv of 1 - theta*."""
-    inv, t = x
+def reference_key_rows(ic, inv):
+    """The rows of the Smith uinv of 1 - theta* at its zero divisors."""
     n = ic.rd.rank
     sf = lin.smith_form(lin.mat_sub(lin.identity(n), ic.lattice(inv).theta_star), ncols=n)
-    s = lin.mat_vec(sf.uinv, t)
-    return (inv, tuple(s[i] % ic.denom for i in range(sf.rank, n)))
+    return sf.uinv[sf.rank:]
+
+
+def reference_x_key(ic, x, rows=None):
+    """The key from the Smith rows of 1 - theta*, built unless given."""
+    inv, t = x
+    if rows is None:
+        rows = reference_key_rows(ic, inv)
+    return (inv, tuple(lin.vec_dot(r, t) % ic.denom for r in rows))
+
+
+def reference_kgb_order(ic, kgb):
+    """kgb renumbered by (length, Cartan class, reference_x_key of the rep).
+
+    That was the order of the ids while every record's key rows were its
+    own Smith rows; one Smith form per involution of kgb.
+    """
+    rows = {}
+    for e in kgb.elements:
+        inv = e.rep[0]
+        if inv not in rows:
+            rows[inv] = reference_key_rows(ic, inv)
+    order = sorted(
+        kgb.elements,
+        key=lambda e: (e.length, e.cartan, reference_x_key(ic, e.rep, rows[e.rep[0]])),
+    )
+    ids = {e.id: i for i, e in enumerate(order)}
+    return kgb._replace(elements=tuple(
+        e._replace(
+            id=ids[e.id],
+            cross=tuple(ids[k] for k in e.cross),
+            cayley=tuple(None if k is None else ids[k] for k in e.cayley),
+        )
+        for e in order
+    ))
 
 
 def reference_inverse_cayley(ic, j, x):

@@ -28,8 +28,8 @@ from digest_outputs import CONTEXTS
 from oracles import (
     classical_real_forms, coreflections, cross_word, rank_decomposition, reference_adjoint_context,
     reference_central_translates, reference_component_rank, reference_fiber_elements,
-    reference_inverse_cayley, reference_normal_form_word, reference_rho_check_drop,
-    reference_root_grading, reference_theta_star, reference_to_ad,
+    reference_inverse_cayley, reference_key_rows, reference_normal_form_word,
+    reference_rho_check_drop, reference_root_grading, reference_theta_star, reference_to_ad,
     reference_two_offset_inverse_cayley, reference_x_key, reflection_matrix, reflections,
     square_key_if_valid, square_key_reference,
 )
@@ -806,9 +806,12 @@ def test_theta_star_and_rho_drop_match_weyl_matrix(text, letters, kernel):
                 heights = lin.vec_add(heights, r.covec)
         assert lat.heights == heights
         minus = lin.smith_form(lin.mat_sub(ident, theta), ncols=n)
-        assert lat.minus == (
-            minus.rank, minus.uinv[minus.rank:], minus.diag.count(2), minus.diag.count(1)
-        )
+        rank, rows, twos, ones = lat.minus
+        transposed = lin.transpose(theta)
+        assert (rank, twos, ones) == (minus.rank, minus.diag.count(2), minus.diag.count(1))
+        # a basis of the theta-fixed characters: fixed, and spanning the Smith rows' lattice
+        assert all(lin.mat_vec(transposed, r) == r for r in rows)
+        assert lin.row_hnf(rows) == lin.row_hnf(minus.uinv[minus.rank:])
         plus = lin.smith_form(lin.mat_add(ident, theta), ncols=n)
         # 1 - theta and 1 + theta, just reduced, have the ranks of theta -/+ 1
         assert lat.ranks == rank_decomposition(theta, (minus.rank, plus.rank))
@@ -819,14 +822,18 @@ def test_theta_star_and_rho_drop_match_weyl_matrix(text, letters, kernel):
         assert fresh.lattice(inv) == ic.lattice(inv)
 
 
-@pytest.mark.parametrize("text,letters,limits", [("D6", "s", (45,)), ("F4", "s", (27, 27, 154))])
+@pytest.mark.parametrize(
+    "text,letters,limits", [("D6", "s", (45, 45, 50)), ("F4", "s", (27, 27, 27))]
+)
 def test_smith_form_counts_do_not_grow(monkeypatch, text, letters, limits):
     """Smith forms from the root datum on stay within the recorded counts.
 
     The stages, in order: strong_count with the Cartan report and Hasse
     diagram of every form; real_weyl at every Cartan of every form; the
-    KGB of every form.  Key rows and 1 + theta* are built lazily, so the
-    counts stay far below one per involution the parent walk meets.
+    KGB of every form.  Key rows and 1 + theta* are built lazily, and key
+    rows are transported along complex descents, so the counts stay far
+    below one per involution the parent walk meets: 31, 31 and 46 in
+    split D6 (752 involutions), 19, 19 and 23 in split F4 (140).
     """
     calls = []
     smith_form = lin.smith_form
@@ -864,15 +871,27 @@ FIBER_GROUPS = [
 @pytest.mark.parametrize("text,letters,kernel", FIBER_GROUPS)
 def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
     ic = context(text, letters, kernel)
+    n = ic.rd.rank
     points = cayleys = 0
     for inv in range(len(ic.table)):
+        rows = reference_key_rows(ic, inv)
+        moves = (lin.zero_vector(n), *lin.transpose(
+            lin.mat_sub(lin.identity(n), ic.lattice(inv).theta_star)
+        ))
         for sq in ic.square_classes:
             fiber = ic.fiber_elements(inv, sq.key)
             # subset sums in the closure's order, keyed by sums of keys
-            assert ic._fibers[(inv, sq.key)] == reference_fiber_elements(ic, inv, sq.key)
+            keys = tuple(ic.x_key((inv, t)) for t in fiber)
+            assert ic._fibers[(inv, sq.key)] == (fiber, keys)
+            assert fiber == reference_fiber_elements(ic, inv, sq.key)[0]
+            # the key rows may be another basis than the Smith rows, so
+            # compare partitions: t + (1 - theta*) e is the element of t
+            xs = [(inv, lin.vec_add(t, m)) for t in fiber for m in moves]
+            got = [ic.x_key(x) for x in xs]
+            refs = [reference_x_key(ic, x, rows) for x in xs]
+            assert [got.index(k) for k in got] == [refs.index(r) for r in refs]
             for t in fiber:
                 x = (inv, t)
-                assert ic.x_key(x) == reference_x_key(ic, x)
                 for j, (kind, _) in enumerate(ic.table.status_row(inv)):
                     if kind == REAL:
                         got = ic.inverse_cayley(j, x)

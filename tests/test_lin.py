@@ -41,6 +41,20 @@ def test_smith_form_random() -> None:
         assert all(b % a_ == 0 for a_, b in zip(nonzero, nonzero[1:]))
 
 
+def test_coreflection_products_match_mat_mul() -> None:
+    rng = random.Random(20261019)
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a, av = random_matrix(rng, 2, n)
+        c = lin.mat_sub(lin.identity(n), lin.freeze([[x * y for y in a] for x in av]))
+        left, right = random_matrix(rng, m, n), random_matrix(rng, n, m)
+        assert lin.times_coreflection(left, a, av) == lin.mat_mul(left, c)
+        out = lin.coreflection_times(right, a, av)
+        assert out == lin.mat_mul(c, right)
+        # the rows it does not move are shared, not copied
+        assert all(o is r for o, r, k in zip(out, right, av) if not k)
+
+
 def test_smith_form_deterministic() -> None:
     rng = random.Random(7)
     a = random_matrix(rng, 5, 4)

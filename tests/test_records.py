@@ -97,13 +97,29 @@ def test_lattice_fields_are_computed_once():
 def test_separately_built_lattices_are_equal():
     a, b = context("C3", "s"), context("C3", "s")
     assert a.rd is not b.rd
+    moved = 0
     for i in range(len(a.table)):
         la, lb = a.lattice(i), b.lattice(i)
         assert la is not lb
         assert la == lb
         assert hash(la) == hash(lb)
+        linked = InvolutionLattice(la.theta_star, la.theta, a.rd, la.parent, la.j)
+        assert linked == la and hash(linked) == hash(la)
+        # without its parent a record keys by its own Smith rows, which the
+        # rows transported along a complex descent need not be
         rebuilt = InvolutionLattice(la.theta_star, la.theta, a.rd)
-        assert rebuilt == la and hash(rebuilt) == hash(la)
+        assert hash(rebuilt) == hash(la)
+        if la.parent is None:
+            assert rebuilt == la
+            continue
+        for f in InvolutionLattice._COMPARED:
+            if f != "minus":
+                assert getattr(rebuilt, f) == getattr(la, f)
+        (rank, rows, twos, ones), (srank, srows, stwos, sones) = la.minus, rebuilt.minus
+        assert (rank, twos, ones) == (srank, stwos, sones)
+        assert lin.row_hnf(rows) == lin.row_hnf(srows)
+        moved += rows != srows
+    assert moved
     assert a.lattice(0) != a.lattice(1)
     assert a.lattice(0) != a.lattice(0).theta_star
 
