@@ -10,8 +10,9 @@ root's heights over the simple roots and over the imaginary simple
 roots.  An imaginary reflection s_beta fixes x = (i, t) when beta is
 compact at x, and adds (denom/2) beta^v to t when it is noncompact
 (_orbit_partition).  Everything here is organised around one InnerClass
-object per (root datum, involution); the adjoint fiber, whose orbits are
-the weak real forms, is read off its own fiber orbits by gradings.
+object per (root datum, involution).  Each cross-action orbit on a fiber
+is a FiberOrbit; the weak real forms are the adjoint-fiber orbits of those
+over involution 0 (fundamental_orbits); real_form_of ends at an adjoint point.
 
 Fibers are affine spaces over F2, read off one InvolutionLattice record
 per twisted involution: theta*, built from the table parent's record by
@@ -57,7 +58,7 @@ from .weyl import (
 StrongX = tuple[int, lin.Vector]
 # one orbit on a fiber: (square-class key, members, moves, points as in FiberOrbit)
 OrbitPart = tuple[
-    tuple, tuple[lin.Vector, ...], tuple[tuple[int, ...], ...], tuple[tuple[bool, ...], ...]
+    tuple, tuple[StrongX, ...], tuple[tuple[int, ...], ...], tuple[tuple[bool, ...], ...]
 ]
 
 
@@ -117,6 +118,16 @@ class FiberOrbit(NamedTuple):
             f"FiberOrbit(square_class={self.square_class!r}, form={self.form!r}, "
             f"members={self.members!r}, moves={self.moves!r})"
         )
+
+
+class FundamentalFiber(NamedTuple):
+    """The base fiber's orbits and what they number (InnerClass._fundamental)."""
+
+    orbits: tuple[FiberOrbit, ...]
+    forms: tuple[tuple, ...]
+    square_classes: tuple[SquareClass, ...]
+    form_at: dict[tuple[bool, ...], int]
+    basis: list[int]
 
 
 _TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)", "C": "gl(1,C)"}
@@ -698,11 +709,6 @@ class InnerClass:
 
     # -- weak real forms --------------------------------------------------
 
-    @cached_property
-    def _fundamental_orbits(self) -> tuple[OrbitPart, ...]:
-        """Cross-action orbits on the base fiber: its one _orbit_partition."""
-        return tuple(self._orbit_partition(0))
-
     def _orbit_partition(self, inv: int) -> list[OrbitPart]:
         """Orbits of the imaginary Weyl group on the fibers over inv of the
         realized square classes, as (class key, members, moves, points).
@@ -740,7 +746,7 @@ class InnerClass:
                 at = {i: m for m, i in enumerate(comp)}
                 out.append((
                     key,
-                    tuple(fiber[i] for i in comp),
+                    tuple((inv, fiber[i]) for i in comp),
                     tuple(tuple(at[images[i][g]] for i in comp) for g in range(len(basis))),
                     tuple(points[i] for i in comp),
                 ))
@@ -767,15 +773,17 @@ class InnerClass:
 
         Returns the adjoint orbit of each orbit, numbered by first
         appearance, and the point set of each adjoint orbit; each orbit is
-        looked up by the point of its first member.
+        placed by the point of its first member.  Raises RuntimeError when
+        another of its points lies in another adjoint orbit.
         """
         ids, points, where = [], [], {}
         for pts in orbits:
-            a = where.get(pts[0])
-            if a is None:
-                a = len(points)
-                points.append(set(pts))
-                where.update(dict.fromkeys(points[a], a))
+            a = where.get(pts[0], len(points))
+            if a == len(points):
+                points.append(set())
+            if any(where.setdefault(p, a) != a for p in pts):
+                raise RuntimeError("a cross-action orbit meets two adjoint orbits")
+            points[a].update(pts)
             ids.append(a)
         return tuple(ids), tuple(points)
 
@@ -789,32 +797,35 @@ class InnerClass:
         )
 
     @cached_property
-    def _weak_forms(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-        """Menu index of each base-fiber orbit, and (nc, iota, quasisplit)
-        of each weak real form, in menu order.
+    def _fundamental(self) -> FundamentalFiber:
+        """The base fiber's orbits, with the weak forms and square classes.
 
         The weak real forms are the orbits of the adjoint base fiber
-        (_adjoint_orbits).  nc counts the noncompact imaginary roots,
-        positive and negative, of each internal factor and iota is the
-        half-spin tag of each factor, both at the first member of a form's
-        first base-fiber orbit.  A form is quasisplit when the
-        all-noncompact grading is one of its points.  The menu sorts the
-        forms by (total nc, zip(nc, iota)).  That key cannot tie: it
-        determines the name of every unit (real_forms), and the names of
-        distinct weak forms differ.
+        (_adjoint_orbits); form_at gives the form of each of its points,
+        their gradings at basis = imaginary_basis(0), and forms is (nc,
+        iota, quasisplit) of each form, in menu order.  nc counts the
+        noncompact imaginary roots, positive and negative, of each
+        internal factor and iota is the half-spin tag of each factor, both
+        at the first member of a form's first base-fiber orbit.  A form is
+        quasisplit when the all-noncompact grading is one of its points.
+        The menu sorts the forms by (total nc, zip(nc, iota)).  That key
+        cannot tie: it determines the name of every unit (real_forms), and
+        the names of distinct weak forms differ.  The square classes are
+        numbered by first appearance in the orbits of the forms from the
+        quasisplit one down.
         """
-        orbits = self._fundamental_orbits
-        ids, points = self._adjoint_orbits([pts for *_, pts in orbits])
+        parts = self._orbit_partition(0)
+        ids, points = self._adjoint_orbits([pts for *_, pts in parts])
         imaginary = self.table.imaginary_roots(0)
         basis = self.table.imaginary_basis(0)
         split = (True,) * len(basis)
         index = self.lt.simple_factor_index
         forms = []
         for a, pts in enumerate(points):
-            _, members, _, member_points = orbits[ids.index(a)]
+            _, members, _, member_points = parts[ids.index(a)]
             nc = [0] * len(self.lt.factors)
             for k in imaginary:
-                if self.root_grading((0, members[0]), k):
+                if self.root_grading(members[0], k):
                     coeffs = self.rd.positive_roots[k].coeffs
                     nc[index[next(i for i, c in enumerate(coeffs) if c)]] += 2
             bits = dict(zip(basis, member_points[0]))
@@ -828,7 +839,18 @@ class InnerClass:
         )
         if [forms[a][2] for a in order] != [False] * (len(order) - 1) + [True]:
             raise RuntimeError("the quasisplit form is not the unique last one of the menu")
-        return tuple(map(order.index, ids)), tuple(forms[a] for a in order)
+        menu = {a: m for m, a in enumerate(order)}
+        by_form = sorted(zip(ids, parts), key=lambda q: -menu[q[0]])
+        keys = list(dict.fromkeys(part[0] for _, part in by_form))
+        if len(keys) != len(self._realized_keys):
+            raise RuntimeError("a realized square class carries no weak form")
+        return FundamentalFiber(
+            tuple(FiberOrbit(keys.index(p[0]), menu[a], *p[1:]) for a, p in zip(ids, parts)),
+            tuple(forms[a] for a in order),
+            tuple(SquareClass(i, key) for i, key in enumerate(keys)),
+            {p: menu[a] for a, pts in enumerate(points) for p in pts},
+            basis,
+        )
 
     def _iota_tag(self, bits: dict[int, bool], f: Factor, rng: tuple[int, ...]) -> int:
         """Distinguishes the two half-spin gradings of an equal-rank D factor.
@@ -861,11 +883,12 @@ class InnerClass:
 
         Units are named in one walk over delta.units: a torus factor by
         its letter, a complex pair by its factor, any other unit by its
-        factor's nc and iota among those of all the weak forms.
+        factor's nc and iota among those of all the weak forms.  A form's
+        rep and square class are those of its first fundamental orbit.
         """
-        orbit_forms, forms = self._weak_forms
+        fundamental = self._fundamental
         labels = []
-        for idx, (nc, iota, quasisplit) in enumerate(forms):
+        for idx, (nc, iota, quasisplit) in enumerate(fundamental.forms):
             names = []
             for letter, idxs in self.delta.units:
                 fac = idxs[0]
@@ -876,39 +899,28 @@ class InnerClass:
                     names.append(_complex_pair_name(f))
                 else:
                     equal = all(self.delta.perm[p] == p for p in self._factor_ranges[fac])
-                    values = sorted({g[0][fac] for g in forms})
+                    values = sorted({g[0][fac] for g in fundamental.forms})
                     names.append(_factor_form_name(f, equal, nc[fac], values, iota[fac]))
-            key, members, _, _ = self._fundamental_orbits[orbit_forms.index(idx)]
+            first = next(o for o in fundamental.orbits if o.form == idx)
             labels.append(RealFormLabel(
                 index=idx,
                 name=".".join(names),
                 quasisplit=quasisplit,
-                square_class=self._square_index[key],
-                rep=(0, members[0]),
+                square_class=first.square_class,
+                rep=first.members[0],
             ))
         return tuple(labels)
 
     @property
-    def _orbit_form_indices(self) -> tuple[int, ...]:
-        """Weak form (menu index) of each base-fiber orbit."""
-        return self._weak_forms[0]
+    def fundamental_orbits(self) -> tuple[FiberOrbit, ...]:
+        """Orbits on the fiber over involution 0, numbering the KGB seeds
+        (kgb.seed_orbit) in the order of _orbit_partition(0)."""
+        return self._fundamental.orbits
 
     @cached_property
     def square_classes(self) -> tuple[SquareClass, ...]:
         """Realized square classes, numbered from the quasisplit form down."""
-        order = []
-        forms = self._orbit_form_indices
-        for f in reversed(range(len(self._weak_forms[1]))):
-            for o, (key, *_) in enumerate(self._fundamental_orbits):
-                if forms[o] == f and key not in order:
-                    order.append(key)
-        if len(order) != len(self._realized_keys):
-            raise RuntimeError("a realized square class carries no weak form")
-        return tuple(SquareClass(index=i, key=key) for i, key in enumerate(order))
-
-    @cached_property
-    def _square_index(self) -> dict[tuple, int]:
-        return {sq.key: sq.index for sq in self.square_classes}
+        return self._fundamental.square_classes
 
     def real_form_of(self, x: StrongX) -> int:
         """Weak real form of a strong involution, by descent to the base.
@@ -918,11 +930,11 @@ class InnerClass:
         the status row has one, and costs one cross action.  Otherwise it
         is the first inverse Cayley candidate, at offset r/2, through the
         first real simple root that has one (inverse_cayley).  The descent
-        keys nothing until the base, where one x_key finds the orbit.
-        The form does not depend on the path: cross actions and Cayley
-        transforms preserve the weak real form, so every point of any path
-        has the form of x, and the base point it ends at lies in a
-        base-fiber orbit of that form.
+        keys nothing, and ends at the point of the base point in the
+        adjoint fiber: its gradings at imaginary_basis(0), kept by torus
+        conjugation and reduction mod denom, whose adjoint orbit is the
+        weak form (_fundamental).  The form does not depend on the path:
+        cross actions and Cayley transforms preserve the weak real form.
         """
         inv, _ = x
         table = self.table
@@ -942,16 +954,8 @@ class InnerClass:
                 else:
                     raise RuntimeError("strong involution admits no descent")
             inv = x[0]
-        return self._base_form_by_key[self.x_key(x)]
-
-    @cached_property
-    def _base_form_by_key(self) -> dict[tuple, int]:
-        forms = self._orbit_form_indices  # builds every base fiber
-        keys = {key: dict(zip(*self._fibers[(0, key)])) for key in self._realized_keys}
-        return {
-            keys[key][t]: forms[o]
-            for o, (key, members, *_) in enumerate(self._fundamental_orbits) for t in members
-        }
+        fundamental = self._fundamental
+        return fundamental.form_at[tuple(self.root_grading(x, k) for k in fundamental.basis)]
 
     # -- strong real forms at a Cartan class ------------------------------
 
@@ -962,23 +966,21 @@ class InnerClass:
         square-class fiber over the canonical involution of the class,
         with the weak real form and the cross-action moves of every orbit:
         square class by square class, and within a fiber by first member
-        in fiber order.  The form is found by one descent from the orbit's
-        first member, since cross actions preserve it.  Built once per
-        class and cached; at involution 0 the partition is the one of
-        _fundamental_orbits, sorted stably by square class.
+        in fiber order.  At involution 0 these are fundamental_orbits,
+        sorted stably by square class; elsewhere the form is found by one
+        descent from the orbit's first member, since cross actions
+        preserve it.  Built once per class and cached.
         """
         self.check(cartan=cartan)
         out = self._orbits_at.get(cartan)
         if out is None:
             inv = self.table.canonical_member(cartan)
-            parts = self._fundamental_orbits if inv == 0 else self._orbit_partition(inv)
-            orbits = []
-            for key, members, *record in sorted(parts, key=lambda p: self._square_index[p[0]]):
-                xs = tuple((inv, t) for t in members)
-                orbits.append(FiberOrbit(
-                    self._square_index[key], self.real_form_of(xs[0]), xs, *record
-                ))
-            out = self._orbits_at[cartan] = tuple(orbits)
+            keys = [sq.key for sq in self.square_classes]
+            orbits = self.fundamental_orbits if inv == 0 else [
+                FiberOrbit(keys.index(key), self.real_form_of(xs[0]), xs, *rest)
+                for key, xs, *rest in self._orbit_partition(inv)
+            ]
+            out = self._orbits_at[cartan] = tuple(sorted(orbits, key=lambda o: o.square_class))
         return out
 
     def strong_real_forms_at(self, cartan: int) -> tuple[tuple[int, tuple[StrongOrbit, ...]], ...]:

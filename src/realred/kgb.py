@@ -63,14 +63,14 @@ class KGB(NamedTuple):
 
 
 def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
-    """Index of the fundamental-fiber orbit the generation starts from.
+    """Index in ic.fundamental_orbits of the orbit the generation starts from.
 
     Defaults to the first orbit realizing the form; an explicit orbit
     selects one strong form among several with the same underlying weak
     form.
     """
     ic.check(form=form)
-    forms = ic._orbit_form_indices
+    forms = [o.form for o in ic.fundamental_orbits]
     if orbit is None:
         return forms.index(form)
     if type(orbit) is not int or not 0 <= orbit < len(forms) or forms[orbit] != form:
@@ -79,7 +79,7 @@ def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
 
 
 def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
-    """All orbits of the real form, from one strong representative.
+    """All orbits of the real form, from ic.fundamental_orbits[orbit] (seed_orbit).
 
     One breadth-first pass: each element records its status letters and
     the keys of its cross and Cayley images as the search meets them;
@@ -106,8 +106,8 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
             queue.append(key)
         return key
 
-    for t in ic._fundamental_orbits[orbit][1]:
-        record((0, t))
+    for x in ic.fundamental_orbits[orbit].members:
+        record(x)
 
     while queue:
         key = queue.popleft()

@@ -320,13 +320,10 @@ class RootDatum:
                 coeffs = tuple(
                     c - (k if i == j else 0) for i, c in enumerate(r.coeffs)
                 )
-                if all(c >= 0 for c in coeffs):
-                    new = Root(vec, covec, coeffs)
-                elif all(c <= 0 for c in coeffs):
-                    new = Root(lin.vec_neg(vec), lin.vec_neg(covec),
-                               tuple(-c for c in coeffs))
-                else:
-                    raise RuntimeError("root with mixed-sign coordinates")
+                # s_j keeps every positive root but alpha_j, skipped above, positive
+                if any(c < 0 for c in coeffs):
+                    raise RuntimeError("a reflected positive root has a negative coefficient")
+                new = Root(vec, covec, coeffs)
                 seen[new.vec] = new
                 work.append(new)
         return tuple(sorted(seen.values(),

@@ -60,6 +60,11 @@ classical_real_forms                   (source) test_involution: test_classical_
                                                 Lie Groups, and Symmetric Spaces, Ch. X,
                                                 Table V; A. W. Knapp, Lie Groups Beyond an
                                                 Introduction, App. C
+kac_weak_form_count                    (source) test_involution:
+                                                test_exceptional_menus_match_kac_counts;
+                                                source: V. G. Kac, Infinite-dimensional Lie
+                                                Algebras, 3rd ed., Sec. 8.6 and Tables Aff 1-2;
+                                                S. Helgason, Ch. X
 =====================================  ======== ==========================================
 
 The other functions here are the helpers these need, and exact
@@ -927,10 +932,10 @@ def reference_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     reps: dict[tuple, StrongX] = {}
     inv_length = {0: 0}
     queue: deque[tuple] = deque()
-    for t in ic._fundamental_orbits[orbit][1]:
-        key = ic.x_key((0, t))
+    for x in ic.fundamental_orbits[orbit].members:
+        key = ic.x_key(x)
         if key not in reps:
-            reps[key] = (0, t)
+            reps[key] = x
             queue.append(key)
 
     def record(y: StrongX, length: int) -> None:
@@ -1032,3 +1037,49 @@ def classical_real_forms(letter: str, rank: int, equal_rank: bool) -> list[str]:
     stars = [f"so*({2 * n})"] if n % 2 else [f"so*({2 * n})[1,0]", f"so*({2 * n})[0,1]"]
     signed = [f"so({p},{q})" for p, q in _signatures(2 * n, 0)]
     return sorted([f"so({2 * n})"] + stars + signed)
+
+
+# -- exceptional real forms, from Kac's classification ------------------------
+
+# The Kac labels a_0, ..., a_n of the affine diagram of each exceptional
+# type (Bourbaki numbering, a_0 at the added node), and the cycles of a
+# generator of its symmetry group Omega, where Omega is not trivial.
+_KAC_LABELS = {
+    ("G", 2): ((1, 3, 2), ()),
+    ("F", 4): ((1, 2, 3, 4, 2), ()),
+    ("E", 6): ((1, 1, 2, 2, 3, 2, 1), ((0, 1, 6), (2, 3, 5))),
+    ("E", 7): ((1, 2, 2, 3, 4, 3, 2, 1), ((0, 7), (1, 6), (3, 5))),
+    ("E", 8): ((1, 2, 3, 4, 6, 5, 4, 3, 2), ()),
+}
+# labels of the twisted affine diagram of the outer inner class
+_KAC_TWISTED_LABELS = {("E", 6): (1, 2, 3, 2, 1)}
+
+
+def kac_weak_form_count(letter: str, rank: int, equal_rank: bool) -> int:
+    """Number of weak real forms of a simple exceptional inner class.
+
+    Involutions, the identity included, are labelled by nonnegative s on
+    the affine nodes, up to Omega (see the table above).  In the equal
+    rank class, sum a_i s_i = 2: s is 2e_i with a_i = 1, e_i with a_i =
+    2, or e_i + e_j with a_i = a_j = 1.  In the outer class the twisted
+    diagram's labels give sum a_i s_i = 1, one e_i per label 1.
+    """
+    if not equal_rank:
+        return _KAC_TWISTED_LABELS[(letter, rank)].count(1)
+    labels, cycles = _KAC_LABELS[(letter, rank)]
+    nodes = range(len(labels))
+    move = list(nodes)
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            move[a] = b
+    # each s as the sorted tuple of its nodes, one entry per unit of s_i
+    left = {(i,) for i in nodes if labels[i] == 2} | {
+        (i, j) for i in nodes for j in nodes if i <= j and labels[i] == labels[j] == 1
+    }
+    count = 0
+    while left:
+        count += 1
+        s = left.pop()
+        while (s := tuple(sorted(move[i] for i in s))) in left:
+            left.remove(s)
+    return count

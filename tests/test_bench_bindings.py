@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -28,6 +30,9 @@ def test_traced_bindings_resolve():
         else:
             # the tracer replaces members found in the class dictionary
             assert attr in vars(getattr(owner, cls)), name
+            # and can wrap only these two kinds: a property would become a function
+            member = vars(getattr(owner, cls))[attr]
+            assert isinstance(member, (types.FunctionType, functools.cached_property)), name
     assert hasattr(rr.weyl.piece_chain, "cache_info")
     lt = rr.rootdata.parse_lie_type("A1")
     rd = rr.rootdata.build_root_datum(lt, [])

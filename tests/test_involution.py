@@ -26,12 +26,12 @@ from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL, parse_units
 from contexts import RECORD_GROUPS, SMALL_TYPES, context, fiber_from_corrupted_plus
 from digest_outputs import CONTEXTS
 from oracles import (
-    classical_real_forms, coreflections, cross_word, rank_decomposition, reference_adjoint_context,
-    reference_central_translates, reference_component_rank, reference_fiber_elements,
-    reference_inverse_cayley, reference_key_rows, reference_normal_form_word,
-    reference_rho_check_drop, reference_root_grading, reference_theta_star, reference_to_ad,
-    reference_two_offset_inverse_cayley, reference_x_key, reflection_matrix, reflections,
-    square_key_if_valid, square_key_reference,
+    classical_real_forms, coreflections, cross_word, kac_weak_form_count, rank_decomposition,
+    reference_adjoint_context, reference_central_translates, reference_component_rank,
+    reference_fiber_elements, reference_inverse_cayley, reference_key_rows,
+    reference_normal_form_word, reference_rho_check_drop, reference_root_grading,
+    reference_theta_star, reference_to_ad, reference_two_offset_inverse_cayley, reference_x_key,
+    reflection_matrix, reflections, square_key_if_valid, square_key_reference,
 )
 
 
@@ -84,6 +84,15 @@ MENUS = {
     ("T2.A3", "Cu", None): ["gl(1,C).sl(2,H)", "gl(1,C).sl(4,R)"],
     ("D4.T1", "us", None): ["so(7,1).gl(1,R)", "so(5,3).gl(1,R)"],
     ("T3", "Cs", None): ["gl(1,C).gl(1,R)"],
+    # complex pairs of every simple type
+    **{
+        (text, "C", kernel): [name]
+        for text, name in [
+            ("B2.B2", "so(5,C)"), ("B3.B3", "so(7,C)"), ("C3.C3", "sp(6,C)"),
+            ("D4.D4", "so(8,C)"), ("G2.G2", "g2(C)"), ("F4.F4", "f4(C)"),
+        ]
+        for kernel in ("sc", "ad")
+    },
 }
 
 
@@ -110,6 +119,16 @@ def test_classical_real_forms(text):
         for kernel in ("sc", "ad"):
             names = sorted(f.name for f in context(text, letters, kernel).real_forms)
             assert names == expected, (letters, kernel)
+
+
+@pytest.mark.parametrize("kernel", ["sc", "ad"])
+@pytest.mark.parametrize("text,letters,equal_rank", [
+    ("G2", "s", True), ("F4", "s", True), ("E6", "c", True), ("E6", "s", False),
+    ("E6", "u", False), ("E7", "s", True),
+])
+def test_exceptional_menus_match_kac_counts(text, letters, equal_rank, kernel):
+    ic = context(text, letters, kernel)
+    assert len(ic.real_forms) == kac_weak_form_count(text[0], int(text[1:]), equal_rank)
 
 
 def test_menu_lines():
@@ -505,6 +524,25 @@ def test_orbit_partition_runs_once_per_involution(monkeypatch, text, letters, ke
     assert {inv for key, inv in calls if key == id(ic)} == canonical
 
 
+@pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
+def test_base_cartan_orbits_descend_nothing(text, letters, kernel):
+    # the class of involution 0 takes its forms from fundamental_orbits
+    ic = context(text, letters, kernel)
+    calls = []
+    real_form_of = ic.real_form_of
+    ic.real_form_of = lambda x: calls.append(x) or real_form_of(x)
+    orbits = ic.cartan_orbits(ic.table.class_of[0])
+    assert calls == []
+    assert sorted(orbits) == sorted(ic.fundamental_orbits)
+
+
+def test_adjoint_orbits_refuse_an_orbit_meeting_two():
+    T, F = True, False
+    assert InnerClass._adjoint_orbits([((T,), (F,)), ((F,),)])[0] == (0, 0)
+    with pytest.raises(RuntimeError, match="two adjoint orbits"):
+        InnerClass._adjoint_orbits([((T, F), (F, F)), ((T, T), (F, F))])
+
+
 @pytest.mark.parametrize(
     "text,letters,kernel",
     RECORD_GROUPS + [("B4", "s", None), ("F4", "s", None), ("D5", "s", None)],
@@ -546,7 +584,8 @@ def descend_last(ic, x):
                 steps.extend(ic.inverse_cayley(j, x))
         x = steps[-1]
         inv = x[0]
-    return ic._base_form_by_key[ic.x_key(x)]
+    # the fundamental orbit of the base point reached, found by key
+    return next(o.form for o in ic.fundamental_orbits if ic.x_key(x) in map(ic.x_key, o.members))
 
 
 @pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
@@ -559,17 +598,16 @@ def test_descent_is_path_independent(text, letters, kernel):
 @pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
 def test_descent_keys_only_the_base_point(text, letters, kernel):
     # each step takes the first inverse Cayley candidate, which needs no
-    # key; the one x_key is the lookup of the base point reached
+    # key, and the base point reached is looked up by its gradings
     ic = context(text, letters, kernel)
-    ic._base_form_by_key  # keys every base fiber
+    ic.fundamental_orbits  # keys every base fiber
     points = all_strong_involutions(ic)
     keyed = []
     x_key = ic.x_key
     ic.x_key = lambda x: keyed.append(x) or x_key(x)
     for x, _ in points:
-        keyed.clear()
         ic.real_form_of(x)
-        assert len(keyed) == 1 and keyed[0][0] == 0
+        assert keyed == []
 
 
 def test_every_strong_involution_descends():
@@ -734,10 +772,10 @@ ADJOINT_GROUPS = [
 def test_weak_forms_and_partitions_match_the_adjoint_context(text, letters, kernel):
     ic = context(text, letters, kernel)
     ad = reference_adjoint_context(ic)
-    assert ic._orbit_form_indices == tuple(
-        ad.real_form_of((0, reference_to_ad(ic, ad, members[0])))
-        for _, members, *_ in ic._fundamental_orbits
-    )
+    assert [o.form for o in ic.fundamental_orbits] == [
+        ad.real_form_of((0, reference_to_ad(ic, ad, o.members[0][1])))
+        for o in ic.fundamental_orbits
+    ]
     assert [f.quasisplit for f in ic.real_forms] == [f.quasisplit for f in ad.real_forms]
     assert ad.table is ic.table
     for c in range(len(ic.table.classes)):
@@ -968,7 +1006,7 @@ def test_dual_inner_class_has_dual_classes(text, letter, kernel):
 def test_strong_involutions_fill_kgb_and_fibers(text, letter, kernel):
     ic = context(text, letter, kernel)
     # every strong involution lies in the KGB of exactly one base-fiber orbit
-    forms = ic._orbit_form_indices
+    forms = [o.form for o in ic.fundamental_orbits]
     assert sum(generate_kgb(ic, forms[o], o).size for o in range(len(forms))) \
         == ic.strong_count()
     # a fiber over a Cartan class is empty or has 2^(fiber rank) points

@@ -205,7 +205,7 @@ def test_kgb_sizes(text, letters, kernel, sizes):
 def test_kgb_sizes_over_strong_forms_count_strong_involutions(
         text, letters, kernel):
     ic = context(text, letters, kernel)
-    forms = ic._orbit_form_indices
+    forms = [o.form for o in ic.fundamental_orbits]
     total = sum(
         generate_kgb(ic, forms[o], orbit=o).size for o in range(len(forms))
     )
@@ -223,7 +223,8 @@ def test_kgb_of_compact_form_is_a_point():
 
 
 def test_kgb_of_complex_group_enumerates_weyl_group():
-    for text, factor in [("A1.A1", "A1"), ("A2.A2", "A2"), ("A3.A3", "A3")]:
+    for text, factor in [("A1.A1", "A1"), ("A2.A2", "A2"), ("A3.A3", "A3"),
+                         ("B2.B2", "B2"), ("G2.G2", "G2")]:
         ic = context(text, "C")
         g = generate_kgb(ic, 0)
         assert g.size == weyl_order(factor)
@@ -246,7 +247,7 @@ def test_kgb_of_complex_group_enumerates_weyl_group():
 
 def test_kgb_seed_choice():
     ic = context("A3", "c")
-    forms = ic._orbit_form_indices
+    forms = tuple(o.form for o in ic.fundamental_orbits)
     assert forms == (0, 2, 0, 1, 1)
     assert seed_orbit(ic, 1) == 3
     assert generate_kgb(ic, 1, orbit=4).size == generate_kgb(ic, 1).size
@@ -258,7 +259,7 @@ def test_kgb_closed_orbits_fill_the_seed_fiber_orbit():
     ic = context("A3", "c")
     g = generate_kgb(ic, 2)
     closed = [e for e in g.elements if e.length == 0]
-    assert len(closed) == len(ic._fundamental_orbits[g.orbit][1])
+    assert len(closed) == len(ic.fundamental_orbits[g.orbit].members)
     assert [e.id for e in closed] == list(range(len(closed)))
 
 
@@ -363,7 +364,7 @@ def test_kgb_matches_two_pass_reference(text, letters, kernel):
 
 def test_kgb_matches_two_pass_reference_at_every_seed_orbit():
     ic = context("B3", "s")
-    forms = ic._orbit_form_indices
+    forms = [o.form for o in ic.fundamental_orbits]
     assert len(set(forms)) < len(forms)
     for o, form in enumerate(forms):
         assert generate_kgb(ic, form, orbit=o) == reference_kgb(ic, form, orbit=o)
@@ -396,7 +397,7 @@ def test_kgb_computes_each_edge_once(text, letters, kernel, form):
     assert calls["cayley"] == cayleys
     # keys: the seeds, and at most one per cross action and Cayley edge;
     # a compact imaginary root fixes t mod denom, so its loop is not keyed
-    seeds = len(ic._fundamental_orbits[g.orbit][1])
+    seeds = len(ic.fundamental_orbits[g.orbit].members)
     compact = sum(e.statuses.count("c") for e in g.elements)
     assert compact > 0
     assert calls["x_key"] <= seeds + calls["cross"] - compact + cayleys
