@@ -33,6 +33,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
 from . import lin
@@ -502,9 +503,8 @@ class InnerClass:
         (InvolutionLattice.minus).
         """
         inv, t = x
-        rows = self.lattice(inv).minus[1]
         d = self.denom
-        return (inv, tuple(lin.vec_dot(r, t) % d for r in rows))
+        return (inv, tuple([sum(map(mul, r, t)) % d for r in self.lattice(inv).minus[1]]))
 
     def _reflect(self, j: int, t: lin.Vector) -> lin.Vector:
         """s_j t = t - <alpha_j, t> alpha_j^v, on cocharacters."""
@@ -580,22 +580,33 @@ class InnerClass:
     # -- cross actions, Cayley transforms, gradings ----------------------
 
     def cross(self, j: int, x: StrongX) -> StrongX:
-        """Cross action of the j-th simple reflection."""
+        """Cross action of the j-th simple reflection: s_j t mod denom, plus
+        _complex_shift when j is complex at the involution of x."""
         inv, t = x
         kind, nbr = self.table.status(inv, j)
-        rd = self.rd
         t2 = self._reflect(j, t)
-        half = self.denom // 2
         if kind in (IMAGINARY, REAL):
             return (inv, lin.vec_mod(t2, self.denom))
+        shift = lin.vec_scale(self._complex_shift(inv, j, kind), self.denom // 2)
+        return (nbr, lin.vec_mod(lin.vec_add(t2, shift), self.denom))
+
+    def _complex_shift(self, inv: int, j: int, kind: str) -> lin.Vector:
+        """gamma^v, of which the cross action of the simple root j, complex
+        of the given kind at inv, adds denom/2 times to s_j t: gamma is s_j
+        theta alpha_j when j is complex up, alpha_j when complex down.
+        Either carries gradings (root_grading)."""
         if kind == COMPLEX_UP:
             s = self.table.simple[j]
-            sa = self.table.reflections[s][self.table.thetas[inv][s]]
-            covec = rd.positive_roots[sa].covec
-        else:
-            covec = rd.simple_coroots[j]
-        t2 = lin.vec_add(t2, lin.vec_scale(covec, half))
-        return (nbr, lin.vec_mod(t2, self.denom))
+            gamma = self.table.reflections[s][self.table.thetas[inv][s]]
+            return self.rd.positive_roots[gamma].covec
+        return self.rd.simple_coroots[j]
+
+    def _grading_offset(self, inv: int, k: int) -> int:
+        """(ht(alpha) + ht_i(alpha) - 1) d, d = denom, for the positive root
+        k imaginary at inv: alpha is noncompact at (inv, t) exactly when 2
+        <alpha, t> plus this is 0 mod 2d (root_grading)."""
+        heights = lin.vec_dot(self.rd.positive_roots[k].vec, self.lattice(inv).heights) // 2
+        return (heights - 1) * self.denom
 
     def grading(self, x: StrongX, j: int) -> bool:
         """True when the imaginary simple root j is noncompact at x."""
@@ -634,10 +645,8 @@ class InnerClass:
         root = self.rd.positive_roots[k]
         if self.table.thetas[inv][k] != k:
             raise RuntimeError(f"root {root.coeffs} is not imaginary at involution {inv}")
-        d = self.denom
-        heights = lin.vec_dot(root.vec, self.lattice(inv).heights) // 2
-        num = 2 * lin.vec_dot(root.vec, t) + (heights - 1) * d
-        return num % (2 * d) == 0
+        num = 2 * lin.vec_dot(root.vec, t) + self._grading_offset(inv, k)
+        return num % (2 * self.denom) == 0
 
     def cayley(self, j: int, x: StrongX) -> StrongX:
         """Cayley transform through a noncompact imaginary simple root.
@@ -653,48 +662,23 @@ class InnerClass:
             raise ValueError(f"simple root {j} is compact at this strong involution")
         return (nbr, lin.vec_mod(self._reflect(j, t), self.denom))
 
-    def inverse_cayley(self, j: int, x: StrongX) -> tuple[StrongX, ...]:
-        """Valid inverse Cayley transforms through a real simple root.
+    def _first_inverse_cayley(self, j: int, nbr: int, t: lin.Vector) -> StrongX | None:
+        """An inverse Cayley transform of (inv, t) through the simple root j,
+        real at inv, to nbr; None when there is none.  Keys nothing.
 
-        With d = denom and base = s_j t, these are the candidates (nbr,
-        u), u = base + c alpha_j^v, at which alpha_j, simple imaginary at
-        nbr, is noncompact: <alpha_j, u> = <alpha_j, base> + 2c = d/2 mod d
-        (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is no c
-        when r is odd, else c = r/2 and r/2 + d/2, in that order.  So this
-        is the scan of all d offsets: no compact candidate shares a key
-        with these, as the key rows span alpha_j, theta-fixed at nbr.
-        Offsets c, c' give one key when c key(alpha_j^v) = c' key(alpha_j^v).
-        Every candidate squares into the class of x, so none is keyed:
+        With d = denom and base = s_j t, the candidates are (nbr, u), u =
+        base + c alpha_j^v, and alpha_j, simple imaginary at nbr, is
+        noncompact there when <alpha_j, u> = <alpha_j, base> + 2c = d/2 mod
+        d (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is no
+        c when r is odd, else c = r/2 or r/2 + d/2; this is the first.
+        Every candidate squares into the class of (inv, t):
         - its Cayley image (inv, t - c alpha_j^v) has the square numerators
-          of x, as theta*_inv alpha_j^v = -alpha_j^v;
+          of (inv, t), as theta*_inv alpha_j^v = -alpha_j^v;
         - a Cayley transform through a noncompact alpha_j keeps the square
           numerators mod d: theta*_inv s_j = theta*_nbr, so they move by
           (d/2 - <alpha_j, u>) alpha_j^v mod d, the rho-check drop growing
           by alpha_j^v, and <alpha_j, u> = d/2 mod d.
-        Raises ValueError when j is not real at x.
-        """
-        inv, t = x
-        kind, nbr = self.table.status(inv, j)
-        if kind != REAL:
-            raise ValueError(f"simple root {j} is not real at involution {inv}")
-        first = self._first_inverse_cayley(j, nbr, t)
-        if first is None:
-            return ()
-        d = self.denom
-        av = self.rd.simple_coroots[j]
-        # the offset r/2 + d/2 gives a second key unless (d/2) key(alpha_j^v) = 0
-        if all(d // 2 * b % d == 0 for b in self.x_key((nbr, av))[1]):
-            return (first,)
-        second = (nbr, lin.vec_mod(lin.vec_add(first[1], lin.vec_scale(av, d // 2)), d))
-        if not self.grading(second, j):
-            raise RuntimeError("an inverse Cayley candidate is compact")
-        return first, second
-
-    def _first_inverse_cayley(self, j: int, nbr: int, t: lin.Vector) -> StrongX | None:
-        """The inverse Cayley candidate at offset r/2 through the real
-        simple root j, from torus part t to involution nbr, or None when r
-        is odd (inverse_cayley).  Keys nothing; raises RuntimeError when
-        the candidate is compact.
+        Raises RuntimeError when the candidate is compact.
         """
         d = self.denom
         base = self._reflect(j, t)
@@ -929,11 +913,11 @@ class InnerClass:
         action of the first simple root that is a complex descent, when
         the status row has one, and costs one cross action.  Otherwise it
         is the first inverse Cayley candidate, at offset r/2, through the
-        first real simple root that has one (inverse_cayley).  The descent
-        keys nothing, and ends at the point of the base point in the
-        adjoint fiber: its gradings at imaginary_basis(0), kept by torus
-        conjugation and reduction mod denom, whose adjoint orbit is the
-        weak form (_fundamental).  The form does not depend on the path:
+        first real simple root that has one (_first_inverse_cayley).  The
+        descent keys nothing, and ends at the point of the base point in
+        the adjoint fiber: its gradings at imaginary_basis(0), kept by
+        torus conjugation and reduction mod denom, whose adjoint orbit is
+        the weak form (_fundamental).  The form does not depend on the path:
         cross actions and Cayley transforms preserve the weak real form.
         """
         inv, _ = x
@@ -1001,10 +985,16 @@ class InnerClass:
     def form_cartans(self, form: int) -> tuple[int, ...]:
         """Cartan classes carrying strong involutions of one weak form."""
         self.check(form=form)
-        return tuple(
-            c for c in range(len(self.table.classes))
-            if any(o.form == form for o in self.cartan_orbits(c))
-        )
+        return self._form_cartans[form]
+
+    @cached_property
+    def _form_cartans(self) -> tuple[tuple[int, ...], ...]:
+        """form_cartans of every weak form, from one pass over cartan_orbits."""
+        out: list[list[int]] = [[] for _ in self.real_forms]
+        for c in range(len(self.table.classes)):
+            for form in {o.form for o in self.cartan_orbits(c)}:
+                out[form].append(c)
+        return tuple(map(tuple, out))
 
     def cartan_ranks(self, cartan: int) -> RankDecomposition:
         """Rank decomposition of the canonical involution of a Cartan class."""

@@ -17,11 +17,23 @@ cross edge once and fills it back at its far end, and leaves fixed
 points unkeyed (a cross image equal to its source, as at every compact
 imaginary root, takes the source's key).  It computes each Cayley
 transform once and records the edges by key; the ids only relabel them.
+
+Each step of the pass, one element x = (i, t) and one simple root j,
+pairs alpha_j with t once.  The reflection y = s_j t mod denom gives
+the cross image: (i, y) at an imaginary or real j, and y plus (denom/2)
+gamma^v at a complex j (InnerClass._complex_shift).  At an imaginary j
+the same pairing gives the grading.  When j is noncompact there, y is
+also the torus part of the Cayley transform: the Cayley transform and
+the imaginary cross action both reflect t by s_j and differ only in the
+twisted involution (InnerClass.cayley).  The neighbours, coroots gamma^v
+and grading offsets come from one step row per twisted involution,
+built when the pass first meets it and dropped with the call.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import mul
 from typing import NamedTuple
 
 from .involution import InnerClass, StrongX
@@ -87,22 +99,36 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     cross edge is computed once; fixed points are unkeyed.  W acts on
     KGB, so s_j is an involution: y = cross_j(x) has x as its j-th cross
     image, recorded when y is met and not recomputed when y is processed.
+
+    Each (element, simple root) step reads the step row of the element's
+    twisted involution (_step_row) and pairs alpha_j with t once.  With
+    c = <alpha_j, t> and d = denom, y = t - c alpha_j^v mod d is the cross
+    image (InnerClass.cross) at a real or imaginary j; at a complex j it
+    is y plus (d/2) gamma^v, gamma^v read off the row.  At an imaginary
+    j, alpha_j is noncompact exactly when 2c plus the row's offset is 0
+    mod 2d (InnerClass.root_grading), and then (nbr, y) is the Cayley
+    transform (InnerClass.cayley).
     """
     orbit = seed_orbit(ic, form, orbit)
     table = ic.table
-    js = range(len(table.simple))
+    x_key = ic.x_key
+    d = ic.denom
+    h = d // 2
+    n = len(table.simple)
 
     reps: dict[tuple, StrongX] = {}
     # the keys of each element's cross images, filled in from both ends
     crosses: dict[tuple, list] = {}
     edges: dict[tuple, tuple[tuple[str, ...], list]] = {}
+    # the step row of each twisted involution met
+    steps: dict[int, list[tuple]] = {}
     queue: deque[tuple] = deque()
 
     def record(y: StrongX) -> tuple:
-        key = ic.x_key(y)
+        key = x_key(y)
         if key not in reps:
             reps[key] = y
-            crosses[key] = [None] * len(js)
+            crosses[key] = [None] * n
             queue.append(key)
         return key
 
@@ -111,42 +137,70 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
 
     while queue:
         key = queue.popleft()
-        x = reps[key]
+        inv, t = reps[key]
+        row = steps.get(inv)
+        if row is None:
+            row = steps[inv] = _step_row(ic, inv)
         cross = crosses[key]
         statuses, cayley = [], []
-        for j in js:
-            kind = table.status(x[0], j)[0]
-            if cross[j] is None:
-                y = ic.cross(j, x)
-                if y == x:
-                    cross[j] = key
-                else:
-                    cross[j] = k = record(y)
+        for j, (letter, nbr, a, av, gamma, offset) in enumerate(row):
+            todo = cross[j] is None
+            noncompact = False
+            if todo or offset is not None:
+                c = sum(map(mul, a, t))
+                if gamma is not None:
+                    y = tuple([(u - c * v + h * g) % d for u, v, g in zip(t, av, gamma)])
+                    cross[j] = k = record((nbr, y))
                     crosses[k][j] = key
-            noncompact = kind == IMAGINARY and ic.grading(x, j)
-            statuses.append("n" if noncompact else _LETTER[kind])
-            cayley.append(record(ic.cayley(j, x)) if noncompact else None)
+                else:
+                    # reps are reduced mod d, so y = t when c = 0
+                    y = tuple([(u - c * v) % d for u, v in zip(t, av)]) if c else t
+                    if todo:
+                        cross[j] = k = key if y == t else record((inv, y))
+                        crosses[k][j] = key
+                    noncompact = offset is not None and (2 * c + offset) % (2 * d) == 0
+            statuses.append("n" if noncompact else letter)
+            cayley.append(record((nbr, y)) if noncompact else None)
         edges[key] = (tuple(statuses), cayley)
 
-    order = sorted(
-        reps,
-        key=lambda key: (table.lengths[key[0]], table.class_of[key[0]], key),
-    )
+    lengths, class_of = table.lengths, table.class_of
+    order = sorted(reps, key=lambda key: (lengths[key[0]], class_of[key[0]], key))
     ids = {key: i for i, key in enumerate(order)}
     elements = tuple(
         KGBElement(
-            id=i,
-            length=table.lengths[key[0]],
-            cartan=table.class_of[key[0]],
-            statuses=edges[key][0],
-            cross=tuple(ids[k] for k in crosses[key]),
-            cayley=tuple(None if k is None else ids[k] for k in edges[key][1]),
-            word=table.word(key[0]),
-            rep=reps[key],
+            i,
+            lengths[key[0]],
+            class_of[key[0]],
+            edges[key][0],
+            tuple([ids[k] for k in crosses[key]]),
+            tuple([None if k is None else ids[k] for k in edges[key][1]]),
+            table.word(key[0]),
+            reps[key],
         )
         for i, key in enumerate(order)
     )
     return KGB(form=form, orbit=orbit, elements=elements)
+
+
+def _step_row(ic: InnerClass, inv: int) -> list[tuple]:
+    """What generate_kgb needs of each simple root j at the involution inv:
+    (status letter, neighbour, alpha_j, alpha_j^v, gamma^v, offset).
+
+    The coroot gamma^v (InnerClass._complex_shift) is present exactly
+    when j is complex, and the grading offset (InnerClass._grading_offset)
+    exactly when j is imaginary; the letter is "c" there, and "n"
+    replaces it at a noncompact element.
+    """
+    table, rd = ic.table, ic.rd
+    row = []
+    for j, (kind, nbr) in enumerate(table.status_row(inv)):
+        gamma = offset = None
+        if kind == IMAGINARY:
+            offset = ic._grading_offset(inv, table.simple[j])
+        elif kind != REAL:
+            gamma = ic._complex_shift(inv, j, kind)
+        row.append((_LETTER[kind], nbr, rd.simple_roots[j], rd.simple_coroots[j], gamma, offset))
+    return row
 
 
 def format_kgb(kgb: KGB) -> list[str]:

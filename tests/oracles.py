@@ -36,7 +36,12 @@ reference_central_reduce               4081506  (as above)
 reference_central_translates           4081506  (as above)
 reference_central_class_key            4081506  (as above)
 reference_x_key                        afb6624  test_involution: test_fiber_keys_and_inverse_cayley_match_references
-reference_inverse_cayley               afb6624  (as above)
+inverse_cayley                         8e0a084+ test_involution: test_cross_and_cayley_preserve_squares,
+                                                test_cayley_rejects_roots_of_the_wrong_kind,
+                                                test_descent_is_path_independent,
+                                                test_fiber_keys_and_inverse_cayley_match_references,
+                                                test_inverse_cayley_candidates_square_like_x
+reference_inverse_cayley               afb6624  test_involution: test_fiber_keys_and_inverse_cayley_match_references
 reference_two_offset_inverse_cayley    c048f3b  (as above)
 reference_fiber_elements               a23a4d8  (as above)
 reference_key_rows                     9d1bd91+ test_involution: test_fiber_keys_and_inverse_cayley_match_references,
@@ -602,6 +607,44 @@ def reference_kgb_order(ic, kgb):
         )
         for e in order
     ))
+
+
+def inverse_cayley(ic: InnerClass, j: int, x: StrongX) -> tuple[StrongX, ...]:
+    """Valid inverse Cayley transforms through a real simple root.
+
+    InnerClass.inverse_cayley until 8e0a084+, which left the library only
+    its first candidate (InnerClass._first_inverse_cayley), found here
+    afresh.  With d = denom and base = s_j t, these are the candidates
+    (nbr, u), u = base + c alpha_j^v, at which alpha_j, simple imaginary
+    at nbr, is noncompact: <alpha_j, u> = <alpha_j, base> + 2c = d/2 mod d
+    (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is no c
+    when r is odd, else c = r/2 and r/2 + d/2, in that order.  So this is
+    the scan of all d offsets: no compact candidate shares a key with
+    these, as the key rows span alpha_j, theta-fixed at nbr.  Offsets c,
+    c' give one key when c key(alpha_j^v) = c' key(alpha_j^v).  Every
+    candidate squares into the class of x (_first_inverse_cayley), so
+    none is keyed.  Raises ValueError when j is not real at x.
+    """
+    inv, t = x
+    kind, nbr = ic.table.status(inv, j)
+    if kind != REAL:
+        raise ValueError(f"simple root {j} is not real at involution {inv}")
+    d = ic.denom
+    base = ic._reflect(j, t)
+    r = (d // 2 - lin.vec_dot(ic.rd.simple_roots[j], base)) % d
+    if r % 2:
+        return ()
+    av = ic.rd.simple_coroots[j]
+    first = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, r // 2)), d))
+    if not ic.grading(first, j):
+        raise RuntimeError("an inverse Cayley candidate is compact")
+    # the offset r/2 + d/2 gives a second key unless (d/2) key(alpha_j^v) = 0
+    if all(d // 2 * b % d == 0 for b in ic.x_key((nbr, av))[1]):
+        return (first,)
+    second = (nbr, lin.vec_mod(lin.vec_add(first[1], lin.vec_scale(av, d // 2)), d))
+    if not ic.grading(second, j):
+        raise RuntimeError("an inverse Cayley candidate is compact")
+    return first, second
 
 
 def reference_inverse_cayley(ic, j, x):

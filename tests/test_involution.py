@@ -26,12 +26,13 @@ from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL, parse_units
 from contexts import RECORD_GROUPS, SMALL_TYPES, context, fiber_from_corrupted_plus
 from digest_outputs import CONTEXTS
 from oracles import (
-    classical_real_forms, coreflections, cross_word, kac_weak_form_count, rank_decomposition,
-    reference_adjoint_context, reference_central_translates, reference_component_rank,
-    reference_fiber_elements, reference_inverse_cayley, reference_key_rows,
-    reference_normal_form_word, reference_rho_check_drop, reference_root_grading,
-    reference_theta_star, reference_to_ad, reference_two_offset_inverse_cayley, reference_x_key,
-    reflection_matrix, reflections, square_key_if_valid, square_key_reference,
+    classical_real_forms, coreflections, cross_word, inverse_cayley, kac_weak_form_count,
+    rank_decomposition, reference_adjoint_context, reference_central_translates,
+    reference_component_rank, reference_fiber_elements, reference_inverse_cayley,
+    reference_key_rows, reference_normal_form_word, reference_rho_check_drop,
+    reference_root_grading, reference_theta_star, reference_to_ad,
+    reference_two_offset_inverse_cayley, reference_x_key, reflection_matrix, reflections,
+    square_key_if_valid, square_key_reference,
 )
 
 
@@ -357,10 +358,10 @@ def test_cross_and_cayley_preserve_squares(text, letters):
             if kind == IMAGINARY and ic.grading(x, j):
                 up = ic.cayley(j, x)
                 assert square_key_if_valid(ic, up) == key
-                back = ic.inverse_cayley(j, up)
+                back = inverse_cayley(ic, j, up)
                 assert ic.x_key(x) in {ic.x_key(y) for y in back}
             if kind == REAL:
-                for y in ic.inverse_cayley(j, x):
+                for y in inverse_cayley(ic, j, x):
                     assert square_key_if_valid(ic, y) == key
                     assert ic.grading(y, j)
                     assert ic.x_key(ic.cayley(j, y)) == ic.x_key(x)
@@ -430,8 +431,8 @@ def test_cayley_rejects_roots_of_the_wrong_kind():
     with pytest.raises(ValueError):
         ic.cayley(0, split)
     with pytest.raises(ValueError):
-        ic.inverse_cayley(0, noncompact[0])
-    assert ic.inverse_cayley(0, split)
+        inverse_cayley(ic, 0, noncompact[0])
+    assert inverse_cayley(ic, 0, split)
 
 
 # -- gradings ---------------------------------------------------------
@@ -581,7 +582,7 @@ def descend_last(ic, x):
             if kind == COMPLEX_DOWN:
                 steps.append(ic.cross(j, x))
             elif kind == REAL:
-                steps.extend(ic.inverse_cayley(j, x))
+                steps.extend(inverse_cayley(ic, j, x))
         x = steps[-1]
         inv = x[0]
     # the fundamental orbit of the base point reached, found by key
@@ -930,11 +931,13 @@ def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
             assert [got.index(k) for k in got] == [refs.index(r) for r in refs]
             for t in fiber:
                 x = (inv, t)
-                for j, (kind, _) in enumerate(ic.table.status_row(inv)):
+                for j, (kind, nbr) in enumerate(ic.table.status_row(inv)):
                     if kind == REAL:
-                        got = ic.inverse_cayley(j, x)
+                        got = inverse_cayley(ic, j, x)
                         assert got == reference_inverse_cayley(ic, j, x)
                         assert got == reference_two_offset_inverse_cayley(ic, j, x)
+                        # the one candidate real_form_of takes
+                        assert ic._first_inverse_cayley(j, nbr, t) == (got[0] if got else None)
                         cayleys += bool(got)
                 points += 1
     assert points and cayleys
@@ -962,7 +965,7 @@ def test_inverse_cayley_candidates_square_like_x(text, letters, kernel):
                         for c in range(d)
                     ]
                     noncompact = [y for y in cands if ic.grading(y, j)]
-                    assert set(ic.inverse_cayley(j, x)) <= set(noncompact)
+                    assert set(inverse_cayley(ic, j, x)) <= set(noncompact)
                     for y in noncompact:
                         assert lin.vec_mod(ic._square_numerators(y), d) == square
                         checked += 1

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realred import lin
 from realred.cartan import weyl_order
 from realred.kgb import format_kgb, generate_kgb, seed_orbit
 from realred.weyl import COMPLEX_DOWN, COMPLEX_UP
 
-from contexts import context
+from contexts import SMALL_TYPES, context, quasisplit
 from oracles import reference_kgb, reflections
 
 
@@ -362,6 +364,18 @@ def test_kgb_matches_two_pass_reference(text, letters, kernel):
         assert generate_kgb(ic, form) == reference_kgb(ic, form)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(SMALL_TYPES),
+    letter=st.sampled_from("cs"),
+    kernel=st.sampled_from([None, "ad"]),
+)
+def test_kgb_of_compact_and_quasisplit_forms_match_two_pass_reference(text, letter, kernel):
+    ic = context(text, letter, kernel)
+    for form in {0, quasisplit(ic)}:
+        assert generate_kgb(ic, form) == reference_kgb(ic, form)
+
+
 def test_kgb_matches_two_pass_reference_at_every_seed_orbit():
     ic = context("B3", "s")
     forms = [o.form for o in ic.fundamental_orbits]
@@ -373,31 +387,25 @@ def test_kgb_matches_two_pass_reference_at_every_seed_orbit():
 @pytest.mark.parametrize("text, letters, kernel, form", [GRAPH_CASES[2], GRAPH_CASES[5]])
 def test_kgb_computes_each_edge_once(text, letters, kernel, form):
     ic = context(text, letters, kernel)
-    ic.real_forms  # the seed fibers call cross too; build them first
-    calls = {"cross": 0, "cayley": 0, "x_key": 0}
-
-    def counted(name):
-        method = getattr(ic, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-        return wrapper
-
-    ic.cross = counted("cross")
-    ic.cayley = counted("cayley")
-    ic.x_key = counted("x_key")
+    ic.real_forms  # the seed fibers are keyed too; build them first
+    keyed = []
+    x_key = ic.x_key
+    ic.x_key = lambda x: keyed.append(x) or x_key(x)
     g = generate_kgb(ic, form)
-    # one cross action per unordered edge: a pair {x, s_j x} once, a fixed point once
+    del ic.x_key
+    # keys: the seeds, each Cayley edge, and each cross image that moves t,
+    # once per unordered edge: a pair {x, s_j x} once, a fixed point not at all
     n = ic.rd.semisimple_rank
-    loops = [sum(1 for e in g.elements if e.cross[j] == e.id) for j in range(n)]
-    assert all((g.size + loops[j]) % 2 == 0 for j in range(n))
-    assert calls["cross"] == sum(g.size + loops[j] for j in range(n)) // 2
-    cayleys = sum(e.statuses.count("n") for e in g.elements)
-    assert calls["cayley"] == cayleys
-    # keys: the seeds, and at most one per cross action and Cayley edge;
-    # a compact imaginary root fixes t mod denom, so its loop is not keyed
     seeds = len(ic.fundamental_orbits[g.orbit].members)
+    loops = [[e for e in g.elements if e.cross[j] == e.id] for j in range(n)]
+    assert all((g.size - len(loops[j])) % 2 == 0 for j in range(n))
+    pairs = sum(g.size - len(loops[j]) for j in range(n)) // 2
+    moved = sum(ic.cross(j, e.rep) != e.rep for j in range(n) for e in loops[j])
+    cayleys = sum(e.statuses.count("n") for e in g.elements)
+    assert len(keyed) == seeds + pairs + moved + cayleys
+    # at most one key per cross action and Cayley edge; a compact imaginary
+    # root fixes t mod denom, so its loop is not keyed
+    crosses = sum(g.size + len(loops[j]) for j in range(n)) // 2
     compact = sum(e.statuses.count("c") for e in g.elements)
     assert compact > 0
-    assert calls["x_key"] <= seeds + calls["cross"] - compact + cayleys
+    assert len(keyed) <= seeds + crosses - compact + cayleys
