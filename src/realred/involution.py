@@ -19,24 +19,28 @@ per twisted involution: theta*, built from the table parent's record by
 rank-one reflection updates, and its rho-check drop, heights, the Smith
 form of 1 + theta*, and a basis of the theta-fixed characters, moved
 along complex descents by the same updates.  The key of x is t paired
-with that basis mod denom (x_key), linear in t, so
-fiber points and their cross actions are keyed by affine updates.  A
-fiber is t0 plus the subset sums of its generators, by size, then in
-itertools.combinations order, and its keys are the same sums of keys.
-That is the order of a breadth-first closure from t0 under the
-generators in order: it first reaches {a1 < ... < ak} from its least
-parent {a1, ..., a(k-1)}.
+with that basis mod denom (x_key), linear in t.  A fiber is t0 plus the
+F2-span of its generators g_i = (denom/2) c_i, c_i the Smith columns of
+1 + theta* at divisor 2, and its point b, a bitmask over the generators,
+is t0 plus the g_i of the bits of b (fiber.Fiber).  Keys, gradings and
+imaginary cross actions are affine in b: adding g_i adds <beta, c_i> to
+2 <beta, t> / denom, and so flips the grading of beta when that is odd,
+and a noncompact reflection XORs b with one mask (_orbit_partition).
+Points are listed by subset size, then in itertools.combinations order:
+the order of a breadth-first closure from t0 under the generators in
+order, which first reaches {a1 < ... < ak} from {a1, ..., a(k-1)}.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, xor
 from typing import NamedTuple
 
 from . import lin
+from .fiber import Fiber, bitmask, half_mask, reflections, span, subset_order
 from .rootdata import (
     Factor,
     InputError,
@@ -99,12 +103,13 @@ class StrongOrbit(NamedTuple):
 class FiberOrbit(NamedTuple):
     """Cross-action orbit of the imaginary Weyl group on one fiber.
 
-    The members are strong involutions over one involution, in fiber
-    order, and all have the weak real form numbered form.  moves[g][m]
-    is the position in members of the image of member m under the
-    reflection in the g-th root of imaginary_basis of the involution.
-    points[m], the point of member m in the adjoint fiber, is its tuple
-    of gradings at imaginary_basis; the moves are read off it.
+    The members are strong involutions over one involution, points of one
+    Fiber in fiber order, and all have the weak real form numbered form.
+    moves[g][m] is the position in members of the image of member m under
+    the reflection in the g-th root of imaginary_basis of the involution,
+    which XORs the member's bitmask with one mask where that root is
+    noncompact.  points[m], the point of member m in the adjoint fiber, is
+    its tuple of gradings at imaginary_basis, affine in its bitmask.
     """
 
     square_class: int
@@ -314,8 +319,8 @@ class InnerClass:
         self.table: InvolutionTable = involution_table(delta)
         self._dstar: lin.Matrix = lin.transpose(delta.matrix)
         self._lattices = {0: InvolutionLattice(self._dstar, self.table.thetas[0], self.rd)}
-        # (points, x_keys) of each fiber, by (involution, square-class key)
-        self._fibers: dict[tuple[int, tuple], tuple[tuple[lin.Vector, ...], tuple]] = {}
+        # the Fiber, or None when empty, by (involution, square-class key)
+        self._fibers: dict[tuple[int, tuple], Fiber | None] = {}
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
         # cartan.CartanClass by class index, built by cartan.cartan_class
         self._cartan_classes: dict[int, object] = {}
@@ -522,18 +527,19 @@ class InnerClass:
 
     # -- fibers ----------------------------------------------------------
 
-    def fiber_elements(self, inv: int, key: tuple) -> tuple[lin.Vector, ...]:
-        """Strong involutions over one involution with squares in one class.
+    def _fiber(self, inv: int, key: tuple) -> Fiber | None:
+        """The fiber over inv of the square class key, None when the class is
+        not realized over inv; built once and kept in _fibers.
 
-        Elements are reduced numerators over denom: t0 plus the sums of
-        the subsets of the generators, smallest subsets first and
-        subsets of one size in combinations order.  Empty when the
-        square class is not realized over this involution.  Their x_keys,
-        the generators' key sums, are kept with them in _fibers.
+        The generators are (d/2) c_i, d = denom, for the Smith columns c_i
+        of 1 + theta* at divisor 2; keys are linear in t, so the key masks
+        of the sums of generators are XORs of theirs.  Raises RuntimeError
+        when 1 + theta* has a divisor above 2, when the key masks are not
+        2^(fiber rank) distinct ones (that is, independent over F2), or
+        when a point squares outside the class.
         """
-        cached = self._fibers.get((inv, key))
-        if cached is not None:
-            return cached[0]
+        if (inv, key) in self._fibers:
+            return self._fibers[(inv, key)]
         d, cd = self.denom, self.cd
         rep = self._class_rep(key)
         if any(v * d % cd for v in rep):
@@ -543,39 +549,41 @@ class InnerClass:
         sf = lat.plus
         t0 = lin.solve_mod_presolved(sf, target, d)
         if t0 is None:
-            self._fibers[(inv, key)] = ((), ())
-            return ()
+            self._fibers[(inv, key)] = None
+            return None
+        if any(e > 2 for e in sf.diag):
+            raise RuntimeError("1 + theta* has an elementary divisor above 2")
         cols = lin.transpose(sf.vinv)
-        # keys are linear in t: key(t + g) = key(t) + key(g) mod d
-        gens = []
-        for i, e in enumerate(sf.diag):
-            if e > 2:
-                raise RuntimeError("1 + theta* has an elementary divisor above 2")
-            if e == 2:
-                g = lin.vec_scale(cols[i], d // 2)
-                gens.append((g, self.x_key((inv, g))[1]))
-        t0 = lin.vec_mod(t0, d)
-        k0 = self.x_key((inv, t0))[1]
-        out, keys = [], []
-        for size in range(len(gens) + 1):
-            for subset in combinations(gens, size):
-                t, k = t0, k0
-                for g, kg in subset:
-                    t = lin.vec_add(t, g)
-                    k = lin.vec_add(k, kg)
-                out.append(lin.vec_mod(t, d))
-                keys.append((inv, lin.vec_mod(k, d)))
+        gens = [lin.vec_scale(cols[i], d // 2) for i, e in enumerate(sf.diag) if e == 2]
+        keys = span(0, [half_mask(self.x_key((inv, g))[1], d) for g in gens], xor)
         if len(gens) != lat.ranks.compact or len(set(keys)) != len(keys):
             raise RuntimeError("fiber size is not 2^(fiber rank)")
+        t0 = lin.vec_mod(t0, d)
         # squares are linear in t: adding g adds (1 + theta*) g, and vec_mod
         # adds multiples of d; so all squares agree mod d exactly when each
-        # generator has (1 + theta*) g = 0 mod d, and only the first is keyed
-        if any(v % d for g, _ in gens for v in lin.vec_add(g, lin.mat_vec(lat.theta_star, g))) or \
-                self.central_class_key(self._square_numerators((inv, out[0])), d) != key:
+        # generator has (1 + theta*) g = 0 mod d, and only t0 is keyed
+        if any(v % d for g in gens for v in lin.vec_add(g, lin.mat_vec(lat.theta_star, g))) or \
+                self.central_class_key(self._square_numerators((inv, t0)), d) != key:
             raise RuntimeError("fiber element squares outside its square class")
-        out = tuple(out)
-        self._fibers[(inv, key)] = (out, tuple(keys))
+        out = self._fibers[(inv, key)] = Fiber(t0, tuple(gens), tuple(keys))
         return out
+
+    def fiber_elements(self, inv: int, key: tuple) -> tuple[lin.Vector, ...]:
+        """Strong involutions over one involution with squares in one class.
+
+        Elements are reduced numerators over denom, the points of the
+        Fiber in fiber order: t0 plus the sums of the subsets of the
+        generators, smallest subsets first and subsets of one size in
+        combinations order.  Empty when the square class is not realized
+        over this involution.  Built by doubling on each call: the fiber
+        record keeps no points, and FiberOrbit.members is their one reader
+        in the library.
+        """
+        fiber = self._fiber(inv, key)
+        if fiber is None:
+            return ()
+        ts = span(fiber.t0, fiber.gens, lin.vec_add)
+        return tuple(lin.vec_mod(ts[b], self.denom) for b in subset_order(len(fiber.gens))[0])
 
     # -- cross actions, Cayley transforms, gradings ----------------------
 
@@ -699,38 +707,48 @@ class InnerClass:
 
         Fibers come in the order of _realized_keys, members in fiber order
         and the orbits of a fiber by first member; moves and points are as
-        in FiberOrbit, and come from one grading pass per fiber.  With d =
-        denom, the reflection in a root beta imaginary at inv fixes (inv,
-        t) when beta is compact there, and adds (d/2) beta^v to t when it
-        is noncompact; so it adds x_key((inv, (d/2) beta^v)) to the key:
+        in FiberOrbit.  With d = denom, the reflection in a root beta
+        imaginary at inv fixes (inv, t) when beta is compact there, and adds
+        (d/2) beta^v to t when it is noncompact:
         - Pick w with w beta = alpha_j simple.  Cross actions are affine
           with linear part w, and they carry gradings (root_grading), so
           the claim reduces to a simple imaginary alpha_j.
         - At a simple imaginary alpha_j, cross returns s_j t = t -
           <alpha_j, t> alpha_j^v.  For x in a fiber, <alpha_j, t> is 0 or
           d/2 mod d, and it is d/2 exactly when alpha_j is noncompact.
+        So it adds the key of (inv, (d/2) beta^v) to the key of x, and on
+        the fiber's bitmasks it is an XOR with one mask where beta is
+        noncompact (fiber.reflections).  The gradings at imaginary_basis(inv)
+        are affine in the bitmask too: adding g_i = (d/2) c_i adds <beta,
+        c_i> to 2 <beta, t> / d, so they are one root_grading per basis root
+        at t0 and one flip mask per generator.  Raises RuntimeError when a
+        reflection leaves the fiber.
         """
         d = self.denom
         basis = self.table.imaginary_basis(inv)
         pos = self.rd.positive_roots
-        shifts = [self.x_key((inv, lin.vec_scale(pos[k].covec, d // 2)))[1] for k in basis]
+        shifts = [half_mask(self.x_key((inv, lin.vec_scale(pos[k].covec, d // 2)))[1], d)
+                  for k in basis]
         out = []
         for key in self._realized_keys:
-            fiber = self.fiber_elements(inv, key)
-            fkeys = [k for _, k in self._fibers[(inv, key)][1]]
-            index = {k: i for i, k in enumerate(fkeys)}
-            points = [tuple(self.root_grading((inv, t), k) for k in basis) for t in fiber]
-            # images[i][g]: the image of member i under the g-th reflection
-            images = [
-                [index[lin.vec_mod(lin.vec_add(k, s), d)] if b else i for s, b in zip(shifts, p)]
-                for i, (k, p) in enumerate(zip(fkeys, points))
+            fiber = self._fiber(inv, key)
+            if fiber is None:
+                continue
+            # bit g of a grade is the grading of the g-th basis root: one
+            # root_grading each at t0, and g_i flips it when <beta, c_i> is odd
+            x0 = (inv, fiber.t0)
+            flips = [
+                bitmask(2 * lin.vec_dot(pos[k].vec, g) // d % 2 for k in basis) for g in fiber.gens
             ]
+            grades = span(bitmask(self.root_grading(x0, k) for k in basis), flips, xor)
+            images, points = reflections(fiber.keys, grades, shifts)
+            ts = self.fiber_elements(inv, key)
             # the moves permute the fiber, so its orbits are the components
             for comp in components(images):
                 at = {i: m for m, i in enumerate(comp)}
                 out.append((
                     key,
-                    tuple((inv, fiber[i]) for i in comp),
+                    tuple((inv, ts[i]) for i in comp),
                     tuple(tuple(at[images[i][g]] for i in comp) for g in range(len(basis))),
                     tuple(points[i] for i in comp),
                 ))
@@ -1050,12 +1068,14 @@ class InnerClass:
     # -- counting -----------------------------------------------------------
 
     def strong_count_at(self, cartan: int) -> int:
-        """Number of strong involutions over one Cartan class, all squares."""
+        """Number of strong involutions over one Cartan class, all squares.
+
+        Each fiber counts 2^k, its number of key masks (Fiber.keys); no
+        point is built.
+        """
         self.check(cartan=cartan)
         inv = self.table.canonical_member(cartan)
-        per = sum(
-            len(self.fiber_elements(inv, sq.key)) for sq in self.square_classes
-        )
+        per = sum(len(f.keys) for sq in self.square_classes if (f := self._fiber(inv, sq.key)))
         return per * len(self.table.classes[cartan])
 
     def strong_count(self) -> int:

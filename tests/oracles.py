@@ -44,6 +44,8 @@ inverse_cayley                         8e0a084+ test_involution: test_cross_and_
 reference_inverse_cayley               afb6624  test_involution: test_fiber_keys_and_inverse_cayley_match_references
 reference_two_offset_inverse_cayley    c048f3b  (as above)
 reference_fiber_elements               a23a4d8  (as above)
+reference_orbit_partition              f393d93+ test_involution: test_orbit_partition_matches_point_by_point_reference,
+                                                test_orbit_partition_and_strong_counts_match_reference_on_the_grid
 reference_key_rows                     9d1bd91+ test_involution: test_fiber_keys_and_inverse_cayley_match_references,
                                                 test_theta_star_and_rho_drop_match_weyl_matrix
 reference_kgb_order                    9d1bd91+ digest_outputs: the kgb_smith_order and
@@ -70,6 +72,16 @@ kac_weak_form_count                    (source) test_involution:
                                                 source: V. G. Kac, Infinite-dimensional Lie
                                                 Algebras, 3rd ed., Sec. 8.6 and Tables Aff 1-2;
                                                 S. Helgason, Ch. X
+clan_count                             (source) test_kgb: test_kgb_sizes_of_su_pq_count_clans;
+                                                source: T. Matsuki and T. Oshima, "Embeddings
+                                                of discrete series into principal series",
+                                                Progr. Math. 82 (1990); A. Yamamoto, "Orbits in the flag variety
+                                                and images of the moment map for classical
+                                                groups I", Represent. Theory 1 (1997)
+involution_count                       (source) test_kgb: test_kgb_sizes_of_sl_n_r_count_involutions;
+                                                source: R. W. Richardson and T. A. Springer,
+                                                "The Bruhat order on symmetric varieties",
+                                                Geom. Dedicata 35 (1990)
 =====================================  ======== ==========================================
 
 The other functions here are the helpers these need, and exact
@@ -84,7 +96,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, lcm, prod
 
 from realred import lin, rootdata
 from realred.cartan import RealWeylDecomposition, _complex_factor, system_type
@@ -726,6 +738,40 @@ def reference_fiber_elements(ic, inv, key):
     return tuple(seen.values()), tuple(seen)
 
 
+def reference_orbit_partition(ic, inv):
+    """InnerClass._orbit_partition point by point: the reference.
+
+    Every point of every fiber over inv (fiber_elements) is graded at
+    every root of imaginary_basis(inv) by root_grading, and keyed by
+    x_key; the reflection in a root noncompact at a point adds the key of
+    (denom/2) times its coroot to the point's key, which names the image.
+    """
+    d = ic.denom
+    basis = ic.table.imaginary_basis(inv)
+    pos = ic.rd.positive_roots
+    shifts = [ic.x_key((inv, lin.vec_scale(pos[k].covec, d // 2)))[1] for k in basis]
+    out = []
+    for key in ic._realized_keys:
+        fiber = ic.fiber_elements(inv, key)
+        fkeys = [ic.x_key((inv, t))[1] for t in fiber]
+        index = {k: i for i, k in enumerate(fkeys)}
+        points = [tuple(ic.root_grading((inv, t), k) for k in basis) for t in fiber]
+        # images[i][g]: the image of member i under the g-th reflection
+        images = [
+            [index[lin.vec_mod(lin.vec_add(k, s), d)] if b else i for s, b in zip(shifts, p)]
+            for i, (k, p) in enumerate(zip(fkeys, points))
+        ]
+        for comp in rootdata.components(images):
+            at = {i: m for m, i in enumerate(comp)}
+            out.append((
+                key,
+                tuple((inv, fiber[i]) for i in comp),
+                tuple(tuple(at[images[i][g]] for i in comp) for g in range(len(basis))),
+                tuple(points[i] for i in comp),
+            ))
+    return out
+
+
 # -- gradings and cross actions ----------------------------------------------
 
 
@@ -1126,3 +1172,33 @@ def kac_weak_form_count(letter: str, rank: int, equal_rank: bool) -> int:
         while (s := tuple(sorted(move[i] for i in s))) in left:
             left.remove(s)
     return count
+
+
+# -- KGB sizes, from the classification of K-orbits -----------------------
+
+
+def clan_count(p: int, q: int) -> int:
+    """Number of (p, q)-clans: the K-orbits on the flag variety of GL(p + q)
+    for K = GL(p) x GL(q), so the KGB size of SU(p, q), simply connected.
+
+    A clan of n = p + q pairs 2k of its n places by k arcs and signs the
+    other n - 2k places, p - k of them +; so the count is the sum over k
+    of C(n, 2k) (2k - 1)!! C(n - 2k, p - k) (see the table above).
+    """
+    n = p + q
+    return sum(
+        comb(n, 2 * k) * prod(range(1, 2 * k, 2)) * comb(n - 2 * k, p - k)
+        for k in range(min(p, q) + 1)
+    )
+
+
+def involution_count(n: int) -> int:
+    """Number of involutions of S_n, the identity included: the O(n)-orbits
+    on the flag variety of GL(n), so the KGB size of SL(n, R) for odd n,
+    where O(n) = SO(n) x {1, -1} and -1 acts trivially (see the table
+    above).  An involution fixes n or swaps it with one of n - 1 others:
+    a(n) = a(n - 1) + (n - 1) a(n - 2)."""
+    a, b = 1, 1  # a(m - 1), a(m) at m = 1
+    for m in range(2, n + 1):
+        a, b = b, b + (m - 1) * a
+    return b

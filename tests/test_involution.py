@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,8 @@ from oracles import (
     classical_real_forms, coreflections, cross_word, inverse_cayley, kac_weak_form_count,
     rank_decomposition, reference_adjoint_context, reference_central_translates,
     reference_component_rank, reference_fiber_elements, reference_inverse_cayley,
-    reference_key_rows, reference_normal_form_word, reference_rho_check_drop,
-    reference_root_grading, reference_theta_star, reference_to_ad,
+    reference_key_rows, reference_normal_form_word, reference_orbit_partition,
+    reference_rho_check_drop, reference_root_grading, reference_theta_star, reference_to_ad,
     reference_two_offset_inverse_cayley, reference_x_key, reflection_matrix, reflections,
     square_key_if_valid, square_key_reference,
 )
@@ -919,9 +920,20 @@ def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
         ))
         for sq in ic.square_classes:
             fiber = ic.fiber_elements(inv, sq.key)
-            # subset sums in the closure's order, keyed by sums of keys
-            keys = tuple(ic.x_key((inv, t)) for t in fiber)
-            assert ic._fibers[(inv, sq.key)] == (fiber, keys)
+            # subset sums in the closure's order, keyed by sums of keys: the
+            # key of element i less element 0's is d/2 times its key mask
+            keys = tuple(ic.x_key((inv, t))[1] for t in fiber)
+            record, masks = ic._fibers[(inv, sq.key)], []
+            if record is not None:
+                rank = len(record.gens)
+                masks = [sum(1 << g for g in c) for size in range(rank + 1)
+                         for c in combinations(range(rank), size)]
+                assert len(record.keys) == len(masks)
+            assert len(fiber) == len(masks)
+            half = ic.denom // 2
+            for k, b in zip(keys, masks):
+                bits = tuple(half * (record.keys[b] >> r & 1) for r in range(len(k)))
+                assert lin.vec_mod(lin.vec_sub(k, keys[0]), ic.denom) == bits
             assert fiber == reference_fiber_elements(ic, inv, sq.key)[0]
             # the key rows may be another basis than the Smith rows, so
             # compare partitions: t + (1 - theta*) e is the element of t
@@ -941,6 +953,86 @@ def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
                         cayleys += bool(got)
                 points += 1
     assert points and cayleys
+
+
+def point_counts(ic, inv, parts):
+    """Fiber sizes over inv by square class: the library's key masks, and
+    the reference partition's members."""
+    return [
+        (0 if (f := ic._fibers[(inv, sq.key)]) is None else len(f.keys),
+         sum(len(members) for key, members, *_ in parts if key == sq.key))
+        for sq in ic.square_classes
+    ]
+
+
+@pytest.mark.parametrize("text,letters,kernel", FIBER_GROUPS)
+def test_orbit_partition_matches_point_by_point_reference(text, letters, kernel):
+    ic = context(text, letters, kernel)
+    for inv in range(len(ic.table)):
+        parts = reference_orbit_partition(ic, inv)
+        # key, members, moves, points and the order of the orbits
+        assert ic._orbit_partition(inv) == parts
+        counts = point_counts(ic, inv, parts)
+        assert [got for got, _ in counts] == [want for _, want in counts]
+
+
+@pytest.mark.parametrize("kernel", [None, "ad"])
+@pytest.mark.parametrize("letter", ["c", "s"])
+@pytest.mark.parametrize("text", SMALL_TYPES)
+def test_orbit_partition_and_strong_counts_match_reference_on_the_grid(text, letter, kernel):
+    ic = context(text, letter, kernel)
+    for c in range(len(ic.table.classes)):
+        inv = ic.table.canonical_member(c)
+        parts = reference_orbit_partition(ic, inv)
+        assert ic._orbit_partition(inv) == parts
+        counts = point_counts(ic, inv, parts)
+        assert [got for got, _ in counts] == [want for _, want in counts]
+        # strong_count_at reads the key masks; it builds no point
+        assert ic.strong_count_at(c) == sum(want for _, want in counts) * len(ic.table.classes[c])
+
+
+def test_fiber_refuses_a_key_entry_other_than_zero_or_half(monkeypatch):
+    x_key = InnerClass.x_key
+
+    def off_by_one(self, x):
+        return x[0], tuple(v + 1 for v in x_key(self, x)[1])
+
+    # at a generator key
+    ic = context("A1", "s")
+    monkeypatch.setattr(InnerClass, "x_key", off_by_one)
+    with pytest.raises(RuntimeError, match="entry other than 0 or denom/2"):
+        ic.strong_count()
+    # at a shift key, once the fibers are built
+    monkeypatch.setattr(InnerClass, "x_key", x_key)
+    ic = context("A1", "s")
+    ic.strong_count()
+    monkeypatch.setattr(InnerClass, "x_key", off_by_one)
+    with pytest.raises(RuntimeError, match="entry other than 0 or denom/2"):
+        ic._orbit_partition(0)
+
+
+def test_fiber_refuses_a_reflection_image_outside_it(monkeypatch):
+    # A1 s at involution 0: one generator, key masks (0, 1), and the
+    # noncompact reflection's shift has the mask 1; with the key masks
+    # doubled it names no point of the fiber
+    fiber = InnerClass._fiber
+
+    def doubled_masks(self, inv, key):
+        f = fiber(self, inv, key)
+        return f and f._replace(keys=tuple(2 * k for k in f.keys))
+
+    ic = context("A1", "s")
+    monkeypatch.setattr(InnerClass, "_fiber", doubled_masks)
+    with pytest.raises(RuntimeError, match="leaves the fiber"):
+        ic._orbit_partition(0)
+
+
+def test_fiber_refuses_dependent_generator_keys(monkeypatch):
+    # every key 0: the 2^k key masks of a fiber of rank k > 0 coincide
+    x_key = InnerClass.x_key
+    monkeypatch.setattr(InnerClass, "x_key", lambda self, x: (x[0], (0,) * len(x_key(self, x)[1])))
+    with pytest.raises(RuntimeError, match="fiber size is not 2\\^\\(fiber rank\\)"):
+        context("A3", "c").strong_count()
 
 
 @pytest.mark.parametrize("text,letters,kernel", FIBER_GROUPS)

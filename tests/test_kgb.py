@@ -12,7 +12,7 @@ from realred.kgb import format_kgb, generate_kgb, seed_orbit
 from realred.weyl import COMPLEX_DOWN, COMPLEX_UP
 
 from contexts import SMALL_TYPES, context, quasisplit
-from oracles import reference_kgb, reflections
+from oracles import clan_count, involution_count, reference_kgb, reflections
 
 
 def parse_rows(text):
@@ -195,6 +195,37 @@ def test_kgb_sizes(text, letters, kernel, sizes):
     assert tuple(
         generate_kgb(ic, f).size for f in range(len(sizes))
     ) == sizes
+
+
+def seed_sizes(ic, form):
+    """The KGB size of the form from each base-fiber orbit it seeds."""
+    return [
+        generate_kgb(ic, form, orbit=o).size
+        for o, orbit in enumerate(ic.fundamental_orbits) if orbit.form == form
+    ]
+
+
+def test_kgb_sizes_of_su_pq_count_clans():
+    # simply connected only: adjoint K is disconnected for p = q, and
+    # orbits fuse there (su(2,2) ad has 12, not 21)
+    noncompact = []
+    for n in range(1, 6):
+        ic = context(f"A{n}", "c")
+        for f in ic.real_forms:
+            p, _, q = f.name[3:-1].partition(",")
+            p, q = (1, 1) if f.name == "sl(2,R)" else (int(p), int(q or 0))
+            sizes = seed_sizes(ic, f.index)
+            assert sizes and set(sizes) == {clan_count(p, q)}, f.name
+            if q:
+                noncompact.append(sizes[0])
+    assert noncompact == [3, 6, 10, 21, 15, 55, 21, 120, 215]
+
+
+def test_kgb_sizes_of_sl_n_r_count_involutions():
+    for n, size in ((3, 4), (5, 26)):
+        ic = context(f"A{n - 1}", "s")
+        assert [f.name for f in ic.real_forms] == [f"sl({n},R)"]
+        assert set(seed_sizes(ic, 0)) == {involution_count(n)} == {size}
 
 
 @pytest.mark.parametrize("text, letters, kernel", [
