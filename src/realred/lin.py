@@ -39,7 +39,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -53,14 +53,19 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 def times_coreflection(m: Matrix, a: Vector, av: Vector) -> Matrix:
     """m (1 - av a^T): each row r loses <r, av> a; the rows with <r, av> = 0
     are m's own."""
-    return tuple(vec_sub(row, vec_scale(a, c)) if (c := vec_dot(row, av)) else row for row in m)
+    return tuple(
+        tuple([x - c * y for x, y in zip(row, a)]) if (c := sum(map(mul, row, av))) else row
+        for row in m
+    )
 
 
 def coreflection_times(m: Matrix, a: Vector, av: Vector) -> Matrix:
     """(1 - av a^T) m: row i loses av_i (a^T m); the rows with av_i = 0 are
     m's own."""
-    am = [vec_dot(a, col) for col in zip(*m)]
-    return tuple(vec_sub(row, vec_scale(am, c)) if c else row for row, c in zip(m, av))
+    am = [sum(map(mul, a, col)) for col in zip(*m)]
+    return tuple(
+        tuple([x - c * y for x, y in zip(row, am)]) if c else row for row, c in zip(m, av)
+    )
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -126,22 +131,18 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
 
     def row_add(i: int, j: int, c: int) -> None:
         # row_i += c * row_j; mirrored on p.
-        mi, mj = mm[i], mm[j]
-        for k in range(n):
-            mi[k] += c * mj[k]
-        pj, pii = p[j], p[i]
-        for k in range(m):
-            pii[k] += c * pj[k]
+        mm[i] = [x + c * y for x, y in zip(mm[i], mm[j])]
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
 
     def col_add(j: int, i: int, c: int) -> None:
         # col_j += c * col_i; mirrored on q, inverted on qi rows.
-        for r in range(m):
-            mm[r][j] += c * mm[r][i]
-        for r in range(n):
-            q[r][j] += c * q[r][i]
-        qii, qij = qi[i], qi[j]
-        for k in range(n):
-            qii[k] -= c * qij[k]
+        for row in mm:
+            if row[i]:
+                row[j] += c * row[i]
+        for row in q:
+            if row[i]:
+                row[j] += c * row[i]
+        qi[i] = [x - c * y for x, y in zip(qi[i], qi[j])]
 
     def row_swap(i: int, j: int) -> None:
         mm[i], mm[j] = mm[j], mm[i]
@@ -161,18 +162,21 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
     t = 0
     limit = min(m, n)
     while t < limit:
-        best = None
+        # the first entry of least absolute value in row-major order has
+        # the least (absolute value, row, column); none is below 1
+        least = bi = bj = 0
         for i in range(t, m):
             row = mm[i]
             for j in range(t, n):
-                x = row[j]
-                if x:
-                    key = (abs(x), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    least, bi, bj = x, i, j
+                    if x == 1:
+                        break
+            if least == 1:
+                break
+        if not least:
             break
-        _, bi, bj = best
         if bi != t:
             row_swap(t, bi)
         if bj != t:
@@ -197,12 +201,10 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
                     dirty = True
         if dirty:
             continue
-        bad = None
-        for i in range(t + 1, m):
-            row = mm[i]
-            if any(row[j] % piv for j in range(t + 1, n)):
-                bad = i
-                break
+        # a pivot of 1 divides every entry
+        bad = None if piv == 1 else next(
+            (i for i in range(t + 1, m) if any(mm[i][j] % piv for j in range(t + 1, n))), None
+        )
         if bad is not None:
             # Fold the offending row into row t so the next pivot shrinks.
             row_add(t, bad, 1)
@@ -217,7 +219,10 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
 
 
 def _identity_lists(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def solve_int(sf: SmithForm, b: Vector) -> Vector | None:

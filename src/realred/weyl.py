@@ -15,10 +15,10 @@ loop alone keeps translate tables of its own (see InvolutionTable).
 A root subsystem is a list of positive-root indices; its simple roots
 are read off the reflections (InvolutionTable.simple_basis), so it too
 serves every isogeny.
-The twisted-conjugacy classes are the components of the graph of complex
-cross actions, and each class's canonical member is reached by a walk
-along them, not by a scan of the class.  Lattice matrices of involutions
-belong to involution.InnerClass.
+The twisted-conjugacy classes are joined along complex descents, which go
+down in id, and each class's canonical member is reached by a walk along
+complex cross actions, not by a scan of the class.  Lattice matrices of
+involutions belong to involution.InnerClass.
 """
 
 from __future__ import annotations
@@ -261,6 +261,16 @@ def inner_class_involution(letters: str, rd: RootDatum, lt: LieType) -> InnerCla
     return InnerClassInvolution(letters.strip(), rd, lt, delta, tuple(perm), units)
 
 
+class TwistedClasses(NamedTuple):
+    """The twisted-conjugacy classes of a table, built by
+    InvolutionTable._class_record: the member ids of each class, the class
+    of each id, and each class's canonical member."""
+
+    classes: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
+    canonical: tuple[int, ...]
+
+
 class InvolutionTable:
     """All twisted involutions of one Coxeter datum, with derived data.
 
@@ -432,6 +442,13 @@ class InvolutionTable:
             out = self._words[i] = normal_form_word(self, compose(self.thetas[i], self.thetas[0]))
         return out
 
+    def word_length(self, i: int) -> int:
+        """Length of word(i), without building it: the count of positive
+        roots that theta.delta sends negative, as many as theta's, since
+        delta permutes the positive roots."""
+        npos = len(self.reflections)
+        return len(self.thetas[i][:npos].translate(None, bytes(range(npos))))
+
     def reflection_word(self, k: int) -> tuple[int, ...]:
         """Displayed reduced word of the reflection in positive root k."""
         out = self._reflection_words.get(k)
@@ -484,50 +501,13 @@ class InvolutionTable:
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
-        """Twisted-conjugacy classes in Cayley-transform discovery order.
-
-        Complex cross actions conjugate within a class and join all of
-        it, so the classes are the components (rootdata.components) of
-        the complex neighbours of the status rows, each in increasing id.
-        Starting from the class of the base involution, each class in
-        turn contributes the unseen classes reached by single Cayley
-        transforms from its canonical member, scanning its imaginary
-        basis in order.  The canonical member comes from a walk from the
-        class's least member (_walk_canonical) and is recorded here for
-        canonical_member.
-        """
-        n = len(self.simple)
-        adj: list[list[int]] = [[] for _ in self.thetas]
-        for p, kind in enumerate(self._kinds):
-            if kind in (COMPLEX_UP, COMPLEX_DOWN):
-                adj[p // n].append(self._nbrs[p])
-        comps = components(adj)
-        comp_of = [0] * len(self.thetas)
-        for c, comp in enumerate(comps):
-            for i in comp:
-                comp_of[i] = c
-        order = [0]
-        seen = {0}
-        canonical = [self._walk_canonical(0)]
-        for rep in canonical:
-            for b in self.imaginary_basis(rep):
-                c = comp_of[self.cayley(rep, b)]
-                if c not in seen:
-                    seen.add(c)
-                    order.append(c)
-                    canonical.append(self._walk_canonical(comps[c][0]))
-        if len(order) != len(comps):
-            raise RuntimeError("Cayley transforms do not reach every class")
-        self._canonical = tuple(canonical)
-        return tuple(tuple(comps[c]) for c in order)
+        """Twisted-conjugacy classes in Cayley-transform discovery order,
+        each in increasing id (_class_record)."""
+        return self._class_record.classes
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
-        out = [0] * len(self.thetas)
-        for ci, ids in enumerate(self.classes):
-            for i in ids:
-                out[i] = ci
-        return tuple(out)
+        return self._class_record.class_of
 
     def canonical_member(self, class_idx: int) -> int:
         """Distinguished class member used for display and transforms.
@@ -535,11 +515,79 @@ class InvolutionTable:
         Among the members at which lambda, 2 rho of the positive real
         roots, is dominant, and mu, 2 rho of the positive imaginary roots,
         pairs nonnegatively with the simple coroots orthogonal to lambda,
-        it is the one whose word is least by (length, word); classes
-        finds it.
+        it is the one whose word is least by (length, word): the walk of
+        _walk_canonical from any member, recorded by _class_record.
         """
-        self.classes  # records _canonical
-        return self._canonical[class_idx]
+        return self._class_record.canonical[class_idx]
+
+    @cached_property
+    def _class_record(self) -> TwistedClasses:
+        """The classes, class_of and canonical members, in one pass in id order.
+
+        Ids grow with the twisted length, and a complex cross action
+        conjugates within a class, so an involution with a complex descent
+        joins the class of that lower neighbour, the first one its status
+        row names.  The involutions without one are the roots of this
+        forest of complex descents; each root is named by its canonical
+        member, which _walk_canonical finds from any start, and the roots
+        with one name make one class.  Starting from the class of the base
+        involution, each class in turn then contributes the unseen classes
+        reached by single Cayley transforms from its canonical member,
+        scanning its imaginary basis in order.  Raises RuntimeError when a
+        descent does not go down in id, a root and its canonical member
+        differ in their counts of real and imaginary roots, or a canonical
+        member's own root is named by another member.
+        """
+        n = len(self.simple)
+        nbrs, find = self._nbrs, self._kinds.find
+        group: list[int] = []
+        members: list[list[int]] = []
+        canonical: list[int] = []
+        by_canonical: dict[int, int] = {}
+        for i in range(len(self.thetas)):
+            p = find(COMPLEX_DOWN, i * n, i * n + n)
+            if p < 0:
+                c = self._walk_canonical(i)
+                if self._root_counts(c) != self._root_counts(i):
+                    raise RuntimeError(f"the canonical walk from {i} leaves its class")
+                g = by_canonical.get(c)
+                if g is None:
+                    g = by_canonical[c] = len(members)
+                    members.append([])
+                    canonical.append(c)
+            else:
+                lower = nbrs[p]
+                if lower >= i:
+                    raise RuntimeError(f"the complex descent of involution {i} does not go down")
+                g = group[lower]
+            group.append(g)
+            members[g].append(i)
+        for g, c in enumerate(canonical):
+            if group[c] != g:
+                raise RuntimeError(f"canonical member {c} lies in the class of another")
+        order = [0]
+        seen = {0}
+        for g in order:
+            rep = canonical[g]
+            for b in self.imaginary_basis(rep):
+                h = group[self.cayley(rep, b)]
+                if h not in seen:
+                    seen.add(h)
+                    order.append(h)
+        if len(order) != len(members):
+            raise RuntimeError("Cayley transforms do not reach every class")
+        rank = [0] * len(order)
+        for c, g in enumerate(order):
+            rank[g] = c
+        return TwistedClasses(
+            tuple(tuple(members[g]) for g in order),
+            tuple(map(rank.__getitem__, group)),
+            tuple(canonical[g] for g in order),
+        )
+
+    def _root_counts(self, i: int) -> tuple[int, int]:
+        """Counts of real and imaginary roots, invariants of the class of i."""
+        return len(self.real_roots(i)), len(self.imaginary_roots(i))
 
     def _walk_canonical(self, i: int) -> int:
         """Canonical member of the class of i, by a walk from i.
@@ -556,7 +604,9 @@ class InvolutionTable:
         centralizes theta_2; then w fixes lambda and mu, so it lies in the
         parabolic W_J, J the simple roots with lambda_j = mu_j = 0.  Each
         j in J is complex and keeps (lambda, mu), so the search through J
-        reaches every candidate.
+        reaches every candidate, and the result is the same from every
+        member of the class.  Candidates are compared by word_length first,
+        so words are built only to break a tie at the least length.
         """
         js = range(len(self.simple))
         for roots in (self.real_roots, self.imaginary_roots):
@@ -572,7 +622,10 @@ class InvolutionTable:
                 if nbr not in seen:
                     seen.add(nbr)
                     cands.append(nbr)
-        return min(cands, key=lambda m: (len(self.word(m)), self.word(m)))
+        lengths = [self.word_length(m) for m in cands]
+        least = min(lengths)
+        ties = [m for m, ln in zip(cands, lengths) if ln == least]
+        return ties[0] if len(ties) == 1 else min(ties, key=self.word)
 
     def _complex_neighbour(self, i: int, j: int) -> int:
         kind, nbr = self.status(i, j)

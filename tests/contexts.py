@@ -18,7 +18,7 @@ from realred.rootdata import (
     parse_kernel_generator,
     parse_lie_type,
 )
-from realred.weyl import REAL, inner_class_involution, involution_table
+from realred.weyl import REAL, InvolutionTable, inner_class_involution, involution_table
 
 # groups whose every Cartan class the fiber-orbit tests walk
 RECORD_GROUPS = [
@@ -76,6 +76,15 @@ def walk_from_corrupted_row():
     p = i * len(table.simple) + j
     bad._kinds = table._kinds[:p] + REAL + table._kinds[p + 1:]
     return bad._walk_canonical(i)
+
+
+def classes_from_walk_to_base():
+    """The classes of a new A3 c table whose canonical walk names the base
+    involution from every start."""
+    d = involution("A3", "c")
+    table = InvolutionTable(d.rd, d.perm)
+    table._walk_canonical = lambda i: 0
+    return table.classes
 
 
 def fiber_from_corrupted_plus():

@@ -12,6 +12,8 @@ reference                              commit   compared in
 =====================================  ======== ==========================================
 reference_f2_rank                      56363da  test_lin: test_f2_rank,
                                                 test_odd_divisors_match_f2_reference
+reference_smith_form                   3a5b6df+ test_lin: test_smith_form_matches_reference,
+                                                test_smith_form_matches_reference_on_involutions
 reference_mat_inverse_rational         56363da  none: 2bf5db0+ deleted lin.mat_inverse_rational;
                                                 the inverse in weyl_matrix and reference_to_ad
 reference_word_from_matrix             fb8e621  test_weyl: test_normal_form_matches_matrix_reference
@@ -82,6 +84,10 @@ involution_count                       (source) test_kgb: test_kgb_sizes_of_sl_n
                                                 source: R. W. Richardson and T. A. Springer,
                                                 "The Bruhat order on symmetric varieties",
                                                 Geom. Dedicata 35 (1990)
+richardson_class_count                 (source) test_weyl: test_class_count_matches_richardson;
+                                                source: R. W. Richardson, "Conjugacy classes
+                                                of involutions in Coxeter groups", Bull.
+                                                Austral. Math. Soc. 26 (1982)
 =====================================  ======== ==========================================
 
 The other functions here are the helpers these need, and exact
@@ -96,6 +102,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import comb, lcm, prod
 
 from realred import lin, rootdata
@@ -150,6 +157,90 @@ def reference_f2_rank(a: lin.Matrix) -> int:
         masks = [b for b in masks if b]
         rank += 1
     return rank
+
+
+def reference_smith_form(a: lin.Matrix, ncols: int | None = None) -> lin.SmithForm:
+    """lin.smith_form as it was before its pivot scan stopped at the first
+    entry of absolute value 1: every entry of the rest is scanned for the
+    least (absolute value, row, column), and rows and columns change one
+    entry at a time."""
+    m = len(a)
+    n = len(a[0]) if a else (ncols if ncols is not None else 0)
+    mm = [list(row) for row in a]
+    p = [[int(i == j) for j in range(m)] for i in range(m)]
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
+    qi = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_add(i, j, c):
+        mi, mj = mm[i], mm[j]
+        for k in range(n):
+            mi[k] += c * mj[k]
+        pj, pii = p[j], p[i]
+        for k in range(m):
+            pii[k] += c * pj[k]
+
+    def col_add(j, i, c):
+        for r in range(m):
+            mm[r][j] += c * mm[r][i]
+        for r in range(n):
+            q[r][j] += c * q[r][i]
+        qii, qij = qi[i], qi[j]
+        for k in range(n):
+            qii[k] -= c * qij[k]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = mm[i][j]
+                if x:
+                    key = (abs(x), i, j)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            mm[t], mm[bi] = mm[bi], mm[t]
+            p[t], p[bi] = p[bi], p[t]
+        if bj != t:
+            for r in range(m):
+                mm[r][t], mm[r][bj] = mm[r][bj], mm[r][t]
+            for r in range(n):
+                q[r][t], q[r][bj] = q[r][bj], q[r][t]
+            qi[t], qi[bj] = qi[bj], qi[t]
+        if mm[t][t] < 0:
+            mm[t] = [-x for x in mm[t]]
+            p[t] = [-x for x in p[t]]
+        piv = mm[t][t]
+        dirty = False
+        for i in range(t + 1, m):
+            if mm[i][t]:
+                c = mm[i][t] // piv
+                if c:
+                    row_add(i, t, -c)
+                if mm[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if mm[t][j]:
+                c = mm[t][j] // piv
+                if c:
+                    col_add(j, t, -c)
+                if mm[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        bad = next((i for i in range(t + 1, m) if any(mm[i][j] % piv for j in range(t + 1, n))), None)
+        if bad is not None:
+            row_add(t, bad, 1)
+            continue
+        t += 1
+    return lin.SmithForm(
+        uinv=tuple(map(tuple, p)), v=tuple(map(tuple, qi)),
+        vinv=tuple(map(tuple, q)), diag=tuple(mm[i][i] for i in range(limit)),
+    )
 
 
 def reference_mat_inverse_rational(a: lin.Matrix) -> tuple[lin.Matrix, int]:
@@ -410,10 +501,10 @@ def reference_table(rd, perm):
     return thetas, lengths, [tuple(row) for row in rows]
 
 
-def reference_canonical_member(table, ids):
+def reference_canonical_member(table, ids, key=None):
     """Scan of every member: 2 rho of the real roots dominant, then 2 rho
     of the imaginary roots dominant where the first pairs to 0, then the
-    least (length, word)."""
+    least (length, word), or the least by key if one is given."""
     def pairings(i):
         return (table._two_rho_pairings(table.real_roots(i)),
                 table._two_rho_pairings(table.imaginary_roots(i)))
@@ -423,7 +514,7 @@ def reference_canonical_member(table, ids):
         i for i in cands
         if all(b >= 0 for a, b in zip(*pairings(i)) if a == 0)
     ] or cands
-    return min(cands, key=lambda i: (len(table.word(i)), table.word(i)))
+    return min(cands, key=key or (lambda i: (len(table.word(i)), table.word(i))))
 
 
 def reference_classes(table):
@@ -1202,3 +1293,55 @@ def involution_count(n: int) -> int:
     for m in range(2, n + 1):
         a, b = b, b + (m - 1) * a
     return b
+
+
+def richardson_class_count(rd) -> int:
+    """Number of conjugacy classes of involutions of the Weyl group W of
+    rd, the identity included, by Richardson's theorem (see the table
+    above): they correspond to the W-classes of subsets J of the simple
+    roots on whose span the longest element w_J of W_J acts as -1, that
+    is, whose every component has -1 in its Weyl group; w_J is then the
+    class's involution.  J and J' are W-equivalent when w Delta_J =
+    Delta_J' for some w in W.  That holds exactly when w carries the root
+    subsystem of J onto that of J', since the Weyl group of a subsystem
+    moves any of its bases to any other; so each J is named by the set of
+    positive roots of its subsystem, up to sign, and W, generated by the
+    simple reflections, is run over those sets."""
+    refl = vector_reflections(rd)
+    npos = len(rd.positive_roots)
+    simple = [rd.root_index[a] for a in rd.simple_roots]
+    gens = [refl[s] for s in simple]
+
+    def acts_as_minus_one(js):
+        # the longest element of W_J sends every alpha_j, j in J, negative:
+        # w.s_j is longer than w exactly when w alpha_j is positive
+        w = tuple(range(2 * npos))
+        while (j := next((j for j in js if w[simple[j]] < npos), None)) is not None:
+            w = tuple(w[x] for x in gens[j])
+        return all(w[simple[j]] == simple[j] + npos for j in js)
+
+    def subsystem(js):
+        return frozenset(
+            k for k, r in enumerate(rd.positive_roots)
+            if all(c == 0 for j, c in enumerate(r.coeffs) if j not in js)
+        )
+
+    n = len(simple)
+    named = {
+        subsystem(js) for size in range(n + 1) for js in map(set, combinations(range(n), size))
+        if acts_as_minus_one(js)
+    }
+    count = 0
+    while named:
+        start = named.pop()
+        count += 1
+        orbit, stack = {start}, [start]
+        while stack:
+            roots = stack.pop()
+            for g in gens:
+                image = frozenset(x if x < npos else x - npos for x in map(g.__getitem__, roots))
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        named -= orbit
+    return count

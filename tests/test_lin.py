@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from realred import lin
 
-from oracles import det, reference_f2_rank
+from contexts import context
+from oracles import det, reference_f2_rank, reference_smith_form
 
 
 def random_matrix(rng: random.Random, m: int, n: int) -> lin.Matrix:
@@ -39,6 +44,30 @@ def test_smith_form_random() -> None:
         assert all(x > 0 for x in nonzero)
         assert list(sf.diag) == nonzero + [0] * (len(sf.diag) - len(nonzero))
         assert all(b % a_ == 0 for a_, b in zip(nonzero, nonzero[1:]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9]), min_size=n, max_size=n),
+    max_size=6,
+).map(lambda rows: (lin.freeze(rows), n))))
+def test_smith_form_matches_reference(case) -> None:
+    # byte-identical transforms, not only the same diagonal
+    a, n = case
+    assert lin.smith_form(a, ncols=n) == reference_smith_form(a, ncols=n)
+
+
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("A3", "c", None), ("C4", "s", None), ("D5", "s", "ad"), ("F4", "s", None),
+    ("E6", "c", None), ("A2.T1", "sc", None),
+])
+def test_smith_form_matches_reference_on_involutions(text, letters, kernel) -> None:
+    ic = context(text, letters, kernel)
+    ident = lin.identity(ic.rd.rank)
+    for inv in range(len(ic.table)):
+        ts = ic.lattice(inv).theta_star
+        for a in (lin.mat_sub(ident, ts), lin.mat_add(ident, ts)):
+            assert lin.smith_form(a) == reference_smith_form(a)
 
 
 def test_coreflection_products_match_mat_mul() -> None:

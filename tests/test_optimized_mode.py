@@ -86,6 +86,18 @@ def test_canonical_walk_failure_raises_under_python_o():
     assert run_optimized(script) == ["False", "simple root 1 is not complex at involution 1"]
 
 
+def test_class_checks_raise_under_python_o():
+    script = (
+        "from contexts import classes_from_walk_to_base\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    classes_from_walk_to_base()\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    assert run_optimized(script) == ["False", "the canonical walk from 1 leaves its class"]
+
+
 def test_fiber_square_check_raises_under_python_o():
     script = (
         "from contexts import fiber_from_corrupted_plus\n"

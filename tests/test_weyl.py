@@ -16,6 +16,7 @@ from realred import lin
 from realred.involution import InnerClass
 from realred.rootdata import InputError, build_root_datum, parse_lie_type
 from realred.weyl import (
+    COMPLEX_DOWN,
     COMPLEX_UP,
     IMAGINARY,
     INCOMPATIBLE,
@@ -28,9 +29,12 @@ from realred.weyl import (
     word_from_matrix,
 )
 
-from contexts import RECORD_GROUPS, context, involution, walk_from_corrupted_row
+from contexts import (
+    RECORD_GROUPS, classes_from_walk_to_base, context, involution, walk_from_corrupted_row,
+)
 from oracles import (
-    as_permutation, reference_classes, reference_normal_form_word, reference_simple_basis,
+    as_permutation, reference_canonical_member, reference_classes, reference_normal_form_word,
+    reference_simple_basis, richardson_class_count,
     reference_strip_normal_form_word, reference_table, reference_word_from_matrix, reflections,
     vector_reflections, weyl_closure, weyl_images, weyl_matrix,
 )
@@ -346,7 +350,8 @@ def test_canonical_member_matches_scan(text, letters):
     assert table.class_of == class_of
     for c, ids in enumerate(table.classes):
         assert table.canonical_member(c) == canonical[c]
-        # the walk behind canonical_member starts at ids[0]
+        # canonical_member walks from the class's descent-free members; the
+        # walk from its last member ends at the same one
         assert table._walk_canonical(ids[-1]) == canonical[c]
 
 
@@ -361,6 +366,82 @@ def test_canonical_walk_is_independent_of_its_start(text, letters):
 def test_canonical_walk_refuses_a_move_that_is_not_complex():
     with pytest.raises(RuntimeError, match="not complex"):
         walk_from_corrupted_row()
+
+
+def fresh_table(text, letters):
+    """A table of its own, with no words or classes built yet."""
+    d = involution(text, letters)
+    return InvolutionTable(d.rd, d.perm)
+
+
+@pytest.mark.parametrize("text,letters", [("D6", "s"), ("E6", "c"), ("D7", "s")])
+def test_classes_build_no_words(text, letters):
+    # the walk compares lengths first, and no least length is tied here
+    table = fresh_table(text, letters)
+    for c in range(len(table.classes)):
+        table.canonical_member(c)
+    assert table._words == {}
+
+
+@pytest.mark.parametrize("text,letters", [("C2", "c"), ("A3", "c"), ("D5", "s"), ("E6", "s")])
+def test_word_length_is_the_length_of_the_word(text, letters):
+    table = involution_table(involution(text, letters))
+    assert [table.word_length(i) for i in range(len(table))] == [
+        len(table.word(i)) for i in range(len(table))
+    ]
+
+
+@pytest.mark.parametrize("text,letters", [("C2", "c"), ("A3", "c"), ("D5", "s"), ("F4", "s")])
+def test_canonical_walk_breaks_length_ties_by_word(text, letters):
+    # no table met has two candidates at the least length, so tie them all
+    table = fresh_table(text, letters)
+    table.word_length = lambda i: 0
+    for ids in involution_table(involution(text, letters)).classes:
+        assert table._walk_canonical(ids[-1]) == reference_canonical_member(
+            table, ids, key=table.word
+        )
+
+
+def test_classes_refuse_a_descent_that_does_not_go_down():
+    table = fresh_table("D5", "s")
+    p = table._kinds.index(COMPLEX_DOWN)
+    table._nbrs = table._nbrs[:]
+    table._nbrs[p] = p // len(table.simple)
+    with pytest.raises(RuntimeError, match="does not go down"):
+        table.classes
+
+
+def test_classes_refuse_a_walk_that_leaves_the_class():
+    with pytest.raises(RuntimeError, match="leaves its class"):
+        classes_from_walk_to_base()
+
+
+def test_classes_refuse_a_walk_that_is_not_a_class_invariant():
+    # each descent-free member is named by the next one of its class
+    table = fresh_table("D5", "s")
+    class_of = involution_table(involution("D5", "s")).class_of
+    roots: dict[int, list[int]] = {}
+    for i in range(len(table)):
+        if COMPLEX_DOWN not in table.kinds(i):
+            roots.setdefault(class_of[i], []).append(i)
+    assert max(len(rs) for rs in roots.values()) > 1
+    following = {r: rs[(k + 1) % len(rs)] for rs in roots.values() for k, r in enumerate(rs)}
+    table._walk_canonical = following.__getitem__
+    with pytest.raises(RuntimeError, match="lies in the class of another"):
+        table.classes
+
+
+# the catalog benchmark's types at which delta = 1, and two larger ones
+@pytest.mark.parametrize("text,letters", [
+    ("A1", "c"), ("A1", "s"), ("A2", "c"), ("A3", "c"), ("A4", "c"),
+    ("B2", "s"), ("B3", "s"), ("B4", "s"), ("C3", "s"), ("C4", "s"),
+    ("D4", "s"), ("G2", "s"), ("F4", "s"), ("A1.A1", "ss"), ("A1.T1", "ss"),
+    ("A1.T1", "sc"), ("T2", "C"), ("E6", "c"), ("D6", "s"),
+])
+def test_class_count_matches_richardson(text, letters):
+    d = involution(text, letters)
+    assert d.perm == tuple(range(len(d.perm)))
+    assert len(involution_table(d).classes) == richardson_class_count(d.rd)
 
 
 @pytest.mark.parametrize("text,letters", [
