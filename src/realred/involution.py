@@ -15,10 +15,10 @@ is a FiberOrbit; the weak real forms are the adjoint-fiber orbits of those
 over involution 0 (fundamental_orbits); real_form_of ends at an adjoint point.
 
 Fibers are affine spaces over F2, read off one InvolutionLattice record
-per twisted involution: theta*, built from the table parent's record by
-rank-one reflection updates, and its rho-check drop, heights, the Smith
-form of 1 + theta*, and a basis of the theta-fixed characters, moved
-along complex descents by the same updates.  The key of x is t paired
+per twisted involution: theta*, built on first read from the table
+parent's record by rank-one reflection updates, and its rho-check drop,
+heights, the Smith form of 1 + theta*, and a basis of the theta-fixed
+characters, moved along complex descents by the same updates.  The key of x is t paired
 with that basis mod denom (x_key), linear in t.  A fiber is t0 plus the
 F2-span of its generators g_i = (denom/2) c_i, c_i the Smith columns of
 1 + theta* at divisor 2, and its point b, a bitmask over the generators,
@@ -175,17 +175,23 @@ def _split_product(total: int, s: int) -> tuple[int, int]:
 class InvolutionLattice:
     """Lattice data of one twisted involution theta: what its fiber is read from.
 
-    InnerClass.lattice builds theta_star from the table parent's record,
-    and links a record reached by a complex descent to that parent.  The
-    other fields are computed from theta_star, the root images theta, the
-    root datum and the link on first read and kept (__getattr__), as the
-    parent walk meets many involutions that are never keyed; the
-    properties drop and ranks are computed on every read.  Records are
-    immutable; equality compares every field but rd and the link, and repr
-    shows theta_star, cbits and heights.
+    InnerClass.lattice links each record to the table parent's record
+    (source) by the simple root j, and a record reached by a complex
+    descent also as parent.  Every field but theta, rd and the links,
+    theta_star included, is computed from theta, the root datum and the
+    links on first read and kept (__getattr__): the parent walk meets
+    many involutions that are never keyed, and a KGB search reads only
+    the key rows (minus) of most.  A theta_star given to the constructor
+    is kept, and the other fields are computed from it.  The properties
+    drop and ranks are computed on every read.  Records are immutable;
+    equality compares every field but rd and the links, and repr shows
+    theta_star, cbits and heights.
 
     Attributes:
-        theta_star: the action of theta on cocharacters, its transposed matrix.
+        theta_star: the action of theta on cocharacters, its transposed
+            matrix.  With C_j = 1 - alpha_j^v alpha_j^T, it is C_j
+            theta*_source C_j after a complex descent (theta = s_j nbr s_j)
+            and theta*_source C_j after a real step (theta = s_j nbr).
         theta: the images of the 2N roots under theta, as the table's
             bytes (InvolutionTable.thetas).
         drop, cbits: rho-check minus its image under theta* delta*, for
@@ -198,8 +204,10 @@ class InvolutionLattice:
             It pairs with a positive imaginary root alpha to 2 (ht(alpha) +
             ht_i(alpha)), the heights over the simple roots and over the
             imaginary simple roots.
-        parent, j: the record of nbr and the simple root j when theta =
-            s_j nbr s_j is reached by a complex descent, else None, None.
+        source, j: the record of the table parent nbr and the simple
+            root j of the step from it, else None, None (the base).
+        parent: source when theta = s_j nbr s_j is reached by a complex
+            descent, else None.
         minus: (rank, rows, twos, ones) of 1 - theta*.  rows are a Z-basis
             of the theta-fixed characters, which the key pairs with t
             (x_key).  rank is the rank of 1 - theta*, and twos and ones
@@ -216,7 +224,8 @@ class InvolutionLattice:
     """
 
     __slots__ = (
-        "theta_star", "theta", "rd", "parent", "j", "cbits", "heights", "minus", "plus",
+        "theta_star", "theta", "rd", "parent", "j", "source", "cbits", "heights", "minus",
+        "plus",
     )
     _COMPARED = ("theta_star", "theta", "cbits", "heights", "minus", "plus")
 
@@ -227,22 +236,26 @@ class InvolutionLattice:
     heights: lin.Vector
     parent: InvolutionLattice | None
     j: int | None
+    source: InvolutionLattice | None
     minus: tuple[int, tuple[lin.Vector, ...], int, int]
     plus: lin.SmithForm
 
     def __init__(
         self,
-        theta_star: lin.Matrix,
+        theta_star: lin.Matrix | None,
         theta: bytes,
         rd: RootDatum,
         parent: InvolutionLattice | None = None,
         j: int | None = None,
+        source: InvolutionLattice | None = None,
     ):
-        object.__setattr__(self, "theta_star", theta_star)
+        if theta_star is not None:
+            object.__setattr__(self, "theta_star", theta_star)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rd", rd)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "j", j)
+        object.__setattr__(self, "source", source)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -266,7 +279,7 @@ class InvolutionLattice:
 
     def __getattr__(self, name: str):
         """Computes a field not set yet on its first read, and keeps it."""
-        npos, n = len(self.theta) // 2, len(self.theta_star)
+        npos, n = len(self.theta) // 2, self.rd.rank
         if name == "cbits":
             value = tuple(x % 2 for x in self.drop)
         elif name == "heights":
@@ -281,6 +294,11 @@ class InvolutionLattice:
             value = sf.rank, sf.uinv[sf.rank:], sf.diag.count(2), sf.diag.count(1)
         elif name == "plus":
             value = lin.smith_form(lin.mat_add(lin.identity(n), self.theta_star), ncols=n)
+        elif name == "theta_star" and self.source is not None:
+            a, av = self.rd.simple_roots[self.j], self.rd.simple_coroots[self.j]
+            value = lin.times_coreflection(self.source.theta_star, a, av)
+            if self.parent is not None:
+                value = lin.coreflection_times(value, a, av)
         else:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
@@ -466,34 +484,30 @@ class InnerClass:
     # -- per-involution linear data ------------------------------------
 
     def lattice(self, inv: int) -> InvolutionLattice:
-        """The lattice record of an involution, built from its table parent's.
+        """The lattice record of an involution, linked to its table parent's.
 
         The table parent, one twisted length shorter, is reached by the
         first simple root j that is a complex descent at inv, else by the
         first real one: the rule depends on inv alone, and it keeps to
         complex steps, along which the key rows are transported
-        (InvolutionLattice.minus).  With C_j = 1 - alpha_j^v alpha_j^T,
-        theta* is C_j theta*_nbr C_j (j complex, inv = s_j nbr s_j) or
-        theta*_nbr C_j (j real, inv = s_j nbr), the parent's record built
-        first; delta* at the base.
+        (InvolutionLattice.minus).  The parent's record is built first;
+        theta* is computed from it on first read (InvolutionLattice), and
+        is delta* at the base.
         """
         out = self._lattices.get(inv)
         if out is None:
             kinds = self.table.kinds(inv)
-            step = COMPLEX_DOWN if COMPLEX_DOWN in kinds else REAL
-            j = kinds.find(step)
+            j = kinds.find(COMPLEX_DOWN)
+            complex_step = j >= 0
+            if not complex_step:
+                j = kinds.find(REAL)
             if j < 0:
                 raise RuntimeError(f"involution {inv} has no table parent")
             parent = self.lattice(self.table.status(inv, j)[1])
-            a, av = self.rd.simple_roots[j], self.rd.simple_coroots[j]
-            m = lin.times_coreflection(parent.theta_star, a, av)
-            theta = self.table.thetas[inv]
-            if step == COMPLEX_DOWN:
-                m = lin.coreflection_times(m, a, av)
-                out = InvolutionLattice(m, theta, self.rd, parent, j)
-            else:
-                out = InvolutionLattice(m, theta, self.rd)
-            self._lattices[inv] = out
+            out = self._lattices[inv] = InvolutionLattice(
+                None, self.table.thetas[inv], self.rd, parent if complex_step else None, j,
+                parent,
+            )
         return out
 
     def x_key(self, x: StrongX) -> tuple:
@@ -940,16 +954,15 @@ class InnerClass:
         """
         inv, _ = x
         table = self.table
-        js = range(len(table.simple))
         while table.lengths[inv] > 0:
-            down = next((j for j in js if table.status(inv, j)[0] == COMPLEX_DOWN), None)
-            if down is not None:
+            kinds = table.kinds(inv)
+            down = kinds.find(COMPLEX_DOWN)
+            if down >= 0:
                 x = self.cross(down, x)
             else:
-                for j in js:
-                    kind, nbr = table.status(inv, j)
+                for j, kind in enumerate(kinds):
                     if kind == REAL:
-                        cand = self._first_inverse_cayley(j, nbr, x[1])
+                        cand = self._first_inverse_cayley(j, table.status(inv, j)[1], x[1])
                         if cand is not None:
                             x = cand
                             break

@@ -15,8 +15,12 @@ basis, and it depends on the twisted involution alone
 KGB, so s_j is an involution: the discovery pass computes each unordered
 cross edge once and fills it back at its far end, and leaves fixed
 points unkeyed (a cross image equal to its source, as at every compact
-imaginary root, takes the source's key).  It computes each Cayley
-transform once and records the edges by key; the ids only relabel them.
+imaginary root, takes the source's key).  It keys one Cayley transform
+per type-I pair: at a noncompact imaginary j with s_j x not x, x and
+s_j x have one Cayley image, so the second of them to be processed reads
+the first's key.  It records the edges by key; the ids only relabel
+them.  It builds no words: the word column of a listing is read from the
+table when the listing is printed (format_kgb, KGB.word).
 
 Each step of the pass, one element x = (i, t) and one simple root j,
 pairs alpha_j with t once.  The reflection y = s_j t mod denom gives
@@ -38,7 +42,7 @@ from typing import NamedTuple
 
 from .involution import InnerClass, StrongX
 from .rootdata import InputError
-from .weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL
+from .weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL, InvolutionTable
 
 # status letter of a simple root, by root kind
 _LETTER = {IMAGINARY: "c", REAL: "r", COMPLEX_UP: "C", COMPLEX_DOWN: "C"}
@@ -58,20 +62,26 @@ class KGBElement(NamedTuple):
     statuses: tuple[str, ...]
     cross: tuple[int, ...]
     cayley: tuple[int | None, ...]
-    word: tuple[int, ...]
     rep: StrongX
 
 
 class KGB(NamedTuple):
-    """The orbit set of one real form, as a cross/Cayley graph."""
+    """The orbit set of one real form, as a cross/Cayley graph, with the
+    involution table of its inner class, which gives the words."""
 
     form: int
     orbit: int
     elements: tuple[KGBElement, ...]
+    table: InvolutionTable
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    def word(self, i: int) -> tuple[int, ...]:
+        """Reduced word of the twisted involution of element i, built by
+        the table on first request and kept there."""
+        return self.table.word(self.elements[i].rep[0])
 
 
 def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
@@ -99,6 +109,11 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     cross edge is computed once; fixed points are unkeyed.  W acts on
     KGB, so s_j is an involution: y = cross_j(x) has x as its j-th cross
     image, recorded when y is met and not recomputed when y is processed.
+    Each Cayley image is keyed once per type-I pair: at a noncompact
+    imaginary j with y = s_j x not x, x and y have one Cayley image, since
+    (nbr, s_j t) and (nbr, t) differ by a multiple of alpha_j^v, real at
+    nbr, which the key rows of nbr pair to 0.  So the later of x and y to
+    be processed takes the earlier one's Cayley key.  No word is built.
 
     Each (element, simple root) step reads the step row of the element's
     twisted involution (_step_row) and pairs alpha_j with t once.  With
@@ -160,7 +175,12 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
                         crosses[k][j] = key
                     noncompact = offset is not None and (2 * c + offset) % (2 * d) == 0
             statuses.append("n" if noncompact else letter)
-            cayley.append(record((nbr, y)) if noncompact else None)
+            if noncompact:
+                # the partner, when processed already, keyed the pair's image
+                done = edges.get(cross[j])
+                cayley.append(record((nbr, y)) if done is None else done[1][j])
+            else:
+                cayley.append(None)
         edges[key] = (tuple(statuses), cayley)
 
     lengths, class_of = table.lengths, table.class_of
@@ -174,12 +194,11 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
             edges[key][0],
             tuple([ids[k] for k in crosses[key]]),
             tuple([None if k is None else ids[k] for k in edges[key][1]]),
-            table.word(key[0]),
             reps[key],
         )
         for i, key in enumerate(order)
     )
-    return KGB(form=form, orbit=orbit, elements=elements)
+    return KGB(form=form, orbit=orbit, elements=elements, table=table)
 
 
 def _step_row(ic: InnerClass, inv: int) -> list[tuple]:
@@ -208,7 +227,9 @@ def format_kgb(kgb: KGB) -> list[str]:
 
     Columns: id, length, Cartan class, status letters, cross images,
     Cayley images ("*" where absent), and the reduced word of the
-    twisted involution (1-based, empty for the identity).
+    twisted involution (1-based, empty for the identity).  The words are
+    read from the table (KGB.word), so each is built once per involution,
+    when a listing first shows it.
     """
     idw = len(str(kgb.size - 1))
     fw = idw + 2
@@ -220,6 +241,6 @@ def format_kgb(kgb: KGB) -> list[str]:
         row += "  " + "".join(
             f"{'*' if t is None else t:>{fw}}" for t in e.cayley
         )
-        row += "  " + ",".join(str(j + 1) for j in e.word)
+        row += "  " + ",".join(str(j + 1) for j in kgb.table.word(e.rep[0]))
         lines.append(row.rstrip())
     return lines

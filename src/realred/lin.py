@@ -117,7 +117,9 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
     """Computes the Smith normal form with transform matrices.
 
     Deterministic: pivot choice is the nonzero entry minimizing
-    (absolute value, row, column).
+    (absolute value, row, column) (_pivot).  Raises RuntimeError when a
+    pivot position repeats with a larger pivot, or with an equal one
+    twice in a row (only a fold may keep it, once).
 
     Args:
         a: integer matrix, possibly with zero rows.
@@ -161,22 +163,14 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
 
     t = 0
     limit = min(m, n)
+    last, stalled = 0, False
     while t < limit:
-        # the first entry of least absolute value in row-major order has
-        # the least (absolute value, row, column); none is below 1
-        least = bi = bj = 0
-        for i in range(t, m):
-            row = mm[i]
-            for j in range(t, n):
-                x = abs(row[j])
-                if x and (not least or x < least):
-                    least, bi, bj = x, i, j
-                    if x == 1:
-                        break
-            if least == 1:
-                break
+        least, bi, bj = _pivot(mm, t)
         if not least:
             break
+        if last and (least > last or least == last and stalled):
+            raise RuntimeError(f"smith_form made no progress at pivot position {t}")
+        last, stalled = least, least == last
         if bi != t:
             row_swap(t, bi)
         if bj != t:
@@ -210,12 +204,28 @@ def smith_form(a: Matrix, ncols: int | None = None) -> SmithForm:
             row_add(t, bad, 1)
             continue
         t += 1
+        last = 0
 
     diag = tuple(mm[i][i] for i in range(limit))
     return SmithForm(
         uinv=tuple(map(tuple, p)), v=tuple(map(tuple, qi)),
         vinv=tuple(map(tuple, q)), diag=diag,
     )
+
+
+def _pivot(mm: list[list[int]], t: int) -> tuple[int, int, int]:
+    """(|x|, row, column) of the pivot x at position t, or (0, 0, 0): the
+    first entry of least |x| in row-major order; none is below 1."""
+    least = bi = bj = 0
+    for i in range(t, len(mm)):
+        row = mm[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (not least or x < least):
+                least, bi, bj = x, i, j
+                if x == 1:
+                    return least, bi, bj
+    return least, bi, bj
 
 
 def _identity_lists(n: int) -> list[list[int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 
+from realred import lin
 from realred.involution import InvolutionLattice, inner_class
 from realred.rootdata import (
     adjoint_generators,
@@ -102,3 +103,29 @@ def fiber_from_corrupted_plus():
     object.__setattr__(bad, "plus", lat.plus._replace(vinv=tuple(map(tuple, vinv))))
     ic._lattices[1] = bad
     return ic.fiber_elements(1, ic.square_classes[0].key)
+
+
+def smith_form_with_a_pivot_of_two():
+    """lin.smith_form of the row (2, 1) with a pivot scan that settles for
+    an entry of absolute value 2: it picks the 2 on every pass, and the
+    column step leaves 1 % 2 = 1 behind, so the loop never ends unless
+    smith_form checks its progress.  The scan raises TimeoutError on its
+    100th call, so that a missing check fails a test and does not hang it."""
+    calls = []
+
+    def pivot_of_two(mm, t):
+        calls.append(t)
+        if len(calls) == 100:
+            raise TimeoutError("smith_form chose 100 pivots for a 1 x 2 matrix")
+        for i in range(t, len(mm)):
+            for j in range(t, len(mm[i])):
+                if 0 < abs(mm[i][j]) <= 2:
+                    return abs(mm[i][j]), i, j
+        return 0, 0, 0
+
+    right = lin._pivot
+    lin._pivot = pivot_of_two
+    try:
+        return lin.smith_form(((2, 1),))
+    finally:
+        lin._pivot = right

@@ -1177,10 +1177,9 @@ def reference_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
             statuses=tuple(statuses),
             cross=tuple(cross),
             cayley=tuple(cayley),
-            word=table.word(inv),
             rep=x,
         ))
-    return KGB(form=form, orbit=orbit, elements=tuple(elements))
+    return KGB(form=form, orbit=orbit, elements=tuple(elements), table=table)
 
 
 # -- classical real forms, from the classification ---------------------------

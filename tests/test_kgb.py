@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realred import lin
+import json
+
+from realred import lin, weyl
 from realred.cartan import weyl_order
 from realred.kgb import format_kgb, generate_kgb, seed_orbit
 from realred.weyl import COMPLEX_DOWN, COMPLEX_UP
 
 from contexts import SMALL_TYPES, context, quasisplit
-from oracles import clan_count, involution_count, reference_kgb, reflections
+from digest_outputs import DIGESTS, digest, kgb_lines, label
+from oracles import (
+    clan_count, involution_count, reference_kgb, reference_theta_star, reflections,
+)
 
 
 def parse_rows(text):
@@ -41,7 +46,7 @@ def assert_isomorphic(kgb, text):
     """
     rows = parse_rows(text)
     assert len(rows) == kgb.size
-    sig = lambda e: (e.length, e.cartan, e.statuses, e.word)
+    sig = lambda e: (e.length, e.cartan, e.statuses, kgb.word(e.id))
     candidates = [
         [i for i, r in enumerate(rows) if (r[0], r[1], r[2], r[5]) == sig(e)]
         for e in kgb.elements
@@ -252,7 +257,7 @@ def test_kgb_of_compact_form_is_a_point():
         e = g.elements[0]
         assert set(e.statuses) == {"c"}
         assert e.cross == tuple(0 for _ in e.cross)
-        assert e.word == ()
+        assert g.word(e.id) == ()
 
 
 def test_kgb_of_complex_group_enumerates_weyl_group():
@@ -266,12 +271,13 @@ def test_kgb_of_complex_group_enumerates_weyl_group():
         n1 = len(g.elements[0].statuses) // 2
         halves = set()
         for e in g.elements:
+            word = g.word(e.id)
             m = lin.identity(ic.rd.rank)
-            for c in e.word:
+            for c in word:
                 if c < n1:
                     m = lin.mat_mul(m, reflections(ic.rd)[c])
             halves.add(m)
-            assert len(tuple(c for c in e.word if c < n1)) * 2 == len(e.word)
+            assert len(tuple(c for c in word if c < n1)) * 2 == len(word)
         assert len(halves) == g.size
 
 
@@ -424,15 +430,21 @@ def test_kgb_computes_each_edge_once(text, letters, kernel, form):
     ic.x_key = lambda x: keyed.append(x) or x_key(x)
     g = generate_kgb(ic, form)
     del ic.x_key
-    # keys: the seeds, each Cayley edge, and each cross image that moves t,
-    # once per unordered edge: a pair {x, s_j x} once, a fixed point not at all
+    # keys: the seeds, each cross image that moves t, once per unordered
+    # edge: a pair {x, s_j x} once, a fixed point not at all; and each
+    # Cayley image, once per type-I pair {x, s_j x} (one image for both)
+    # and once per type-II element (s_j x = x)
     n = ic.rd.semisimple_rank
     seeds = len(ic.fundamental_orbits[g.orbit].members)
     loops = [[e for e in g.elements if e.cross[j] == e.id] for j in range(n)]
     assert all((g.size - len(loops[j])) % 2 == 0 for j in range(n))
     pairs = sum(g.size - len(loops[j]) for j in range(n)) // 2
     moved = sum(ic.cross(j, e.rep) != e.rep for j in range(n) for e in loops[j])
-    cayleys = sum(e.statuses.count("n") for e in g.elements)
+    noncompact = [(e, j) for e in g.elements for j in range(n) if e.statuses[j] == "n"]
+    type_one = [(e, j) for e, j in noncompact if e.cross[j] != e.id]
+    assert type_one and len(type_one) < len(noncompact) and len(type_one) % 2 == 0
+    assert all(g.elements[e.cross[j]].cayley[j] == e.cayley[j] for e, j in type_one)
+    cayleys = len(noncompact) - len(type_one) // 2
     assert len(keyed) == seeds + pairs + moved + cayleys
     # at most one key per cross action and Cayley edge; a compact imaginary
     # root fixes t mod denom, so its loop is not keyed
@@ -440,3 +452,71 @@ def test_kgb_computes_each_edge_once(text, letters, kernel, form):
     compact = sum(e.statuses.count("c") for e in g.elements)
     assert compact > 0
     assert len(keyed) <= seeds + crosses - compact + cayleys
+
+
+# -- what the search builds -------------------------------------------------
+
+
+def is_set(record, name):
+    """Whether a lazy field of a lattice record is set, without computing it."""
+    try:
+        object.__getattribute__(record, name)
+    except AttributeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("text, letters, kernel", [
+    ("B3", "s", "sc"), ("D4", "s", "ad"), ("A3.T1", "ss", "ad"), ("G2", "s", "sc"),
+])
+def test_kgb_search_builds_no_words(monkeypatch, text, letters, kernel):
+    built = []
+    normal_form_word = weyl.normal_form_word
+    monkeypatch.setattr(
+        weyl, "normal_form_word", lambda table, w: built.append(w) or normal_form_word(table, w)
+    )
+    # a table of its own: tables are shared by the contexts of one type
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    ic = context(text, letters, kernel)
+    kgbs = [generate_kgb(ic, f) for f in range(len(ic.real_forms))]
+    assert built == [] and ic.table._words == {}
+    # the listings are the recorded ones, and build each word once
+    recorded = json.loads(DIGESTS.read_text())[label(text, letters, kernel)]["kgb"]
+    assert digest(kgb_lines(kgbs)) == recorded
+    shown = {e.rep[0] for g in kgbs for e in g.elements}
+    assert sorted(ic.table._words) == sorted(shown)
+    assert len(built) == len(shown)
+    format_kgb(kgbs[-1])
+    assert len(built) == len(shown)
+
+
+@pytest.mark.parametrize("text, letters", [("B3", "s"), ("D4", "s"), ("F4", "s"), ("E6", "c")])
+def test_kgb_search_builds_theta_star_only_where_a_smith_form_needs_it(text, letters):
+    ic = context(text, letters)
+    generate_kgb(ic, quasisplit(ic))
+    records = ic._lattices
+    # the key rows of a record reached by a real step are Smith rows of
+    # 1 - theta*, which reads theta* of its table parent, and so on down
+    needed = {id(records[0])}
+    for lat in records.values():
+        if lat.parent is None and is_set(lat, "minus"):
+            while lat is not None:
+                needed.add(id(lat))
+                lat = lat.source
+    built = {i for i, lat in records.items() if is_set(lat, "theta_star")}
+    assert built == {i for i, lat in records.items() if id(lat) in needed}
+    assert 0 < len(built) < len(records)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(SMALL_TYPES),
+    letter=st.sampled_from("cs"),
+    kernel=st.sampled_from([None, "ad"]),
+)
+def test_theta_star_read_after_a_kgb_search_matches_weyl_matrix(text, letter, kernel):
+    ic = context(text, letter, kernel)
+    generate_kgb(ic, quasisplit(ic))
+    # from the top down, so most reads walk several records without theta*
+    for inv in sorted(ic._lattices, reverse=True):
+        assert ic.lattice(inv).theta_star == reference_theta_star(ic, inv)

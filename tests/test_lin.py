@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from realred import lin
 
-from contexts import context
+from contexts import context, smith_form_with_a_pivot_of_two
 from oracles import det, reference_f2_rank, reference_smith_form
 
 
@@ -101,6 +101,22 @@ def test_smith_form_empty_rows() -> None:
     sf = lin.smith_form((), ncols=3)
     assert sf.diag == ()
     assert sf.v == lin.identity(3)
+
+
+def test_smith_form_refuses_a_pivot_that_makes_no_progress() -> None:
+    with pytest.raises(RuntimeError, match="no progress at pivot position 0"):
+        smith_form_with_a_pivot_of_two()
+
+
+def test_smith_form_keeps_a_pivot_once_after_a_fold(monkeypatch) -> None:
+    # (2, 0; 0, 3): the pivot 2 divides its row and column but not the 3,
+    # so row 1 is folded into row 0 and 2 is the pivot again; its column
+    # step then leaves 1, and the third pivot is 1
+    picked = []
+    pivot = lin._pivot
+    monkeypatch.setattr(lin, "_pivot", lambda mm, t: picked.append(pivot(mm, t)) or picked[-1])
+    assert lin.smith_form(((2, 0), (0, 3))).diag == (1, 6)
+    assert [p[0] for p in picked[:3]] == [2, 2, 1]
 
 
 def test_solve_int() -> None:

@@ -110,6 +110,18 @@ def test_fiber_square_check_raises_under_python_o():
     assert run_optimized(script) == ["False", "fiber element squares outside its square class"]
 
 
+def test_smith_form_progress_check_raises_under_python_o():
+    script = (
+        "from contexts import smith_form_with_a_pivot_of_two\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    smith_form_with_a_pivot_of_two()\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    assert run_optimized(script) == ["False", "smith_form made no progress at pivot position 0"]
+
+
 def test_library_has_no_assert_statements():
     files = sorted(SRC.glob("*.py"))
     assert files

@@ -87,6 +87,7 @@ def test_lattice_fields_are_computed_once():
     ic = context("D4", "s")
     for i in range(len(ic.table)):
         lattice = ic.lattice(i)
+        assert lattice.theta_star is lattice.theta_star
         assert lattice.minus is lattice.minus
         assert lattice.plus is lattice.plus
         assert lattice.cbits is lattice.cbits
