@@ -9,10 +9,14 @@ table, and its type (system_type) needs only the table.  The real Weyl
 group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r); A comes
 from Schreier generators on the cached moves of a fiber orbit and a
 complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
+What depends on the class alone, the three types, |W_i| and the complex
+and real generators, is one ClassFacts record per context and class,
+which the class report and every real form's real_weyl read.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 from typing import NamedTuple
 
@@ -80,7 +84,9 @@ def system_type(table: InvolutionTable, ks) -> str:
     are named by _component_name in order of their first basis root.
     Rank-two systems with a double bond print as B2, and a pair of
     orthogonal A1's prints as A1.A1.  Only the table is read, so the type
-    is the same in every isogeny.
+    is the same in every isogeny.  A simple basis is its own simple
+    basis, so a caller that holds one passes it for ks: the basis scan
+    costs |ks|^2 reflection reads.
     """
     cartan = _cartan_matrix(table, table.simple_basis(ks))
     adj = _diagram(cartan)
@@ -159,6 +165,58 @@ def _complex_factor(ic: InnerClass, inv: int) -> tuple[list[int], list[tuple[int
 # -- Cartan classes ------------------------------------------------------
 
 
+class ClassFacts:
+    """What cartan_class and real_weyl read of a Cartan class alone.
+
+    Read at the canonical involution of the class, these facts are the
+    same for every real form, and as they read only the table, for every
+    isogeny too.  class_facts builds them once per context and class;
+    the generator words, which only real_weyl reads, are built on first
+    read and kept.
+
+    Attributes:
+        table: the inner class's involution table, which the words read.
+        imaginary_type, real_type, complex_type: the system_type of the
+            imaginary roots, of the real roots and of one side of the
+            complex factor (_complex_factor).
+        wi_order: |W_i|, the order of the imaginary Weyl group.
+        pairs: the (simple root, theta partner) pairs of the complex factor.
+        real_basis: the simple basis of the real roots.
+    """
+
+    def __init__(self, ic: InnerClass, c: int):
+        table = self.table = ic.table
+        inv = table.canonical_member(c)
+        self.real_basis = tuple(table.simple_basis(table.real_roots(inv)))
+        side, pairs = _complex_factor(ic, inv)
+        self.pairs = tuple(pairs)
+        self.imaginary_type = system_type(table, table.imaginary_roots(inv))
+        self.real_type = system_type(table, self.real_basis)
+        self.complex_type = system_type(table, side)
+        self.wi_order = weyl_order(self.imaginary_type)
+
+    @cached_property
+    def complex_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Words of s_b s_theta(b) over the pairs, sorted by (length, word)."""
+        r = self.table.reflections
+        words = [word_from_matrix(self.table, compose(r[b], r[o])) for b, o in self.pairs]
+        return tuple(sorted(words, key=lambda w: (len(w), w)))
+
+    @cached_property
+    def real_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Words of the reflections in real_basis."""
+        return tuple(self.table.reflection_word(k) for k in self.real_basis)
+
+
+def class_facts(ic: InnerClass, c: int) -> ClassFacts:
+    """The class-only facts of Cartan class c, built once per context and class."""
+    ic.check(cartan=c)
+    out = ic._class_facts.get(c)
+    if out is None:
+        out = ic._class_facts[c] = ClassFacts(ic, c)
+    return out
+
+
 class CartanClass(NamedTuple):
     """One conjugacy class of Cartan subgroups of the inner class.
 
@@ -180,13 +238,14 @@ class CartanClass(NamedTuple):
 
 
 def cartan_class(ic: InnerClass, c: int) -> CartanClass:
-    """The class record, built once per context and class and cached on ic."""
+    """The class record, built once per context and class and cached on ic;
+    its three types are read from the class's ClassFacts."""
     ic.check(cartan=c)
     out = ic._cartan_classes.get(c)
     if out is not None:
         return out
     table = ic.table
-    inv = table.canonical_member(c)
+    facts = class_facts(ic, c)
     dec = ic.cartan_ranks(c)
     orbit = len(table.classes[c])
     # the fiber of the adjoint group has one square class, numbered 0
@@ -197,14 +256,14 @@ def cartan_class(ic: InnerClass, c: int) -> CartanClass:
     )
     out = ic._cartan_classes[c] = CartanClass(
         index=c,
-        word=table.word(inv),
+        word=table.word(table.canonical_member(c)),
         decomposition=dec,
         orbit_size=orbit,
         fiber_rank=dec.compact,
         xr_count=orbit * 2 ** dec.compact,
-        imaginary_type=system_type(table, table.imaginary_roots(inv)),
-        real_type=system_type(table, table.real_roots(inv)),
-        complex_type=system_type(table, _complex_factor(ic, inv)[0]),
+        imaginary_type=facts.imaginary_type,
+        real_type=facts.real_type,
+        complex_type=facts.complex_type,
         partition=entries,
     )
     return out
@@ -346,7 +405,13 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     The compact type is checked at the first member of each orbit of the
     form only: gradings are W_i-equivariant (see cartan_hasse), so w in
     W_i maps the compact roots at y onto those at w.y, and every member
-    of an orbit gives the same compact type.
+    of an orbit gives the same compact type.  The compact roots at a
+    member are read off one row of pairings (InnerClass.gradings).
+
+    Only the compact roots, their type, A and the W_ic generators depend
+    on the form.  The complex and real types and generators and |W_i| are
+    the class's, read from its ClassFacts (class_facts), built at the
+    first report or real_weyl of the class.
 
     RuntimeError is raised when A' has an element of order above 2, when
     another orbit of the form gives another compact type, or when some
@@ -354,42 +419,34 @@ def real_weyl(ic: InnerClass, form: int, cartan: int) -> RealWeylDecomposition:
     """
     ic.check(form=form, cartan=cartan)
     table = ic.table
-    inv = table.canonical_member(cartan)
+    facts = class_facts(ic, cartan)
     orbits = [o for o in ic.cartan_orbits(cartan) if o.form == form]
     if not orbits:
         raise InputError(f"Cartan class #{cartan} does not meet real form #{form}")
-    x = orbits[0].members[0]
-    imaginary = table.imaginary_roots(inv)
-    real = table.real_roots(inv)
-    compact = [k for k in imaginary if not ic.root_grading(x, k)]
-    compact_type = system_type(table, compact)
-    side, side_pairs = _complex_factor(ic, inv)
-    complex_gens = []
-    for first, second in side_pairs:
-        s1, s2 = table.reflections[first], table.reflections[second]
-        complex_gens.append(word_from_matrix(table, compose(s1, s2)))
-    complex_gens.sort(key=lambda w: (len(w), w))
-    compact_ks = table.simple_basis(compact)
+    compact_roots = [
+        [k for k, noncompact in ic.gradings(o.members[0]).items() if not noncompact]
+        for o in orbits
+    ]
+    compact_ks = table.simple_basis(compact_roots[0])
+    compact_type = system_type(table, compact_ks)
     a_words = _a_generators(ic, orbits[0], compact_ks)
-    for o in orbits[1:]:
-        other = [k for k in imaginary if not ic.root_grading(o.members[0], k)]
+    for other in compact_roots[1:]:
         # the same type, possibly with its components in another order
         if sorted(system_type(table, other).split(".")) != sorted(compact_type.split(".")):
             raise RuntimeError("compact type differs between orbits of a form")
-    wi_order = weyl_order(system_type(table, imaginary))
     wic_order = weyl_order(compact_type)
     for o in orbits:
-        if len(o.members) * wic_order << len(a_words) != wi_order:
+        if len(o.members) * wic_order << len(a_words) != facts.wi_order:
             raise RuntimeError("|W_i| is not |orbit| |W_ic| |A| at an orbit of the form")
     return RealWeylDecomposition(
-        complex_type=system_type(table, side),
+        complex_type=facts.complex_type,
         a_rank=len(a_words),
         compact_type=compact_type,
-        real_type=system_type(table, real),
-        complex_generators=tuple(complex_gens),
+        real_type=facts.real_type,
+        complex_generators=facts.complex_generators,
         a_generators=a_words,
         compact_generators=tuple(table.reflection_word(k) for k in compact_ks),
-        real_generators=tuple(table.reflection_word(k) for k in table.simple_basis(real)),
+        real_generators=facts.real_generators,
     )
 
 
@@ -447,11 +504,12 @@ def cartan_hasse(ic: InnerClass, form: int) -> CartanHasse:
     Class c has an edge to the class of s_beta.theta when some strong
     involution x of the form over the canonical theta of c is noncompact
     at the imaginary root beta.  Gradings are read at the first member
-    of each cross-action orbit of the imaginary Weyl group W_i only.
-    That is exact: for w in W_i, w.x is noncompact at w.beta exactly when
-    x is noncompact at beta, and s_{w.beta}.theta = w (s_beta.theta) w^-1
-    lies in the class of s_beta.theta, so every member of an orbit gives
-    the same edges.
+    of each cross-action orbit of the imaginary Weyl group W_i only, at
+    all imaginary roots at once from the involution's grading row
+    (InnerClass.gradings).  That is exact: for w in W_i, w.x is
+    noncompact at w.beta exactly when x is noncompact at beta, and
+    s_{w.beta}.theta = w (s_beta.theta) w^-1 lies in the class of
+    s_beta.theta, so every member of an orbit gives the same edges.
     """
     table = ic.table
     nodes = ic.form_cartans(form)
@@ -463,12 +521,9 @@ def cartan_hasse(ic: InnerClass, form: int) -> CartanHasse:
             for k in table.imaginary_roots(inv)
         ]
         for orbit in ic.cartan_orbits(c):
-            if orbit.form != form:
-                continue
-            x = orbit.members[0]
-            for k, target in targets:
-                if (c, target) not in edges and ic.root_grading(x, k):
-                    edges.add((c, target))
+            if orbit.form == form:
+                noncompact = ic.gradings(orbit.members[0])
+                edges.update((c, target) for k, target in targets if noncompact[k])
     flags = {ic.most_split_cartan(f) for f in range(len(ic.real_forms))}
     return CartanHasse(
         tuple(nodes),

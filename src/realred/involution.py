@@ -7,12 +7,17 @@ and square-class keys are integer numerators too, so the module does no
 rational arithmetic.  Whether an imaginary root is noncompact at x is
 one parity in closed form (root_grading): a pairing with t plus the
 root's heights over the simple roots and over the imaginary simple
-roots.  An imaginary reflection s_beta fixes x = (i, t) when beta is
-compact at x, and adds (denom/2) beta^v to t when it is noncompact
-(_orbit_partition).  Everything here is organised around one InnerClass
-object per (root datum, involution).  Each cross-action orbit on a fiber
-is a FiberOrbit; the weak real forms are the adjoint-fiber orbits of those
-over involution 0 (fundamental_orbits); real_form_of ends at an adjoint point.
+roots.  The per-Cartan queries grade x at every imaginary root at once
+(gradings), from one row per involution of each root's vector and
+height offset, so a grading is one pairing.  An imaginary reflection
+s_beta fixes x = (i, t) when beta is compact at x, and adds (denom/2)
+beta^v to t when it is noncompact (_orbit_partition).  Everything here
+is organised around one InnerClass object per (root datum, involution).
+Each cross-action orbit on a fiber is a FiberOrbit; the weak real forms
+are the adjoint-fiber orbits of those over involution 0
+(fundamental_orbits).  real_form_of descends to involution 0 pairing
+alpha_j with t once per step, a cross action or an inverse Cayley
+transform, and reads the form off the base point's gradings.
 
 Fibers are affine spaces over F2, read off one InvolutionLattice record
 per twisted involution: theta*, built on first read from the table
@@ -127,13 +132,18 @@ class FiberOrbit(NamedTuple):
 
 
 class FundamentalFiber(NamedTuple):
-    """The base fiber's orbits and what they number (InnerClass._fundamental)."""
+    """The base fiber's orbits and what they number (InnerClass._fundamental).
+
+    row holds (alpha, _grading_offset) of each root of imaginary_basis(0),
+    in that order: the base's grading row at the basis, which gives the
+    point of a base point in the adjoint fiber, the key of form_at.
+    """
 
     orbits: tuple[FiberOrbit, ...]
     forms: tuple[tuple, ...]
     square_classes: tuple[SquareClass, ...]
     form_at: dict[tuple[bool, ...], int]
-    basis: list[int]
+    row: tuple[tuple[lin.Vector, int], ...]
 
 
 _TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)", "C": "gl(1,C)"}
@@ -340,8 +350,11 @@ class InnerClass:
         # the Fiber, or None when empty, by (involution, square-class key)
         self._fibers: dict[tuple[int, tuple], Fiber | None] = {}
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
-        # cartan.CartanClass by class index, built by cartan.cartan_class
+        # the (root, alpha, offset) row of gradings, by involution
+        self._grading_rows: dict[int, tuple[tuple, ...]] = {}
+        # cartan.CartanClass and cartan.ClassFacts by class index, built in cartan
         self._cartan_classes: dict[int, object] = {}
+        self._class_facts: dict[int, object] = {}
 
     def check(self, **indices: object) -> None:
         """Raises InputError unless each index given, form= or cartan=, is
@@ -630,6 +643,41 @@ class InnerClass:
         heights = lin.vec_dot(self.rd.positive_roots[k].vec, self.lattice(inv).heights) // 2
         return (heights - 1) * self.denom
 
+    def _strong(self, x: StrongX) -> StrongX:
+        """x, once checked: InputError unless its involution id numbers a
+        row of the table and its torus part has rank entries."""
+        inv, t = x
+        if type(inv) is not int or not 0 <= inv < len(self.table) or len(t) != self.rd.rank:
+            raise InputError(
+                f"no strong involution {x!r}: there are {len(self.table)} involutions, "
+                f"and torus parts have {self.rd.rank} entries"
+            )
+        return x
+
+    def gradings(self, x: StrongX) -> dict[int, bool]:
+        """root_grading of x at every positive root imaginary there, by root.
+
+        Reads one row per involution, kept in _grading_rows: each imaginary
+        root k in increasing order with its vector alpha and _grading_offset,
+        so a grading costs one pairing, 2 <alpha, t> plus the offset mod 2
+        denom.  In the library only per-Cartan queries fill the rows: the
+        fibers and the weak forms at canonical involutions, and the base
+        fiber.  A KGB
+        search reads the offsets of its simple roots alone (kgb._step_row),
+        and a descent grades its base point at imaginary_basis(0) alone
+        (FundamentalFiber.row).
+        """
+        inv, t = self._strong(x)
+        row = self._grading_rows.get(inv)
+        if row is None:
+            pos = self.rd.positive_roots
+            row = self._grading_rows[inv] = tuple([
+                (k, pos[k].vec, self._grading_offset(inv, k))
+                for k in self.table.imaginary_roots(inv)
+            ])
+        d2 = 2 * self.denom
+        return {k: (2 * sum(map(mul, a, t)) + off) % d2 == 0 for k, a, off in row}
+
     def grading(self, x: StrongX, j: int) -> bool:
         """True when the imaginary simple root j is noncompact at x."""
         return self.root_grading(x, self.table.simple[j])
@@ -661,9 +709,10 @@ class InnerClass:
           involution.
         - j imaginary: there is no shift, and ht and ht_i each drop by n.
         - j real cannot occur: real and imaginary roots are orthogonal.
-        Raises RuntimeError when the root is not imaginary at x.
+        Raises RuntimeError when the root is not imaginary at x, and
+        InputError when x is not a strong involution of the table (_strong).
         """
-        inv, t = x
+        inv, t = self._strong(x)
         root = self.rd.positive_roots[k]
         if self.table.thetas[inv][k] != k:
             raise RuntimeError(f"root {root.coeffs} is not imaginary at involution {inv}")
@@ -683,35 +732,6 @@ class InnerClass:
         if not self.grading(x, j):
             raise ValueError(f"simple root {j} is compact at this strong involution")
         return (nbr, lin.vec_mod(self._reflect(j, t), self.denom))
-
-    def _first_inverse_cayley(self, j: int, nbr: int, t: lin.Vector) -> StrongX | None:
-        """An inverse Cayley transform of (inv, t) through the simple root j,
-        real at inv, to nbr; None when there is none.  Keys nothing.
-
-        With d = denom and base = s_j t, the candidates are (nbr, u), u =
-        base + c alpha_j^v, and alpha_j, simple imaginary at nbr, is
-        noncompact there when <alpha_j, u> = <alpha_j, base> + 2c = d/2 mod
-        d (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is no
-        c when r is odd, else c = r/2 or r/2 + d/2; this is the first.
-        Every candidate squares into the class of (inv, t):
-        - its Cayley image (inv, t - c alpha_j^v) has the square numerators
-          of (inv, t), as theta*_inv alpha_j^v = -alpha_j^v;
-        - a Cayley transform through a noncompact alpha_j keeps the square
-          numerators mod d: theta*_inv s_j = theta*_nbr, so they move by
-          (d/2 - <alpha_j, u>) alpha_j^v mod d, the rho-check drop growing
-          by alpha_j^v, and <alpha_j, u> = d/2 mod d.
-        Raises RuntimeError when the candidate is compact.
-        """
-        d = self.denom
-        base = self._reflect(j, t)
-        r = (d // 2 - lin.vec_dot(self.rd.simple_roots[j], base)) % d
-        if r % 2:
-            return None
-        av = self.rd.simple_coroots[j]
-        cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, r // 2)), d))
-        if not self.grading(cand, j):
-            raise RuntimeError("an inverse Cayley candidate is compact")
-        return cand
 
     # -- weak real forms --------------------------------------------------
 
@@ -734,9 +754,9 @@ class InnerClass:
         the fiber's bitmasks it is an XOR with one mask where beta is
         noncompact (fiber.reflections).  The gradings at imaginary_basis(inv)
         are affine in the bitmask too: adding g_i = (d/2) c_i adds <beta,
-        c_i> to 2 <beta, t> / d, so they are one root_grading per basis root
-        at t0 and one flip mask per generator.  Raises RuntimeError when a
-        reflection leaves the fiber.
+        c_i> to 2 <beta, t> / d, so they are the gradings at t0, one row of
+        pairings (gradings), and one flip mask per generator.  Raises
+        RuntimeError when a reflection leaves the fiber.
         """
         d = self.denom
         basis = self.table.imaginary_basis(inv)
@@ -748,13 +768,12 @@ class InnerClass:
             fiber = self._fiber(inv, key)
             if fiber is None:
                 continue
-            # bit g of a grade is the grading of the g-th basis root: one
-            # root_grading each at t0, and g_i flips it when <beta, c_i> is odd
-            x0 = (inv, fiber.t0)
+            # bit g of a grade is the grading of the g-th basis root: read
+            # off the gradings at t0, and g_i flips it when <beta, c_i> is odd
             flips = [
                 bitmask(2 * lin.vec_dot(pos[k].vec, g) // d % 2 for k in basis) for g in fiber.gens
             ]
-            grades = span(bitmask(self.root_grading(x0, k) for k in basis), flips, xor)
+            grades = span(bitmask(map(self.gradings((inv, fiber.t0)).get, basis)), flips, xor)
             images, points = reflections(fiber.keys, grades, shifts)
             ts = self.fiber_elements(inv, key)
             # the moves permute the fiber, so its orbits are the components
@@ -818,21 +837,21 @@ class InnerClass:
 
         The weak real forms are the orbits of the adjoint base fiber
         (_adjoint_orbits); form_at gives the form of each of its points,
-        their gradings at basis = imaginary_basis(0), and forms is (nc,
-        iota, quasisplit) of each form, in menu order.  nc counts the
-        noncompact imaginary roots, positive and negative, of each
-        internal factor and iota is the half-spin tag of each factor, both
-        at the first member of a form's first base-fiber orbit.  A form is
-        quasisplit when the all-noncompact grading is one of its points.
-        The menu sorts the forms by (total nc, zip(nc, iota)).  That key
-        cannot tie: it determines the name of every unit (real_forms), and
-        the names of distinct weak forms differ.  The square classes are
-        numbered by first appearance in the orbits of the forms from the
-        quasisplit one down.
+        their gradings at basis = imaginary_basis(0), row the grading row
+        at basis (FundamentalFiber), and forms is (nc, iota, quasisplit)
+        of each form, in menu order.  nc counts the noncompact imaginary
+        roots, positive and negative, of each internal factor and iota is
+        the half-spin tag of each factor, both at the first member of a
+        form's first base-fiber orbit.  A form is quasisplit when the
+        all-noncompact grading is one of its points.  The menu sorts the
+        forms by (total nc, zip(nc, iota)).  That key cannot tie: it
+        determines the name of every unit (real_forms), and the names of
+        distinct weak forms differ.  The square classes are numbered by
+        first appearance in the orbits of the forms from the quasisplit
+        one down.
         """
         parts = self._orbit_partition(0)
         ids, points = self._adjoint_orbits([pts for *_, pts in parts])
-        imaginary = self.table.imaginary_roots(0)
         basis = self.table.imaginary_basis(0)
         split = (True,) * len(basis)
         index = self.lt.simple_factor_index
@@ -840,8 +859,8 @@ class InnerClass:
         for a, pts in enumerate(points):
             _, members, _, member_points = parts[ids.index(a)]
             nc = [0] * len(self.lt.factors)
-            for k in imaginary:
-                if self.root_grading(members[0], k):
+            for k, noncompact in self.gradings(members[0]).items():
+                if noncompact:
                     coeffs = self.rd.positive_roots[k].coeffs
                     nc[index[next(i for i, c in enumerate(coeffs) if c)]] += 2
             bits = dict(zip(basis, member_points[0]))
@@ -865,7 +884,7 @@ class InnerClass:
             tuple(forms[a] for a in order),
             tuple(SquareClass(i, key) for i, key in enumerate(keys)),
             {p: menu[a] for a, pts in enumerate(points) for p in pts},
-            basis,
+            tuple((self.rd.positive_roots[k].vec, self._grading_offset(0, k)) for k in basis),
         )
 
     def _iota_tag(self, bits: dict[int, bool], f: Factor, rng: tuple[int, ...]) -> int:
@@ -941,36 +960,55 @@ class InnerClass:
     def real_form_of(self, x: StrongX) -> int:
         """Weak real form of a strong involution, by descent to the base.
 
-        Each step lowers the twisted length by one.  It is the cross
-        action of the first simple root that is a complex descent, when
-        the status row has one, and costs one cross action.  Otherwise it
-        is the first inverse Cayley candidate, at offset r/2, through the
-        first real simple root that has one (_first_inverse_cayley).  The
-        descent keys nothing, and ends at the point of the base point in
+        Each step lowers the twisted length by one and pairs alpha_j with t
+        once, c = <alpha_j, t>, as a KGB step does; with d = denom it moves
+        t to t - shift alpha_j^v mod d.
+        - At the first simple root j that is a complex descent, it is the
+          cross action: s_j t plus (d/2) gamma^v, and gamma^v = alpha_j^v
+          there (_complex_shift), so shift = c - d/2.
+        - Otherwise, at the first real j that has one, it is the first
+          inverse Cayley candidate (nbr, u), u = s_j t + e alpha_j^v:
+          alpha_j, simple imaginary at nbr, is noncompact at it exactly
+          when <alpha_j, u> = 2e - c = d/2 mod d (root_grading).  With r =
+          d/2 + c mod d there is no e when r is odd, and else e = r/2 is
+          the first, so shift = c - r/2.  Every candidate squares into the
+          class of x: its Cayley image has the square numerators of x, as
+          theta*_inv alpha_j^v = -alpha_j^v, and a Cayley transform through
+          a noncompact alpha_j keeps them mod d.
+        The descent keys nothing, and ends at the point of the base point in
         the adjoint fiber: its gradings at imaginary_basis(0), kept by
         torus conjugation and reduction mod denom, whose adjoint orbit is
         the weak form (_fundamental).  The form does not depend on the path:
         cross actions and Cayley transforms preserve the weak real form.
+        Raises InputError when x is not a strong involution of the table
+        (_strong).  Raises RuntimeError when no step applies, which only a
+        point off every fiber gives, or when a candidate is compact
+        (grading), which its choice rules out unless the grading is wrong.
         """
-        inv, _ = x
-        table = self.table
+        inv, t = self._strong(x)
+        table, rd, d = self.table, self.rd, self.denom
+        h = d // 2
         while table.lengths[inv] > 0:
             kinds = table.kinds(inv)
-            down = kinds.find(COMPLEX_DOWN)
-            if down >= 0:
-                x = self.cross(down, x)
+            j = kinds.find(COMPLEX_DOWN)
+            if j >= 0:
+                shift = sum(map(mul, rd.simple_roots[j], t)) - h
             else:
                 for j, kind in enumerate(kinds):
                     if kind == REAL:
-                        cand = self._first_inverse_cayley(j, table.status(inv, j)[1], x[1])
-                        if cand is not None:
-                            x = cand
+                        c = sum(map(mul, rd.simple_roots[j], t))
+                        if (h + c) % 2 == 0:
+                            shift = c - (h + c) % d // 2
                             break
                 else:
                     raise RuntimeError("strong involution admits no descent")
-            inv = x[0]
-        fundamental = self._fundamental
-        return fundamental.form_at[tuple(self.root_grading(x, k) for k in fundamental.basis)]
+            inv = table.status(inv, j)[1]
+            t = tuple([(u - shift * v) % d for u, v in zip(t, rd.simple_coroots[j])])
+            if kinds[j] == REAL and not self.grading((inv, t), j):
+                raise RuntimeError("an inverse Cayley candidate is compact")
+        row = self._fundamental.row
+        point = tuple([(2 * sum(map(mul, a, t)) + off) % (2 * d) == 0 for a, off in row])
+        return self._fundamental.form_at[point]
 
     # -- strong real forms at a Cartan class ------------------------------
 

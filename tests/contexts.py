@@ -88,6 +88,23 @@ def classes_from_walk_to_base():
     return table.classes
 
 
+def descent_from_a_point_off_every_fiber():
+    """real_form_of at (1, (1,)) in adjoint A1 s, over the split Cartan:
+    alpha pairs with t to 1 and denom is 4, so r = 2 + 1 is odd at the one
+    real root, and the point, on no fiber, has no descent."""
+    return context("A1", "s", "ad").real_form_of((1, (1,)))
+
+
+def descent_through_a_compact_candidate():
+    """real_form_of at (1, (0,)) in A1 s, over the split Cartan, on a
+    context whose grading calls every imaginary simple root compact: the
+    first inverse Cayley candidate is noncompact by its choice, so only
+    a wrong grading can make the descent's check fail."""
+    ic = context("A1", "s")
+    ic.grading = lambda x, j: False
+    return ic.real_form_of((1, (0,)))
+
+
 def fiber_from_corrupted_plus():
     """The fiber over involution 1 of A3 c, of the first square class, from
     a record whose Smith form of 1 + theta* has the divisor-2 column

@@ -38,6 +38,10 @@ reference_central_reduce               4081506  (as above)
 reference_central_translates           4081506  (as above)
 reference_central_class_key            4081506  (as above)
 reference_x_key                        afb6624  test_involution: test_fiber_keys_and_inverse_cayley_match_references
+first_inverse_cayley                   efee2e3+ test_involution: test_fiber_keys_and_inverse_cayley_match_references,
+                                                test_real_form_of_and_gradings_match_reference_on_the_grid
+reference_real_form_of                 efee2e3+ test_involution:
+                                                test_real_form_of_and_gradings_match_reference_on_the_grid
 inverse_cayley                         8e0a084+ test_involution: test_cross_and_cayley_preserve_squares,
                                                 test_cayley_rejects_roots_of_the_wrong_kind,
                                                 test_descent_is_path_independent,
@@ -712,35 +716,84 @@ def reference_kgb_order(ic, kgb):
     ))
 
 
+def first_inverse_cayley(ic: InnerClass, j: int, nbr: int, t: lin.Vector) -> StrongX | None:
+    """An inverse Cayley transform of (inv, t) through the simple root j,
+    real at inv, to nbr; None when there is none.  Keys nothing.
+
+    InnerClass._first_inverse_cayley until efee2e3+, which fused it into
+    the descent step of InnerClass.real_form_of.  With d = denom and base
+    = s_j t, the candidates are (nbr, u), u = base + c alpha_j^v, and
+    alpha_j, simple imaginary at nbr, is noncompact there when <alpha_j,
+    u> = <alpha_j, base> + 2c = d/2 mod d (root_grading).  With r = d/2 -
+    <alpha_j, base> mod d, that is no c when r is odd, else c = r/2 or
+    r/2 + d/2; this is the first.  Raises RuntimeError when the candidate
+    is compact.
+    """
+    d = ic.denom
+    base = ic._reflect(j, t)
+    r = (d // 2 - lin.vec_dot(ic.rd.simple_roots[j], base)) % d
+    if r % 2:
+        return None
+    av = ic.rd.simple_coroots[j]
+    cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, r // 2)), d))
+    if not ic.grading(cand, j):
+        raise RuntimeError("an inverse Cayley candidate is compact")
+    return cand
+
+
+def reference_real_form_of(ic: InnerClass, x: StrongX) -> int:
+    """InnerClass.real_form_of until efee2e3+: the same descent, step by step.
+
+    A complex descent is the generic cross action (InnerClass.cross), a
+    real step the first inverse Cayley candidate (first_inverse_cayley),
+    and the base point is graded one root_grading per imaginary basis root.
+    """
+    inv, _ = x
+    table = ic.table
+    while table.lengths[inv] > 0:
+        kinds = table.kinds(inv)
+        down = kinds.find(COMPLEX_DOWN)
+        if down >= 0:
+            x = ic.cross(down, x)
+        else:
+            for j, kind in enumerate(kinds):
+                if kind == REAL:
+                    cand = first_inverse_cayley(ic, j, table.status(inv, j)[1], x[1])
+                    if cand is not None:
+                        x = cand
+                        break
+            else:
+                raise RuntimeError("strong involution admits no descent")
+        inv = x[0]
+    basis = ic.table.imaginary_basis(0)
+    return ic._fundamental.form_at[tuple(ic.root_grading(x, k) for k in basis)]
+
+
 def inverse_cayley(ic: InnerClass, j: int, x: StrongX) -> tuple[StrongX, ...]:
     """Valid inverse Cayley transforms through a real simple root.
 
     InnerClass.inverse_cayley until 8e0a084+, which left the library only
-    its first candidate (InnerClass._first_inverse_cayley), found here
-    afresh.  With d = denom and base = s_j t, these are the candidates
-    (nbr, u), u = base + c alpha_j^v, at which alpha_j, simple imaginary
-    at nbr, is noncompact: <alpha_j, u> = <alpha_j, base> + 2c = d/2 mod d
+    its first candidate (first_inverse_cayley), found here afresh.  With
+    d = denom and base = s_j t, these are the candidates (nbr, u), u =
+    base + c alpha_j^v, at which alpha_j, simple imaginary at nbr, is
+    noncompact: <alpha_j, u> = <alpha_j, base> + 2c = d/2 mod d
     (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is no c
     when r is odd, else c = r/2 and r/2 + d/2, in that order.  So this is
     the scan of all d offsets: no compact candidate shares a key with
     these, as the key rows span alpha_j, theta-fixed at nbr.  Offsets c,
     c' give one key when c key(alpha_j^v) = c' key(alpha_j^v).  Every
-    candidate squares into the class of x (_first_inverse_cayley), so
+    candidate squares into the class of x (InnerClass.real_form_of), so
     none is keyed.  Raises ValueError when j is not real at x.
     """
     inv, t = x
     kind, nbr = ic.table.status(inv, j)
     if kind != REAL:
         raise ValueError(f"simple root {j} is not real at involution {inv}")
-    d = ic.denom
-    base = ic._reflect(j, t)
-    r = (d // 2 - lin.vec_dot(ic.rd.simple_roots[j], base)) % d
-    if r % 2:
+    first = first_inverse_cayley(ic, j, nbr, t)
+    if first is None:
         return ()
+    d = ic.denom
     av = ic.rd.simple_coroots[j]
-    first = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, r // 2)), d))
-    if not ic.grading(first, j):
-        raise RuntimeError("an inverse Cayley candidate is compact")
     # the offset r/2 + d/2 gives a second key unless (d/2) key(alpha_j^v) = 0
     if all(d // 2 * b % d == 0 for b in ic.x_key((nbr, av))[1]):
         return (first,)

@@ -11,6 +11,7 @@ from realred.cartan import (
     _complex_factor,
     cartan_class,
     cartan_classes,
+    class_facts,
     cartan_hasse,
     format_cartan_block,
     format_cartan_report,
@@ -325,6 +326,39 @@ def test_cartan_reports_build_each_class_once(monkeypatch):
     assert cartan_class(ic, 3) is cartan_class(ic, 3)
     assert reports == [format_cartan_report(ic, f) for f in range(len(ic.real_forms))]
     assert len(built) == 9
+
+
+@pytest.mark.parametrize("text,letters", [("B4", "s"), ("A3.A3", "C"), ("D4", "s")])
+def test_class_facts_are_built_once_per_class(monkeypatch, text, letters):
+    # the report and the real_weyl of every form read one record per class;
+    # the report reads only its types and builds no generator word
+    built = []
+    complex_factor = cartan_module._complex_factor
+
+    def counted(ic, inv):
+        built.append(ic.table.class_of[inv])
+        return complex_factor(ic, inv)
+
+    monkeypatch.setattr(cartan_module, "_complex_factor", counted)
+    ic = context(text, letters)
+    forms = range(len(ic.real_forms))
+    for f in forms:
+        format_cartan_report(ic, f)
+    classes = range(len(ic.table.classes))
+    assert sorted(built) == list(classes)
+    assert not any({"complex_generators", "real_generators"} & set(vars(class_facts(ic, c)))
+                   for c in classes)
+    for f in forms:
+        for c in ic.form_cartans(f):
+            dec = real_weyl(ic, f, c)
+            facts = class_facts(ic, c)
+            assert dec.complex_generators is facts.complex_generators
+            assert dec.real_generators is facts.real_generators
+            assert (dec.complex_type, dec.real_type) == (facts.complex_type, facts.real_type)
+    assert sorted(built) == list(classes)
+    assert class_facts(ic, classes[-1]) is class_facts(ic, classes[-1])
+    with pytest.raises(InputError):
+        class_facts(ic, len(classes))
 
 
 def test_quasisplit_form_meets_every_cartan_class():

@@ -24,14 +24,18 @@ from realred.kgb import generate_kgb
 from realred.rootdata import InputError, build_root_datum, dual_lie_type, parse_lie_type
 from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL, parse_units
 
-from contexts import RECORD_GROUPS, SMALL_TYPES, context, fiber_from_corrupted_plus
+from contexts import (
+    RECORD_GROUPS, SMALL_TYPES, context, descent_from_a_point_off_every_fiber,
+    descent_through_a_compact_candidate, fiber_from_corrupted_plus,
+)
 from digest_outputs import CONTEXTS
 from oracles import (
-    classical_real_forms, coreflections, cross_word, inverse_cayley, kac_weak_form_count,
-    rank_decomposition, reference_adjoint_context, reference_central_translates,
-    reference_component_rank, reference_fiber_elements, reference_inverse_cayley,
-    reference_key_rows, reference_normal_form_word, reference_orbit_partition,
-    reference_rho_check_drop, reference_root_grading, reference_theta_star, reference_to_ad,
+    classical_real_forms, coreflections, cross_word, first_inverse_cayley, inverse_cayley,
+    kac_weak_form_count, rank_decomposition, reference_adjoint_context,
+    reference_central_translates, reference_component_rank, reference_fiber_elements,
+    reference_inverse_cayley, reference_key_rows, reference_normal_form_word,
+    reference_orbit_partition, reference_real_form_of, reference_rho_check_drop,
+    reference_root_grading, reference_theta_star, reference_to_ad,
     reference_two_offset_inverse_cayley, reference_x_key, reflection_matrix, reflections,
     square_key_if_valid, square_key_reference,
 )
@@ -621,6 +625,81 @@ def test_every_strong_involution_descends():
             assert 0 <= ic.real_form_of(x) < nforms
 
 
+@pytest.mark.parametrize("kernel", [None, "ad"])
+@pytest.mark.parametrize("letter", ["c", "s"])
+@pytest.mark.parametrize("text", SMALL_TYPES)
+def test_real_form_of_and_gradings_match_reference_on_the_grid(text, letter, kernel):
+    # every fiber point over every canonical involution: the fused descent
+    # against the step-by-step one, and the grading row against root_grading
+    ic = context(text, letter, kernel)
+    canonical = {ic.table.canonical_member(c) for c in range(len(ic.table.classes))}
+    points = 0
+    for inv in sorted(canonical):
+        imaginary = ic.table.imaginary_roots(inv)
+        for sq in ic.square_classes:
+            for t in ic.fiber_elements(inv, sq.key):
+                x = (inv, t)
+                assert ic.real_form_of(x) == reference_real_form_of(ic, x)
+                gradings = ic.gradings(x)
+                assert list(gradings) == imaginary
+                assert gradings == {k: ic.root_grading(x, k) for k in imaginary}
+                points += 1
+    assert points
+    # one grading row per canonical involution at most, the base's included
+    assert 0 in ic._grading_rows and set(ic._grading_rows) <= canonical
+
+
+def test_kgb_search_fills_no_grading_row():
+    # the search reads the offsets of its simple roots from its step rows;
+    # only the base fiber, which numbers the seeds, is graded by rows
+    ic = context("D4", "s")
+    for form in range(len(ic.real_forms)):
+        generate_kgb(ic, form)
+    assert set(ic._grading_rows) == {0}
+
+
+def test_descent_refuses_a_point_with_no_step():
+    with pytest.raises(RuntimeError, match="strong involution admits no descent"):
+        descent_from_a_point_off_every_fiber()
+
+
+def test_descent_refuses_a_compact_candidate(monkeypatch):
+    with pytest.raises(RuntimeError, match="an inverse Cayley candidate is compact"):
+        descent_through_a_compact_candidate()
+    # the same through the class, at every point outside the base's class:
+    # complex steps keep the class, so its descent takes a real step
+    monkeypatch.setattr(InnerClass, "grading", lambda self, x, j: False)
+    ic = context("A3", "c")
+    steps = 0
+    for x, _ in all_strong_involutions(ic):
+        if ic.table.class_of[x[0]] != ic.table.class_of[0]:
+            with pytest.raises(RuntimeError, match="an inverse Cayley candidate is compact"):
+                ic.real_form_of(x)
+            steps += 1
+    assert steps
+
+
+@pytest.mark.parametrize("x", [(10, (4, 0, 0)), (-1, (4, 0, 0)), (True, (4, 0, 0))])
+def test_strong_involution_with_an_id_off_the_table_is_an_input_error(x):
+    # A3 c has 10 twisted involutions; a negative id would index from the end
+    ic = context("A3", "c")
+    assert len(ic.table) == 10
+    for read in (ic.real_form_of, ic.gradings, lambda x: ic.root_grading(x, 0)):
+        with pytest.raises(InputError, match="there are 10 involutions"):
+            read(x)
+
+
+@pytest.mark.parametrize("t", [(4, 0), (4, 0, 0, 1), ()])
+def test_strong_involution_with_a_torus_part_of_another_rank_is_an_input_error(t):
+    # zip and map would truncate (4, 0, 0, 1) to (4, 0, 0), or read (4, 0)
+    # as if a zero followed
+    ic = context("A3", "c")
+    assert ic.real_form_of((0, (4, 0, 0))) == 2
+    for read in (ic.real_form_of, ic.gradings, lambda x: ic.root_grading(x, 0)):
+        with pytest.raises(InputError, match="torus parts have 3 entries"):
+            read((0, t))
+
+
 # -- rank decompositions ------------------------------------------------
 
 
@@ -949,7 +1028,7 @@ def test_fiber_keys_and_inverse_cayley_match_references(text, letters, kernel):
                         assert got == reference_inverse_cayley(ic, j, x)
                         assert got == reference_two_offset_inverse_cayley(ic, j, x)
                         # the one candidate real_form_of takes
-                        assert ic._first_inverse_cayley(j, nbr, t) == (got[0] if got else None)
+                        assert first_inverse_cayley(ic, j, nbr, t) == (got[0] if got else None)
                         cayleys += bool(got)
                 points += 1
     assert points and cayleys

@@ -10,6 +10,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,23 @@ def test_fiber_square_check_raises_under_python_o():
     assert run_optimized(script) == ["False", "fiber element squares outside its square class"]
 
 
+def test_descent_checks_raise_under_python_o():
+    script = (
+        "from contexts import descent_from_a_point_off_every_fiber\n"
+        "from contexts import descent_through_a_compact_candidate\n"
+        "print(__debug__)\n"
+        "for descend in (descent_from_a_point_off_every_fiber,\n"
+        "                descent_through_a_compact_candidate):\n"
+        "    try:\n"
+        "        descend()\n"
+        "    except RuntimeError as e:\n"
+        "        print(e)\n"
+    )
+    assert run_optimized(script) == [
+        "False", "strong involution admits no descent", "an inverse Cayley candidate is compact",
+    ]
+
+
 def test_smith_form_progress_check_raises_under_python_o():
     script = (
         "from contexts import smith_form_with_a_pivot_of_two\n"
@@ -132,6 +150,27 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_modules_stay_under_8192_parser_tokens():
+    """Each library module has fewer than 8,192 tokens for the parser:
+    every token but comments and NL.
+
+    python -B compiles each module on every benchmark pass, and CPython's
+    parser doubles its token array at 8,192 tokens, allocating a token
+    for every new slot, so the compile peak jumps past that count and
+    sets a pass's peak RSS.  involution.py at 8,212 tokens compiled with
+    a 3.23 MiB tracemalloc peak against 2.69 MiB at 7,857, and the
+    realweyl workload's peak RSS rose from 18.74 to 19.14 MiB.  Comments
+    and docstrings cost one token or none, so only code moves the count.
+    """
+    counts = {}
+    for path in sorted(SRC.glob("*.py")):
+        with path.open("rb") as f:
+            skipped = (tokenize.COMMENT, tokenize.NL)
+            counts[path.name] = sum(t.type not in skipped for t in tokenize.tokenize(f.readline))
+    assert len(counts) > 5
+    assert {name: n for name, n in counts.items() if n >= 8192} == {}
 
 
 def test_library_imports_no_unused_name():
