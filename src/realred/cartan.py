@@ -9,9 +9,10 @@ table, and its type (system_type) needs only the table.  The real Weyl
 group W(K,H) is decomposed as (W_C)^tau . ((A . W_ic) x W_r); A comes
 from Schreier generators on the cached moves of a fiber orbit and a
 complement A' of W_ic, by orbit-stabilizer, never by listing W_i.
-What depends on the class alone, the three types, |W_i| and the complex
-and real generators, is one ClassFacts record per context and class,
-which the class report and every real form's real_weyl read.
+What depends on the class alone, the three types, |W_i|, the complex
+and real generators and the Cayley targets, is one ClassFacts record per
+table and class, which the class report, the Cayley graph and every real
+form's real_weyl of every isogeny read.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def weyl_order(type_str: str) -> int:
     return total
 
 
-def _complex_factor(ic: InnerClass, inv: int) -> tuple[list[int], list[tuple[int, int]]]:
+def _complex_factor(table: InvolutionTable, inv: int) -> tuple[list[int], list[tuple[int, int]]]:
     """One side of the free complex root pairs at inv, as positive-root indices.
 
     The complex roots orthogonal to the half sums of imaginary and of
@@ -127,7 +128,6 @@ def _complex_factor(ic: InnerClass, inv: int) -> tuple[list[int], list[tuple[int
     commuting reflection products generate that diagonal.  Two roots a, b
     are orthogonal exactly when the reflection in b fixes a.
     """
-    table = ic.table
     pos = table.rd.positive_roots
     npos = len(pos)
     theta = table.thetas[inv]
@@ -170,12 +170,14 @@ class ClassFacts:
 
     Read at the canonical involution of the class, these facts are the
     same for every real form, and as they read only the table, for every
-    isogeny too.  class_facts builds them once per context and class;
-    the generator words, which only real_weyl reads, are built on first
-    read and kept.
+    isogeny too.  class_facts builds them once per table and class and
+    keeps them on the table; the generator words, which only real_weyl
+    reads, and the Cayley targets, which only cartan_hasse reads, are
+    built on first read and kept.
 
     Attributes:
-        table: the inner class's involution table, which the words read.
+        table: the involution table, which the words read.
+        canonical: the canonical involution of the class.
         imaginary_type, real_type, complex_type: the system_type of the
             imaginary roots, of the real roots and of one side of the
             complex factor (_complex_factor).
@@ -184,11 +186,11 @@ class ClassFacts:
         real_basis: the simple basis of the real roots.
     """
 
-    def __init__(self, ic: InnerClass, c: int):
-        table = self.table = ic.table
-        inv = table.canonical_member(c)
+    def __init__(self, table: InvolutionTable, c: int):
+        self.table = table
+        inv = self.canonical = table.canonical_member(c)
         self.real_basis = tuple(table.simple_basis(table.real_roots(inv)))
-        side, pairs = _complex_factor(ic, inv)
+        side, pairs = _complex_factor(table, inv)
         self.pairs = tuple(pairs)
         self.imaginary_type = system_type(table, table.imaginary_roots(inv))
         self.real_type = system_type(table, self.real_basis)
@@ -207,13 +209,24 @@ class ClassFacts:
         """Words of the reflections in real_basis."""
         return tuple(self.table.reflection_word(k) for k in self.real_basis)
 
+    @cached_property
+    def cayley_targets(self) -> tuple[tuple[int, int], ...]:
+        """(k, class of s_k.theta) for each imaginary root k at the
+        canonical involution, in increasing k."""
+        table, inv = self.table, self.canonical
+        return tuple([
+            (k, table.class_of[table.cayley(inv, k)]) for k in table.imaginary_roots(inv)
+        ])
+
 
 def class_facts(ic: InnerClass, c: int) -> ClassFacts:
-    """The class-only facts of Cartan class c, built once per context and class."""
+    """The class-only facts of Cartan class c, built once per table and
+    class and shared by every isogeny of the table."""
     ic.check(cartan=c)
-    out = ic._class_facts.get(c)
+    table = ic.table
+    out = table._class_facts.get(c)
     if out is None:
-        out = ic._class_facts[c] = ClassFacts(ic, c)
+        out = table._class_facts[c] = ClassFacts(table, c)
     return out
 
 
@@ -509,17 +522,13 @@ def cartan_hasse(ic: InnerClass, form: int) -> CartanHasse:
     (InnerClass.gradings).  That is exact: for w in W_i, w.x is
     noncompact at w.beta exactly when x is noncompact at beta, and
     s_{w.beta}.theta = w (s_beta.theta) w^-1 lies in the class of
-    s_beta.theta, so every member of an orbit gives the same edges.
+    s_beta.theta, so every member of an orbit gives the same edges.  The
+    targets s_beta.theta are the class's (ClassFacts.cayley_targets).
     """
-    table = ic.table
     nodes = ic.form_cartans(form)
     edges = set()
     for c in nodes:
-        inv = table.canonical_member(c)
-        targets = [
-            (k, table.class_of[table.cayley(inv, k)])
-            for k in table.imaginary_roots(inv)
-        ]
+        targets = class_facts(ic, c).cayley_targets
         for orbit in ic.cartan_orbits(c):
             if orbit.form == form:
                 noncompact = ic.gradings(orbit.members[0])

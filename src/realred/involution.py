@@ -352,9 +352,8 @@ class InnerClass:
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
         # the (root, alpha, offset) row of gradings, by involution
         self._grading_rows: dict[int, tuple[tuple, ...]] = {}
-        # cartan.CartanClass and cartan.ClassFacts by class index, built in cartan
+        # cartan.CartanClass by class index, built in cartan
         self._cartan_classes: dict[int, object] = {}
-        self._class_facts: dict[int, object] = {}
 
     def check(self, **indices: object) -> None:
         """Raises InputError unless each index given, form= or cartan=, is
@@ -532,9 +531,13 @@ class InnerClass:
         very basis: the Smith rows of the nearest record, on the parent
         walk from theta_i down, that is the base or is reached by a real
         step, moved by C_j along each complex descent in between
-        (InvolutionLattice.minus).
+        (InvolutionLattice.minus).  Raises InputError unless t has rank
+        entries; the involution id is not checked.
         """
         inv, t = x
+        n = self.rd.rank
+        if len(t) != n:
+            raise InputError(f"no strong involution {x!r}: torus parts have {n} entries")
         d = self.denom
         return (inv, tuple([sum(map(mul, r, t)) % d for r in self.lattice(inv).minus[1]]))
 
@@ -616,8 +619,9 @@ class InnerClass:
 
     def cross(self, j: int, x: StrongX) -> StrongX:
         """Cross action of the j-th simple reflection: s_j t mod denom, plus
-        _complex_shift when j is complex at the involution of x."""
-        inv, t = x
+        _complex_shift when j is complex at the involution of x.  Raises
+        InputError when x is not a strong involution of the table (_strong)."""
+        inv, t = self._strong(x)
         kind, nbr = self.table.status(inv, j)
         t2 = self._reflect(j, t)
         if kind in (IMAGINARY, REAL):
@@ -723,9 +727,10 @@ class InnerClass:
         """Cayley transform through a noncompact imaginary simple root.
 
         Raises ValueError when simple root j is not imaginary at x, or is
-        compact there.
+        compact there, and InputError when x is not a strong involution of
+        the table (_strong).
         """
-        inv, t = x
+        inv, t = self._strong(x)
         kind, nbr = self.table.status(inv, j)
         if kind != IMAGINARY:
             raise ValueError(f"simple root {j} is not imaginary at involution {inv}")

@@ -12,9 +12,11 @@ enumerates all twisted involutions breadth-first, walking ascents only
 and keying each involution by its simple-root images; the search yields
 the twisted length and the status of every simple root for free.  Its
 loop alone keeps translate tables of its own (see InvolutionTable).
-A root subsystem is a list of positive-root indices; its simple roots
-are read off the reflections (InvolutionTable.simple_basis), so it too
-serves every isogeny.
+A root subsystem is a sequence of positive-root indices; its simple
+roots are read off the reflections (InvolutionTable.simple_basis), so it
+too serves every isogeny.  The table keeps the imaginary and real roots
+and the imaginary basis of each involution that a per-Cartan query
+reads, and cartan keeps its class facts on it, once per table and class.
 The twisted-conjugacy classes are joined along complex descents, which go
 down in id, and each class's canonical member is reached by a walk along
 complex cross actions, not by a scan of the class.  Lattice matrices of
@@ -330,11 +332,19 @@ class InvolutionTable:
         heights = [lin.vec_dot(rho2, r.covec) for r in pos]
         self.two_rho = tuple(heights + [-h for h in heights])
         theta0 = bytes(delta + [k + npos for k in delta])
+        # the positive root indices, which simple_basis and word_length delete
+        self._positive = bytes(range(npos))
         self.thetas: list[bytes] = [theta0]
         self.lengths: list[int] = [0]
         self.index: dict[bytes, int] = {compose(theta0, self.simple): 0}
         self._words: dict[int, tuple[int, ...]] = {}
         self._reflection_words: dict[int, tuple[int, ...]] = {}
+        # root subsystems by involution, filled where a per-Cartan query reads them
+        self._imaginary: dict[int, tuple[int, ...]] = {}
+        self._real: dict[int, tuple[int, ...]] = {}
+        self._imaginary_bases: dict[int, tuple[int, ...]] = {}
+        # cartan.ClassFacts by class index, built in cartan
+        self._class_facts: dict[int, object] = {}
         self._enumerate()
 
     def _conjugated_reflections(self) -> tuple[bytes, ...]:
@@ -446,8 +456,7 @@ class InvolutionTable:
         """Length of word(i), without building it: the count of positive
         roots that theta.delta sends negative, as many as theta's, since
         delta permutes the positive roots."""
-        npos = len(self.reflections)
-        return len(self.thetas[i][:npos].translate(None, bytes(range(npos))))
+        return len(self.thetas[i][:len(self.reflections)].translate(None, self._positive))
 
     def reflection_word(self, k: int) -> tuple[int, ...]:
         """Displayed reduced word of the reflection in positive root k."""
@@ -456,14 +465,26 @@ class InvolutionTable:
             out = self._reflection_words[k] = normal_form_word(self, self.reflections[k])
         return out
 
-    def imaginary_roots(self, i: int) -> list[int]:
-        theta = self.thetas[i]
-        return [k for k in range(len(self.reflections)) if theta[k] == k]
+    def imaginary_roots(self, i: int) -> tuple[int, ...]:
+        """The positive roots fixed by theta_i, kept per involution."""
+        out = self._imaginary.get(i)
+        if out is None:
+            out = self._imaginary[i] = self._roots(i, 0)
+        return out
 
-    def real_roots(self, i: int) -> list[int]:
+    def real_roots(self, i: int) -> tuple[int, ...]:
+        """The positive roots negated by theta_i, kept per involution."""
+        out = self._real.get(i)
+        if out is None:
+            out = self._real[i] = self._roots(i, len(self.reflections))
+        return out
+
+    def _roots(self, i: int, shift: int) -> tuple[int, ...]:
+        """The positive roots k with theta_i[k] = k + shift, not kept: the
+        imaginary ones for shift 0, the real ones for shift N.  The class
+        walk reads them at every root of the descent forest."""
         theta = self.thetas[i]
-        npos = len(self.reflections)
-        return [k for k in range(npos) if theta[k] == k + npos]
+        return tuple([k for k in range(len(self.reflections)) if theta[k] == k + shift])
 
     def simple_basis(self, ks: Sequence[int]) -> list[int]:
         """Simple roots of the subsystem on the positive roots ks, in input order.
@@ -471,16 +492,24 @@ class InvolutionTable:
         A root of ks is simple exactly when its reflection sends every other
         root of ks to a positive root: the count it sends to negative roots
         is its length in the subsystem's Weyl group, 1 only when simple.
+        Each count is one translate of bytes(ks) through the reflection and
+        one deletion of the positive indices.
         """
-        npos = len(self.reflections)
-        return [k for k in ks if all(self.reflections[k][m] < npos for m in ks if m != k)]
+        images, positive = bytes(ks), self._positive
+        return [
+            k for k in ks
+            if len(compose(self.reflections[k], images).translate(None, positive)) == 1
+        ]
 
-    def imaginary_basis(self, i: int) -> list[int]:
-        """Simple basis of the imaginary root subsystem.
+    def imaginary_basis(self, i: int) -> tuple[int, ...]:
+        """Simple basis of the imaginary root subsystem, kept per involution.
 
         Ordered by height, with height-one roots in simple-root index
         order.
         """
+        out = self._imaginary_bases.get(i)
+        if out is not None:
+            return out
         pos = self.rd.positive_roots
 
         def key(k: int):
@@ -488,9 +517,12 @@ class InvolutionTable:
             h = sum(c)
             return (h, c.index(1) if h == 1 else -1, c)
 
-        return sorted(self.simple_basis(self.imaginary_roots(i)), key=key)
+        out = self._imaginary_bases[i] = tuple(
+            sorted(self.simple_basis(self.imaginary_roots(i)), key=key)
+        )
+        return out
 
-    def _two_rho_pairings(self, roots: list[int]) -> list[int]:
+    def _two_rho_pairings(self, roots: Sequence[int]) -> list[int]:
         """Pairings of the sum of the given positive roots with the simple coroots."""
         vec = lin.zero_vector(self.rd.rank)
         for k in roots:
@@ -587,7 +619,7 @@ class InvolutionTable:
 
     def _root_counts(self, i: int) -> tuple[int, int]:
         """Counts of real and imaginary roots, invariants of the class of i."""
-        return len(self.real_roots(i)), len(self.imaginary_roots(i))
+        return len(self._roots(i, len(self.reflections))), len(self._roots(i, 0))
 
     def _walk_canonical(self, i: int) -> int:
         """Canonical member of the class of i, by a walk from i.
@@ -609,8 +641,8 @@ class InvolutionTable:
         so words are built only to break a tie at the least length.
         """
         js = range(len(self.simple))
-        for roots in (self.real_roots, self.imaginary_roots):
-            pairing = self._two_rho_pairings(roots(i))
+        for shift in (len(self.reflections), 0):
+            pairing = self._two_rho_pairings(self._roots(i, shift))
             for j in _walk(self.rd.cartan, pairing, js):
                 i = self._complex_neighbour(i, j)
             js = [j for j in js if pairing[j] == 0]

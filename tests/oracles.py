@@ -27,7 +27,8 @@ reference_table                        c77e33d  test_weyl: test_table_matches_fu
                                                 test_cayley_matches_full_permutation_search
 reference_canonical_member             c048f3b  test_weyl: test_canonical_member_matches_scan
 reference_classes                      56363da  (as above)
-reference_theta_star                   afb6624  test_involution: test_theta_star_and_rho_drop_match_weyl_matrix
+reference_theta_star                   afb6624  test_kgb: test_theta_star_read_after_a_kgb_search_matches_weyl_matrix
+reference_theta_stars                  1312d46+ test_involution: test_theta_star_and_rho_drop_match_weyl_matrix
 reference_rho_check_drop               afb6624  (as above)
 rank_decomposition                     daae08c  test_involution: test_cached_ranks_match_reference,
                                                 test_theta_star_and_rho_drop_match_weyl_matrix
@@ -64,6 +65,7 @@ reference_adjoint_context              e69b722  test_involution:
 reference_to_ad                        e69b722  (as above)
 reference_component_rank               33c6dad  test_involution: test_component_rank_matches_kernel_reference
 reference_simple_basis                 2bf5db0+ test_weyl: test_simple_basis_matches_vector_reference
+reference_imaginary_basis              1312d46+ test_weyl: test_root_subsystems_match_uncached_reference
 reference_real_weyl                    1b732b9  test_cartan: test_real_weyl_matches_enumeration_reference
 brute_force_hasse                      cada698  test_cartan: test_hasse_matches_brute_force
 reference_kgb                          1031314  test_kgb: test_kgb_matches_two_pass_reference,
@@ -332,6 +334,37 @@ def reference_theta_star(ic, inv: int) -> lin.Matrix:
     """theta* at inv from the Weyl matrix of w, theta_inv = w.delta."""
     w = weyl_matrix(ic.rd, weyl_images(ic.table, inv))
     return lin.transpose(lin.mat_mul(w, ic.delta.matrix))
+
+
+def reference_theta_stars(ic) -> list[lin.Matrix]:
+    """theta* at every involution, in id order, each from its table parent's.
+
+    The parent is the one InnerClass.lattice picks: the neighbour at the
+    first complex descent j, else at the first real j.  theta = s_j
+    theta_nbr s_j after a complex descent and s_j theta_nbr after a real
+    step, with weyl_matrix giving s_j, and theta_0 = delta.  Each theta is
+    checked to send every simple root to the root the table's bytes name:
+    two elements of W.delta that agree there are equal, so each matrix is
+    reference_theta_star's, at one or two matrix products per involution.
+    """
+    table, rd = ic.table, ic.rd
+    s = [weyl_matrix(rd, tuple(table.reflections[j][k] for k in table.simple))
+         for j in table.simple]
+    thetas = [ic.delta.matrix]
+    for inv in range(1, len(table)):
+        kinds = table.kinds(inv)
+        j = kinds.find(COMPLEX_DOWN)
+        complex_step = j >= 0
+        if not complex_step:
+            j = kinds.find(REAL)
+        theta = lin.mat_mul(s[j], thetas[table.status(inv, j)[1]])
+        if complex_step:
+            theta = lin.mat_mul(theta, s[j])
+        images = table.thetas[inv]
+        assert all(lin.mat_vec(theta, a) == rd.roots[images[k]]
+                   for a, k in zip(rd.simple_roots, table.simple))
+        thetas.append(theta)
+    return [lin.transpose(theta) for theta in thetas]
 
 
 def weyl_closure(rd):
@@ -1044,6 +1077,27 @@ def reference_simple_basis(positives: list[Root]) -> list[Root]:
     ]
 
 
+def reference_imaginary_basis(table, i: int) -> list[int]:
+    """Simple basis of the imaginary roots at involution i, scanned afresh
+    on every call with the reflection test simple_basis used before its
+    byte form: the reference for InvolutionTable.imaginary_basis."""
+    theta = table.thetas[i]
+    npos = len(table.reflections)
+    imaginary = [k for k in range(npos) if theta[k] == k]
+    pos = table.rd.positive_roots
+
+    def key(k: int):
+        c = pos[k].coeffs
+        h = sum(c)
+        return (h, c.index(1) if h == 1 else -1, c)
+
+    basis = [
+        k for k in imaginary
+        if all(table.reflections[k][m] < npos for m in imaginary if m != k)
+    ]
+    return sorted(basis, key=key)
+
+
 # -- real Weyl groups by listing W_i ----------------------------------------
 
 
@@ -1102,7 +1156,7 @@ def reference_real_weyl(ic, form, cartan):
     imaginary = table.imaginary_roots(inv)
     real = table.real_roots(inv)
     compact = [k for k in imaginary if not ic.root_grading(x, k)]
-    side, side_pairs = _complex_factor(ic, inv)
+    side, side_pairs = _complex_factor(ic.table, inv)
     complex_gens = []
     for first, second in side_pairs:
         s1, s2 = table.reflections[first], table.reflections[second]

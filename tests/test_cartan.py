@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realred import cartan as cartan_module
+from realred import weyl
 from realred.cartan import (
     _complex_factor,
     cartan_class,
@@ -308,16 +309,24 @@ def test_decomposition_ranks_add_up():
             assert d[0] + d[1] + 2 * d[2] == ic.rd.semisimple_rank
 
 
-def test_cartan_reports_build_each_class_once(monkeypatch):
-    # each build of a class record takes the complex factor of its class once
+def counted_complex_factor(monkeypatch):
+    """Fresh shared tables, and the list of the class of every
+    _complex_factor call, to which each call appends."""
+    monkeypatch.setattr(weyl, "_TABLES", {})
     built = []
     complex_factor = cartan_module._complex_factor
 
-    def counted(ic, inv):
-        built.append(ic.table.class_of[inv])
-        return complex_factor(ic, inv)
+    def counted(table, inv):
+        built.append(table.class_of[inv])
+        return complex_factor(table, inv)
 
     monkeypatch.setattr(cartan_module, "_complex_factor", counted)
+    return built
+
+
+def test_cartan_reports_build_each_class_once(monkeypatch):
+    # each build of a class record takes the complex factor of its class once
+    built = counted_complex_factor(monkeypatch)
     ic = context("B4", "s")
     reports = [format_cartan_report(ic, f) for f in range(len(ic.real_forms))]
     # the five forms meet the nine classes 22 times
@@ -330,35 +339,70 @@ def test_cartan_reports_build_each_class_once(monkeypatch):
 
 @pytest.mark.parametrize("text,letters", [("B4", "s"), ("A3.A3", "C"), ("D4", "s")])
 def test_class_facts_are_built_once_per_class(monkeypatch, text, letters):
-    # the report and the real_weyl of every form read one record per class;
-    # the report reads only its types and builds no generator word
-    built = []
-    complex_factor = cartan_module._complex_factor
-
-    def counted(ic, inv):
-        built.append(ic.table.class_of[inv])
-        return complex_factor(ic, inv)
-
-    monkeypatch.setattr(cartan_module, "_complex_factor", counted)
-    ic = context(text, letters)
-    forms = range(len(ic.real_forms))
-    for f in forms:
-        format_cartan_report(ic, f)
-    classes = range(len(ic.table.classes))
+    # the sc and ad contexts share one table, and the report and the
+    # real_weyl of every form of both read one record per class; the
+    # report reads only its types and builds no generator word
+    built = counted_complex_factor(monkeypatch)
+    contexts = [context(text, letters), context(text, letters, "ad")]
+    assert contexts[0].table is contexts[1].table
+    assert contexts[0].rd != contexts[1].rd
+    classes = range(len(contexts[0].table.classes))
+    for ic in contexts:
+        for f in range(len(ic.real_forms)):
+            format_cartan_report(ic, f)
     assert sorted(built) == list(classes)
-    assert not any({"complex_generators", "real_generators"} & set(vars(class_facts(ic, c)))
-                   for c in classes)
-    for f in forms:
-        for c in ic.form_cartans(f):
-            dec = real_weyl(ic, f, c)
-            facts = class_facts(ic, c)
-            assert dec.complex_generators is facts.complex_generators
-            assert dec.real_generators is facts.real_generators
-            assert (dec.complex_type, dec.real_type) == (facts.complex_type, facts.real_type)
+    assert not any(
+        {"complex_generators", "real_generators"} & set(vars(class_facts(contexts[1], c)))
+        for c in classes
+    )
+    for ic in contexts:
+        for f in range(len(ic.real_forms)):
+            for c in ic.form_cartans(f):
+                dec = real_weyl(ic, f, c)
+                facts = class_facts(ic, c)
+                assert dec.complex_generators is facts.complex_generators
+                assert dec.real_generators is facts.real_generators
+                assert (dec.complex_type, dec.real_type) == (facts.complex_type, facts.real_type)
     assert sorted(built) == list(classes)
-    assert class_facts(ic, classes[-1]) is class_facts(ic, classes[-1])
+    assert all(class_facts(contexts[0], c) is class_facts(contexts[1], c) for c in classes)
     with pytest.raises(InputError):
-        class_facts(ic, len(classes))
+        class_facts(contexts[1], len(classes))
+
+
+def facts_record(ic):
+    """Every field of every class's ClassFacts but the table, after a
+    read of each lazy one, which keeps it among the fields."""
+    out = []
+    for c in range(len(ic.table.classes)):
+        facts = class_facts(ic, c)
+        for name in ("complex_generators", "real_generators", "cayley_targets"):
+            getattr(facts, name)
+        out.append({k: v for k, v in vars(facts).items() if k != "table"})
+    return out
+
+
+@pytest.mark.parametrize("first,second", [
+    (("B4", "s", None), ("B4", "s", "ad")),
+    (("D4", "s", None), ("D4", "s", "ad")),
+    (("A3", "c", "ad"), ("A3", "c", None)),
+    (("A1", "s", None), ("A1.T1", "ss", "ad")),
+    (("A3", "s", None), ("A3.T1", "ss", None)),
+    (("A2", "s", "ad"), ("A2.T1", "sc", None)),
+])
+def test_class_facts_do_not_depend_on_the_isogeny_that_builds_the_table(
+    monkeypatch, first, second
+):
+    # tables are keyed by (Cartan matrix, delta's diagram permutation), so
+    # a type and its product with a torus can share one too
+    records = []
+    for order in ((first, second), (second, first)):
+        monkeypatch.setattr(weyl, "_TABLES", {})
+        builder, reader = (context(*g) for g in order)
+        assert builder.table is reader.table and builder.table.rd is builder.rd
+        records.append(facts_record(reader))
+    assert records[0] == records[1]
+    assert len(records[0]) > 1
+    assert len(records[0][-1]) == 10
 
 
 def test_quasisplit_form_meets_every_cartan_class():
@@ -547,7 +591,7 @@ def test_real_weyl_sl4c():
     assert sorted(dec.complex_generators) == [(0, 3), (1, 4), (2, 5)]
     # the complex factor keeps the component of each theta pair whose
     # basis comes first in the positive-root numbering
-    side, pairs = _complex_factor(ic, ic.table.canonical_member(0))
+    side, pairs = _complex_factor(ic.table, ic.table.canonical_member(0))
     pos = ic.rd.positive_roots
     assert side == [0, 1, 2]
     assert [(pos[a].coeffs.index(1), pos[b].coeffs.index(1)) for a, b in pairs] == \

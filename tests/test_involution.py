@@ -35,7 +35,7 @@ from oracles import (
     reference_central_translates, reference_component_rank, reference_fiber_elements,
     reference_inverse_cayley, reference_key_rows, reference_normal_form_word,
     reference_orbit_partition, reference_real_form_of, reference_rho_check_drop,
-    reference_root_grading, reference_theta_star, reference_to_ad,
+    reference_root_grading, reference_theta_stars, reference_to_ad,
     reference_two_offset_inverse_cayley, reference_x_key, reflection_matrix, reflections,
     square_key_if_valid, square_key_reference,
 )
@@ -641,7 +641,7 @@ def test_real_form_of_and_gradings_match_reference_on_the_grid(text, letter, ker
                 x = (inv, t)
                 assert ic.real_form_of(x) == reference_real_form_of(ic, x)
                 gradings = ic.gradings(x)
-                assert list(gradings) == imaginary
+                assert tuple(gradings) == imaginary
                 assert gradings == {k: ic.root_grading(x, k) for k in imaginary}
                 points += 1
     assert points
@@ -684,7 +684,8 @@ def test_strong_involution_with_an_id_off_the_table_is_an_input_error(x):
     # A3 c has 10 twisted involutions; a negative id would index from the end
     ic = context("A3", "c")
     assert len(ic.table) == 10
-    for read in (ic.real_form_of, ic.gradings, lambda x: ic.root_grading(x, 0)):
+    for read in (ic.real_form_of, ic.gradings, lambda x: ic.root_grading(x, 0),
+                 lambda x: ic.cross(0, x), lambda x: ic.cayley(0, x)):
         with pytest.raises(InputError, match="there are 10 involutions"):
             read(x)
 
@@ -695,7 +696,8 @@ def test_strong_involution_with_a_torus_part_of_another_rank_is_an_input_error(t
     # as if a zero followed
     ic = context("A3", "c")
     assert ic.real_form_of((0, (4, 0, 0))) == 2
-    for read in (ic.real_form_of, ic.gradings, lambda x: ic.root_grading(x, 0)):
+    for read in (ic.real_form_of, ic.gradings, lambda x: ic.root_grading(x, 0),
+                 lambda x: ic.cross(0, x), lambda x: ic.cayley(0, x), ic.x_key):
         with pytest.raises(InputError, match="torus parts have 3 entries"):
             read((0, t))
 
@@ -913,10 +915,11 @@ def test_theta_star_and_rho_drop_match_weyl_matrix(text, letters, kernel):
     ic = context(text, letters, kernel)
     n = ic.rd.rank
     ident = lin.identity(n)
+    theta_stars = reference_theta_stars(ic)
     # from the top down, so most walks pass several uncached ancestors
     for inv in reversed(range(len(ic.table))):
         lat = ic.lattice(inv)
-        theta = reference_theta_star(ic, inv)
+        theta = theta_stars[inv]
         assert lat.theta_star == theta
         assert lat.drop == reference_rho_check_drop(ic, theta)
         heights = ic.rd.two_rho_check

@@ -490,6 +490,28 @@ def test_kgb_search_builds_no_words(monkeypatch, text, letters, kernel):
     assert len(built) == len(shown)
 
 
+@pytest.mark.parametrize("text, letters, kernel", [
+    ("D4", "s", "sc"), ("B3", "s", "ad"), ("F4", "s", "sc"), ("A3.T1", "ss", "ad"),
+])
+def test_kgb_search_keeps_no_root_subsystem(monkeypatch, text, letters, kernel):
+    # tables stay in weyl._TABLES for the whole process, so the search
+    # keeps nothing per involution it meets: the root subsystems kept are
+    # the imaginary ones that the class record and the base fiber read,
+    # at canonical involutions, and the search adds none
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    ic = context(text, letters, kernel)
+    table = ic.table
+    canonical = {table.canonical_member(c) for c in range(len(table.classes))}
+    assert ic.real_forms
+    kept = (table._imaginary, table._real, table._imaginary_bases, table._class_facts)
+    before = [dict(cache) for cache in kept]
+    met = {e.rep[0] for f in range(len(ic.real_forms)) for e in generate_kgb(ic, f).elements}
+    assert [dict(cache) for cache in kept] == before
+    assert set(table._imaginary) == set(table._imaginary_bases) == canonical
+    assert table._real == table._class_facts == {}
+    assert len(met - canonical) > len(canonical)
+
+
 @pytest.mark.parametrize("text, letters", [("B3", "s"), ("D4", "s"), ("F4", "s"), ("E6", "c")])
 def test_kgb_search_builds_theta_star_only_where_a_smith_form_needs_it(text, letters):
     ic = context(text, letters)

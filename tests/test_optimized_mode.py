@@ -128,6 +128,27 @@ def test_descent_checks_raise_under_python_o():
     ]
 
 
+def test_malformed_strong_involutions_raise_under_python_o():
+    # cross, cayley and x_key check their input without assert statements
+    script = (
+        "from contexts import context\n"
+        "from realred.rootdata import InputError\n"
+        "ic = context('A3', 'c')\n"
+        "print(__debug__)\n"
+        "reads = (lambda x: ic.cross(0, x), lambda x: ic.cayley(0, x), ic.x_key)\n"
+        "for read, x in [(r, (0, (4, 0, 0, 1))) for r in reads] + [\n"
+        "        (reads[0], (-1, (2, 0, 0))), (reads[1], (-1, (2, 0, 0)))]:\n"
+        "    try:\n"
+        "        print(read(x))\n"
+        "    except InputError as e:\n"
+        "        print(str(e).split(': ')[1])\n"
+    )
+    strong = "there are 10 involutions, and torus parts have 3 entries"
+    assert run_optimized(script) == [
+        "False", strong, strong, "torus parts have 3 entries", strong, strong,
+    ]
+
+
 def test_smith_form_progress_check_raises_under_python_o():
     script = (
         "from contexts import smith_form_with_a_pivot_of_two\n"

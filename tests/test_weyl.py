@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realred import lin
+from realred import lin, weyl
 from realred.involution import InnerClass
 from realred.rootdata import InputError, build_root_datum, parse_lie_type
 from realred.weyl import (
@@ -30,11 +30,12 @@ from realred.weyl import (
 )
 
 from contexts import (
-    RECORD_GROUPS, classes_from_walk_to_base, context, involution, walk_from_corrupted_row,
+    RECORD_GROUPS, SMALL_TYPES, classes_from_walk_to_base, context, involution,
+    walk_from_corrupted_row,
 )
 from oracles import (
     as_permutation, reference_canonical_member, reference_classes, reference_normal_form_word,
-    reference_simple_basis, richardson_class_count,
+    reference_imaginary_basis, reference_simple_basis, richardson_class_count,
     reference_strip_normal_form_word, reference_table, reference_word_from_matrix, reflections,
     vector_reflections, weyl_closure, weyl_images, weyl_matrix,
 )
@@ -685,3 +686,21 @@ def test_simple_basis_matches_vector_reference(text, letters, kernel):
         for ks in systems:
             expected = reference_simple_basis([rd.positive_roots[k] for k in ks])
             assert table.simple_basis(ks) == [rd.root_index[r.vec] for r in expected]
+
+
+@pytest.mark.parametrize("letter", "cs")
+@pytest.mark.parametrize("text", SMALL_TYPES)
+def test_root_subsystems_match_uncached_reference(monkeypatch, text, letter):
+    # every involution of a table of its own, read twice: the kept tuples
+    # are the scans of theta, and the second read returns the kept ones
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    table = involution_table(involution(text, letter))
+    npos = len(table.reflections)
+    for i in range(len(table)):
+        theta = table.thetas[i]
+        basis = table.imaginary_basis(i)
+        assert basis == tuple(reference_imaginary_basis(table, i))
+        assert table.imaginary_roots(i) == tuple(k for k in range(npos) if theta[k] == k)
+        assert table.real_roots(i) == tuple(k for k in range(npos) if theta[k] == k + npos)
+        assert table.imaginary_basis(i) is basis
+    assert len(table._imaginary_bases) == len(table._imaginary) == len(table._real) == len(table)
