@@ -20,14 +20,15 @@ alpha_j with t once per step, a cross action or an inverse Cayley
 transform, and reads the form off the base point's gradings.
 
 Fibers are affine spaces over F2, read off one InvolutionLattice record
-per twisted involution: theta*, built on first read from the table
-parent's record by rank-one reflection updates, and its rho-check drop,
+per twisted involution: theta*, read on first use off the root
+permutation (RootDatum.cocharacter_action), and its rho-check drop,
 heights, the Smith form of 1 + theta*, and a basis of the theta-fixed
-characters, moved along complex descents by the same updates.  The key of x is t paired
-with that basis mod denom (x_key), linear in t.  A fiber is t0 plus the
-F2-span of its generators g_i = (denom/2) c_i, c_i the Smith columns of
-1 + theta* at divisor 2, and its point b, a bitmask over the generators,
-is t0 plus the g_i of the bits of b (fiber.Fiber).  Keys, gradings and
+characters, moved along complex descents by rank-one reflection updates.
+The key of x is t paired with that basis mod denom (x_key), linear in
+t.  A fiber is t0 plus the F2-span of its generators g_i = (denom/2)
+c_i, c_i the Smith columns of 1 + theta* at divisor 2, and its point b,
+a bitmask over the generators, is t0 plus the g_i of the bits of b
+(fiber.Fiber).  Keys, gradings and
 imaginary cross actions are affine in b: adding g_i adds <beta, c_i> to
 2 <beta, t> / denom, and so flips the grading of beta when that is odd,
 and a noncompact reflection XORs b with one mask (_orbit_partition).
@@ -185,25 +186,28 @@ def _split_product(total: int, s: int) -> tuple[int, int]:
 class InvolutionLattice:
     """Lattice data of one twisted involution theta: what its fiber is read from.
 
-    InnerClass.lattice links each record to the table parent's record
-    (source) by the simple root j, and a record reached by a complex
-    descent also as parent.  Every field but theta, rd and the links,
-    theta_star included, is computed from theta, the root datum and the
-    links on first read and kept (__getattr__): the parent walk meets
-    many involutions that are never keyed, and a KGB search reads only
-    the key rows (minus) of most.  A theta_star given to the constructor
-    is kept, and the other fields are computed from it.  The properties
-    drop and ranks are computed on every read.  Records are immutable;
-    equality compares every field but rd and the links, and repr shows
-    theta_star, cbits and heights.
+    InnerClass.lattice links a record reached by a complex descent, by
+    the simple root j, to the record of the table parent nbr, theta =
+    s_j nbr s_j, as parent; the base and any involution without a
+    complex descent link to nothing.  Every field but theta, rd, dstar
+    and the links, theta_star included, is computed from theta, the
+    root datum, dstar and the links on first read and kept
+    (__getattr__): a KGB search reads only the key rows (minus) of
+    most records, and those of a record with a parent need no theta*.
+    A theta_star given to the constructor is kept, and the other fields
+    are computed from it.  The properties drop and ranks are computed
+    on every read.  Records are immutable; equality compares every field
+    but rd, dstar and the links, and repr shows theta_star, cbits and
+    heights.
 
     Attributes:
         theta_star: the action of theta on cocharacters, its transposed
-            matrix.  With C_j = 1 - alpha_j^v alpha_j^T, it is C_j
-            theta*_source C_j after a complex descent (theta = s_j nbr s_j)
-            and theta*_source C_j after a real step (theta = s_j nbr).
+            matrix, in closed form from the root permutation theta and
+            dstar (RootDatum.cocharacter_action): no product for a simply
+            connected datum without torus, and one n x n product at most.
         theta: the images of the 2N roots under theta, as the table's
             bytes (InvolutionTable.thetas).
+        dstar: the matrix of delta on cocharacters, theta* at the base.
         drop, cbits: rho-check minus its image under theta* delta*, for
             theta = w.delta, and its parity.  theta* delta* is the
             cocharacter action of u = delta w^-1 delta, and u^-1 beta =
@@ -214,28 +218,25 @@ class InvolutionLattice:
             It pairs with a positive imaginary root alpha to 2 (ht(alpha) +
             ht_i(alpha)), the heights over the simple roots and over the
             imaginary simple roots.
-        source, j: the record of the table parent nbr and the simple
-            root j of the step from it, else None, None (the base).
-        parent: source when theta = s_j nbr s_j is reached by a complex
-            descent, else None.
+        parent, j: the record of the table parent and the simple root j
+            of the complex descent from it, else None, None.
         minus: (rank, rows, twos, ones) of 1 - theta*.  rows are a Z-basis
             of the theta-fixed characters, which the key pairs with t
             (x_key).  rank is the rank of 1 - theta*, and twos and ones
-            count its Smith divisors 2 and 1, for ranks.  At the base and
-            after a real step, rows are the rows of the Smith uinv at the
-            zero divisors (the trailing ones).  After a complex descent,
-            theta* = C_j theta*_nbr C_j with C_j = 1 - alpha_j^v alpha_j^T
-            unimodular and C_j^2 = 1, so r theta*_nbr = r gives r C_j
-            theta* = r C_j: rows are the parent's rows times C_j, and the
-            Smith divisors, those of a conjugate matrix, are the parent's.
-            So a Cartan class takes a Smith form only where a walk to the
-            base enters it by a real step.
+            count its Smith divisors 2 and 1, for ranks.  Without a parent,
+            rows are the rows of the Smith uinv at the zero divisors (the
+            trailing ones).  After a complex descent, theta* = C_j
+            theta*_nbr C_j with C_j = 1 - alpha_j^v alpha_j^T unimodular
+            and C_j^2 = 1, so r theta*_nbr = r gives r C_j theta* = r C_j:
+            rows are the parent's rows times C_j, and the Smith divisors,
+            those of a conjugate matrix, are the parent's.  So a Cartan
+            class takes a Smith form only at the involutions without a
+            complex descent that the parent links reach.
         plus: the Smith form of 1 + theta*, which fibers are solved in.
     """
 
     __slots__ = (
-        "theta_star", "theta", "rd", "parent", "j", "source", "cbits", "heights", "minus",
-        "plus",
+        "theta_star", "theta", "rd", "parent", "j", "dstar", "cbits", "heights", "minus", "plus",
     )
     _COMPARED = ("theta_star", "theta", "cbits", "heights", "minus", "plus")
 
@@ -246,7 +247,7 @@ class InvolutionLattice:
     heights: lin.Vector
     parent: InvolutionLattice | None
     j: int | None
-    source: InvolutionLattice | None
+    dstar: lin.Matrix | None
     minus: tuple[int, tuple[lin.Vector, ...], int, int]
     plus: lin.SmithForm
 
@@ -257,7 +258,7 @@ class InvolutionLattice:
         rd: RootDatum,
         parent: InvolutionLattice | None = None,
         j: int | None = None,
-        source: InvolutionLattice | None = None,
+        dstar: lin.Matrix | None = None,
     ):
         if theta_star is not None:
             object.__setattr__(self, "theta_star", theta_star)
@@ -265,7 +266,7 @@ class InvolutionLattice:
         object.__setattr__(self, "rd", rd)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "j", j)
-        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "dstar", dstar)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -304,11 +305,8 @@ class InvolutionLattice:
             value = sf.rank, sf.uinv[sf.rank:], sf.diag.count(2), sf.diag.count(1)
         elif name == "plus":
             value = lin.smith_form(lin.mat_add(lin.identity(n), self.theta_star), ncols=n)
-        elif name == "theta_star" and self.source is not None:
-            a, av = self.rd.simple_roots[self.j], self.rd.simple_coroots[self.j]
-            value = lin.times_coreflection(self.source.theta_star, a, av)
-            if self.parent is not None:
-                value = lin.coreflection_times(value, a, av)
+        elif name == "theta_star" and self.dstar is not None:
+            value = self.rd.cocharacter_action(self.theta, self.dstar)
         else:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
@@ -496,29 +494,27 @@ class InnerClass:
     # -- per-involution linear data ------------------------------------
 
     def lattice(self, inv: int) -> InvolutionLattice:
-        """The lattice record of an involution, linked to its table parent's.
+        """The lattice record of an involution, linked to its table parent's
+        when it has a complex descent.
 
-        The table parent, one twisted length shorter, is reached by the
-        first simple root j that is a complex descent at inv, else by the
-        first real one: the rule depends on inv alone, and it keeps to
-        complex steps, along which the key rows are transported
-        (InvolutionLattice.minus).  The parent's record is built first;
-        theta* is computed from it on first read (InvolutionLattice), and
-        is delta* at the base.
+        The parent, one twisted length shorter, is reached by the first
+        simple root j that is a complex descent at inv: the rule depends
+        on inv alone, and the key rows are transported along it
+        (InvolutionLattice.minus).  The parent's record is built first.
+        An involution without a complex descent links to nothing, and its
+        theta* is read off its root permutation on first read
+        (InvolutionLattice.theta_star); at the base it is delta*.  Records
+        are kept; on a miss, raises InputError unless inv is an int
+        numbering a row of the table.
         """
         out = self._lattices.get(inv)
         if out is None:
-            kinds = self.table.kinds(inv)
-            j = kinds.find(COMPLEX_DOWN)
-            complex_step = j >= 0
-            if not complex_step:
-                j = kinds.find(REAL)
-            if j < 0:
-                raise RuntimeError(f"involution {inv} has no table parent")
-            parent = self.lattice(self.table.status(inv, j)[1])
+            if type(inv) is not int or not 0 <= inv < len(self.table):
+                raise InputError(f"no involution {inv!r}: there are {len(self.table)} involutions")
+            j = self.table.kinds(inv).find(COMPLEX_DOWN)
+            parent = self.lattice(self.table.status(inv, j)[1]) if j >= 0 else None
             out = self._lattices[inv] = InvolutionLattice(
-                None, self.table.thetas[inv], self.rd, parent if complex_step else None, j,
-                parent,
+                None, self.table.thetas[inv], self.rd, parent, j if parent else None, self._dstar,
             )
         return out
 
@@ -528,11 +524,12 @@ class InnerClass:
         x = (i, t) is keyed by t paired with a Z-basis of the characters
         fixed by theta_i (InvolutionLattice.minus), mod denom.  It is
         linear in t.  KGB ids sort by these keys, so they depend on this
-        very basis: the Smith rows of the nearest record, on the parent
-        walk from theta_i down, that is the base or is reached by a real
-        step, moved by C_j along each complex descent in between
+        very basis: the Smith rows of the nearest record, on the walk
+        down complex descents from theta_i (lattice), that has no complex
+        descent, moved by C_j along each complex descent in between
         (InvolutionLattice.minus).  Raises InputError unless t has rank
-        entries; the involution id is not checked.
+        entries, and, when i has no record yet, unless i numbers a row
+        of the table (lattice); a KGB search keys only ids of the table.
         """
         inv, t = x
         n = self.rd.rank
@@ -643,7 +640,13 @@ class InnerClass:
     def _grading_offset(self, inv: int, k: int) -> int:
         """(ht(alpha) + ht_i(alpha) - 1) d, d = denom, for the positive root
         k imaginary at inv: alpha is noncompact at (inv, t) exactly when 2
-        <alpha, t> plus this is 0 mod 2d (root_grading)."""
+        <alpha, t> plus this is 0 mod 2d (root_grading).  It is d for a
+        simple root k, and reads no record: a simple root imaginary at inv
+        is no sum of two positive imaginary roots, so it is simple in the
+        imaginary system too, and ht + ht_i = 2.  Other roots read the
+        heights of lattice(inv)."""
+        if k in self.table.simple:
+            return self.denom
         heights = lin.vec_dot(self.rd.positive_roots[k].vec, self.lattice(inv).heights) // 2
         return (heights - 1) * self.denom
 

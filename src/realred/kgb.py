@@ -11,7 +11,9 @@ transforms raise it by one, and other cross actions keep it.  The key
 (InnerClass.x_key) pairs the torus part with a basis of the theta-fixed
 characters, so the ids within one twisted involution depend on that
 basis, and it depends on the twisted involution alone
-(InnerClass.lattice).  W acts on
+(InnerClass.lattice): the Smith rows of 1 - theta* at the nearest
+involution without a complex descent, moved along the complex descents
+in between.  Only those records read theta*.  W acts on
 KGB, so s_j is an involution: the discovery pass computes each unordered
 cross edge once and fills it back at its far end, and leaves fixed
 points unkeyed (a cross image equal to its source, as at every compact
@@ -31,7 +33,9 @@ also the torus part of the Cayley transform: the Cayley transform and
 the imaginary cross action both reflect t by s_j and differ only in the
 twisted involution (InnerClass.cayley).  The neighbours, coroots gamma^v
 and grading offsets come from one step row per twisted involution,
-built when the pass first meets it and dropped with the call.
+built when the pass first meets it and dropped with the call.  The
+offset of a simple imaginary root is denom (InnerClass._grading_offset),
+so a step row builds no lattice record and reads no heights.
 """
 
 from __future__ import annotations
@@ -206,8 +210,8 @@ def _step_row(ic: InnerClass, inv: int) -> list[tuple]:
     (status letter, neighbour, alpha_j, alpha_j^v, gamma^v, offset).
 
     The coroot gamma^v (InnerClass._complex_shift) is present exactly
-    when j is complex, and the grading offset (InnerClass._grading_offset)
-    exactly when j is imaginary; the letter is "c" there, and "n"
+    when j is complex, and the grading offset (InnerClass._grading_offset),
+    denom, exactly when j is imaginary; the letter is "c" there, and "n"
     replaces it at a noncompact element.
     """
     table, rd = ic.table, ic.rd

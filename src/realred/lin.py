@@ -59,15 +59,6 @@ def times_coreflection(m: Matrix, a: Vector, av: Vector) -> Matrix:
     )
 
 
-def coreflection_times(m: Matrix, a: Vector, av: Vector) -> Matrix:
-    """(1 - av a^T) m: row i loses av_i (a^T m); the rows with av_i = 0 are
-    m's own."""
-    am = [sum(map(mul, a, col)) for col in zip(*m)]
-    return tuple(
-        tuple([x - c * y for x, y in zip(row, am)]) if c else row for row, c in zip(m, av)
-    )
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(map(add, u, v))
 

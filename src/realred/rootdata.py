@@ -349,6 +349,66 @@ class RootDatum:
     def two_rho_check(self) -> lin.Vector:
         return self.coroot_sum(range(len(self.positive_roots)))
 
+    @cached_property
+    def coroots(self) -> tuple[lin.Vector, ...]:
+        """All 2N coroots, numbered as roots."""
+        pos = [r.covec for r in self.positive_roots]
+        return tuple(pos + [lin.vec_neg(v) for v in pos])
+
+    @cached_property
+    def _coroot_frame(self) -> tuple[bytes, lin.Matrix, int, tuple[tuple[tuple, tuple], ...]]:
+        """(simple, z, den, cols), what cocharacter_action reads of the frame
+        B = [simple coroots | z] of the cocharacters.
+
+        simple holds the root indices of the simple roots, and z is a basis
+        of the cocharacters that pair to 0 with every root: none for a
+        semisimple datum, else the columns of the Smith vinv of the simple
+        roots at their zero divisors.  No
+        nonzero sum of simple coroots pairs to 0 with every simple root,
+        the Cartan matrix being invertible, so B is invertible over Q.
+        With uinv B = diag v, den B^-1 = vinv diag(den/d_i) uinv is an
+        integer matrix for den the last divisor, and cols[c] holds the
+        rows k and entries x of its nonzero entries in column c.  Every
+        simply connected datum without torus has B = 1, which takes no
+        Smith form: cols[c] is ((c,), (1,)), and den is 1.
+        """
+        n, ss = self.rank, self.semisimple_rank
+        z = lin.transpose(lin.smith_form(self.simple_roots, ncols=n).vinv)[ss:] if ss < n else ()
+        inverse = lin.transpose(self.simple_coroots + z)
+        den = 1
+        if inverse != lin.identity(n):
+            frame = lin.smith_form(inverse)
+            den = frame.diag[-1]
+            scaled = [lin.vec_scale(row, den // d) for row, d in zip(frame.uinv, frame.diag)]
+            inverse = lin.mat_mul(frame.vinv, scaled)
+        cols = tuple(
+            tuple(zip(*[(k, x) for k, x in enumerate(col) if x])) for col in zip(*inverse)
+        )
+        return bytes(self.root_index[a] for a in self.simple_roots), z, den, cols
+
+    def cocharacter_action(self, theta: bytes, dstar: lin.Matrix) -> lin.Matrix:
+        """theta*, the matrix on cocharacters of the twisted involution theta
+        = w.delta, from its root permutation theta (InvolutionTable.thetas)
+        and dstar, the matrix of delta on cocharacters.
+
+        theta* sends the coroot of each root alpha to the coroot of theta
+        alpha, and each z of the frame B = [simple coroots | z]
+        (_coroot_frame) to dstar z, since w fixes z: s_j z = z - <alpha_j,
+        z> alpha_j^v = z.  So theta* B = [coroots of theta alpha_j |
+        dstar z], and theta* is that times B^-1: column c of theta* is the
+        sum over cols[c] of x/den times column k of theta* B.  A column of
+        B^-1 with one entry 1, as every column of a simply connected datum
+        without torus, picks one column of theta* B, with no product.
+        """
+        simple, z, den, cols = self._coroot_frame
+        coroots = self.coroots
+        images = [coroots[theta[s]] for s in simple] + [lin.mat_vec(dstar, v) for v in z]
+        return tuple(zip(*[
+            images[ks[0]] if xs == (den,)
+            else tuple([lin.vec_dot(xs, row) // den for row in zip(*[images[k] for k in ks])])
+            for ks, xs in cols
+        ]))
+
 
 def components(adj: list[list[int]]) -> list[list[int]]:
     """Components of a graph given by neighbour lists, as sorted vertex

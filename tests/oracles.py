@@ -27,8 +27,11 @@ reference_table                        c77e33d  test_weyl: test_table_matches_fu
                                                 test_cayley_matches_full_permutation_search
 reference_canonical_member             c048f3b  test_weyl: test_canonical_member_matches_scan
 reference_classes                      56363da  (as above)
-reference_theta_star                   afb6624  test_kgb: test_theta_star_read_after_a_kgb_search_matches_weyl_matrix
+weyl_theta_star                        afb6624  test_kgb: test_theta_star_read_after_a_kgb_search_matches_weyl_matrix
 reference_theta_stars                  1312d46+ test_involution: test_theta_star_and_rho_drop_match_weyl_matrix
+reference_theta_star                   c7504b3+ test_involution: test_closed_form_theta_star_matches_chain_reference
+coreflection_times                     c7504b3+ test_lin: test_coreflection_products_match_mat_mul
+reference_grading_offset               c7504b3+ test_involution: test_simple_grading_offsets_match_heights_reference
 reference_rho_check_drop               afb6624  (as above)
 rank_decomposition                     daae08c  test_involution: test_cached_ranks_match_reference,
                                                 test_theta_star_and_rho_drop_match_weyl_matrix
@@ -330,7 +333,7 @@ def weyl_images(table, i: int) -> tuple[int, ...]:
     return tuple(theta[delta[s]] for s in table.simple)
 
 
-def reference_theta_star(ic, inv: int) -> lin.Matrix:
+def weyl_theta_star(ic, inv: int) -> lin.Matrix:
     """theta* at inv from the Weyl matrix of w, theta_inv = w.delta."""
     w = weyl_matrix(ic.rd, weyl_images(ic.table, inv))
     return lin.transpose(lin.mat_mul(w, ic.delta.matrix))
@@ -345,7 +348,7 @@ def reference_theta_stars(ic) -> list[lin.Matrix]:
     step, with weyl_matrix giving s_j, and theta_0 = delta.  Each theta is
     checked to send every simple root to the root the table's bytes name:
     two elements of W.delta that agree there are equal, so each matrix is
-    reference_theta_star's, at one or two matrix products per involution.
+    weyl_theta_star's, at one or two matrix products per involution.
     """
     table, rd = ic.table, ic.rd
     s = [weyl_matrix(rd, tuple(table.reflections[j][k] for k in table.simple))
@@ -365,6 +368,49 @@ def reference_theta_stars(ic) -> list[lin.Matrix]:
                    for a, k in zip(rd.simple_roots, table.simple))
         thetas.append(theta)
     return [lin.transpose(theta) for theta in thetas]
+
+
+def coreflection_times(m: lin.Matrix, a: lin.Vector, av: lin.Vector) -> lin.Matrix:
+    """(1 - av a^T) m: row i loses av_i (a^T m); the rows with av_i = 0 are
+    m's own."""
+    am = [sum(x * y for x, y in zip(a, col)) for col in zip(*m)]
+    return tuple(
+        tuple([x - c * y for x, y in zip(row, am)]) if c else row for row, c in zip(m, av)
+    )
+
+
+def reference_theta_star(ic) -> list[lin.Matrix]:
+    """theta* at every involution, in id order, by the walk InnerClass.lattice
+    took before theta* had a closed form.
+
+    Each theta* comes from the table parent's, at the first simple root j
+    that is a complex descent, else at the first real one: with C_j = 1 -
+    alpha_j^v alpha_j^T, it is C_j theta*_nbr C_j after a complex descent
+    (theta = s_j nbr s_j) and theta*_nbr C_j after a real step (theta =
+    s_j nbr), one or two rank-one updates; delta* at the base.
+    """
+    table, rd = ic.table, ic.rd
+    out = [ic._dstar]
+    for inv in range(1, len(table)):
+        kinds = table.kinds(inv)
+        j = kinds.find(COMPLEX_DOWN)
+        complex_step = j >= 0
+        if not complex_step:
+            j = kinds.find(REAL)
+        a, av = rd.simple_roots[j], rd.simple_coroots[j]
+        theta = lin.times_coreflection(out[table.status(inv, j)[1]], a, av)
+        out.append(coreflection_times(theta, a, av) if complex_step else theta)
+    return out
+
+
+def reference_grading_offset(ic, inv: int, k: int) -> int:
+    """InnerClass._grading_offset by the heights formula at every root:
+    (ht + ht_i - 1) denom, with ht + ht_i half the pairing of the root with
+    2 rho-check plus every positive coroot imaginary at inv."""
+    rd, theta = ic.rd, ic.table.thetas[inv]
+    imaginary = rd.coroot_sum(r for r in range(len(rd.positive_roots)) if theta[r] == r)
+    heights = lin.vec_add(rd.two_rho_check, imaginary)
+    return (lin.vec_dot(rd.positive_roots[k].vec, heights) // 2 - 1) * ic.denom
 
 
 def weyl_closure(rd):

@@ -35,7 +35,8 @@ from oracles import (
     reference_central_translates, reference_component_rank, reference_fiber_elements,
     reference_inverse_cayley, reference_key_rows, reference_normal_form_word,
     reference_orbit_partition, reference_real_form_of, reference_rho_check_drop,
-    reference_root_grading, reference_theta_stars, reference_to_ad,
+    reference_grading_offset, reference_root_grading, reference_theta_star,
+    reference_theta_stars, reference_to_ad,
     reference_two_offset_inverse_cayley, reference_x_key, reflection_matrix, reflections,
     square_key_if_valid, square_key_reference,
 )
@@ -690,6 +691,17 @@ def test_strong_involution_with_an_id_off_the_table_is_an_input_error(x):
             read(x)
 
 
+@pytest.mark.parametrize("inv", [10, -1, "a", None])
+def test_x_key_and_lattice_of_an_id_off_the_table_are_input_errors(inv):
+    # a miss in lattice checks the id: -1 would index the table's rows from
+    # the end, and "a" would fail to compare with an int
+    ic = context("A3", "c")
+    for read in (lambda: ic.x_key((inv, (4, 0, 0))), lambda: ic.lattice(inv)):
+        with pytest.raises(InputError, match=f"no involution {inv!r}: there are 10 involutions"):
+            read()
+    assert set(ic._lattices) == {0}
+
+
 @pytest.mark.parametrize("t", [(4, 0), (4, 0, 0, 1), ()])
 def test_strong_involution_with_a_torus_part_of_another_rank_is_an_input_error(t):
     # zip and map would truncate (4, 0, 0, 1) to (4, 0, 0), or read (4, 0)
@@ -942,6 +954,48 @@ def test_theta_star_and_rho_drop_match_weyl_matrix(text, letters, kernel):
     fresh = context(text, letters, kernel)
     for inv in range(len(fresh.table)):
         assert fresh.lattice(inv) == ic.lattice(inv)
+
+
+CLOSED_FORM_GROUPS = [
+    (text, letters, kernel) for text in SMALL_TYPES for letters in "cs" for kernel in (None, "ad")
+] + [
+    ("A3", "s", "2/4"), ("D4", "u", "1/2,1/2"), ("A1.T1", "ss", None), ("A1.T1", "sc", "ad"),
+    ("A3.T1", "ss", "ad"), ("A2.T1", "sc", None), ("T2", "C", None), ("A1.A1", "C", None),
+    ("A2.A2", "C", "ad"), ("E6", "s", None), ("E6", "c", "ad"),
+]
+
+
+def test_closed_form_theta_star_matches_chain_reference():
+    # tori, complex pairs, unequal rank, a kernel of order 2 in Z/4 and a
+    # half-spin kernel: frames B = 1, permutations of 1, and dense B^-1
+    dens = set()
+    for text, letters, kernel in CLOSED_FORM_GROUPS:
+        ic = context(text, letters, kernel)
+        thetas = ic.table.thetas
+        for inv, theta_star in enumerate(reference_theta_star(ic)):
+            assert ic.rd.cocharacter_action(thetas[inv], ic._dstar) == theta_star
+        dens.add(ic.rd._coroot_frame[2])
+    assert {1, 2, 3, 4} <= dens
+
+
+@pytest.mark.parametrize("kernel", [None, "ad"])
+@pytest.mark.parametrize("letter", ["c", "s"])
+@pytest.mark.parametrize("text", SMALL_TYPES)
+def test_simple_grading_offsets_match_heights_reference(text, letter, kernel):
+    # a simple root imaginary at inv is simple among the imaginary roots,
+    # so its offset is denom without heights; the other roots read them
+    ic = context(text, letter, kernel)
+    table = ic.table
+    for inv in range(len(table)):
+        for j, kind in enumerate(table.kinds(inv)):
+            if kind == IMAGINARY:
+                k = table.simple[j]
+                assert ic._grading_offset(inv, k) == reference_grading_offset(ic, inv, k)
+    # denom reads the base record alone, and the simple offsets none
+    assert set(ic._lattices) == {0}
+    for inv in map(table.canonical_member, range(len(table.classes))):
+        for k in table.imaginary_roots(inv):
+            assert ic._grading_offset(inv, k) == reference_grading_offset(ic, inv, k)
 
 
 @pytest.mark.parametrize(

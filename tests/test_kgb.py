@@ -16,7 +16,7 @@ from realred.weyl import COMPLEX_DOWN, COMPLEX_UP
 from contexts import SMALL_TYPES, context, quasisplit
 from digest_outputs import DIGESTS, digest, kgb_lines, label
 from oracles import (
-    clan_count, involution_count, reference_kgb, reference_theta_star, reflections,
+    clan_count, involution_count, reference_kgb, reflections, weyl_theta_star,
 )
 
 
@@ -516,18 +516,33 @@ def test_kgb_search_keeps_no_root_subsystem(monkeypatch, text, letters, kernel):
 def test_kgb_search_builds_theta_star_only_where_a_smith_form_needs_it(text, letters):
     ic = context(text, letters)
     generate_kgb(ic, quasisplit(ic))
-    records = ic._lattices
-    # the key rows of a record reached by a real step are Smith rows of
-    # 1 - theta*, which reads theta* of its table parent, and so on down
-    needed = {id(records[0])}
-    for lat in records.values():
-        if lat.parent is None and is_set(lat, "minus"):
-            while lat is not None:
-                needed.add(id(lat))
-                lat = lat.source
+    records, table = ic._lattices, ic.table
+    # a record links to a parent exactly when its involution has a complex
+    # descent: none reached by a real step has one
+    assert all((lat.parent is None) == (COMPLEX_DOWN not in table.kinds(i))
+               for i, lat in records.items())
+    # the key rows of a record without a parent are Smith rows of 1 - theta*,
+    # and theta* is read off its own root permutation; a record with a
+    # parent moves the parent's rows, and reads no theta*
+    smith = {i for i, lat in records.items() if lat.parent is None and is_set(lat, "minus")}
     built = {i for i, lat in records.items() if is_set(lat, "theta_star")}
-    assert built == {i for i, lat in records.items() if id(lat) in needed}
+    assert 0 in smith and built == smith
     assert 0 < len(built) < len(records)
+
+
+@pytest.mark.parametrize("text, letters, kernel", [
+    ("B3", "s", None), ("D4", "s", "ad"), ("F4", "s", None), ("A3.T1", "ss", "ad"),
+])
+def test_kgb_search_computes_no_heights(text, letters, kernel):
+    # the search grades simple roots alone, whose offset is denom
+    # (InnerClass._grading_offset), so it reads the heights of no record
+    ic = context(text, letters, kernel)
+    assert ic.real_forms
+    before = {i for i, lat in ic._lattices.items() if is_set(lat, "heights")}
+    for form in range(len(ic.real_forms)):
+        generate_kgb(ic, form)
+    assert {i for i, lat in ic._lattices.items() if is_set(lat, "heights")} == before
+    assert len(ic._lattices) > len(before)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -541,4 +556,4 @@ def test_theta_star_read_after_a_kgb_search_matches_weyl_matrix(text, letter, ke
     generate_kgb(ic, quasisplit(ic))
     # from the top down, so most reads walk several records without theta*
     for inv in sorted(ic._lattices, reverse=True):
-        assert ic.lattice(inv).theta_star == reference_theta_star(ic, inv)
+        assert ic.lattice(inv).theta_star == weyl_theta_star(ic, inv)

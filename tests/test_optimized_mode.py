@@ -129,7 +129,8 @@ def test_descent_checks_raise_under_python_o():
 
 
 def test_malformed_strong_involutions_raise_under_python_o():
-    # cross, cayley and x_key check their input without assert statements
+    # cross, cayley and x_key check their input without assert statements;
+    # x_key checks an id it has no record for in lattice
     script = (
         "from contexts import context\n"
         "from realred.rootdata import InputError\n"
@@ -137,7 +138,7 @@ def test_malformed_strong_involutions_raise_under_python_o():
         "print(__debug__)\n"
         "reads = (lambda x: ic.cross(0, x), lambda x: ic.cayley(0, x), ic.x_key)\n"
         "for read, x in [(r, (0, (4, 0, 0, 1))) for r in reads] + [\n"
-        "        (reads[0], (-1, (2, 0, 0))), (reads[1], (-1, (2, 0, 0)))]:\n"
+        "        (r, (-1, (2, 0, 0))) for r in reads] + [(reads[2], ('a', (2, 0, 0)))]:\n"
         "    try:\n"
         "        print(read(x))\n"
         "    except InputError as e:\n"
@@ -146,6 +147,7 @@ def test_malformed_strong_involutions_raise_under_python_o():
     strong = "there are 10 involutions, and torus parts have 3 entries"
     assert run_optimized(script) == [
         "False", strong, strong, "torus parts have 3 entries", strong, strong,
+        "there are 10 involutions", "there are 10 involutions",
     ]
 
 
