@@ -22,8 +22,12 @@ from math import factorial
 from typing import NamedTuple
 
 from . import lin
-from .involution import FiberOrbit, InnerClass, RankDecomposition, StrongOrbit, strong_orbits
-from .rootdata import InputError, arms, components
+from .diagram import arms, components
+from .fiber import FiberOrbit
+from .forms import StrongOrbit, strong_orbits
+from .involution import InnerClass
+from .lattice import RankDecomposition
+from .rootdata import InputError
 from .weyl import InvolutionTable, compose, word_from_matrix
 
 
@@ -81,7 +85,7 @@ def system_type(table: InvolutionTable, ks) -> str:
     it is empty.
 
     The Cartan matrix of its simple basis (InvolutionTable.simple_basis)
-    is built once; the components of its diagram (rootdata.components)
+    is built once; the components of its diagram (diagram.components)
     are named by _component_name in order of their first basis root.
     Rank-two systems with a double bond print as B2, and a pair of
     orthogonal A1's prints as A1.A1.  Only the table is read, so the type

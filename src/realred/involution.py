@@ -1,342 +1,53 @@
-"""Strong real forms, square classes, gradings, and real form naming.
+"""The inner class: strong involutions, their gradings, and per-Cartan queries.
 
 A strong involution is represented by a pair x = (i, t) where i indexes
 a twisted involution and t is a rational cocharacter stored as an
-integer vector over the context-wide denominator.  Central cocharacters
-and square-class keys are integer numerators too, so the module does no
-rational arithmetic.  Whether an imaginary root is noncompact at x is
-one parity in closed form (root_grading): a pairing with t plus the
-root's heights over the simple roots and over the imaginary simple
-roots.  The per-Cartan queries grade x at every imaginary root at once
-(gradings), from one row per involution of each root's vector and
-height offset, so a grading is one pairing.  An imaginary reflection
-s_beta fixes x = (i, t) when beta is compact at x, and adds (denom/2)
-beta^v to t when it is noncompact (_orbit_partition).  Everything here
-is organised around one InnerClass object per (root datum, involution).
-Each cross-action orbit on a fiber is a FiberOrbit; the weak real forms
-are the adjoint-fiber orbits of those over involution 0
-(fundamental_orbits).  real_form_of descends to involution 0 pairing
-alpha_j with t once per step, a cross action or an inverse Cayley
-transform, and reads the form off the base point's gradings.
+integer vector over the context-wide denominator (squares).  Whether an
+imaginary root is noncompact at x is one parity in closed form
+(root_grading): a pairing with t plus the root's heights over the simple
+roots and over the imaginary simple roots.  The per-Cartan queries grade
+x at every imaginary root at once (gradings), from one row per
+involution of each root's vector and height offset, so a grading is one
+pairing.
 
-Fibers are affine spaces over F2, read off one InvolutionLattice record
-per twisted involution: theta*, read on first use off the root
-permutation (RootDatum.cocharacter_action), and its rho-check drop,
-heights, the Smith form of 1 + theta*, and a basis of the theta-fixed
-characters, moved along complex descents by rank-one reflection updates.
-The key of x is t paired with that basis mod denom (x_key), linear in
-t.  A fiber is t0 plus the F2-span of its generators g_i = (denom/2)
-c_i, c_i the Smith columns of 1 + theta* at divisor 2, and its point b,
-a bitmask over the generators, is t0 plus the g_i of the bits of b
-(fiber.Fiber).  Keys, gradings and
-imaginary cross actions are affine in b: adding g_i adds <beta, c_i> to
-2 <beta, t> / denom, and so flips the grading of beta when that is odd,
-and a noncompact reflection XORs b with one mask (_orbit_partition).
-Points are listed by subset size, then in itertools.combinations order:
-the order of a breadth-first closure from t0 under the generators in
-order, which first reaches {a1 < ... < ak} from {a1, ..., a(k-1)}.
+InnerClass is the one entry object, one per (root datum, involution),
+and it inherits each other layer from the module of its concept: the
+central square classes and denom (squares.SquareClasses), the fibers and
+the cross-action orbits on them (fiber.Fibers), and the weak real forms
+with their names and the descent to the base (forms.RealForms).  It
+keeps the lattice records (lattice.InvolutionLattice) and the keys, the
+cross actions, Cayley transforms and gradings, and the queries at one
+Cartan class.  None of those modules imports this one.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from math import gcd, isqrt, lcm
-from operator import mul, xor
-from typing import NamedTuple
+from operator import mul
 
 from . import lin
-from .fiber import Fiber, bitmask, half_mask, reflections, span, subset_order
-from .rootdata import (
-    Factor,
-    InputError,
-    LieType,
-    RootDatum,
-    components,
-)
+from .delta import InnerClassInvolution, inner_class_involution
+from .fiber import Fiber, FiberOrbit, Fibers, span, subset_order
+from .forms import RealFormLabel, RealForms, StrongOrbit, strong_orbits
+from .lattice import InvolutionLattice, RankDecomposition, StrongX
+from .rootdata import InputError, LieType, RootDatum
+from .squares import SquareClasses
 from .weyl import (
     COMPLEX_DOWN,
     COMPLEX_UP,
     IMAGINARY,
     REAL,
-    InnerClassInvolution,
     InvolutionTable,
-    inner_class_involution,
     involution_table,
 )
 
-# x = (involution id, cocharacter numerator vector)
-StrongX = tuple[int, lin.Vector]
-# one orbit on a fiber: (square-class key, members, moves, points as in FiberOrbit)
-OrbitPart = tuple[
-    tuple, tuple[StrongX, ...], tuple[tuple[int, ...], ...], tuple[tuple[bool, ...], ...]
-]
 
+class InnerClass(RealForms, Fibers, SquareClasses):
+    """All strong real form data for one inner class of real forms.
 
-class RankDecomposition(NamedTuple):
-    """Split, compact, and complex-pair ranks of a torus involution."""
-
-    split: int
-    compact: int
-    complex_pairs: int
-
-
-class SquareClass(NamedTuple):
-    """One class of central square values realized by strong involutions."""
-
-    index: int
-    key: tuple[int, ...]
-
-
-class RealFormLabel(NamedTuple):
-    """Menu entry for one weak real form of the inner class."""
-
-    index: int
-    name: str
-    quasisplit: bool
-    square_class: int
-    rep: StrongX
-
-
-class StrongOrbit(NamedTuple):
-    """Cross-action orbit on one square-class fiber, as a report entry."""
-
-    square_class: int
-    form: int
-    members: tuple[int, ...]
-
-
-class FiberOrbit(NamedTuple):
-    """Cross-action orbit of the imaginary Weyl group on one fiber.
-
-    The members are strong involutions over one involution, points of one
-    Fiber in fiber order, and all have the weak real form numbered form.
-    moves[g][m] is the position in members of the image of member m under
-    the reflection in the g-th root of imaginary_basis of the involution,
-    which XORs the member's bitmask with one mask where that root is
-    noncompact.  points[m], the point of member m in the adjoint fiber, is
-    its tuple of gradings at imaginary_basis, affine in its bitmask.
+    The square classes, fibers and weak real forms are inherited from
+    SquareClasses, Fibers and RealForms, which read this class's records.
     """
-
-    square_class: int
-    form: int
-    members: tuple[StrongX, ...]
-    moves: tuple[tuple[int, ...], ...]
-    points: tuple[tuple[bool, ...], ...]
-
-    def __repr__(self) -> str:
-        # points, the members' gradings, are left out; the digests hash repr
-        return (
-            f"FiberOrbit(square_class={self.square_class!r}, form={self.form!r}, "
-            f"members={self.members!r}, moves={self.moves!r})"
-        )
-
-
-class FundamentalFiber(NamedTuple):
-    """The base fiber's orbits and what they number (InnerClass._fundamental).
-
-    row holds (alpha, _grading_offset) of each root of imaginary_basis(0),
-    in that order: the base's grading row at the basis, which gives the
-    point of a base point in the adjoint fiber, the key of form_at.
-    """
-
-    orbits: tuple[FiberOrbit, ...]
-    forms: tuple[tuple, ...]
-    square_classes: tuple[SquareClass, ...]
-    form_at: dict[tuple[bool, ...], int]
-    row: tuple[tuple[lin.Vector, int], ...]
-
-
-_TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)", "C": "gl(1,C)"}
-
-# Exceptional form names in increasing noncompactness order; the key is
-# (letter, rank, equal_rank).
-_EXCEPTIONAL_NAMES = {
-    ("G", 2, True): ("g2", "g2(R)"),
-    ("F", 4, True): ("f4", "f4(so(9))", "f4(R)"),
-    ("E", 6, True): ("e6", "e6(so(10).u(1))", "e6(su(6).su(2))"),
-    ("E", 6, False): ("e6(f4)", "e6(R)"),
-    ("E", 7, True): ("e7", "e7(e6.u(1))", "e7(so(12).su(2))", "e7(R)"),
-    ("E", 8, True): ("e8", "e8(e7.su(2))", "e8(R)"),
-}
-
-
-def _complex_pair_name(f: Factor) -> str:
-    if f.letter == "A":
-        return f"sl({f.rank + 1},C)"
-    if f.letter == "B":
-        return f"so({2 * f.rank + 1},C)"
-    if f.letter == "C":
-        return f"sp({2 * f.rank},C)"
-    if f.letter == "D":
-        return f"so({2 * f.rank},C)"
-    return f"{f.letter.lower()}{f.rank}(C)"
-
-
-def _split_product(total: int, s: int) -> tuple[int, int]:
-    """Solves p + q = s, p * q = total with p >= q >= 0 integers."""
-    disc = s * s - 4 * total
-    root = isqrt(max(disc, 0))
-    p, q = (s + root) // 2, (s - root) // 2
-    if root * root != disc or p * q != total or p + q != s:
-        raise RuntimeError(f"no integers p + q = {s} with p * q = {total}")
-    return p, q
-
-
-class InvolutionLattice:
-    """Lattice data of one twisted involution theta: what its fiber is read from.
-
-    InnerClass.lattice links a record reached by a complex descent, by
-    the simple root j, to the record of the table parent nbr, theta =
-    s_j nbr s_j, as parent; the base and any involution without a
-    complex descent link to nothing.  Every field but theta, rd, dstar
-    and the links, theta_star included, is computed from theta, the
-    root datum, dstar and the links on first read and kept
-    (__getattr__): a KGB search reads only the key rows (minus) of
-    most records, and those of a record with a parent need no theta*.
-    A theta_star given to the constructor is kept, and the other fields
-    are computed from it.  The properties drop and ranks are computed
-    on every read.  Records are immutable; equality compares every field
-    but rd, dstar and the links, and repr shows theta_star, cbits and
-    heights.
-
-    Attributes:
-        theta_star: the action of theta on cocharacters, its transposed
-            matrix, in closed form from the root permutation theta and
-            dstar (RootDatum.cocharacter_action): no product for a simply
-            connected datum without torus, and one n x n product at most.
-        theta: the images of the 2N roots under theta, as the table's
-            bytes (InvolutionTable.thetas).
-        dstar: the matrix of delta on cocharacters, theta* at the base.
-        drop, cbits: rho-check minus its image under theta* delta*, for
-            theta = w.delta, and its parity.  theta* delta* is the
-            cocharacter action of u = delta w^-1 delta, and u^-1 beta =
-            theta beta, so drop is the sum of the positive coroots beta^v
-            with theta beta negative.  cbits is the torus part of sigma_w
-            delta(sigma_w) on the cocharacter lattice.
-        heights: 2 rho-check plus every positive coroot imaginary at theta.
-            It pairs with a positive imaginary root alpha to 2 (ht(alpha) +
-            ht_i(alpha)), the heights over the simple roots and over the
-            imaginary simple roots.
-        parent, j: the record of the table parent and the simple root j
-            of the complex descent from it, else None, None.
-        minus: (rank, rows, twos, ones) of 1 - theta*.  rows are a Z-basis
-            of the theta-fixed characters, which the key pairs with t
-            (x_key).  rank is the rank of 1 - theta*, and twos and ones
-            count its Smith divisors 2 and 1, for ranks.  Without a parent,
-            rows are the rows of the Smith uinv at the zero divisors (the
-            trailing ones).  After a complex descent, theta* = C_j
-            theta*_nbr C_j with C_j = 1 - alpha_j^v alpha_j^T unimodular
-            and C_j^2 = 1, so r theta*_nbr = r gives r C_j theta* = r C_j:
-            rows are the parent's rows times C_j, and the Smith divisors,
-            those of a conjugate matrix, are the parent's.  So a Cartan
-            class takes a Smith form only at the involutions without a
-            complex descent that the parent links reach.
-        plus: the Smith form of 1 + theta*, which fibers are solved in.
-    """
-
-    __slots__ = (
-        "theta_star", "theta", "rd", "parent", "j", "dstar", "cbits", "heights", "minus", "plus",
-    )
-    _COMPARED = ("theta_star", "theta", "cbits", "heights", "minus", "plus")
-
-    theta_star: lin.Matrix
-    theta: bytes
-    rd: RootDatum
-    cbits: lin.Vector
-    heights: lin.Vector
-    parent: InvolutionLattice | None
-    j: int | None
-    dstar: lin.Matrix | None
-    minus: tuple[int, tuple[lin.Vector, ...], int, int]
-    plus: lin.SmithForm
-
-    def __init__(
-        self,
-        theta_star: lin.Matrix | None,
-        theta: bytes,
-        rd: RootDatum,
-        parent: InvolutionLattice | None = None,
-        j: int | None = None,
-        dstar: lin.Matrix | None = None,
-    ):
-        if theta_star is not None:
-            object.__setattr__(self, "theta_star", theta_star)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "rd", rd)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "dstar", dstar)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._COMPARED)
-
-    def __hash__(self) -> int:
-        return hash((self.theta_star, self.theta))
-
-    def __repr__(self) -> str:
-        return (
-            f"InvolutionLattice(theta_star={self.theta_star!r}, "
-            f"cbits={self.cbits!r}, heights={self.heights!r})"
-        )
-
-    def __getattr__(self, name: str):
-        """Computes a field not set yet on its first read, and keeps it."""
-        npos, n = len(self.theta) // 2, self.rd.rank
-        if name == "cbits":
-            value = tuple(x % 2 for x in self.drop)
-        elif name == "heights":
-            imaginary = self.rd.coroot_sum(k for k in range(npos) if self.theta[k] == k)
-            value = lin.vec_add(self.rd.two_rho_check, imaginary)
-        elif name == "minus" and self.parent is not None:
-            rank, rows, twos, ones = self.parent.minus
-            a, av = self.rd.simple_roots[self.j], self.rd.simple_coroots[self.j]
-            value = rank, lin.times_coreflection(rows, a, av), twos, ones
-        elif name == "minus":
-            sf = lin.smith_form(lin.mat_sub(lin.identity(n), self.theta_star), ncols=n)
-            value = sf.rank, sf.uinv[sf.rank:], sf.diag.count(2), sf.diag.count(1)
-        elif name == "plus":
-            value = lin.smith_form(lin.mat_add(lin.identity(n), self.theta_star), ncols=n)
-        elif name == "theta_star" and self.dstar is not None:
-            value = self.rd.cocharacter_action(self.theta, self.dstar)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
-
-    @property
-    def drop(self) -> lin.Vector:
-        npos = len(self.theta) // 2
-        return self.rd.coroot_sum(k for k in range(npos) if self.theta[k] >= npos)
-
-    @property
-    def ranks(self) -> RankDecomposition:
-        """Rank decomposition of theta*.
-
-        The lattice is a sum of trivial, sign and rank-two permutation
-        summands of theta* (Adams-du Cloux), on which 1 - theta* has the
-        Smith divisors 0, 2 and (1, 0).  So the split rank is the count
-        of divisors 2, the complex pairs are the divisors 1, and the
-        compact rank is the zero divisors (the key rows) less the pairs.
-        Raises RuntimeError when 1 - theta* has a divisor above 2, so that
-        ker(1 + theta*) over its image is no elementary abelian 2-group.
-        """
-        rank, rows, twos, ones = self.minus
-        if twos + ones != rank:
-            raise RuntimeError("1 - theta* has an elementary divisor above 2")
-        return RankDecomposition(split=twos, compact=len(rows) - ones, complex_pairs=ones)
-
-
-class InnerClass:
-    """All strong real form data for one inner class of real forms."""
 
     def __init__(self, delta: InnerClassInvolution):
         self.delta = delta
@@ -366,131 +77,6 @@ class InnerClass:
             if type(i) is not int or not 0 <= i < count:
                 raise InputError(f"no {what} #{i!r}: there are {count}")
 
-    # -- central square classes ----------------------------------------
-
-    @cached_property
-    def _central_smith(self) -> lin.SmithForm:
-        """Constraints cutting out delta-fixed central cocharacters mod Z^n."""
-        rows = [list(a) for a in self.rd.simple_roots]
-        rows.extend(lin.mat_sub(self._dstar, lin.identity(self.rd.rank)))
-        return lin.smith_form(lin.freeze(rows), ncols=self.rd.rank)
-
-    @cached_property
-    def cd(self) -> int:
-        """Denominator of square-class keys: lcm of the nonzero central Smith diagonal."""
-        return lcm(*(d for d in self._central_smith.diag if d))
-
-    def _central_reduce(self, num: lin.Vector, den: int) -> tuple[int, ...]:
-        """Coordinates over cd of the central cocharacter num / den modulo
-        the identity part; RuntimeError unless it is central and delta-fixed.
-        """
-        sf = self._central_smith
-        cd = self.cd
-        y = lin.mat_vec(sf.v, num)
-        out = []
-        for i, yi in enumerate(y):
-            d = sf.diag[i] if i < len(sf.diag) else 0
-            if d == 0:
-                out.append(0)
-            elif yi * d % den:
-                raise RuntimeError("cocharacter is not central and delta-fixed")
-            else:
-                out.append(yi * cd // den % cd)
-        return tuple(out)
-
-    @cached_property
-    def _center_smith(self) -> lin.SmithForm:
-        """Constraints cutting out all central cocharacters mod Z^n."""
-        rows = [list(a) for a in self.rd.simple_roots]
-        return lin.smith_form(lin.freeze(rows), ncols=self.rd.rank)
-
-    @cached_property
-    def _central_translates(self) -> tuple[tuple[int, ...], ...]:
-        """Square-value shifts z.delta(z), z central, as reduced keys.
-
-        Shifts coming from the identity component of the center reduce
-        to zero, so torsion generators of the full center suffice: the
-        i-th is col_i / diag_i for the Smith divisors diag_i >= 2, and its
-        shift g_i has order dividing diag_i.  The translates are the sums
-        of k_i g_i mod cd over 0 <= k_i < diag_i, sorted.
-        """
-        sf = self._center_smith
-        n = self.rd.rank
-        cd = self.cd
-        cols = lin.transpose(sf.vinv)
-        onep = lin.mat_add(self._dstar, lin.identity(n))
-        finite = [i for i in range(min(n, len(sf.diag))) if sf.diag[i] >= 2]
-        gens = [self._central_reduce(lin.mat_vec(onep, cols[i]), sf.diag[i]) for i in finite]
-        return tuple(sorted({
-            tuple(sum(k * g[c] for k, g in zip(combo, gens)) % cd for c in range(n))
-            for combo in product(*(range(sf.diag[i]) for i in finite))
-        }))
-
-    def central_class_key(self, num: lin.Vector, den: int) -> tuple[int, ...]:
-        """Canonical key of the square class of the central cocharacter num / den.
-
-        Keys are numerators over the one fixed cd of Smith coordinates in
-        [0, 1), so they sort and minimise exactly as those rationals do.
-        """
-        cd = self.cd
-        base = self._central_reduce(num, den)
-        return min(
-            tuple((a + b) % cd for a, b in zip(base, g))
-            for g in self._central_translates
-        )
-
-    @cached_property
-    def _candidate_classes(self) -> tuple[tuple[int, ...], ...]:
-        """All square classes of delta-fixed central elements."""
-        sf = self._central_smith
-        n = self.rd.rank
-        cd = self.cd
-        finite = [i for i in range(n) if i < len(sf.diag) and sf.diag[i] >= 2]
-        keys = set()
-        for combo in product(*(range(sf.diag[i]) for i in finite)):
-            y = [0] * n
-            for i, k in zip(finite, combo):
-                y[i] = k * (cd // sf.diag[i])
-            keys.add(self.central_class_key(lin.mat_vec(sf.vinv, tuple(y)), cd))
-        return tuple(sorted(keys))
-
-    def _class_rep(self, key: tuple[int, ...]) -> lin.Vector:
-        """Numerators over cd of a cocharacter in the square class key."""
-        return lin.mat_vec(self._central_smith.vinv, key)
-
-    @cached_property
-    def _realized_keys(self) -> tuple[tuple[int, ...], ...]:
-        """Candidate classes realized as squares over the base involution.
-
-        A class is realized when its representative lies in the rational
-        image of 1 + theta plus the cocharacter lattice; equivalently the
-        zero-divisor coordinates of uinv times the representative are
-        integral.
-        """
-        sf = self.lattice(0).plus
-        out = []
-        for key in self._candidate_classes:
-            c = lin.mat_vec(sf.uinv, self._class_rep(key))
-            if all(
-                c[i] % self.cd == 0
-                for i in range(len(c))
-                if i >= len(sf.diag) or sf.diag[i] == 0
-            ):
-                out.append(key)
-        if not out:
-            raise RuntimeError("no square class is realized over the base involution")
-        return tuple(out)
-
-    @cached_property
-    def denom(self) -> int:
-        """Global denominator for all cocharacter numerators."""
-        cd = self.cd
-        dens = [
-            cd // gcd(cd, v) for key in self._realized_keys
-            for v in self._class_rep(key)
-        ]
-        return 2 * lcm(2, *dens)
-
     # -- per-involution linear data ------------------------------------
 
     def lattice(self, inv: int) -> InvolutionLattice:
@@ -504,11 +90,12 @@ class InnerClass:
         An involution without a complex descent links to nothing, and its
         theta* is read off its root permutation on first read
         (InvolutionLattice.theta_star); at the base it is delta*.  Records
-        are kept; on a miss, raises InputError unless inv is an int
-        numbering a row of the table.
+        are kept.  Raises InputError unless inv is an int, on every call,
+        since a bool id equals an int one and would read its record, and
+        on a miss unless inv numbers a row of the table.
         """
         out = self._lattices.get(inv)
-        if out is None:
+        if out is None or type(inv) is not int:
             if type(inv) is not int or not 0 <= inv < len(self.table):
                 raise InputError(f"no involution {inv!r}: there are {len(self.table)} involutions")
             j = self.table.kinds(inv).find(COMPLEX_DOWN)
@@ -528,8 +115,9 @@ class InnerClass:
         down complex descents from theta_i (lattice), that has no complex
         descent, moved by C_j along each complex descent in between
         (InvolutionLattice.minus).  Raises InputError unless t has rank
-        entries, and, when i has no record yet, unless i numbers a row
-        of the table (lattice); a KGB search keys only ids of the table.
+        entries and i is an int, not a bool, and, when i has no record
+        yet, unless i numbers a row of the table (lattice); a KGB search
+        keys only ids of the table.
         """
         inv, t = x
         n = self.rd.rank
@@ -542,58 +130,6 @@ class InnerClass:
         """s_j t = t - <alpha_j, t> alpha_j^v, on cocharacters."""
         c = lin.vec_dot(self.rd.simple_roots[j], t)
         return lin.vec_sub(t, lin.vec_scale(self.rd.simple_coroots[j], c)) if c else t
-
-    def _square_numerators(self, x: StrongX) -> lin.Vector:
-        """Numerators over denom of the square value of x."""
-        inv, t = x
-        lat = self.lattice(inv)
-        return lin.vec_add(
-            lin.vec_add(t, lin.mat_vec(lat.theta_star, t)),
-            lin.vec_scale(lat.cbits, self.denom // 2),
-        )
-
-    # -- fibers ----------------------------------------------------------
-
-    def _fiber(self, inv: int, key: tuple) -> Fiber | None:
-        """The fiber over inv of the square class key, None when the class is
-        not realized over inv; built once and kept in _fibers.
-
-        The generators are (d/2) c_i, d = denom, for the Smith columns c_i
-        of 1 + theta* at divisor 2; keys are linear in t, so the key masks
-        of the sums of generators are XORs of theirs.  Raises RuntimeError
-        when 1 + theta* has a divisor above 2, when the key masks are not
-        2^(fiber rank) distinct ones (that is, independent over F2), or
-        when a point squares outside the class.
-        """
-        if (inv, key) in self._fibers:
-            return self._fibers[(inv, key)]
-        d, cd = self.denom, self.cd
-        rep = self._class_rep(key)
-        if any(v * d % cd for v in rep):
-            raise RuntimeError("square class representative is not over denom")
-        lat = self.lattice(inv)
-        target = tuple(v * d // cd - c * (d // 2) for v, c in zip(rep, lat.cbits))
-        sf = lat.plus
-        t0 = lin.solve_mod_presolved(sf, target, d)
-        if t0 is None:
-            self._fibers[(inv, key)] = None
-            return None
-        if any(e > 2 for e in sf.diag):
-            raise RuntimeError("1 + theta* has an elementary divisor above 2")
-        cols = lin.transpose(sf.vinv)
-        gens = [lin.vec_scale(cols[i], d // 2) for i, e in enumerate(sf.diag) if e == 2]
-        keys = span(0, [half_mask(self.x_key((inv, g))[1], d) for g in gens], xor)
-        if len(gens) != lat.ranks.compact or len(set(keys)) != len(keys):
-            raise RuntimeError("fiber size is not 2^(fiber rank)")
-        t0 = lin.vec_mod(t0, d)
-        # squares are linear in t: adding g adds (1 + theta*) g, and vec_mod
-        # adds multiples of d; so all squares agree mod d exactly when each
-        # generator has (1 + theta*) g = 0 mod d, and only t0 is keyed
-        if any(v % d for g in gens for v in lin.vec_add(g, lin.mat_vec(lat.theta_star, g))) or \
-                self.central_class_key(self._square_numerators((inv, t0)), d) != key:
-            raise RuntimeError("fiber element squares outside its square class")
-        out = self._fibers[(inv, key)] = Fiber(t0, tuple(gens), tuple(keys))
-        return out
 
     def fiber_elements(self, inv: int, key: tuple) -> tuple[lin.Vector, ...]:
         """Strong involutions over one involution with squares in one class.
@@ -743,280 +279,28 @@ class InnerClass:
 
     # -- weak real forms --------------------------------------------------
 
-    def _orbit_partition(self, inv: int) -> list[OrbitPart]:
-        """Orbits of the imaginary Weyl group on the fibers over inv of the
-        realized square classes, as (class key, members, moves, points).
-
-        Fibers come in the order of _realized_keys, members in fiber order
-        and the orbits of a fiber by first member; moves and points are as
-        in FiberOrbit.  With d = denom, the reflection in a root beta
-        imaginary at inv fixes (inv, t) when beta is compact there, and adds
-        (d/2) beta^v to t when it is noncompact:
-        - Pick w with w beta = alpha_j simple.  Cross actions are affine
-          with linear part w, and they carry gradings (root_grading), so
-          the claim reduces to a simple imaginary alpha_j.
-        - At a simple imaginary alpha_j, cross returns s_j t = t -
-          <alpha_j, t> alpha_j^v.  For x in a fiber, <alpha_j, t> is 0 or
-          d/2 mod d, and it is d/2 exactly when alpha_j is noncompact.
-        So it adds the key of (inv, (d/2) beta^v) to the key of x, and on
-        the fiber's bitmasks it is an XOR with one mask where beta is
-        noncompact (fiber.reflections).  The gradings at imaginary_basis(inv)
-        are affine in the bitmask too: adding g_i = (d/2) c_i adds <beta,
-        c_i> to 2 <beta, t> / d, so they are the gradings at t0, one row of
-        pairings (gradings), and one flip mask per generator.  Raises
-        RuntimeError when a reflection leaves the fiber.
-        """
-        d = self.denom
-        basis = self.table.imaginary_basis(inv)
-        pos = self.rd.positive_roots
-        shifts = [half_mask(self.x_key((inv, lin.vec_scale(pos[k].covec, d // 2)))[1], d)
-                  for k in basis]
-        out = []
-        for key in self._realized_keys:
-            fiber = self._fiber(inv, key)
-            if fiber is None:
-                continue
-            # bit g of a grade is the grading of the g-th basis root: read
-            # off the gradings at t0, and g_i flips it when <beta, c_i> is odd
-            flips = [
-                bitmask(2 * lin.vec_dot(pos[k].vec, g) // d % 2 for k in basis) for g in fiber.gens
-            ]
-            grades = span(bitmask(map(self.gradings((inv, fiber.t0)).get, basis)), flips, xor)
-            images, points = reflections(fiber.keys, grades, shifts)
-            ts = self.fiber_elements(inv, key)
-            # the moves permute the fiber, so its orbits are the components
-            for comp in components(images):
-                at = {i: m for m, i in enumerate(comp)}
-                out.append((
-                    key,
-                    tuple((inv, ts[i]) for i in comp),
-                    tuple(tuple(at[images[i][g]] for i in comp) for g in range(len(basis))),
-                    tuple(points[i] for i in comp),
-                ))
-        return out
-
-    @staticmethod
-    def _adjoint_orbits(
-        orbits: list[tuple[tuple[bool, ...], ...]]
-    ) -> tuple[tuple[int, ...], tuple[set[tuple[bool, ...]], ...]]:
-        """Images of cross-action orbits over one involution in the adjoint fiber.
-
-        orbits lists the points (FiberOrbit.points) of the members of each
-        orbit.  The image of x = (inv, t) in the fiber of the adjoint group
-        is read as its point: the gradings of the imaginary simple roots at
-        x (imaginary_basis(inv)).
-        - root_grading reads only <alpha, t> / denom, and t and its
-          adjoint image give the same value.
-        - The image map is W_i-equivariant and onto: every adjoint strong
-          involution lifts, and central translates keep the image.  So an
-          orbit maps onto one adjoint orbit, whose points are the distinct
-          points of the orbit's members.
-        That the gradings determine a point of the adjoint fiber is checked
-        against an explicit adjoint context in the tests, not proved here.
-
-        Returns the adjoint orbit of each orbit, numbered by first
-        appearance, and the point set of each adjoint orbit; each orbit is
-        placed by the point of its first member.  Raises RuntimeError when
-        another of its points lies in another adjoint orbit.
-        """
-        ids, points, where = [], [], {}
-        for pts in orbits:
-            a = where.get(pts[0], len(points))
-            if a == len(points):
-                points.append(set())
-            if any(where.setdefault(p, a) != a for p in pts):
-                raise RuntimeError("a cross-action orbit meets two adjoint orbits")
-            points[a].update(pts)
-            ids.append(a)
-        return tuple(ids), tuple(points)
-
-    @cached_property
-    def _factor_ranges(self) -> tuple[tuple[int, ...], ...]:
-        """Simple-root indices of each internal factor; none for a torus factor."""
-        index = self.lt.simple_factor_index
-        return tuple(
-            tuple(k for k, i in enumerate(index) if i == fac)
-            for fac in range(len(self.lt.factors))
-        )
-
-    @cached_property
-    def _fundamental(self) -> FundamentalFiber:
-        """The base fiber's orbits, with the weak forms and square classes.
-
-        The weak real forms are the orbits of the adjoint base fiber
-        (_adjoint_orbits); form_at gives the form of each of its points,
-        their gradings at basis = imaginary_basis(0), row the grading row
-        at basis (FundamentalFiber), and forms is (nc, iota, quasisplit)
-        of each form, in menu order.  nc counts the noncompact imaginary
-        roots, positive and negative, of each internal factor and iota is
-        the half-spin tag of each factor, both at the first member of a
-        form's first base-fiber orbit.  A form is quasisplit when the
-        all-noncompact grading is one of its points.  The menu sorts the
-        forms by (total nc, zip(nc, iota)).  That key cannot tie: it
-        determines the name of every unit (real_forms), and the names of
-        distinct weak forms differ.  The square classes are numbered by
-        first appearance in the orbits of the forms from the quasisplit
-        one down.
-        """
-        parts = self._orbit_partition(0)
-        ids, points = self._adjoint_orbits([pts for *_, pts in parts])
-        basis = self.table.imaginary_basis(0)
-        split = (True,) * len(basis)
-        index = self.lt.simple_factor_index
-        forms = []
-        for a, pts in enumerate(points):
-            _, members, _, member_points = parts[ids.index(a)]
-            nc = [0] * len(self.lt.factors)
-            for k, noncompact in self.gradings(members[0]).items():
-                if noncompact:
-                    coeffs = self.rd.positive_roots[k].coeffs
-                    nc[index[next(i for i, c in enumerate(coeffs) if c)]] += 2
-            bits = dict(zip(basis, member_points[0]))
-            iota = tuple(
-                self._iota_tag(bits, f, rng) for f, rng in zip(self.lt.factors, self._factor_ranges)
-            )
-            forms.append((tuple(nc), iota, split in pts))
-        order = sorted(
-            range(len(forms)),
-            key=lambda a: (sum(forms[a][0]), tuple(zip(forms[a][0], forms[a][1]))),
-        )
-        if [forms[a][2] for a in order] != [False] * (len(order) - 1) + [True]:
-            raise RuntimeError("the quasisplit form is not the unique last one of the menu")
-        menu = {a: m for m, a in enumerate(order)}
-        by_form = sorted(zip(ids, parts), key=lambda q: -menu[q[0]])
-        keys = list(dict.fromkeys(part[0] for _, part in by_form))
-        if len(keys) != len(self._realized_keys):
-            raise RuntimeError("a realized square class carries no weak form")
-        return FundamentalFiber(
-            tuple(FiberOrbit(keys.index(p[0]), menu[a], *p[1:]) for a, p in zip(ids, parts)),
-            tuple(forms[a] for a in order),
-            tuple(SquareClass(i, key) for i, key in enumerate(keys)),
-            {p: menu[a] for a, pts in enumerate(points) for p in pts},
-            tuple((self.rd.positive_roots[k].vec, self._grading_offset(0, k)) for k in basis),
-        )
-
-    def _iota_tag(self, bits: dict[int, bool], f: Factor, rng: tuple[int, ...]) -> int:
-        """Distinguishes the two half-spin gradings of an equal-rank D factor.
-
-        bits maps the roots of imaginary_basis(0) to their gradings at a
-        base-fiber point.  The factor's simple roots are imaginary simple at
-        0, and their gradings are the pairings 2 <alpha_j, t> / denom mod 2.
-        0: not applicable or orthogonal type; 1, 2: the two spin cosets.
-        """
-        if f.letter != "D" or any(self.delta.perm[p] != p for p in rng):
-            return 0
-        pair = [int(bits[self.table.simple[j]]) for j in rng]
-        block = [
-            [self.rd.cartan[j][i] for j in rng]
-            for i in rng
-        ]
-        sf = lin.smith_form(lin.freeze(block))
-        r = f.rank
-        for tag, shifts in ((0, ()), (0, (r - 2, r - 1)), (1, (r - 2,)), (2, (r - 1,))):
-            b = list(pair)
-            for shift in shifts:
-                b[shift] -= 1
-            if lin.solve_mod_presolved(sf, tuple(b), 2) is not None:
-                return tag
-        raise RuntimeError("unclassified half-spin coset")
-
     @cached_property
     def real_forms(self) -> tuple[RealFormLabel, ...]:
         """Weak real forms of the inner class, most compact first.
 
-        Units are named in one walk over delta.units: a torus factor by
-        its letter, a complex pair by its factor, any other unit by its
-        factor's nc and iota among those of all the weak forms.  A form's
-        rep and square class are those of its first fundamental orbit.
+        Each is named by RealForms._form_name, and its rep and square class
+        are those of its first fundamental orbit.  It is defined here, not
+        on RealForms, since the benchmark's traced pass finds it in this
+        class's dictionary, with cross, x_key, fiber_elements and
+        strong_count.
         """
         fundamental = self._fundamental
         labels = []
         for idx, (nc, iota, quasisplit) in enumerate(fundamental.forms):
-            names = []
-            for letter, idxs in self.delta.units:
-                fac = idxs[0]
-                f = self.lt.factors[fac]
-                if f.letter == "T":
-                    names.append(_TORUS_NAMES[letter])
-                elif letter == "C":
-                    names.append(_complex_pair_name(f))
-                else:
-                    equal = all(self.delta.perm[p] == p for p in self._factor_ranges[fac])
-                    values = sorted({g[0][fac] for g in fundamental.forms})
-                    names.append(_factor_form_name(f, equal, nc[fac], values, iota[fac]))
             first = next(o for o in fundamental.orbits if o.form == idx)
             labels.append(RealFormLabel(
                 index=idx,
-                name=".".join(names),
+                name=self._form_name(nc, iota),
                 quasisplit=quasisplit,
                 square_class=first.square_class,
                 rep=first.members[0],
             ))
         return tuple(labels)
-
-    @property
-    def fundamental_orbits(self) -> tuple[FiberOrbit, ...]:
-        """Orbits on the fiber over involution 0, numbering the KGB seeds
-        (kgb.seed_orbit) in the order of _orbit_partition(0)."""
-        return self._fundamental.orbits
-
-    @cached_property
-    def square_classes(self) -> tuple[SquareClass, ...]:
-        """Realized square classes, numbered from the quasisplit form down."""
-        return self._fundamental.square_classes
-
-    def real_form_of(self, x: StrongX) -> int:
-        """Weak real form of a strong involution, by descent to the base.
-
-        Each step lowers the twisted length by one and pairs alpha_j with t
-        once, c = <alpha_j, t>, as a KGB step does; with d = denom it moves
-        t to t - shift alpha_j^v mod d.
-        - At the first simple root j that is a complex descent, it is the
-          cross action: s_j t plus (d/2) gamma^v, and gamma^v = alpha_j^v
-          there (_complex_shift), so shift = c - d/2.
-        - Otherwise, at the first real j that has one, it is the first
-          inverse Cayley candidate (nbr, u), u = s_j t + e alpha_j^v:
-          alpha_j, simple imaginary at nbr, is noncompact at it exactly
-          when <alpha_j, u> = 2e - c = d/2 mod d (root_grading).  With r =
-          d/2 + c mod d there is no e when r is odd, and else e = r/2 is
-          the first, so shift = c - r/2.  Every candidate squares into the
-          class of x: its Cayley image has the square numerators of x, as
-          theta*_inv alpha_j^v = -alpha_j^v, and a Cayley transform through
-          a noncompact alpha_j keeps them mod d.
-        The descent keys nothing, and ends at the point of the base point in
-        the adjoint fiber: its gradings at imaginary_basis(0), kept by
-        torus conjugation and reduction mod denom, whose adjoint orbit is
-        the weak form (_fundamental).  The form does not depend on the path:
-        cross actions and Cayley transforms preserve the weak real form.
-        Raises InputError when x is not a strong involution of the table
-        (_strong).  Raises RuntimeError when no step applies, which only a
-        point off every fiber gives, or when a candidate is compact
-        (grading), which its choice rules out unless the grading is wrong.
-        """
-        inv, t = self._strong(x)
-        table, rd, d = self.table, self.rd, self.denom
-        h = d // 2
-        while table.lengths[inv] > 0:
-            kinds = table.kinds(inv)
-            j = kinds.find(COMPLEX_DOWN)
-            if j >= 0:
-                shift = sum(map(mul, rd.simple_roots[j], t)) - h
-            else:
-                for j, kind in enumerate(kinds):
-                    if kind == REAL:
-                        c = sum(map(mul, rd.simple_roots[j], t))
-                        if (h + c) % 2 == 0:
-                            shift = c - (h + c) % d // 2
-                            break
-                else:
-                    raise RuntimeError("strong involution admits no descent")
-            inv = table.status(inv, j)[1]
-            t = tuple([(u - shift * v) % d for u, v in zip(t, rd.simple_coroots[j])])
-            if kinds[j] == REAL and not self.grading((inv, t), j):
-                raise RuntimeError("an inverse Cayley candidate is compact")
-        row = self._fundamental.row
-        point = tuple([(2 * sum(map(mul, a, t)) + off) % (2 * d) == 0 for a, off in row])
-        return self._fundamental.form_at[point]
 
     # -- strong real forms at a Cartan class ------------------------------
 
@@ -1141,99 +425,6 @@ class InnerClass:
         return sum(
             self.strong_count_at(c) for c in range(len(self.table.classes))
         )
-
-
-def _factor_form_name(
-    f: Factor, equal: bool, nc: int, values: list[int], iota: int
-) -> str:
-    """Display name of one simple factor's real form.
-
-    values lists the factor's noncompact counts over all weak forms,
-    ascending; nc and iota belong to the form being named.
-    """
-    letter, n = f.letter, f.rank
-    if letter in "GFE":
-        table = _EXCEPTIONAL_NAMES[(letter, n, equal)]
-        if len(values) != len(table):
-            raise RuntimeError(f"{letter}{n} has {len(values)} noncompact counts, not {len(table)}")
-        return table[values.index(nc)]
-    if letter == "A":
-        if not equal:
-            if nc == values[-1]:
-                return f"sl({n + 1},R)"
-            return f"sl({(n + 1) // 2},H)"
-        if n == 1:
-            return "su(2)" if nc == 0 else "sl(2,R)"
-        p, q = _split_product(nc // 2, n + 1)
-        return f"su({p})" if q == 0 else f"su({p},{q})"
-    if letter == "B":
-        p, q = _split_product(nc, 2 * n + 1)
-        return f"so({p})" if q == 0 else f"so({p},{q})"
-    if letter == "C":
-        if nc == n * n + n:
-            return f"sp({2 * n},R)"
-        p, q = _split_product(nc // 4, n)
-        return f"sp({p})" if q == 0 else f"sp({p},{q})"
-    if letter != "D":
-        raise RuntimeError(f"no real form names for type {letter}")
-    if not equal:
-        a, b = _split_product(nc // 4, n - 1)
-        return f"so({2 * a + 1},{2 * b + 1})"
-    if iota:
-        star = f"so*({2 * n})"
-        if n % 2 == 0:
-            star += "[1,0]" if iota == 1 else "[0,1]"
-        return star
-    p, q = _split_product(nc, 2 * n)
-    return f"so({p})" if q == 0 else f"so({p},{q})"
-
-
-def strong_orbits(square_class: int, parts: list[tuple[int, int]]) -> tuple[StrongOrbit, ...]:
-    """Report entries of the (form, size) orbits of one fiber.
-
-    The fiber's members are numbered orbit by orbit, most split form
-    first and orbits of one form in the given order, so member 0 always
-    sits in the most split orbit.
-    """
-    out = []
-    start = 0
-    for form, size in sorted(parts, key=lambda p: -p[0]):
-        out.append(StrongOrbit(square_class, form, tuple(range(start, start + size))))
-        start += size
-    return tuple(out)
-
-
-# -- report formatting -----------------------------------------------------
-
-
-def format_real_form_menu(ic: InnerClass) -> list[str]:
-    """Menu lines listing the weak real forms."""
-    lines = ["(weak) real forms are:"]
-    lines.extend(f"{f.index}: {f.name}" for f in ic.real_forms)
-    return lines
-
-
-def format_strong_real(
-    report: tuple[tuple[int, tuple[StrongOrbit, ...]], ...]
-) -> list[str]:
-    """Report lines for the strong real forms at one Cartan class."""
-
-    def orbit_lines(entries: tuple[StrongOrbit, ...]) -> list[str]:
-        return [
-            "real form #{}: [{}] ({})".format(
-                e.form, ",".join(str(m) for m in e.members), len(e.members)
-            )
-            for e in entries
-        ]
-
-    if len(report) == 1:
-        return orbit_lines(report[0][1])
-    lines = [f"there are {len(report)} real form classes:"]
-    for idx, entries in report:
-        lines.append("")
-        lines.append(f"class #{idx}:")
-        lines.extend(orbit_lines(entries))
-    return lines
 
 
 # -- module-level operations -------------------------------------------------

@@ -17,25 +17,30 @@ in between.  Only those records read theta*.  W acts on
 KGB, so s_j is an involution: the discovery pass computes each unordered
 cross edge once and fills it back at its far end, and leaves fixed
 points unkeyed (a cross image equal to its source, as at every compact
-imaginary root, takes the source's key).  It keys one Cayley transform
+imaginary root, takes the source's key).  Every real root is such a
+point, and there the pass pairs nothing: s_j t = t - <alpha_j, t>
+alpha_j^v, and a theta-fixed character r pairs to 0 with the real
+coroot alpha_j^v, as <r, alpha_j^v> = <r, theta* alpha_j^v> = -<r,
+alpha_j^v>, so s_j x has the key of x.  It keys one Cayley transform
 per type-I pair: at a noncompact imaginary j with s_j x not x, x and
 s_j x have one Cayley image, so the second of them to be processed reads
 the first's key.  It records the edges by key; the ids only relabel
 them.  It builds no words: the word column of a listing is read from the
 table when the listing is printed (format_kgb, KGB.word).
 
-Each step of the pass, one element x = (i, t) and one simple root j,
-pairs alpha_j with t once.  The reflection y = s_j t mod denom gives
-the cross image: (i, y) at an imaginary or real j, and y plus (denom/2)
-gamma^v at a complex j (InnerClass._complex_shift).  At an imaginary j
-the same pairing gives the grading.  When j is noncompact there, y is
-also the torus part of the Cayley transform: the Cayley transform and
-the imaginary cross action both reflect t by s_j and differ only in the
-twisted involution (InnerClass.cayley).  The neighbours, coroots gamma^v
-and grading offsets come from one step row per twisted involution,
-built when the pass first meets it and dropped with the call.  The
-offset of a simple imaginary root is denom (InnerClass._grading_offset),
-so a step row builds no lattice record and reads no heights.
+Each step of the pass, one element x = (i, t) and one simple root j
+that is not real, pairs alpha_j with t once.  The reflection y = s_j t
+mod denom gives the cross image: (i, y) at an imaginary j, and y plus
+(denom/2) gamma^v at a complex j (InnerClass._complex_shift).  At an
+imaginary j the same pairing gives the grading.  When j is noncompact
+there, y is also the torus part of the Cayley transform: the Cayley
+transform and the imaginary cross action both reflect t by s_j and
+differ only in the twisted involution (InnerClass.cayley).  The
+neighbours, coroots gamma^v and grading offsets come from one step row
+per twisted involution, built when the pass first meets it and dropped
+with the call.  The offset of a simple imaginary root is denom
+(InnerClass._grading_offset), so a step row builds no lattice record and
+reads no heights.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ from collections import deque
 from operator import mul
 from typing import NamedTuple
 
-from .involution import InnerClass, StrongX
+from .involution import InnerClass
+from .lattice import StrongX
 from .rootdata import InputError
 from .weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL, InvolutionTable
 
@@ -110,9 +116,11 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     One breadth-first pass: each element records its status letters and
     the keys of its cross and Cayley images as the search meets them;
     ids replace the keys once the elements are sorted.  Each unordered
-    cross edge is computed once; fixed points are unkeyed.  W acts on
-    KGB, so s_j is an involution: y = cross_j(x) has x as its j-th cross
-    image, recorded when y is met and not recomputed when y is processed.
+    cross edge is computed once; fixed points are unkeyed, and a real j
+    is one without a pairing, since the key rows pair to 0 with a real
+    coroot.  W acts on KGB, so s_j is an involution: y = cross_j(x) has
+    x as its j-th cross image, recorded when y is met and not recomputed
+    when y is processed.
     Each Cayley image is keyed once per type-I pair: at a noncompact
     imaginary j with y = s_j x not x, x and y have one Cayley image, since
     (nbr, s_j t) and (nbr, t) differ by a multiple of alpha_j^v, real at
@@ -120,13 +128,13 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     be processed takes the earlier one's Cayley key.  No word is built.
 
     Each (element, simple root) step reads the step row of the element's
-    twisted involution (_step_row) and pairs alpha_j with t once.  With
-    c = <alpha_j, t> and d = denom, y = t - c alpha_j^v mod d is the cross
-    image (InnerClass.cross) at a real or imaginary j; at a complex j it
-    is y plus (d/2) gamma^v, gamma^v read off the row.  At an imaginary
-    j, alpha_j is noncompact exactly when 2c plus the row's offset is 0
-    mod 2d (InnerClass.root_grading), and then (nbr, y) is the Cayley
-    transform (InnerClass.cayley).
+    twisted involution (_step_row) and pairs alpha_j with t once, at a
+    j that is not real.  With c = <alpha_j, t> and d = denom, y = t - c
+    alpha_j^v mod d is the cross image (InnerClass.cross) at an
+    imaginary j; at a complex j it is y plus (d/2) gamma^v, gamma^v read
+    off the row.  At an imaginary j, alpha_j is noncompact exactly when
+    2c plus the row's offset is 0 mod 2d (InnerClass.root_grading), and
+    then (nbr, y) is the Cayley transform (InnerClass.cayley).
     """
     orbit = seed_orbit(ic, form, orbit)
     table = ic.table
@@ -165,7 +173,10 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
         for j, (letter, nbr, a, av, gamma, offset) in enumerate(row):
             todo = cross[j] is None
             noncompact = False
-            if todo or offset is not None:
+            if letter == "r":
+                # the key rows pair to 0 with a real coroot: s_j x = x
+                cross[j] = key
+            elif todo or offset is not None:
                 c = sum(map(mul, a, t))
                 if gamma is not None:
                     y = tuple([(u - c * v + h * g) % d for u, v, g in zip(t, av, gamma)])
@@ -177,7 +188,7 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
                     if todo:
                         cross[j] = k = key if y == t else record((inv, y))
                         crosses[k][j] = key
-                    noncompact = offset is not None and (2 * c + offset) % (2 * d) == 0
+                    noncompact = (2 * c + offset) % (2 * d) == 0
             statuses.append("n" if noncompact else letter)
             if noncompact:
                 # the partner, when processed already, keyed the pair's image

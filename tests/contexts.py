@@ -11,7 +11,9 @@ from __future__ import annotations
 import copy
 
 from realred import lin
-from realred.involution import InvolutionLattice, inner_class
+from realred.delta import inner_class_involution
+from realred.involution import inner_class
+from realred.lattice import InvolutionLattice
 from realred.rootdata import (
     adjoint_generators,
     build_root_datum,
@@ -19,7 +21,7 @@ from realred.rootdata import (
     parse_kernel_generator,
     parse_lie_type,
 )
-from realred.weyl import REAL, InvolutionTable, inner_class_involution, involution_table
+from realred.weyl import REAL, InvolutionTable, involution_table
 
 # groups whose every Cartan class the fiber-orbit tests walk
 RECORD_GROUPS = [

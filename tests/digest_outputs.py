@@ -32,7 +32,7 @@ from realred.cartan import (
     format_real_weyl,
     real_weyl,
 )
-from realred.involution import format_real_form_menu, format_strong_real
+from realred.forms import format_real_form_menu, format_strong_real
 from realred.kgb import format_kgb, generate_kgb
 
 from contexts import context

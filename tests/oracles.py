@@ -116,8 +116,10 @@ from math import comb, lcm, prod
 
 from realred import lin, rootdata
 from realred.cartan import RealWeylDecomposition, _complex_factor, system_type
-from realred.involution import InnerClass, RankDecomposition, StrongX, inner_class
+from realred.diagram import components
+from realred.involution import InnerClass, inner_class
 from realred.kgb import KGB, KGBElement, seed_orbit
+from realred.lattice import RankDecomposition, StrongX
 from realred.rootdata import LieType, Root, adjoint_generators, build_root_datum, center_structure
 from realred.weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL, piece_chain, word_from_matrix
 
@@ -984,7 +986,7 @@ def reference_orbit_partition(ic, inv):
             [index[lin.vec_mod(lin.vec_add(k, s), d)] if b else i for s, b in zip(shifts, p)]
             for i, (k, p) in enumerate(zip(fkeys, points))
         ]
-        for comp in rootdata.components(images):
+        for comp in components(images):
             at = {i: m for m, i in enumerate(comp)}
             out.append((
                 key,

@@ -13,16 +13,13 @@ from hypothesis import strategies as st
 
 from realred import lin
 from realred.cartan import cartan_class, cartan_hasse, format_cartan_report, real_weyl
-from realred.involution import (
-    InnerClass,
-    InvolutionLattice,
-    _split_product,
-    format_real_form_menu,
-    format_strong_real,
-)
+from realred.delta import parse_units
+from realred.forms import _split_product, format_real_form_menu, format_strong_real
+from realred.involution import InnerClass
 from realred.kgb import generate_kgb
+from realred.lattice import InvolutionLattice
 from realred.rootdata import InputError, build_root_datum, dual_lie_type, parse_lie_type
-from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL, parse_units
+from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL
 
 from contexts import (
     RECORD_GROUPS, SMALL_TYPES, context, descent_from_a_point_off_every_fiber,
@@ -700,6 +697,20 @@ def test_x_key_and_lattice_of_an_id_off_the_table_are_input_errors(inv):
         with pytest.raises(InputError, match=f"no involution {inv!r}: there are 10 involutions"):
             read()
     assert set(ic._lattices) == {0}
+
+
+@pytest.mark.parametrize("inv", [True, False])
+def test_x_key_and_lattice_refuse_a_bool_id_with_or_without_a_record(inv):
+    # True == 1 and False == 0 as dict keys, so a bool id would read the
+    # record of the int it equals once that is built: refused on every call
+    ic = context("A3", "c")
+    for fresh in (True, False):
+        if not fresh:
+            ic.lattice(1)
+            assert ic.x_key((int(inv), (4, 0, 0)))[0] == int(inv)
+        for read in (lambda: ic.x_key((inv, (4, 0, 0))), lambda: ic.lattice(inv)):
+            with pytest.raises(InputError, match=f"no involution {inv!r}: there are 10"):
+                read()
 
 
 @pytest.mark.parametrize("t", [(4, 0), (4, 0, 0, 1), ()])

@@ -430,16 +430,21 @@ def test_kgb_computes_each_edge_once(text, letters, kernel, form):
     ic.x_key = lambda x: keyed.append(x) or x_key(x)
     g = generate_kgb(ic, form)
     del ic.x_key
-    # keys: the seeds, each cross image that moves t, once per unordered
-    # edge: a pair {x, s_j x} once, a fixed point not at all; and each
-    # Cayley image, once per type-I pair {x, s_j x} (one image for both)
-    # and once per type-II element (s_j x = x)
+    # keys: the seeds, each cross image that moves t at a root that is not
+    # real, once per unordered edge: a pair {x, s_j x} once, a fixed point
+    # not at all; and each Cayley image, once per type-I pair {x, s_j x}
+    # (one image for both) and once per type-II element (s_j x = x).  A
+    # real root fixes the key, so a real loop is not keyed even where s_j
+    # moves t
     n = ic.rd.semisimple_rank
     seeds = len(ic.fundamental_orbits[g.orbit].members)
     loops = [[e for e in g.elements if e.cross[j] == e.id] for j in range(n)]
     assert all((g.size - len(loops[j])) % 2 == 0 for j in range(n))
     pairs = sum(g.size - len(loops[j]) for j in range(n)) // 2
-    moved = sum(ic.cross(j, e.rep) != e.rep for j in range(n) for e in loops[j])
+    moves = [(j, e, ic.cross(j, e.rep)) for j in range(n) for e in loops[j]]
+    moved = sum(y != e.rep for j, e, y in moves if e.statuses[j] != "r")
+    real = [y for j, e, y in moves if e.statuses[j] == "r" and y != e.rep]
+    assert real and not set(real) & set(keyed)
     noncompact = [(e, j) for e in g.elements for j in range(n) if e.statuses[j] == "n"]
     type_one = [(e, j) for e, j in noncompact if e.cross[j] != e.id]
     assert type_one and len(type_one) < len(noncompact) and len(type_one) % 2 == 0

@@ -8,7 +8,7 @@ import pytest
 
 from realred import lin
 from realred.cartan import cartan_class, cartan_hasse, real_weyl
-from realred.involution import InvolutionLattice
+from realred.lattice import InvolutionLattice
 from realred.kgb import generate_kgb
 from realred.rootdata import (
     RootDatum,

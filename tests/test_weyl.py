@@ -15,17 +15,16 @@ from hypothesis import strategies as st
 from realred import lin, weyl
 from realred.involution import InnerClass
 from realred.rootdata import InputError, build_root_datum, parse_lie_type
+from realred.delta import INCOMPATIBLE, parse_units
 from realred.weyl import (
     COMPLEX_DOWN,
     COMPLEX_UP,
     IMAGINARY,
-    INCOMPATIBLE,
     REAL,
     InvolutionTable,
     compose,
     involution_table,
     normal_form_word,
-    parse_units,
     word_from_matrix,
 )
 
