@@ -308,6 +308,14 @@ class InvolutionTable:
         n = len(self.simple)
         return tuple(zip(self.kinds(i), self._nbrs[i * n:(i + 1) * n]))
 
+    def _id(self, i: int) -> int:
+        """i, when it is an id of the table: a negative i would read the
+        rows and thetas from the end.  Raises IndexError otherwise; kinds
+        and status test the same inline."""
+        if not 0 <= i < len(self.thetas):
+            raise IndexError(f"no involution {i}")
+        return i
+
     def kinds(self, i: int) -> str:
         """The kinds of the simple roots at involution i, as one string."""
         if not 0 <= i < len(self.thetas):
@@ -320,6 +328,8 @@ class InvolutionTable:
         n = len(self.simple)
         if not 0 <= j < n:
             raise IndexError(f"no simple root {j}")
+        if not 0 <= i < len(self.thetas):
+            raise IndexError(f"no involution {i}")
         p = i * n + j
         return self._kinds[p], self._nbrs[p]
 
@@ -331,7 +341,9 @@ class InvolutionTable:
         """Displayed reduced word of w = theta.delta, delta being an involution."""
         out = self._words.get(i)
         if out is None:
-            out = self._words[i] = normal_form_word(self, compose(self.thetas[i], self.thetas[0]))
+            out = self._words[i] = normal_form_word(
+                self, compose(self.thetas[self._id(i)], self.thetas[0])
+            )
         return out
 
     def word_length(self, i: int) -> int:
@@ -351,14 +363,14 @@ class InvolutionTable:
         """The positive roots fixed by theta_i, kept per involution."""
         out = self._imaginary.get(i)
         if out is None:
-            out = self._imaginary[i] = self._roots(i, 0)
+            out = self._imaginary[i] = self._roots(self._id(i), 0)
         return out
 
     def real_roots(self, i: int) -> tuple[int, ...]:
         """The positive roots negated by theta_i, kept per involution."""
         out = self._real.get(i)
         if out is None:
-            out = self._real[i] = self._roots(i, len(self.reflections))
+            out = self._real[i] = self._roots(self._id(i), len(self.reflections))
         return out
 
     def _roots(self, i: int, shift: int) -> tuple[int, ...]:

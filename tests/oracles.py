@@ -5,7 +5,12 @@ that replaced it in the library moved it here; the rest are brute-force
 checks written with the commit named, and known tables from outside the
 code, whose row names their source in place of a commit.  ``git show
 <commit>`` gives the change and its CHANGES.md entry; a commit written
-``abc1234+`` is the child of abc1234.
+``abc1234+`` is the child of abc1234.  theta*, the descent to the base
+fiber and reduced words have one reference each, which the tests compare
+the library with directly: is_theta_star, reference_inverse_cayley (read
+by the last-step descent of test_involution) and the stripping words.
+test_optimized_mode checks that every row below names a function defined
+here and tests that exist, and that every reference has a reader.
 
 =====================================  ======== ==========================================
 reference                              commit   compared in
@@ -15,24 +20,22 @@ reference_f2_rank                      56363da  test_lin: test_f2_rank,
 reference_smith_form                   3a5b6df+ test_lin: test_smith_form_matches_reference,
                                                 test_smith_form_matches_reference_on_involutions
 reference_mat_inverse_rational         56363da  none: 2bf5db0+ deleted lin.mat_inverse_rational;
-                                                the inverse in weyl_matrix and reference_to_ad
-reference_word_from_matrix             fb8e621  test_weyl: test_normal_form_matches_matrix_reference
-reference_normal_form_word             fb8e621  test_weyl: test_normal_form_matches_matrix_reference,
+                                                the inverse in reference_to_ad
+reference_strip                        c24662c  test_weyl: test_table_words_match_stripping_reference,
+                                                test_normal_form_matches_matrix_reference,
                                                 test_table_words_match_matrix_reference;
                                                 test_involution: test_reflection_words_are_normal_forms
-reference_strip                        c24662c  test_weyl: test_table_words_match_stripping_reference
 reference_strip_word_from_matrix       c24662c  (as above)
 reference_strip_normal_form_word       c24662c  (as above)
 reference_table                        c77e33d  test_weyl: test_table_matches_full_permutation_search,
                                                 test_cayley_matches_full_permutation_search
 reference_canonical_member             c048f3b  test_weyl: test_canonical_member_matches_scan
 reference_classes                      56363da  (as above)
-weyl_theta_star                        afb6624  test_kgb: test_theta_star_read_after_a_kgb_search_matches_weyl_matrix
-reference_theta_stars                  1312d46+ test_involution: test_theta_star_and_rho_drop_match_weyl_matrix
-reference_theta_star                   c7504b3+ test_involution: test_closed_form_theta_star_matches_chain_reference
-coreflection_times                     c7504b3+ test_lin: test_coreflection_products_match_mat_mul
+is_theta_star                          2b22e31+ test_involution: test_theta_star_and_rho_drop_match_weyl_matrix,
+                                                test_closed_form_theta_star_matches_chain_reference;
+                                                test_kgb: test_theta_star_read_after_a_kgb_search_matches_weyl_matrix
+reference_rho_check_drop               afb6624  test_involution: test_theta_star_and_rho_drop_match_weyl_matrix
 reference_grading_offset               c7504b3+ test_involution: test_simple_grading_offsets_match_heights_reference
-reference_rho_check_drop               afb6624  (as above)
 rank_decomposition                     daae08c  test_involution: test_cached_ranks_match_reference,
                                                 test_theta_star_and_rho_drop_match_weyl_matrix
 square_key_if_valid                    56363da  test_involution: test_cross_and_cayley_preserve_squares,
@@ -42,22 +45,14 @@ reference_central_reduce               4081506  (as above)
 reference_central_translates           4081506  (as above)
 reference_central_class_key            4081506  (as above)
 reference_x_key                        afb6624  test_involution: test_fiber_keys_and_inverse_cayley_match_references
-first_inverse_cayley                   efee2e3+ test_involution: test_fiber_keys_and_inverse_cayley_match_references,
-                                                test_real_form_of_and_gradings_match_reference_on_the_grid
-reference_real_form_of                 efee2e3+ test_involution:
-                                                test_real_form_of_and_gradings_match_reference_on_the_grid
-inverse_cayley                         8e0a084+ test_involution: test_cross_and_cayley_preserve_squares,
-                                                test_cayley_rejects_roots_of_the_wrong_kind,
+reference_inverse_cayley               afb6624  test_involution: test_cross_and_cayley_preserve_squares,
                                                 test_descent_is_path_independent,
-                                                test_fiber_keys_and_inverse_cayley_match_references,
-                                                test_inverse_cayley_candidates_square_like_x
-reference_inverse_cayley               afb6624  test_involution: test_fiber_keys_and_inverse_cayley_match_references
-reference_two_offset_inverse_cayley    c048f3b  (as above)
-reference_fiber_elements               a23a4d8  (as above)
+                                                test_real_form_of_and_gradings_match_reference_on_the_grid,
+                                                test_fiber_keys_and_inverse_cayley_match_references
+reference_fiber_elements               a23a4d8  test_involution: test_fiber_keys_and_inverse_cayley_match_references
 reference_orbit_partition              f393d93+ test_involution: test_orbit_partition_matches_point_by_point_reference,
                                                 test_orbit_partition_and_strong_counts_match_reference_on_the_grid
-reference_key_rows                     9d1bd91+ test_involution: test_fiber_keys_and_inverse_cayley_match_references,
-                                                test_theta_star_and_rho_drop_match_weyl_matrix
+reference_key_rows                     9d1bd91+ test_involution: test_fiber_keys_and_inverse_cayley_match_references
 reference_kgb_order                    9d1bd91+ digest_outputs: the kgb_smith_order and
                                                 kgb_reps_smith_order digests
 reference_csc_bits                     b5d4c8b  test_involution: test_closed_form_grading_matches_transport
@@ -102,8 +97,7 @@ richardson_class_count                 (source) test_weyl: test_class_count_matc
 The other functions here are the helpers these need, and exact
 matrices and closures that tests check the library's values against:
 ``det``, ``reflections``, ``coreflections``, ``reflection_matrix``,
-``weyl_matrix``, ``weyl_images``, ``weyl_closure``, ``as_permutation``
-and ``vector_reflections``.
+``weyl_closure``, ``as_permutation`` and ``vector_reflections``.
 """
 
 from __future__ import annotations
@@ -275,7 +269,7 @@ def reference_mat_inverse_rational(a: lin.Matrix) -> tuple[lin.Matrix, int]:
     return lin.freeze([[x * den for x in row] for row in inv]), den
 
 
-# -- reflections and Weyl matrices ---------------------------------------
+# -- reflections and theta* ---------------------------------------------
 
 
 def reflection_matrix(rd, root):
@@ -301,108 +295,61 @@ def coreflections(rd: rootdata.RootDatum) -> tuple[lin.Matrix, ...]:
 
 
 @cache
-def _cartan_inverse(cartan: lin.Matrix) -> tuple[lin.Matrix, int]:
-    return reference_mat_inverse_rational(cartan)
-
-
-def weyl_matrix(rd, images: tuple[int, ...]) -> lin.Matrix:
-    """Matrix on characters of the w sending simple root j to root images[j].
-
-    w(x) = x + sum_k <x, coroot_k> u_k, where u_k = w(omega_k) - omega_k
-    for the fundamental weights omega_k.  Writing row j of E for the
-    simple-root coordinates of w(alpha_j), the u_k have simple-root
-    coordinates C^-1 (E - 1), with C the Cartan matrix.
-    """
-    n = rd.rank
-    if not images:
-        return lin.identity(n)
-    npos = len(rd.positive_roots)
-    e_minus_1 = [
-        [(c if k < npos else -c) - (1 if l == j else 0)
-         for l, c in enumerate(rd.positive_roots[k % npos].coeffs)]
-        for j, k in enumerate(images)
-    ]
-    num, den = _cartan_inverse(rd.cartan)
-    f = lin.mat_mul(num, lin.freeze(e_minus_1))
-    assert not any(x % den for row in f for x in row)
-    u = lin.mat_mul(lin.freeze([[x // den for x in row] for row in f]), rd.simple_roots)
-    return lin.mat_add(lin.identity(n), lin.mat_mul(lin.transpose(u), rd.simple_coroots))
-
-
-def weyl_images(table, i: int) -> tuple[int, ...]:
-    """Root indices of w(alpha_j), for theta_i = w.delta."""
-    theta, delta = table.thetas[i], table.thetas[0]
-    return tuple(theta[delta[s]] for s in table.simple)
-
-
-def weyl_theta_star(ic, inv: int) -> lin.Matrix:
-    """theta* at inv from the Weyl matrix of w, theta_inv = w.delta."""
-    w = weyl_matrix(ic.rd, weyl_images(ic.table, inv))
-    return lin.transpose(lin.mat_mul(w, ic.delta.matrix))
-
-
-def reference_theta_stars(ic) -> list[lin.Matrix]:
-    """theta* at every involution, in id order, each from its table parent's.
-
-    The parent is the one InnerClass.lattice picks: the neighbour at the
-    first complex descent j, else at the first real j.  theta = s_j
-    theta_nbr s_j after a complex descent and s_j theta_nbr after a real
-    step, with weyl_matrix giving s_j, and theta_0 = delta.  Each theta is
-    checked to send every simple root to the root the table's bytes name:
-    two elements of W.delta that agree there are equal, so each matrix is
-    weyl_theta_star's, at one or two matrix products per involution.
-    """
-    table, rd = ic.table, ic.rd
-    s = [weyl_matrix(rd, tuple(table.reflections[j][k] for k in table.simple))
-         for j in table.simple]
-    thetas = [ic.delta.matrix]
-    for inv in range(1, len(table)):
-        kinds = table.kinds(inv)
-        j = kinds.find(COMPLEX_DOWN)
-        complex_step = j >= 0
-        if not complex_step:
-            j = kinds.find(REAL)
-        theta = lin.mat_mul(s[j], thetas[table.status(inv, j)[1]])
-        if complex_step:
-            theta = lin.mat_mul(theta, s[j])
-        images = table.thetas[inv]
-        assert all(lin.mat_vec(theta, a) == rd.roots[images[k]]
-                   for a, k in zip(rd.simple_roots, table.simple))
-        thetas.append(theta)
-    return [lin.transpose(theta) for theta in thetas]
-
-
-def coreflection_times(m: lin.Matrix, a: lin.Vector, av: lin.Vector) -> lin.Matrix:
-    """(1 - av a^T) m: row i loses av_i (a^T m); the rows with av_i = 0 are
-    m's own."""
-    am = [sum(x * y for x, y in zip(a, col)) for col in zip(*m)]
-    return tuple(
-        tuple([x - c * y for x, y in zip(row, am)]) if c else row for row, c in zip(m, av)
-    )
-
-
-def reference_theta_star(ic) -> list[lin.Matrix]:
-    """theta* at every involution, in id order, by the walk InnerClass.lattice
-    took before theta* had a closed form.
-
-    Each theta* comes from the table parent's, at the first simple root j
-    that is a complex descent, else at the first real one: with C_j = 1 -
-    alpha_j^v alpha_j^T, it is C_j theta*_nbr C_j after a complex descent
-    (theta = s_j nbr s_j) and theta*_nbr C_j after a real step (theta =
-    s_j nbr), one or two rank-one updates; delta* at the base.
-    """
-    table, rd = ic.table, ic.rd
-    out = [ic._dstar]
-    for inv in range(1, len(table)):
-        kinds = table.kinds(inv)
-        j = kinds.find(COMPLEX_DOWN)
-        complex_step = j >= 0
-        if not complex_step:
-            j = kinds.find(REAL)
-        a, av = rd.simple_roots[j], rd.simple_coroots[j]
-        theta = lin.times_coreflection(out[table.status(inv, j)[1]], a, av)
-        out.append(coreflection_times(theta, a, av) if complex_step else theta)
+def _coroot_of(rd) -> dict[lin.Vector, lin.Vector]:
+    """The coroot of each root, keyed by the root's vector."""
+    out = {r.vec: r.covec for r in rd.positive_roots}
+    out.update({lin.vec_neg(r.vec): lin.vec_neg(r.covec) for r in rd.positive_roots})
     return out
+
+
+@cache
+def _radical_cocharacters(rd) -> tuple[lin.Vector, ...]:
+    """A basis of the cocharacters that pair to 0 with every root: the
+    kernel of the simple roots, from their reduced row echelon form over
+    Fraction, each vector scaled to integers."""
+    n = rd.rank
+    rows = [[Fraction(x) for x in a] for a in rd.simple_roots]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    out = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(n)]
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free]
+        den = lcm(*(x.denominator for x in v))
+        out.append(tuple(int(x * den) for x in v))
+    return tuple(out)
+
+
+def is_theta_star(ic, inv: int, m: lin.Matrix) -> bool:
+    """Whether m is theta* at inv, by the equations that fix it.
+
+    theta = w.delta sends each simple root alpha_j to the root that the
+    table's permutation names, so theta* sends alpha_j^v to that root's
+    coroot; w fixes each cocharacter z that pairs to 0 with every root,
+    so theta* z = delta* z.  No nonzero sum of simple coroots pairs to 0
+    with every simple root, the Cartan matrix being invertible, so the
+    simple coroots and a basis of such z span the cocharacters over Q,
+    and these n equations fix theta*.
+    """
+    rd = ic.rd
+    theta, coroot, z = ic.table.thetas[inv], _coroot_of(rd), _radical_cocharacters(rd)
+    assert len(rd.simple_roots) + len(z) == rd.rank
+    dstar = lin.transpose(ic.delta.matrix)
+    images = [(av, coroot[rd.roots[theta[rd.root_index[a]]]])
+              for a, av in zip(rd.simple_roots, rd.simple_coroots)]
+    images += [(v, lin.mat_vec(dstar, v)) for v in z]
+    return all(lin.mat_vec(m, v) == image for v, image in images)
 
 
 def reference_grading_offset(ic, inv: int, k: int) -> int:
@@ -437,55 +384,6 @@ def as_permutation(rd, m):
 
 
 # -- words ----------------------------------------------------------------
-
-# The matrix algorithm that computed words before they were read off root
-# permutations: strip simple reflections from a (matrix, inverse) pair.
-
-
-def reference_word_from_matrix(rd, m, minv):
-    """Lexicographically least reduced word, by greedy least left descent."""
-    ident = lin.identity(rd.rank)
-    npos = len(rd.positive_roots)
-    word = []
-    while m != ident:
-        j = next(
-            j for j in range(rd.semisimple_rank)
-            if rd.root_index[lin.mat_vec(minv, rd.simple_roots[j])] >= npos
-        )
-        word.append(j)
-        s = reflections(rd)[j]
-        m = lin.mat_mul(s, m)
-        minv = lin.mat_mul(minv, s)
-    return tuple(word)
-
-
-def reference_normal_form_word(rd, m, minv):
-    """Reduced word as a product of minimal parabolic-coset pieces."""
-    chain = piece_chain(rd)
-    npos = len(rd.positive_roots)
-    pieces = []
-    for pos in range(len(chain) - 1, -1, -1):
-        allowed = chain[:pos]
-        xm, xminv = m, minv
-        stripped = True
-        while stripped:
-            stripped = False
-            for s in allowed:
-                if rd.root_index[lin.mat_vec(xminv, rd.simple_roots[s])] >= npos:
-                    refl = reflections(rd)[s]
-                    xm = lin.mat_mul(refl, xm)
-                    xminv = lin.mat_mul(xminv, refl)
-                    stripped = True
-                    break
-        pieces.append(reference_word_from_matrix(rd, xm, xminv))
-        m = lin.mat_mul(m, xminv)
-        minv = lin.mat_mul(xm, minv)
-    assert m == lin.identity(rd.rank)
-    out = []
-    for w in reversed(pieces):
-        out.extend(w)
-    return tuple(out)
-
 
 # The permutation algorithm that computed words before the walk on the
 # pairings of w(2 rho): strip left descents one at a time, composing a
@@ -797,141 +695,32 @@ def reference_kgb_order(ic, kgb):
     ))
 
 
-def first_inverse_cayley(ic: InnerClass, j: int, nbr: int, t: lin.Vector) -> StrongX | None:
-    """An inverse Cayley transform of (inv, t) through the simple root j,
-    real at inv, to nbr; None when there is none.  Keys nothing.
-
-    InnerClass._first_inverse_cayley until efee2e3+, which fused it into
-    the descent step of InnerClass.real_form_of.  With d = denom and base
-    = s_j t, the candidates are (nbr, u), u = base + c alpha_j^v, and
-    alpha_j, simple imaginary at nbr, is noncompact there when <alpha_j,
-    u> = <alpha_j, base> + 2c = d/2 mod d (root_grading).  With r = d/2 -
-    <alpha_j, base> mod d, that is no c when r is odd, else c = r/2 or
-    r/2 + d/2; this is the first.  Raises RuntimeError when the candidate
-    is compact.
-    """
-    d = ic.denom
-    base = ic._reflect(j, t)
-    r = (d // 2 - lin.vec_dot(ic.rd.simple_roots[j], base)) % d
-    if r % 2:
-        return None
-    av = ic.rd.simple_coroots[j]
-    cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, r // 2)), d))
-    if not ic.grading(cand, j):
-        raise RuntimeError("an inverse Cayley candidate is compact")
-    return cand
-
-
-def reference_real_form_of(ic: InnerClass, x: StrongX) -> int:
-    """InnerClass.real_form_of until efee2e3+: the same descent, step by step.
-
-    A complex descent is the generic cross action (InnerClass.cross), a
-    real step the first inverse Cayley candidate (first_inverse_cayley),
-    and the base point is graded one root_grading per imaginary basis root.
-    """
-    inv, _ = x
-    table = ic.table
-    while table.lengths[inv] > 0:
-        kinds = table.kinds(inv)
-        down = kinds.find(COMPLEX_DOWN)
-        if down >= 0:
-            x = ic.cross(down, x)
-        else:
-            for j, kind in enumerate(kinds):
-                if kind == REAL:
-                    cand = first_inverse_cayley(ic, j, table.status(inv, j)[1], x[1])
-                    if cand is not None:
-                        x = cand
-                        break
-            else:
-                raise RuntimeError("strong involution admits no descent")
-        inv = x[0]
-    basis = ic.table.imaginary_basis(0)
-    return ic._fundamental.form_at[tuple(ic.root_grading(x, k) for k in basis)]
-
-
-def inverse_cayley(ic: InnerClass, j: int, x: StrongX) -> tuple[StrongX, ...]:
-    """Valid inverse Cayley transforms through a real simple root.
-
-    InnerClass.inverse_cayley until 8e0a084+, which left the library only
-    its first candidate (first_inverse_cayley), found here afresh.  With
-    d = denom and base = s_j t, these are the candidates (nbr, u), u =
-    base + c alpha_j^v, at which alpha_j, simple imaginary at nbr, is
-    noncompact: <alpha_j, u> = <alpha_j, base> + 2c = d/2 mod d
-    (root_grading).  With r = d/2 - <alpha_j, base> mod d, that is no c
-    when r is odd, else c = r/2 and r/2 + d/2, in that order.  So this is
-    the scan of all d offsets: no compact candidate shares a key with
-    these, as the key rows span alpha_j, theta-fixed at nbr.  Offsets c,
-    c' give one key when c key(alpha_j^v) = c' key(alpha_j^v).  Every
-    candidate squares into the class of x (InnerClass.real_form_of), so
-    none is keyed.  Raises ValueError when j is not real at x.
-    """
+def reference_inverse_cayley(ic, j, x):
+    """The inverse Cayley transforms of x = (inv, t) through the simple
+    root j, real at inv, one per key: every offset c of the coroot line
+    (nbr, s_j t + c alpha_j^v) is scanned, with coreflection matrices, and
+    kept where it squares into the class of x and alpha_j is noncompact
+    (grading).  Raises ValueError when j is not real at inv."""
     inv, t = x
-    kind, nbr = ic.table.status(inv, j)
+    kind, nbr = ic.table.status_row(inv)[j]
     if kind != REAL:
         raise ValueError(f"simple root {j} is not real at involution {inv}")
-    first = first_inverse_cayley(ic, j, nbr, t)
-    if first is None:
-        return ()
-    d = ic.denom
-    av = ic.rd.simple_coroots[j]
-    # the offset r/2 + d/2 gives a second key unless (d/2) key(alpha_j^v) = 0
-    if all(d // 2 * b % d == 0 for b in ic.x_key((nbr, av))[1]):
-        return (first,)
-    second = (nbr, lin.vec_mod(lin.vec_add(first[1], lin.vec_scale(av, d // 2)), d))
-    if not ic.grading(second, j):
-        raise RuntimeError("an inverse Cayley candidate is compact")
-    return first, second
-
-
-def reference_inverse_cayley(ic, j, x):
-    """Every offset of the coroot line scanned, with coreflection matrices."""
-    inv, t = x
-    _, nbr = ic.table.status_row(inv)[j]
     d = ic.denom
     key = ic.central_class_key(ic._square_numerators(x), d)
     base = lin.mat_vec(coreflections(ic.rd)[j], t)
     av = ic.rd.simple_coroots[j]
+    rows = reference_key_rows(ic, nbr)
     out = []
     seen = set()
     for c in range(d):
         cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
         if square_key_if_valid(ic, cand) != key:
             continue
-        k = reference_x_key(ic, cand)
+        k = reference_x_key(ic, cand, rows)
         if k not in seen:
             seen.add(k)
             if ic.grading(cand, j):
                 out.append(cand)
-    return tuple(out)
-
-
-def reference_two_offset_inverse_cayley(ic, j, x):
-    """The two noncompact offsets, each keyed by its own square class."""
-    inv, t = x
-    _, nbr = ic.table.status_row(inv)[j]
-    d = ic.denom
-    base = ic._reflect(j, t)
-    r = (d // 2 - lin.vec_dot(ic.rd.simple_roots[j], base)) % d
-    if r % 2:
-        return ()
-    key = ic.central_class_key(ic._square_numerators(x), d)
-    av = ic.rd.simple_coroots[j]
-    out = []
-    seen = set()
-    key_av = None
-    for c in (r // 2, r // 2 + d // 2):
-        cand = (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
-        if square_key_if_valid(ic, cand) != key:
-            continue
-        if key_av is None:
-            key_av = ic.x_key((nbr, av))[1]
-        k = tuple(c * b % d for b in key_av)
-        if k in seen:
-            continue
-        seen.add(k)
-        assert ic.grading(cand, j)
-        out.append(cand)
     return tuple(out)
 
 

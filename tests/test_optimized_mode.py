@@ -1,13 +1,15 @@
 """Results must not depend on assert statements, which python -O strips.
 
-Also checks what the library imports, that its packaging resolves, and
-that the test modules share code only through contexts and oracles."""
+Also checks what the library imports, that its packaging resolves, that
+the test modules share code only through contexts and oracles, and that
+the index of oracles.py names live functions, tests and readers."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -22,6 +24,7 @@ from realred.kgb import format_kgb, generate_kgb
 from contexts import context
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "realred"
+TESTS = Path(__file__).resolve().parent
 
 GROUPS = [
     ("B3", "s", None), ("A3", "c", "ad"), ("A3", "c", None), ("B4", "s", "ad"),
@@ -349,4 +352,52 @@ def test_no_test_module_imports_another():
         for path in sorted(Path(__file__).resolve().parent.glob("test_*.py"))
         for line, name in imported_modules(path) if name.startswith("test_")
     ]
+    assert found == []
+
+
+def top_level_functions(tree):
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_oracle_index_names_live_functions_tests_and_readers():
+    # a row that a deleted reference, test or reader leaves behind fails here
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    lines = ast.get_docstring(tree).splitlines()
+    rules = [k for k, line in enumerate(lines) if line.startswith("=====")]
+    assert len(rules) == 3
+    rows = {}
+    for line in lines[rules[1] + 1:rules[2]]:
+        if line.startswith(" "):
+            rows[name] += " " + line.strip()
+        else:
+            name, _, rows[name] = line.split(maxsplit=2)
+    defined = top_level_functions(tree)
+    found = [f"no function {name}" for name in rows if name not in defined]
+    modules = {
+        path.stem: ast.parse(path.read_text()) for path in TESTS.glob("*.py")
+        if path.name != "oracles.py"
+    }
+    # a test name belongs to the module named before it in the row
+    for name, text in rows.items():
+        module = None
+        for head, test in re.findall(r"\b(\w+):|\b(test_\w+)", text):
+            if head:
+                module = head
+            elif module not in modules or test not in top_level_functions(modules[module]):
+                found.append(f"{name}: no {module}.{test}")
+    helpers = set(re.findall(r"``(\w+)``", "\n".join(lines[rules[2]:])))
+    public = {name for name in defined if not name.startswith("_")}
+    found += [f"no row for {name}" for name in sorted(public - set(rows) - helpers)]
+    found += [f"no function {name}" for name in sorted(helpers - set(defined))]
+    # a reader is a test file, or another function of oracles.py
+    read = {
+        node.id for module in modules.values()
+        for node in ast.walk(module) if isinstance(node, ast.Name)
+    }
+    read |= {
+        node.id for name, fn in defined.items()
+        for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id != name
+    }
+    found += [f"no reader of {name}" for name in rows if name not in read]
+    assert len(rows) > 30 and helpers
     assert found == []

@@ -33,10 +33,10 @@ from contexts import (
     walk_from_corrupted_row,
 )
 from oracles import (
-    as_permutation, reference_canonical_member, reference_classes, reference_normal_form_word,
-    reference_imaginary_basis, reference_simple_basis, richardson_class_count,
-    reference_strip_normal_form_word, reference_table, reference_word_from_matrix, reflections,
-    vector_reflections, weyl_closure, weyl_images, weyl_matrix,
+    as_permutation, reference_canonical_member, reference_classes, reference_imaginary_basis,
+    reference_simple_basis, richardson_class_count, reference_strip_normal_form_word,
+    reference_strip_word_from_matrix, reference_table, reflections, vector_reflections,
+    weyl_closure,
 )
 
 
@@ -130,24 +130,23 @@ def test_braid_relations(text, i, j, m):
 def test_normal_form_matches_matrix_reference(text):
     rd = involution(text, "c").rd
     table = simple_table(rd)
-    ident = lin.identity(rd.rank)
-    # every element as (matrix, inverse matrix, root permutation)
-    seen = {tuple(range(len(rd.roots))): (ident, ident)}
+    # every element as (root permutation, matrix)
+    seen = {tuple(range(len(rd.roots))): lin.identity(rd.rank)}
     frontier = list(seen.items())
     while frontier:
         nxt = []
-        for w, (m, minv) in frontier:
+        for w, m in frontier:
             for j, s in enumerate(reflections(rd)):
                 w2 = tuple(map(w.__getitem__, table.reflections[table.simple[j]]))
                 if w2 not in seen:
-                    seen[w2] = (lin.mat_mul(m, s), lin.mat_mul(s, minv))
+                    seen[w2] = lin.mat_mul(m, s)
                     nxt.append((w2, seen[w2]))
         frontier = nxt
     assert len(seen) == {"A3": 24, "B3": 48, "G2": 12, "D4": 192}[text]
-    for w, (m, minv) in seen.items():
+    for w, m in seen.items():
         assert as_permutation(rd, m) == w
-        assert normal_form_word(table, w) == reference_normal_form_word(rd, m, minv)
-        assert word_from_matrix(table, w) == reference_word_from_matrix(rd, m, minv)
+        assert normal_form_word(table, w) == reference_strip_normal_form_word(table, w)
+        assert word_from_matrix(table, w) == reference_strip_word_from_matrix(table, w)
 
 
 def test_normal_form_refuses_pairings_off_the_orbit_of_two_rho():
@@ -168,11 +167,13 @@ def test_table_words_match_matrix_reference(text, letters, kernel):
     table = involution_table(d)
     for i, theta in enumerate(table.thetas):
         w = tuple(map(theta.__getitem__, table.thetas[0]))
-        winv = tuple(sorted(range(len(w)), key=w.__getitem__))
-        m = weyl_matrix(rd, weyl_images(table, i))
-        minv = weyl_matrix(rd, tuple(winv[s] for s in table.simple))
-        assert lin.mat_mul(m, minv) == lin.identity(rd.rank)
-        assert table.word(i) == reference_normal_form_word(rd, m, minv)
+        word = table.word(i)
+        assert word == reference_strip_normal_form_word(table, w)
+        # the word's product of reflection matrices is w
+        m = lin.identity(rd.rank)
+        for j in word:
+            m = lin.mat_mul(m, reflections(rd)[j])
+        assert as_permutation(rd, m) == w
 
 
 # -- inner class letters ----------------------------------------------
@@ -517,6 +518,20 @@ def test_status_reads_the_status_row(text, letters):
         table.status(0, n)
     with pytest.raises(IndexError):
         table.status_row(len(table))
+
+
+def test_table_readers_refuse_an_id_off_the_table():
+    # a negative id would read the last involution's row and theta, and a
+    # cached reader would keep what it read under that id
+    table = involution_table(involution("A3", "c"))
+    readers = (table.kinds, lambda i: table.status(i, 0), table.word, table.imaginary_roots,
+               table.real_roots, table.imaginary_basis)
+    for i in (-1, -len(table), len(table)):
+        for read in readers:
+            with pytest.raises(IndexError, match=f"no involution {i}"):
+                read(i)
+    caches = (table._words, table._imaginary, table._real, table._imaginary_bases)
+    assert not any(k < 0 or k >= len(table) for cache in caches for k in cache)
 
 
 @pytest.mark.parametrize("text,letters,size", [
