@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import lin
 from .diagram import arms, components
 from .fiber import FiberOrbit
-from .forms import StrongOrbit, strong_orbits
+from .forms import StrongOrbit, orbit_lines, strong_orbits
 from .involution import InnerClass
 from .lattice import RankDecomposition
 from .rootdata import InputError
@@ -309,10 +309,7 @@ def format_cartan_block(cc: CartanClass) -> list[str]:
         _system_line("real root system", cc.real_type),
         _system_line("complex factor", cc.complex_type),
     ]
-    for e in cc.partition:
-        members = ",".join(str(m) for m in e.members)
-        lines.append(f"real form #{e.form}: [{members}] ({len(e.members)})")
-    return lines
+    return lines + orbit_lines(cc.partition)
 
 
 def format_cartan_report(ic: InnerClass, form: int) -> list[str]:

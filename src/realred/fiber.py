@@ -32,6 +32,7 @@ from typing import NamedTuple
 from . import lin
 from .diagram import components
 from .lattice import StrongX
+from .rootdata import InputError
 
 # one orbit on a fiber: (square-class key, members, moves, points as in FiberOrbit)
 OrbitPart = tuple[
@@ -152,7 +153,9 @@ class Fibers:
 
     def _fiber(self, inv: int, key: tuple) -> Fiber | None:
         """The fiber over inv of the square class key, None when the class is
-        not realized over inv; built once and kept in _fibers.
+        not realized over inv; built once and kept in _fibers.  Raises
+        InputError on a miss unless key is the key of a realized square
+        class (_realized_keys).
 
         The generators are (d/2) c_i, d = denom, for the Smith columns c_i
         of 1 + theta* at divisor 2; keys are linear in t, so the key masks
@@ -163,6 +166,8 @@ class Fibers:
         """
         if (inv, key) in self._fibers:
             return self._fibers[(inv, key)]
+        if key not in self._realized_keys:
+            raise InputError(f"no square class {key!r}; realized: {self._realized_keys}")
         d, cd = self.denom, self.cd
         rep = self._class_rep(key)
         if any(v * d % cd for v in rep):

@@ -7,8 +7,10 @@ Each is named per unit of delta.units from its noncompact root counts
 and, for an equal-rank D factor, its half-spin tag.  real_form_of
 descends from x to involution 0, pairing alpha_j with t once per step,
 a cross action or an inverse Cayley transform, and reads the form off
-the base point's gradings.  The report lines of the menu and of the
-strong real forms at a Cartan class are built here too.
+the base point's gradings at imaginary_basis(0), from the base's
+grading row (InnerClass._grading_row).  The report lines of the menu
+and of the strong real forms at a Cartan class, one orbit line each
+(orbit_lines, which the Cartan report prints too), are built here too.
 """
 
 from __future__ import annotations
@@ -45,18 +47,12 @@ class StrongOrbit(NamedTuple):
 
 
 class FundamentalFiber(NamedTuple):
-    """The base fiber's orbits and what they number (RealForms._fundamental).
-
-    row holds (alpha, _grading_offset) of each root of imaginary_basis(0),
-    in that order: the base's grading row at the basis, which gives the
-    point of a base point in the adjoint fiber, the key of form_at.
-    """
+    """The base fiber's orbits and what they number (RealForms._fundamental)."""
 
     orbits: tuple[FiberOrbit, ...]
     forms: tuple[tuple, ...]
     square_classes: tuple[SquareClass, ...]
     form_at: dict[tuple[bool, ...], int]
-    row: tuple[tuple[lin.Vector, int], ...]
 
 
 _TORUS_NAMES = {"c": "u(1)", "s": "gl(1,R)", "e": "u(1)", "C": "gl(1,C)"}
@@ -100,7 +96,7 @@ class RealForms:
 
     InnerClass inherits it.  It reads delta, lt, rd, the table and denom,
     the base fiber's orbits (Fibers._orbit_partition), the realized square
-    classes, and the gradings (gradings, grading, _grading_offset and
+    classes, and the gradings (gradings, grading, _grading_row and
     _strong).  real_forms, which format_real_form_menu reads, is defined
     on InnerClass.
     """
@@ -122,9 +118,8 @@ class RealForms:
 
         The weak real forms are the orbits of the adjoint base fiber
         (_adjoint_orbits); form_at gives the form of each of its points,
-        their gradings at basis = imaginary_basis(0), row the grading row
-        at basis (FundamentalFiber), and forms is (nc, iota, quasisplit)
-        of each form, in menu order.  nc counts the noncompact imaginary
+        their gradings at basis = imaginary_basis(0), and forms is (nc,
+        iota, quasisplit) of each form, in menu order.  nc counts the noncompact imaginary
         roots, positive and negative, of each internal factor and iota is
         the half-spin tag of each factor, both at the first member of a
         form's first base-fiber orbit.  A form is quasisplit when the
@@ -169,7 +164,6 @@ class RealForms:
             tuple(forms[a] for a in order),
             tuple(SquareClass(i, key) for i, key in enumerate(keys)),
             {p: menu[a] for a, pts in enumerate(points) for p in pts},
-            tuple((self.rd.positive_roots[k].vec, self._grading_offset(0, k)) for k in basis),
         )
 
     def _iota_tag(self, bits: dict[int, bool], f: Factor, rng: tuple[int, ...]) -> int:
@@ -277,8 +271,11 @@ class RealForms:
             t = tuple([(u - shift * v) % d for u, v in zip(t, rd.simple_coroots[j])])
             if kinds[j] == REAL and not self.grading((inv, t), j):
                 raise RuntimeError("an inverse Cayley candidate is compact")
-        row = self._fundamental.row
-        point = tuple([(2 * sum(map(mul, a, t)) + off) % (2 * d) == 0 for a, off in row])
+        row = self._grading_row(0)
+        point = tuple([
+            (2 * sum(map(mul, a, t)) + off) % (2 * d) == 0
+            for a, off in map(row.__getitem__, table.imaginary_basis(0))
+        ])
         return self._fundamental.form_at[point]
 
 
@@ -352,19 +349,19 @@ def format_real_form_menu(ic: RealForms) -> list[str]:
     return lines
 
 
+def orbit_lines(entries: tuple[StrongOrbit, ...]) -> list[str]:
+    """One line per orbit, "real form #f: [m,...] (size)", as the strong
+    real forms and the Cartan report (cartan.format_cartan_block) print it."""
+    return [
+        f"real form #{e.form}: [{','.join(map(str, e.members))}] ({len(e.members)})"
+        for e in entries
+    ]
+
+
 def format_strong_real(
     report: tuple[tuple[int, tuple[StrongOrbit, ...]], ...]
 ) -> list[str]:
     """Report lines for the strong real forms at one Cartan class."""
-
-    def orbit_lines(entries: tuple[StrongOrbit, ...]) -> list[str]:
-        return [
-            "real form #{}: [{}] ({})".format(
-                e.form, ",".join(str(m) for m in e.members), len(e.members)
-            )
-            for e in entries
-        ]
-
     if len(report) == 1:
         return orbit_lines(report[0][1])
     lines = [f"there are {len(report)} real form classes:"]

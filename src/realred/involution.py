@@ -4,11 +4,12 @@ A strong involution is represented by a pair x = (i, t) where i indexes
 a twisted involution and t is a rational cocharacter stored as an
 integer vector over the context-wide denominator (squares).  Whether an
 imaginary root is noncompact at x is one parity in closed form
-(root_grading): a pairing with t plus the root's heights over the simple
-roots and over the imaginary simple roots.  The per-Cartan queries grade
-x at every imaginary root at once (gradings), from one row per
-involution of each root's vector and height offset, so a grading is one
-pairing.
+(root_grading): a pairing with t plus an offset from the root's heights
+over the simple roots and over the imaginary simple roots.  The offsets are
+read from the table and the root datum alone, one grading row per
+involution (_grading_row), and need no lattice record; at a simple root
+the offset is denom, and grading builds no row.  The per-Cartan queries
+grade x at every imaginary root at once (gradings).
 
 InnerClass is the one entry object, one per (root datum, involution),
 and it inherits each other layer from the module of its concept: the
@@ -55,12 +56,12 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         self.lt: LieType = delta.lt
         self.table: InvolutionTable = involution_table(delta)
         self._dstar: lin.Matrix = lin.transpose(delta.matrix)
-        self._lattices = {0: InvolutionLattice(self._dstar, self.table.thetas[0], self.rd)}
+        self._lattices = {0: InvolutionLattice(self.table.thetas[0], self.rd, self._dstar)}
         # the Fiber, or None when empty, by (involution, square-class key)
         self._fibers: dict[tuple[int, tuple], Fiber | None] = {}
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
-        # the (root, alpha, offset) row of gradings, by involution
-        self._grading_rows: dict[int, tuple[tuple, ...]] = {}
+        # the root -> (alpha, offset) row of gradings, by involution
+        self._grading_rows: dict[int, dict[int, tuple[lin.Vector, int]]] = {}
         # cartan.CartanClass by class index, built in cartan
         self._cartan_classes: dict[int, object] = {}
 
@@ -101,7 +102,7 @@ class InnerClass(RealForms, Fibers, SquareClasses):
             j = self.table.kinds(inv).find(COMPLEX_DOWN)
             parent = self.lattice(self.table.status(inv, j)[1]) if j >= 0 else None
             out = self._lattices[inv] = InvolutionLattice(
-                None, self.table.thetas[inv], self.rd, parent, j if parent else None, self._dstar,
+                self.table.thetas[inv], self.rd, self._dstar, parent, j if parent else None,
             )
         return out
 
@@ -137,10 +138,10 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         Elements are reduced numerators over denom, the points of the
         Fiber in fiber order: t0 plus the sums of the subsets of the
         generators, smallest subsets first and subsets of one size in
-        combinations order.  Empty when the square class is not realized
-        over this involution.  Built by doubling on each call: the fiber
-        record keeps no points, and FiberOrbit.members is their one reader
-        in the library.
+        combinations order.  Empty when the realized square class key has
+        no point over inv; InputError for a key of no such class (_fiber).
+        Built by doubling on each call: the fiber record keeps no points,
+        and FiberOrbit.members is their one reader in the library.
         """
         fiber = self._fiber(inv, key)
         if fiber is None:
@@ -173,18 +174,26 @@ class InnerClass(RealForms, Fibers, SquareClasses):
             return self.rd.positive_roots[gamma].covec
         return self.rd.simple_coroots[j]
 
-    def _grading_offset(self, inv: int, k: int) -> int:
-        """(ht(alpha) + ht_i(alpha) - 1) d, d = denom, for the positive root
-        k imaginary at inv: alpha is noncompact at (inv, t) exactly when 2
-        <alpha, t> plus this is 0 mod 2d (root_grading).  It is d for a
-        simple root k, and reads no record: a simple root imaginary at inv
-        is no sum of two positive imaginary roots, so it is simple in the
-        imaginary system too, and ht + ht_i = 2.  Other roots read the
-        heights of lattice(inv)."""
-        if k in self.table.simple:
-            return self.denom
-        heights = lin.vec_dot(self.rd.positive_roots[k].vec, self.lattice(inv).heights) // 2
-        return (heights - 1) * self.denom
+    def _grading_row(self, inv: int) -> dict[int, tuple[lin.Vector, int]]:
+        """Each positive root k imaginary at inv, in increasing order, to
+        (alpha, offset), kept in _grading_rows: alpha is noncompact at (inv,
+        t) exactly when 2 <alpha, t> plus the offset is 0 mod 2 denom
+        (root_grading).  The offset is (ht(alpha) + ht_i(alpha) - 1) denom,
+        with the heights over the simple roots and over the imaginary simple
+        roots: h = 2 rho-check plus the imaginary roots' coroots pairs with
+        alpha to 2 (ht + ht_i).  The row reads the table and the root datum
+        alone, and no lattice record.  In the library only per-Cartan
+        queries build rows: the fibers and the weak forms at canonical
+        involutions, and the base fiber.
+        """
+        row = self._grading_rows.get(inv)
+        if row is None:
+            ks, pos, d = self.table.imaginary_roots(inv), self.rd.positive_roots, self.denom
+            h = lin.vec_add(self.rd.two_rho_check, self.rd.coroot_sum(ks))
+            row = self._grading_rows[inv] = {
+                k: (pos[k].vec, (lin.vec_dot(pos[k].vec, h) // 2 - 1) * d) for k in ks
+            }
+        return row
 
     def _strong(self, x: StrongX) -> StrongX:
         """x, once checked: InputError unless its involution id numbers a
@@ -198,44 +207,42 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         return x
 
     def gradings(self, x: StrongX) -> dict[int, bool]:
-        """root_grading of x at every positive root imaginary there, by root.
-
-        Reads one row per involution, kept in _grading_rows: each imaginary
-        root k in increasing order with its vector alpha and _grading_offset,
-        so a grading costs one pairing, 2 <alpha, t> plus the offset mod 2
-        denom.  In the library only per-Cartan queries fill the rows: the
-        fibers and the weak forms at canonical involutions, and the base
-        fiber.  A KGB
-        search reads the offsets of its simple roots alone (kgb._step_row),
-        and a descent grades its base point at imaginary_basis(0) alone
-        (FundamentalFiber.row).
-        """
+        """root_grading of x at every positive root imaginary there, by root
+        in increasing order: the whole grading row (_grading_row), one
+        pairing per root."""
         inv, t = self._strong(x)
-        row = self._grading_rows.get(inv)
-        if row is None:
-            pos = self.rd.positive_roots
-            row = self._grading_rows[inv] = tuple([
-                (k, pos[k].vec, self._grading_offset(inv, k))
-                for k in self.table.imaginary_roots(inv)
-            ])
         d2 = 2 * self.denom
-        return {k: (2 * sum(map(mul, a, t)) + off) % d2 == 0 for k, a, off in row}
+        return {
+            k: (2 * sum(map(mul, a, t)) + off) % d2 == 0
+            for k, (a, off) in self._grading_row(inv).items()
+        }
 
     def grading(self, x: StrongX, j: int) -> bool:
-        """True when the imaginary simple root j is noncompact at x."""
-        return self.root_grading(x, self.table.simple[j])
+        """True when the simple root j, imaginary at x, is noncompact there.
+
+        One pairing, with offset denom (_grading_row): a simple root
+        imaginary at inv is no sum of two positive imaginary roots, so it
+        is simple among the imaginary roots too, and ht + ht_i = 2.  It
+        builds no row and no record.  Raises IndexError when j numbers no
+        simple root (InvolutionTable.status); when j is not imaginary at x,
+        root_grading raises its RuntimeError, and InputError as there.
+        """
+        inv, t = self._strong(x)
+        if self.table.status(inv, j)[0] != IMAGINARY:
+            return self.root_grading(x, self.table.simple[j])
+        d = self.denom
+        return (2 * sum(map(mul, self.rd.simple_roots[j], t)) + d) % (2 * d) == 0
 
     def root_grading(self, x: StrongX, k: int) -> bool:
         """True when positive root k, imaginary at x, is noncompact there.
 
-        k indexes the table's positive roots, like every root subsystem;
-        its vector alpha is read off rd for the two pairings.  With x =
-        (i, t) and d = denom, alpha is noncompact exactly
-        when 2 <alpha, t> / d + ht(alpha) + ht_i(alpha) is odd, ht_i being
-        the height over imaginary_basis(i); the heights of lattice(i)
-        give the two in one pairing.  This is the grading that transport
-        along cross actions gives, by induction on the height of alpha, along
-        the descent that lowers it by the first simple reflection s_j
+        k indexes the table's positive roots, like every root subsystem.
+        With x = (i, t) and d = denom, alpha is noncompact exactly when 2
+        <alpha, t> / d + ht(alpha) + ht_i(alpha) is odd, ht_i being the
+        height over imaginary_basis(i): one lookup in the grading row of i
+        (_grading_row) and one pairing.  This is the grading that transport
+        along cross actions gives, by induction on the height of alpha,
+        along the descent that lowers it by the first simple reflection s_j
         with s_j alpha positive and lower; n = <alpha, alpha_j^v>:
         - alpha = alpha_j simple: ht + ht_i = 2, and at a simple imaginary
           root the test is the base-point one, 2 <alpha_j, t> / d odd.
@@ -256,11 +263,12 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         InputError when x is not a strong involution of the table (_strong).
         """
         inv, t = self._strong(x)
-        root = self.rd.positive_roots[k]
-        if self.table.thetas[inv][k] != k:
-            raise RuntimeError(f"root {root.coeffs} is not imaginary at involution {inv}")
-        num = 2 * lin.vec_dot(root.vec, t) + self._grading_offset(inv, k)
-        return num % (2 * self.denom) == 0
+        row = self._grading_row(inv)
+        if k not in row:
+            root = self.rd.positive_roots[k].coeffs
+            raise RuntimeError(f"root {root} is not imaginary at involution {inv}")
+        a, off = row[k]
+        return (2 * sum(map(mul, a, t)) + off) % (2 * self.denom) == 0
 
     def cayley(self, j: int, x: StrongX) -> StrongX:
         """Cayley transform through a noncompact imaginary simple root.

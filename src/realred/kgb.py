@@ -39,8 +39,8 @@ differ only in the twisted involution (InnerClass.cayley).  The
 neighbours, coroots gamma^v and grading offsets come from one step row
 per twisted involution, built when the pass first meets it and dropped
 with the call.  The offset of a simple imaginary root is denom
-(InnerClass._grading_offset), so a step row builds no lattice record and
-reads no heights.
+(InnerClass.grading), so a step row builds no lattice record and no
+grading row.
 """
 
 from __future__ import annotations
@@ -221,8 +221,8 @@ def _step_row(ic: InnerClass, inv: int) -> list[tuple]:
     (status letter, neighbour, alpha_j, alpha_j^v, gamma^v, offset).
 
     The coroot gamma^v (InnerClass._complex_shift) is present exactly
-    when j is complex, and the grading offset (InnerClass._grading_offset),
-    denom, exactly when j is imaginary; the letter is "c" there, and "n"
+    when j is complex, and the grading offset, denom, exactly when j is
+    imaginary, as in InnerClass.grading; the letter is "c" there, and "n"
     replaces it at a noncompact element.
     """
     table, rd = ic.table, ic.rd
@@ -230,7 +230,7 @@ def _step_row(ic: InnerClass, inv: int) -> list[tuple]:
     for j, (kind, nbr) in enumerate(table.status_row(inv)):
         gamma = offset = None
         if kind == IMAGINARY:
-            offset = ic._grading_offset(inv, table.simple[j])
+            offset = ic.denom
         elif kind != REAL:
             gamma = ic._complex_shift(inv, j, kind)
         row.append((_LETTER[kind], nbr, rd.simple_roots[j], rd.simple_coroots[j], gamma, offset))

@@ -6,11 +6,13 @@ integer numerators over denom (squares).  What the fiber of strong
 involutions over theta_i, and the key of x, are read from is one
 InvolutionLattice record per twisted involution: theta*, read on first
 use off the root permutation (RootDatum.cocharacter_action), and its
-rho-check drop, heights, the Smith form of 1 + theta*, and a basis of
-the theta-fixed characters, moved along complex descents by rank-one
+rho-check drop, the Smith form of 1 + theta*, and a basis of the
+theta-fixed characters, moved along complex descents by rank-one
 reflection updates.  The key of x is t paired with that basis mod denom
 (involution.InnerClass.x_key), linear in t.  The Smith divisors of 1 -
 theta* give the split, compact and complex ranks (RankDecomposition).
+The gradings need no record: they read the table and the root datum
+alone (involution.InnerClass._grading_row).
 """
 
 from __future__ import annotations
@@ -35,19 +37,17 @@ class RankDecomposition(NamedTuple):
 class InvolutionLattice:
     """Lattice data of one twisted involution theta: what its fiber is read from.
 
-    InnerClass.lattice links a record reached by a complex descent, by
-    the simple root j, to the record of the table parent nbr, theta =
+    Every record is built one way, from theta, the root datum and dstar,
+    and InnerClass.lattice links a record reached by a complex descent,
+    by the simple root j, to the record of the table parent nbr, theta =
     s_j nbr s_j, as parent; the base and any involution without a
-    complex descent link to nothing.  Every field but theta, rd, dstar
-    and the links, theta_star included, is computed from theta, the
-    root datum, dstar and the links on first read and kept
-    (__getattr__): a KGB search reads only the key rows (minus) of
-    most records, and those of a record with a parent need no theta*.
-    A theta_star given to the constructor is kept, and the other fields
-    are computed from it.  The properties drop and ranks are computed
-    on every read.  Records are immutable; equality compares every field
-    but rd, dstar and the links, and repr shows theta_star, cbits and
-    heights.
+    complex descent link to nothing.  Every other field, theta_star
+    included, is computed from these on first read and kept
+    (__getattr__): a KGB search reads only the key rows (minus) of most
+    records, and those of a record with a parent need no theta*.  The
+    properties drop and ranks are computed on every read.  Records are
+    immutable; equality compares every field but rd, dstar and the
+    links, and repr shows theta_star and cbits.
 
     Attributes:
         theta_star: the action of theta on cocharacters, its transposed
@@ -63,10 +63,6 @@ class InvolutionLattice:
             theta beta, so drop is the sum of the positive coroots beta^v
             with theta beta negative.  cbits is the torus part of sigma_w
             delta(sigma_w) on the cocharacter lattice.
-        heights: 2 rho-check plus every positive coroot imaginary at theta.
-            It pairs with a positive imaginary root alpha to 2 (ht(alpha) +
-            ht_i(alpha)), the heights over the simple roots and over the
-            imaginary simple roots.
         parent, j: the record of the table parent and the simple root j
             of the complex descent from it, else None, None.
         minus: (rank, rows, twos, ones) of 1 - theta*.  rows are a Z-basis
@@ -85,37 +81,33 @@ class InvolutionLattice:
     """
 
     __slots__ = (
-        "theta_star", "theta", "rd", "parent", "j", "dstar", "cbits", "heights", "minus", "plus",
+        "theta_star", "theta", "rd", "dstar", "parent", "j", "cbits", "minus", "plus",
     )
-    _COMPARED = ("theta_star", "theta", "cbits", "heights", "minus", "plus")
+    _COMPARED = ("theta_star", "theta", "cbits", "minus", "plus")
 
     theta_star: lin.Matrix
     theta: bytes
     rd: RootDatum
+    dstar: lin.Matrix
     cbits: lin.Vector
-    heights: lin.Vector
     parent: InvolutionLattice | None
     j: int | None
-    dstar: lin.Matrix | None
     minus: tuple[int, tuple[lin.Vector, ...], int, int]
     plus: lin.SmithForm
 
     def __init__(
         self,
-        theta_star: lin.Matrix | None,
         theta: bytes,
         rd: RootDatum,
+        dstar: lin.Matrix,
         parent: InvolutionLattice | None = None,
         j: int | None = None,
-        dstar: lin.Matrix | None = None,
     ):
-        if theta_star is not None:
-            object.__setattr__(self, "theta_star", theta_star)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rd", rd)
+        object.__setattr__(self, "dstar", dstar)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "j", j)
-        object.__setattr__(self, "dstar", dstar)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -132,19 +124,13 @@ class InvolutionLattice:
         return hash((self.theta_star, self.theta))
 
     def __repr__(self) -> str:
-        return (
-            f"InvolutionLattice(theta_star={self.theta_star!r}, "
-            f"cbits={self.cbits!r}, heights={self.heights!r})"
-        )
+        return f"InvolutionLattice(theta_star={self.theta_star!r}, cbits={self.cbits!r})"
 
     def __getattr__(self, name: str):
         """Computes a field not set yet on its first read, and keeps it."""
-        npos, n = len(self.theta) // 2, self.rd.rank
+        n = self.rd.rank
         if name == "cbits":
             value = tuple(x % 2 for x in self.drop)
-        elif name == "heights":
-            imaginary = self.rd.coroot_sum(k for k in range(npos) if self.theta[k] == k)
-            value = lin.vec_add(self.rd.two_rho_check, imaginary)
         elif name == "minus" and self.parent is not None:
             rank, rows, twos, ones = self.parent.minus
             a, av = self.rd.simple_roots[self.j], self.rd.simple_coroots[self.j]
@@ -154,7 +140,7 @@ class InvolutionLattice:
             value = sf.rank, sf.uinv[sf.rank:], sf.diag.count(2), sf.diag.count(1)
         elif name == "plus":
             value = lin.smith_form(lin.mat_add(lin.identity(n), self.theta_star), ncols=n)
-        elif name == "theta_star" and self.dstar is not None:
+        elif name == "theta_star":
             value = self.rd.cocharacter_action(self.theta, self.dstar)
         else:
             raise AttributeError(name)

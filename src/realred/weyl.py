@@ -308,12 +308,13 @@ class InvolutionTable:
         n = len(self.simple)
         return tuple(zip(self.kinds(i), self._nbrs[i * n:(i + 1) * n]))
 
-    def _id(self, i: int) -> int:
-        """i, when it is an id of the table: a negative i would read the
-        rows and thetas from the end.  Raises IndexError otherwise; kinds
-        and status test the same inline."""
-        if not 0 <= i < len(self.thetas):
-            raise IndexError(f"no involution {i}")
+    def _id(self, i: int, count: int | None = None, what: str = "involution") -> int:
+        """i, when it numbers an involution of the table, or else one of
+        count things that what names: a negative i would read the rows,
+        thetas, roots or classes from the end.  Raises IndexError
+        otherwise; kinds and status test the same inline."""
+        if not 0 <= i < (len(self.thetas) if count is None else count):
+            raise IndexError(f"no {what} {i}")
         return i
 
     def kinds(self, i: int) -> str:
@@ -335,7 +336,8 @@ class InvolutionTable:
 
     def cayley(self, i: int, k: int) -> int:
         """Id of s_k.theta_i, for a positive root k imaginary at i."""
-        return self.index[compose(self.reflections[k], compose(self.thetas[i], self.simple))]
+        s_k = self.reflections[self._id(k, len(self.reflections), "positive root")]
+        return self.index[compose(s_k, compose(self.thetas[self._id(i)], self.simple))]
 
     def word(self, i: int) -> tuple[int, ...]:
         """Displayed reduced word of w = theta.delta, delta being an involution."""
@@ -350,13 +352,15 @@ class InvolutionTable:
         """Length of word(i), without building it: the count of positive
         roots that theta.delta sends negative, as many as theta's, since
         delta permutes the positive roots."""
-        return len(self.thetas[i][:len(self.reflections)].translate(None, self._positive))
+        theta = self.thetas[self._id(i)]
+        return len(theta[:len(self.reflections)].translate(None, self._positive))
 
     def reflection_word(self, k: int) -> tuple[int, ...]:
         """Displayed reduced word of the reflection in positive root k."""
         out = self._reflection_words.get(k)
         if out is None:
-            out = self._reflection_words[k] = normal_form_word(self, self.reflections[k])
+            s_k = self.reflections[self._id(k, len(self.reflections), "positive root")]
+            out = self._reflection_words[k] = normal_form_word(self, s_k)
         return out
 
     def imaginary_roots(self, i: int) -> tuple[int, ...]:
@@ -444,7 +448,7 @@ class InvolutionTable:
         it is the one whose word is least by (length, word): the walk of
         _walk_canonical from any member, recorded by _class_record.
         """
-        return self._class_record.canonical[class_idx]
+        return self._class_record.canonical[self._id(class_idx, len(self.classes), "class")]
 
     @cached_property
     def _class_record(self) -> TwistedClasses:

@@ -8,7 +8,8 @@ code, whose row names their source in place of a commit.  ``git show
 ``abc1234+`` is the child of abc1234.  theta*, the descent to the base
 fiber and reduced words have one reference each, which the tests compare
 the library with directly: is_theta_star, reference_inverse_cayley (read
-by the last-step descent of test_involution) and the stripping words.
+by the last-step descent of test_involution) and the stripping words,
+along a parabolic chain written out from the type (reference_piece_chain).
 test_optimized_mode checks that every row below names a function defined
 here and tests that exist, and that every reference has a reader.
 
@@ -27,6 +28,7 @@ reference_strip                        c24662c  test_weyl: test_table_words_matc
                                                 test_involution: test_reflection_words_are_normal_forms
 reference_strip_word_from_matrix       c24662c  (as above)
 reference_strip_normal_form_word       c24662c  (as above)
+reference_piece_chain                  447a87b+ (as above)
 reference_table                        c77e33d  test_weyl: test_table_matches_full_permutation_search,
                                                 test_cayley_matches_full_permutation_search
 reference_canonical_member             c048f3b  test_weyl: test_canonical_member_matches_scan
@@ -35,7 +37,6 @@ is_theta_star                          2b22e31+ test_involution: test_theta_star
                                                 test_closed_form_theta_star_matches_chain_reference;
                                                 test_kgb: test_theta_star_read_after_a_kgb_search_matches_weyl_matrix
 reference_rho_check_drop               afb6624  test_involution: test_theta_star_and_rho_drop_match_weyl_matrix
-reference_grading_offset               c7504b3+ test_involution: test_simple_grading_offsets_match_heights_reference
 rank_decomposition                     daae08c  test_involution: test_cached_ranks_match_reference,
                                                 test_theta_star_and_rho_drop_match_weyl_matrix
 square_key_if_valid                    56363da  test_involution: test_cross_and_cayley_preserve_squares,
@@ -115,7 +116,7 @@ from realred.involution import InnerClass, inner_class
 from realred.kgb import KGB, KGBElement, seed_orbit
 from realred.lattice import RankDecomposition, StrongX
 from realred.rootdata import LieType, Root, adjoint_generators, build_root_datum, center_structure
-from realred.weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL, piece_chain, word_from_matrix
+from realred.weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL, word_from_matrix
 
 
 # -- exact lattice linear algebra ---------------------------------------
@@ -352,16 +353,6 @@ def is_theta_star(ic, inv: int, m: lin.Matrix) -> bool:
     return all(lin.mat_vec(m, v) == image for v, image in images)
 
 
-def reference_grading_offset(ic, inv: int, k: int) -> int:
-    """InnerClass._grading_offset by the heights formula at every root:
-    (ht + ht_i - 1) denom, with ht + ht_i half the pairing of the root with
-    2 rho-check plus every positive coroot imaginary at inv."""
-    rd, theta = ic.rd, ic.table.thetas[inv]
-    imaginary = rd.coroot_sum(r for r in range(len(rd.positive_roots)) if theta[r] == r)
-    heights = lin.vec_add(rd.two_rho_check, imaginary)
-    return (lin.vec_dot(rd.positive_roots[k].vec, heights) // 2 - 1) * ic.denom
-
-
 def weyl_closure(rd):
     ident = lin.identity(rd.rank)
     seen = {ident}
@@ -412,9 +403,27 @@ def reference_strip_word_from_matrix(table, w):
     return tuple(reference_strip(table, _permutation_inverse(w), range(len(table.simple)))[0])
 
 
-def reference_strip_normal_form_word(table, w):
-    """Reduced word as a product of minimal parabolic-coset pieces."""
-    chain = piece_chain(table.rd)
+def reference_piece_chain(text):
+    """The parabolic chain of the normal form, written out from the type
+    string: the factors in order, D_n as the larger fork tip, the joint,
+    the other tip, then down the tail (D4: 2, 1, 0, 3; D5: 4, 2, 3, 1, 0),
+    every other type in index order; a torus factor has no simple root."""
+    chain = []
+    for factor in text.split("."):
+        letter, n, start = factor[0], int(factor[1:]), len(chain)
+        if letter == "D":
+            order = (2, 1, 0, 3) if n == 4 else (n - 1, n - 3, n - 2, *range(n - 4, -1, -1))
+        else:
+            order = () if letter == "T" else range(n)
+        chain += [start + j for j in order]
+    return tuple(chain)
+
+
+def reference_strip_normal_form_word(table, w, text):
+    """Reduced word as a product of minimal parabolic-coset pieces, along
+    the chain of the type string text (reference_piece_chain)."""
+    chain = reference_piece_chain(text)
+    assert sorted(chain) == list(range(len(table.simple)))
     winv = _permutation_inverse(w)
     pieces = []
     for pos in range(len(chain) - 1, -1, -1):

@@ -32,7 +32,7 @@ from oracles import (
     kac_weak_form_count, rank_decomposition, reference_adjoint_context,
     reference_central_translates, reference_component_rank, reference_fiber_elements,
     reference_inverse_cayley, reference_key_rows, reference_orbit_partition,
-    reference_rho_check_drop, reference_grading_offset, reference_root_grading,
+    reference_rho_check_drop, reference_root_grading,
     reference_strip_normal_form_word, reference_to_ad, reference_x_key, reflection_matrix,
     reflections, square_key_if_valid, square_key_reference,
 )
@@ -481,6 +481,34 @@ def test_grading_rejects_roots_that_are_not_imaginary():
             if kind != IMAGINARY:
                 with pytest.raises(RuntimeError, match="not imaginary"):
                     ic.grading(x, j)
+        # grading reads the kind of j off the table's status row, so a
+        # negative j does not grade the last simple root
+        for j in (-1, len(ic.table.simple)):
+            with pytest.raises(IndexError, match=f"no simple root {j}"):
+                ic.grading(x, j)
+
+
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("A3", "c", None), ("B3", "s", "ad"), ("C3", "s", None), ("D4", "s", None),
+    ("G2", "s", None), ("A3.T1", "ss", None),
+])
+def test_gradings_build_no_lattice_record(text, letters, kernel):
+    # the grading rows read the table and the root datum alone: grading
+    # every fiber point over every involution keeps the base's record only
+    points, ic = context(text, letters, kernel), context(text, letters, kernel)
+    graded = 0
+    for inv in range(len(ic.table)):
+        imaginary = ic.table.imaginary_roots(inv)
+        simple = [j for j, kind in enumerate(ic.table.kinds(inv)) if kind == IMAGINARY]
+        for sq in points.square_classes:
+            for t in points.fiber_elements(inv, sq.key):
+                x = (inv, t)
+                assert ic.gradings(x) == {k: ic.root_grading(x, k) for k in imaginary}
+                assert [ic.grading(x, j) for j in simple] == \
+                    [ic.root_grading(x, ic.table.simple[j]) for j in simple]
+                graded += 1
+    assert graded > len(ic.table)
+    assert set(ic._lattices) == {0}
 
 
 @pytest.mark.parametrize("text,letters,kernel", RECORD_GROUPS)
@@ -755,9 +783,22 @@ def test_rank_decomposition_values():
 
 def test_ranks_refuse_a_divisor_above_two():
     ic = context("A1.T1", "sc")
-    ic._lattices[0] = InvolutionLattice(((-3, 0), (0, 1)), ic.lattice(0).theta, ic.rd)
+    ic._lattices[0] = bad = InvolutionLattice(ic.lattice(0).theta, ic.rd, ic._dstar)
+    object.__setattr__(bad, "theta_star", ((-3, 0), (0, 1)))
     with pytest.raises(RuntimeError, match="divisor above 2"):
         ic.lattice(0).ranks
+
+
+def test_fiber_elements_refuse_a_key_that_is_no_square_class():
+    # a key of no realized class, of any length, is refused, not taken for
+    # a class without points over the involution, and nothing is cached
+    ic = context("A3", "c")
+    assert ic.square_classes
+    for key in [(2, 0, 0), (1,), (0, 0, 0, 0)]:
+        assert key not in ic._realized_keys
+        with pytest.raises(InputError, match="no square class"):
+            ic.fiber_elements(1, key)
+        assert (1, key) not in ic._fibers
 
 
 def test_fiber_squares_are_checked_per_generator():
@@ -801,7 +842,8 @@ def test_component_rank_refuses_corrupted_data(theta, message):
     cartan = ic.most_split_cartan(form)
     assert cartan == form
     inv = ic.table.canonical_member(cartan)
-    ic._lattices[inv] = InvolutionLattice(corrupt, ic.lattice(inv).theta, ic.rd)
+    ic._lattices[inv] = bad = InvolutionLattice(ic.lattice(inv).theta, ic.rd, ic._dstar)
+    object.__setattr__(bad, "theta_star", corrupt)
     with pytest.raises(RuntimeError, match=message):
         ic.component_rank(form)
 
@@ -827,7 +869,7 @@ def test_reflection_words_are_normal_forms(text, kernel):
     rd = ic.rd
     for k, root in enumerate(rd.positive_roots):
         w = as_permutation(rd, reflection_matrix(rd, root))
-        assert ic.table.reflection_word(k) == reference_strip_normal_form_word(ic.table, w)
+        assert ic.table.reflection_word(k) == reference_strip_normal_form_word(ic.table, w, text)
 
 
 @pytest.mark.parametrize("text,letters,kernel", [
@@ -948,11 +990,17 @@ def test_theta_star_and_rho_drop_match_weyl_matrix(text, letters, kernel):
         theta = lat.theta_star
         assert is_theta_star(ic, inv, theta)
         assert lat.drop == reference_rho_check_drop(ic, theta)
-        heights = ic.rd.two_rho_check
-        for r in ic.rd.positive_roots:
+        # the grading row's offsets, (ht + ht_i - 1) denom, from the coroots theta fixes
+        heights, imaginary = ic.rd.two_rho_check, []
+        for k, r in enumerate(ic.rd.positive_roots):
             if lin.mat_vec(theta, r.covec) == r.covec:
                 heights = lin.vec_add(heights, r.covec)
-        assert lat.heights == heights
+                imaginary.append(k)
+        row = ic._grading_row(inv)
+        assert list(row) == imaginary
+        for k, (a, offset) in row.items():
+            assert a == ic.rd.positive_roots[k].vec
+            assert offset == (lin.vec_dot(a, heights) // 2 - 1) * ic.denom
         minus = lin.smith_form(lin.mat_sub(ident, theta), ncols=n)
         rank, rows, twos, ones = lat.minus
         transposed = lin.transpose(theta)
@@ -996,19 +1044,17 @@ def test_closed_form_theta_star_matches_chain_reference():
 @pytest.mark.parametrize("text", SMALL_TYPES)
 def test_simple_grading_offsets_match_heights_reference(text, letter, kernel):
     # a simple root imaginary at inv is simple among the imaginary roots,
-    # so its offset is denom without heights; the other roots read them
+    # so grading's offset, denom, is the grading row's offset there: the
+    # two differ by denom mod 2 denom, or not at all, at every torus part
     ic = context(text, letter, kernel)
     table = ic.table
     for inv in range(len(table)):
+        x = (inv, lin.zero_vector(ic.rd.rank))
         for j, kind in enumerate(table.kinds(inv)):
             if kind == IMAGINARY:
-                k = table.simple[j]
-                assert ic._grading_offset(inv, k) == reference_grading_offset(ic, inv, k)
-    # denom reads the base record alone, and the simple offsets none
+                assert ic.grading(x, j) == ic.root_grading(x, table.simple[j])
+    # denom reads the base record alone, and the gradings none
     assert set(ic._lattices) == {0}
-    for inv in map(table.canonical_member, range(len(table.classes))):
-        for k in table.imaginary_roots(inv):
-            assert ic._grading_offset(inv, k) == reference_grading_offset(ic, inv, k)
 
 
 @pytest.mark.parametrize(

@@ -540,14 +540,15 @@ def test_kgb_search_builds_theta_star_only_where_a_smith_form_needs_it(text, let
 ])
 def test_kgb_search_computes_no_heights(text, letters, kernel):
     # the search grades simple roots alone, whose offset is denom
-    # (InnerClass._grading_offset), so it reads the heights of no record
+    # (InnerClass.grading), so it fills no grading row: only the base
+    # fiber, which numbers the seeds, is graded by rows
     ic = context(text, letters, kernel)
     assert ic.real_forms
-    before = {i for i, lat in ic._lattices.items() if is_set(lat, "heights")}
+    before = set(ic._grading_rows)
     for form in range(len(ic.real_forms)):
         generate_kgb(ic, form)
-    assert {i for i, lat in ic._lattices.items() if is_set(lat, "heights")} == before
-    assert len(ic._lattices) > len(before)
+    assert set(ic._grading_rows) == before == {0}
+    assert len(ic._lattices) > 1
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

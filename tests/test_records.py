@@ -91,7 +91,6 @@ def test_lattice_fields_are_computed_once():
         assert lattice.minus is lattice.minus
         assert lattice.plus is lattice.plus
         assert lattice.cbits is lattice.cbits
-        assert lattice.heights is lattice.heights
         assert ic.lattice(i) is lattice
 
 
@@ -104,11 +103,11 @@ def test_separately_built_lattices_are_equal():
         assert la is not lb
         assert la == lb
         assert hash(la) == hash(lb)
-        linked = InvolutionLattice(la.theta_star, la.theta, a.rd, la.parent, la.j)
+        linked = InvolutionLattice(la.theta, a.rd, a._dstar, la.parent, la.j)
         assert linked == la and hash(linked) == hash(la)
         # without its parent a record keys by its own Smith rows, which the
         # rows transported along a complex descent need not be
-        rebuilt = InvolutionLattice(la.theta_star, la.theta, a.rd)
+        rebuilt = InvolutionLattice(la.theta, a.rd, a._dstar)
         assert hash(rebuilt) == hash(la)
         if la.parent is None:
             assert rebuilt == la

@@ -70,9 +70,9 @@ def test_table_words_match_stripping_reference(text, letters):
     delta = table.thetas[0]
     for i, theta in enumerate(table.thetas):
         w = tuple(theta[x] for x in delta)
-        assert table.word(i) == reference_strip_normal_form_word(table, w)
+        assert table.word(i) == reference_strip_normal_form_word(table, w, text)
     for k, refl in enumerate(table.reflections):
-        assert table.reflection_word(k) == reference_strip_normal_form_word(table, refl)
+        assert table.reflection_word(k) == reference_strip_normal_form_word(table, refl, text)
 
 
 def test_word_normal_form():
@@ -145,7 +145,7 @@ def test_normal_form_matches_matrix_reference(text):
     assert len(seen) == {"A3": 24, "B3": 48, "G2": 12, "D4": 192}[text]
     for w, m in seen.items():
         assert as_permutation(rd, m) == w
-        assert normal_form_word(table, w) == reference_strip_normal_form_word(table, w)
+        assert normal_form_word(table, w) == reference_strip_normal_form_word(table, w, text)
         assert word_from_matrix(table, w) == reference_strip_word_from_matrix(table, w)
 
 
@@ -168,7 +168,7 @@ def test_table_words_match_matrix_reference(text, letters, kernel):
     for i, theta in enumerate(table.thetas):
         w = tuple(map(theta.__getitem__, table.thetas[0]))
         word = table.word(i)
-        assert word == reference_strip_normal_form_word(table, w)
+        assert word == reference_strip_normal_form_word(table, w, text)
         # the word's product of reflection matrices is w
         m = lin.identity(rd.rank)
         for j in word:
@@ -525,13 +525,25 @@ def test_table_readers_refuse_an_id_off_the_table():
     # cached reader would keep what it read under that id
     table = involution_table(involution("A3", "c"))
     readers = (table.kinds, lambda i: table.status(i, 0), table.word, table.imaginary_roots,
-               table.real_roots, table.imaginary_basis)
+               table.real_roots, table.imaginary_basis, table.word_length,
+               lambda i: table.cayley(i, 0))
     for i in (-1, -len(table), len(table)):
         for read in readers:
             with pytest.raises(IndexError, match=f"no involution {i}"):
                 read(i)
     caches = (table._words, table._imaginary, table._real, table._imaginary_bases)
     assert not any(k < 0 or k >= len(table) for cache in caches for k in cache)
+    # the root index of cayley and reflection_word, and the class index
+    npos, nclasses = len(table.reflections), len(table.classes)
+    for what, read, count in [
+        ("positive root", lambda k: table.cayley(0, k), npos),
+        ("positive root", table.reflection_word, npos),
+        ("class", table.canonical_member, nclasses),
+    ]:
+        for k in (-1, -count, count):
+            with pytest.raises(IndexError, match=f"no {what} {k}"):
+                read(k)
+    assert all(0 <= k < npos for k in table._reflection_words)
 
 
 @pytest.mark.parametrize("text,letters,size", [
