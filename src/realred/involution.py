@@ -56,7 +56,7 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         self.lt: LieType = delta.lt
         self.table: InvolutionTable = involution_table(delta)
         self._dstar: lin.Matrix = lin.transpose(delta.matrix)
-        self._lattices = {0: InvolutionLattice(self.table.thetas[0], self.rd, self._dstar)}
+        self._lattices = {0: InvolutionLattice(self.table, 0, self.rd, self._dstar)}
         # the Fiber, or None when empty, by (involution, square-class key)
         self._fibers: dict[tuple[int, tuple], Fiber | None] = {}
         self._orbits_at: dict[int, tuple[FiberOrbit, ...]] = {}
@@ -102,7 +102,7 @@ class InnerClass(RealForms, Fibers, SquareClasses):
             j = self.table.kinds(inv).find(COMPLEX_DOWN)
             parent = self.lattice(self.table.status(inv, j)[1]) if j >= 0 else None
             out = self._lattices[inv] = InvolutionLattice(
-                self.table.thetas[inv], self.rd, self._dstar, parent, j if parent else None,
+                self.table, inv, self.rd, self._dstar, parent, j if parent else None,
             )
         return out
 
@@ -170,7 +170,8 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         Either carries gradings (root_grading)."""
         if kind == COMPLEX_UP:
             s = self.table.simple[j]
-            gamma = self.table.reflections[s][self.table.thetas[inv][s]]
+            block, o = self.table.thetas.at(inv)
+            gamma = self.table.reflections[s][block[o + s]]
             return self.rd.positive_roots[gamma].covec
         return self.rd.simple_coroots[j]
 

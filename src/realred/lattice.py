@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from . import lin
 from .rootdata import RootDatum
+from .weyl import InvolutionTable
 
 # x = (involution id, cocharacter numerator vector)
 StrongX = tuple[int, lin.Vector]
@@ -37,25 +38,29 @@ class RankDecomposition(NamedTuple):
 class InvolutionLattice:
     """Lattice data of one twisted involution theta: what its fiber is read from.
 
-    Every record is built one way, from theta, the root datum and dstar,
-    and InnerClass.lattice links a record reached by a complex descent,
-    by the simple root j, to the record of the table parent nbr, theta =
-    s_j nbr s_j, as parent; the base and any involution without a
-    complex descent link to nothing.  Every other field, theta_star
-    included, is computed from these on first read and kept
-    (__getattr__): a KGB search reads only the key rows (minus) of most
-    records, and those of a record with a parent need no theta*.  The
-    properties drop and ranks are computed on every read.  Records are
-    immutable; equality compares every field but rd, dstar and the
-    links, and repr shows theta_star and cbits.
+    Every record is built one way, from the table and the id of theta,
+    the root datum and dstar, and InnerClass.lattice links a record
+    reached by a complex descent, by the simple root j, to the record of
+    the table parent nbr, theta = s_j nbr s_j, as parent; the base and
+    any involution without a complex descent link to nothing.  Every
+    other field, theta_star included, is computed from these on first
+    read and kept (__getattr__): a KGB search reads only the key rows
+    (minus) of most records, and those of a record with a parent need no
+    theta*.  The properties theta, drop and ranks are computed on every
+    read.  Records are immutable; equality compares theta and the kept
+    fields but not rd, dstar, the table or the links, and repr shows
+    theta_star and cbits.
 
     Attributes:
         theta_star: the action of theta on cocharacters, its transposed
             matrix, in closed form from the root permutation theta and
             dstar (RootDatum.cocharacter_action): no product for a simply
             connected datum without torus, and one n x n product at most.
-        theta: the images of the 2N roots under theta, as the table's
-            bytes (InvolutionTable.thetas).
+        table, inv: the table of theta and the id of theta in it.
+        theta: the images of the 2N roots under theta, as bytes read
+            through the table by id (InvolutionTable.thetas).  The
+            table's items are slices of its blocks, built on each read,
+            so a record that kept one would keep a copy of it.
         dstar: the matrix of delta on cocharacters, theta* at the base.
         drop, cbits: rho-check minus its image under theta* delta*, for
             theta = w.delta, and its parity.  theta* delta* is the
@@ -81,12 +86,13 @@ class InvolutionLattice:
     """
 
     __slots__ = (
-        "theta_star", "theta", "rd", "dstar", "parent", "j", "cbits", "minus", "plus",
+        "theta_star", "table", "inv", "rd", "dstar", "parent", "j", "cbits", "minus", "plus",
     )
     _COMPARED = ("theta_star", "theta", "cbits", "minus", "plus")
 
     theta_star: lin.Matrix
-    theta: bytes
+    table: InvolutionTable
+    inv: int
     rd: RootDatum
     dstar: lin.Matrix
     cbits: lin.Vector
@@ -97,13 +103,15 @@ class InvolutionLattice:
 
     def __init__(
         self,
-        theta: bytes,
+        table: InvolutionTable,
+        inv: int,
         rd: RootDatum,
         dstar: lin.Matrix,
         parent: InvolutionLattice | None = None,
         j: int | None = None,
     ):
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "rd", rd)
         object.__setattr__(self, "dstar", dstar)
         object.__setattr__(self, "parent", parent)
@@ -148,9 +156,14 @@ class InvolutionLattice:
         return value
 
     @property
+    def theta(self) -> bytes:
+        return self.table.thetas[self.inv]
+
+    @property
     def drop(self) -> lin.Vector:
-        npos = len(self.theta) // 2
-        return self.rd.coroot_sum(k for k in range(npos) if self.theta[k] >= npos)
+        theta = self.theta
+        npos = len(theta) // 2
+        return self.rd.coroot_sum(k for k in range(npos) if theta[k] >= npos)
 
     @property
     def ranks(self) -> RankDecomposition:

@@ -6,22 +6,25 @@ theta = w.delta, has one form: the bytes of its 2N root images (2N <=
 240 under the rank-8 cap), composed by compose, one bytes.translate.
 Those permutations depend only on the Cartan matrix and the diagram
 permutation of delta, so one table serves every isogeny of a Coxeter
-datum.  Reduced words come from one walk (_walk) on the n pairings of
-w(2 rho) with the simple coroots, read off w once.  The table
-enumerates all twisted involutions breadth-first, walking ascents only
-and keying each involution by its simple-root images; the search yields
-the twisted length and the status of every simple root for free.  Its
-loop alone keeps translate tables of its own (see InvolutionTable).
-A root subsystem is a sequence of positive-root indices; its simple
-roots are read off the reflections (InvolutionTable.simple_basis), so it
-too serves every isogeny.  The table keeps the imaginary and real roots
-and the imaginary basis of each involution that a per-Cartan query
-reads, and cartan keeps its class facts on it, once per table and class.
-The twisted-conjugacy classes are joined along complex descents, which go
-down in id, and each class's canonical member is reached by a walk along
-complex cross actions, not by a scan of the class.  The inner-class
-involution delta comes from the delta module, and the lattice data of
-each twisted involution from the lattice module.
+datum.  Reduced words come from one walk (conjugacy._walk) on the n
+pairings of w(2 rho) with the simple coroots, read off w once.  The
+table enumerates all twisted involutions breadth-first, walking ascents
+only; the search yields the twisted length and the status of every
+simple root for free, and it dedupes by the simple-root images with one
+dict per length, which it drops as it goes.  Its loop alone keeps
+translate tables of its own (see InvolutionTable).  Ids of one length
+are contiguous, so the root permutations of a length are kept as one
+bytes block (Thetas), and no index by permutation is kept: a Cayley
+transform is read off the status rows by a walk along cross actions
+(InvolutionTable.cayley).  A root subsystem is a sequence of
+positive-root indices; its simple roots are read off the reflections
+(InvolutionTable.simple_basis), so it too serves every isogeny.  The
+table keeps the imaginary and real roots and the imaginary basis of each
+involution that a per-Cartan query reads, and cartan keeps its class
+facts on it, once per table and class.  The twisted-conjugacy classes
+come from the conjugacy module, the inner-class involution delta from
+the delta module, and the lattice data of each twisted involution from
+the lattice module.
 """
 
 from __future__ import annotations
@@ -29,43 +32,25 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from functools import cache, cached_property
-from typing import NamedTuple
 
 from . import lin
+from .conjugacy import (
+    COMPLEX_DOWN,
+    COMPLEX_UP,
+    IMAGINARY,
+    REAL,
+    TwistedConjugacy,
+    _reflect_pairing,
+    _walk,
+)
 from .delta import InnerClassInvolution
 from .diagram import arms, components
-from .rootdata import RootDatum
-
-IMAGINARY = "i"
-REAL = "r"
-COMPLEX_UP = "+"
-COMPLEX_DOWN = "-"
+from .rootdata import InputError, RootDatum
 
 
 def compose(a: bytes, b: bytes) -> bytes:
     """a.b, with (a.b)[x] = a[b[x]]; b may also be any bytes of root indices."""
     return b.translate(a.ljust(256, b"\0"))
-
-
-def _walk(cartan: lin.Matrix, pairing: list[int], js: Sequence[int]) -> list[int]:
-    """Reflects pairing, the <v, alpha_k^v> of some v, in place at the
-    first j in js with pairing[j] < 0 until none is left; returns the j."""
-    letters = []
-    while True:
-        for j in js:
-            if pairing[j] < 0:
-                break
-        else:
-            return letters
-        letters.append(j)
-        _reflect_pairing(cartan, pairing, j)
-
-
-def _reflect_pairing(cartan: lin.Matrix, pairing: list[int], j: int) -> None:
-    # <s_j v, alpha_k^v> = <v, alpha_k^v> - <v, alpha_j^v> <alpha_j, alpha_k^v>
-    c = pairing[j]
-    for k, a in enumerate(cartan[j]):
-        pairing[k] -= c * a
 
 
 def _pairings(table: InvolutionTable, w: bytes) -> list[int]:
@@ -145,28 +130,62 @@ def _act(cartan: lin.Matrix, word: Sequence[int]) -> list[int]:
     return pairing
 
 
-class TwistedClasses(NamedTuple):
-    """The twisted-conjugacy classes of a table, built by
-    InvolutionTable._class_record: the member ids of each class, the class
-    of each id, and each class's canonical member."""
+class Thetas(Sequence):
+    """The root permutations of a table's involutions, as a read-only
+    sequence of bytes: thetas[i] is the 2N root images of involution i.
 
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    canonical: tuple[int, ...]
+    Ids of one twisted length are contiguous, so the permutations of
+    length L are one bytes block, blocks[L], from id starts[L] on, width
+    = 2N bytes each, and thetas[i] is one slice of it: a bytes object
+    per involution would cost a 33 B header and an 8 B list slot more.
+    Items are built on each read; at(i) gives the block and offset
+    without building one.  Like a list of bytes, it is equal to a list
+    of the same items, and unhashable, and refuses item assignment.
+    """
+
+    __slots__ = ("blocks", "starts", "lengths", "width")
+
+    def __init__(self, blocks: list[bytes], starts: list[int], lengths: list[int], width: int):
+        self.blocks, self.starts, self.lengths, self.width = blocks, starts, lengths, width
+
+    def at(self, i: int) -> tuple[bytes, int]:
+        """The block holding theta_i and its offset there, for 0 <= i < len."""
+        length = self.lengths[i]
+        return self.blocks[length], (i - self.starts[length]) * self.width
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> bytes:
+        # lengths[i] reads from the end for a negative i, and refuses one off the table
+        length = self.lengths[i]
+        o = (i % len(self.lengths) - self.starts[length]) * self.width
+        return self.blocks[length][o:o + self.width]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, Thetas)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
-class InvolutionTable:
+class InvolutionTable(TwistedConjugacy):
     """All twisted involutions of one Coxeter datum, with derived data.
 
     Records are indexed by discovery order of a breadth-first search
-    from delta; the search depth is the twisted length.  thetas[i] (the
-    i-th involution), reflections[k] and simple are bytes of root
-    indices (2N <= 240 under the rank-8 cap), composed by compose.  Only
-    the search loop keeps padded translate tables, one per generator and
+    from delta; the search depth is the twisted length, and the ids of
+    one length are contiguous.  thetas[i] (the i-th involution),
+    reflections[k] and simple are bytes of root indices (2N <= 240 under
+    the rank-8 cap), composed by compose.  thetas is a read-only
+    sequence (Thetas) over one bytes block per length.  Only the search
+    loop keeps padded translate tables, one per generator and
     involution: a compose per edge took split E8 from 0.96 to 1.5-2.2 s
-    and D7 s from 0.011 to 0.020 s.  index keys each involution by its
-    simple-root images, compose(theta, simple): theta is linear on the
-    root lattice, so those n images fix the whole permutation.
+    and D7 s from 0.011 to 0.020 s.  The search keys each involution by
+    its simple-root images, compose(theta, simple): theta is linear on
+    the root lattice, so those n images fix the whole permutation.  It
+    keeps one dict of keys per length, and only while it needs them
+    (_enumerate).  No reader needs an index by key, since cayley walks
+    the status rows instead; one would keep 96 B per involution of E7 s
+    more, where the table keeps 181 B.
 
     The search walks ascents only.  From each involution i it follows
     the simple roots j imaginary at i (the Cayley transform s_j.theta)
@@ -182,11 +201,11 @@ class InvolutionTable:
 
     The status row of an involution gives, per simple root, its kind and
     the neighbour reached by the cross action or Cayley transform; the
-    complex neighbours join the members of each class.  The rows are
-    stored flat, written during the search: entry j of involution i is
-    at i*n + j of one string of kind letters and one array of neighbour
-    ids.  status_row(i) is the row view, kinds(i) its letters alone, and
-    status(i, j) reads one entry.
+    complex neighbours join the members of each class (TwistedConjugacy).
+    The rows are stored flat, written during the search: entry j of
+    involution i is at i*n + j of one string of kind letters and one
+    array of neighbour ids.  status_row(i) is the row view, kinds(i) its
+    letters alone, and status(i, j) reads one entry.
     A torus (n = 0) has one empty row per involution.  simple[j] is the
     index of simple root j, and reflections[k] the reflection in positive
     root k, by the vector formula for simple k, and as
@@ -195,9 +214,12 @@ class InvolutionTable:
     its coroot is a nonnegative sum of simple coroots and pairs to 2 with
     beta, so some <beta, alpha_j^v> > 0 and s_j beta is a positive root
     of lower height, which comes earlier in the height order of the
-    positive roots.  Roots are returned as positive-root indices, valid
-    in every isogeny; rd is the root datum the table was built from, and
-    may belong to another isogeny than the caller's.
+    positive roots.  _chains[k] lists the first such j for k, then for
+    s_j k, and so on down to a simple root, and ends with the index of
+    that simple root, which is all it holds for a simple k.  Roots are
+    returned as positive-root indices, valid in every isogeny; rd is the
+    root datum the table was built from, and may belong to another
+    isogeny than the caller's.
     """
 
     def __init__(self, rd: RootDatum, perm: tuple[int, ...]):
@@ -208,17 +230,13 @@ class InvolutionTable:
         by_coeffs = {r.coeffs: k for k, r in enumerate(pos)}
         delta = [by_coeffs[tuple(r.coeffs[p] for p in perm)] for r in pos]
         self.simple = bytes(rd.root_index[a] for a in rd.simple_roots)
-        self.reflections = self._conjugated_reflections()
+        self.reflections, self._chains = self._conjugated_reflections()
         # two_rho[r] = <2 rho, coroot of root r>, which depends on the Coxeter datum only
         rho2 = [sum(col) for col in zip(*(r.vec for r in pos))]
         heights = [lin.vec_dot(rho2, r.covec) for r in pos]
         self.two_rho = tuple(heights + [-h for h in heights])
-        theta0 = bytes(delta + [k + npos for k in delta])
         # the positive root indices, which simple_basis and word_length delete
         self._positive = bytes(range(npos))
-        self.thetas: list[bytes] = [theta0]
-        self.lengths: list[int] = [0]
-        self.index: dict[bytes, int] = {compose(theta0, self.simple): 0}
         self._words: dict[int, tuple[int, ...]] = {}
         self._reflection_words: dict[int, tuple[int, ...]] = {}
         # root subsystems by involution, filled where a per-Cartan query reads them
@@ -227,32 +245,58 @@ class InvolutionTable:
         self._imaginary_bases: dict[int, tuple[int, ...]] = {}
         # cartan.ClassFacts by class index, built in cartan
         self._class_facts: dict[int, object] = {}
-        self._enumerate()
+        self._enumerate(bytes(delta + [k + npos for k in delta]))
 
-    def _conjugated_reflections(self) -> tuple[bytes, ...]:
-        rd = self.rd
+    def _conjugated_reflections(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        rd, simple = self.rd, self.simple
         out: list[bytes] = []
+        chains: list[bytes] = []
         for k, b in enumerate(rd.positive_roots):
-            if k in self.simple:
+            if k in simple:
+                chains.append(bytes([simple.index(k)]))
                 # s_beta v = v - <v, beta^v> beta
                 out.append(bytes(
                     rd.root_index[lin.vec_sub(v, lin.vec_scale(b.vec, lin.vec_dot(v, b.covec)))]
                     for v in rd.roots
                 ))
             else:
-                sj = next(out[s] for s in self.simple if out[s][k] < k)
+                j = next(j for j, s in enumerate(simple) if out[s][k] < k)
+                sj = out[simple[j]]
+                chains.append(bytes([j]) + chains[sj[k]])
                 out.append(compose(sj, compose(out[sj[k]], sj)))
-        return tuple(out)
+        return tuple(out), tuple(chains)
 
     # -- enumeration ---------------------------------------------------
 
-    def _enumerate(self) -> None:
+    def _enumerate(self, theta0: bytes) -> None:
+        """Sets thetas, lengths and the status rows, by the search from theta0.
+
+        The ids of length L + 1 are handed out while those of length L
+        are visited; their permutations, kept as bytes until L + 1 is
+        visited, are joined into its block then.  Keys are deduped in the
+        dict of L + 1 alone.  When L is done, its new keys are checked
+        against the dicts of L and L - 1, the only two kept besides, and
+        RuntimeError is raised if one is met there.  Keys of L - 2 and
+        below cannot be met by any s_j.theta at a root fixed by theta or
+        s_j.theta.s_j, ascent or descent: rho(theta) = (l(w) + e)/2, with
+        l(w) the length of w = theta.delta^-1 and e the dimension of the
+        -1 eigenspace of theta less that of delta, moves by at most one
+        along each.  s_j.theta moves l(w) by one and e by one, and
+        s_j.theta.s_j moves l(w) by 0 or 2 and keeps e.  rho is 0 at
+        delta and rises by one along every ascent, so it is the search
+        length.  A search with the right kinds walks only ascents, to
+        L + 1; only a wrong kind or generator walks a descent, to L - 1,
+        or a conjugation that fixes theta, to L.  An ascent raises l(w)
+        by one or two, so no length exceeds N, and the search raises
+        RuntimeError past it: a wrong generator that meets a key two or
+        more lengths below then stops the search instead of looping on.
+        """
         npos = len(self.reflections)
         n = len(self.simple)
-        thetas, lengths, index = self.thetas, self.lengths, self.index
+        width = 2 * npos
         # bytes.translate takes a 256-byte table: a permutation of the 2N
         # root indices, padded
-        pad = bytes(256 - 2 * npos)
+        pad = bytes(256 - width)
         simple = self.simple
         # per simple j: its root s, s_j, s_j padded, and s_j of every simple root
         gens = []
@@ -263,43 +307,59 @@ class InvolutionTable:
         # the flat status rows, one blank row per involution found
         blank_kinds, blank_nbrs = bytearray(n), array("i", [0] * n)
         kinds, nbrs = blank_kinds[:], blank_nbrs[:]
-        # new ids are appended while the loop runs and visited in turn
-        for i, theta in enumerate(thetas):
-            tpad = theta + pad
-            tl = lengths[i] + 1
-            row = i * n
-            for j, (s, sj, sjpad, moved) in enumerate(gens):
-                a = theta[s]
-                if a == s:
-                    # the Cayley transform s_j.theta, at which j is real
-                    kind, back, images = imaginary, real, simple
-                elif a < npos:
-                    # the cross action s_j.theta.s_j, at which j is complex down
-                    kind, back, images = up, down, moved
-                else:
-                    continue
-                key = images.translate(tpad).translate(sjpad)
-                tid = index.get(key)
-                if tid is None:
-                    tid = index[key] = len(thetas)
-                    thetas.append(
-                        theta.translate(sjpad) if kind == imaginary
-                        else sj.translate(tpad).translate(sjpad)
-                    )
-                    lengths.append(tl)
-                    kinds += blank_kinds
-                    nbrs += blank_nbrs
-                elif lengths[tid] != tl:
-                    raise RuntimeError("a twisted involution is met at two lengths")
-                kinds[row + j] = kind
-                nbrs[row + j] = tid
-                kinds[tid * n + j] = back
-                nbrs[tid * n + j] = i
+        blocks, starts, lengths = [], [], []
+        # the involutions of the current length, and the keys of the
+        # previous and the current length
+        layer = [theta0]
+        prev, cur = {}, {compose(theta0, simple): 0}
+        # the next id to hand out
+        count = 1
+        while layer:
+            starts.append(len(lengths))
+            lengths += [len(blocks)] * len(layer)
+            blocks.append(b"".join(layer))
+            # the ids of the next length by key, and its involutions
+            nxt, found = {}, []
+            for i, theta in enumerate(layer, starts[-1]):
+                tpad = theta + pad
+                row = i * n
+                for j, (s, sj, sjpad, moved) in enumerate(gens):
+                    a = theta[s]
+                    if a == s:
+                        # the Cayley transform s_j.theta, at which j is real
+                        kind, back, images = imaginary, real, simple
+                    elif a < npos:
+                        # the cross action s_j.theta.s_j, at which j is complex down
+                        kind, back, images = up, down, moved
+                    else:
+                        continue
+                    key = images.translate(tpad).translate(sjpad)
+                    tid = nxt.get(key)
+                    if tid is None:
+                        tid = nxt[key] = count
+                        count += 1
+                        found.append(
+                            theta.translate(sjpad) if kind == imaginary
+                            else sj.translate(tpad).translate(sjpad)
+                        )
+                        kinds += blank_kinds
+                        nbrs += blank_nbrs
+                    kinds[row + j] = kind
+                    nbrs[row + j] = tid
+                    kinds[tid * n + j] = back
+                    nbrs[tid * n + j] = i
+            if not (cur.keys().isdisjoint(nxt) and prev.keys().isdisjoint(nxt)):
+                raise RuntimeError("a twisted involution is met at two lengths")
+            if nxt and len(blocks) > npos:
+                raise RuntimeError(f"the search runs past twisted length {npos}")
+            prev, cur, layer = cur, nxt, found
+        self.lengths = lengths
+        self.thetas = Thetas(blocks, starts, lengths, width)
         self._kinds = kinds.decode("ascii")
         self._nbrs = nbrs
 
     def __len__(self) -> int:
-        return len(self.thetas)
+        return len(self.lengths)
 
     # -- per-involution derived data -----------------------------------
 
@@ -313,13 +373,13 @@ class InvolutionTable:
         count things that what names: a negative i would read the rows,
         thetas, roots or classes from the end.  Raises IndexError
         otherwise; kinds and status test the same inline."""
-        if not 0 <= i < (len(self.thetas) if count is None else count):
+        if not 0 <= i < (len(self.lengths) if count is None else count):
             raise IndexError(f"no {what} {i}")
         return i
 
     def kinds(self, i: int) -> str:
         """The kinds of the simple roots at involution i, as one string."""
-        if not 0 <= i < len(self.thetas):
+        if not 0 <= i < len(self.lengths):
             raise IndexError(f"no involution {i}")
         n = len(self.simple)
         return self._kinds[i * n:(i + 1) * n]
@@ -329,15 +389,45 @@ class InvolutionTable:
         n = len(self.simple)
         if not 0 <= j < n:
             raise IndexError(f"no simple root {j}")
-        if not 0 <= i < len(self.thetas):
+        if not 0 <= i < len(self.lengths):
             raise IndexError(f"no involution {i}")
         p = i * n + j
         return self._kinds[p], self._nbrs[p]
 
     def cayley(self, i: int, k: int) -> int:
-        """Id of s_k.theta_i, for a positive root k imaginary at i."""
-        s_k = self.reflections[self._id(k, len(self.reflections), "positive root")]
-        return self.index[compose(s_k, compose(self.thetas[self._id(i)], self.simple))]
+        """Id of s_k.theta_i, for a positive root k imaginary at i, read
+        off the status rows in O(height of k) steps.
+
+        Take a simple j with s_j k < k, and put theta' = s_j.theta.s_j
+        and k' = s_j k.  theta' is the cross action of j at i when j is
+        complex at i, and theta itself when j is imaginary or real there,
+        since theta then commutes with s_j.  theta' alpha_k' = s_j theta
+        alpha_k, so k' is imaginary at theta' exactly when k is at theta,
+        and s_k'.theta' = s_j.s_k.s_j.s_j.theta.s_j = s_j.(s_k.theta).s_j.
+        So the walk steps down the chain of k (_chains) to a simple root,
+        reads the Cayley transform there off the status row, and walks
+        back up the chain by the cross actions of the targets, which undo
+        the conjugations in reverse order.  The kind at the simple root
+        is the kind of k at i.  Raises IndexError when i or k is off the
+        table, and InputError when k is not imaginary at i.
+        """
+        chain = self._chains[self._id(k, len(self.reflections), "positive root")]
+        kinds, nbrs, n = self._kinds, self._nbrs, len(self.simple)
+        complex_kinds = (COMPLEX_UP, COMPLEX_DOWN)
+        t = self._id(i)
+        for j in chain[:-1]:
+            p = t * n + j
+            if kinds[p] in complex_kinds:
+                t = nbrs[p]
+        p = t * n + chain[-1]
+        if kinds[p] != IMAGINARY:
+            raise InputError(f"positive root {k} is not imaginary at involution {i}")
+        t = nbrs[p]
+        for j in reversed(chain[:-1]):
+            p = t * n + j
+            if kinds[p] in complex_kinds:
+                t = nbrs[p]
+        return t
 
     def word(self, i: int) -> tuple[int, ...]:
         """Displayed reduced word of w = theta.delta, delta being an involution."""
@@ -352,8 +442,8 @@ class InvolutionTable:
         """Length of word(i), without building it: the count of positive
         roots that theta.delta sends negative, as many as theta's, since
         delta permutes the positive roots."""
-        theta = self.thetas[self._id(i)]
-        return len(theta[:len(self.reflections)].translate(None, self._positive))
+        block, o = self.thetas.at(self._id(i))
+        return len(block[o:o + len(self.reflections)].translate(None, self._positive))
 
     def reflection_word(self, k: int) -> tuple[int, ...]:
         """Displayed reduced word of the reflection in positive root k."""
@@ -381,8 +471,10 @@ class InvolutionTable:
         """The positive roots k with theta_i[k] = k + shift, not kept: the
         imaginary ones for shift 0, the real ones for shift N.  The class
         walk reads them at every root of the descent forest."""
-        theta = self.thetas[i]
-        return tuple([k for k in range(len(self.reflections)) if theta[k] == k + shift])
+        npos = len(self.reflections)
+        block, o = self.thetas.at(i)
+        theta = block[o:o + npos]
+        return tuple([k for k in range(npos) if theta[k] == k + shift])
 
     def simple_basis(self, ks: Sequence[int]) -> list[int]:
         """Simple roots of the subsystem on the positive roots ks, in input order.
@@ -420,13 +512,6 @@ class InvolutionTable:
         )
         return out
 
-    def _two_rho_pairings(self, roots: Sequence[int]) -> list[int]:
-        """Pairings of the sum of the given positive roots with the simple coroots."""
-        vec = lin.zero_vector(self.rd.rank)
-        for k in roots:
-            vec = lin.vec_add(vec, self.rd.roots[k])
-        return [lin.vec_dot(vec, av) for av in self.rd.simple_coroots]
-
     # -- classes -------------------------------------------------------
 
     @cached_property
@@ -434,134 +519,6 @@ class InvolutionTable:
         """Twisted-conjugacy classes in Cayley-transform discovery order,
         each in increasing id (_class_record)."""
         return self._class_record.classes
-
-    @cached_property
-    def class_of(self) -> tuple[int, ...]:
-        return self._class_record.class_of
-
-    def canonical_member(self, class_idx: int) -> int:
-        """Distinguished class member used for display and transforms.
-
-        Among the members at which lambda, 2 rho of the positive real
-        roots, is dominant, and mu, 2 rho of the positive imaginary roots,
-        pairs nonnegatively with the simple coroots orthogonal to lambda,
-        it is the one whose word is least by (length, word): the walk of
-        _walk_canonical from any member, recorded by _class_record.
-        """
-        return self._class_record.canonical[self._id(class_idx, len(self.classes), "class")]
-
-    @cached_property
-    def _class_record(self) -> TwistedClasses:
-        """The classes, class_of and canonical members, in one pass in id order.
-
-        Ids grow with the twisted length, and a complex cross action
-        conjugates within a class, so an involution with a complex descent
-        joins the class of that lower neighbour, the first one its status
-        row names.  The involutions without one are the roots of this
-        forest of complex descents; each root is named by its canonical
-        member, which _walk_canonical finds from any start, and the roots
-        with one name make one class.  Starting from the class of the base
-        involution, each class in turn then contributes the unseen classes
-        reached by single Cayley transforms from its canonical member,
-        scanning its imaginary basis in order.  Raises RuntimeError when a
-        descent does not go down in id, a root and its canonical member
-        differ in their counts of real and imaginary roots, or a canonical
-        member's own root is named by another member.
-        """
-        n = len(self.simple)
-        nbrs, find = self._nbrs, self._kinds.find
-        group: list[int] = []
-        members: list[list[int]] = []
-        canonical: list[int] = []
-        by_canonical: dict[int, int] = {}
-        for i in range(len(self.thetas)):
-            p = find(COMPLEX_DOWN, i * n, i * n + n)
-            if p < 0:
-                c = self._walk_canonical(i)
-                if self._root_counts(c) != self._root_counts(i):
-                    raise RuntimeError(f"the canonical walk from {i} leaves its class")
-                g = by_canonical.get(c)
-                if g is None:
-                    g = by_canonical[c] = len(members)
-                    members.append([])
-                    canonical.append(c)
-            else:
-                lower = nbrs[p]
-                if lower >= i:
-                    raise RuntimeError(f"the complex descent of involution {i} does not go down")
-                g = group[lower]
-            group.append(g)
-            members[g].append(i)
-        for g, c in enumerate(canonical):
-            if group[c] != g:
-                raise RuntimeError(f"canonical member {c} lies in the class of another")
-        order = [0]
-        seen = {0}
-        for g in order:
-            rep = canonical[g]
-            for b in self.imaginary_basis(rep):
-                h = group[self.cayley(rep, b)]
-                if h not in seen:
-                    seen.add(h)
-                    order.append(h)
-        if len(order) != len(members):
-            raise RuntimeError("Cayley transforms do not reach every class")
-        rank = [0] * len(order)
-        for c, g in enumerate(order):
-            rank[g] = c
-        return TwistedClasses(
-            tuple(tuple(members[g]) for g in order),
-            tuple(map(rank.__getitem__, group)),
-            tuple(canonical[g] for g in order),
-        )
-
-    def _root_counts(self, i: int) -> tuple[int, int]:
-        """Counts of real and imaginary roots, invariants of the class of i."""
-        return len(self._roots(i, len(self.reflections))), len(self._roots(i, 0))
-
-    def _walk_canonical(self, i: int) -> int:
-        """Canonical member of the class of i, by a walk from i.
-
-        A complex cross action at j moves lambda and mu by s_j, since s_j
-        permutes the positive roots other than alpha_j.  Moving at a j
-        with lambda_j < 0 raises lambda in the dominance order until it
-        is dominant; then moving at a j with lambda_j = 0 > mu_j does the
-        same for mu and fixes lambda.  Such a j is complex: a real simple
-        root pairs to 2 with lambda and to 0 with mu, an imaginary one to
-        0 and 2.  If theta_2 = w theta_1 w^-1 and both give (lambda, mu),
-        w may be taken to carry the positive real and imaginary roots of
-        theta_1 to those of theta_2, since W(real) x W(imaginary)
-        centralizes theta_2; then w fixes lambda and mu, so it lies in the
-        parabolic W_J, J the simple roots with lambda_j = mu_j = 0.  Each
-        j in J is complex and keeps (lambda, mu), so the search through J
-        reaches every candidate, and the result is the same from every
-        member of the class.  Candidates are compared by word_length first,
-        so words are built only to break a tie at the least length.
-        """
-        js = range(len(self.simple))
-        for shift in (len(self.reflections), 0):
-            pairing = self._two_rho_pairings(self._roots(i, shift))
-            for j in _walk(self.rd.cartan, pairing, js):
-                i = self._complex_neighbour(i, j)
-            js = [j for j in js if pairing[j] == 0]
-        cands = [i]
-        seen = {i}
-        for m in cands:
-            for j in js:
-                nbr = self._complex_neighbour(m, j)
-                if nbr not in seen:
-                    seen.add(nbr)
-                    cands.append(nbr)
-        lengths = [self.word_length(m) for m in cands]
-        least = min(lengths)
-        ties = [m for m, ln in zip(cands, lengths) if ln == least]
-        return ties[0] if len(ties) == 1 else min(ties, key=self.word)
-
-    def _complex_neighbour(self, i: int, j: int) -> int:
-        kind, nbr = self.status(i, j)
-        if kind not in (COMPLEX_UP, COMPLEX_DOWN):
-            raise RuntimeError(f"simple root {j} is not complex at involution {i}")
-        return nbr
 
 
 _TABLES: dict[tuple, InvolutionTable] = {}

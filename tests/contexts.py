@@ -118,7 +118,7 @@ def fiber_from_corrupted_plus():
     lat = ic.lattice(1)
     vinv = [list(row) for row in lat.plus.vinv]
     vinv[1][1] += 1
-    bad = InvolutionLattice(lat.theta, ic.rd, ic._dstar)
+    bad = InvolutionLattice(ic.table, 1, ic.rd, ic._dstar)
     object.__setattr__(bad, "plus", lat.plus._replace(vinv=tuple(map(tuple, vinv))))
     ic._lattices[1] = bad
     return ic.fiber_elements(1, ic.square_classes[0].key)

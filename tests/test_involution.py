@@ -783,7 +783,7 @@ def test_rank_decomposition_values():
 
 def test_ranks_refuse_a_divisor_above_two():
     ic = context("A1.T1", "sc")
-    ic._lattices[0] = bad = InvolutionLattice(ic.lattice(0).theta, ic.rd, ic._dstar)
+    ic._lattices[0] = bad = InvolutionLattice(ic.table, 0, ic.rd, ic._dstar)
     object.__setattr__(bad, "theta_star", ((-3, 0), (0, 1)))
     with pytest.raises(RuntimeError, match="divisor above 2"):
         ic.lattice(0).ranks
@@ -842,7 +842,7 @@ def test_component_rank_refuses_corrupted_data(theta, message):
     cartan = ic.most_split_cartan(form)
     assert cartan == form
     inv = ic.table.canonical_member(cartan)
-    ic._lattices[inv] = bad = InvolutionLattice(ic.lattice(inv).theta, ic.rd, ic._dstar)
+    ic._lattices[inv] = bad = InvolutionLattice(ic.table, inv, ic.rd, ic._dstar)
     object.__setattr__(bad, "theta_star", corrupt)
     with pytest.raises(RuntimeError, match=message):
         ic.component_rank(form)

@@ -103,11 +103,11 @@ def test_separately_built_lattices_are_equal():
         assert la is not lb
         assert la == lb
         assert hash(la) == hash(lb)
-        linked = InvolutionLattice(la.theta, a.rd, a._dstar, la.parent, la.j)
+        linked = InvolutionLattice(la.table, la.inv, a.rd, a._dstar, la.parent, la.j)
         assert linked == la and hash(linked) == hash(la)
         # without its parent a record keys by its own Smith rows, which the
         # rows transported along a complex descent need not be
-        rebuilt = InvolutionLattice(la.theta, a.rd, a._dstar)
+        rebuilt = InvolutionLattice(la.table, la.inv, a.rd, a._dstar)
         assert hash(rebuilt) == hash(la)
         if la.parent is None:
             assert rebuilt == la

@@ -329,17 +329,41 @@ def test_table_matches_full_permutation_search(text, letters):
 
 @pytest.mark.parametrize("text,letters", [
     ("B3", "s"), ("F4", "s"), ("D5", "s"), ("E6", "c"), ("C4", "s"),
+    ("E6", "s"), ("A4", "s"), ("D5", "u"), ("B2.A3", "ss"), ("A2.A2", "C"),
 ])
 def test_cayley_matches_full_permutation_search(text, letters):
+    # cayley walks the status rows by cross actions, which conjugate by
+    # s_j on both sides: delta != 1 (E6 s, A4 s, D5 u) and products too
     table, (thetas, lengths, _) = table_and_reference(text, letters)
     index = {theta: i for i, theta in enumerate(thetas)}
     reflections = vector_reflections(table.rd)
+    refused = 0
     for i, theta in enumerate(thetas):
         for k, refl in enumerate(reflections):
             if theta[k] == k:
                 tid = index[tuple(refl[x] for x in theta)]
                 assert table.cayley(i, k) == tid
                 assert lengths[tid] > lengths[i]
+                continue
+            try:
+                table.cayley(i, k)
+            except InputError:
+                refused += 1
+    # every root that is not imaginary is refused
+    assert refused == sum(theta[k] != k for theta in thetas for k in range(len(reflections)))
+
+
+def test_cayley_refuses_a_root_that_is_not_imaginary():
+    # at involution 1 of A3 c, s_0, alpha_1 is complex and alpha_0 real:
+    # neither has a Cayley transform, and the inverse one of alpha_0, the
+    # base, is no answer either
+    table = involution_table(involution("A3", "c"))
+    assert table.status(0, 0) == (IMAGINARY, 1)
+    assert table.status(1, 0) == (REAL, 0)
+    assert table.status(1, 1)[0] == COMPLEX_UP
+    for k in table.simple[:2]:
+        with pytest.raises(InputError, match=f"positive root {k} is not imaginary at involution 1"):
+            table.cayley(1, k)
 
 
 @pytest.mark.parametrize("text,letters", CANONICAL_CONTEXTS)
@@ -565,20 +589,71 @@ def test_rank_zero_rows_are_kept(text, letters, size):
 
 
 def test_table_memory_per_involution():
-    # E7 s has 10,208 involutions; tuple thetas and tuple status rows hold
-    # about 1,700 B each, bytes and flat rows about 320 B
+    # E7 s has 10,208 involutions.  The table keeps 181 B per involution,
+    # 126 B of it in the blocks; a bytes object per involution and an
+    # index by key would keep about 140 B more.  The search's peak, with
+    # its per-length dicts and the bytes of the length it visits, is 190
+    # B: a transient copy of the blocks would add 126 B
     d = involution("E7", "s")
-    involution_table(d)  # the root datum's lazy data, outside the trace
+    rd = d.rd
+    # the root datum's lazy data, outside the trace
+    rd.positive_roots, rd.roots, rd.root_index
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = InvolutionTable(d.rd, d.perm)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        table = InvolutionTable(rd, d.perm)
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert len(table) == 10208
     assert all(type(theta) is bytes for theta in table.thetas)
-    assert retained / len(table) < 500
+    assert retained / len(table) < 200
+    assert peak / len(table) < 220
+
+
+@pytest.mark.parametrize("text,letters", [("D5", "s"), ("A2.A2", "C"), ("A1.T1", "ss"), ("T1", "s")])
+def test_thetas_read_as_a_list_of_bytes(text, letters):
+    # thetas is a view over one bytes block per twisted length; its readers
+    # see a list of the 2N root images per involution
+    table, (thetas, lengths, _) = table_and_reference(text, letters)
+    expected = [bytes(theta) for theta in thetas]
+    view = table.thetas
+    assert len(view) == len(table) == len(expected)
+    assert list(view) == expected
+    assert view == expected and expected == view and not view != expected
+    assert view != expected[:-1] and view != tuple(expected)
+    assert view[-1] == expected[-1] and view[-len(view)] == expected[0]
+    assert all(type(theta) is bytes and len(theta) == 2 * len(table.reflections) for theta in view)
+    for i in (len(view), -len(view) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view[0] = expected[0]
+    with pytest.raises(TypeError):
+        hash(view)
+    # ids of one length are contiguous, one block per length
+    assert [len(block) for block in view.blocks] == [
+        lengths.count(length) * view.width for length in range(max(lengths) + 1)
+    ]
+
+
+def test_search_refuses_an_involution_met_at_two_lengths(monkeypatch):
+    # a generator that fixes the base meets its key again at length 0; s_0
+    # planted as the generator of alpha_2, which s_0 fixes, takes theta_1 =
+    # s_0 back to the base, at length 0 from length 1
+    d = involution("A3", "c")
+    table = involution_table(d)
+    identity = bytes(range(2 * len(table.reflections)))
+    s_0 = table.reflections[table.simple[0]]
+    for j, planted in ((0, identity), (2, s_0)):
+        reflections = list(table.reflections)
+        reflections[table.simple[j]] = planted
+        monkeypatch.setattr(
+            InvolutionTable, "_conjugated_reflections",
+            lambda self: (tuple(reflections), table._chains),
+        )
+        with pytest.raises(RuntimeError, match="met at two lengths"):
+            InvolutionTable(d.rd, d.perm)
 
 
 def base_gradings(ic):
