@@ -22,7 +22,7 @@ from math import factorial
 from typing import NamedTuple
 
 from . import lin
-from .diagram import arms, components
+from .diagram import arms, components, neighbours
 from .fiber import FiberOrbit
 from .forms import StrongOrbit, orbit_lines, strong_orbits
 from .involution import InnerClass
@@ -38,11 +38,6 @@ def _cartan_matrix(table: InvolutionTable, basis: list[int]) -> list[list[int]]:
     """<a, b^v> for the positive roots a, b of a simple system, by index."""
     pos = table.rd.positive_roots
     return [[lin.vec_dot(pos[a].vec, pos[b].covec) for b in basis] for a in basis]
-
-
-def _diagram(cartan: list[list[int]]) -> list[list[int]]:
-    """Neighbour lists of the Dynkin diagram of a Cartan matrix."""
-    return [[j for j, c in enumerate(row) if j != i and c] for i, row in enumerate(cartan)]
 
 
 def _component_name(cartan: list[list[int]], adj: list[list[int]], comp: list[int]) -> str:
@@ -94,7 +89,7 @@ def system_type(table: InvolutionTable, ks) -> str:
     costs |ks|^2 reflection reads.
     """
     cartan = _cartan_matrix(table, table.simple_basis(ks))
-    adj = _diagram(cartan)
+    adj = neighbours(cartan)
     return ".".join(_component_name(cartan, adj, comp) for comp in components(adj))
 
 
@@ -143,7 +138,7 @@ def _complex_factor(table: InvolutionTable, inv: int) -> tuple[list[int], list[t
         and not lin.vec_dot(r.vec, rho_i) and not lin.vec_dot(r.vec, rho_r)
     ]
     basis = table.simple_basis(free)
-    comps = components(_diagram(_cartan_matrix(table, basis)))
+    comps = components(neighbours(_cartan_matrix(table, basis)))
     # theta pairs distinct components: the partner of a component is the
     # one with a basis root not orthogonal to theta of its first basis root
     partner = []

@@ -1,6 +1,7 @@
 """Dynkin diagrams: Cartan matrices of the simple types, and graph walks.
 
-A diagram is given by neighbour lists, one per vertex.  Root data build
+A diagram is given by neighbour lists, one per vertex, and a Cartan
+matrix gives its Dynkin diagram's (neighbours).  Root data build
 their Cartan matrices here (cartan_matrix), the Weyl words order the
 simple roots along the components (weyl.piece_chain), and the Cartan
 reports name root subsystems by their components and arms.
@@ -50,6 +51,12 @@ def cartan_matrix(letter: str, n: int) -> lin.Matrix:
     else:
         raise ValueError(f"no Cartan matrix for type {letter}")
     return lin.freeze(c)
+
+
+def neighbours(cartan: lin.Matrix | list[list[int]]) -> list[list[int]]:
+    """Neighbour lists of the Dynkin diagram of a Cartan matrix: i and j
+    are joined when entry (i, j) is not 0."""
+    return [[j for j, c in enumerate(row) if j != i and c] for i, row in enumerate(cartan)]
 
 
 def components(adj: list[list[int]]) -> list[list[int]]:

@@ -155,7 +155,9 @@ class Fibers:
         """The fiber over inv of the square class key, None when the class is
         not realized over inv; built once and kept in _fibers.  Raises
         InputError on a miss unless key is the key of a realized square
-        class (_realized_keys).
+        class (_realized_keys), and unless inv is an int, not a bool, on
+        every call, since a bool id equals an int one and would read its
+        fiber (lattice).
 
         The generators are (d/2) c_i, d = denom, for the Smith columns c_i
         of 1 + theta* at divisor 2; keys are linear in t, so the key masks
@@ -164,7 +166,7 @@ class Fibers:
         2^(fiber rank) distinct ones (that is, independent over F2), or
         when a point squares outside the class.
         """
-        if (inv, key) in self._fibers:
+        if (inv, key) in self._fibers and type(inv) is int:
             return self._fibers[(inv, key)]
         if key not in self._realized_keys:
             raise InputError(f"no square class {key!r}; realized: {self._realized_keys}")
@@ -206,11 +208,11 @@ class Fibers:
         imaginary at inv fixes (inv, t) when beta is compact there, and adds
         (d/2) beta^v to t when it is noncompact:
         - Pick w with w beta = alpha_j simple.  Cross actions are affine
-          with linear part w, and they carry gradings (root_grading), so
-          the claim reduces to a simple imaginary alpha_j.
-        - At a simple imaginary alpha_j, cross returns s_j t = t -
-          <alpha_j, t> alpha_j^v.  For x in a fiber, <alpha_j, t> is 0 or
-          d/2 mod d, and it is d/2 exactly when alpha_j is noncompact.
+          with linear part w (InnerClass._step, lattice.move), and they
+          carry gradings (root_grading), so the claim reduces to a simple
+          imaginary alpha_j, where the cross action is s_j t.
+        - For x in a fiber, <alpha_j, t> is 0 or d/2 mod d, and it is d/2
+          exactly when alpha_j is noncompact.
         So it adds the key of (inv, (d/2) beta^v) to the key of x, and on
         the fiber's bitmasks it is an XOR with one mask where beta is
         noncompact (fiber.reflections).  The gradings at imaginary_basis(inv)

@@ -5,12 +5,13 @@ Weyl group on the adjoint fiber over the base involution 0: the images
 of the cross-action orbits on the fibers over 0 (fundamental_orbits).
 Each is named per unit of delta.units from its noncompact root counts
 and, for an equal-rank D factor, its half-spin tag.  real_form_of
-descends from x to involution 0, pairing alpha_j with t once per step,
-a cross action or an inverse Cayley transform, and reads the form off
-the base point's gradings at imaginary_basis(0), from the base's
-grading row (InnerClass._grading_row).  The report lines of the menu
-and of the strong real forms at a Cartan class, one orbit line each
-(orbit_lines, which the Cartan report prints too), are built here too.
+descends from x to involution 0 by moves along simple roots
+(lattice.move), cross actions and inverse Cayley transforms, and reads
+the form off the base point's gradings at imaginary_basis(0), from the
+base's grading row (InnerClass._grading_row).  The report lines of the
+menu and of the strong real forms at a Cartan class, one orbit line
+each (orbit_lines, which the Cartan report prints too), are built here
+too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from . import lin
 from .fiber import FiberOrbit
-from .lattice import StrongX
+from .lattice import StrongX, move
 from .rootdata import Factor
 from .squares import SquareClass
 from .weyl import COMPLEX_DOWN, REAL
@@ -94,11 +95,12 @@ def _split_product(total: int, s: int) -> tuple[int, int]:
 class RealForms:
     """The weak real forms of an inner class, numbered by the base fiber.
 
-    InnerClass inherits it.  It reads delta, lt, rd, the table and denom,
-    the base fiber's orbits (Fibers._orbit_partition), the realized square
-    classes, and the gradings (gradings, grading, _grading_row and
-    _strong).  real_forms, which format_real_form_menu reads, is defined
-    on InnerClass.
+    InnerClass inherits it.  It reads delta, lt, the table and denom, the
+    base fiber's orbits (Fibers._orbit_partition), the realized square
+    classes, the gradings (gradings, grading, _grading_row and _strong),
+    and the moves along simple roots (InnerClass._step, lattice.move).
+    real_forms, which format_real_form_menu reads, is defined on
+    InnerClass.
     """
 
     real_forms: tuple[RealFormLabel, ...]
@@ -226,20 +228,19 @@ class RealForms:
         """Weak real form of a strong involution, by descent to the base.
 
         Each step lowers the twisted length by one and pairs alpha_j with t
-        once, c = <alpha_j, t>, as a KGB step does; with d = denom it moves
-        t to t - shift alpha_j^v mod d.
+        once, c = <alpha_j, t>, as a KGB step does, and moves t along j
+        (lattice.move); with d = denom:
         - At the first simple root j that is a complex descent, it is the
-          cross action: s_j t plus (d/2) gamma^v, and gamma^v = alpha_j^v
-          there (_complex_shift), so shift = c - d/2.
+          cross action, as InnerClass._step gives it.
         - Otherwise, at the first real j that has one, it is the first
           inverse Cayley candidate (nbr, u), u = s_j t + e alpha_j^v:
           alpha_j, simple imaginary at nbr, is noncompact at it exactly
           when <alpha_j, u> = 2e - c = d/2 mod d (root_grading).  With r =
           d/2 + c mod d there is no e when r is odd, and else e = r/2 is
-          the first, so shift = c - r/2.  Every candidate squares into the
-          class of x: its Cayley image has the square numerators of x, as
-          theta*_inv alpha_j^v = -alpha_j^v, and a Cayley transform through
-          a noncompact alpha_j keeps them mod d.
+          the first, so t moves by c - r/2 in place of c.  Every candidate
+          squares into the class of x: its Cayley image has the square
+          numerators of x, as theta*_inv alpha_j^v = -alpha_j^v, and a
+          Cayley transform through a noncompact alpha_j keeps them mod d.
         The descent keys nothing, and ends at the point of the base point in
         the adjoint fiber: its gradings at imaginary_basis(0), kept by
         torus conjugation and reduction mod denom, whose adjoint orbit is
@@ -251,25 +252,25 @@ class RealForms:
         (grading), which its choice rules out unless the grading is wrong.
         """
         inv, t = self._strong(x)
-        table, rd, d = self.table, self.rd, self.denom
+        table, d = self.table, self.denom
         h = d // 2
         while table.lengths[inv] > 0:
             kinds = table.kinds(inv)
             j = kinds.find(COMPLEX_DOWN)
             if j >= 0:
-                shift = sum(map(mul, rd.simple_roots[j], t)) - h
+                _, inv, a, av, gamma = self._step(inv, j)
+                t = move(t, sum(map(mul, a, t)), av, gamma, d)
+                continue
+            for j, kind in enumerate(kinds):
+                if kind == REAL:
+                    _, nbr, a, av, _ = self._step(inv, j)
+                    c = sum(map(mul, a, t))
+                    if (h + c) % 2 == 0:
+                        break
             else:
-                for j, kind in enumerate(kinds):
-                    if kind == REAL:
-                        c = sum(map(mul, rd.simple_roots[j], t))
-                        if (h + c) % 2 == 0:
-                            shift = c - (h + c) % d // 2
-                            break
-                else:
-                    raise RuntimeError("strong involution admits no descent")
-            inv = table.status(inv, j)[1]
-            t = tuple([(u - shift * v) % d for u, v in zip(t, rd.simple_coroots[j])])
-            if kinds[j] == REAL and not self.grading((inv, t), j):
+                raise RuntimeError("strong involution admits no descent")
+            inv, t = nbr, move(t, c - (h + c) % d // 2, av, None, d)
+            if not self.grading((inv, t), j):
                 raise RuntimeError("an inverse Cayley candidate is compact")
         row = self._grading_row(0)
         point = tuple([

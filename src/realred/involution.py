@@ -30,14 +30,13 @@ from . import lin
 from .delta import InnerClassInvolution, inner_class_involution
 from .fiber import Fiber, FiberOrbit, Fibers, span, subset_order
 from .forms import RealFormLabel, RealForms, StrongOrbit, strong_orbits
-from .lattice import InvolutionLattice, RankDecomposition, StrongX
+from .lattice import InvolutionLattice, RankDecomposition, StrongX, move
 from .rootdata import InputError, LieType, RootDatum
 from .squares import SquareClasses
 from .weyl import (
     COMPLEX_DOWN,
     COMPLEX_UP,
     IMAGINARY,
-    REAL,
     InvolutionTable,
     involution_table,
 )
@@ -127,11 +126,6 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         d = self.denom
         return (inv, tuple([sum(map(mul, r, t)) % d for r in self.lattice(inv).minus[1]]))
 
-    def _reflect(self, j: int, t: lin.Vector) -> lin.Vector:
-        """s_j t = t - <alpha_j, t> alpha_j^v, on cocharacters."""
-        c = lin.vec_dot(self.rd.simple_roots[j], t)
-        return lin.vec_sub(t, lin.vec_scale(self.rd.simple_coroots[j], c)) if c else t
-
     def fiber_elements(self, inv: int, key: tuple) -> tuple[lin.Vector, ...]:
         """Strong involutions over one involution with squares in one class.
 
@@ -151,29 +145,51 @@ class InnerClass(RealForms, Fibers, SquareClasses):
 
     # -- cross actions, Cayley transforms, gradings ----------------------
 
-    def cross(self, j: int, x: StrongX) -> StrongX:
-        """Cross action of the j-th simple reflection: s_j t mod denom, plus
-        _complex_shift when j is complex at the involution of x.  Raises
-        InputError when x is not a strong involution of the table (_strong)."""
-        inv, t = self._strong(x)
-        kind, nbr = self.table.status(inv, j)
-        t2 = self._reflect(j, t)
-        if kind in (IMAGINARY, REAL):
-            return (inv, lin.vec_mod(t2, self.denom))
-        shift = lin.vec_scale(self._complex_shift(inv, j, kind), self.denom // 2)
-        return (nbr, lin.vec_mod(lin.vec_add(t2, shift), self.denom))
+    def _step(self, inv: int, j: int) -> tuple:
+        """What the simple root j does at the involution inv: (kind, nbr,
+        alpha_j, alpha_j^v, gamma^v), kind and nbr as InvolutionTable.status
+        gives them.  gamma^v is present exactly when j is complex: the
+        coroot of s_j theta alpha_j when j is complex up, and alpha_j^v when
+        it is complex down.  Raises IndexError as status does.
 
-    def _complex_shift(self, inv: int, j: int, kind: str) -> lin.Vector:
-        """gamma^v, of which the cross action of the simple root j, complex
-        of the given kind at inv, adds denom/2 times to s_j t: gamma is s_j
-        theta alpha_j when j is complex up, alpha_j when complex down.
-        Either carries gradings (root_grading)."""
+        The cross action of j moves t to s_j t + (d/2) gamma^v mod d, d =
+        denom, with no shift at an imaginary or a real j (lattice.move).  In
+        the Tits group, where sigma_j^2 = alpha_j^v(-1), that is (d/2)
+        alpha_j^v on numerators, write x = t sigma_w delta for theta = w
+        delta and k = delta(j), so that w alpha_k = theta alpha_j.  Then
+        sigma_j x sigma_j^-1 = s_j(t) sigma_j sigma_w sigma_k^-1 delta, and:
+        - j imaginary, w alpha_k = alpha_j: w s_k = s_j w is longer than w,
+          so sigma_w sigma_k = sigma_j sigma_w, and the middle is sigma_w.
+        - j real, w alpha_k = -alpha_j: w s_k = s_j w is shorter than w,
+          so sigma_w = sigma_j sigma_(s_j w) = sigma_(s_j w) sigma_k, and
+          again the middle is sigma_w.
+        - j complex up, w' = s_j w s_k two longer than w: sigma_j sigma_w
+          sigma_k = sigma_w', and the middle is sigma_w' alpha_k^v(-1) =
+          (w' alpha_k)^v(-1) sigma_w', with w' alpha_k = -s_j theta alpha_j.
+        - j complex down, w' two shorter: sigma_w = sigma_j sigma_w'
+          sigma_k, and the middle is alpha_j^v(-1) sigma_w'.
+        A sign of gamma^v does not matter mod d.  Either gamma carries the
+        gradings (root_grading).
+        """
+        table, rd = self.table, self.rd
+        kind, nbr = table.status(inv, j)
+        gamma = None
         if kind == COMPLEX_UP:
-            s = self.table.simple[j]
-            block, o = self.table.thetas.at(inv)
-            gamma = self.table.reflections[s][block[o + s]]
-            return self.rd.positive_roots[gamma].covec
-        return self.rd.simple_coroots[j]
+            s = table.simple[j]
+            block, o = table.thetas.at(inv)
+            gamma = rd.positive_roots[table.reflections[s][block[o + s]]].covec
+        elif kind == COMPLEX_DOWN:
+            gamma = rd.simple_coroots[j]
+        return kind, nbr, rd.simple_roots[j], rd.simple_coroots[j], gamma
+
+    def cross(self, j: int, x: StrongX) -> StrongX:
+        """Cross action of the j-th simple reflection: x moved along j
+        (_step, lattice.move), to the neighbour at a complex j and at the
+        involution of x otherwise.  Raises InputError when x is not a
+        strong involution of the table (_strong)."""
+        inv, t = self._strong(x)
+        _, nbr, a, av, gamma = self._step(inv, j)
+        return (inv if gamma is None else nbr, move(t, lin.vec_dot(a, t), av, gamma, self.denom))
 
     def _grading_row(self, inv: int) -> dict[int, tuple[lin.Vector, int]]:
         """Each positive root k imaginary at inv, in increasing order, to
@@ -252,10 +268,10 @@ class InnerClass(RealForms, Fibers, SquareClasses):
           pairs to 0 with alpha_j and grows by alpha_j^v at the Cayley
           transform, and its coroot coefficients at j at the two
           involutions cancel with the 1 of the base-point formula.
-        - j complex: cross sends t to t' = s_j t + (d/2) gamma^v, so
-          2 <s_j alpha, t'> / d = 2 <alpha, t> / d + <s_j alpha, gamma^v>,
-          and the last term is n mod 2 for both choices of gamma in
-          cross.  ht drops by n, and ht_i does not change, since s_j
+        - j complex: cross sends t to t' = s_j t + (d/2) gamma^v (_step),
+          so 2 <s_j alpha, t'> / d = 2 <alpha, t> / d + <s_j alpha,
+          gamma^v>, and the last term is n mod 2 for both choices of gamma
+          in _step.  ht drops by n, and ht_i does not change, since s_j
           carries the imaginary simple roots at i to those at the new
           involution.
         - j imaginary: there is no shift, and ht and ht_i each drop by n.
@@ -272,19 +288,21 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         return (2 * sum(map(mul, a, t)) + off) % (2 * self.denom) == 0
 
     def cayley(self, j: int, x: StrongX) -> StrongX:
-        """Cayley transform through a noncompact imaginary simple root.
+        """Cayley transform through a noncompact imaginary simple root: the
+        imaginary cross action's torus part, s_j t (lattice.move), over the
+        Cayley neighbour.
 
         Raises ValueError when simple root j is not imaginary at x, or is
         compact there, and InputError when x is not a strong involution of
         the table (_strong).
         """
         inv, t = self._strong(x)
-        kind, nbr = self.table.status(inv, j)
+        kind, nbr, a, av, _ = self._step(inv, j)
         if kind != IMAGINARY:
             raise ValueError(f"simple root {j} is not imaginary at involution {inv}")
         if not self.grading(x, j):
             raise ValueError(f"simple root {j} is compact at this strong involution")
-        return (nbr, lin.vec_mod(self._reflect(j, t), self.denom))
+        return (nbr, move(t, lin.vec_dot(a, t), av, None, self.denom))
 
     # -- weak real forms --------------------------------------------------
 

@@ -29,18 +29,10 @@ them.  It builds no words: the word column of a listing is read from the
 table when the listing is printed (format_kgb, KGB.word).
 
 Each step of the pass, one element x = (i, t) and one simple root j
-that is not real, pairs alpha_j with t once.  The reflection y = s_j t
-mod denom gives the cross image: (i, y) at an imaginary j, and y plus
-(denom/2) gamma^v at a complex j (InnerClass._complex_shift).  At an
-imaginary j the same pairing gives the grading.  When j is noncompact
-there, y is also the torus part of the Cayley transform: the Cayley
-transform and the imaginary cross action both reflect t by s_j and
-differ only in the twisted involution (InnerClass.cayley).  The
-neighbours, coroots gamma^v and grading offsets come from one step row
-per twisted involution, built when the pass first meets it and dropped
-with the call.  The offset of a simple imaginary root is denom
-(InnerClass.grading), so a step row builds no lattice record and no
-grading row.
+that is not real, pairs alpha_j with t once: that pairing moves t along
+j (InnerClass._step, lattice.move) and, at an imaginary j, gives the
+grading with offset denom (InnerClass.grading), so a step builds no
+lattice record and no grading row.
 """
 
 from __future__ import annotations
@@ -50,7 +42,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .involution import InnerClass
-from .lattice import StrongX
+from .lattice import StrongX, move
 from .rootdata import InputError
 from .weyl import COMPLEX_DOWN, COMPLEX_UP, IMAGINARY, REAL, InvolutionTable
 
@@ -113,41 +105,29 @@ def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
 def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     """All orbits of the real form, from ic.fundamental_orbits[orbit] (seed_orbit).
 
-    One breadth-first pass: each element records its status letters and
-    the keys of its cross and Cayley images as the search meets them;
-    ids replace the keys once the elements are sorted.  Each unordered
-    cross edge is computed once; fixed points are unkeyed, and a real j
-    is one without a pairing, since the key rows pair to 0 with a real
-    coroot.  W acts on KGB, so s_j is an involution: y = cross_j(x) has
-    x as its j-th cross image, recorded when y is met and not recomputed
-    when y is processed.
-    Each Cayley image is keyed once per type-I pair: at a noncompact
-    imaginary j with y = s_j x not x, x and y have one Cayley image, since
-    (nbr, s_j t) and (nbr, t) differ by a multiple of alpha_j^v, real at
-    nbr, which the key rows of nbr pair to 0.  So the later of x and y to
-    be processed takes the earlier one's Cayley key.  No word is built.
-
-    Each (element, simple root) step reads the step row of the element's
-    twisted involution (_step_row) and pairs alpha_j with t once, at a
-    j that is not real.  With c = <alpha_j, t> and d = denom, y = t - c
-    alpha_j^v mod d is the cross image (InnerClass.cross) at an
-    imaginary j; at a complex j it is y plus (d/2) gamma^v, gamma^v read
-    off the row.  At an imaginary j, alpha_j is noncompact exactly when
-    2c plus the row's offset is 0 mod 2d (InnerClass.root_grading), and
-    then (nbr, y) is the Cayley transform (InnerClass.cayley).
+    One breadth-first pass, as the module docstring describes: each
+    element records its status letters and the keys of its cross and
+    Cayley images as the search meets them, and ids replace the keys once
+    the elements are sorted.  A Cayley image is keyed once per type-I
+    pair: (nbr, s_j t) and (nbr, t) differ by a multiple of alpha_j^v,
+    real at nbr, which the key rows of nbr pair to 0.  Each step reads
+    InnerClass._step, kept in one row per involution for the call, and
+    moves t once (lattice.move): that is the cross image, and at an
+    imaginary j where 2 <alpha_j, t> + denom is 0 mod 2 denom, so that
+    alpha_j is noncompact (InnerClass.grading), it is the Cayley
+    transform over nbr too.  No word is built.
     """
     orbit = seed_orbit(ic, form, orbit)
     table = ic.table
     x_key = ic.x_key
     d = ic.denom
-    h = d // 2
     n = len(table.simple)
 
     reps: dict[tuple, StrongX] = {}
     # the keys of each element's cross images, filled in from both ends
     crosses: dict[tuple, list] = {}
     edges: dict[tuple, tuple[tuple[str, ...], list]] = {}
-    # the step row of each twisted involution met
+    # the steps of the simple roots at each twisted involution met
     steps: dict[int, list[tuple]] = {}
     queue: deque[tuple] = deque()
 
@@ -167,29 +147,28 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
         inv, t = reps[key]
         row = steps.get(inv)
         if row is None:
-            row = steps[inv] = _step_row(ic, inv)
+            row = steps[inv] = [ic._step(inv, j) for j in range(n)]
         cross = crosses[key]
         statuses, cayley = [], []
-        for j, (letter, nbr, a, av, gamma, offset) in enumerate(row):
+        for j, (kind, nbr, a, av, gamma) in enumerate(row):
             todo = cross[j] is None
             noncompact = False
-            if letter == "r":
+            if kind == REAL:
                 # the key rows pair to 0 with a real coroot: s_j x = x
                 cross[j] = key
-            elif todo or offset is not None:
-                c = sum(map(mul, a, t))
-                if gamma is not None:
-                    y = tuple([(u - c * v + h * g) % d for u, v, g in zip(t, av, gamma)])
-                    cross[j] = k = record((nbr, y))
+            elif gamma is not None:
+                if todo:
+                    cross[j] = k = record((nbr, move(t, sum(map(mul, a, t)), av, gamma, d)))
                     crosses[k][j] = key
-                else:
-                    # reps are reduced mod d, so y = t when c = 0
-                    y = tuple([(u - c * v) % d for u, v in zip(t, av)]) if c else t
-                    if todo:
-                        cross[j] = k = key if y == t else record((inv, y))
-                        crosses[k][j] = key
-                    noncompact = (2 * c + offset) % (2 * d) == 0
-            statuses.append("n" if noncompact else letter)
+            else:
+                c = sum(map(mul, a, t))
+                # reps are reduced mod d, so y = t when c = 0
+                y = move(t, c, av, None, d) if c else t
+                if todo:
+                    cross[j] = k = key if y == t else record((inv, y))
+                    crosses[k][j] = key
+                noncompact = (2 * c + d) % (2 * d) == 0
+            statuses.append("n" if noncompact else _LETTER[kind])
             if noncompact:
                 # the partner, when processed already, keyed the pair's image
                 done = edges.get(cross[j])
@@ -214,27 +193,6 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
         for i, key in enumerate(order)
     )
     return KGB(form=form, orbit=orbit, elements=elements, table=table)
-
-
-def _step_row(ic: InnerClass, inv: int) -> list[tuple]:
-    """What generate_kgb needs of each simple root j at the involution inv:
-    (status letter, neighbour, alpha_j, alpha_j^v, gamma^v, offset).
-
-    The coroot gamma^v (InnerClass._complex_shift) is present exactly
-    when j is complex, and the grading offset, denom, exactly when j is
-    imaginary, as in InnerClass.grading; the letter is "c" there, and "n"
-    replaces it at a noncompact element.
-    """
-    table, rd = ic.table, ic.rd
-    row = []
-    for j, (kind, nbr) in enumerate(table.status_row(inv)):
-        gamma = offset = None
-        if kind == IMAGINARY:
-            offset = ic.denom
-        elif kind != REAL:
-            gamma = ic._complex_shift(inv, j, kind)
-        row.append((_LETTER[kind], nbr, rd.simple_roots[j], rd.simple_coroots[j], gamma, offset))
-    return row
 
 
 def format_kgb(kgb: KGB) -> list[str]:

@@ -12,7 +12,8 @@ reflection updates.  The key of x is t paired with that basis mod denom
 (involution.InnerClass.x_key), linear in t.  The Smith divisors of 1 -
 theta* give the split, compact and complex ranks (RankDecomposition).
 The gradings need no record: they read the table and the root datum
-alone (involution.InnerClass._grading_row).
+alone (involution.InnerClass._grading_row).  Every move of x along a
+simple root is one formula (move).
 """
 
 from __future__ import annotations
@@ -25,6 +26,20 @@ from .weyl import InvolutionTable
 
 # x = (involution id, cocharacter numerator vector)
 StrongX = tuple[int, lin.Vector]
+
+
+def move(t: lin.Vector, c: int, av: lin.Vector, gamma: lin.Vector | None, d: int) -> lin.Vector:
+    """t - c alpha_j^v + (d/2) gamma^v mod d, av = alpha_j^v, with no shift
+    when gamma is None: x = (i, t) moved along the simple root j.  With c
+    = <alpha_j, t> and gamma^v from involution.InnerClass._step, which
+    holds the proof, it is the cross action of j, and the Cayley transform
+    at a noncompact imaginary j; an inverse Cayley transform passes its
+    own c (forms.RealForms.real_form_of).
+    """
+    if gamma is None:
+        return tuple([(u - c * v) % d for u, v in zip(t, av)])
+    h = d // 2
+    return tuple([(u - c * v + h * g) % d for u, v, g in zip(t, av, gamma)])
 
 
 class RankDecomposition(NamedTuple):

@@ -44,7 +44,7 @@ from .conjugacy import (
     _walk,
 )
 from .delta import InnerClassInvolution
-from .diagram import arms, components
+from .diagram import arms, components, neighbours
 from .rootdata import InputError, RootDatum
 
 
@@ -74,11 +74,11 @@ def word_from_matrix(table: InvolutionTable, w: bytes) -> tuple[int, ...]:
 def piece_chain(rd: RootDatum) -> tuple[int, ...]:
     """Generator ordering used for the piecewise word normal form.
 
-    Components of the Dynkin diagram of rd.cartan (diagram.components)
-    are taken in index order, each in the order of _component_chain.
+    Components of the Dynkin diagram of rd.cartan (diagram.neighbours,
+    diagram.components) are taken in index order, each in the order of
+    _component_chain.
     """
-    n = rd.semisimple_rank
-    adj = [[j for j in range(n) if j != i and rd.cartan[i][j]] for i in range(n)]
+    adj = neighbours(rd.cartan)
     return tuple(j for comp in components(adj) for j in _component_chain(comp, adj))
 
 

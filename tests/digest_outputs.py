@@ -6,14 +6,6 @@ lines; ``tests/data/digests.json`` holds the committed values and
 output changes its digest, so every such change must be recorded, with
 its reason, in CHANGES.md.
 
-``kgb_smith_order`` and ``kgb_reps_smith_order`` digest the KGB listing
-and reps renumbered by the Smith-form key of each involution
-(``oracles.reference_kgb_order``): the numbering that KGB ids had while
-every lattice record took its key rows from its own Smith form.  Their
-committed values are the ``kgb`` and ``kgb_reps`` digests of that
-numbering, so they show that moving to transported key rows only
-renumbered KGB.
-
 Regenerate the committed values, from the repository root, with::
 
     PYTHONPATH=src python tests/digest_outputs.py
@@ -36,7 +28,6 @@ from realred.forms import format_real_form_menu, format_strong_real
 from realred.kgb import format_kgb, generate_kgb
 
 from contexts import context
-from oracles import reference_kgb_order
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "digests.json"
 
@@ -78,7 +69,6 @@ def outputs(ic) -> dict[str, list[str]]:
     forms = range(len(ic.real_forms))
     cartans = range(len(ic.table.classes))
     kgbs = [generate_kgb(ic, f) for f in forms]
-    smith = [reference_kgb_order(ic, g) for g in kgbs]
     return {
         "menu": format_real_form_menu(ic),
         "reps": [repr(f) for f in ic.real_forms],
@@ -98,8 +88,6 @@ def outputs(ic) -> dict[str, list[str]]:
         ],
         "kgb": kgb_lines(kgbs),
         "kgb_reps": [repr(e.rep) for g in kgbs for e in g.elements],
-        "kgb_smith_order": kgb_lines(smith),
-        "kgb_reps_smith_order": [repr(e.rep) for g in smith for e in g.elements],
     }
 
 

@@ -54,8 +54,6 @@ reference_fiber_elements               a23a4d8  test_involution: test_fiber_keys
 reference_orbit_partition              f393d93+ test_involution: test_orbit_partition_matches_point_by_point_reference,
                                                 test_orbit_partition_and_strong_counts_match_reference_on_the_grid
 reference_key_rows                     9d1bd91+ test_involution: test_fiber_keys_and_inverse_cayley_match_references
-reference_kgb_order                    9d1bd91+ digest_outputs: the kgb_smith_order and
-                                                kgb_reps_smith_order digests
 reference_csc_bits                     b5d4c8b  test_involution: test_closed_form_grading_matches_transport
 reference_root_grading                 b5d4c8b  (as above)
 cross_word                             57d2376  test_involution: test_cartan_record_moves_are_cross_actions
@@ -676,32 +674,6 @@ def reference_x_key(ic, x, rows=None):
     if rows is None:
         rows = reference_key_rows(ic, inv)
     return (inv, tuple(lin.vec_dot(r, t) % ic.denom for r in rows))
-
-
-def reference_kgb_order(ic, kgb):
-    """kgb renumbered by (length, Cartan class, reference_x_key of the rep).
-
-    That was the order of the ids while every record's key rows were its
-    own Smith rows; one Smith form per involution of kgb.
-    """
-    rows = {}
-    for e in kgb.elements:
-        inv = e.rep[0]
-        if inv not in rows:
-            rows[inv] = reference_key_rows(ic, inv)
-    order = sorted(
-        kgb.elements,
-        key=lambda e: (e.length, e.cartan, reference_x_key(ic, e.rep, rows[e.rep[0]])),
-    )
-    ids = {e.id: i for i, e in enumerate(order)}
-    return kgb._replace(elements=tuple(
-        e._replace(
-            id=ids[e.id],
-            cross=tuple(ids[k] for k in e.cross),
-            cayley=tuple(None if k is None else ids[k] for k in e.cayley),
-        )
-        for e in order
-    ))
 
 
 def reference_inverse_cayley(ic, j, x):

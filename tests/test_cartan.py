@@ -784,6 +784,13 @@ def test_out_of_range_index_raises_input_error(call):
         call(ic)
 
 
+def test_real_weyl_refuses_a_cartan_class_the_form_does_not_meet():
+    ic = context("A1", "s")  # su(2) meets the compact Cartan class only
+    assert ic.form_cartans(0) == (0,)
+    with pytest.raises(InputError, match="Cartan class #1 does not meet real form #0"):
+        real_weyl(ic, 0, 1)
+
+
 # public entry points, each given one index by the test
 INDEX_CALLS = {
     "kgb_form": lambda ic, i: generate_kgb(ic, i),

@@ -801,6 +801,16 @@ def test_fiber_elements_refuse_a_key_that_is_no_square_class():
         assert (1, key) not in ic._fibers
 
 
+def test_fiber_elements_refuse_a_bool_id_whatever_is_cached():
+    # a bool id equals an int one, so a cached fiber must not answer it
+    ic = context("A3", "c")
+    key = next(sq.key for sq in ic.square_classes if ic.fiber_elements(1, sq.key))
+    assert (1, key) in ic._fibers and (0, key) in ic._fibers
+    for inv in (True, False):
+        with pytest.raises(InputError, match=f"no involution {inv!r}: there are 10"):
+            ic.fiber_elements(inv, key)
+
+
 def test_fiber_squares_are_checked_per_generator():
     with pytest.raises(RuntimeError, match="squares outside its square class"):
         fiber_from_corrupted_plus()
@@ -1241,7 +1251,7 @@ def test_inverse_cayley_candidates_square_like_x(text, letters, kernel):
                 for j, (kind, nbr) in enumerate(ic.table.status_row(inv)):
                     if kind != REAL:
                         continue
-                    base = ic._reflect(j, t)
+                    base = ic.cross(j, x)[1]
                     av = ic.rd.simple_coroots[j]
                     cands = [
                         (nbr, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))

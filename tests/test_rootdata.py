@@ -91,6 +91,17 @@ def test_kernel_generator_validation() -> None:
     assert parse_kernel_generator("5/7", cst).fractions == ((5, 7),)
 
 
+@pytest.mark.parametrize("bad", ["x", "1/0", "1/2/3", ""])
+def test_malformed_fraction_rejected(bad: str) -> None:
+    with pytest.raises(InputError, match="malformed fraction"):
+        parse_kernel_generator(bad, center_structure(parse_lie_type("A1")))
+
+
+def test_kernel_generator_of_wrong_length_rejected() -> None:
+    with pytest.raises(InputError, match="wrong length"):
+        build_root_datum(parse_lie_type("A1"), [rootdata.KernelGenerator(((1, 2), (0, 1)))])
+
+
 def test_simply_connected_basis_is_identity() -> None:
     rd = root_datum("A2")
     assert rd.basis == lin.identity(2)
