@@ -219,7 +219,7 @@ class RealForms:
         (kgb.seed_orbit) in the order of _orbit_partition(0)."""
         return self._fundamental.orbits
 
-    @cached_property
+    @property
     def square_classes(self) -> tuple[SquareClass, ...]:
         """Realized square classes, numbered from the quasisplit form down."""
         return self._fundamental.square_classes

@@ -316,14 +316,21 @@ class RootDatum:
         return tuple(pos + [lin.vec_neg(v) for v in pos])
 
     @cached_property
+    def simple_root_smith(self) -> lin.SmithForm:
+        """Smith form of the simple roots as rows, the one of each datum:
+        _coroot_frame reads the cocharacters pairing to 0 with every root
+        off it, and squares.SquareClasses the torsion of the center."""
+        return lin.smith_form(self.simple_roots, ncols=self.rank)
+
+    @cached_property
     def _coroot_frame(self) -> tuple[bytes, lin.Matrix, int, tuple[tuple[tuple, tuple], ...]]:
         """(simple, z, den, cols), what cocharacter_action reads of the frame
         B = [simple coroots | z] of the cocharacters.
 
         simple holds the root indices of the simple roots, and z is a basis
         of the cocharacters that pair to 0 with every root: none for a
-        semisimple datum, else the columns of the Smith vinv of the simple
-        roots at their zero divisors.  No
+        semisimple datum, else the columns of the vinv of simple_root_smith
+        at its zero divisors.  No
         nonzero sum of simple coroots pairs to 0 with every simple root,
         the Cartan matrix being invertible, so B is invertible over Q.
         With uinv B = diag v, den B^-1 = vinv diag(den/d_i) uinv is an
@@ -333,7 +340,7 @@ class RootDatum:
         Smith form: cols[c] is ((c,), (1,)), and den is 1.
         """
         n, ss = self.rank, self.semisimple_rank
-        z = lin.transpose(lin.smith_form(self.simple_roots, ncols=n).vinv)[ss:] if ss < n else ()
+        z = lin.transpose(self.simple_root_smith.vinv)[ss:] if ss < n else ()
         inverse = lin.transpose(self.simple_coroots + z)
         den = 1
         if inverse != lin.identity(n):

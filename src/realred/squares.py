@@ -34,8 +34,11 @@ class SquareClass(NamedTuple):
 class SquareClasses:
     """The central square-class layer of an inner class.
 
-    InnerClass inherits it, and it reads rd, the root datum, _dstar, the
-    matrix of delta on cocharacters, and lattice, the lattice records.
+    InnerClass inherits it, and it reads rd, the root datum, and its
+    Smith form of the simple roots (RootDatum.simple_root_smith), _dstar,
+    the matrix of delta on cocharacters, and lattice, the lattice records.
+    One more Smith form, of the simple roots and delta* - 1, cuts out the
+    delta-fixed central cocharacters (_central_smith).
     """
 
     @cached_property
@@ -69,22 +72,18 @@ class SquareClasses:
         return tuple(out)
 
     @cached_property
-    def _center_smith(self) -> lin.SmithForm:
-        """Constraints cutting out all central cocharacters mod Z^n."""
-        rows = [list(a) for a in self.rd.simple_roots]
-        return lin.smith_form(lin.freeze(rows), ncols=self.rd.rank)
-
-    @cached_property
     def _central_translates(self) -> tuple[tuple[int, ...], ...]:
         """Square-value shifts z.delta(z), z central, as reduced keys.
 
         Shifts coming from the identity component of the center reduce
-        to zero, so torsion generators of the full center suffice: the
-        i-th is col_i / diag_i for the Smith divisors diag_i >= 2, and its
-        shift g_i has order dividing diag_i.  The translates are the sums
-        of k_i g_i mod cd over 0 <= k_i < diag_i, sorted.
+        to zero, so torsion generators of the full center suffice, read
+        off the Smith form of the simple roots that the root datum keeps
+        (RootDatum.simple_root_smith): the i-th is col_i / diag_i of its
+        vinv for the divisors diag_i >= 2, and its shift g_i has order
+        dividing diag_i.  The translates are the sums of k_i g_i mod cd
+        over 0 <= k_i < diag_i, sorted.
         """
-        sf = self._center_smith
+        sf = self.rd.simple_root_smith
         n = self.rd.rank
         cd = self.cd
         cols = lin.transpose(sf.vinv)

@@ -370,28 +370,22 @@ class InvolutionTable(TwistedConjugacy):
 
     def _id(self, i: int, count: int | None = None, what: str = "involution") -> int:
         """i, when it numbers an involution of the table, or else one of
-        count things that what names: a negative i would read the rows,
-        thetas, roots or classes from the end.  Raises IndexError
-        otherwise; kinds and status test the same inline."""
-        if not 0 <= i < (len(self.lengths) if count is None else count):
+        count things that what names.  Raises IndexError otherwise: a
+        negative i would read the rows, thetas, roots or classes from the
+        end, and a bool, equal to an int, its row or a cached entry."""
+        if type(i) is bool or not 0 <= i < (len(self.lengths) if count is None else count):
             raise IndexError(f"no {what} {i}")
         return i
 
     def kinds(self, i: int) -> str:
         """The kinds of the simple roots at involution i, as one string."""
-        if not 0 <= i < len(self.lengths):
-            raise IndexError(f"no involution {i}")
         n = len(self.simple)
-        return self._kinds[i * n:(i + 1) * n]
+        return self._kinds[self._id(i) * n:(i + 1) * n]
 
     def status(self, i: int, j: int) -> tuple[str, int]:
         """(kind, neighbour id) of simple root j at involution i."""
         n = len(self.simple)
-        if not 0 <= j < n:
-            raise IndexError(f"no simple root {j}")
-        if not 0 <= i < len(self.lengths):
-            raise IndexError(f"no involution {i}")
-        p = i * n + j
+        p = self._id(i) * n + self._id(j, n, "simple root")
         return self._kinds[p], self._nbrs[p]
 
     def cayley(self, i: int, k: int) -> int:
@@ -431,10 +425,10 @@ class InvolutionTable(TwistedConjugacy):
 
     def word(self, i: int) -> tuple[int, ...]:
         """Displayed reduced word of w = theta.delta, delta being an involution."""
-        out = self._words.get(i)
+        out = self._words.get(self._id(i))
         if out is None:
             out = self._words[i] = normal_form_word(
-                self, compose(self.thetas[self._id(i)], self.thetas[0])
+                self, compose(self.thetas[i], self.thetas[0])
             )
         return out
 
@@ -447,24 +441,23 @@ class InvolutionTable(TwistedConjugacy):
 
     def reflection_word(self, k: int) -> tuple[int, ...]:
         """Displayed reduced word of the reflection in positive root k."""
-        out = self._reflection_words.get(k)
+        out = self._reflection_words.get(self._id(k, len(self.reflections), "positive root"))
         if out is None:
-            s_k = self.reflections[self._id(k, len(self.reflections), "positive root")]
-            out = self._reflection_words[k] = normal_form_word(self, s_k)
+            out = self._reflection_words[k] = normal_form_word(self, self.reflections[k])
         return out
 
     def imaginary_roots(self, i: int) -> tuple[int, ...]:
         """The positive roots fixed by theta_i, kept per involution."""
-        out = self._imaginary.get(i)
+        out = self._imaginary.get(self._id(i))
         if out is None:
-            out = self._imaginary[i] = self._roots(self._id(i), 0)
+            out = self._imaginary[i] = self._roots(i, 0)
         return out
 
     def real_roots(self, i: int) -> tuple[int, ...]:
         """The positive roots negated by theta_i, kept per involution."""
-        out = self._real.get(i)
+        out = self._real.get(self._id(i))
         if out is None:
-            out = self._real[i] = self._roots(self._id(i), len(self.reflections))
+            out = self._real[i] = self._roots(i, len(self.reflections))
         return out
 
     def _roots(self, i: int, shift: int) -> tuple[int, ...]:
@@ -497,7 +490,7 @@ class InvolutionTable(TwistedConjugacy):
         Ordered by height, with height-one roots in simple-root index
         order.
         """
-        out = self._imaginary_bases.get(i)
+        out = self._imaginary_bases.get(self._id(i))
         if out is not None:
             return out
         pos = self.rd.positive_roots

@@ -6,10 +6,11 @@ checks written with the commit named, and known tables from outside the
 code, whose row names their source in place of a commit.  ``git show
 <commit>`` gives the change and its CHANGES.md entry; a commit written
 ``abc1234+`` is the child of abc1234.  theta*, the descent to the base
-fiber and reduced words have one reference each, which the tests compare
-the library with directly: is_theta_star, reference_inverse_cayley (read
-by the last-step descent of test_involution) and the stripping words,
-along a parabolic chain written out from the type (reference_piece_chain).
+fiber, reduced words and the center have one reference each, which the
+tests compare the library with directly: is_theta_star,
+reference_inverse_cayley (read by the last-step descent of
+test_involution), the stripping words along a parabolic chain written
+out from the type (reference_piece_chain), and reference_center.
 test_optimized_mode checks that every row below names a function defined
 here and tests that exist, and that every reference has a reader.
 
@@ -21,7 +22,7 @@ reference_f2_rank                      56363da  test_lin: test_f2_rank,
 reference_smith_form                   3a5b6df+ test_lin: test_smith_form_matches_reference,
                                                 test_smith_form_matches_reference_on_involutions
 reference_mat_inverse_rational         56363da  none: 2bf5db0+ deleted lin.mat_inverse_rational;
-                                                the inverse in reference_to_ad
+                                                the inverse in reference_to_ad, reference_center
 reference_strip                        c24662c  test_weyl: test_table_words_match_stripping_reference,
                                                 test_normal_form_matches_matrix_reference,
                                                 test_table_words_match_matrix_reference;
@@ -41,10 +42,6 @@ rank_decomposition                     daae08c  test_involution: test_cached_ran
                                                 test_theta_star_and_rho_drop_match_weyl_matrix
 square_key_if_valid                    56363da  test_involution: test_cross_and_cayley_preserve_squares,
                                                 test_square_key_integer_check_matches_fractions
-square_key_reference                   cada698  test_involution: test_square_key_integer_check_matches_fractions
-reference_central_reduce               4081506  (as above)
-reference_central_translates           4081506  (as above)
-reference_central_class_key            4081506  (as above)
 reference_x_key                        afb6624  test_involution: test_fiber_keys_and_inverse_cayley_match_references
 reference_inverse_cayley               afb6624  test_involution: test_cross_and_cayley_preserve_squares,
                                                 test_descent_is_path_independent,
@@ -91,6 +88,13 @@ richardson_class_count                 (source) test_weyl: test_class_count_matc
                                                 source: R. W. Richardson, "Conjugacy classes
                                                 of involutions in Coxeter groups", Bull.
                                                 Austral. Math. Soc. 26 (1982)
+reference_center                       (source) test_involution: test_square_key_integer_check_matches_fractions,
+                                                test_strong_counts_match_galois_cohomology;
+                                                source: J. Adams and F. du Cloux, J. Inst.
+                                                Math. Jussieu 8 (2009)
+reference_strong_counts                (source) test_involution: test_strong_counts_match_galois_cohomology;
+                                                source: J.-P. Serre, Galois Cohomology, III.4.5;
+                                                J. Adams and O. Taibi, Duke Math. J. 167 (2018)
 =====================================  ======== ==========================================
 
 The other functions here are the helpers these need, and exact
@@ -104,7 +108,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm, prod
 
 from realred import lin, rootdata
@@ -599,66 +603,61 @@ def square_key_if_valid(ic, x):
     return ic.central_class_key(num, d)
 
 
-def reference_central_reduce(ic, s):
-    # Smith coordinates of a central cocharacter modulo the identity part,
-    # as Fractions in [0, 1): the reference for the integer keys over cd
-    sf = ic._central_smith
-    y = lin.mat_vec(sf.v, s)
-    out = []
-    for i in range(len(y)):
-        d = sf.diag[i] if i < len(sf.diag) else 0
-        if d == 0:
-            out.append(Fraction(0))
-        else:
-            yi = y[i] % 1
-            assert (yi * d).denominator == 1
-            out.append(yi)
-    return tuple(out)
+def reference_center(rd, dstar):
+    """(D, Z, Z^delta, T) of a semisimple root datum from the definitions,
+    as numerators over D; dstar is delta on cocharacters.
+
+    The center is where every root is 1 on the torus X_* (x) C^x: Z = P^v
+    / X_*, P^v the cocharacters over Q pairing integrally with each root,
+    spanned by the columns of the inverse of the simple-root matrix, and
+    Z their closure under addition mod X_*.  Square classes of strong
+    involutions are the cosets of T = {z + delta z} in Z^delta (J. Adams
+    and F. du Cloux, J. Inst. Math. Jussieu 8 (2009)).  A torus factor
+    raises ValueError.
+    """
+    n = rd.rank
+    if rd.semisimple_rank != n:
+        raise ValueError("reference_center takes a semisimple root datum")
+    mat, den = reference_mat_inverse_rational(lin.freeze(list(rd.simple_roots)))
+    center = [(0,) * n]
+    for z in center:
+        for g in lin.transpose(mat):
+            if (y := lin.vec_mod(lin.vec_add(z, g), den)) not in center:
+                center.append(y)
+    fixed = {z for z in center if lin.vec_mod(lin.mat_vec(dstar, z), den) == z}
+    translates = {lin.vec_mod(lin.vec_add(z, lin.mat_vec(dstar, z)), den) for z in center}
+    return den, center, fixed, translates
 
 
-def reference_central_translates(ic):
-    sf = ic._center_smith
-    n = ic.rd.rank
-    cols = lin.transpose(sf.vinv)
-    onep = lin.mat_add(lin.transpose(ic.delta.matrix), lin.identity(n))
-    gens = []
-    for i in range(min(n, len(sf.diag))):
-        if sf.diag[i] < 2:
-            continue
-        g = tuple(Fraction(x, sf.diag[i]) for x in cols[i])
-        gens.append(reference_central_reduce(ic, lin.mat_vec(onep, g)))
-    zero = tuple(Fraction(0) for _ in range(n))
-    group = {zero}
-    queue = [zero]
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            nxt = tuple((a + b) % 1 for a, b in zip(cur, g))
-            if nxt not in group:
-                group.add(nxt)
-                queue.append(nxt)
-    return tuple(sorted(group))
+def reference_strong_counts(rd):
+    """(D, counts): the number of strong real forms by the least z over D of
+    each square class, for the inner class delta = 1 of a semisimple datum.
 
-
-def reference_central_class_key(ic, s, translates):
-    base = reference_central_reduce(ic, s)
-    return min(tuple((a + b) % 1 for a, b in zip(base, g)) for g in translates)
-
-
-def square_key_reference(ic, x, translates):
-    # square class key computed with Fractions throughout
-    inv, t = x
-    n = ic.rd.rank
-    onep = lin.mat_add(ic.lattice(inv).theta_star, lin.identity(n))
-    num = lin.vec_add(lin.mat_vec(onep, t), lin.vec_scale(ic.lattice(inv).cbits, ic.denom // 2))
-    s = tuple(Fraction(v, ic.denom) for v in num)
-    for a in ic.rd.simple_roots:
-        if lin.vec_dot(a, s) % 1:
-            return None
-    diff = lin.mat_sub(lin.transpose(ic.delta.matrix), lin.identity(n))
-    if any(v % 1 for v in lin.mat_vec(diff, s)):
-        return None
-    return reference_central_class_key(ic, s, translates)
+    The fundamental Cartan is compact, so the count is the number of
+    W-orbits on {t in T : 2t = z} (J.-P. Serre, Galois Cohomology, III.4.5;
+    J. Adams and O. Taibi, Duke Math. J. 167 (2018)): here the numerators
+    over 2D that are z mod D, moved by s_j t = t - <alpha_j, t> alpha_j^v.
+    The count is asserted to be the same on each class.
+    """
+    n = rd.rank
+    den, center, _, translates = reference_center(rd, lin.identity(n))
+    points = {tuple(map(sum, zip(z, e))) for z in center for e in product((0, den), repeat=n)}
+    counts = dict.fromkeys(center, 0)
+    while points:
+        orbit = [points.pop()]
+        for t in orbit:
+            for a, av in zip(rd.simple_roots, rd.simple_coroots):
+                s = lin.vec_mod(lin.vec_sub(t, lin.vec_scale(av, lin.vec_dot(a, t))), 2 * den)
+                if s in points:
+                    points.remove(s)
+                    orbit.append(s)
+        counts[lin.vec_mod(orbit[0], den)] += 1
+    out = {}
+    for z in center:
+        coset = {lin.vec_mod(lin.vec_add(z, g), den) for g in translates}
+        assert {counts[y] for y in coset} == {counts[z]}, (z, counts)
+        out[min(coset)] = counts[z]
+    return den, out
 
 
 def reference_key_rows(ic, inv):
@@ -746,7 +745,7 @@ def reference_orbit_partition(ic, inv):
     pos = ic.rd.positive_roots
     shifts = [ic.x_key((inv, lin.vec_scale(pos[k].covec, d // 2)))[1] for k in basis]
     out = []
-    for key in ic._realized_keys:
+    for key in sorted(sq.key for sq in ic.square_classes):
         fiber = ic.fiber_elements(inv, key)
         fkeys = [ic.x_key((inv, t))[1] for t in fiber]
         index = {k: i for i, k in enumerate(fkeys)}

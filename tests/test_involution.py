@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +28,11 @@ from contexts import (
 from digest_outputs import CONTEXTS
 from oracles import (
     as_permutation, classical_real_forms, coreflections, cross_word, is_theta_star,
-    kac_weak_form_count, rank_decomposition, reference_adjoint_context,
-    reference_central_translates, reference_component_rank, reference_fiber_elements,
-    reference_inverse_cayley, reference_key_rows, reference_orbit_partition,
-    reference_rho_check_drop, reference_root_grading,
-    reference_strip_normal_form_word, reference_to_ad, reference_x_key, reflection_matrix,
-    reflections, square_key_if_valid, square_key_reference,
+    kac_weak_form_count, rank_decomposition, reference_adjoint_context, reference_center,
+    reference_component_rank, reference_fiber_elements, reference_inverse_cayley,
+    reference_key_rows, reference_orbit_partition, reference_rho_check_drop,
+    reference_root_grading, reference_strip_normal_form_word, reference_strong_counts,
+    reference_to_ad, reference_x_key, reflection_matrix, reflections, square_key_if_valid,
 )
 
 
@@ -376,11 +374,14 @@ def test_cross_and_cayley_preserve_squares(text, letters):
      ("A5", "c", "1/2"), ("A2.A2", "C", None), ("A5", "c", None)],
 )
 def test_square_key_integer_check_matches_fractions(text, letters, kernel):
+    # the keys name exactly the cosets of T in Z^delta, for the center
+    # built from its definition (reference_center)
     ic = context(text, letters, kernel)
     d = ic.denom
-    translates = reference_central_translates(ic)
-    assert [tuple(Fraction(v, ic.cd) for v in g) for g in ic._central_translates] \
-        == list(translates)
+    den, _, fixed, translates = reference_center(ic.rd, lin.transpose(ic.delta.matrix))
+    keys = {z: ic.central_class_key(z, den) for z in fixed}
+    for z1, z2 in product(fixed, repeat=2):
+        assert (keys[z1] == keys[z2]) == (lin.vec_mod(lin.vec_sub(z1, z2), den) in translates)
     # canonical members may have no real simple root, so take every involution
     points = [
         (inv, t) for inv in range(len(ic.table)) for sq in ic.square_classes
@@ -400,14 +401,36 @@ def test_square_key_integer_check_matches_fractions(text, letters, kernel):
         for c in range(d):
             cand = (inv, lin.vec_mod(lin.vec_add(base, lin.vec_scale(av, c)), d))
             key = square_key_if_valid(ic, cand)
-            ref = square_key_reference(ic, cand, translates)
-            if key is None:
-                assert ref is None
+            # the square over den, when it lies in P^v at all
+            num = [v * den for v in ic._square_numerators(cand)]
+            z = None if any(v % d for v in num) else lin.vec_mod([v // d for v in num], den)
+            if z not in fixed:
+                assert key is None
             else:
-                assert tuple(Fraction(v, ic.cd) for v in key) == ref
+                coset = min(lin.vec_mod(lin.vec_add(z, g), den) for g in translates)
+                assert key == keys[coset]
             valid += key is not None
             invalid += key is None
     assert valid and invalid
+
+
+def test_strong_counts_match_galois_cohomology():
+    # strong real forms per square class, from W-orbits on the points t of
+    # the torus with t^2 central (reference_strong_counts), on every
+    # digested context with delta = 1 and no torus factor
+    checked = 0
+    for text, letters, kernel in CONTEXTS:
+        ic = context(text, letters, kernel)
+        n = ic.rd.rank
+        if ic.rd.semisimple_rank != n or ic.delta.matrix != lin.identity(n):
+            continue
+        den, counts = reference_strong_counts(ic.rd)
+        want = {ic.central_class_key(z, den): count for z, count in counts.items()}
+        orbits = Counter(o.square_class for o in ic.fundamental_orbits)
+        got = {sq.key: orbits[sq.index] for sq in ic.square_classes}
+        assert got == want, (text, letters, kernel, sorted(got.values()), sorted(want.values()))
+        checked += 1
+    assert checked == 39
 
 
 @pytest.mark.parametrize("text,letters,kernel,cd,denom", [

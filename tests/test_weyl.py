@@ -570,6 +570,26 @@ def test_table_readers_refuse_an_id_off_the_table():
     assert all(0 <= k < npos for k in table._reflection_words)
 
 
+def test_table_readers_refuse_a_bool_id():
+    # True == 1 and False == 0, so a bool would read a row, or an entry
+    # cached under the int, as if it were that int; the cross action reads
+    # the simple root through status
+    ic = context("A3", "c")
+    table = ic.table
+    for read in (table.word, table.reflection_word, table.imaginary_basis, table.real_roots):
+        read(0), read(1)
+    x = (0, ic.fiber_elements(0, ic.square_classes[0].key)[0])
+    readers = (table.kinds, lambda i: table.status(i, 0), lambda j: table.status(0, j),
+               table.word, table.reflection_word, table.imaginary_roots, table.real_roots,
+               table.imaginary_basis, table.word_length, table.canonical_member,
+               lambda i: table.cayley(i, 0), lambda k: table.cayley(0, k),
+               lambda j: ic.cross(j, x))
+    for b in (True, False):
+        for read in readers:
+            with pytest.raises(IndexError, match=f"^no [a-z ]+ {b}$"):
+                read(b)
+
+
 @pytest.mark.parametrize("text,letters,size", [
     ("T1", "s", 1), ("T1", "c", 1), ("T2", "C", 1), ("A1.T1", "ss", 2),
 ])
