@@ -276,12 +276,13 @@ class InnerClass(RealForms, Fibers, SquareClasses):
           involution.
         - j imaginary: there is no shift, and ht and ht_i each drop by n.
         - j real cannot occur: real and imaginary roots are orthogonal.
-        Raises RuntimeError when the root is not imaginary at x, and
-        InputError when x is not a strong involution of the table (_strong).
+        Raises IndexError when k names no positive root, RuntimeError when
+        the root is not imaginary at x, and InputError when x is not a
+        strong involution of the table (_strong).
         """
         inv, t = self._strong(x)
         row = self._grading_row(inv)
-        if k not in row:
+        if self.table._id(k, len(self.table.reflections), "positive root") not in row:
             root = self.rd.positive_roots[k].coeffs
             raise RuntimeError(f"root {root} is not imaginary at involution {inv}")
         a, off = row[k]

@@ -17,16 +17,17 @@ in between.  Only those records read theta*.  W acts on
 KGB, so s_j is an involution: the discovery pass computes each unordered
 cross edge once and fills it back at its far end, and leaves fixed
 points unkeyed (a cross image equal to its source, as at every compact
-imaginary root, takes the source's key).  Every real root is such a
+imaginary root, takes the source's id).  Every real root is such a
 point, and there the pass pairs nothing: s_j t = t - <alpha_j, t>
 alpha_j^v, and a theta-fixed character r pairs to 0 with the real
 coroot alpha_j^v, as <r, alpha_j^v> = <r, theta* alpha_j^v> = -<r,
 alpha_j^v>, so s_j x has the key of x.  It keys one Cayley transform
 per type-I pair: at a noncompact imaginary j with s_j x not x, x and
 s_j x have one Cayley image, so the second of them to be processed reads
-the first's key.  It records the edges by key; the ids only relabel
-them.  It builds no words: the word column of a listing is read from the
-table when the listing is printed (format_kgb, KGB.word).
+the first's.  The pass numbers the elements in the order it finds them
+and records the edges by those provisional ids; one sort of the keys
+relabels them.  It builds no words: the word column of a listing is
+read from the table when the listing is printed (format_kgb, KGB.word).
 
 Each step of the pass, one element x = (i, t) and one simple root j
 that is not real, pairs alpha_j with t once: that pairing moves t along
@@ -37,7 +38,6 @@ lattice record and no grading row.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import mul
 from typing import NamedTuple
 
@@ -82,8 +82,10 @@ class KGB(NamedTuple):
 
     def word(self, i: int) -> tuple[int, ...]:
         """Reduced word of the twisted involution of element i, built by
-        the table on first request and kept there."""
-        return self.table.word(self.elements[i].rep[0])
+        the table on first request and kept there.  Raises IndexError
+        unless i is an id of the listing, as the table readers do."""
+        e = self.elements[self.table._id(i, self.size, "KGB element")]
+        return self.table.word(e.rep[0])
 
 
 def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
@@ -105,17 +107,20 @@ def seed_orbit(ic: InnerClass, form: int, orbit: int | None = None) -> int:
 def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     """All orbits of the real form, from ic.fundamental_orbits[orbit] (seed_orbit).
 
-    One breadth-first pass, as the module docstring describes: each
-    element records its status letters and the keys of its cross and
-    Cayley images as the search meets them, and ids replace the keys once
-    the elements are sorted.  A Cayley image is keyed once per type-I
-    pair: (nbr, s_j t) and (nbr, t) differ by a multiple of alpha_j^v,
-    real at nbr, which the key rows of nbr pair to 0.  Each step reads
-    InnerClass._step, kept in one row per involution for the call, and
-    moves t once (lattice.move): that is the cross image, and at an
+    One breadth-first pass, as the module docstring describes.  found
+    gives each key its provisional id, the order in which the search met
+    it, and lists by that id hold the rep, the ids of the cross images
+    and the row of status letters and Cayley ids; reps, which starts
+    with the seeds and grows as the search goes, is its queue.  A Cayley
+    image is keyed once per type-I pair: (nbr, s_j t) and (nbr, t)
+    differ by a multiple of alpha_j^v, real at nbr, which the key rows of
+    nbr pair to 0, so the partner with the lower id gives it.  Each step
+    reads InnerClass._step, kept in one row per involution for the call,
+    and moves t once (lattice.move): that is the cross image, and at an
     imaginary j where 2 <alpha_j, t> + denom is 0 mod 2 denom, so that
     alpha_j is noncompact (InnerClass.grading), it is the Cayley
-    transform over nbr too.  No word is built.
+    transform over nbr too.  Sorting the keys by (length, Cartan class,
+    key) gives the final ids.  No word is built.
     """
     orbit = seed_orbit(ic, form, orbit)
     table = ic.table
@@ -123,74 +128,65 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     d = ic.denom
     n = len(table.simple)
 
-    reps: dict[tuple, StrongX] = {}
-    # the keys of each element's cross images, filled in from both ends
-    crosses: dict[tuple, list] = {}
-    edges: dict[tuple, tuple[tuple[str, ...], list]] = {}
+    # id by key; by id, the rep, the cross ids (filled in from both ends)
+    # and the (status letters, Cayley ids) row
+    found, reps, crosses, rows = {}, [], [], []
     # the steps of the simple roots at each twisted involution met
     steps: dict[int, list[tuple]] = {}
-    queue: deque[tuple] = deque()
 
-    def record(y: StrongX) -> tuple:
+    def record(y: StrongX) -> int:
         key = x_key(y)
-        if key not in reps:
-            reps[key] = y
-            crosses[key] = [None] * n
-            queue.append(key)
-        return key
+        q = found.get(key)
+        if q is None:
+            q = found[key] = len(reps)
+            reps.append(y)
+            crosses.append([None] * n)
+        return q
 
     for x in ic.fundamental_orbits[orbit].members:
         record(x)
 
-    while queue:
-        key = queue.popleft()
-        inv, t = reps[key]
+    for p, (inv, t) in enumerate(reps):
         row = steps.get(inv)
         if row is None:
             row = steps[inv] = [ic._step(inv, j) for j in range(n)]
-        cross = crosses[key]
-        statuses, cayley = [], []
+        cross = crosses[p]
+        statuses = [_LETTER[step[0]] for step in row]
+        cayley = [None] * n
         for j, (kind, nbr, a, av, gamma) in enumerate(row):
             todo = cross[j] is None
-            noncompact = False
             if kind == REAL:
                 # the key rows pair to 0 with a real coroot: s_j x = x
-                cross[j] = key
+                cross[j] = p
             elif gamma is not None:
                 if todo:
-                    cross[j] = k = record((nbr, move(t, sum(map(mul, a, t)), av, gamma, d)))
-                    crosses[k][j] = key
+                    cross[j] = q = record((nbr, move(t, sum(map(mul, a, t)), av, gamma, d)))
+                    crosses[q][j] = p
             else:
                 c = sum(map(mul, a, t))
                 # reps are reduced mod d, so y = t when c = 0
                 y = move(t, c, av, None, d) if c else t
                 if todo:
-                    cross[j] = k = key if y == t else record((inv, y))
-                    crosses[k][j] = key
-                noncompact = (2 * c + d) % (2 * d) == 0
-            statuses.append("n" if noncompact else _LETTER[kind])
-            if noncompact:
-                # the partner, when processed already, keyed the pair's image
-                done = edges.get(cross[j])
-                cayley.append(record((nbr, y)) if done is None else done[1][j])
-            else:
-                cayley.append(None)
-        edges[key] = (tuple(statuses), cayley)
+                    cross[j] = q = p if y == t else record((inv, y))
+                    crosses[q][j] = p
+                if (2 * c + d) % (2 * d) == 0:
+                    statuses[j] = "n"
+                    # a partner processed already found the pair's image
+                    q = cross[j]
+                    cayley[j] = record((nbr, y)) if q >= p else rows[q][1][j]
+        rows.append((tuple(statuses), cayley))
 
     lengths, class_of = table.lengths, table.class_of
-    order = sorted(reps, key=lambda key: (lengths[key[0]], class_of[key[0]], key))
-    ids = {key: i for i, key in enumerate(order)}
+    # the provisional ids in the final order, and the final id of each
+    order = [found[k] for k in sorted(found, key=lambda k: (lengths[k[0]], class_of[k[0]], k))]
+    final = [0] * len(reps)
+    for i, p in enumerate(order):
+        final[p] = i
     elements = tuple(
-        KGBElement(
-            i,
-            lengths[key[0]],
-            class_of[key[0]],
-            edges[key][0],
-            tuple([ids[k] for k in crosses[key]]),
-            tuple([None if k is None else ids[k] for k in edges[key][1]]),
-            reps[key],
-        )
-        for i, key in enumerate(order)
+        KGBElement(i, lengths[reps[p][0]], class_of[reps[p][0]], rows[p][0],
+                   tuple([final[q] for q in crosses[p]]),
+                   tuple([None if q is None else final[q] for q in rows[p][1]]), reps[p])
+        for i, p in enumerate(order)
     )
     return KGB(form=form, orbit=orbit, elements=elements, table=table)
 

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from functools import cache
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from oracles import (
     reference_key_rows, reference_orbit_partition, reference_rho_check_drop,
     reference_root_grading, reference_strip_normal_form_word, reference_strong_counts,
     reference_to_ad, reference_x_key, reflection_matrix, reflections, square_key_if_valid,
+    _radical_cocharacters,
 )
 
 
@@ -414,6 +416,38 @@ def test_square_key_integer_check_matches_fractions(text, letters, kernel):
     assert valid and invalid
 
 
+@pytest.mark.parametrize("text,letters,kernel", [
+    (text, letters, kernel)
+    for text, letters in [("A1.T1", "ss"), ("A1.T1", "sc"), ("A2.T1", "sc"), ("A3.T1", "ss"),
+                          ("T2", "C")]
+    for kernel in ("sc", "ad")
+])
+def test_square_class_keys_are_constant_along_the_torus_of_the_center(text, letters, kernel):
+    # the identity component of Z^delta is a torus, so each of its points is
+    # the square z + delta z of one of its own points, and it lies in (1 +
+    # delta)Z: moving num / den along it keeps the key.  Its directions are
+    # r + delta* r, r a cocharacter pairing to 0 with every root, read off
+    # a Fraction row reduction of the simple roots; delta* is -1 on a split
+    # torus factor, so there the only move is to a larger denominator.  The
+    # key reads the cocharacter, so the shifted point is also given in
+    # lowest terms
+    ic = context(text, letters, kernel)
+    dstar = lin.transpose(ic.delta.matrix)
+    dirs = [lin.vec_add(r, lin.mat_vec(dstar, r)) for r in _radical_cocharacters(ic.rd)]
+    assert any(map(any, dirs)) != letters.endswith("s")
+    points = [(lin.zero_vector(ic.rd.rank), 1)] + [
+        (ic._square_numerators(x), ic.denom) for o in ic.fundamental_orbits for x in o.members
+    ]
+    for num, den in points:
+        key = ic.central_class_key(num, den)
+        for v, m in product(dirs, (2, 3, 5)):
+            # num / den + v / m
+            shifted = lin.vec_add(lin.vec_scale(num, m), lin.vec_scale(v, den))
+            g = gcd(den * m, *shifted)
+            assert ic.central_class_key(shifted, den * m) == key
+            assert ic.central_class_key([c // g for c in shifted], den * m // g) == key
+
+
 def test_strong_counts_match_galois_cohomology():
     # strong real forms per square class, from W-orbits on the points t of
     # the torus with t^2 central (reference_strong_counts), on every
@@ -509,6 +543,19 @@ def test_grading_rejects_roots_that_are_not_imaginary():
         for j in (-1, len(ic.table.simple)):
             with pytest.raises(IndexError, match=f"no simple root {j}"):
                 ic.grading(x, j)
+
+
+def test_root_grading_refuses_an_index_that_names_no_positive_root():
+    # every root is imaginary at the base of A3 c, so a negative index or a
+    # bool would grade the root it equals at the end or start of the list
+    ic = context("A3", "c")
+    x = ic.fundamental_orbits[0].members[0]
+    npos = len(ic.rd.positive_roots)
+    assert len(ic.table.imaginary_roots(x[0])) == npos
+    for k in (True, False, -1, -npos, npos, 99):
+        with pytest.raises(IndexError, match=f"^no positive root {k}$"):
+            ic.root_grading(x, k)
+    assert [ic.root_grading(x, k) for k in range(npos)] == [False] * npos
 
 
 @pytest.mark.parametrize("text,letters,kernel", [

@@ -294,6 +294,18 @@ def test_kgb_seed_choice():
         seed_orbit(ic, 1, orbit=0)
 
 
+def test_kgb_word_refuses_a_bool_and_an_id_off_the_listing():
+    # as the table readers do, refuse a bool, which equals an int, and a
+    # negative id, which would read from the end
+    ic = context("A2", "s")
+    g = generate_kgb(ic, quasisplit(ic))
+    assert g.size == 4
+    assert [g.word(i) for i in range(4)] == [(), (0, 1), (1, 0), (0, 1, 0)]
+    for i in (True, False, -1, -4, 4):
+        with pytest.raises(IndexError, match=f"^no KGB element {i}$"):
+            g.word(i)
+
+
 def test_kgb_closed_orbits_fill_the_seed_fiber_orbit():
     ic = context("A3", "c")
     g = generate_kgb(ic, 2)

@@ -156,9 +156,11 @@ def test_malformed_strong_involutions_raise_under_python_o():
 
 def test_bool_ids_are_refused_under_python_o():
     # lattice refuses a bool id on every call, also once the record of the
-    # int it equals is built, without an assert statement
+    # int it equals is built, and root_grading and KGB.word refuse a bool
+    # index, without an assert statement
     script = (
         "from contexts import context\n"
+        "from realred.kgb import generate_kgb\n"
         "from realred.rootdata import InputError\n"
         "ic = context('A3', 'c')\n"
         "print(__debug__)\n"
@@ -170,10 +172,17 @@ def test_bool_ids_are_refused_under_python_o():
         "            print(ic.x_key(x))\n"
         "        except InputError as e:\n"
         "            print(e)\n"
+        "x = ic.fundamental_orbits[0].members[0]\n"
+        "for read in (lambda: ic.root_grading(x, True), lambda: generate_kgb(ic, 0).word(True)):\n"
+        "    try:\n"
+        "        print(read())\n"
+        "    except IndexError as e:\n"
+        "        print(e)\n"
     )
     refused = ["no involution True: there are 10 involutions",
                "no involution False: there are 10 involutions"]
-    assert run_optimized(script) == ["False"] + refused + refused
+    indices = ["no positive root True", "no KGB element True"]
+    assert run_optimized(script) == ["False"] + refused + refused + indices
 
 
 def test_smith_form_progress_check_raises_under_python_o():
