@@ -1,13 +1,15 @@
 """Dynkin diagrams: Cartan matrices of the simple types, and graph walks.
 
 A diagram is given by neighbour lists, one per vertex, and a Cartan
-matrix gives its Dynkin diagram's (neighbours).  Root data build
-their Cartan matrices here (cartan_matrix), the Weyl words order the
-simple roots along the components (weyl.piece_chain), and the Cartan
-reports name root subsystems by their components and arms.
+matrix gives its Dynkin diagram's (neighbours).  Root data build their
+Cartan matrices and centers here (cartan_matrix, cartan_smith), the Weyl
+words order the simple roots along the components (weyl.piece_chain),
+and the Cartan reports name root subsystems by components and arms.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from . import lin
 
@@ -51,6 +53,14 @@ def cartan_matrix(letter: str, n: int) -> lin.Matrix:
     else:
         raise ValueError(f"no Cartan matrix for type {letter}")
     return lin.freeze(c)
+
+
+@cache
+def cartan_smith(letter: str, n: int) -> lin.SmithForm:
+    """Smith form of the transposed Cartan matrix of a simple type, once per
+    type: the rows are the simple coroots in the fundamental coweights, so
+    the divisors above 1 are the orders of P^v / Q^v (rootdata.center_structure)."""
+    return lin.smith_form(lin.transpose(cartan_matrix(letter, n)))
 
 
 def neighbours(cartan: lin.Matrix | list[list[int]]) -> list[list[int]]:

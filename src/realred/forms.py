@@ -5,13 +5,13 @@ Weyl group on the adjoint fiber over the base involution 0: the images
 of the cross-action orbits on the fibers over 0 (fundamental_orbits).
 Each is named per unit of delta.units from its noncompact root counts
 and, for an equal-rank D factor, its half-spin tag.  real_form_of
-descends from x to involution 0 by moves along simple roots
-(lattice.move), cross actions and inverse Cayley transforms, and reads
-the form off the base point's gradings at imaginary_basis(0), from the
-base's grading row (InnerClass._grading_row).  The report lines of the
-menu and of the strong real forms at a Cartan class, one orbit line
-each (orbit_lines, which the Cartan report prints too), are built here
-too.
+checks the square of x and descends from x to involution 0 (_descend)
+by moves along simple roots (lattice.move), cross actions and inverse
+Cayley transforms, and reads the form off the base point's gradings at
+imaginary_basis(0), from the base's grading row (InnerClass._grading_row).
+The report lines of the menu and of the strong real forms at a Cartan
+class, one orbit line each (orbit_lines, which the Cartan report prints
+too), are built here too.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from operator import mul
 from typing import NamedTuple
 
 from . import lin
+from .diagram import cartan_smith
 from .fiber import FiberOrbit
 from .lattice import StrongX, move
-from .rootdata import Factor
+from .rootdata import Factor, InputError
 from .squares import SquareClass
 from .weyl import COMPLEX_DOWN, REAL
 
@@ -97,8 +98,9 @@ class RealForms:
 
     InnerClass inherits it.  It reads delta, lt, the table and denom, the
     base fiber's orbits (Fibers._orbit_partition), the realized square
-    classes, the gradings (gradings, grading, _grading_row and _strong),
-    and the moves along simple roots (InnerClass._step, lattice.move).
+    classes and the class of a square (central_class_key), the gradings
+    (gradings, grading, _grading_row and _strong), and the moves along
+    simple roots (InnerClass._step, lattice.move).
     real_forms, which format_real_form_menu reads, is defined on
     InnerClass.
     """
@@ -174,17 +176,16 @@ class RealForms:
         bits maps the roots of imaginary_basis(0) to their gradings at a
         base-fiber point.  The factor's simple roots are imaginary simple at
         0, and their gradings are the pairings 2 <alpha_j, t> / denom mod 2.
+        The tag solves in the one Smith form of D_r (diagram.cartan_smith):
+        the factor's block of rd.cartan is Bourbaki's, as build_root_datum
+        checks, and symmetric.
         0: not applicable or orthogonal type; 1, 2: the two spin cosets.
         """
         if f.letter != "D" or any(self.delta.perm[p] != p for p in rng):
             return 0
         pair = [int(bits[self.table.simple[j]]) for j in rng]
-        block = [
-            [self.rd.cartan[j][i] for j in rng]
-            for i in rng
-        ]
-        sf = lin.smith_form(lin.freeze(block))
         r = f.rank
+        sf = cartan_smith("D", r)
         for tag, shifts in ((0, ()), (0, (r - 2, r - 1)), (1, (r - 2,)), (2, (r - 1,))):
             b = list(pair)
             for shift in shifts:
@@ -225,7 +226,23 @@ class RealForms:
         return self._fundamental.square_classes
 
     def real_form_of(self, x: StrongX) -> int:
-        """Weak real form of a strong involution, by descent to the base.
+        """Weak real form of a strong involution, by descent to the base
+        (_descend).  Raises InputError when x is not a strong involution of
+        the table (_strong), or when its square is not central and
+        delta-fixed or lies in no realized square class.
+        """
+        square = self._square_numerators(self._strong(x))
+        try:
+            key = self.central_class_key(square, self.denom)
+        except RuntimeError:
+            key = None
+        if key not in self._realized_keys:
+            why = "is not central and delta-fixed" if key is None else f"class {key} is unrealized"
+            raise InputError(f"no strong involution {x!r}: its square {why}")
+        return self._descend(x)
+
+    def _descend(self, x: StrongX) -> int:
+        """real_form_of of a fiber point x, unchecked (cartan_orbits).
 
         Each step lowers the twisted length by one and pairs alpha_j with t
         once, c = <alpha_j, t>, as a KGB step does, and moves t along j
@@ -246,12 +263,11 @@ class RealForms:
         torus conjugation and reduction mod denom, whose adjoint orbit is
         the weak form (_fundamental).  The form does not depend on the path:
         cross actions and Cayley transforms preserve the weak real form.
-        Raises InputError when x is not a strong involution of the table
-        (_strong).  Raises RuntimeError when no step applies, which only a
-        point off every fiber gives, or when a candidate is compact
-        (grading), which its choice rules out unless the grading is wrong.
+        Raises RuntimeError when no step applies, which only a point off
+        every fiber gives, or when a candidate is compact (grading), which
+        its choice rules out unless the grading is wrong.
         """
-        inv, t = self._strong(x)
+        inv, t = x
         table, d = self.table, self.denom
         h = d // 2
         while table.lengths[inv] > 0:

@@ -115,14 +115,17 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         down complex descents from theta_i (lattice), that has no complex
         descent, moved by C_j along each complex descent in between
         (InvolutionLattice.minus).  Raises InputError unless t has rank
-        entries and i is an int, not a bool, and, when i has no record
-        yet, unless i numbers a row of the table (lattice); a KGB search
-        keys only ids of the table.
+        int entries and i is an int, none a bool, and, when i has no record
+        yet, unless i numbers a row of the table (lattice).
         """
-        inv, t = x
         n = self.rd.rank
-        if len(t) != n:
+        if len(x[1]) != n:
             raise InputError(f"no strong involution {x!r}: torus parts have {n} entries")
+        return self._key(_int_entries(x))
+
+    def _key(self, x: StrongX) -> tuple:
+        """x_key unchecked, for the KGB search's moves of fiber points."""
+        inv, t = x
         d = self.denom
         return (inv, tuple([sum(map(mul, r, t)) % d for r in self.lattice(inv).minus[1]]))
 
@@ -214,14 +217,15 @@ class InnerClass(RealForms, Fibers, SquareClasses):
 
     def _strong(self, x: StrongX) -> StrongX:
         """x, once checked: InputError unless its involution id numbers a
-        row of the table and its torus part has rank entries."""
+        row of the table and its torus part has rank int entries, none a
+        bool."""
         inv, t = x
         if type(inv) is not int or not 0 <= inv < len(self.table) or len(t) != self.rd.rank:
             raise InputError(
                 f"no strong involution {x!r}: there are {len(self.table)} involutions, "
                 f"and torus parts have {self.rd.rank} entries"
             )
-        return x
+        return _int_entries(x)
 
     def gradings(self, x: StrongX) -> dict[int, bool]:
         """root_grading of x at every positive root imaginary there, by root
@@ -341,8 +345,9 @@ class InnerClass(RealForms, Fibers, SquareClasses):
         square class by square class, and within a fiber by first member
         in fiber order.  At involution 0 these are fundamental_orbits,
         sorted stably by square class; elsewhere the form is found by one
-        descent from the orbit's first member, since cross actions
-        preserve it.  Built once per class and cached.
+        descent from the orbit's first member (RealForms._descend, which
+        checks no fiber point), since cross actions preserve it.  Built
+        once per class and cached.
         """
         self.check(cartan=cartan)
         out = self._orbits_at.get(cartan)
@@ -350,7 +355,7 @@ class InnerClass(RealForms, Fibers, SquareClasses):
             inv = self.table.canonical_member(cartan)
             keys = [sq.key for sq in self.square_classes]
             orbits = self.fundamental_orbits if inv == 0 else [
-                FiberOrbit(keys.index(key), self.real_form_of(xs[0]), xs, *rest)
+                FiberOrbit(keys.index(key), self._descend(xs[0]), xs, *rest)
                 for key, xs, *rest in self._orbit_partition(inv)
             ]
             out = self._orbits_at[cartan] = tuple(sorted(orbits, key=lambda o: o.square_class))
@@ -456,6 +461,13 @@ class InnerClass(RealForms, Fibers, SquareClasses):
 
 
 # -- module-level operations -------------------------------------------------
+
+
+def _int_entries(x: StrongX) -> StrongX:
+    """x, or InputError when a torus part entry is not an int or is a bool."""
+    if not all(type(v) is int for v in x[1]):
+        raise InputError(f"no strong involution {x!r}: torus parts have int entries")
+    return x
 
 
 def inner_class(letters: str, rd: RootDatum, lt: LieType) -> InnerClass:

@@ -109,9 +109,10 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
 
     One breadth-first pass, as the module docstring describes.  found
     gives each key its provisional id, the order in which the search met
-    it, and lists by that id hold the rep, the ids of the cross images
-    and the row of status letters and Cayley ids; reps, which starts
-    with the seeds and grows as the search goes, is its queue.  A Cayley
+    it (InnerClass._key, x_key without its input checks), and lists by
+    that id hold the rep, the ids of the cross images and the row of
+    status letters and Cayley ids; reps, which starts with the seeds and
+    grows as the search goes, is its queue.  A Cayley
     image is keyed once per type-I pair: (nbr, s_j t) and (nbr, t)
     differ by a multiple of alpha_j^v, real at nbr, which the key rows of
     nbr pair to 0, so the partner with the lower id gives it.  Each step
@@ -124,7 +125,7 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     """
     orbit = seed_orbit(ic, form, orbit)
     table = ic.table
-    x_key = ic.x_key
+    key_of = ic._key
     d = ic.denom
     n = len(table.simple)
 
@@ -135,7 +136,7 @@ def generate_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
     steps: dict[int, list[tuple]] = {}
 
     def record(y: StrongX) -> int:
-        key = x_key(y)
+        key = key_of(y)
         q = found.get(key)
         if q is None:
             q = found[key] = len(reps)

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import lin
-from .diagram import cartan_matrix
+from .diagram import cartan_matrix, cartan_smith
 
 LETTERS = "ABCDEFGT"
 
@@ -126,25 +126,15 @@ class CenterStructure(NamedTuple):
         )
 
 
-def _factor_center_orders(f: Factor) -> tuple[int, ...]:
-    if f.letter == "T":
-        return (0,)
-    if f.letter == "A":
-        return (f.rank + 1,)
-    if f.letter in ("B", "C"):
-        return (2,)
-    if f.letter == "D":
-        return (2, 2) if f.rank % 2 == 0 else (4,)
-    if f.letter == "E":
-        return {6: (3,), 7: (2,), 8: (1,)}[f.rank]
-    return (1,)
-
-
 def center_structure(lt: LieType) -> CenterStructure:
+    """The center of the simply connected group: per simple factor, the divisors
+    above 1 of its one Smith form (diagram.cartan_smith), or 1; 0 per torus."""
     comps = []
     for i, f in enumerate(lt.factors):
-        for order in _factor_center_orders(f):
-            comps.append(CenterComponent(i, order))
+        orders = (0,) if f.letter == "T" else tuple(
+            d for d in cartan_smith(f.letter, f.rank).diag if d > 1
+        ) or (1,)
+        comps.extend(CenterComponent(i, order) for order in orders)
     return CenterStructure(tuple(comps))
 
 
@@ -381,7 +371,8 @@ def _component_functionals(lt: LieType, cs: CenterStructure) -> list[lin.Vector]
     """Integer rows evaluating each center component on a character.
 
     A character lies in the annihilator of the component element p/m iff
-    p * row(char) is divisible by m.
+    p * row(char) is divisible by m.  Both kinds read the factor's one
+    Smith form (diagram.cartan_smith), as center_structure does.
     """
     n = lt.rank
     rows: list[lin.Vector] = []
@@ -396,24 +387,20 @@ def _component_functionals(lt: LieType, cs: CenterStructure) -> list[lin.Vector]
         if f.letter == "T":
             row[off] = 1
         elif comp.order > 1:
+            sf = cartan_smith(f.letter, f.rank)
             if f.letter == "D" and f.rank % 2 == 0:
                 # Two order-2 components, dual to the last two fundamental
-                # coweights in that order: the row x solves C x = 2 e_k,
-                # C the Cartan matrix and k = rank - 2 + slot.
+                # coweights in that order: the row x solves C x = 2 e_k, C
+                # the Cartan matrix, symmetric, and k = rank - 2 + slot.
                 two_e = [0] * f.rank
                 two_e[f.rank - 2 + slot] = 2
-                x = lin.solve_int(lin.smith_form(cartan_matrix(f.letter, f.rank)), tuple(two_e))
+                x = lin.solve_int(sf, tuple(two_e))
                 if x is None:
                     raise RuntimeError("a half-spin coweight is not integral")
                 row[off:off + f.rank] = x
             else:
-                ct = lin.transpose(cartan_matrix(f.letter, f.rank))
-                sf = lin.smith_form(ct)
-                idx = [i for i, d in enumerate(sf.diag) if d > 1]
-                if len(idx) != 1 or sf.diag[idx[0]] != comp.order:
-                    raise RuntimeError(f"the center of {f} is not cyclic of order {comp.order}")
-                for j in range(f.rank):
-                    row[off + j] = sf.uinv[idx[0]][j]
+                # one cyclic component: its order is the last divisor
+                row[off:off + f.rank] = sf.uinv[-1]
         rows.append(tuple(row))
     return rows
 
@@ -450,14 +437,14 @@ def build_root_datum(lt: LieType, gens: list[KernelGenerator]) -> RootDatum:
         raise InputError("semisimple rank larger than 8 is not supported")
     if n - lt.semisimple_rank > 8:
         raise InputError("torus rank larger than 8 is not supported")
-    cs = center_structure(lt)
-    for g in gens:
-        if len(g.fractions) != len(cs.components):
-            raise InputError("kernel generator has wrong length")
-        for (num, den), comp in zip(g.fractions, cs.components):
-            if comp.order and comp.order % den:
-                raise InputError(f"{num}/{den} is not in the center")
     if gens:
+        cs = center_structure(lt)
+        for g in gens:
+            if len(g.fractions) != len(cs.components):
+                raise InputError("kernel generator has wrong length")
+            for (num, den), comp in zip(g.fractions, cs.components):
+                if comp.order and comp.order % den:
+                    raise InputError(f"{num}/{den} is not in the center")
         psi = _component_functionals(lt, cs)
         denoms = [den for g in gens for _, den in g.fractions]
         modulus = lcm(*denoms)

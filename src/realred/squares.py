@@ -108,40 +108,34 @@ class SquareClasses:
             for g in self._central_translates
         )
 
-    @cached_property
-    def _candidate_classes(self) -> tuple[tuple[int, ...], ...]:
-        """All square classes of delta-fixed central elements."""
-        sf = self._central_smith
-        n = self.rd.rank
-        cd = self.cd
-        finite = [i for i in range(n) if i < len(sf.diag) and sf.diag[i] >= 2]
-        keys = set()
-        for combo in product(*(range(sf.diag[i]) for i in finite)):
-            y = [0] * n
-            for i, k in zip(finite, combo):
-                y[i] = k * (cd // sf.diag[i])
-            keys.add(self.central_class_key(lin.mat_vec(sf.vinv, tuple(y)), cd))
-        return tuple(sorted(keys))
-
     def _class_rep(self, key: tuple[int, ...]) -> lin.Vector:
         """Numerators over cd of a cocharacter in the square class key."""
         return lin.mat_vec(self._central_smith.vinv, key)
 
     @cached_property
     def _realized_keys(self) -> tuple[tuple[int, ...], ...]:
-        """Candidate classes realized as squares over the base involution.
-
-        A class is realized when its representative lies in the rational
-        image of 1 + theta plus the cocharacter lattice; equivalently the
-        zero-divisor coordinates of uinv times the representative are
-        integral.
+        """The square classes of delta-fixed central elements, the keys of
+        the points over cd of the central Smith form, realized as squares
+        over the base involution: a class is realized when its
+        representative lies in the rational image of 1 + theta plus the
+        cocharacter lattice; equivalently the zero-divisor coordinates of
+        uinv times the representative are integral.
         """
+        central = self._central_smith
+        n, cd = self.rd.rank, self.cd
+        finite = [i for i in range(n) if i < len(central.diag) and central.diag[i] >= 2]
+        candidates = set()
+        for combo in product(*(range(central.diag[i]) for i in finite)):
+            y = [0] * n
+            for i, k in zip(finite, combo):
+                y[i] = k * (cd // central.diag[i])
+            candidates.add(self.central_class_key(self._class_rep(tuple(y)), cd))
         sf = self.lattice(0).plus
         out = []
-        for key in self._candidate_classes:
+        for key in sorted(candidates):
             c = lin.mat_vec(sf.uinv, self._class_rep(key))
             if all(
-                c[i] % self.cd == 0
+                c[i] % cd == 0
                 for i in range(len(c))
                 if i >= len(sf.diag) or sf.diag[i] == 0
             ):

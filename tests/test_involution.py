@@ -627,8 +627,9 @@ def test_base_cartan_orbits_descend_nothing(text, letters, kernel):
     # the class of involution 0 takes its forms from fundamental_orbits
     ic = context(text, letters, kernel)
     calls = []
-    real_form_of = ic.real_form_of
-    ic.real_form_of = lambda x: calls.append(x) or real_form_of(x)
+    # cartan_orbits descends from fiber points by _descend, unchecked
+    descend = ic._descend
+    ic._descend = lambda x: calls.append(x) or descend(x)
     orbits = ic.cartan_orbits(ic.table.class_of[0])
     assert calls == []
     assert sorted(orbits) == sorted(ic.fundamental_orbits)
@@ -825,6 +826,31 @@ def test_strong_involution_with_a_torus_part_of_another_rank_is_an_input_error(t
                  lambda x: ic.cross(0, x), lambda x: ic.cayley(0, x), ic.x_key):
         with pytest.raises(InputError, match="torus parts have 3 entries"):
             read((0, t))
+
+
+@pytest.mark.parametrize("entry", [0.5, 0.0, "a", True])
+def test_strong_involution_with_a_torus_part_entry_that_is_no_int_is_an_input_error(entry):
+    # arithmetic takes a float or a bool as a number: cross would move
+    # (0.5, 0, 0) to (7.5, 0, 0), and x_key and gradings would read it
+    ic = context("A3", "c")
+    for read in (ic.real_form_of, ic.gradings, lambda x: ic.root_grading(x, 0),
+                 lambda x: ic.grading(x, 0), lambda x: ic.cross(0, x),
+                 lambda x: ic.cayley(0, x), ic.x_key):
+        with pytest.raises(InputError, match="torus parts have int entries"):
+            read((0, (entry, 0, 0)))
+
+
+@pytest.mark.parametrize("text, letters, x", [
+    ("A3", "c", (0, (1, 0, 0))), ("A3", "c", (0, (2, 0, 0))), ("B3", "s", (5, (0, 1, 0))),
+])
+def test_real_form_of_refuses_a_point_whose_square_is_not_central(text, letters, x):
+    # the descent would name a form for the A3 points and find no step from
+    # the B3 one, although none of them is a strong involution
+    ic = context(text, letters)
+    with pytest.raises(RuntimeError, match="not central and delta-fixed"):
+        ic.central_class_key(ic._square_numerators(x), ic.denom)
+    with pytest.raises(InputError, match="its square is not central and delta-fixed"):
+        ic.real_form_of(x)
 
 
 # -- rank decompositions ------------------------------------------------

@@ -185,6 +185,27 @@ def test_bool_ids_are_refused_under_python_o():
     assert run_optimized(script) == ["False"] + refused + refused + indices
 
 
+def test_torus_parts_and_squares_are_checked_under_python_o():
+    # cross and x_key refuse a float entry, and real_form_of a point whose
+    # square is not central, without an assert statement
+    script = (
+        "from contexts import context\n"
+        "from realred.rootdata import InputError\n"
+        "ic = context('A3', 'c')\n"
+        "print(__debug__)\n"
+        "for read, x in ((lambda x: ic.cross(0, x), (0, (0.5, 0, 0))),\n"
+        "                (ic.x_key, (0, (0.5, 0, 0))), (ic.real_form_of, (0, (1, 0, 0)))):\n"
+        "    try:\n"
+        "        print(read(x))\n"
+        "    except InputError as e:\n"
+        "        print(str(e).split(': ')[1])\n"
+    )
+    assert run_optimized(script) == [
+        "False", "torus parts have int entries", "torus parts have int entries",
+        "its square is not central and delta-fixed",
+    ]
+
+
 def test_smith_form_progress_check_raises_under_python_o():
     script = (
         "from contexts import smith_form_with_a_pivot_of_two\n"

@@ -73,6 +73,14 @@ def test_parse_rejects(bad: str) -> None:
     ("G2", "Z/1"),
     ("A1.T1", "Z/2.Q/Z"),
     ("T2", "Q/Z.Q/Z"),
+    # the rest of rank <= 8: P^v/Q^v, the center of the simply connected
+    # group (Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IX), is
+    # Z/(n+1) for A_n, Z/2 for B_n and C_n, Z/2 x Z/2 for D_n with n even
+    # and Z/4 for n odd; D2 = A1.A1 and D3 = A3
+    ("A2", "Z/3"), ("A3", "Z/4"), ("A5", "Z/6"), ("A6", "Z/7"), ("A7", "Z/8"), ("A8", "Z/9"),
+    ("B2", "Z/2"), ("B4", "Z/2"), ("B5", "Z/2"), ("B6", "Z/2"), ("B7", "Z/2"), ("B8", "Z/2"),
+    ("C2", "Z/2"), ("C3", "Z/2"), ("C5", "Z/2"), ("C6", "Z/2"), ("C7", "Z/2"), ("C8", "Z/2"),
+    ("D2", "Z/2.Z/2"), ("D3", "Z/4"), ("D7", "Z/4"), ("D8", "Z/2.Z/2"),
 ])
 def test_center_structure(text: str, display: str) -> None:
     assert str(center_structure(parse_lie_type(text))) == display
