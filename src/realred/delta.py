@@ -58,7 +58,9 @@ def _diagram_auto_perm(f: Factor) -> tuple[int, ...]:
 
 
 def parse_units(letters: str, lt: LieType) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """Matches inner-class letters against the internal factors."""
+    """Matches inner-class letters, a str, against the internal factors."""
+    if not isinstance(letters, str):
+        raise InputError(f"inner class letters must be a str, not {letters!r}")
     letters = letters.strip()
     units = []
     i = 0

@@ -229,47 +229,63 @@ class RealForms:
         """Weak real form of a strong involution, by descent to the base
         (_descend).  Raises InputError when x is not a strong involution of
         the table (_strong), or when its square is not central and
-        delta-fixed or lies in no realized square class.
+        delta-fixed.
+
+        Every central, delta-fixed square of a point over the table lies in
+        a realized square class, so none is refused for its class: _descend
+        reaches a point over the base involution from x by cross actions,
+        torus conjugations and inverse Cayley transforms, which keep the
+        square, and a class is realized when a strong involution over the
+        base involution squares into it (squares).
         """
-        square = self._square_numerators(self._strong(x))
         try:
-            key = self.central_class_key(square, self.denom)
+            self._central_reduce(self._square_numerators(self._strong(x)), self.denom)
         except RuntimeError:
-            key = None
-        if key not in self._realized_keys:
-            why = "is not central and delta-fixed" if key is None else f"class {key} is unrealized"
-            raise InputError(f"no strong involution {x!r}: its square {why}")
+            raise InputError(
+                f"no strong involution {x!r}: its square is not central and delta-fixed"
+            ) from None
         return self._descend(x)
 
     def _descend(self, x: StrongX) -> int:
-        """real_form_of of a fiber point x, unchecked (cartan_orbits).
+        """real_form_of of x, unchecked: cartan_orbits calls it on fiber points.
 
-        Each step lowers the twisted length by one and pairs alpha_j with t
-        once, c = <alpha_j, t>, as a KGB step does, and moves t along j
-        (lattice.move); with d = denom:
+        t is a numerator vector over d, denom at the start.  Each step
+        lowers the twisted length by one and pairs alpha_j with t once, c =
+        <alpha_j, t>, as a KGB step does, and moves t along j (lattice.move):
         - At the first simple root j that is a complex descent, it is the
           cross action, as InnerClass._step gives it.
-        - Otherwise, at the first real j that has one, it is the first
+        - Otherwise, at the first real j with d/2 + c even, it is the first
           inverse Cayley candidate (nbr, u), u = s_j t + e alpha_j^v:
           alpha_j, simple imaginary at nbr, is noncompact at it exactly
           when <alpha_j, u> = 2e - c = d/2 mod d (root_grading).  With r =
-          d/2 + c mod d there is no e when r is odd, and else e = r/2 is
-          the first, so t moves by c - r/2 in place of c.  Every candidate
-          squares into the class of x: its Cayley image has the square
-          numerators of x, as theta*_inv alpha_j^v = -alpha_j^v, and a
-          Cayley transform through a noncompact alpha_j keeps them mod d.
+          d/2 + c mod d, e = r/2 is the first, so t moves by c - r/2 in
+          place of c.  The Cayley image of the candidate is (inv, t - (r/2)
+          alpha_j^v), which is x conjugated by the torus: theta* alpha_j^v
+          = -alpha_j^v, so (r/2) alpha_j^v = (1 - theta*) (r/4) alpha_j^v.
+          So the candidate has the square of x and the KGB element of x.
+        A step always exists.  At positive twisted length theta is not
+        delta, so it sends some simple root to a negative root, and that
+        root is a complex descent or real.  When d/2 + c is odd at every
+        real j, as at (1, (1,)) in adjoint A1 s, t / d is rewritten as the
+        same cocharacter 2t / 2d, and the first real j is taken: then c is
+        even, and so is the new d/2, the old d, as denom is a multiple of 4.
+        Over d alone a step need not exist: the torus conjugations over d
+        shift t by the integral cocharacters that theta* negates, and when
+        alpha_j pairs evenly with all of them, as in GL(2) = A1.T1 / (1/2,
+        1/2), they keep the parity of c.
         The descent keys nothing, and ends at the point of the base point in
-        the adjoint fiber: its gradings at imaginary_basis(0), kept by
-        torus conjugation and reduction mod denom, whose adjoint orbit is
-        the weak form (_fundamental).  The form does not depend on the path:
-        cross actions and Cayley transforms preserve the weak real form.
-        Raises RuntimeError when no step applies, which only a point off
-        every fiber gives, or when a candidate is compact (grading), which
-        its choice rules out unless the grading is wrong.
+        the adjoint fiber: its gradings at imaginary_basis(0), the offsets of
+        the base's grading row taken over d, kept by torus conjugation and
+        reduction mod d, whose adjoint orbit is the weak form
+        (_fundamental).  The form does not depend on the path: cross
+        actions, Cayley transforms and torus conjugation preserve it.
+        Raises RuntimeError when a row of positive length has neither a
+        complex descent nor a real root, which only a corrupt table gives,
+        or when a candidate over denom is compact (grading), which its
+        choice rules out unless the grading is wrong.
         """
         inv, t = x
         table, d = self.table, self.denom
-        h = d // 2
         while table.lengths[inv] > 0:
             kinds = table.kinds(inv)
             j = kinds.find(COMPLEX_DOWN)
@@ -277,6 +293,7 @@ class RealForms:
                 _, inv, a, av, gamma = self._step(inv, j)
                 t = move(t, sum(map(mul, a, t)), av, gamma, d)
                 continue
+            h = d // 2
             for j, kind in enumerate(kinds):
                 if kind == REAL:
                     _, nbr, a, av, _ = self._step(inv, j)
@@ -284,13 +301,19 @@ class RealForms:
                     if (h + c) % 2 == 0:
                         break
             else:
-                raise RuntimeError("strong involution admits no descent")
+                j = kinds.find(REAL)
+                if j < 0:
+                    raise RuntimeError("strong involution admits no descent")
+                _, nbr, a, av, _ = self._step(inv, j)
+                t, d, h = tuple([2 * v for v in t]), 2 * d, d
+                c = sum(map(mul, a, t))
             inv, t = nbr, move(t, c - (h + c) % d // 2, av, None, d)
-            if not self.grading((inv, t), j):
+            if d == self.denom and not self.grading((inv, t), j):
                 raise RuntimeError("an inverse Cayley candidate is compact")
+        scale = d // self.denom
         row = self._grading_row(0)
         point = tuple([
-            (2 * sum(map(mul, a, t)) + off) % (2 * d) == 0
+            (2 * sum(map(mul, a, t)) + scale * off) % (2 * d) == 0
             for a, off in map(row.__getitem__, table.imaginary_basis(0))
         ])
         return self._fundamental.form_at[point]

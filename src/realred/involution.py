@@ -31,7 +31,7 @@ from .delta import InnerClassInvolution, inner_class_involution
 from .fiber import Fiber, FiberOrbit, Fibers, span, subset_order
 from .forms import RealFormLabel, RealForms, StrongOrbit, strong_orbits
 from .lattice import InvolutionLattice, RankDecomposition, StrongX, move
-from .rootdata import InputError, LieType, RootDatum
+from .rootdata import InputError, LieType, RootDatum, quotient
 from .squares import SquareClasses
 from .weyl import (
     COMPLEX_DOWN,
@@ -473,3 +473,13 @@ def _int_entries(x: StrongX) -> StrongX:
 def inner_class(letters: str, rd: RootDatum, lt: LieType) -> InnerClass:
     """Builds the full inner-class context from the letter string."""
     return InnerClass(inner_class_involution(letters, rd, lt))
+
+
+def group(text: str, letters: str, kernel: str = "sc") -> InnerClass:
+    """The inner class of a Lie type, inner-class letters and a kernel, as
+    the atlas session asks for them: the type, such as "A3" or "B2.T1";
+    the letters, one per factor (delta.parse_units); and the kernel, "sc",
+    "ad" or ";"-separated fraction lines (rootdata.quotient).  Raises
+    InputError for every argument that is not a str or does not parse.
+    """
+    return inner_class(letters, *quotient(text, kernel))

@@ -85,9 +85,16 @@ class LieType(NamedTuple):
         return tuple(out)
 
 
+def _text(value: object, what: str) -> str:
+    """value, or InputError unless it is a str."""
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a str, not {value!r}")
+    return value
+
+
 def parse_lie_type(text: str) -> LieType:
     """Parses a dot-separated Lie type string such as "A2.T1.D4"."""
-    text = text.strip()
+    text = _text(text, "a Lie type").strip()
     if not text:
         raise InputError("empty Lie type")
     tokens = text.split(".")
@@ -150,7 +157,7 @@ class KernelGenerator(NamedTuple):
 
 def parse_kernel_generator(text: str, cs: CenterStructure) -> KernelGenerator:
     """Parses a comma-separated fraction line against a center structure."""
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip() for p in _text(text, "a kernel generator").split(",")]
     if len(parts) != len(cs.components):
         raise InputError(
             f"expected {len(cs.components)} fractions, got {len(parts)}"
@@ -491,6 +498,26 @@ def build_root_datum(lt: LieType, gens: list[KernelGenerator]) -> RootDatum:
         simple_coroots=tuple(simple_coroots),
         cartan=cartan,
     )
+
+
+def quotient(text: str, kernel: str = "sc") -> tuple[RootDatum, LieType]:
+    """(root datum, Lie type) of the quotient of the simply connected group
+    of the type text by the kernel, the one reader of the kernel format:
+    "sc" divides by nothing, "ad" by the whole finite center
+    (adjoint_generators), and any other kernel is ";"-separated lines of
+    fractions, one generator each (parse_kernel_generator).  Raises
+    InputError for a type or kernel that is not a str or does not parse,
+    and as build_root_datum does.
+    """
+    lt = parse_lie_type(text)
+    if _text(kernel, "a kernel") == "sc":
+        gens = []
+    elif kernel == "ad":
+        gens = adjoint_generators(center_structure(lt))
+    else:
+        cs = center_structure(lt)
+        gens = [parse_kernel_generator(line, cs) for line in kernel.split(";")]
+    return build_root_datum(lt, gens), lt
 
 
 def dual_lie_type(lt: LieType) -> LieType:

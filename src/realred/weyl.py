@@ -370,10 +370,12 @@ class InvolutionTable(TwistedConjugacy):
 
     def _id(self, i: int, count: int | None = None, what: str = "involution") -> int:
         """i, when it numbers an involution of the table, or else one of
-        count things that what names.  Raises IndexError otherwise: a
-        negative i would read the rows, thetas, roots or classes from the
-        end, and a bool, equal to an int, its row or a cached entry."""
-        if type(i) is bool or not 0 <= i < (len(self.lengths) if count is None else count):
+        count things that what names.  Raises IndexError otherwise, one
+        type test and one range test: a negative i would read the rows,
+        thetas, roots or classes from the end, a bool, equal to an int, or a
+        float its row or a cached entry, and a str or None would raise a
+        bare TypeError."""
+        if type(i) is not int or not 0 <= i < (len(self.lengths) if count is None else count):
             raise IndexError(f"no {what} {i}")
         return i
 

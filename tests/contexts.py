@@ -3,7 +3,8 @@
 Each builder reads a type string such as "B2.A3" and a kernel: None or
 "sc" for the simply connected group, "ad" for the adjoint group, and
 otherwise ";"-separated kernel generator lines in the fractions that
-parse_kernel_generator reads.
+parse_kernel_generator reads.  They are the library's front door
+(involution.group) and its kernel reader (rootdata.quotient).
 """
 
 from __future__ import annotations
@@ -12,16 +13,10 @@ import copy
 
 from realred import lin
 from realred.delta import inner_class_involution
-from realred.involution import inner_class
+from realred.involution import group
 from realred.lattice import InvolutionLattice
-from realred.rootdata import (
-    adjoint_generators,
-    build_root_datum,
-    center_structure,
-    parse_kernel_generator,
-    parse_lie_type,
-)
-from realred.weyl import REAL, InvolutionTable, involution_table
+from realred.rootdata import quotient
+from realred.weyl import IMAGINARY, REAL, InvolutionTable, involution_table
 
 # groups whose every Cartan class the fiber-orbit tests walk
 RECORD_GROUPS = [
@@ -34,31 +29,18 @@ SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                "D4", "F4", "G2"]
 
 
-def _datum(text, kernel):
-    """(root datum, Lie type) of a type string and a kernel."""
-    lt = parse_lie_type(text)
-    if kernel is None or kernel == "sc":
-        gens = ()
-    elif kernel == "ad":
-        gens = tuple(adjoint_generators(center_structure(lt)))
-    else:
-        cs = center_structure(lt)
-        gens = tuple(parse_kernel_generator(line, cs) for line in kernel.split(";"))
-    return build_root_datum(lt, gens), lt
-
-
 def root_datum(text, kernel=None):
-    return _datum(text, kernel)[0]
+    return quotient(text, "sc" if kernel is None else kernel)[0]
 
 
 def involution(text, letters, kernel=None):
     """The based involution of the letters, with the datum as its rd and lt."""
-    return inner_class_involution(letters, *_datum(text, kernel))
+    return inner_class_involution(letters, *quotient(text, "sc" if kernel is None else kernel))
 
 
 def context(text, letters, kernel=None):
     """A new InnerClass on every call: some tests corrupt theirs or count calls on it."""
-    return inner_class(letters, *_datum(text, kernel))
+    return group(text, letters, "sc" if kernel is None else kernel)
 
 
 def quasisplit(ic):
@@ -90,11 +72,17 @@ def classes_from_walk_to_base():
     return table.classes
 
 
-def descent_from_a_point_off_every_fiber():
-    """real_form_of at (1, (1,)) in adjoint A1 s, over the split Cartan:
-    alpha pairs with t to 1 and denom is 4, so r = 2 + 1 is odd at the one
-    real root, and the point, on no fiber, has no descent."""
-    return context("A1", "s", "ad").real_form_of((1, (1,)))
+def descent_through_a_row_with_no_descent():
+    """real_form_of at (1, (0,)) in A1 s, over the split Cartan, on a
+    context whose table is a copy with the one root imaginary at
+    involution 1: at positive length, a row with neither a complex descent
+    nor a real root, which only a corrupt table has, leaves the descent no
+    step."""
+    ic = context("A1", "s")
+    bad = copy.copy(ic.table)
+    bad._kinds = ic.table._kinds[:1] + IMAGINARY
+    ic.table = bad
+    return ic.real_form_of((1, (0,)))
 
 
 def descent_through_a_compact_candidate():

@@ -64,6 +64,9 @@ reference_real_weyl                    1b732b9  test_cartan: test_real_weyl_matc
 brute_force_hasse                      cada698  test_cartan: test_hasse_matches_brute_force
 reference_kgb                          1031314  test_kgb: test_kgb_matches_two_pass_reference,
                                                 test_kgb_matches_two_pass_reference_at_every_seed_orbit
+reference_kgb_forms                    (source) test_involution: test_real_form_of_every_point_is_the_form_of_a_kgb_holding_it;
+                                                source: J. Adams and F. du Cloux, J. Inst.
+                                                Math. Jussieu 8 (2009)
 classical_real_forms                   (source) test_involution: test_classical_real_forms;
                                                 source: S. Helgason, Differential Geometry,
                                                 Lie Groups, and Symmetric Spaces, Ch. X,
@@ -1104,6 +1107,17 @@ def reference_kgb(ic: InnerClass, form: int, orbit: int | None = None) -> KGB:
             rep=x,
         ))
     return KGB(form=form, orbit=orbit, elements=tuple(elements), table=table)
+
+
+def reference_kgb_forms(ic: InnerClass) -> dict[tuple, set[int]]:
+    """The weak forms of the KGBs that hold each key: the KGB of every
+    fundamental orbit, built from its seeds by cross actions and Cayley
+    transforms only (reference_kgb), so it never descends."""
+    out: dict[tuple, set[int]] = {}
+    for orbit, o in enumerate(ic.fundamental_orbits):
+        for e in reference_kgb(ic, o.form, orbit).elements:
+            out.setdefault(ic.x_key(e.rep), set()).add(o.form)
+    return out
 
 
 # -- classical real forms, from the classification ---------------------------

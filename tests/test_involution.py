@@ -23,7 +23,7 @@ from realred.rootdata import InputError, build_root_datum, dual_lie_type, parse_
 from realred.weyl import COMPLEX_DOWN, IMAGINARY, REAL
 
 from contexts import (
-    RECORD_GROUPS, SMALL_TYPES, context, descent_from_a_point_off_every_fiber,
+    RECORD_GROUPS, SMALL_TYPES, context, descent_through_a_row_with_no_descent,
     descent_through_a_compact_candidate, fiber_from_corrupted_plus,
 )
 from digest_outputs import CONTEXTS
@@ -31,6 +31,7 @@ from oracles import (
     as_permutation, classical_real_forms, coreflections, cross_word, is_theta_star,
     kac_weak_form_count, rank_decomposition, reference_adjoint_context, reference_center,
     reference_component_rank, reference_fiber_elements, reference_inverse_cayley,
+    reference_kgb_forms,
     reference_key_rows, reference_orbit_partition, reference_rho_check_drop,
     reference_root_grading, reference_strip_normal_form_word, reference_strong_counts,
     reference_to_ad, reference_x_key, reflection_matrix, reflections, square_key_if_valid,
@@ -759,9 +760,36 @@ def test_kgb_search_fills_no_grading_row():
     assert set(ic._grading_rows) == {0}
 
 
+@pytest.mark.parametrize("text,letters,kernel", [
+    ("A1", "s", "ad"), ("A2", "s", None), ("B2", "s", "ad"), ("A3", "c", None),
+    ("A3", "c", "ad"), ("B3", "s", None), ("C3", "s", None), ("G2", "s", None),
+])
+def test_real_form_of_every_point_is_the_form_of_a_kgb_holding_it(text, letters, kernel):
+    # every (inv, t mod denom) whose square is central and delta-fixed: the
+    # form named is the one form of the KGBs that hold the key of a central
+    # translate of the point, the KGBs built without a descent
+    ic = context(text, letters, kernel)
+    d = ic.denom
+    den, center, _, _ = reference_center(ic.rd, ic._dstar)
+    shifts = [tuple(v * d // den for v in z) for z in center if all(v * d % den == 0 for v in z)]
+    forms = reference_kgb_forms(ic)
+    points = 0
+    for inv in range(len(ic.table)):
+        for t in product(range(d), repeat=ic.rd.rank):
+            if square_key_if_valid(ic, (inv, t)) is None:
+                continue
+            held = set().union(*(
+                forms.get(ic.x_key((inv, lin.vec_mod(lin.vec_add(t, z), d))), set())
+                for z in shifts
+            ))
+            assert held == {ic.real_form_of((inv, t))}
+            points += 1
+    assert points
+
+
 def test_descent_refuses_a_point_with_no_step():
     with pytest.raises(RuntimeError, match="strong involution admits no descent"):
-        descent_from_a_point_off_every_fiber()
+        descent_through_a_row_with_no_descent()
 
 
 def test_descent_refuses_a_compact_candidate(monkeypatch):
@@ -789,6 +817,54 @@ def test_strong_involution_with_an_id_off_the_table_is_an_input_error(x):
                  lambda x: ic.cross(0, x), lambda x: ic.cayley(0, x)):
         with pytest.raises(InputError, match="there are 10 involutions"):
             read(x)
+
+
+# (reader, what it is called with, the count of its index) on A3 c
+INDEX_READERS = {
+    "table.kinds": (lambda ic, i: ic.table.kinds(i), lambda ic: len(ic.table)),
+    "table.status": (lambda ic, j: ic.table.status(0, j), lambda ic: 3),
+    "table.status_row": (lambda ic, i: ic.table.status_row(i), lambda ic: len(ic.table)),
+    "table.cayley": (lambda ic, k: ic.table.cayley(0, k), lambda ic: 6),
+    "table.word": (lambda ic, i: ic.table.word(i), lambda ic: len(ic.table)),
+    "table.word_length": (lambda ic, i: ic.table.word_length(i), lambda ic: len(ic.table)),
+    "table.reflection_word": (lambda ic, k: ic.table.reflection_word(k), lambda ic: 6),
+    "table.imaginary_roots": (lambda ic, i: ic.table.imaginary_roots(i), lambda ic: len(ic.table)),
+    "table.real_roots": (lambda ic, i: ic.table.real_roots(i), lambda ic: len(ic.table)),
+    "table.imaginary_basis": (lambda ic, i: ic.table.imaginary_basis(i), lambda ic: len(ic.table)),
+    "table.canonical_member": (lambda ic, c: ic.table.canonical_member(c),
+                               lambda ic: len(ic.table.classes)),
+    "lattice": (lambda ic, i: ic.lattice(i), lambda ic: len(ic.table)),
+    "x_key": (lambda ic, i: ic.x_key((i, (0, 0, 0))), lambda ic: len(ic.table)),
+    "fiber_elements": (lambda ic, i: ic.fiber_elements(i, ic.square_classes[0].key),
+                       lambda ic: len(ic.table)),
+    "cross": (lambda ic, j: ic.cross(j, (0, (0, 0, 0))), lambda ic: 3),
+    "cayley": (lambda ic, j: ic.cayley(j, (0, (4, 0, 0))), lambda ic: 3),
+    "grading": (lambda ic, j: ic.grading((0, (0, 0, 0)), j), lambda ic: 3),
+    "root_grading": (lambda ic, k: ic.root_grading((0, (0, 0, 0)), k), lambda ic: 6),
+    "gradings": (lambda ic, i: ic.gradings((i, (0, 0, 0))), lambda ic: len(ic.table)),
+    "real_form_of": (lambda ic, i: ic.real_form_of((i, (0, 0, 0))), lambda ic: len(ic.table)),
+    "cartan_orbits": (lambda ic, c: ic.cartan_orbits(c), lambda ic: len(ic.table.classes)),
+    "strong_real_forms_at": (lambda ic, c: ic.strong_real_forms_at(c),
+                             lambda ic: len(ic.table.classes)),
+    "cartan_ranks": (lambda ic, c: ic.cartan_ranks(c), lambda ic: len(ic.table.classes)),
+    "strong_count_at": (lambda ic, c: ic.strong_count_at(c), lambda ic: len(ic.table.classes)),
+    "form_cartans": (lambda ic, f: ic.form_cartans(f), lambda ic: len(ic.real_forms)),
+    "most_split_cartan": (lambda ic, f: ic.most_split_cartan(f), lambda ic: len(ic.real_forms)),
+    "component_rank": (lambda ic, f: ic.component_rank(f), lambda ic: len(ic.real_forms)),
+    "kgb.word": (lambda ic, i: generate_kgb(ic, 0).word(i), lambda ic: generate_kgb(ic, 0).size),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_READERS))
+def test_public_readers_refuse_every_index_that_is_no_int_in_range(name):
+    # True, -1, the count, a float, a str and None: each reader of an
+    # index raises IndexError or InputError, and answers or fails otherwise
+    # in no other way
+    read, count = INDEX_READERS[name]
+    ic = context("A3", "c")
+    for bad in (True, -1, count(ic), 1.0, "1", None):
+        with pytest.raises((IndexError, InputError)):
+            read(ic, bad)
 
 
 @pytest.mark.parametrize("inv", [10, -1, "a", None])

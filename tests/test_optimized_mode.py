@@ -116,10 +116,10 @@ def test_fiber_square_check_raises_under_python_o():
 
 def test_descent_checks_raise_under_python_o():
     script = (
-        "from contexts import descent_from_a_point_off_every_fiber\n"
+        "from contexts import descent_through_a_row_with_no_descent\n"
         "from contexts import descent_through_a_compact_candidate\n"
         "print(__debug__)\n"
-        "for descend in (descent_from_a_point_off_every_fiber,\n"
+        "for descend in (descent_through_a_row_with_no_descent,\n"
         "                descent_through_a_compact_candidate):\n"
         "    try:\n"
         "        descend()\n"
@@ -183,6 +183,37 @@ def test_bool_ids_are_refused_under_python_o():
                "no involution False: there are 10 involutions"]
     indices = ["no positive root True", "no KGB element True"]
     assert run_optimized(script) == ["False"] + refused + refused + indices
+
+
+def test_door_and_index_refusals_under_python_o():
+    # group refuses arguments that are no str, and the table, KGB and
+    # root_grading refuse a float, str or None index, without an assert
+    script = (
+        "from contexts import context\n"
+        "from realred import InputError, group\n"
+        "from realred.kgb import generate_kgb\n"
+        "ic = context('A3', 'c')\n"
+        "x = ic.fundamental_orbits[0].members[0]\n"
+        "print(__debug__)\n"
+        "for args in ((3, 's'), ('A3', 'c', None), ('A3', None), ('A3', 'c', '1/3')):\n"
+        "    try:\n"
+        "        print(group(*args))\n"
+        "    except InputError as e:\n"
+        "        print(e)\n"
+        "for read in (lambda: ic.root_grading(x, 1.0), lambda: ic.table.word('1'),\n"
+        "             lambda: ic.table.canonical_member(None), lambda: ic.cross(1.0, x),\n"
+        "             lambda: generate_kgb(ic, 0).word(1.0)):\n"
+        "    try:\n"
+        "        print(read())\n"
+        "    except IndexError as e:\n"
+        "        print(e)\n"
+    )
+    assert run_optimized(script) == [
+        "False", "a Lie type must be a str, not 3", "a kernel must be a str, not None",
+        "inner class letters must be a str, not None", "1/3 is not in the center",
+        "no positive root 1.0", "no involution 1", "no class None", "no simple root 1.0",
+        "no KGB element 1.0",
+    ]
 
 
 def test_torus_parts_and_squares_are_checked_under_python_o():

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from realred import lin, rootdata
+from realred import group, lin, rootdata
 from realred.cartan import system_type, weyl_order
+from realred.involution import inner_class
 from realred.rootdata import (
     Factor,
     InputError,
@@ -97,6 +98,27 @@ def test_kernel_generator_validation() -> None:
     assert parse_kernel_generator("2/4", cs5).fractions == ((1, 2),)
     cst = center_structure(parse_lie_type("T1"))
     assert parse_kernel_generator("5/7", cst).fractions == ((5, 7),)
+
+
+@pytest.mark.parametrize("args", [
+    (3, "s"), (None, "s"), ("", "s"), ("H3", "s"), ("E9", "s"),
+    ("A3", "c", "xy"), ("A3", "c", None), ("A3", "c", "1/3"), ("A3", "c", "1/2,1/2"),
+    ("A3", "c", "1/2;"), ("A3", None), ("A3", "x"),
+])
+def test_group_refuses_every_bad_argument_with_an_input_error(args):
+    # a type that is no str, empty, of an unknown letter or out of bounds; a
+    # kernel that is no str, no fraction line, outside the center or of the
+    # wrong length; letters that are no str or unknown
+    with pytest.raises(InputError):
+        group(*args)
+
+
+def test_group_matches_the_explicit_pipeline():
+    lt = parse_lie_type("A3")
+    rd = build_root_datum(lt, [parse_kernel_generator("1/2", center_structure(lt))])
+    ic = group("A3", "c", "1/2")
+    assert ic.rd == rd and ic.rd.basis == rd.basis and ic.lt == lt
+    assert ic.real_forms == inner_class("c", rd, lt).real_forms
 
 
 @pytest.mark.parametrize("bad", ["x", "1/0", "1/2/3", ""])
